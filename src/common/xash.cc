@@ -15,17 +15,25 @@ namespace {
 constexpr std::string_view kFrequencyOrder =
     "etaoinshrdlcumwfgypbvkjxqz0123456789";
 
-}  // namespace
-
-int Xash::CharRarity(unsigned char c) {
-  if (c >= 'A' && c <= 'Z') c = static_cast<unsigned char>(c - 'A' + 'a');
-  size_t pos = kFrequencyOrder.find(static_cast<char>(c));
-  if (pos == std::string_view::npos) {
-    // Punctuation / non-ASCII: treat as rare but stable.
-    return static_cast<int>(kFrequencyOrder.size()) + (c % 7);
+/// Rarity rank per byte: the position in kFrequencyOrder (case-folded for
+/// letters); punctuation and non-ASCII bytes rank as rare but stable. The
+/// ranks pick the bits of persisted super keys, so they must never change.
+constexpr std::array<uint8_t, 256> MakeRarity() {
+  std::array<uint8_t, 256> rank{};
+  for (size_t c = 0; c < rank.size(); ++c) {
+    rank[c] = static_cast<uint8_t>(kFrequencyOrder.size() + c % 7);
   }
-  return static_cast<int>(pos);
+  for (size_t i = 0; i < kFrequencyOrder.size(); ++i) {
+    const auto c = static_cast<unsigned char>(kFrequencyOrder[i]);
+    rank[c] = static_cast<uint8_t>(i);
+    if (c >= 'a' && c <= 'z') rank[c - 'a' + 'A'] = static_cast<uint8_t>(i);
+  }
+  return rank;
 }
+
+constexpr std::array<uint8_t, 256> kRarity = MakeRarity();
+
+}  // namespace
 
 uint64_t Xash::HashValue(std::string_view value) {
   if (value.empty()) return 0;
@@ -49,8 +57,8 @@ uint64_t Xash::HashValue(std::string_view value) {
     }
   };
   for (size_t i = 0; i < value.size(); ++i) {
-    Pick p{CharRarity(static_cast<unsigned char>(value[i])),
-           static_cast<unsigned char>(value[i]), i};
+    const auto c = static_cast<unsigned char>(value[i]);
+    Pick p{kRarity[c], c, i};
     if (n_picks < kCharsPerValue) {
       picks[n_picks] = p;
       sift_up(n_picks);

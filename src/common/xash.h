@@ -37,11 +37,6 @@ class Xash {
   static bool MayContain(uint64_t super_key, uint64_t query_key) {
     return (super_key & query_key) == query_key;
   }
-
- private:
-  /// English-letter frequency rank; rarer characters produce more selective
-  /// bits (mirrors MATE's frequency-aware character selection).
-  static int CharRarity(unsigned char c);
 };
 
 }  // namespace blend

@@ -33,6 +33,29 @@ struct IndexRecord {
 /// Physical position of a record within a store.
 using RecordPos = uint32_t;
 
+/// The AllTables relation as one array per attribute: ColumnStore's physical
+/// form, which the builder fills in place.
+struct RecordColumns {
+  std::vector<CellId> cells;
+  std::vector<TableId> tables;
+  std::vector<int32_t> columns;
+  std::vector<int32_t> rows;
+  std::vector<uint64_t> super_keys;
+  std::vector<int8_t> quadrants;
+
+  explicit RecordColumns(size_t n = 0)
+      : cells(n), tables(n), columns(n), rows(n), super_keys(n), quadrants(n) {}
+
+  void Set(size_t i, const IndexRecord& r) {
+    cells[i] = r.cell;
+    tables[i] = r.table;
+    columns[i] = r.column;
+    rows[i] = r.row;
+    super_keys[i] = r.super_key;
+    quadrants[i] = r.quadrant;
+  }
+};
+
 /// Secondary structures both physical layouts share: the in-database hash
 /// index on CellValue (postings of physical positions, stored as one
 /// flattened CSR so a snapshot can serve the whole index from two fixed-width
@@ -66,8 +89,10 @@ struct SecondaryIndexes {
   /// `Quadrant IS NOT NULL` scan.
   PodArray<RecordPos> quadrant_positions;
 
-  void Build(std::span<const IndexRecord> records, size_t num_cells,
-             size_t num_tables);
+  /// Builds every structure from a store's records (RowStore or ColumnStore,
+  /// read through their per-field accessors).
+  template <typename Store>
+  void Build(const Store& store, size_t num_cells, size_t num_tables);
 
   /// In-place transcode to the compressed codec (in-memory compressed
   /// serving): encodes the raw CSR into `posting_blob` + partition offsets
@@ -161,7 +186,7 @@ class ColumnStore {
  public:
   static constexpr bool kIsColumnStore = true;
 
-  void Build(std::vector<IndexRecord> records, size_t num_cells, size_t num_tables);
+  void Build(RecordColumns records, size_t num_cells, size_t num_tables);
 
   size_t NumRecords() const { return cells_.size(); }
   CellId cell(RecordPos i) const { return cells_[i]; }

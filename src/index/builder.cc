@@ -1,7 +1,6 @@
 #include "index/builder.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/hashing.h"
@@ -30,39 +29,209 @@ uint64_t TableShuffleSeed(uint64_t seed, TableId tid) {
   return Mix64(seed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(tid) + 1));
 }
 
-/// Indexes the contiguous table range [begin, end): interns normalized cells
-/// into `dict`, emits one IndexRecord per non-empty cell into `records`
-/// (table-major, row-major — the serial emission order), and fills
-/// `row_maps[t]` for shuffled builds. `dict` may be shard-local; the caller
-/// remaps cell ids afterwards. `row_maps` is shared across shards but each
-/// shard writes only its own disjoint table slots.
-void IndexTableRange(const DataLake& lake, TableId begin, TableId end,
-                     const IndexBuildOptions& options, Dictionary* dict,
-                     std::vector<IndexRecord>* records,
-                     std::vector<std::vector<int32_t>>* row_maps) {
-  size_t range_cells = 0;
-  for (TableId tid = begin; tid < end; ++tid) {
-    range_cells += lake.table(tid).NumCells();
-  }
-  records->reserve(records->size() + range_cells);
+/// Smallest power of two above 2n: open-addressing capacity for n keys.
+size_t SlotCount(size_t n) {
+  size_t slots = 1;
+  while (slots < 2 * n + 1) slots <<= 1;
+  return slots;
+}
 
-  for (TableId tid = begin; tid < end; ++tid) {
+/// One shard's distinct normalized values in first-appearance order, stored
+/// flat (CSR offsets into one blob) with each value's FNV-1a hash and XASH
+/// computed once, behind an open-addressing table of local ids.
+class ShardDict {
+ public:
+  size_t Size() const { return hashes_.size(); }
+  std::string_view Value(CellId id) const {
+    return {blob_.data() + offsets_[id],
+            static_cast<size_t>(offsets_[id + 1] - offsets_[id])};
+  }
+  uint64_t Hash(CellId id) const { return hashes_[id]; }
+  uint64_t XashOf(CellId id) const { return xash_[id]; }
+  const std::vector<uint64_t>& hashes() const { return hashes_; }
+
+  /// Reserves room for up to `max_values` values of `max_bytes` in total, so
+  /// the arrays never reallocate. Large reallocations unmap memory, and with
+  /// every shard growing at once the unmap's TLB shootdowns stall all
+  /// workers; unused capacity is never touched and costs no resident memory.
+  void Reserve(size_t max_values, size_t max_bytes) {
+    offsets_.reserve(max_values + 1);
+    blob_.reserve(max_bytes);
+    hashes_.reserve(max_values);
+    xash_.reserve(max_values);
+    slots_.reserve(SlotCount(max_values));
+  }
+
+  /// Local id of `value`, whose Fnv1a64 is `hash`; appended when new.
+  CellId Intern(std::string_view value, uint64_t hash) {
+    if (2 * (Size() + 1) > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const CellId id = slots_[i];
+      if (id == kInvalidCellId) {
+        slots_[i] = static_cast<CellId>(Size());
+        offsets_.push_back(offsets_.back() + value.size());
+        blob_.insert(blob_.end(), value.begin(), value.end());
+        hashes_.push_back(hash);
+        xash_.push_back(Xash::HashValue(value));
+        return slots_[i];
+      }
+      if (hashes_[id] == hash && Value(id) == value) return id;
+    }
+  }
+
+ private:
+  /// Doubles the table in place (within the reserved capacity) and
+  /// reinserts every value from its kept hash.
+  void Grow() {
+    slots_.assign(std::max<size_t>(1024, 2 * slots_.size()), kInvalidCellId);
+    const size_t mask = slots_.size() - 1;
+    for (CellId id = 0; id < Size(); ++id) {
+      size_t i = hashes_[id] & mask;
+      while (slots_[i] != kInvalidCellId) i = (i + 1) & mask;
+      slots_[i] = id;
+    }
+  }
+
+  std::vector<uint64_t> offsets_{0};
+  std::vector<char> blob_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint64_t> xash_;
+  std::vector<CellId> slots_;
+};
+
+/// A contiguous [begin, end) table range indexed by one task: its records
+/// occupy [first_record, first_record + num_records) of the store, and carry
+/// shard-local cell ids until the merge rewrites them. Local id `id` is
+/// flat id `first_value + id` in the concatenation of all shards' local ids.
+struct Shard {
+  TableId begin = 0;
+  TableId end = 0;
+  size_t first_record = 0;
+  size_t num_records = 0;
+  size_t first_value = 0;
+  ShardDict dict;
+};
+
+/// The store's arrays under construction, in the requested layout, written
+/// at final positions.
+struct RecordSink {
+  StoreLayout layout;
+  std::vector<IndexRecord> rows;  // kRow
+  RecordColumns columns;          // kColumn
+
+  RecordSink(StoreLayout l, size_t n)
+      : layout(l),
+        rows(l == StoreLayout::kRow ? n : 0),
+        columns(l == StoreLayout::kColumn ? n : 0) {}
+
+  void Put(size_t pos, const IndexRecord& r) {
+    if (layout == StoreLayout::kRow) {
+      rows[pos] = r;
+    } else {
+      columns.Set(pos, r);
+    }
+  }
+  CellId& cell(size_t pos) {
+    return layout == StoreLayout::kRow ? rows[pos].cell : columns.cells[pos];
+  }
+};
+
+/// Contiguous table ranges, one per shard, balanced by cell count (tables
+/// vary widely in size; splitting by table count alone leaves the shard with
+/// the big tables as the critical path).
+std::vector<Shard> ShardRanges(const DataLake& lake, size_t num_shards) {
+  const auto num_tables = static_cast<TableId>(lake.NumTables());
+  const double total = static_cast<double>(lake.TotalCells());
+  std::vector<Shard> shards(num_shards);
+  size_t closed = 0;
+  size_t cells_before = 0;
+  for (TableId tid = 0; tid < num_tables; ++tid) {
+    cells_before += lake.table(tid).NumCells();
+    const TableId tables_left = num_tables - (tid + 1);
+    const auto shards_left = static_cast<TableId>(num_shards - closed - 1);
+    const double target = total * static_cast<double>(closed + 1) /
+                          static_cast<double>(num_shards);
+    if (shards_left > 0 && tables_left >= shards_left &&
+        static_cast<double>(cells_before) >= target) {
+      shards[closed].end = tid + 1;
+      shards[++closed].begin = tid + 1;
+    }
+  }
+  shards[closed].end = num_tables;
+  return shards;
+}
+
+/// Sizes the shard before indexing it: one record per non-blank cell, and
+/// the shard dictionary's room for at most that many values and bytes.
+void SizeShard(const DataLake& lake, Shard* shard) {
+  size_t bytes = 0;
+  for (TableId tid = shard->begin; tid < shard->end; ++tid) {
+    for (const Column& col : lake.table(tid).columns()) {
+      for (const std::string& cell : col.cells) {
+        const size_t len = Trim(cell).size();
+        shard->num_records += len > 0 ? 1 : 0;
+        bytes += len;
+      }
+    }
+  }
+  shard->dict.Reserve(shard->num_records, bytes);
+}
+
+/// Parses every cell of `col` once. The column is numeric when every
+/// non-blank cell parses and at least one does (Column::IsNumeric); its mean
+/// sums the values in cell order like Column::NumericMean, so the quadrant
+/// bits match both exactly. On success `values[r]` holds row r's number.
+bool ParseNumericColumn(const Column& col, double* values, double* mean) {
+  double sum = 0;
+  size_t n = 0;
+  for (size_t r = 0; r < col.cells.size(); ++r) {
+    const std::string_view t = Trim(col.cells[r]);
+    if (t.empty()) continue;
+    const auto v = ParseNumeric(t);
+    if (!v.has_value()) return false;
+    values[r] = *v;
+    sum += *v;
+    ++n;
+  }
+  if (n == 0) return false;
+  *mean = sum / static_cast<double>(n);
+  return true;
+}
+
+/// Indexes the shard's tables: interns normalized cells into the shard's
+/// dictionary and writes one record per non-blank cell (table-major,
+/// row-major: the serial emission order) from the shard's first record on.
+/// Fills `row_maps[t]` for shuffled builds; shards write disjoint slots.
+void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
+                Shard* shard, RecordSink* sink,
+                std::vector<std::vector<int32_t>>* row_maps) {
+  // Buffers reused across cells and tables: the pass allocates per table at
+  // most, never per cell.
+  std::string normalized;
+  std::vector<double> numbers;
+  std::vector<double> means;
+  std::vector<uint8_t> numeric;
+  std::vector<int32_t> order;
+  std::vector<CellId> row_ids;
+  size_t pos = shard->first_record;
+
+  for (TableId tid = shard->begin; tid < shard->end; ++tid) {
     const Table& t = lake.table(tid);
     const size_t rows = t.NumRows();
     const size_t cols = t.NumColumns();
 
-    // Per-column numeric means for the quadrant bit.
-    std::vector<std::optional<double>> means(cols);
-    std::vector<bool> numeric(cols, false);
+    // Per-column numeric typing and mean for the quadrant bit.
+    numbers.resize(rows * cols);
+    means.assign(cols, 0);
+    numeric.assign(cols, 0);
     for (size_t c = 0; c < cols; ++c) {
-      if (t.column(c).IsNumeric()) {
-        numeric[c] = true;
-        means[c] = t.column(c).NumericMean();
-      }
+      numeric[c] = ParseNumericColumn(t.column(c), numbers.data() + c * rows,
+                                      &means[c]);
     }
 
     // RowId assignment order: identity or shuffled (BLEND(rand)).
-    std::vector<int32_t> order(rows);
+    order.resize(rows);
     for (size_t r = 0; r < rows; ++r) order[r] = static_cast<int32_t>(r);
     if (options.shuffle_rows) {
       Rng rng(TableShuffleSeed(options.shuffle_seed, tid));
@@ -70,64 +239,174 @@ void IndexTableRange(const DataLake& lake, TableId begin, TableId end,
       (*row_maps)[static_cast<size_t>(tid)] = order;
     }
 
-    std::vector<std::string> normalized(cols);
-    std::vector<std::string_view> row_views;
+    row_ids.resize(cols);
     for (size_t out_row = 0; out_row < rows; ++out_row) {
       const size_t src_row = static_cast<size_t>(order[out_row]);
-      row_views.clear();
+      uint64_t super_key = 0;
       for (size_t c = 0; c < cols; ++c) {
-        normalized[c] = NormalizeCell(t.At(src_row, c));
-        if (!normalized[c].empty()) row_views.push_back(normalized[c]);
+        const std::string_view cell = Trim(t.At(src_row, c));
+        row_ids[c] = kInvalidCellId;
+        if (cell.empty()) continue;
+        normalized.assign(cell);
+        for (char& ch : normalized) {
+          if (ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
+        }
+        row_ids[c] = shard->dict.Intern(normalized, Fnv1a64(normalized));
+        super_key |= shard->dict.XashOf(row_ids[c]);
       }
-      const uint64_t super_key = Xash::SuperKey(row_views);
-
       for (size_t c = 0; c < cols; ++c) {
-        if (normalized[c].empty()) continue;
-        IndexRecord rec;
-        rec.cell = dict->Intern(normalized[c]);
+        if (row_ids[c] == kInvalidCellId) continue;
+        IndexRecord rec{};
+        rec.cell = row_ids[c];
         rec.table = tid;
         rec.column = static_cast<int32_t>(c);
         rec.row = static_cast<int32_t>(out_row);
         rec.super_key = super_key;
         rec.quadrant = kQuadrantNull;
-        if (numeric[c] && means[c].has_value()) {
-          auto v = ParseNumeric(t.At(src_row, c));
-          if (v.has_value()) rec.quadrant = (*v >= *means[c]) ? 1 : 0;
+        if (numeric[c] != 0) {
+          rec.quadrant = numbers[c * rows + src_row] >= means[c] ? 1 : 0;
         }
-        records->push_back(rec);
+        sink->Put(pos++, rec);
       }
     }
   }
 }
 
-/// Contiguous [begin, end) table ranges, one per shard, balanced by cell
-/// count (tables vary widely in size; splitting by table count alone leaves
-/// the shard with the big tables as the critical path).
-std::vector<std::pair<TableId, TableId>> ShardRanges(const DataLake& lake,
-                                                     size_t num_shards) {
-  const auto num_tables = static_cast<TableId>(lake.NumTables());
-  const double total = static_cast<double>(lake.TotalCells());
-  std::vector<std::pair<TableId, TableId>> ranges;
-  ranges.reserve(num_shards);
-  TableId start = 0;
-  size_t cells_before = 0;
-  for (TableId tid = 0; tid < num_tables; ++tid) {
-    cells_before += lake.table(tid).NumCells();
-    const size_t shards_closed = ranges.size();
-    const TableId tables_left = num_tables - (tid + 1);
-    const auto shards_left =
-        static_cast<TableId>(num_shards - shards_closed - 1);
-    const double target =
-        total * static_cast<double>(shards_closed + 1) /
-        static_cast<double>(num_shards);
-    if (shards_left > 0 && tables_left >= shards_left &&
-        static_cast<double>(cells_before) >= target) {
-      ranges.emplace_back(start, tid + 1);
-      start = tid + 1;
-    }
+/// Top hash bits that pick a value's merge partition. The partition count
+/// only shapes the work split; the ids it yields do not depend on it.
+constexpr int kPartitionBits = 8;
+constexpr size_t kPartitions = size_t{1} << kPartitionBits;
+
+/// The deterministic merge. Global CellIds follow first appearance in the
+/// serial scan order: shards cover ascending table ranges and each shard
+/// lists its values in local first-appearance order, so a value belongs to
+/// the first shard holding it, and owned values are numbered shard by shard
+/// in local order. Returns the global CellId of every flat id and emits the
+/// dictionary.
+std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
+                                size_t num_flat, Scheduler* sched,
+                                Dictionary* dict) {
+  const size_t num_shards = shards.size();
+  // owner[f]: flat id of the first appearance of flat value f's string (f
+  // itself when f's shard owns it). A single shard owns everything.
+  std::vector<uint32_t> owner(num_flat);
+  for (size_t f = 0; f < num_flat; ++f) owner[f] = static_cast<uint32_t>(f);
+
+  if (num_shards > 1) {
+    // Bucket every shard's local ids by partition, keeping local order.
+    std::vector<std::vector<uint32_t>> bucket_begin(num_shards);
+    std::vector<std::vector<CellId>> bucket_ids(num_shards);
+    sched->ParallelFor(num_shards, [&](size_t s) {
+      const std::vector<uint64_t>& hashes = shards[s].dict.hashes();
+      std::vector<uint32_t>& begin = bucket_begin[s];
+      begin.assign(kPartitions + 1, 0);
+      for (uint64_t h : hashes) ++begin[(h >> (64 - kPartitionBits)) + 1];
+      for (size_t p = 0; p < kPartitions; ++p) begin[p + 1] += begin[p];
+      std::vector<uint32_t> cursor(begin.begin(), begin.end() - 1);
+      bucket_ids[s].resize(hashes.size());
+      for (CellId id = 0; id < hashes.size(); ++id) {
+        bucket_ids[s][cursor[hashes[id] >> (64 - kPartitionBits)]++] = id;
+      }
+    });
+    // Per partition, walk the shards in order: the first shard to present a
+    // value owns it. Each task takes a contiguous run of partitions and
+    // reuses one table for them (see ShardDict::Reserve on why a fresh
+    // table per partition would be slow).
+    auto candidates = [&](size_t p) {
+      size_t n = 0;
+      for (size_t s = 0; s < num_shards; ++s) {
+        n += bucket_begin[s][p + 1] - bucket_begin[s][p];
+      }
+      return n;
+    };
+    sched->ParallelFor(num_shards, [&](size_t task) {
+      const size_t first = task * kPartitions / num_shards;
+      const size_t last = (task + 1) * kPartitions / num_shards;
+      struct Slot {
+        uint32_t shard;  // kEmpty marks a free slot
+        CellId id;
+      };
+      constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+      std::vector<Slot> table;
+      size_t most = 0;
+      for (size_t p = first; p < last; ++p) most = std::max(most, candidates(p));
+      table.reserve(SlotCount(most));
+      for (size_t p = first; p < last; ++p) {
+        table.assign(SlotCount(candidates(p)), Slot{kEmpty, 0});
+        const size_t mask = table.size() - 1;
+        for (size_t s = 0; s < num_shards; ++s) {
+          const ShardDict& d = shards[s].dict;
+          for (uint32_t b = bucket_begin[s][p]; b < bucket_begin[s][p + 1]; ++b) {
+            const CellId id = bucket_ids[s][b];
+            const uint64_t h = d.Hash(id);
+            const std::string_view v = d.Value(id);
+            for (size_t i = h & mask;; i = (i + 1) & mask) {
+              const Slot slot = table[i];
+              if (slot.shard == kEmpty) {
+                table[i] = Slot{static_cast<uint32_t>(s), id};
+                break;
+              }
+              const Shard& o = shards[slot.shard];
+              if (o.dict.Hash(slot.id) == h && o.dict.Value(slot.id) == v) {
+                owner[shards[s].first_value + id] =
+                    static_cast<uint32_t>(o.first_value + slot.id);
+                break;
+              }
+            }
+          }
+        }
+      }
+    });
   }
-  ranges.emplace_back(start, num_tables);
-  return ranges;
+
+  // Owned values and bytes per shard; their prefix sums place every shard's
+  // owned values in the global id space and in the value blob.
+  std::vector<size_t> id_base(num_shards + 1, 0);
+  std::vector<size_t> byte_base(num_shards + 1, 0);
+  sched->ParallelFor(num_shards, [&](size_t s) {
+    const ShardDict& d = shards[s].dict;
+    for (CellId id = 0; id < d.Size(); ++id) {
+      const size_t f = shards[s].first_value + id;
+      if (owner[f] != f) continue;
+      ++id_base[s + 1];
+      byte_base[s + 1] += d.Value(id).size();
+    }
+  });
+  for (size_t s = 0; s < num_shards; ++s) {
+    id_base[s + 1] += id_base[s];
+    byte_base[s + 1] += byte_base[s];
+  }
+
+  const size_t num_values = id_base[num_shards];
+  std::vector<uint64_t> offsets(num_values + 1);
+  std::vector<char> blob(byte_base[num_shards]);
+  std::vector<uint64_t> hashes(num_values);
+  std::vector<CellId> cell_of(num_flat);
+  sched->ParallelFor(num_shards, [&](size_t s) {
+    const ShardDict& d = shards[s].dict;
+    size_t next = id_base[s];
+    size_t byte = byte_base[s];
+    for (CellId id = 0; id < d.Size(); ++id) {
+      const size_t f = shards[s].first_value + id;
+      if (owner[f] != f) continue;
+      const std::string_view v = d.Value(id);
+      offsets[next] = byte;
+      std::copy(v.begin(), v.end(), blob.begin() + static_cast<ptrdiff_t>(byte));
+      hashes[next] = d.Hash(id);
+      cell_of[f] = static_cast<CellId>(next++);
+      byte += v.size();
+    }
+  });
+  offsets[num_values] = blob.size();
+  // Every owner is numbered now; shared values take their owner's id.
+  sched->ParallelFor(num_shards, [&](size_t s) {
+    const size_t end = shards[s].first_value + shards[s].dict.Size();
+    for (size_t f = shards[s].first_value; f < end; ++f) {
+      cell_of[f] = cell_of[owner[f]];
+    }
+  });
+  *dict = Dictionary::FromCsr(std::move(offsets), std::move(blob), hashes);
+  return cell_of;
 }
 
 }  // namespace
@@ -135,59 +414,54 @@ std::vector<std::pair<TableId, TableId>> ShardRanges(const DataLake& lake,
 IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   IndexBundle bundle;
   bundle.layout_ = options_.layout;
-  const auto num_tables = static_cast<TableId>(lake.NumTables());
   if (options_.shuffle_rows) bundle.row_maps_.resize(lake.NumTables());
 
   // 0 = one per hardware thread; negative values clamp to serial rather than
   // silently selecting maximum parallelism. The shard geometry is fixed by
-  // this knob alone, never by pool occupancy, so the build stays
-  // byte-identical no matter which workers run which shard.
+  // this knob alone, never by pool occupancy, and the merge makes the output
+  // independent of the geometry too.
   const size_t want = ResolveThreads(options_.num_threads);
-  const size_t num_shards =
-      std::max<size_t>(1, std::min(want, lake.NumTables()));
+  // Shards and merge partitions run as task groups on the process-wide pool
+  // (the offline counterpart of the query engine's morsel tasks).
+  Scheduler* sched = want > 1 ? Scheduler::Default() : Scheduler::Serial();
+  std::vector<Shard> shards =
+      ShardRanges(lake, std::max<size_t>(1, std::min(want, lake.NumTables())));
 
-  std::vector<IndexRecord> records;
-  if (num_shards <= 1) {
-    IndexTableRange(lake, 0, num_tables, options_, &bundle.dict_, &records,
-                    &bundle.row_maps_);
-  } else {
-    // Shards run as one task group on the process-wide pool (the offline
-    // counterpart of the query engine's morsel tasks); each worker interns
-    // into its own dictionary so the hot intern path stays lock-free.
-    const auto ranges = ShardRanges(lake, num_shards);
-    std::vector<Dictionary> dicts(ranges.size());
-    std::vector<std::vector<IndexRecord>> shard_records(ranges.size());
-    Scheduler::Default()->ParallelFor(ranges.size(), [&](size_t s) {
-      IndexTableRange(lake, ranges[s].first, ranges[s].second, options_,
-                      &dicts[s], &shard_records[s], &bundle.row_maps_);
-    });
-
-    // Deterministic merge. Shards cover ascending table ranges and each local
-    // dictionary lists values in first-appearance order, so interning shard by
-    // shard reproduces exactly the CellId assignment of a serial scan.
-    records.reserve(lake.TotalCells());
-    std::vector<CellId> remap;
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      remap.resize(dicts[s].Size());
-      for (CellId local = 0; local < static_cast<CellId>(dicts[s].Size());
-           ++local) {
-        remap[local] = bundle.dict_.Intern(dicts[s].Value(local));
-      }
-      for (IndexRecord rec : shard_records[s]) {
-        rec.cell = remap[rec.cell];
-        records.push_back(rec);
-      }
-      // Release each shard once merged: record storage dominates the build's
-      // footprint, and holding every shard until the end would double it.
-      std::vector<IndexRecord>().swap(shard_records[s]);
-    }
+  // Record counts first, so every shard writes its records straight to
+  // their final positions.
+  sched->ParallelFor(shards.size(), [&](size_t s) { SizeShard(lake, &shards[s]); });
+  size_t num_records = 0;
+  for (Shard& shard : shards) {
+    shard.first_record = num_records;
+    num_records += shard.num_records;
   }
+  RecordSink sink(options_.layout, num_records);
+  sched->ParallelFor(shards.size(), [&](size_t s) {
+    IndexShard(lake, options_, &shards[s], &sink, &bundle.row_maps_);
+  });
+
+  size_t num_flat = 0;
+  for (Shard& shard : shards) {
+    shard.first_value = num_flat;
+    num_flat += shard.dict.Size();
+  }
+  const std::vector<CellId> cell_of =
+      MergeShards(shards, num_flat, sched, &bundle.dict_);
+  sched->ParallelFor(shards.size(), [&](size_t s) {
+    const size_t end = shards[s].first_record + shards[s].num_records;
+    for (size_t pos = shards[s].first_record; pos < end; ++pos) {
+      CellId& cell = sink.cell(pos);
+      cell = cell_of[shards[s].first_value + cell];
+    }
+  });
+  shards.clear();
 
   const size_t num_cells = bundle.dict_.Size();
   if (options_.layout == StoreLayout::kRow) {
-    bundle.row_store_.Build(std::move(records), num_cells, lake.NumTables());
+    bundle.row_store_.Build(std::move(sink.rows), num_cells, lake.NumTables());
   } else {
-    bundle.column_store_.Build(std::move(records), num_cells, lake.NumTables());
+    bundle.column_store_.Build(std::move(sink.columns), num_cells,
+                               lake.NumTables());
   }
   if (options_.serve_compressed) {
     // Encoded bytes are a pure function of the lists, so the transcode is

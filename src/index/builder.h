@@ -26,8 +26,8 @@ struct IndexBuildOptions {
   /// Worker threads for the offline build. 0 means "one per hardware thread";
   /// 1 (and any negative value) forces the serial path. The built index is
   /// byte-identical for every thread count: workers index disjoint contiguous
-  /// table ranges and a deterministic merge reproduces the serial
-  /// DictId/RowId assignment.
+  /// table ranges and a hash-partitioned merge reproduces the serial
+  /// first-appearance CellId assignment.
   int num_threads = 0;
   /// In-memory compressed serving: after the store is built, transcode its
   /// postings to the block-compressed codec and serve queries straight off
@@ -43,7 +43,6 @@ struct IndexBuildOptions {
 class IndexBundle {
  public:
   const Dictionary& dictionary() const { return dict_; }
-  Dictionary& dictionary() { return dict_; }
 
   StoreLayout layout() const { return layout_; }
   const RowStore& row_store() const { return row_store_; }

@@ -170,8 +170,8 @@ uint64_t SectionChecksum(const uint8_t* p, size_t n, Scheduler* sched) {
 }
 
 /// One payload to serialize: either a window over memory the bundle already
-/// owns (store arrays) or bytes staged for the file (dictionary, row maps,
-/// padding-zeroed records).
+/// owns (dictionary and store arrays) or bytes staged for the file (row
+/// maps, padding-zeroed records, transcoded postings).
 struct SectionSpec {
   uint32_t id = 0;
   const uint8_t* data = nullptr;
@@ -479,37 +479,13 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   g.flags |= (static_cast<uint32_t>(codec) & kFlagCodecMask) << kFlagCodecShift;
   auto& specs = g.specs;
 
-  // Dictionary: CSR offsets over a concatenated value blob (values in id
-  // order), plus the precomputed open-addressing hash table so the load path
-  // performs no hashing or interning at all. The table is a pure function of
-  // the value sequence, which keeps the file deterministic.
-  {
-    const Dictionary& dict = bundle.dict_;
-    const size_t n = dict.Size();
-    std::vector<uint64_t> offsets(n + 1, 0);
-    for (size_t id = 0; id < n; ++id) {
-      offsets[id + 1] = offsets[id] + dict.Value(static_cast<CellId>(id)).size();
-    }
-    std::vector<uint8_t> blob(offsets.back());
-    for (size_t id = 0; id < n; ++id) {
-      std::string_view v = dict.Value(static_cast<CellId>(id));
-      std::memcpy(blob.data() + offsets[id], v.data(), v.size());
-    }
-    // Power-of-two table at least twice the value count, so lookups always
-    // hit an empty slot and stay O(1) expected.
-    size_t table_size = 1;
-    while (table_size < 2 * n + 1) table_size <<= 1;
-    std::vector<CellId> slots(table_size, kInvalidCellId);
-    const size_t mask = table_size - 1;
-    for (size_t id = 0; id < n; ++id) {
-      size_t idx = Fnv1a64(dict.Value(static_cast<CellId>(id))) & mask;
-      while (slots[idx] != kInvalidCellId) idx = (idx + 1) & mask;
-      slots[idx] = static_cast<CellId>(id);
-    }
-    specs.emplace_back().Stage(kSecDictOffsets, StagePod(offsets));
-    specs.emplace_back().Stage(kSecDictBlob, std::move(blob));
-    specs.emplace_back().Stage(kSecDictHash, StagePod(slots));
-  }
+  // Dictionary: CSR offsets over the value blob plus the precomputed
+  // open-addressing hash table, windowed as they are — the builder already
+  // emits the file form, and the load path then performs no hashing or
+  // interning at all.
+  specs.emplace_back().View(kSecDictOffsets, bundle.dict_.offsets_);
+  specs.emplace_back().View(kSecDictBlob, bundle.dict_.blob_);
+  specs.emplace_back().View(kSecDictHash, bundle.dict_.hash_slots_);
 
   const SecondaryIndexes* secondary;
   if (bundle.layout_ == StoreLayout::kRow) {
@@ -658,16 +634,9 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
   // Mirrors Gather's section list without materializing any payload (the
   // SnapshotBytesMatchesFileSize test pins this to the real writer).
   const Dictionary& dict = bundle.dict_;
-  const size_t num_values = dict.Size();
-  size_t blob = 0;
-  for (size_t id = 0; id < num_values; ++id) {
-    blob += dict.Value(static_cast<CellId>(id)).size();
-  }
-  size_t hash_slots = 1;
-  while (hash_slots < 2 * num_values + 1) hash_slots <<= 1;
-
-  std::vector<size_t> sizes = {(num_values + 1) * sizeof(uint64_t), blob,
-                               hash_slots * sizeof(CellId)};
+  std::vector<size_t> sizes = {dict.offsets_.size() * sizeof(uint64_t),
+                               dict.blob_.size(),
+                               dict.hash_slots_.size() * sizeof(CellId)};
   const size_t n = bundle.NumRecords();
   if (bundle.layout_ == StoreLayout::kRow) {
     sizes.push_back(n * sizeof(IndexRecord));

@@ -4,45 +4,47 @@
 
 namespace blend {
 
-CellId Dictionary::Intern(std::string_view normalized) {
-  auto it = ids_.find(normalized);
-  if (it != ids_.end()) return it->second;
-  CellId id = static_cast<CellId>(values_.size());
-  values_.emplace_back(normalized);
-  ids_.emplace(std::string_view(values_.back()), id);
-  return id;
+Dictionary Dictionary::FromCsr(std::vector<uint64_t> offsets,
+                               std::vector<char> blob,
+                               std::span<const uint64_t> hashes) {
+  const size_t n = hashes.size();
+  // Power-of-two table at least twice the value count, so lookups always hit
+  // an empty slot and stay O(1) expected.
+  size_t table_size = 1;
+  while (table_size < 2 * n + 1) table_size <<= 1;
+  std::vector<CellId> slots(table_size, kInvalidCellId);
+  const size_t mask = table_size - 1;
+  for (size_t id = 0; id < n; ++id) {
+    size_t idx = hashes[id] & mask;
+    while (slots[idx] != kInvalidCellId) idx = (idx + 1) & mask;
+    slots[idx] = static_cast<CellId>(id);
+  }
+  Dictionary d;
+  d.offsets_.Own(std::move(offsets));
+  d.blob_.Own(std::move(blob));
+  d.hash_slots_.Own(std::move(slots));
+  return d;
 }
 
 CellId Dictionary::Find(std::string_view normalized) const {
-  if (loaded()) {
-    // Linear probing over the precomputed table. The load path guarantees at
-    // least one empty slot, but the probe count is capped anyway so even an
-    // adversarial table terminates.
-    const size_t mask = hash_slots_.size() - 1;
-    size_t idx = Fnv1a64(normalized) & mask;
-    for (size_t probes = 0; probes < hash_slots_.size(); ++probes) {
-      const CellId id = hash_slots_[idx];
-      if (id == kInvalidCellId) return kInvalidCellId;
-      if (Value(id) == normalized) return id;
-      idx = (idx + 1) & mask;
-    }
-    return kInvalidCellId;
+  if (hash_slots_.empty()) return kInvalidCellId;
+  // Linear probing over the precomputed table. Built and loaded tables always
+  // keep an empty slot, but the probe count is capped anyway so even an
+  // adversarial table terminates.
+  const size_t mask = hash_slots_.size() - 1;
+  size_t idx = Fnv1a64(normalized) & mask;
+  for (size_t probes = 0; probes < hash_slots_.size(); ++probes) {
+    const CellId id = hash_slots_[idx];
+    if (id == kInvalidCellId) return kInvalidCellId;
+    if (Value(id) == normalized) return id;
+    idx = (idx + 1) & mask;
   }
-  auto it = ids_.find(normalized);
-  return it == ids_.end() ? kInvalidCellId : it->second;
+  return kInvalidCellId;
 }
 
 size_t Dictionary::ApproxBytes() const {
-  if (loaded()) {
-    return offsets_.size() * sizeof(uint64_t) + blob_.size() +
-           hash_slots_.size() * sizeof(CellId);
-  }
-  size_t bytes = 0;
-  for (const auto& v : values_) bytes += v.size() + sizeof(std::string);
-  // Hash-map overhead: bucket + node per entry (approximation).
-  bytes +=
-      ids_.size() * (sizeof(void*) * 2 + sizeof(std::string_view) + sizeof(CellId));
-  return bytes;
+  return offsets_.size() * sizeof(uint64_t) + blob_.size() +
+         hash_slots_.size() * sizeof(CellId);
 }
 
 }  // namespace blend

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <span>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/array_ref.h"
 
@@ -18,60 +17,49 @@ using CellId = uint32_t;
 /// Sentinel for "value not present in the lake".
 constexpr CellId kInvalidCellId = 0xFFFFFFFFu;
 
-/// Interns normalized cell strings into dense CellIds. The AllTables index
-/// stores CellIds instead of strings: this is both the dictionary encoding a
-/// column store would apply to a low-cardinality nvarchar column and the key
-/// space of the in-database hash index on CellValue.
+/// The distinct normalized cell values under dense CellIds. The AllTables
+/// index stores CellIds instead of strings: this is both the dictionary
+/// encoding a column store would apply to a low-cardinality nvarchar column
+/// and the key space of the in-database hash index on CellValue.
 ///
-/// Two physical modes behind one interface:
-///   - Mutable (the builder's intern path): a deque of strings plus a hash
-///     map, grown one Intern at a time.
-///   - Snapshot-loaded: three fixed-width arrays — CSR offsets, the
-///     concatenated value blob, and a precomputed open-addressing hash
-///     table — served from a snapshot (zero-copy views for OpenSnapshot,
-///     heap copies for ReadSnapshot). Loading performs no interning at all,
-///     which is what makes snapshot loads an order of magnitude faster than
-///     an index rebuild. A loaded dictionary is immutable: Intern must not
-///     be called on it.
+/// One physical form for built and snapshot-loaded indexes alike: three
+/// fixed-width arrays — CSR offsets, the concatenated value blob, and an
+/// open-addressing hash table. The builder emits them directly (FromCsr) and
+/// a snapshot serves them as they are (zero-copy views for OpenSnapshot,
+/// heap copies for ReadSnapshot), so neither writing nor loading a snapshot
+/// hashes or interns anything. The dictionary is immutable once built.
 class Dictionary {
  public:
-  /// Interns `normalized` (caller must have applied NormalizeCell). Mutable
-  /// mode only.
-  CellId Intern(std::string_view normalized);
+  /// Adopts `offsets.size() - 1` distinct values, value `id` being
+  /// blob[offsets[id], offsets[id + 1]), and fills the hash table from
+  /// `hashes[id] == Fnv1a64(Value(id))` in id order. The table is therefore a
+  /// pure function of the value sequence, which keeps snapshot files
+  /// deterministic.
+  static Dictionary FromCsr(std::vector<uint64_t> offsets, std::vector<char> blob,
+                            std::span<const uint64_t> hashes);
 
-  /// Looks up without interning; kInvalidCellId when absent.
+  /// Looks a normalized value up; kInvalidCellId when absent.
   CellId Find(std::string_view normalized) const;
 
   /// The interned string for an id.
   std::string_view Value(CellId id) const {
-    if (loaded()) {
-      const uint64_t begin = offsets_[id];
-      return {blob_.data() + begin, static_cast<size_t>(offsets_[id + 1] - begin)};
-    }
-    return values_[id];
+    const uint64_t begin = offsets_[id];
+    return {blob_.data() + begin, static_cast<size_t>(offsets_[id + 1] - begin)};
   }
 
-  size_t Size() const { return loaded() ? offsets_.size() - 1 : values_.size(); }
+  size_t Size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
 
-  /// Approximate footprint in bytes (strings + lookup structure).
+  /// Footprint in bytes of the three arrays.
   size_t ApproxBytes() const;
 
  private:
   friend class SnapshotCodec;
 
-  bool loaded() const { return !offsets_.empty(); }
-
-  // Mutable mode. deque keeps string addresses stable so the map's
-  // string_view keys can alias the stored strings.
-  std::deque<std::string> values_;
-  std::unordered_map<std::string_view, CellId> ids_;
-
-  // Snapshot-loaded mode; a non-empty offsets_ array switches the accessors
-  // here. hash_slots_ is a power-of-two open-addressing table of CellIds
-  // (empty slots hold kInvalidCellId) keyed by FNV-1a with linear probing —
-  // a pure function of the value sequence, so it lives in the snapshot and
-  // loads without any hashing.
-  PodArray<uint64_t> offsets_;  // Size() + 1
+  // hash_slots_ is a power-of-two open-addressing table of CellIds (empty
+  // slots hold kInvalidCellId) keyed by FNV-1a with linear probing, sized
+  // above twice the value count so every probe sequence ends at an empty
+  // slot.
+  PodArray<uint64_t> offsets_;  // Size() + 1; empty for a default dictionary
   PodArray<char> blob_;
   PodArray<CellId> hash_slots_;
 };

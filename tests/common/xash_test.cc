@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +98,162 @@ TEST(XashTest, LengthBucketSeparatesLengths) {
   uint64_t long_v = Xash::HashValue("zqaaaaaaaaaaaaaaaaaa");
   constexpr uint64_t kLenMask = ~((1ULL << (64 - Xash::kLengthBits)) - 1);
   EXPECT_NE(short_v & kLenMask, long_v & kLenMask);
+}
+
+// Golden values captured from the reference implementation. Super keys are
+// persisted in snapshot files, so any change here (a different rarity
+// order, bit mix or length bucket) would make old snapshots drop MC
+// candidates: the containment filter would reject rows it used to pass.
+
+/// HashValue of every single byte 0x00..0xFF.
+constexpr uint64_t kSingleByteGolden[256] = {
+    0x0400000020000000ULL, 0x0400000000000020ULL, 0x0400020000000000ULL,
+    0x0400000100000000ULL, 0x0400008000000000ULL, 0x0400000000000100ULL,
+    0x0400010000000000ULL, 0x0500000000000000ULL, 0x0400000000000400ULL,
+    0x0400000000200000ULL, 0x0400002000000000ULL, 0x0400000020000000ULL,
+    0x0480000000000000ULL, 0x0400001000000000ULL, 0x0400000000000020ULL,
+    0x0408000000000000ULL, 0x0400000200000000ULL, 0x0400001000000000ULL,
+    0x0400000000000400ULL, 0x0400000000040000ULL, 0x0400400000000000ULL,
+    0x0400000004000000ULL, 0x0400000000001000ULL, 0x0400002000000000ULL,
+    0x0404000000000000ULL, 0x0480000000000000ULL, 0x0400000040000000ULL,
+    0x0400000004000000ULL, 0x0400000000000100ULL, 0x0400000040000000ULL,
+    0x0400100000000000ULL, 0x0420000000000000ULL, 0x0420000000000000ULL,
+    0x0400000000004000ULL, 0x0400000000080000ULL, 0x0400000004000000ULL,
+    0x0600000000000000ULL, 0x0404000000000000ULL, 0x0400000400000000ULL,
+    0x0400000000010000ULL, 0x0420000000000000ULL, 0x0400800000000000ULL,
+    0x0400000000010000ULL, 0x0440000000000000ULL, 0x0400040000000000ULL,
+    0x0400000000040000ULL, 0x0400800000000000ULL, 0x0400000000000400ULL,
+    0x0400400000000000ULL, 0x0402000000000000ULL, 0x0400000002000000ULL,
+    0x0400000000008000ULL, 0x0400000000008000ULL, 0x0400000001000000ULL,
+    0x0400000000000004ULL, 0x0400000080000000ULL, 0x0400020000000000ULL,
+    0x0400000000000002ULL, 0x0400000000000400ULL, 0x0400000000020000ULL,
+    0x0400000020000000ULL, 0x0400000001000000ULL, 0x0400000000000200ULL,
+    0x0400000400000000ULL, 0x0400000000001000ULL, 0x0400100000000000ULL,
+    0x0400000000080000ULL, 0x0400002000000000ULL, 0x0400000000040000ULL,
+    0x0400000000000400ULL, 0x0400000000200000ULL, 0x0404000000000000ULL,
+    0x0400008000000000ULL, 0x0400000000002000ULL, 0x0400000200000000ULL,
+    0x0400020000000000ULL, 0x0400020000000000ULL, 0x0400000000010000ULL,
+    0x0400000000008000ULL, 0x0408000000000000ULL, 0x0400000040000000ULL,
+    0x0400004000000000ULL, 0x0400000000000002ULL, 0x0408000000000000ULL,
+    0x0400000008000000ULL, 0x0400000800000000ULL, 0x0404000000000000ULL,
+    0x0400010000000000ULL, 0x0400000100000000ULL, 0x0400800000000000ULL,
+    0x0400000000010000ULL, 0x0400000020000000ULL, 0x0400008000000000ULL,
+    0x0400000000010000ULL, 0x0400000010000000ULL, 0x0400000080000000ULL,
+    0x0400200000000000ULL, 0x0400000000000001ULL, 0x0400000800000000ULL,
+    0x0400400000000000ULL, 0x0400000000008000ULL, 0x0400000000008000ULL,
+    0x0400000000000008ULL, 0x0400000020000000ULL, 0x0400000000000020ULL,
+    0x0400000000010000ULL, 0x0410000000000000ULL, 0x0400000002000000ULL,
+    0x0410000000000000ULL, 0x0400000000000200ULL, 0x0400000800000000ULL,
+    0x0400000000000080ULL, 0x0400000000200000ULL, 0x0400000000040000ULL,
+    0x0400000000400000ULL, 0x0400000000080000ULL, 0x0400000200000000ULL,
+    0x0400000000000100ULL, 0x0400000000000400ULL, 0x0400000000000020ULL,
+    0x0400000002000000ULL, 0x0400000000400000ULL, 0x0400000000000200ULL,
+    0x0400000000000001ULL, 0x0400000400000000ULL, 0x0400000004000000ULL,
+    0x0400000000000001ULL, 0x0404000000000000ULL, 0x0400040000000000ULL,
+    0x0400000000080000ULL, 0x0400000040000000ULL, 0x0410000000000000ULL,
+    0x0400000000040000ULL, 0x0400000000000020ULL, 0x0400000000000020ULL,
+    0x0420000000000000ULL, 0x0400000000000800ULL, 0x0400000001000000ULL,
+    0x0408000000000000ULL, 0x0400020000000000ULL, 0x0400004000000000ULL,
+    0x0400020000000000ULL, 0x0600000000000000ULL, 0x0400000000002000ULL,
+    0x0400000000010000ULL, 0x0400100000000000ULL, 0x0408000000000000ULL,
+    0x0400000000000200ULL, 0x0400000000100000ULL, 0x0400000000000002ULL,
+    0x0400000000000001ULL, 0x0400000000040000ULL, 0x0400000000000020ULL,
+    0x0400400000000000ULL, 0x0400000004000000ULL, 0x0400000000000200ULL,
+    0x0400080000000000ULL, 0x0400000000080000ULL, 0x0400080000000000ULL,
+    0x0400000000008000ULL, 0x0400000000008000ULL, 0x0400100000000000ULL,
+    0x0400100000000000ULL, 0x0400800000000000ULL, 0x0480000000000000ULL,
+    0x0400000000000004ULL, 0x0400000000004000ULL, 0x0400000000008000ULL,
+    0x0400000000000002ULL, 0x0400000200000000ULL, 0x0400000000040000ULL,
+    0x0400000000000001ULL, 0x0480000000000000ULL, 0x0400000000008000ULL,
+    0x0400000000010000ULL, 0x0400200000000000ULL, 0x0400000002000000ULL,
+    0x0400000000000001ULL, 0x0480000000000000ULL, 0x0410000000000000ULL,
+    0x0400000002000000ULL, 0x0400000000000400ULL, 0x0400000000000004ULL,
+    0x0400000000008000ULL, 0x0400000000010000ULL, 0x0400000000000200ULL,
+    0x0400020000000000ULL, 0x0404000000000000ULL, 0x0400000002000000ULL,
+    0x0400000000000020ULL, 0x0400000000000020ULL, 0x0400000200000000ULL,
+    0x0400000008000000ULL, 0x0400000000000001ULL, 0x0600000000000000ULL,
+    0x0400000200000000ULL, 0x0400000000001000ULL, 0x0400000000000010ULL,
+    0x0400800000000000ULL, 0x0400000000001000ULL, 0x0440000000000000ULL,
+    0x0400080000000000ULL, 0x0400000000000400ULL, 0x0400000080000000ULL,
+    0x0402000000000000ULL, 0x0400000020000000ULL, 0x0400002000000000ULL,
+    0x0400000000008000ULL, 0x0400000200000000ULL, 0x0400000000000010ULL,
+    0x0400000010000000ULL, 0x0404000000000000ULL, 0x0400000000400000ULL,
+    0x0500000000000000ULL, 0x0400000000000008ULL, 0x0400000000040000ULL,
+    0x0600000000000000ULL, 0x0400020000000000ULL, 0x0400000080000000ULL,
+    0x0400040000000000ULL, 0x0400000400000000ULL, 0x0400000000000400ULL,
+    0x0400010000000000ULL, 0x0400040000000000ULL, 0x0400000000100000ULL,
+    0x0408000000000000ULL, 0x0400002000000000ULL, 0x0408000000000000ULL,
+    0x0400000000010000ULL, 0x0400000000800000ULL, 0x0400000002000000ULL,
+    0x0400000000000040ULL, 0x0400400000000000ULL, 0x0400000002000000ULL,
+    0x0400000080000000ULL, 0x0400000400000000ULL, 0x0400800000000000ULL,
+    0x0400000000010000ULL, 0x0400000400000000ULL, 0x0400000400000000ULL,
+    0x0400000000000200ULL, 0x0400000010000000ULL, 0x0400080000000000ULL,
+    0x0402000000000000ULL, 0x0600000000000000ULL, 0x0400200000000000ULL,
+    0x0400020000000000ULL, 0x0400000040000000ULL, 0x0408000000000000ULL,
+    0x0600000000000000ULL, 0x0400000008000000ULL, 0x0400000000800000ULL,
+    0x0400000000080000ULL, 0x0400000000800000ULL, 0x0400000000800000ULL,
+    0x0400001000000000ULL,
+};
+
+TEST(XashGoldenTest, EverySingleByte) {
+  for (int c = 0; c < 256; ++c) {
+    const char value[1] = {static_cast<char>(c)};
+    EXPECT_EQ(Xash::HashValue(std::string_view(value, 1)), kSingleByteGolden[c])
+        << "byte " << c;
+  }
+}
+
+TEST(XashGoldenTest, LengthBucketBoundaries) {
+  // Both sides of every bucket edge: 2/3, 4/5, 6/7, 9/10, 14/15.
+  const std::pair<std::string_view, uint64_t> golden[] = {
+      {"qu", 0x0402400000000000ULL},
+      {"qui", 0x0800804000000000ULL},
+      {"quix", 0x0800000800001000ULL},
+      {"quixo", 0x1100000000080000ULL},
+      {"quixot", 0x1000400020000000ULL},
+      {"quixoti", 0x20000000000000a0ULL},
+      {"quixotic ", 0x2000c00000000000ULL},
+      {"quixotic j", 0x4000000000900000ULL},
+      {"quixotic jazz ", 0x4000000000008400ULL},
+      {"quixotic jazz b", 0x8000000000100002ULL},
+  };
+  for (const auto& [value, hash] : golden) {
+    EXPECT_EQ(Xash::HashValue(value), hash) << "'" << value << "'";
+  }
+}
+
+TEST(XashGoldenTest, MixedCaseAndPunctuation) {
+  const std::pair<std::string_view, uint64_t> golden[] = {
+      {"Tom Riddle", 0x4000000000000200ULL},
+      {"tom riddle", 0x4000000000000200ULL},
+      {"O'Brien-Smith", 0x4200001000000000ULL},
+      {"New_York, NY", 0x4000004000000000ULL},
+      {"3.14e+10", 0x2040000000000020ULL},
+      {"ZzZz", 0x0800010008000000ULL},
+      {"#42!", 0x0800000500000000ULL},
+      {"caf\xc3\xa9", 0x1000000000101000ULL},
+      {"  padded  ", 0x4100000800000000ULL},
+      {"A", 0x0400100000000000ULL},
+  };
+  for (const auto& [value, hash] : golden) {
+    EXPECT_EQ(Xash::HashValue(value), hash) << "'" << value << "'";
+  }
+}
+
+TEST(XashGoldenTest, RarityOrderOfEveryBytePair) {
+  // For a three-byte value {a, b, b}, the two picked characters are {b, b}
+  // exactly when b is strictly rarer than a, so hashing all 65536 such
+  // values pins the complete rarity order, ties included. Folded into one
+  // FNV-style checksum to keep the golden small.
+  uint64_t fold = 14695981039346656037ULL;
+  for (int a = 0; a < 256; ++a) {
+    for (int b = 0; b < 256; ++b) {
+      const char value[3] = {static_cast<char>(a), static_cast<char>(b),
+                             static_cast<char>(b)};
+      fold = (fold ^ Xash::HashValue(std::string_view(value, 3))) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(fold, 0x0602485946a2013aULL);
 }
 
 }  // namespace

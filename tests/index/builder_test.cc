@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/str_util.h"
+#include "common/xash.h"
 #include "lakegen/join_lake.h"
 #include "lakegen/workloads.h"
 
@@ -273,6 +278,141 @@ TEST(IndexBuilderTest, ParallelBuildWithMoreThreadsThanTables) {
   opts.num_threads = 1;
   IndexBundle serial = IndexBuilder(opts).Build(lake);
   ExpectBundlesIdentical(serial, parallel);
+}
+
+/// A lake whose duplicates cross every shard boundary: a hand-made first
+/// and last table around lakegen tables. "Alpha"/" alpha " normalize equal,
+/// "omega" first appears in the last table, and the numeric column mixes
+/// "+1" and "1e3" with empty and whitespace-only cells.
+DataLake OracleLake() {
+  DataLake lake("oracle");
+  Table first("first");
+  first.AddColumn("name");
+  first.AddColumn("score");
+  first.AddColumn("mixed");
+  (void)first.AppendRow({"Alpha", "+1", "1e3"});
+  (void)first.AppendRow({"beta", "", "abc"});
+  (void)first.AppendRow({"   ", "1e3", ""});
+  (void)first.AppendRow({"gamma", "  ", "+1"});
+  (void)first.AppendRow({"BETA ", "7", "Alpha"});
+  lake.AddTable(std::move(first));
+
+  lakegen::JoinLakeSpec spec;
+  spec.num_tables = 30;
+  spec.numeric_col_prob = 0.5;
+  spec.domain_vocab = 300;
+  DataLake middle = lakegen::MakeJoinLake(spec);
+  for (size_t t = 0; t < middle.NumTables(); ++t) {
+    lake.AddTable(std::move(middle.table(static_cast<TableId>(t))));
+  }
+
+  Table last("last");
+  last.AddColumn("name");
+  last.AddColumn("score");
+  (void)last.AppendRow({" alpha ", "2"});  // 2 is the column mean: quadrant 1
+  (void)last.AppendRow({"omega", "+1"});
+  (void)last.AppendRow({"Omega", ""});
+  (void)last.AppendRow({"", "  "});  // a row without records
+  (void)last.AppendRow({"gamma", "3"});
+  lake.AddTable(std::move(last));
+  return lake;
+}
+
+struct OracleRecord {
+  CellId cell;
+  TableId table;
+  int32_t column;
+  int32_t row;
+  uint64_t super_key;
+  int8_t quadrant;
+};
+
+template <typename Store>
+void ExpectRecordsMatch(const Store& store, const std::vector<OracleRecord>& want) {
+  ASSERT_EQ(store.NumRecords(), want.size());
+  for (RecordPos i = 0; i < want.size(); ++i) {
+    const OracleRecord& w = want[i];
+    ASSERT_EQ(store.cell(i), w.cell) << "record " << i;
+    ASSERT_EQ(store.table(i), w.table) << "record " << i;
+    ASSERT_EQ(store.column(i), w.column) << "record " << i;
+    ASSERT_EQ(store.row(i), w.row) << "record " << i;
+    ASSERT_EQ(store.super_key(i), w.super_key) << "record " << i;
+    ASSERT_EQ(store.quadrant(i), w.quadrant) << "record " << i;
+  }
+}
+
+TEST(IndexBuilderTest, MatchesFirstAppearanceOracle) {
+  // The oracle shares no code with the builder's interning, typing or merge:
+  // a std::map interner over NormalizeCell in serial scan order, and
+  // quadrants from Column::IsNumeric / Column::NumericMean.
+  const DataLake lake = OracleLake();
+  for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+    for (bool shuffle : {false, true}) {
+      for (int threads : {1, 2, 3, 4, 8}) {
+        SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                     " shuffle=" + std::to_string(shuffle) +
+                     " threads=" + std::to_string(threads));
+        IndexBuildOptions opts;
+        opts.layout = layout;
+        opts.shuffle_rows = shuffle;
+        opts.num_threads = threads;
+        const IndexBundle bundle = IndexBuilder(opts).Build(lake);
+
+        std::map<std::string, CellId> ids;
+        std::vector<std::string> values;
+        std::vector<OracleRecord> want;
+        for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+          const Table& table = lake.table(t);
+          std::vector<std::optional<double>> means(table.NumColumns());
+          for (size_t c = 0; c < table.NumColumns(); ++c) {
+            if (table.column(c).IsNumeric()) means[c] = table.column(c).NumericMean();
+          }
+          std::vector<bool> seen_row(table.NumRows(), false);
+          for (size_t row = 0; row < table.NumRows(); ++row) {
+            const int32_t src = bundle.OriginalRow(t, static_cast<int32_t>(row));
+            ASSERT_GE(src, 0);
+            ASSERT_LT(static_cast<size_t>(src), table.NumRows());
+            ASSERT_FALSE(seen_row[static_cast<size_t>(src)]) << "row map repeats";
+            seen_row[static_cast<size_t>(src)] = true;
+            const size_t first = want.size();
+            uint64_t super_key = 0;
+            for (size_t c = 0; c < table.NumColumns(); ++c) {
+              const std::string& raw = table.At(static_cast<size_t>(src), c);
+              const std::string norm = NormalizeCell(raw);
+              if (norm.empty()) continue;
+              auto [it, added] = ids.emplace(norm, static_cast<CellId>(ids.size()));
+              if (added) values.push_back(norm);
+              super_key |= Xash::HashValue(norm);
+              int8_t quadrant = kQuadrantNull;
+              if (means[c].has_value()) {
+                quadrant = *ParseNumeric(raw) >= *means[c] ? 1 : 0;
+              }
+              want.push_back({it->second, t, static_cast<int32_t>(c),
+                              static_cast<int32_t>(row), 0, quadrant});
+            }
+            for (size_t i = first; i < want.size(); ++i) want[i].super_key = super_key;
+          }
+        }
+
+        const Dictionary& dict = bundle.dictionary();
+        ASSERT_EQ(dict.Size(), values.size());
+        for (CellId id = 0; id < values.size(); ++id) {
+          ASSERT_EQ(dict.Value(id), values[id]) << "id " << id;
+          ASSERT_EQ(dict.Find(values[id]), id) << values[id];
+        }
+        EXPECT_EQ(dict.Find("Alpha"), kInvalidCellId);  // not normalized
+        EXPECT_EQ(dict.Find(" alpha "), kInvalidCellId);
+        EXPECT_EQ(dict.Find(""), kInvalidCellId);
+        EXPECT_EQ(dict.Find("absent value"), kInvalidCellId);
+        EXPECT_EQ(dict.Find("omega"), ids.at("omega"));
+        if (layout == StoreLayout::kRow) {
+          ExpectRecordsMatch(bundle.row_store(), want);
+        } else {
+          ExpectRecordsMatch(bundle.column_store(), want);
+        }
+      }
+    }
+  }
 }
 
 TEST(IndexBuilderTest, OriginalRowRejectsOutOfRangeIds) {
