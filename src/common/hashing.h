@@ -1,10 +1,34 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace blend {
+
+/// Open-addressing capacity for `n` keys: the smallest power of two above
+/// 2n, so every linear probe sequence ends at an empty slot.
+inline size_t ProbeTableSize(size_t n) {
+  size_t slots = 1;
+  while (slots < 2 * n + 1) slots <<= 1;
+  return slots;
+}
+
+/// Linear probing over a power-of-two table: the index of the first slot on
+/// `hash`'s probe sequence that is `empty` or whose occupant satisfies
+/// `matches` (never called on an empty slot). The table must keep an empty
+/// slot. Insert-only fills pass a `matches` that is always false.
+template <typename Slot, typename Matches>
+size_t ProbeSlot(const std::vector<Slot>& table, uint64_t hash,
+                 const std::type_identity_t<Slot>& empty, Matches matches) {
+  const size_t mask = table.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    if (table[i] == empty || matches(table[i])) return i;
+  }
+}
 
 /// 64-bit FNV-1a over bytes; stable across platforms and runs.
 uint64_t Fnv1a64(std::string_view s);

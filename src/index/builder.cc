@@ -29,13 +29,6 @@ uint64_t TableShuffleSeed(uint64_t seed, TableId tid) {
   return Mix64(seed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(tid) + 1));
 }
 
-/// Smallest power of two above 2n: open-addressing capacity for n keys.
-size_t SlotCount(size_t n) {
-  size_t slots = 1;
-  while (slots < 2 * n + 1) slots <<= 1;
-  return slots;
-}
-
 /// One shard's distinct normalized values in first-appearance order, stored
 /// flat (CSR offsets into one blob) with each value's FNV-1a hash and XASH
 /// computed once, behind an open-addressing table of local ids.
@@ -59,25 +52,23 @@ class ShardDict {
     blob_.reserve(max_bytes);
     hashes_.reserve(max_values);
     xash_.reserve(max_values);
-    slots_.reserve(SlotCount(max_values));
+    slots_.reserve(ProbeTableSize(max_values));
   }
 
   /// Local id of `value`, whose Fnv1a64 is `hash`; appended when new.
   CellId Intern(std::string_view value, uint64_t hash) {
     if (2 * (Size() + 1) > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const CellId id = slots_[i];
-      if (id == kInvalidCellId) {
-        slots_[i] = static_cast<CellId>(Size());
-        offsets_.push_back(offsets_.back() + value.size());
-        blob_.insert(blob_.end(), value.begin(), value.end());
-        hashes_.push_back(hash);
-        xash_.push_back(Xash::HashValue(value));
-        return slots_[i];
-      }
-      if (hashes_[id] == hash && Value(id) == value) return id;
+    CellId& slot = slots_[ProbeSlot(slots_, hash, kInvalidCellId, [&](CellId id) {
+      return hashes_[id] == hash && Value(id) == value;
+    })];
+    if (slot == kInvalidCellId) {
+      slot = static_cast<CellId>(Size());
+      offsets_.push_back(offsets_.back() + value.size());
+      blob_.insert(blob_.end(), value.begin(), value.end());
+      hashes_.push_back(hash);
+      xash_.push_back(Xash::HashValue(value));
     }
+    return slot;
   }
 
  private:
@@ -85,11 +76,9 @@ class ShardDict {
   /// reinserts every value from its kept hash.
   void Grow() {
     slots_.assign(std::max<size_t>(1024, 2 * slots_.size()), kInvalidCellId);
-    const size_t mask = slots_.size() - 1;
     for (CellId id = 0; id < Size(); ++id) {
-      size_t i = hashes_[id] & mask;
-      while (slots_[i] != kInvalidCellId) i = (i + 1) & mask;
-      slots_[i] = id;
+      slots_[ProbeSlot(slots_, hashes_[id], kInvalidCellId,
+                       [](CellId) { return false; })] = id;
     }
   }
 
@@ -277,6 +266,15 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
 constexpr int kPartitionBits = 8;
 constexpr size_t kPartitions = size_t{1} << kPartitionBits;
 
+/// A merge-table entry: the first shard to present a value, and the value's
+/// local id there.
+struct OwnerSlot {
+  uint32_t shard;
+  CellId id;
+  bool operator==(const OwnerSlot&) const = default;
+};
+constexpr OwnerSlot kFreeSlot{0xFFFFFFFFu, 0};
+
 /// The deterministic merge. Global CellIds follow first appearance in the
 /// serial scan order: shards cover ascending table ranges and each shard
 /// lists its values in local first-appearance order, so a value belongs to
@@ -322,36 +320,27 @@ std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
     sched->ParallelFor(num_shards, [&](size_t task) {
       const size_t first = task * kPartitions / num_shards;
       const size_t last = (task + 1) * kPartitions / num_shards;
-      struct Slot {
-        uint32_t shard;  // kEmpty marks a free slot
-        CellId id;
-      };
-      constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-      std::vector<Slot> table;
+      std::vector<OwnerSlot> table;
       size_t most = 0;
       for (size_t p = first; p < last; ++p) most = std::max(most, candidates(p));
-      table.reserve(SlotCount(most));
+      table.reserve(ProbeTableSize(most));
       for (size_t p = first; p < last; ++p) {
-        table.assign(SlotCount(candidates(p)), Slot{kEmpty, 0});
-        const size_t mask = table.size() - 1;
+        table.assign(ProbeTableSize(candidates(p)), kFreeSlot);
         for (size_t s = 0; s < num_shards; ++s) {
           const ShardDict& d = shards[s].dict;
           for (uint32_t b = bucket_begin[s][p]; b < bucket_begin[s][p + 1]; ++b) {
             const CellId id = bucket_ids[s][b];
             const uint64_t h = d.Hash(id);
             const std::string_view v = d.Value(id);
-            for (size_t i = h & mask;; i = (i + 1) & mask) {
-              const Slot slot = table[i];
-              if (slot.shard == kEmpty) {
-                table[i] = Slot{static_cast<uint32_t>(s), id};
-                break;
-              }
-              const Shard& o = shards[slot.shard];
-              if (o.dict.Hash(slot.id) == h && o.dict.Value(slot.id) == v) {
-                owner[shards[s].first_value + id] =
-                    static_cast<uint32_t>(o.first_value + slot.id);
-                break;
-              }
+            OwnerSlot& slot = table[ProbeSlot(table, h, kFreeSlot, [&](OwnerSlot o) {
+              const ShardDict& od = shards[o.shard].dict;
+              return od.Hash(o.id) == h && od.Value(o.id) == v;
+            })];
+            if (slot == kFreeSlot) {
+              slot = OwnerSlot{static_cast<uint32_t>(s), id};
+            } else {
+              owner[shards[s].first_value + id] =
+                  static_cast<uint32_t>(shards[slot.shard].first_value + slot.id);
             }
           }
         }
@@ -401,8 +390,10 @@ std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
   // Every owner is numbered now; shared values take their owner's id.
   sched->ParallelFor(num_shards, [&](size_t s) {
     const size_t end = shards[s].first_value + shards[s].dict.Size();
+    // Owned entries are only read in this pass (other shards' tasks read
+    // them), so no element is both written and read concurrently.
     for (size_t f = shards[s].first_value; f < end; ++f) {
-      cell_of[f] = cell_of[owner[f]];
+      if (owner[f] != f) cell_of[f] = cell_of[owner[f]];
     }
   });
   *dict = Dictionary::FromCsr(std::move(offsets), std::move(blob), hashes);

@@ -7,17 +7,12 @@ namespace blend {
 Dictionary Dictionary::FromCsr(std::vector<uint64_t> offsets,
                                std::vector<char> blob,
                                std::span<const uint64_t> hashes) {
-  const size_t n = hashes.size();
-  // Power-of-two table at least twice the value count, so lookups always hit
-  // an empty slot and stay O(1) expected.
-  size_t table_size = 1;
-  while (table_size < 2 * n + 1) table_size <<= 1;
-  std::vector<CellId> slots(table_size, kInvalidCellId);
-  const size_t mask = table_size - 1;
-  for (size_t id = 0; id < n; ++id) {
-    size_t idx = hashes[id] & mask;
-    while (slots[idx] != kInvalidCellId) idx = (idx + 1) & mask;
-    slots[idx] = static_cast<CellId>(id);
+  // At least twice the value count, so lookups always hit an empty slot and
+  // stay O(1) expected.
+  std::vector<CellId> slots(ProbeTableSize(hashes.size()), kInvalidCellId);
+  for (size_t id = 0; id < hashes.size(); ++id) {
+    slots[ProbeSlot(slots, hashes[id], kInvalidCellId,
+                    [](CellId) { return false; })] = static_cast<CellId>(id);
   }
   Dictionary d;
   d.offsets_.Own(std::move(offsets));

@@ -42,5 +42,25 @@ TEST(HashingTest, FewCollisionsOnTokenLikeInputs) {
   EXPECT_EQ(hashes.size(), static_cast<size_t>(n));
 }
 
+TEST(HashingTest, ProbeTableSizeKeepsAFreeSlot) {
+  EXPECT_EQ(ProbeTableSize(0), 1u);
+  EXPECT_EQ(ProbeTableSize(1), 4u);
+  EXPECT_EQ(ProbeTableSize(100), 256u);
+  EXPECT_EQ(ProbeTableSize(128), 512u);
+}
+
+TEST(HashingTest, ProbeSlotWrapsAndStopsAtMatchOrEmpty) {
+  constexpr int kEmpty = -1;
+  // Keys 7, 3 and 5 all hash to the last slot and wrap around.
+  std::vector<int> table(8, kEmpty);
+  auto never = [](int) { return false; };
+  for (int key : {7, 3, 5}) table[ProbeSlot(table, 7, kEmpty, never)] = key;
+  EXPECT_EQ(table, (std::vector<int>{3, 5, kEmpty, kEmpty, kEmpty, kEmpty, kEmpty, 7}));
+  auto is = [](int want) { return [want](int key) { return key == want; }; };
+  EXPECT_EQ(ProbeSlot(table, 7, kEmpty, is(7)), 7u);
+  EXPECT_EQ(ProbeSlot(table, 7, kEmpty, is(5)), 1u);
+  EXPECT_EQ(ProbeSlot(table, 7, kEmpty, is(9)), 2u);  // absent: first free slot
+}
+
 }  // namespace
 }  // namespace blend
