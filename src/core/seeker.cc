@@ -411,13 +411,10 @@ std::string CorrelationSeeker::GenerateSql(const std::string& rewrite,
          h + " AND CellValue IN (" + SqlInList(all_keys_) + ")" +
          RewriteClause(rewrite) +
          ") AS keys INNER JOIN (SELECT TableId, RowId, ColumnId, Quadrant "
+         // The numeric cells are looked up per key row by (TableId, RowId),
+         // never scanned, so the rewrite only needs to prune the keys side.
          "FROM AllTables WHERE RowId < " +
-         h + " AND Quadrant IS NOT NULL" +
-         // A positive TableId IN (...) also prunes the numeric-cell scan (it
-         // turns into the clustered-index access path); a NOT IN would only
-         // add a per-record filter there, so it stays on the keys side.
-         (rewrite.rfind("AND TableId IN", 0) == 0 ? RewriteClause(rewrite) : "") +
-         ") AS nums "
+         h + " AND Quadrant IS NOT NULL) AS nums "
          "ON keys.TableId = nums.TableId AND keys.RowId = nums.RowId "
          "AND keys.ColumnId <> nums.ColumnId "
          "GROUP BY keys.TableId, keys.ColumnId, nums.ColumnId "

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -959,6 +960,71 @@ bool ParallelAllOf(size_t n, Scheduler* sched, const Fn& pred) {
   return std::all_of(ok.begin(), ok.end(), [](uint8_t v) { return v != 0; });
 }
 
+/// Parallel count of the i in [0, n) for which pred(i) holds, chunked like
+/// ParallelAllOf.
+template <typename Fn>
+size_t ParallelCount(size_t n, Scheduler* sched, const Fn& pred) {
+  constexpr size_t kChunk = 1 << 16;
+  const size_t chunks = (n + kChunk - 1) / kChunk;
+  std::vector<size_t> counts(chunks, 0);
+  auto count_chunk = [&](size_t c) {
+    const size_t end = std::min(n, (c + 1) * kChunk);
+    for (size_t i = c * kChunk; i < end; ++i) counts[c] += pred(i) ? 1 : 0;
+  };
+  if (chunks <= 1) {
+    for (size_t c = 0; c < chunks; ++c) count_chunk(c);
+  } else {
+    sched->ParallelFor(chunks, count_chunk);
+  }
+  return std::accumulate(counts.begin(), counts.end(), size_t{0});
+}
+
+/// The store order the join paths rely on. Records are table-major and
+/// row-major: the (TableId, RowId) key never decreases with position, every
+/// record lies in its own table's range, and the ranges add up to the record
+/// count, so each range holds exactly its table's records. The galloping and
+/// lookup joins binary-search (TableId, RowId) groups inside those ranges.
+/// The Quadrant partial index lists exactly the records with a quadrant,
+/// strictly ascending: scans through it must neither repeat nor miss one.
+template <typename Store>
+Status ValidateStoreOrder(const Store& store, Scheduler* sched) {
+  const size_t n = store.NumRecords();
+  uint64_t covered = 0;
+  for (size_t t = 0; t < store.NumTables(); ++t) {
+    const auto [b, e] = store.TableRange(static_cast<TableId>(t));
+    covered += e - b;
+  }
+  auto in_order = [&](size_t i) {
+    const auto p = static_cast<RecordPos>(i);
+    const TableId t = store.table(p);
+    const auto [b, e] = store.TableRange(t);
+    if (p < b || p >= e) return false;
+    return p == 0 || store.table(p - 1) < t ||
+           (store.table(p - 1) == t && store.row(p - 1) <= store.row(p));
+  };
+  if (covered != n || !ParallelAllOf(n, sched, in_order)) {
+    return Corrupt("records are not in (TableId, RowId) order within their "
+                   "table ranges");
+  }
+  const auto quad = store.QuadrantPositions();
+  auto ascending = [&](size_t i) { return i == 0 || quad[i - 1] < quad[i]; };
+  if (!ParallelAllOf(quad.size(), sched, ascending)) {
+    return Corrupt("quadrant positions not strictly ascending");
+  }
+  auto listed_has_quadrant = [&](size_t i) {
+    return store.quadrant(quad[i]) != kQuadrantNull;
+  };
+  auto has_quadrant = [&](size_t i) {
+    return store.quadrant(static_cast<RecordPos>(i)) != kQuadrantNull;
+  };
+  if (!ParallelAllOf(quad.size(), sched, listed_has_quadrant) ||
+      ParallelCount(n, sched, has_quadrant) != quad.size()) {
+    return Corrupt("quadrant positions do not list exactly the records that "
+                   "have a quadrant");
+  }
+  return Status::OK();
+}
+
 /// CSR offsets must be monotone and end at the payload length; anything else
 /// is corruption that would otherwise turn into out-of-bounds spans.
 Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t payload,
@@ -1197,6 +1263,9 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     FillArray(&secondary->posting_offsets, offsets, zero_copy);
     FillArray(&secondary->table_ranges, ranges, zero_copy);
     FillArray(&secondary->quadrant_positions, quad, zero_copy);
+    BLEND_RETURN_NOT_OK(bundle.layout_ == StoreLayout::kRow
+                            ? ValidateStoreOrder(bundle.row_store_, sched)
+                            : ValidateStoreOrder(bundle.column_store_, sched));
   }
 
   // Row maps (shuffled builds): always materialized per table on the heap;

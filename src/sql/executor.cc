@@ -278,61 +278,72 @@ std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) 
   return ids;
 }
 
+/// Sorted distinct ids of a TableId IN-list that name a table of the store:
+/// the clustered-index access path walks their ranges in this order.
 template <typename Store>
-Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
-                                       const Dictionary& dict, Scheduler* sched,
-                                       const QueryControl* control,
-                                       QueryTrace* trace) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
-
-  // Bind residual predicates once; evaluation is read-only and thread-safe.
-  Binder binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
-    preds.push_back(std::move(b));
+std::vector<TableId> ResolveTableIds(const Expr& table_in, const Store& store) {
+  std::vector<TableId> ids;
+  for (int64_t id : table_in.in_ints) {
+    if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
+    ids.push_back(static_cast<TableId>(id));
   }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
 
-  const int64_t row_lt = spec.row_lt;
-  const bool need_quadrant = spec.need_quadrant;
-  auto passes = [&](RecordPos p) {
+/// The per-record filters of a classified scan: the RowId bound, Quadrant IS
+/// NOT NULL and the residual conjuncts, bound once. Evaluation is read-only
+/// and thread-safe.
+struct RecordFilter {
+  int64_t row_lt = -1;
+  bool need_quadrant = false;
+  std::vector<BoundExprPtr> preds;
+
+  template <typename Store>
+  bool operator()(const Store& store, RecordPos p) const {
     if (row_lt >= 0 && store.row(p) >= row_lt) return false;
     if (need_quadrant && store.quadrant(p) == kQuadrantNull) return false;
     for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
       SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
+        return FieldValue(store, b.field, p);
       });
       if (!v.IsTruthy()) return false;
     }
     return true;
-  };
+  }
+};
 
-  // When the TableId IN-list is not the access path it acts as a filter.
-  std::unordered_set<int64_t> table_filter;
-  bool use_table_filter = false;
+Result<RecordFilter> BindRecordFilter(const ScanSpec& spec, const Dictionary& dict) {
+  Binder binder(&dict, {AllFields("")});
+  RecordFilter filter;
+  filter.row_lt = spec.row_lt;
+  filter.need_quadrant = spec.need_quadrant;
+  for (const Expr* c : spec.residual) {
+    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
+    filter.preds.push_back(std::move(b));
+  }
+  return filter;
+}
 
+/// Cuts a relation's access path into morsels, in scan order: the CellValue
+/// index (lists in ascending cell id), the clustered TableId index (ranges in
+/// ascending table id), the Quadrant partial index, or a full scan. A TableId
+/// IN-list next to a CellValue IN-list is not an access path; ScanRel applies
+/// it as a filter.
+template <typename Store>
+std::vector<ScanMorsel> AccessPathMorsels(const ScanSpec& spec, const Store& store,
+                                          const Dictionary& dict) {
   std::vector<ScanMorsel> morsels;
   if (spec.cell_in != nullptr) {
     // Access path 1: the in-database hash index on CellValue.
-    if (spec.table_in != nullptr) {
-      use_table_filter = true;
-      table_filter.insert(spec.table_in->in_ints.begin(),
-                          spec.table_in->in_ints.end());
-    }
     for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
       AppendListMorsels(store.PostingList(id), &morsels);
     }
   } else if (spec.table_in != nullptr) {
     // Access path 2: the clustered index on TableId.
-    std::vector<int64_t> ids(spec.table_in->in_ints.begin(),
-                             spec.table_in->in_ints.end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (int64_t id : ids) {
-      if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
-      auto [b, e] = store.TableRange(static_cast<TableId>(id));
+    for (TableId id : ResolveTableIds(*spec.table_in, store)) {
+      auto [b, e] = store.TableRange(id);
       AppendRangeMorsels(b, e, &morsels);
     }
   } else if (spec.need_quadrant) {
@@ -343,6 +354,50 @@ Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& stor
     // Access path 4: full scan.
     AppendRangeMorsels(0, store.NumRecords(), &morsels);
   }
+  return morsels;
+}
+
+/// Calls fn(p) on the positions of `mo` in scan order until fn returns false;
+/// returns false when fn stopped the walk.
+template <typename Fn>
+bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
+  if (!mo.from_list) {
+    for (size_t i = mo.begin; i < mo.end; ++i) {
+      if (!fn(static_cast<RecordPos>(i))) return false;
+    }
+    return true;
+  }
+  // Batch-decode the morsel's own containers into the cursor's reusable
+  // scratch; raw lists come back as one zero-copy batch.
+  PostingCursor cur(mo.list);
+  cur.SeekToOrdinal(mo.begin);
+  for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
+    const size_t ord = cur.batch_ordinal();
+    if (ord >= mo.end) break;
+    const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
+    const size_t hi = std::min(batch.size(), mo.end - ord);
+    for (size_t i = lo; i < hi; ++i) {
+      if (!fn(batch[i])) return false;
+    }
+  }
+  return true;
+}
+
+template <typename Store>
+Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
+                                       const Dictionary& dict, Scheduler* sched,
+                                       const QueryControl* control,
+                                       QueryTrace* trace) {
+  const ScanSpec spec = ClassifyScan(rel.scan_pred);
+  BLEND_ASSIGN_OR_RETURN(const RecordFilter filter, BindRecordFilter(spec, dict));
+
+  // When the TableId IN-list is not the access path it acts as a filter.
+  std::unordered_set<int64_t> table_filter;
+  const bool use_table_filter = spec.cell_in != nullptr && spec.table_in != nullptr;
+  if (use_table_filter) {
+    table_filter.insert(spec.table_in->in_ints.begin(), spec.table_in->in_ints.end());
+  }
+  const std::vector<ScanMorsel> morsels = AccessPathMorsels(spec, store, dict);
 
   // Filter each morsel into its own buffer, then concatenate in morsel order:
   // the output position sequence is identical to a serial scan no matter
@@ -356,33 +411,12 @@ Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& stor
   std::vector<std::vector<RecordPos>> parts(morsels.size());
   BLEND_RETURN_NOT_OK(RunTasks(scan_sched, control, trace, TraceStage::kScan,
                                morsels.size(), [&](size_t m) {
-    const ScanMorsel& mo = morsels[m];
     std::vector<RecordPos>& out = parts[m];
-    if (mo.from_list) {
-      // Batch-decode the morsel's own containers into the cursor's reusable
-      // scratch; raw lists come back as one zero-copy batch.
-      PostingCursor cur(mo.list);
-      cur.SeekToOrdinal(mo.begin);
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        const size_t ord = cur.batch_ordinal();
-        if (ord >= mo.end) break;
-        const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
-        const size_t hi = std::min(batch.size(), mo.end - ord);
-        for (size_t i = lo; i < hi; ++i) {
-          const RecordPos p = batch[i];
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (passes(p)) out.push_back(p);
-        }
-      }
-    } else {
-      for (size_t i = mo.begin; i < mo.end; ++i) {
-        RecordPos p = static_cast<RecordPos>(i);
-        if (passes(p)) out.push_back(p);
-      }
-    }
+    WalkMorsel(morsels[m], [&](RecordPos p) {
+      if (use_table_filter && table_filter.count(store.table(p)) == 0) return true;
+      if (filter(store, p)) out.push_back(p);
+      return true;
+    });
   }));
 
   std::vector<RecordPos> out = ConcatParts(std::move(parts));
@@ -428,6 +462,32 @@ Result<StepKeys> ExtractStepKeys(const Expr* join_on, const Binder& binder,
   return keys;
 }
 
+/// True when every equality key of the step holds between prefix row `ctx`
+/// and record `p` of the new relation (NULL never matches).
+template <typename Store>
+bool StepKeysEqual(const Store& store, const StepKeys& keys, const RowCtx& ctx,
+                   RecordPos p) {
+  for (size_t i = 0; i < keys.left.size(); ++i) {
+    SqlValue a = FieldValue(store, keys.left[i].second, ctx.pos[keys.left[i].first]);
+    SqlValue b = FieldValue(store, keys.right[i], p);
+    if (a.is_null() || b.is_null() || !(a == b)) return false;
+  }
+  return true;
+}
+
+/// True when the step's non-equi ON conditions hold for the extended row.
+template <typename Store>
+bool StepResidualHolds(const Store& store, const StepKeys& keys,
+                       const RowCtx& extended) {
+  for (const auto& pred : keys.residual) {
+    SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
+      return FieldValue(store, b.field, extended.pos[b.side]);
+    });
+    if (!v.IsTruthy()) return false;
+  }
+  return true;
+}
+
 /// One binary hash-join step: extends the joined prefix `rows` with matches
 /// from `scan` (relation index `step_side`). Builds on the smaller input.
 /// Parallelism: build-side hashes are precomputed in parallel chunks (the
@@ -470,23 +530,12 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
     return h;
   };
   auto keys_equal = [&](const RowCtx& ctx, RecordPos p) {
-    for (size_t i = 0; i < keys.left.size(); ++i) {
-      SqlValue a = FieldValue(store, keys.left[i].second, ctx.pos[keys.left[i].first]);
-      SqlValue b = FieldValue(store, keys.right[i], p);
-      if (a.is_null() || b.is_null() || !(a == b)) return false;
-    }
-    return true;
+    return StepKeysEqual(store, keys, ctx, p);
   };
   auto emit = [&](const RowCtx& ctx, RecordPos p, std::vector<RowCtx>* out) {
     RowCtx extended = ctx;
     extended.pos[step_side] = p;
-    for (const auto& pred : keys.residual) {
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, extended.pos[b.side]);
-      });
-      if (!v.IsTruthy()) return;
-    }
-    out->push_back(extended);
+    if (StepResidualHolds(store, keys, extended)) out->push_back(extended);
   };
 
   const size_t num_chunks_of = kScanMorselRecords;  // probe morsel rows
@@ -588,24 +637,7 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 }
 
 // ---------------------------------------------------------------------------
-// Galloping compressed-domain join for the MC shape:
-//   SELECT T0.TableId, T0.RowId, T0.SuperKey
-//   FROM (... CellValue IN ...) T0 JOIN (... CellValue IN ...) T1
-//     ON T0.TableId = T1.TableId AND T0.RowId = T1.RowId [JOIN ...]
-// Instead of materializing every relation's postings and hash-joining,
-// per-relation posting cursors leapfrog in (TableId, RowId) key space via
-// skip-table SeekAtLeast — blocks that cannot contain a matching key are
-// never decoded, and the compressed form is consumed directly.
-//
-// Byte-identity with HashJoinStep is by construction: the eligible shape's
-// projection reads only relation-0 fields that are constant within a
-// (TableId, RowId) key group (TableId, RowId, SuperKey), so the legacy
-// output stream is fully characterized by an ordered list of (key,
-// multiplicity) runs. The replay below reproduces HashJoinStep's exact
-// emission order per step — including its build-on-the-smaller-side
-// orientation rule `scan.size() <= rows.size()` evaluated on the same
-// (unfiltered) sizes, which are O(1) posting-count sums for this shape —
-// then materializes each run's rows from one representative record.
+// Lookup join on the (TableId, RowId) store order.
 // ---------------------------------------------------------------------------
 
 /// (TableId, RowId) packed as one 64-bit key. Records are emitted
@@ -657,6 +689,170 @@ RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
   }
   return lo;
 }
+
+/// A relation that a lookup join step reads in place instead of scanning:
+/// its classified scan predicate, bound per-record filters, its access
+/// path's morsels (walked only to count candidates for the orientation), and
+/// the sorted valid ids of its TableId IN-list when that is the access path.
+struct LookupRel {
+  ScanSpec spec;
+  RecordFilter filter;
+  std::vector<ScanMorsel> morsels;
+  std::vector<TableId> tables;
+};
+
+template <typename Store>
+Result<LookupRel> MakeLookupRel(const AnalyzedRel& rel, const Store& store,
+                                const Dictionary& dict) {
+  LookupRel out;
+  out.spec = ClassifyScan(rel.scan_pred);
+  BLEND_ASSIGN_OR_RETURN(out.filter, BindRecordFilter(out.spec, dict));
+  out.morsels = AccessPathMorsels(out.spec, store, dict);
+  if (out.spec.table_in != nullptr) {
+    out.tables = ResolveTableIds(*out.spec.table_in, store);
+  }
+  return out;
+}
+
+/// Whether join step `j` (joining relation j + 1) runs as a lookup join: its
+/// ON equates TableId with TableId and RowId with RowId, and its relation's
+/// access path scans in ascending position (the clustered TableId index, the
+/// Quadrant partial index or a full scan). A relation on the CellValue index
+/// scans cell-major and keeps HashJoinStep. A step whose keys do not bind is
+/// not a lookup; the join loop reports the bind error.
+bool IsLookupStep(const AnalyzedQuery& q, size_t j, const Binder& binder) {
+  if (ClassifyScan(q.rels[j + 1].scan_pred).cell_in != nullptr) return false;
+  auto keys_or = ExtractStepKeys(q.join_ons[j], binder, static_cast<uint8_t>(j + 1));
+  if (!keys_or.ok()) return false;
+  const StepKeys keys = keys_or.take();
+  bool table_key = false, row_key = false;
+  for (size_t i = 0; i < keys.right.size(); ++i) {
+    const Field f = keys.right[i];
+    if (keys.left[i].second != f) continue;
+    table_key = table_key || f == Field::kTable;
+    row_key = row_key || f == Field::kRow;
+  }
+  return table_key && row_key;
+}
+
+/// One join step that looks the new relation up instead of scanning it. For
+/// each prefix row it takes the row's (TableId, RowId) record group
+/// [JoinKeyLowerBound, JoinKeyGroupEnd) and keeps the positions that pass the
+/// relation's own scan filters, the step's ON keys and its ON residual.
+///
+/// Output is byte-identical to HashJoinStep over ScanRel's positions. The
+/// eligible access paths scan in ascending position, so a prefix row's
+/// matches in scan order are its group's matches in ascending position.
+/// HashJoinStep probes with the prefix when `scan.size() <= rows.size()`;
+/// the filtered scan size is counted here in scan order, stopping at
+/// rows.size() + 1, so the decision never costs more than the scan it
+/// replaces. Probing with the prefix emits prefix-major with matches
+/// ascending; probing with the scan emits scan-major with prefix rows
+/// ascending, which sorting the matched (position, prefix index) pairs
+/// reproduces.
+template <typename Store>
+Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
+                                           const std::vector<RowCtx>& rows,
+                                           const LookupRel& rel,
+                                           const StepKeys& keys, uint8_t step_side,
+                                           Scheduler* sched,
+                                           const QueryControl* control,
+                                           QueryTrace* trace) {
+  // Orientation: count passing candidates in ScanRel's scan order.
+  const size_t cap = rows.size() + 1;
+  size_t passing = 0, visited = 0;
+  auto visit = [&](RecordPos p) {
+    if (rel.filter(store, p) && ++passing == cap) return false;
+    return ++visited % kSerialCheckInterval != 0 || !ShouldStop(control);
+  };
+  for (const ScanMorsel& mo : rel.morsels) {
+    if (!WalkMorsel(mo, visit)) break;
+  }
+  BLEND_RETURN_NOT_OK(CheckControl(control, "lookup join"));
+  const bool probe_with_prefix = passing <= rows.size();
+
+  size_t table_key = 0, row_key = 0;
+  for (size_t i = 0; i < keys.right.size(); ++i) {
+    if (keys.left[i].second != keys.right[i]) continue;
+    if (keys.right[i] == Field::kTable) table_key = i;
+    if (keys.right[i] == Field::kRow) row_key = i;
+  }
+  const uint8_t table_side = keys.left[table_key].first;
+  const uint8_t row_side = keys.left[row_key].first;
+
+  // Prefix-row chunks; each fills its own buffer of joined rows (probing
+  // with the prefix) or of packed (position, prefix index) pairs.
+  const size_t num_chunks = (rows.size() + kScanMorselRecords - 1) / kScanMorselRecords;
+  std::vector<std::vector<RowCtx>> parts(probe_with_prefix ? num_chunks : 0);
+  std::vector<std::vector<uint64_t>> pairs(probe_with_prefix ? 0 : num_chunks);
+  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinProbe,
+                               num_chunks, [&](size_t c) {
+    const size_t b = c * kScanMorselRecords;
+    const size_t e = std::min(rows.size(), b + kScanMorselRecords);
+    for (size_t i = b; i < e; ++i) {
+      const TableId t = store.table(rows[i].pos[table_side]);
+      if (rel.spec.table_in != nullptr &&
+          !std::binary_search(rel.tables.begin(), rel.tables.end(), t)) {
+        continue;
+      }
+      const uint64_t key = PackJoinKey(t, store.row(rows[i].pos[row_side]));
+      const RecordPos lo = JoinKeyLowerBound(store, key);
+      const RecordPos hi = JoinKeyGroupEnd(store, key, lo);
+      RowCtx extended = rows[i];
+      for (RecordPos p = lo; p < hi; ++p) {
+        if (!rel.filter(store, p) || !StepKeysEqual(store, keys, rows[i], p)) {
+          continue;
+        }
+        extended.pos[step_side] = p;
+        if (!StepResidualHolds(store, keys, extended)) continue;
+        if (probe_with_prefix) {
+          parts[c].push_back(extended);
+        } else {
+          pairs[c].push_back(static_cast<uint64_t>(p) << 32 | i);
+        }
+      }
+    }
+  }));
+
+  std::vector<RowCtx> joined;
+  if (probe_with_prefix) {
+    joined = ConcatParts(std::move(parts));
+  } else {
+    std::vector<uint64_t> matched = ConcatParts(std::move(pairs));
+    std::sort(matched.begin(), matched.end());
+    joined.reserve(matched.size());
+    for (uint64_t m : matched) {
+      RowCtx extended = rows[m & 0xFFFFFFFFu];
+      extended.pos[step_side] = static_cast<RecordPos>(m >> 32);
+      joined.push_back(extended);
+    }
+  }
+  if (trace != nullptr) {
+    trace->AddRows(TraceStage::kJoinProbe, static_cast<int64_t>(joined.size()));
+  }
+  return joined;
+}
+
+// ---------------------------------------------------------------------------
+// Galloping compressed-domain join for the MC shape:
+//   SELECT T0.TableId, T0.RowId, T0.SuperKey
+//   FROM (... CellValue IN ...) T0 JOIN (... CellValue IN ...) T1
+//     ON T0.TableId = T1.TableId AND T0.RowId = T1.RowId [JOIN ...]
+// Instead of materializing every relation's postings and hash-joining,
+// per-relation posting cursors leapfrog in (TableId, RowId) key space via
+// skip-table SeekAtLeast — blocks that cannot contain a matching key are
+// never decoded, and the compressed form is consumed directly.
+//
+// Byte-identity with HashJoinStep is by construction: the eligible shape's
+// projection reads only relation-0 fields that are constant within a
+// (TableId, RowId) key group (TableId, RowId, SuperKey), so the legacy
+// output stream is fully characterized by an ordered list of (key,
+// multiplicity) runs. The replay below reproduces HashJoinStep's exact
+// emission order per step — including its build-on-the-smaller-side
+// orientation rule `scan.size() <= rows.size()` evaluated on the same
+// (unfiltered) sizes, which are O(1) posting-count sums for this shape —
+// then materializes each run's rows from one representative record.
+// ---------------------------------------------------------------------------
 
 /// True when every field leaf reads a relation-0 column that is constant
 /// within a (TableId, RowId) key group — the condition that lets the gallop
@@ -1801,14 +1997,17 @@ std::optional<Result<QueryResult>> TryFusedScanProject(
 
 /// Plan node for one generic-pipeline relation scan, mirroring ScanRel's
 /// access-path choice and exact morsel geometry without touching postings.
+/// A relation a lookup join reads in place is a "GroupLookup": it runs no
+/// scan tasks; its access path only bounds the orientation count, and its
+/// filters apply per (TableId, RowId) group.
 template <typename Store>
 PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
-                          const Dictionary& dict, int depth) {
+                          const Dictionary& dict, int depth, bool lookup) {
   const ScanSpec spec = ClassifyScan(rel.scan_pred);
   PlanNode node;
   node.depth = depth;
-  node.op = "Scan";
-  node.stage = TraceStage::kScan;
+  node.op = lookup ? "GroupLookup" : "Scan";
+  if (!lookup) node.stage = TraceStage::kScan;
   uint64_t records = 0;
   size_t tasks = 0;
   if (spec.cell_in != nullptr) {
@@ -1821,20 +2020,14 @@ PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
     node.detail = "CellValue index: " + std::to_string(cells.size()) + " cells";
     if (spec.table_in != nullptr) node.detail += "; TableId filter";
   } else if (spec.table_in != nullptr) {
-    std::vector<int64_t> ids(spec.table_in->in_ints.begin(),
-                             spec.table_in->in_ints.end());
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    size_t valid = 0;
-    for (int64_t id : ids) {
-      if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
-      ++valid;
-      auto [b, e] = store.TableRange(static_cast<TableId>(id));
+    const std::vector<TableId> ids = ResolveTableIds(*spec.table_in, store);
+    for (TableId id : ids) {
+      auto [b, e] = store.TableRange(id);
       records += e - b;
       tasks += (e - b + kScanMorselRecords - 1) / kScanMorselRecords;
     }
     node.detail =
-        "TableId clustered index: " + std::to_string(valid) + " tables";
+        "TableId clustered index: " + std::to_string(ids.size()) + " tables";
   } else if (spec.need_quadrant) {
     const size_t n = store.QuadrantPositions().size();
     records = n;
@@ -1853,8 +2046,9 @@ PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
     node.detail +=
         "; " + std::to_string(spec.residual.size()) + " residual preds";
   }
-  node.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
   node.est_rows = static_cast<int64_t>(records);
+  if (lookup) return node;
+  node.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
   node.planned_tasks = static_cast<int64_t>(tasks);
   return node;
 }
@@ -1911,11 +2105,25 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
         "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
     describe->nodes.push_back(std::move(filter));
   }
+  std::vector<Binder::RelColumns> rel_cols;
+  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
+  const Binder binder(&dict, rel_cols);
+  std::vector<bool> lookup(q.rels.size(), false);
   for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    lookup[j + 1] = IsLookupStep(q, j, binder);
     PlanNode join;
     join.depth = 1;
-    join.op = "HashJoin";
     join.stage = TraceStage::kJoinProbe;
+    if (lookup[j + 1]) {
+      join.op = "LookupJoin";
+      join.detail = "step " + std::to_string(j + 1) + "; rel " +
+                    std::to_string(j + 1) +
+                    " read by (TableId, RowId) group, not scanned; prefix chunk=" +
+                    std::to_string(kScanMorselRecords) + " rows";
+      describe->nodes.push_back(std::move(join));
+      continue;
+    }
+    join.op = "HashJoin";
     join.detail = "step " + std::to_string(j + 1) +
                   "; build side chosen by size at run time; probe chunk=" +
                   std::to_string(kScanMorselRecords) + " rows";
@@ -1929,7 +2137,8 @@ void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
   }
   const int scan_depth = q.rels.size() > 1 ? 2 : 1;
   for (size_t r = 0; r < q.rels.size(); ++r) {
-    PlanNode scan = DescribeScanNode(q.rels[r], store, dict, scan_depth);
+    PlanNode scan =
+        DescribeScanNode(q.rels[r], store, dict, scan_depth, lookup[r]);
     scan.detail = "rel " + std::to_string(r) + ": " + scan.detail;
     describe->nodes.push_back(std::move(scan));
   }
@@ -1982,21 +2191,26 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   // bytes, released when the query finishes.
   ScopedMemoryCharge mem(control);
 
-  // 1. Scans.
-  std::vector<std::vector<RecordPos>> scans;
-  int64_t scan_bytes = 0;
-  for (const auto& rel : q.rels) {
-    BLEND_ASSIGN_OR_RETURN(auto positions,
-                           ScanRel(rel, store, dict, sched, control, trace));
-    scan_bytes += static_cast<int64_t>(positions.size() * sizeof(RecordPos));
-    BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
-    scans.push_back(std::move(positions));
-  }
-
   // Binder over the visible (outer) schema.
   std::vector<Binder::RelColumns> rel_cols;
   for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
   Binder binder(&dict, rel_cols);
+
+  // 1. Scans. A relation that a lookup join step reads in place is never
+  // scanned; its filters are bound here, in relation order like the scans.
+  std::vector<std::vector<RecordPos>> scans(q.rels.size());
+  std::vector<std::optional<LookupRel>> lookups(q.rels.size());
+  int64_t scan_bytes = 0;
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    if (r > 0 && IsLookupStep(q, r - 1, binder)) {
+      BLEND_ASSIGN_OR_RETURN(lookups[r], MakeLookupRel(q.rels[r], store, dict));
+      continue;
+    }
+    BLEND_ASSIGN_OR_RETURN(scans[r],
+                           ScanRel(q.rels[r], store, dict, sched, control, trace));
+    scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
+    BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
+  }
 
   // 2. Join chain (or single-relation row stream).
   std::vector<RowCtx> rows;
@@ -2012,9 +2226,15 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     const uint8_t step_side = static_cast<uint8_t>(j + 1);
     BLEND_ASSIGN_OR_RETURN(StepKeys keys,
                            ExtractStepKeys(q.join_ons[j], binder, step_side));
-    BLEND_ASSIGN_OR_RETURN(rows,
-                           HashJoinStep(store, rows, scans[step_side], keys,
-                                        step_side, sched, control, trace));
+    if (lookups[step_side].has_value()) {
+      BLEND_ASSIGN_OR_RETURN(rows, LookupJoinStep(store, rows, *lookups[step_side],
+                                                  keys, step_side, sched, control,
+                                                  trace));
+    } else {
+      BLEND_ASSIGN_OR_RETURN(rows,
+                             HashJoinStep(store, rows, scans[step_side], keys,
+                                          step_side, sched, control, trace));
+    }
     BLEND_RETURN_NOT_OK(mem.ChargeTo(
         scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
   }

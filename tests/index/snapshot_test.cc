@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -129,7 +130,10 @@ constexpr size_t kHeaderChecksumOffset = 64;
 constexpr size_t kHeaderSize = 72;
 constexpr size_t kSectionEntrySize = 32;
 /// Section ids referenced by the codec corruption tests (snapshot.cc).
+constexpr uint32_t kSecIdRecords = 3;
+constexpr uint32_t kSecIdRows = 7;
 constexpr uint32_t kSecIdPostingPositions = 11;
+constexpr uint32_t kSecIdQuadrantPositions = 13;
 constexpr uint32_t kSecIdPostingPartitions = 17;
 constexpr uint32_t kSecIdPostingBlob = 18;
 /// Bits 8..15 of the header flags carry the postings codec id (v2).
@@ -858,6 +862,74 @@ TEST_P(SnapshotCorruptionTest, NonAscendingRawPostingsAreRejected) {
   ASSERT_FALSE(from_buffer.ok());
   EXPECT_NE(from_buffer.status().message().find("ascending"), std::string::npos)
       << from_buffer.status().message();
+}
+
+TEST_P(SnapshotCorruptionTest, DuplicateQuadrantPositionsAreRejected) {
+  // Like crash-raw-nonascending for the Quadrant partial index: the loader
+  // bounded each position by the record count only, so a tampered section
+  // that repeats a position (every value still in range) loaded and made
+  // the correlation scan count that numeric cell twice.
+  const SecondaryIndexes& secondary = layout_ == StoreLayout::kRow
+                                          ? bundle_.row_store().secondary()
+                                          : bundle_.column_store().secondary();
+  ASSERT_GE(secondary.quadrant_positions.size(), 2u) << "lake has no numeric cells";
+
+  std::vector<uint8_t> bytes = pristine_;
+  const auto sections = ParseSectionTable(bytes);
+  const size_t sec_idx = SectionIndexOf(sections, kSecIdQuadrantPositions);
+  uint8_t* base = bytes.data() + sections[sec_idx].offset;
+  // Overwrite the second position with the first: in range, now repeated.
+  std::memcpy(base + sizeof(uint32_t), base, sizeof(uint32_t));
+  ReforgeSectionChecksum(&bytes, sec_idx);
+  Spit(path_, bytes);
+  ExpectBothLoadersReject(path_, "quadrant positions not strictly ascending");
+  auto from_buffer = internal::LoadSnapshotFromBuffer(bytes.data(), bytes.size());
+  ASSERT_FALSE(from_buffer.ok());
+  EXPECT_NE(from_buffer.status().message().find("ascending"), std::string::npos)
+      << from_buffer.status().message();
+}
+
+TEST_P(SnapshotCorruptionTest, RecordsOutOfRowOrderAreRejected) {
+  // The galloping and lookup joins binary-search each (TableId, RowId) group
+  // inside its table range, so rows must ascend within a table. Swap the
+  // RowIds of two adjacent records of one table: every value stays valid,
+  // only the order breaks.
+  const size_t n = bundle_.NumRecords();
+  auto table_of = [&](RecordPos p) {
+    return layout_ == StoreLayout::kRow ? bundle_.row_store().table(p)
+                                        : bundle_.column_store().table(p);
+  };
+  auto row_of = [&](RecordPos p) {
+    return layout_ == StoreLayout::kRow ? bundle_.row_store().row(p)
+                                        : bundle_.column_store().row(p);
+  };
+  RecordPos victim = 0;
+  while (victim + 1 < n && (table_of(victim) != table_of(victim + 1) ||
+                            row_of(victim) == row_of(victim + 1))) {
+    ++victim;
+  }
+  ASSERT_LT(victim + 1, n) << "no two adjacent records of one table differ in row";
+
+  std::vector<uint8_t> bytes = pristine_;
+  const auto sections = ParseSectionTable(bytes);
+  const bool row_layout = layout_ == StoreLayout::kRow;
+  const size_t sec_idx =
+      SectionIndexOf(sections, row_layout ? kSecIdRecords : kSecIdRows);
+  // The row field: IndexRecord::row in the row layout, the Rows array in the
+  // column layout.
+  const size_t stride = row_layout ? sizeof(IndexRecord) : sizeof(int32_t);
+  const size_t field = row_layout ? offsetof(IndexRecord, row) : 0;
+  uint8_t* a = bytes.data() + sections[sec_idx].offset + victim * stride + field;
+  uint8_t* b = a + stride;
+  int32_t ra, rb;
+  std::memcpy(&ra, a, sizeof(ra));
+  std::memcpy(&rb, b, sizeof(rb));
+  ASSERT_LT(ra, rb);
+  std::memcpy(a, &rb, sizeof(rb));
+  std::memcpy(b, &ra, sizeof(ra));
+  ReforgeSectionChecksum(&bytes, sec_idx);
+  Spit(path_, bytes);
+  ExpectBothLoadersReject(path_, "(TableId, RowId) order");
 }
 
 // ---------------------------------------------------------------------------

@@ -585,6 +585,135 @@ TEST_P(EngineDeterminismTest, ConcurrentClientsShareOnePool) {
   }
 }
 
+TEST_P(EngineDeterminismTest, LookupJoinEmitsExactlyWhatHashJoinEmits) {
+  // A join step keyed on TableId = TableId and RowId = RowId whose relation
+  // is on the clustered TableId index, the Quadrant partial index or a full
+  // scan runs as a lookup join. Writing the RowId key as `RowId + 0 = RowId`
+  // turns it into an ON residual, so the same statement runs HashJoinStep;
+  // both must emit the same rows in the same order (no GROUP BY or ORDER BY
+  // to hide the join's emission order), for both orientations, every
+  // eligible access path, a lookup as the second step of three, and LIMIT.
+  Rng rng(GetParam() * 79 + 12);
+  struct Case {
+    std::string prefix;  // relation a's WHERE
+    std::string right;   // relation b's WHERE
+    bool right_larger;   // filtered right side larger than the prefix
+    std::string limit;
+  };
+  // Key values whose rows also hold a numeric cell in another column, so
+  // the Quadrant lookups below have matches to emit.
+  std::string keys;
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    keys = RandomInList(&rng, 25);
+    auto n = row_engine_->Query(
+        "SELECT COUNT(*) FROM (SELECT TableId, RowId, ColumnId FROM AllTables "
+        "WHERE RowId < 64 AND CellValue IN (" +
+        keys +
+        ")) AS a INNER JOIN (SELECT TableId, RowId, ColumnId FROM AllTables "
+        "WHERE Quadrant IS NOT NULL) AS b ON a.TableId = b.TableId AND "
+        "a.RowId = b.RowId AND a.ColumnId <> b.ColumnId;");
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    if (n.value().Int(0, 0) > 0) break;
+  }
+  const std::vector<Case> cases = {
+      {"RowId < 64 AND CellValue IN (" + keys + ")",
+       "RowId < 64 AND Quadrant IS NOT NULL", true, ""},
+      {"RowId < 64 AND CellValue IN (" + keys + ")",
+       "RowId < 64 AND Quadrant IS NOT NULL", true, " LIMIT 50"},
+      {"RowId < 30", "TableId IN (0, 3, 7, 11) AND Quadrant IS NOT NULL", false,
+       ""},
+      {"CellValue IN (" + keys + ")", "TableId IN (1, 2, 4, 8, 16, 32)", true,
+       ""},
+      {"RowId < 30", "ColumnId = 1 AND RowId < 6", false, ""},
+      {"CellValue IN (" + keys + ")", "ColumnId <> 0", true, " LIMIT 7"},
+  };
+  auto two_way = [](const Case& c, const std::string& row_key) {
+    return "SELECT a.TableId, a.RowId, a.ColumnId, b.ColumnId, b.Quadrant FROM "
+           "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE " +
+           c.prefix +
+           ") AS a INNER JOIN (SELECT TableId, RowId, ColumnId, Quadrant FROM "
+           "AllTables WHERE " +
+           c.right + ") AS b ON a.TableId = b.TableId AND " + row_key +
+           " = b.RowId AND a.ColumnId <> b.ColumnId" + c.limit + ";";
+  };
+  std::vector<std::pair<std::string, std::string>> sqls;  // lookup, reference
+  for (const Case& c : cases) {
+    sqls.emplace_back(two_way(c, "a.RowId"), two_way(c, "a.RowId + 0"));
+  }
+  // Three relations: step 1 joins two CellValue relations (a hash join; the
+  // `<=` keeps every record's match with itself, so the prefix is never
+  // empty), step 2 looks the Quadrant relation up.
+  auto three_way = [&](const std::string& row_key) {
+    return "SELECT a.TableId, a.RowId, b.ColumnId, c.ColumnId, c.Quadrant FROM "
+           "(SELECT TableId, RowId, ColumnId FROM AllTables WHERE CellValue IN (" +
+           keys +
+           ")) AS a INNER JOIN (SELECT TableId, RowId, ColumnId FROM AllTables "
+           "WHERE CellValue IN (" +
+           keys +
+           ")) AS b ON a.TableId = b.TableId AND a.RowId = b.RowId AND "
+           "a.ColumnId <= b.ColumnId "
+           "INNER JOIN (SELECT TableId, RowId, ColumnId, Quadrant FROM AllTables "
+           "WHERE Quadrant IS NOT NULL) AS c ON b.TableId = c.TableId AND " +
+           row_key + " = c.RowId;";
+  };
+  sqls.emplace_back(three_way("a.RowId"), three_way("a.RowId + 0"));
+
+  // Every (layout, serving codec, shuffle_rows) build of the lake.
+  std::vector<std::unique_ptr<IndexBundle>> shuffled;
+  std::vector<Engine*> engines = {row_engine_.get(), col_engine_.get(),
+                                  row_c_engine_.get(), col_c_engine_.get()};
+  std::vector<std::unique_ptr<Engine>> shuffled_engines;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    for (bool compressed : {false, true}) {
+      IndexBuildOptions opts;
+      opts.layout = layout;
+      opts.shuffle_rows = true;
+      opts.serve_compressed = compressed;
+      shuffled.push_back(
+          std::make_unique<IndexBundle>(IndexBuilder(opts).Build(lake_)));
+      shuffled_engines.push_back(std::make_unique<Engine>(shuffled.back().get()));
+      engines.push_back(shuffled_engines.back().get());
+    }
+  }
+
+  // The cases cover both orientations (HashJoinStep probes with the prefix
+  // iff the filtered right side is at most the prefix).
+  auto count = [&](const std::string& where) {
+    auto r = row_engine_->Query("SELECT COUNT(*) FROM AllTables WHERE " + where);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value().Int(0, 0) : 0;
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(count(c.right) > count(c.prefix), c.right_larger)
+        << c.prefix << " | " << c.right;
+  }
+
+  for (const auto& [sql, reference] : sqls) {
+    auto plan = row_engine_->Query("EXPLAIN " + sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan.value().explain_text.find("LookupJoin"), std::string::npos)
+        << sql;
+    auto ref_plan = row_engine_->Query("EXPLAIN " + reference);
+    ASSERT_TRUE(ref_plan.ok()) << ref_plan.status().ToString();
+    EXPECT_EQ(ref_plan.value().explain_text.find("LookupJoin"), std::string::npos)
+        << reference;
+    for (Engine* engine : engines) {
+      for (Scheduler* pool : TestPools()) {
+        QueryOptions opts;
+        opts.scheduler = pool;
+        auto want = engine->Query(reference, opts);
+        ASSERT_TRUE(want.ok()) << want.status().ToString() << "\n" << reference;
+        auto got = engine->Query(sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+        EXPECT_FALSE(want.value().rows.empty()) << reference;
+        EXPECT_EQ(ResultToString(want.value()), ResultToString(got.value()))
+            << "pool=" << pool->parallelism() << "\n"
+            << sql;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDeterminismTest, ::testing::Values(1, 2, 3));
 
 }  // namespace
