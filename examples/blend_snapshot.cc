@@ -105,8 +105,8 @@ int RunStatsMode(const core::Blend& blend, const DataLake& lake) {
                           .c_str());
 
   // Trace anatomy of one representative run: RunReport carries the finished
-  // per-query trace (stage wall times, rows, posting blocks decoded, gallop
-  // seeks) in the report.
+  // per-query trace (stage wall times, rows, posting blocks decoded) in the
+  // report.
   std::vector<std::string> values = lakegen::SampleColumnQuery(lake, 12, &rng);
   core::Plan plan;
   (void)plan.Add("sc", std::make_shared<core::SCSeeker>(values, 10));

@@ -683,13 +683,4 @@ void NotePostingBlockDecoded() {
   counter->Increment();
 }
 
-void NoteGallopSeek() {
-  if constexpr (!kTelemetryEnabled) return;
-  telemetry_internal::ThreadHotPathCounters().gallop_seeks += 1;
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "blend_gallop_seeks_total",
-      "SeekAtLeast operations issued by the galloping intersection.");
-  counter->Increment();
-}
-
 }  // namespace blend

@@ -73,7 +73,6 @@ struct alignas(64) MetricCell {
 /// thread, so the delta is exactly that task's work.
 struct HotPathCounters {
   int64_t posting_blocks_decoded = 0;
-  int64_t gallop_seeks = 0;
 };
 
 HotPathCounters& ThreadHotPathCounters();
@@ -268,6 +267,8 @@ enum class TraceStage : uint8_t {
   kScan,
   kJoinBuild,
   kJoinProbe,
+  // No executor path records kGallopIntersect, kGallopEmit or kFusedProject;
+  // they stay because perfbench/main.cc reports them, and always read 0.
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,
@@ -311,7 +312,7 @@ constexpr const char* TraceStageName(TraceStage s) {
 enum class TraceCounter : uint8_t {
   kEngineQueries,
   kPostingBlocksDecoded,
-  kGallopSeeks,
+  kGallopSeeks,  // never recorded; kept for perfbench/main.cc, always 0
   kMcCandidateRows,
   kMcBloomPassRows,
   kMcValidatedRows,
@@ -432,7 +433,7 @@ class QueryTrace {
 };
 
 /// RAII span: attributes its lifetime (and the thread's hot-path counter
-/// deltas — posting blocks decoded, gallop seeks) to one stage of a trace.
+/// delta — posting blocks decoded) to one stage of a trace.
 /// Used at morsel-task granularity inside the executor and for coarse
 /// single-thread stages (optimize, plan step, seeker). Inert — not even a
 /// clock read — when `trace` is null or telemetry is compiled out.
@@ -455,8 +456,6 @@ class TraceSpan {
         1);
     trace_->AddCounter(TraceCounter::kPostingBlocksDecoded,
                        hot.posting_blocks_decoded - hot_.posting_blocks_decoded);
-    trace_->AddCounter(TraceCounter::kGallopSeeks,
-                       hot.gallop_seeks - hot_.gallop_seeks);
     if (trace_->capturing_spans()) trace_->CaptureSpan(stage_, start_, end);
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -525,12 +524,11 @@ class LatencyTimer {
   std::chrono::steady_clock::time_point start_{};
 };
 
-/// Posting-codec event hooks (called from index/codec on block decode and
-/// gallop seek). They bump the thread-local tallies TraceSpan attributes to
-/// morsel tasks and the process-wide registry counters. Defined out of line
-/// so the codec header stays free of registry plumbing.
+/// Posting-codec event hook (called from index/codec on block decode). It
+/// bumps the thread-local tally TraceSpan attributes to morsel tasks and the
+/// process-wide registry counter. Defined out of line so the codec header
+/// stays free of registry plumbing.
 void NotePostingBlockDecoded();
-void NoteGallopSeek();
 
 /// Renders captured spans as a Chrome trace-event JSON document (the format
 /// Perfetto and chrome://tracing load): one "X" complete event per span with

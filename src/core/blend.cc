@@ -86,7 +86,6 @@ Blend::Blend(const DataLake* lake, Options options, IndexBundle bundle)
   ctx_.stats = &stats_;
   ctx_.query_options.scheduler = scheduler_;
   ctx_.query_options.enable_fused_scan_agg = options.enable_fused_scan_agg;
-  ctx_.query_options.enable_galloping_join = options.enable_galloping_join;
 }
 
 Status Blend::SaveSnapshot(const std::string& path) const {

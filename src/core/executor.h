@@ -47,8 +47,8 @@ struct ExecutionReport {
   /// Per-plan-step wall times and output sizes, in execution order.
   std::vector<PlanStepTiming> step_timings;
   /// The query's finished trace (stage wall times / task counts / rows plus
-  /// event counters: posting blocks decoded, gallop seeks, engine queries,
-  /// MC validation funnel). All-zero when the run carried no trace.
+  /// event counters: posting blocks decoded, engine queries, MC validation
+  /// funnel). All-zero when the run carried no trace.
   QueryTraceSummary trace;
   /// The steps that were executed, in order (for inspection and tests).
   ExecutionPlan executed_plan;

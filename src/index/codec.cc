@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/scheduler.h"
+#include "common/telemetry.h"
 
 namespace blend {
 
@@ -589,51 +590,6 @@ void PostingCursor::SeekToOrdinal(size_t i) {
     return;
   }
   next_block_ = i >= list_.size() ? NumBlocks() : i / kPostingBlockLen;
-}
-
-void PostingCursor::SeekAtLeast(PostingValue target) {
-  if (list_.is_raw()) {
-    // Forward-only, like the encoded path: an exhausted cursor stays
-    // exhausted (raw_from_ is already past the served values).
-    const auto s = list_.raw_span();
-    const auto it = std::lower_bound(s.begin() + static_cast<long>(raw_from_),
-                                     s.end(), target);
-    raw_from_ = static_cast<size_t>(it - s.begin());
-    return;
-  }
-  if (next_block_ >= NumBlocks() || BlockFirst(next_block_) > target) return;
-  // Largest not-yet-consumed block whose first value is <= target: every
-  // block before it ends before the following block's first value, hence
-  // before target, so skipping them can never skip a match.
-  size_t lo = next_block_, hi = NumBlocks();
-  while (lo + 1 < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (BlockFirst(mid) <= target) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  next_block_ = lo;
-}
-
-std::vector<PostingValue> GallopIntersect(PostingListRef a, PostingListRef b) {
-  std::vector<PostingValue> out;
-  if (a.empty() || b.empty()) return out;
-  PostingIterator ia(a), ib(b);
-  while (!ia.AtEnd() && !ib.AtEnd()) {
-    const PostingValue va = ia.Value(), vb = ib.Value();
-    if (va == vb) {
-      out.push_back(va);
-      ia.Next();
-      ib.Next();
-    } else if (va < vb) {
-      ia.SeekAtLeast(vb);
-    } else {
-      ib.SeekAtLeast(va);
-    }
-  }
-  return out;
 }
 
 namespace {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/telemetry.h"
 
 namespace blend {
 
@@ -187,9 +185,8 @@ PostingListRef FindPostingList(const uint8_t* data,
 ///   for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch())
 ///     for (PostingValue p : batch) ...
 ///
-/// `SeekToOrdinal` supports morsel-parallel scans (each morsel decodes only
-/// its own blocks); `SeekAtLeast` supports skip-based intersection: both use
-/// the skip table to jump without decoding the skipped blocks.
+/// `SeekToOrdinal` supports morsel-parallel scans: each morsel uses the skip
+/// table to jump to its own blocks without decoding the skipped ones.
 class PostingCursor {
  public:
   explicit PostingCursor(PostingListRef list);
@@ -210,11 +207,6 @@ class PostingCursor {
   /// Seeking past the end makes NextBatch return empty.
   void SeekToOrdinal(size_t i);
 
-  /// Repositions so the next NextBatch returns the first block whose last
-  /// value is >= `target` (i.e. the block where an intersection against
-  /// `target` must resume); no-op if already positioned past it.
-  void SeekAtLeast(PostingValue target);
-
  private:
   size_t NumBlocks() const {
     return (list_.size() + kPostingBlockLen - 1) / kPostingBlockLen;
@@ -232,94 +224,6 @@ class PostingCursor {
   const uint8_t* blocks_ = nullptr;  // encoded: first block's tag byte
   PostingValue scratch_[kPostingBlockLen];
 };
-
-// ---------------------------------------------------------------------------
-// PostingIterator: value-at-a-time iteration with galloping seeks.
-// ---------------------------------------------------------------------------
-
-/// A value-space view over PostingCursor for intersection-style consumers:
-/// exposes the current value plus a forward-only SeekAtLeast that skips whole
-/// blocks via the skip table without decoding them. Centralizes the one
-/// subtlety of PostingCursor::SeekAtLeast — the cursor only searches from its
-/// next undecoded block, so a target that falls inside the batch already
-/// decoded must be resolved in-batch (a binary search over the scratch), not
-/// delegated to the cursor (which would skip past it).
-class PostingIterator {
- public:
-  explicit PostingIterator(PostingListRef list) : cur_(list) {
-    batch_ = cur_.NextBatch();
-  }
-
-  bool AtEnd() const { return batch_.empty(); }
-  /// Current value; valid only when !AtEnd().
-  PostingValue Value() const { return batch_[idx_]; }
-
-  void Next() {
-    if (++idx_ >= batch_.size()) {
-      batch_ = cur_.NextBatch();
-      idx_ = 0;
-    }
-  }
-
-  /// Advances to the first value >= `target` (possibly the current one);
-  /// never moves backwards, never decodes a block whose values are all
-  /// < `target` unless it is the block the match lands in.
-  void SeekAtLeast(PostingValue target) {
-    if (AtEnd() || batch_[idx_] >= target) return;
-    NoteGallopSeek();
-    if (batch_.back() >= target) {
-      // Target is inside the already-decoded batch.
-      idx_ = static_cast<size_t>(
-          std::lower_bound(batch_.begin() + static_cast<long>(idx_ + 1),
-                           batch_.end(), target) -
-          batch_.begin());
-      return;
-    }
-    cur_.SeekAtLeast(target);
-    batch_ = cur_.NextBatch();
-    idx_ = 0;
-    // The cursor lands on the first block whose last value is >= target (or
-    // past the end); one in-batch search finishes the job.
-    if (!batch_.empty()) {
-      idx_ = static_cast<size_t>(
-          std::lower_bound(batch_.begin(), batch_.end(), target) -
-          batch_.begin());
-      if (idx_ >= batch_.size()) {  // defensive: should not happen
-        batch_ = cur_.NextBatch();
-        idx_ = 0;
-      }
-    }
-  }
-
-  /// Consumes every value < `bound` starting at the current one and returns
-  /// how many there were (group counting for intersections). Leaves the
-  /// iterator at the first value >= `bound`, or at end.
-  size_t AdvanceBelow(PostingValue bound) {
-    size_t n = 0;
-    while (!AtEnd()) {
-      const auto it = std::lower_bound(
-          batch_.begin() + static_cast<long>(idx_), batch_.end(), bound);
-      n += static_cast<size_t>(it - batch_.begin()) - idx_;
-      idx_ = static_cast<size_t>(it - batch_.begin());
-      if (idx_ < batch_.size()) break;
-      batch_ = cur_.NextBatch();
-      idx_ = 0;
-    }
-    return n;
-  }
-
- private:
-  PostingCursor cur_;
-  std::span<const PostingValue> batch_;
-  size_t idx_ = 0;
-};
-
-/// Skip-table-driven leapfrog intersection of two lists (either storage
-/// mode): the smaller-valued side gallops to the other's current value, so
-/// blocks that cannot contain a match are never decoded. Result is the
-/// ascending set intersection — the reference semantics the fuzz harness
-/// checks against a decode-then-set_intersection oracle.
-std::vector<PostingValue> GallopIntersect(PostingListRef a, PostingListRef b);
 
 // ---------------------------------------------------------------------------
 // Whole-index conversions (the snapshot writer's transcoding layer).

@@ -979,11 +979,11 @@ size_t ParallelCount(size_t n, Scheduler* sched, const Fn& pred) {
   return std::accumulate(counts.begin(), counts.end(), size_t{0});
 }
 
-/// The store order the join paths rely on. Records are table-major and
+/// The store order the lookup join relies on. Records are table-major and
 /// row-major: the (TableId, RowId) key never decreases with position, every
 /// record lies in its own table's range, and the ranges add up to the record
-/// count, so each range holds exactly its table's records. The galloping and
-/// lookup joins binary-search (TableId, RowId) groups inside those ranges.
+/// count, so each range holds exactly its table's records. The lookup join
+/// binary-searches (TableId, RowId) groups inside those ranges.
 /// The Quadrant partial index lists exactly the records with a quadrant,
 /// strictly ascending: scans through it must neither repeat nor miss one.
 template <typename Store>

@@ -18,6 +18,22 @@ std::string PairRight(int domain, size_t i, size_t catalog) {
   return "b" + std::to_string(domain) + "_w" + std::to_string(j);
 }
 
+/// Injective containment: places tuple values v.. into distinct unused
+/// columns of `cells` holding them, backtracking on a dead end.
+bool PlaceTuple(const std::vector<std::string>& cells,
+                const std::vector<std::string>& tup, size_t v,
+                std::vector<bool>* used) {
+  if (v == tup.size()) return true;
+  const std::string want = NormalizeCell(tup[v]);
+  for (size_t c = 0; c < cells.size(); ++c) {
+    if ((*used)[c] || cells[c] != want) continue;
+    (*used)[c] = true;
+    if (PlaceTuple(cells, tup, v + 1, used)) return true;
+    (*used)[c] = false;
+  }
+  return false;
+}
+
 }  // namespace
 
 McLake MakeMcLake(const McLakeSpec& spec) {
@@ -85,19 +101,8 @@ bool RowJoinsTuples(const Table& table, size_t row,
     cells.push_back(NormalizeCell(table.At(row, c)));
   }
   for (const auto& tup : tuples) {
-    // Injective containment for 2-column tuples.
-    bool found = false;
-    for (size_t a = 0; a < cells.size() && !found; ++a) {
-      if (cells[a] != NormalizeCell(tup[0])) continue;
-      for (size_t b = 0; b < cells.size(); ++b) {
-        if (b == a) continue;
-        if (cells[b] == NormalizeCell(tup[1])) {
-          found = true;
-          break;
-        }
-      }
-    }
-    if (found) return true;
+    std::vector<bool> used(cells.size(), false);
+    if (!tup.empty() && PlaceTuple(cells, tup, 0, &used)) return true;
   }
   return false;
 }

@@ -40,7 +40,7 @@ std::vector<std::vector<std::string>> MakeMcQuery(const McLakeSpec& spec, int do
                                                   size_t num_tuples, Rng* rng);
 
 /// Ground truth for one candidate row: true when the row contains a query
-/// tuple exactly (both values, distinct columns).
+/// tuple exactly (every value of the tuple, each in a distinct column).
 bool RowJoinsTuples(const Table& table, size_t row,
                     const std::vector<std::vector<std::string>>& tuples);
 

@@ -642,15 +642,10 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 
 /// (TableId, RowId) packed as one 64-bit key. Records are emitted
 /// table-major, row-major, so the key is non-decreasing in physical
-/// position and cursors can gallop in key space by seeking positions.
+/// position and a key's record group can be binary-searched.
 inline uint64_t PackJoinKey(TableId t, int32_t r) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(t)) << 32) |
          static_cast<uint32_t>(r);
-}
-
-template <typename Store>
-uint64_t JoinKeyOf(const Store& store, RecordPos p) {
-  return PackJoinKey(store.table(p), store.row(p));
 }
 
 /// First physical position whose key is >= `key`: rows ascend within the
@@ -833,540 +828,13 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
   return joined;
 }
 
-// ---------------------------------------------------------------------------
-// Galloping compressed-domain join for the MC shape:
-//   SELECT T0.TableId, T0.RowId, T0.SuperKey
-//   FROM (... CellValue IN ...) T0 JOIN (... CellValue IN ...) T1
-//     ON T0.TableId = T1.TableId AND T0.RowId = T1.RowId [JOIN ...]
-// Instead of materializing every relation's postings and hash-joining,
-// per-relation posting cursors leapfrog in (TableId, RowId) key space via
-// skip-table SeekAtLeast — blocks that cannot contain a matching key are
-// never decoded, and the compressed form is consumed directly.
-//
-// Byte-identity with HashJoinStep is by construction: the eligible shape's
-// projection reads only relation-0 fields that are constant within a
-// (TableId, RowId) key group (TableId, RowId, SuperKey), so the legacy
-// output stream is fully characterized by an ordered list of (key,
-// multiplicity) runs. The replay below reproduces HashJoinStep's exact
-// emission order per step — including its build-on-the-smaller-side
-// orientation rule `scan.size() <= rows.size()` evaluated on the same
-// (unfiltered) sizes, which are O(1) posting-count sums for this shape —
-// then materializes each run's rows from one representative record.
-// ---------------------------------------------------------------------------
-
-/// True when every field leaf reads a relation-0 column that is constant
-/// within a (TableId, RowId) key group — the condition that lets the gallop
-/// project one representative record per key.
-bool KeyConstantExpr(const BoundExpr& e) {
-  if (e.kind == BKind::kField) {
-    return e.side == 0 && (e.field == Field::kTable ||
-                           e.field == Field::kRow ||
-                           e.field == Field::kSuperKey);
-  }
-  if (e.kind == BKind::kAggRef || e.kind == BKind::kKeyRef) return false;
-  if (e.lhs != nullptr && !KeyConstantExpr(*e.lhs)) return false;
-  if (e.rhs != nullptr && !KeyConstantExpr(*e.rhs)) return false;
-  return true;
-}
-
-/// One run of the replayed join stream: `mult` consecutive output rows, all
-/// for join key `key`.
-struct JoinRun {
-  uint64_t key;
-  uint64_t mult;
-};
-
-/// Per-cell multiplicity of one matched key (runs are appended per cell in
-/// ascending key order — a cell's postings visit keys in ascending order).
-struct CellKeyMult {
-  uint64_t key;
-  uint64_t mult;
-};
-
-/// Records per leapfrog partition task of the first join step. A multiple of
-/// the scan morsel size; boundaries translate to key ranges, so the task
-/// decomposition is a pure function of the store (never the pool).
-constexpr size_t kGallopChunkRecords = 4 * kScanMorselRecords;
-/// Keys per partition task of the later join steps.
-constexpr size_t kGallopKeysPerTask = 8192;
-
-/// Attempts the galloping join. Returns nullopt when the query does not
-/// have the eligible shape (the generic pipeline then runs, and reports any
-/// real bind error itself). An engaged return is the query's outcome.
-template <typename Store>
-std::optional<Result<QueryResult>> TryGallopingJoin(const AnalyzedQuery& q,
-                                                    const SelectStmt& stmt,
-                                                    const Store& store,
-                                                    const Dictionary& dict,
-                                                    const QueryOptions& options,
-                                                    PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  const QueryControl* control = options.control;
-  QueryTrace* trace = options.trace;
-  const size_t nrels = q.rels.size();
-  if (nrels < 2 || q.join_ons.size() != nrels - 1) return std::nullopt;
-  if (q.residual_where != nullptr || stmt.select_star) return std::nullopt;
-  if (!stmt.group_by.empty() || !stmt.order_by.empty()) return std::nullopt;
-  if (options.dedup_column >= 0) return std::nullopt;
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) return std::nullopt;
-  }
-
-  // Every relation must be a pure CellValue IN probe with no filters: that
-  // is what makes per-key match counts derivable from posting lists alone
-  // and keeps the (unfiltered) orientation sizes O(1) posting-count sums.
-  std::vector<const Expr*> cell_ins;
-  for (const auto& rel : q.rels) {
-    const ScanSpec spec = ClassifyScan(rel.scan_pred);
-    if (spec.cell_in == nullptr || spec.table_in != nullptr ||
-        spec.need_quadrant || spec.row_lt >= 0 || !spec.residual.empty()) {
-      return std::nullopt;
-    }
-    cell_ins.push_back(spec.cell_in);
-  }
-
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  Binder binder(&dict, rel_cols);
-
-  // Every join step must equate exactly (TableId, RowId) of the new relation
-  // with (TableId, RowId) of relation 0, with no residual ON terms.
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    const auto step_side = static_cast<uint8_t>(j + 1);
-    auto keys_or = ExtractStepKeys(q.join_ons[j], binder, step_side);
-    if (!keys_or.ok()) return std::nullopt;
-    const StepKeys keys = keys_or.take();
-    if (!keys.residual.empty() || keys.left.size() != 2) return std::nullopt;
-    bool table_key = false, row_key = false;
-    for (size_t i = 0; i < 2; ++i) {
-      const auto [lside, lfield] = keys.left[i];
-      if (lside != 0 || lfield != keys.right[i]) return std::nullopt;
-      if (lfield == Field::kTable) {
-        table_key = true;
-      } else if (lfield == Field::kRow) {
-        row_key = true;
-      } else {
-        return std::nullopt;
-      }
-    }
-    if (!table_key || !row_key) return std::nullopt;
-  }
-
-  // Projection: every field leaf must be key-constant on relation 0, so one
-  // representative record per key yields the whole group's output row.
-  QueryResult result;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindRowExpr(*item.expr);
-    if (!b.ok()) return std::nullopt;
-    BoundExprPtr bp = b.take();
-    if (!KeyConstantExpr(*bp)) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    items.push_back(std::move(bp));
-  }
-
-  // Resolved cells (canonical ascending order — the probe scan order) and
-  // the unfiltered scan sizes that drive each step's build/probe
-  // orientation, straight from the CSR offsets.
-  std::vector<std::vector<CellId>> cells(nrels);
-  std::vector<uint64_t> sz(nrels, 0);
-  for (size_t r = 0; r < nrels; ++r) {
-    cells[r] = ResolveCellIds(*cell_ins[r], dict);
-    for (CellId id : cells[r]) sz[r] += store.PostingCount(id);
-    // In describe mode keep going so the plan shows every relation's
-    // cardinality even when one side is empty.
-    if (sz[r] == 0 && describe == nullptr) {
-      return Result<QueryResult>(std::move(result));
-    }
-  }
-
-  // Describe mode: the gate has passed and the step-1 partition geometry is
-  // a pure function of the store, so report the plan and bail — no
-  // leapfrogging, no memory charges.
-  if (describe != nullptr) {
-    const size_t recs = store.NumRecords();
-    describe->pipeline = "galloping-join";
-    PlanNode root;
-    root.op = "GallopingJoin";
-    root.detail = std::to_string(nrels) + " relations on (TableId, RowId); " +
-                  std::to_string(kGallopChunkRecords) +
-                  "-record step-1 chunks, " +
-                  std::to_string(kGallopKeysPerTask) + " keys/task after";
-    root.stage = TraceStage::kGallopIntersect;
-    root.planned_tasks = static_cast<int64_t>(std::max<size_t>(
-        1, (recs + kGallopChunkRecords - 1) / kGallopChunkRecords));
-    describe->nodes.push_back(std::move(root));
-    for (size_t r = 0; r < nrels; ++r) {
-      PlanNode probe;
-      probe.depth = 1;
-      probe.op = "PostingProbe";
-      probe.detail = "rel " + std::to_string(r) + ": " +
-                     std::to_string(cells[r].size()) + " cells";
-      probe.est_rows = static_cast<int64_t>(sz[r]);
-      describe->nodes.push_back(std::move(probe));
-    }
-    PlanNode emit;
-    emit.depth = 1;
-    emit.op = "GallopEmit";
-    emit.detail = std::to_string(kAggChunkRows) + "-row chunks" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string());
-    emit.stage = TraceStage::kGallopEmit;
-    describe->nodes.push_back(std::move(emit));
-    return Result<QueryResult>(std::move(result));
-  }
-  if (stmt.limit == 0) return Result<QueryResult>(std::move(result));
-
-  ScopedMemoryCharge mem(control);
-
-  // --- Step 1: two-sided leapfrog of relation 0 × relation 1, partitioned
-  // into fixed global-position chunks. Each task owns the keys in
-  // [key(chunk start), key(next chunk start)): a key group straddling a
-  // boundary is processed entirely by the task owning its key (its own
-  // iterators seek from the group's first position), so every key is
-  // counted exactly once and task outputs concatenate in ascending key
-  // order.
-  struct Step1Agg {
-    uint64_t key;
-    uint64_t cnt0, cnt1;
-    RecordPos rep0;  // a relation-0 position of the group (for projection)
-  };
-  struct Step1Out {
-    std::vector<std::vector<CellKeyMult>> runs0, runs1;
-    std::vector<Step1Agg> agg;
-  };
-  const size_t num_records = store.NumRecords();
-  const size_t num_tasks = std::max<size_t>(
-      1, (num_records + kGallopChunkRecords - 1) / kGallopChunkRecords);
-  std::vector<Step1Out> task_out(num_tasks);
-  Status st = RunTasks(sched, control, trace, TraceStage::kGallopIntersect,
-                       num_tasks, [&](size_t t) {
-    Step1Out& out = task_out[t];
-    out.runs0.resize(cells[0].size());
-    out.runs1.resize(cells[1].size());
-    const uint64_t begin_key =
-        JoinKeyOf(store, static_cast<RecordPos>(t * kGallopChunkRecords));
-    const bool bounded = (t + 1) * kGallopChunkRecords < num_records;
-    const uint64_t end_key =
-        bounded ? JoinKeyOf(store, static_cast<RecordPos>(
-                                       (t + 1) * kGallopChunkRecords))
-                : 0;
-    std::vector<PostingIterator> its0, its1;
-    its0.reserve(cells[0].size());
-    its1.reserve(cells[1].size());
-    for (CellId id : cells[0]) its0.emplace_back(store.PostingList(id));
-    for (CellId id : cells[1]) its1.emplace_back(store.PostingList(id));
-    const RecordPos start_pos = JoinKeyLowerBound(store, begin_key);
-    for (auto& it : its0) it.SeekAtLeast(start_pos);
-    for (auto& it : its1) it.SeekAtLeast(start_pos);
-    auto min_pos = [](std::vector<PostingIterator>& its, RecordPos* out_pos) {
-      bool alive = false;
-      for (auto& it : its) {
-        if (it.AtEnd()) continue;
-        if (!alive || it.Value() < *out_pos) *out_pos = it.Value();
-        alive = true;
-      }
-      return alive;
-    };
-    while (true) {
-      RecordPos p0 = 0, p1 = 0;
-      if (!min_pos(its0, &p0) || !min_pos(its1, &p1)) break;
-      const uint64_t k0 = JoinKeyOf(store, p0);
-      const uint64_t k1 = JoinKeyOf(store, p1);
-      const uint64_t key = std::max(k0, k1);
-      if (bounded && key >= end_key) break;
-      if (k0 != k1) {
-        // Gallop the lagging side to the leading side's key.
-        const RecordPos target = JoinKeyLowerBound(store, key);
-        for (auto& it : (k0 < k1 ? its0 : its1)) it.SeekAtLeast(target);
-        continue;
-      }
-      // Matched key group: count each cell's records in [group, group end).
-      const RecordPos gend = JoinKeyGroupEnd(store, key, std::min(p0, p1));
-      uint64_t c0 = 0, c1 = 0;
-      for (size_t i = 0; i < its0.size(); ++i) {
-        if (its0[i].AtEnd() || its0[i].Value() >= gend) continue;
-        const uint64_t m = its0[i].AdvanceBelow(gend);
-        out.runs0[i].push_back({key, m});
-        c0 += m;
-      }
-      for (size_t i = 0; i < its1.size(); ++i) {
-        if (its1[i].AtEnd() || its1[i].Value() >= gend) continue;
-        const uint64_t m = its1[i].AdvanceBelow(gend);
-        out.runs1[i].push_back({key, m});
-        c1 += m;
-      }
-      out.agg.push_back({key, c0, c1, p0});
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-  // Concatenate task outputs; tasks cover ascending disjoint key ranges.
-  std::vector<Step1Agg> agg;
-  std::vector<std::vector<CellKeyMult>> runs0(cells[0].size());
-  std::vector<std::vector<CellKeyMult>> runs1(cells[1].size());
-  {
-    size_t nagg = 0;
-    for (const auto& to : task_out) nagg += to.agg.size();
-    agg.reserve(nagg);
-    for (auto& to : task_out) {
-      agg.insert(agg.end(), to.agg.begin(), to.agg.end());
-      for (size_t c = 0; c < runs0.size(); ++c) {
-        runs0[c].insert(runs0[c].end(), to.runs0[c].begin(), to.runs0[c].end());
-      }
-      for (size_t c = 0; c < runs1.size(); ++c) {
-        runs1[c].insert(runs1[c].end(), to.runs1[c].begin(), to.runs1[c].end());
-      }
-    }
-    std::vector<Step1Out>().swap(task_out);
-  }
-  if (agg.empty()) return Result<QueryResult>(std::move(result));
-  BLEND_RETURN_NOT_OK(
-      mem.ChargeTo(static_cast<int64_t>(agg.size() * sizeof(Step1Agg) * 2)));
-
-  // Multiplication/addition that saturate instead of wrapping: a blown-up
-  // cross product must trip the memory budget (or the allocation), never
-  // silently truncate counts.
-  bool saturated = false;
-  auto sat_mul = [&saturated](uint64_t a, uint64_t b) -> uint64_t {
-    if (a != 0 && b > std::numeric_limits<uint64_t>::max() / a) {
-      saturated = true;
-      return std::numeric_limits<uint64_t>::max();
-    }
-    return a * b;
-  };
-  auto sat_add = [&saturated](uint64_t a, uint64_t b) -> uint64_t {
-    if (b > std::numeric_limits<uint64_t>::max() - a) {
-      saturated = true;
-      return std::numeric_limits<uint64_t>::max();
-    }
-    return a + b;
-  };
-
-  // Current intersection keys (ascending) with per-key data.
-  std::vector<uint64_t> inter_keys(agg.size());
-  std::vector<RecordPos> inter_rep(agg.size());
-  for (size_t i = 0; i < agg.size(); ++i) {
-    inter_keys[i] = agg[i].key;
-    inter_rep[i] = agg[i].rep0;
-  }
-  auto key_index = [&](uint64_t key) {
-    return static_cast<size_t>(
-        std::lower_bound(inter_keys.begin(), inter_keys.end(), key) -
-        inter_keys.begin());
-  };
-
-  // Replay HashJoinStep 1's emission order as runs. Orientation mirrors the
-  // legacy rule on the same sizes: rows (prefix) = sz[0], scan = sz[1].
-  std::vector<JoinRun> srun;
-  if (sz[1] <= sz[0]) {
-    // Build on relation 1, probe with the prefix: output follows the prefix
-    // stream (relation-0 cells ascending, keys ascending within each cell),
-    // each prefix row fanning out to its cnt1 matches.
-    for (const auto& cell_runs : runs0) {
-      for (const CellKeyMult& km : cell_runs) {
-        srun.push_back({km.key, sat_mul(km.mult, agg[key_index(km.key)].cnt1)});
-      }
-    }
-  } else {
-    // Build on the prefix, probe with relation 1's scan: output follows
-    // relation 1's scan order, each probe record fanning out to the whole
-    // prefix group.
-    for (const auto& cell_runs : runs1) {
-      for (const CellKeyMult& km : cell_runs) {
-        srun.push_back({km.key, sat_mul(km.mult, agg[key_index(km.key)].cnt0)});
-      }
-    }
-  }
-  uint64_t prefix_size = 0;
-  for (const JoinRun& r : srun) prefix_size = sat_add(prefix_size, r.mult);
-
-  // --- Steps 2..n-1: leapfrog the surviving sorted key set against each
-  // further relation's cursors, partitioned into fixed key chunks.
-  for (size_t j = 2; j < nrels; ++j) {
-    // Aggregate multiplicity per surviving key in the current stream.
-    std::vector<uint64_t> inter_mult(inter_keys.size(), 0);
-    for (const JoinRun& r : srun) {
-      inter_mult[key_index(r.key)] = sat_add(inter_mult[key_index(r.key)], r.mult);
-    }
-
-    struct StepMatch {
-      uint64_t key;
-      uint64_t cnt;
-    };
-    struct StepOut {
-      std::vector<std::vector<CellKeyMult>> runs;
-      std::vector<StepMatch> matches;
-    };
-    const size_t nkeys = inter_keys.size();
-    const size_t key_tasks = (nkeys + kGallopKeysPerTask - 1) / kGallopKeysPerTask;
-    std::vector<StepOut> step_out(key_tasks);
-    st = RunTasks(sched, control, trace, TraceStage::kGallopIntersect, key_tasks,
-                  [&](size_t t) {
-      StepOut& out = step_out[t];
-      out.runs.resize(cells[j].size());
-      size_t ki = t * kGallopKeysPerTask;
-      const size_t kend = std::min(nkeys, ki + kGallopKeysPerTask);
-      std::vector<PostingIterator> its;
-      its.reserve(cells[j].size());
-      for (CellId id : cells[j]) its.emplace_back(store.PostingList(id));
-      {
-        const RecordPos target = JoinKeyLowerBound(store, inter_keys[ki]);
-        for (auto& it : its) it.SeekAtLeast(target);
-      }
-      while (ki < kend) {
-        bool alive = false;
-        RecordPos minp = 0;
-        for (auto& it : its) {
-          if (it.AtEnd()) continue;
-          if (!alive || it.Value() < minp) minp = it.Value();
-          alive = true;
-        }
-        if (!alive) break;
-        const uint64_t krel = JoinKeyOf(store, minp);
-        const uint64_t key = inter_keys[ki];
-        if (krel < key) {
-          const RecordPos target = JoinKeyLowerBound(store, key);
-          for (auto& it : its) it.SeekAtLeast(target);
-          continue;
-        }
-        if (krel > key) {
-          // Gallop the key list to the relation's current key.
-          ki = static_cast<size_t>(
-              std::lower_bound(inter_keys.begin() + static_cast<long>(ki + 1),
-                               inter_keys.begin() + static_cast<long>(kend),
-                               krel) -
-              inter_keys.begin());
-          continue;
-        }
-        const RecordPos gend = JoinKeyGroupEnd(store, key, minp);
-        uint64_t cnt = 0;
-        for (size_t i = 0; i < its.size(); ++i) {
-          if (its[i].AtEnd() || its[i].Value() >= gend) continue;
-          const uint64_t m = its[i].AdvanceBelow(gend);
-          out.runs[i].push_back({key, m});
-          cnt += m;
-        }
-        out.matches.push_back({key, cnt});
-        ++ki;
-      }
-    });
-    if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-    std::vector<std::vector<CellKeyMult>> runs_j(cells[j].size());
-    std::vector<uint64_t> new_keys;
-    std::vector<uint64_t> new_cnt;
-    for (auto& so : step_out) {
-      for (const StepMatch& m : so.matches) {
-        new_keys.push_back(m.key);
-        new_cnt.push_back(m.cnt);
-      }
-      for (size_t c = 0; c < runs_j.size(); ++c) {
-        runs_j[c].insert(runs_j[c].end(), so.runs[c].begin(), so.runs[c].end());
-      }
-    }
-    std::vector<StepOut>().swap(step_out);
-    if (new_keys.empty()) return Result<QueryResult>(std::move(result));
-    auto new_index = [&](uint64_t key) {
-      return static_cast<size_t>(
-          std::lower_bound(new_keys.begin(), new_keys.end(), key) -
-          new_keys.begin());
-    };
-
-    // Replay step j's orientation: rows = prefix_size, scan = sz[j].
-    std::vector<JoinRun> next;
-    if (sz[j] <= prefix_size) {
-      // Probe with the prefix stream: keys killed this step emit nothing.
-      for (const JoinRun& r : srun) {
-        const size_t ni = new_index(r.key);
-        if (ni >= new_keys.size() || new_keys[ni] != r.key) continue;
-        next.push_back({r.key, sat_mul(r.mult, new_cnt[ni])});
-      }
-    } else {
-      // Probe with relation j's scan: its per-cell runs fan out to the whole
-      // prefix group of their key.
-      for (const auto& cell_runs : runs_j) {
-        for (const CellKeyMult& km : cell_runs) {
-          next.push_back(
-              {km.key, sat_mul(km.mult, inter_mult[key_index(km.key)])});
-        }
-      }
-    }
-    srun = std::move(next);
-    prefix_size = 0;
-    for (const JoinRun& r : srun) prefix_size = sat_add(prefix_size, r.mult);
-
-    // Shrink the intersection to the surviving keys.
-    std::vector<RecordPos> new_rep(new_keys.size());
-    for (size_t i = 0; i < new_keys.size(); ++i) {
-      new_rep[i] = inter_rep[key_index(new_keys[i])];
-    }
-    inter_keys = std::move(new_keys);
-    inter_rep = std::move(new_rep);
-  }
-
-  if (saturated) {
-    return Result<QueryResult>(Status::ResourceExhausted(
-        "galloping join result exceeds the representable row count"));
-  }
-
-  // --- Emission: cap at LIMIT, then materialize each run's rows from one
-  // representative relation-0 record (the projected fields are constant per
-  // key), chunk-parallel over output rows.
-  uint64_t total = prefix_size;
-  if (stmt.limit >= 0) total = std::min(total, static_cast<uint64_t>(stmt.limit));
-  BLEND_RETURN_NOT_OK(mem.ChargeTo(static_cast<int64_t>(
-      sat_mul(total, (items.size() + 2) * sizeof(SqlValue)))));
-  if (saturated) {
-    return Result<QueryResult>(Status::ResourceExhausted(
-        "galloping join result exceeds the representable row count"));
-  }
-  std::vector<uint64_t> offset;
-  offset.reserve(srun.size() + 1);
-  offset.push_back(0);
-  for (const JoinRun& r : srun) {
-    if (offset.back() >= total) break;
-    offset.push_back(std::min(total, offset.back() + r.mult));
-  }
-  result.rows.resize(static_cast<size_t>(total));
-  const size_t emit_chunks =
-      total == 0 ? 0 : static_cast<size_t>((total - 1) / kAggChunkRows + 1);
-  st = RunTasks(sched, control, trace, TraceStage::kGallopEmit, emit_chunks,
-                [&](size_t c) {
-    uint64_t row = c * kAggChunkRows;
-    const uint64_t rend = std::min<uint64_t>(total, row + kAggChunkRows);
-    size_t run = static_cast<size_t>(
-        std::upper_bound(offset.begin(), offset.end(), row) - offset.begin() - 1);
-    while (row < rend) {
-      RowCtx ctx;
-      ctx.pos[0] = inter_rep[key_index(srun[run].key)];
-      auto leaf = [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      };
-      std::vector<SqlValue> vals;
-      vals.reserve(items.size());
-      for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-      const uint64_t upto = std::min<uint64_t>(rend, offset[run + 1]);
-      for (; row < upto; ++row) result.rows[static_cast<size_t>(row)] = vals;
-      ++run;
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kGallopEmit,
-                   static_cast<int64_t>(result.rows.size()));
-  }
-  return Result<QueryResult>(std::move(result));
-}
-
-// ---------------------------------------------------------------------------
 // Output assembly (projection, aggregation, ordering).
 // ---------------------------------------------------------------------------
 
 /// Sorts rows (pairs of output values + sort key values), applies the
 /// engine-side dedup-top-k spec (QueryOptions::dedup_column / dedup_limit),
-/// then LIMIT. Shared by the generic, fused and galloping paths, so dedup
-/// semantics cannot diverge between them.
+/// then LIMIT. Shared by the projection tail and EmitGroups, so dedup
+/// semantics cannot diverge between pipelines.
 void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
                   std::vector<std::vector<SqlValue>>* sort_vals,
                   const std::vector<bool>& desc, int64_t limit,
@@ -1776,221 +1244,9 @@ std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
   return Result<QueryResult>(std::move(result));
 }
 
-/// Fused scan->project for the MC phase-1 projection shape (SELECT TableId,
-/// RowId, SuperKey ... WHERE CellValue IN (...)): projects output rows
-/// directly from each decoded posting batch instead of materializing the
-/// position vector first and projecting in a second pass. Supports the same
-/// scan decorations as ScanRel's cell access path (TableId filter, RowId <
-/// bound, residual predicates) and the full ORDER BY / LIMIT / dedup-top-k
-/// tail, so results stay byte-identical to the generic pipeline: morsel
-/// buffers concatenate in canonical scan order (cells ascending, postings in
-/// list order) and the shared SortAndLimit does the rest.
-template <typename Store>
-std::optional<Result<QueryResult>> TryFusedScanProject(
-    const AnalyzedQuery& q, const SelectStmt& stmt, const Store& store,
-    const Dictionary& dict, const QueryOptions& options,
-    PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  if (q.rels.size() != 1 || !q.join_ons.empty() || q.residual_where != nullptr) {
-    return std::nullopt;
-  }
-  if (stmt.select_star || !stmt.group_by.empty()) return std::nullopt;
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) return std::nullopt;
-  }
-
-  const ScanSpec spec = ClassifyScan(q.rels[0].scan_pred);
-  if (spec.cell_in == nullptr || spec.need_quadrant) return std::nullopt;
-
-  Binder binder(&dict, {q.rels[0].visible});
-  QueryResult result;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindRowExpr(*item.expr);
-    if (!b.ok()) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    items.push_back(b.take());
-  }
-
-  // Order-by, exactly as the generic non-aggregate tail binds it.
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  for (const auto& oi : stmt.order_by) {
-    int ref = -1;
-    if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
-      for (size_t i = 0; i < result.columns.size(); ++i) {
-        if (ToLower(result.columns[i]) == ToLower(oi.expr->column)) {
-          ref = static_cast<int>(i);
-          break;
-        }
-      }
-    }
-    sort_ref.push_back(ref);
-    if (ref < 0) {
-      auto b = binder.BindRowExpr(*oi.expr);
-      if (!b.ok()) return std::nullopt;
-      sort_exprs.push_back(b.take());
-    } else {
-      sort_exprs.push_back(nullptr);
-    }
-    desc.push_back(oi.desc);
-  }
-
-  // Scan decorations, mirroring ScanRel's cell access path.
-  Binder scan_binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    auto b = scan_binder.BindRowExpr(*c);
-    if (!b.ok()) return std::nullopt;
-    preds.push_back(b.take());
-  }
-  const int64_t row_lt = spec.row_lt;
-  auto passes = [&](RecordPos p) {
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      });
-      if (!v.IsTruthy()) return false;
-    }
-    return true;
-  };
-  std::unordered_set<int64_t> table_filter;
-  const bool use_table_filter = spec.table_in != nullptr;
-  if (use_table_filter) {
-    table_filter.insert(spec.table_in->in_ints.begin(),
-                        spec.table_in->in_ints.end());
-  }
-
-  // Canonical scan order and the same morsel geometry as ScanRel: whole
-  // posting lists split at kScanMorselRecords boundaries. Here a morsel spans
-  // consecutive cells instead (projection has no per-list state to protect),
-  // which keeps the task count proportional to records, not IN-list size.
-  const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-  std::vector<size_t> base(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    base[i + 1] = base[i] + store.PostingCount(cells[i]);
-  }
-  struct CellRange {
-    size_t begin, end;
-  };
-  std::vector<CellRange> morsels;
-  size_t mb = 0;
-  while (mb < cells.size()) {
-    size_t me = mb + 1;
-    while (me < cells.size() && base[me + 1] - base[mb] <= kScanMorselRecords) {
-      ++me;
-    }
-    morsels.push_back({mb, me});
-    mb = me;
-  }
-
-  // Describe mode: bail before the memory charge — EXPLAIN must never trip
-  // a budget the real query would only reach by materializing rows.
-  if (describe != nullptr) {
-    describe->pipeline = "fused-scan-project";
-    PlanNode root;
-    root.op = "FusedScanProject";
-    root.detail = std::to_string(items.size()) +
-                  " items projected from posting batches; morsels <= " +
-                  std::to_string(kScanMorselRecords) + " records";
-    root.stage = TraceStage::kFusedProject;
-    root.planned_tasks = static_cast<int64_t>(morsels.size());
-    root.est_rows = static_cast<int64_t>(base.back());
-    describe->nodes.push_back(std::move(root));
-    PlanNode scan;
-    scan.depth = 1;
-    scan.op = "PostingScan";
-    scan.detail = std::to_string(cells.size()) + " cells";
-    if (use_table_filter) scan.detail += "; TableId filter";
-    if (row_lt >= 0) scan.detail += "; RowId < " + std::to_string(row_lt);
-    if (!preds.empty()) {
-      scan.detail += "; " + std::to_string(preds.size()) + " residual preds";
-    }
-    scan.est_rows = static_cast<int64_t>(base.back());
-    describe->nodes.push_back(std::move(scan));
-    PlanNode tail;
-    tail.depth = 1;
-    tail.op = "SortLimit";
-    tail.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string()) +
-                  (options.dedup_column >= 0
-                       ? "; dedup col " + std::to_string(options.dedup_column) +
-                             " top " + std::to_string(options.dedup_limit)
-                       : std::string());
-    describe->nodes.push_back(std::move(tail));
-    return Result<QueryResult>(std::move(result));
-  }
-
-  // Budget: the output rows are the dominant materialization; charge the
-  // unfiltered upper bound so the accounting is codec-independent.
-  ScopedMemoryCharge mem(options.control);
-  const size_t width = items.size() + sort_exprs.size();
-  BLEND_RETURN_NOT_OK(mem.ChargeTo(
-      static_cast<int64_t>(base.back() * width * sizeof(SqlValue))));
-
-  std::vector<std::vector<std::vector<SqlValue>>> row_parts(morsels.size());
-  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(morsels.size());
-  Status st = RunTasks(sched, options.control, options.trace,
-                       TraceStage::kFusedProject, morsels.size(),
-                       [&](size_t m) {
-    for (size_t ci = morsels[m].begin; ci < morsels[m].end; ++ci) {
-      // Container-at-a-time: project straight from the cursor's decoded
-      // batch; the position vector of the two-pass pipeline never exists.
-      PostingCursor cur(store.PostingList(cells[ci]));
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        for (const RecordPos p : batch) {
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (!passes(p)) continue;
-          RowCtx ctx;
-          ctx.pos[0] = p;
-          auto leaf = [&](const BoundExpr& b) {
-            return FieldValue(store, b.field, ctx.pos[b.side]);
-          };
-          std::vector<SqlValue> vals;
-          vals.reserve(items.size());
-          for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-          if (!stmt.order_by.empty()) {
-            std::vector<SqlValue> sk;
-            for (size_t i = 0; i < sort_exprs.size(); ++i) {
-              sk.push_back(sort_ref[i] >= 0
-                               ? vals[static_cast<size_t>(sort_ref[i])]
-                               : EvalExpr(*sort_exprs[i], leaf));
-            }
-            sort_parts[m].push_back(std::move(sk));
-          }
-          row_parts[m].push_back(std::move(vals));
-        }
-      }
-    }
-  });
-  if (!st.ok()) return Result<QueryResult>(std::move(st));
-
-  std::vector<std::vector<SqlValue>> out_rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
-  for (size_t m = 0; m < morsels.size(); ++m) {
-    for (auto& v : row_parts[m]) out_rows.push_back(std::move(v));
-    for (auto& v : sort_parts[m]) sort_vals.push_back(std::move(v));
-  }
-  SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
-  if (options.trace != nullptr) {
-    options.trace->AddRows(TraceStage::kFusedProject,
-                           static_cast<int64_t>(out_rows.size()));
-  }
-  result.rows = std::move(out_rows);
-  return Result<QueryResult>(std::move(result));
-}
-
 // ---------------------------------------------------------------------------
-// Describe mode for the generic pipeline. The fast paths describe themselves
-// at their gate (they know their geometry before running); the generic
+// Describe mode for the generic pipeline. The fused path describes itself
+// at its gate (it knows its geometry before running); the generic
 // pipeline's plan is derived here from scan metadata and chunk-size
 // constants only — describe must not run ScanRel, join, or charge budgets.
 // ---------------------------------------------------------------------------
@@ -2162,20 +1418,9 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
   QueryTrace* trace = options.trace;
   BLEND_RETURN_NOT_OK(CheckControl(control, "query start"));
 
-  // Galloping compressed-domain intersection for the MC join shape.
-  if (options.enable_galloping_join) {
-    if (auto gallop = TryGallopingJoin(q, stmt, store, dict, options, describe)) {
-      return std::move(*gallop);
-    }
-  }
-
-  // Fused fast paths for the dominant seeker shapes.
+  // Fused scan->aggregate for the SC/KW seeker shape.
   if (options.enable_fused_scan_agg) {
     if (auto fused = TryFusedScanAgg(q, stmt, store, dict, options, describe)) {
-      return std::move(*fused);
-    }
-    if (auto fused =
-            TryFusedScanProject(q, stmt, store, dict, options, describe)) {
       return std::move(*fused);
     }
   }

@@ -48,18 +48,10 @@ struct QueryOptions {
   Scheduler* scheduler = nullptr;
   /// Enables the fused scan->aggregate operator for the SC/KW seeker shape
   /// (COUNT(DISTINCT CellValue) grouped by TableId[, ColumnId] over a
-  /// CellValue IN-list) and the fused scan->project operator for the MC
-  /// phase-1 projection shape. Switchable so benches can report the
-  /// fused-vs-generic ratio and tests can cross-check the two paths.
+  /// CellValue IN-list). Every other statement, including the MC phase-1
+  /// join, runs on the generic pipeline. Switchable so benches can report
+  /// the fused-vs-generic ratio and tests can cross-check the two paths.
   bool enable_fused_scan_agg = true;
-  /// Enables the galloping compressed-domain intersection for the MC join
-  /// shape (pure posting-backed equi-joins on (TableId, RowId)): instead of
-  /// materializing both sides and hash-joining, per-relation posting cursors
-  /// leapfrog in key space via skip-table SeekAtLeast, never decoding blocks
-  /// that cannot contain a match. Results — values and row order — are
-  /// byte-identical to the materialized join. Switchable so benches can
-  /// report the galloping-vs-materialized speedup.
-  bool enable_galloping_join = true;
   /// Engine-side dedup-top-k: when dedup_column >= 0, after the final
   /// ORDER BY sort only the first row per distinct value of output column
   /// `dedup_column` is kept, and emission stops once `dedup_limit` distinct
@@ -100,11 +92,11 @@ Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
                                   const Dictionary& dict,
                                   const QueryOptions& options = {});
 
-/// Plans `stmt` without executing it: runs the same dispatch cascade as
-/// ExecuteSelect in describe mode — every gate (galloping join, fused
-/// scan->agg, fused scan->project, generic) decides exactly as it would for
-/// execution, then reports the chosen pipeline, its operator tree, posting
-/// cardinalities, and planned morsel geometry instead of running tasks.
+/// Plans `stmt` without executing it: runs the same dispatch as ExecuteSelect
+/// in describe mode — the gate between the fused scan->agg path and the
+/// generic pipeline decides exactly as it would for execution — then reports
+/// the chosen pipeline, its operator tree, posting cardinalities, and planned
+/// morsel geometry instead of running tasks.
 /// EXPLAIN is therefore guaranteed to describe the path the bare statement
 /// takes. Binds expressions (so it can fail with the same binder errors) but
 /// never scans, joins, or charges memory budgets.

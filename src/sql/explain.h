@@ -2,7 +2,7 @@
 
 // EXPLAIN / EXPLAIN ANALYZE plan descriptions. The executor produces a
 // PlanDescription by running its real dispatch cascade in describe mode —
-// the same gates that pick galloping/fused/generic execution populate the
+// the same gate that picks fused or generic execution populates the
 // tree — so an EXPLAIN provably reports the path the bare statement would
 // take. For EXPLAIN ANALYZE the statement also executes normally and each
 // node is annotated with actuals from the attached QueryTrace. Rendering is
@@ -20,7 +20,7 @@ namespace blend::sql {
 /// One operator in a planned statement's tree.
 struct PlanNode {
   int depth = 0;         ///< indentation level under the pipeline root
-  std::string op;        ///< operator name, e.g. "GallopingJoin"
+  std::string op;        ///< operator name, e.g. "HashJoin"
   std::string detail;    ///< bound columns, predicates, morsel geometry
   /// Trace stage whose totals describe this node under ANALYZE; kNumStages
   /// when no stage maps (the node then keeps -1 actuals).
@@ -37,7 +37,7 @@ struct PlanNode {
 /// A planned statement: which pipeline the dispatch cascade chose, plus its
 /// operator nodes in root-first order.
 struct PlanDescription {
-  std::string pipeline;  ///< "galloping-join", "fused-scan-agg", ...
+  std::string pipeline;  ///< "fused-scan-agg" or "generic"
   std::vector<PlanNode> nodes;
   bool analyzed = false;
 

@@ -405,14 +405,12 @@ TEST(TelemetryHooks, CodecHooksFeedThreadCountersAndSpans) {
   SKIP_IF_TELEMETRY_OFF();
   QueryTrace trace;
   {
-    TraceSpan span(&trace, TraceStage::kGallopIntersect);
+    TraceSpan span(&trace, TraceStage::kScan);
     NotePostingBlockDecoded();
     NotePostingBlockDecoded();
-    NoteGallopSeek();
   }
   const QueryTraceSummary s = trace.Summary();
   EXPECT_EQ(s.CounterValue(TraceCounter::kPostingBlocksDecoded), 2);
-  EXPECT_EQ(s.CounterValue(TraceCounter::kGallopSeeks), 1);
 }
 
 TEST(TelemetryLatencyTimer, ObservesIntoHistogram) {

@@ -170,18 +170,6 @@ TEST_F(ConcurrentServingTest, SmallOwnedPoolUnderManyClients) {
   StressAgainstReference(opts, /*clients=*/8, /*rounds=*/1);
 }
 
-TEST_F(ConcurrentServingTest, GallopingOffMatchesGallopingOn) {
-  Blend::Options gallop_on;
-  const std::vector<std::string> want = SerialReference(gallop_on);
-  Blend::Options gallop_off = gallop_on;
-  gallop_off.enable_galloping_join = false;
-  Blend blend(&lake_, gallop_off);
-  const std::vector<Plan> plans = MakeWorkload();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    EXPECT_EQ(want[i], Dump(blend.Run(plans[i]))) << "plan " << i;
-  }
-}
-
 TEST_F(ConcurrentServingTest, RunManyMatchesPerPlanRuns) {
   Blend blend(&lake_);
   const std::vector<Plan> plans = MakeWorkload();

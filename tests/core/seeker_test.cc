@@ -268,6 +268,123 @@ TEST(SeekerTest, McStatsAreConsistent) {
   EXPECT_LE(st.bloom_pass_rows, st.candidate_rows);
 }
 
+/// Brute-force MC seeker over the raw DataLake, sharing no code with the
+/// index or the SQL engine. A table `keep` accepts scores the number of its
+/// rows that contain some query tuple exactly (lakegen::RowJoinsTuples:
+/// every value, each in a distinct column). Top k by score descending, ties
+/// by ascending TableId.
+TableList BruteForceMc(const DataLake& lake,
+                       const std::vector<std::vector<std::string>>& tuples, int k,
+                       const std::function<bool(TableId)>& keep) {
+  TableList out;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    if (!keep(t)) continue;
+    const Table& table = lake.table(t);
+    double rows = 0;
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      if (lakegen::RowJoinsTuples(table, r, tuples)) rows += 1;
+    }
+    if (rows > 0) out.push_back({t, rows});
+  }
+  std::sort(out.begin(), out.end(), [](const ScoredTable& a, const ScoredTable& b) {
+    return a.score != b.score ? a.score > b.score : a.table < b.table;
+  });
+  if (k >= 0 && out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
+  return out;
+}
+
+TEST(SeekerTest, McMatchesBruteForceOracle) {
+  // Two- and three-column tuples, k below and above the number of joinable
+  // tables, no rewrite and the optimizer's TableId IN rewrite, on both
+  // layouts with raw and compressed in-memory postings: the seeker must
+  // reproduce the oracle's tables and row counts exactly.
+  lakegen::McLakeSpec spec;
+  spec.num_tables = 60;
+  spec.num_pair_domains = 4;
+  spec.pairs_per_domain = 200;
+  spec.seed = 53;
+  auto mc_lake = lakegen::MakeMcLake(spec);
+  const DataLake& lake = mc_lake.lake;
+
+  Rng rng(19);
+  std::vector<std::vector<std::vector<std::string>>> queries;
+  for (int domain = 0; domain < 2; ++domain) {
+    queries.push_back(lakegen::MakeMcQuery(spec, domain, 40, &rng));
+  }
+  // Three-column tuples: (left, right, payload) of sampled lake rows, so
+  // some align exactly; the values' cross products make candidate rows that
+  // validation must reject.
+  for (int domain = 2; domain < 4; ++domain) {
+    std::vector<std::vector<std::string>> tuples;
+    for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+      if (mc_lake.table_domain[static_cast<size_t>(t)] != domain) continue;
+      const Table& table = lake.table(t);
+      for (int i = 0; i < 3; ++i) {
+        const size_t r = rng.Uniform(table.NumRows());
+        tuples.push_back({table.At(r, 0), table.At(r, 1), table.At(r, 2)});
+      }
+    }
+    queries.push_back(std::move(tuples));
+  }
+
+  size_t checked = 0;
+  uint64_t rejected = 0;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    for (bool compressed : {false, true}) {
+      Blend::Options opts;
+      opts.layout = layout;
+      opts.serve_compressed = compressed;
+      Blend blend(&lake, opts);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const auto& tuples = queries[q];
+        const TableList all =
+            BruteForceMc(lake, tuples, -1, [](TableId) { return true; });
+        ASSERT_GT(all.size(), 5u) << "query " << q << " joins too few tables";
+        // The rewrite list: every other table the unrestricted oracle ranks,
+        // plus one table no tuple joins.
+        std::set<TableId> listed;
+        for (size_t i = 0; i < all.size(); i += 2) listed.insert(all[i].table);
+        const auto ranked = IdSet(all);
+        for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+          if (ranked.count(t) == 0) {
+            listed.insert(t);
+            break;
+          }
+        }
+        std::string ids;
+        for (TableId t : listed) ids += (ids.empty() ? "" : ",") + std::to_string(t);
+        const std::vector<std::pair<std::string, std::function<bool(TableId)>>>
+            rewrites = {
+                {"", [](TableId) { return true; }},
+                {"AND TableId IN (" + ids + ")",
+                 [&](TableId t) { return listed.count(t) > 0; }},
+            };
+        for (int k : {5, -1}) {
+          MCSeeker mc(tuples, k);
+          for (const auto& [rewrite, keep] : rewrites) {
+            SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                         " compressed=" + std::to_string(compressed) +
+                         " q=" + std::to_string(q) + " k=" + std::to_string(k) +
+                         " rewrite=" + rewrite);
+            const TableList want = BruteForceMc(lake, tuples, k, keep);
+            auto got = mc.Execute(blend.context(), rewrite);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(got.value().size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ(got.value()[i].table, want[i].table) << "rank " << i;
+              EXPECT_EQ(got.value()[i].score, want[i].score) << "rank " << i;
+            }
+            checked += want.size();
+            rejected += mc.last_stats().false_positives;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 200u);  // the oracle ranked real tables, not empty lists
+  EXPECT_GT(rejected, 0u);   // exact validation rejected some candidate rows
+}
+
 /// Brute-force correlation seeker over the raw DataLake, sharing no code
 /// with the index or the SQL engine. For every table `keep` accepts, every
 /// key column and every other numeric column (Column::IsNumeric), over the

@@ -245,205 +245,6 @@ TEST(PostingCodecTest, SeekToOrdinalResumesOnTheOwningBlock) {
   }
 }
 
-TEST(PostingCodecTest, SeekAtLeastNeverSkipsAMatch) {
-  Rng rng(123);
-  for (const auto& list : AdversarialLists()) {
-    if (list.empty()) continue;
-    const std::vector<uint64_t> offsets = {0, list.size()};
-    const std::vector<uint8_t> blob = EncodeOne(list);
-    std::vector<PostingValue> targets = {0, list.front(), list.back()};
-    for (int i = 0; i < 8; ++i) {
-      targets.push_back(static_cast<PostingValue>(
-          rng.Uniform(static_cast<uint64_t>(list.back()) + 1)));
-    }
-    for (bool raw : {true, false}) {
-      for (PostingValue target : targets) {
-        SCOPED_TRACE("raw=" + std::to_string(raw) + " size=" +
-                     std::to_string(list.size()) + " target=" +
-                     std::to_string(target));
-        PostingCursor cur(raw ? PostingListRef::Raw(list)
-                              : RefOf(blob, offsets, 0));
-        cur.SeekAtLeast(target);
-        // The first value >= target (if any) must still be ahead of the
-        // cursor: walk the remaining batches and compare with lower_bound.
-        const auto want = std::lower_bound(list.begin(), list.end(), target);
-        PostingValue first_ge = 0;
-        bool found = false;
-        for (auto batch = cur.NextBatch(); !batch.empty() && !found;
-             batch = cur.NextBatch()) {
-          for (PostingValue v : batch) {
-            if (v >= target) {
-              first_ge = v;
-              found = true;
-              break;
-            }
-          }
-        }
-        if (want == list.end()) {
-          EXPECT_FALSE(found);
-        } else {
-          ASSERT_TRUE(found);
-          EXPECT_EQ(first_ge, *want);
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Cursor x cursor galloping intersection: the skip-table-driven leapfrog must
-// agree exactly with the decoded-set intersection, for every codec pairing.
-// ---------------------------------------------------------------------------
-
-std::vector<PostingValue> SetIntersect(const std::vector<PostingValue>& a,
-                                       const std::vector<PostingValue>& b) {
-  std::vector<PostingValue> out;
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  return out;
-}
-
-void CheckGallopAllCodecs(const std::vector<PostingValue>& a,
-                          const std::vector<PostingValue>& b) {
-  const std::vector<uint64_t> offs_a = {0, a.size()};
-  const std::vector<uint64_t> offs_b = {0, b.size()};
-  const std::vector<uint8_t> blob_a = EncodeOne(a);
-  const std::vector<uint8_t> blob_b = EncodeOne(b);
-  const std::vector<PostingValue> want = SetIntersect(a, b);
-  for (bool raw_a : {true, false}) {
-    for (bool raw_b : {true, false}) {
-      SCOPED_TRACE("raw_a=" + std::to_string(raw_a) + " raw_b=" +
-                   std::to_string(raw_b) + " |a|=" + std::to_string(a.size()) +
-                   " |b|=" + std::to_string(b.size()));
-      PostingListRef ra =
-          raw_a ? PostingListRef::Raw(a) : RefOf(blob_a, offs_a, 0);
-      PostingListRef rb =
-          raw_b ? PostingListRef::Raw(b) : RefOf(blob_b, offs_b, 0);
-      EXPECT_EQ(GallopIntersect(ra, rb), want);
-    }
-  }
-}
-
-TEST(GallopIntersectTest, AgreesWithSetIntersectionOnAdversarialPairs) {
-  const auto lists = AdversarialLists();
-  for (size_t i = 0; i < lists.size(); ++i) {
-    for (size_t j = 0; j < lists.size(); ++j) {
-      CheckGallopAllCodecs(lists[i], lists[j]);
-    }
-  }
-}
-
-// Named regressions: skip-table shapes that once looked easy to get wrong.
-
-TEST(GallopIntersectTest, SparseProbeIntoLongRunSkipsBlocks) {
-  // A few scattered probes into a 32-block run: the gallop must land on the
-  // right block for each probe without decoding the blocks between.
-  std::vector<PostingValue> run(32 * kPostingBlockLen);
-  for (size_t i = 0; i < run.size(); ++i) {
-    run[i] = 1000 + static_cast<PostingValue>(i);
-  }
-  std::vector<PostingValue> probes = {0, 1000, 1000 + 7 * 128 + 1,
-                                      1000 + 31 * 128, 4000000000u};
-  std::sort(probes.begin(), probes.end());
-  CheckGallopAllCodecs(run, probes);
-  CheckGallopAllCodecs(probes, run);
-}
-
-TEST(GallopIntersectTest, DisjointRangesIntersectEmpty) {
-  std::vector<PostingValue> lo(3 * kPostingBlockLen);
-  std::vector<PostingValue> hi(3 * kPostingBlockLen);
-  for (size_t i = 0; i < lo.size(); ++i) {
-    lo[i] = static_cast<PostingValue>(2 * i);
-    hi[i] = 1u << 20 | static_cast<PostingValue>(3 * i);
-  }
-  CheckGallopAllCodecs(lo, hi);
-  CheckGallopAllCodecs(hi, lo);
-}
-
-TEST(GallopIntersectTest, InterleavedBlocksNeverMeet) {
-  // a owns even thousands, b odd thousands; every SeekAtLeast crosses into
-  // the other's next block but never finds a match.
-  std::vector<PostingValue> a, b;
-  for (PostingValue block = 0; block < 40; ++block) {
-    for (size_t i = 0; i < kPostingBlockLen / 2; ++i) {
-      PostingValue base = block * 2000 + static_cast<PostingValue>(i);
-      a.push_back(base);
-      b.push_back(base + 1000);
-    }
-  }
-  CheckGallopAllCodecs(a, b);
-}
-
-TEST(GallopIntersectTest, MatchExactlyOnBlockBoundaries) {
-  // The only common values sit at block-first positions of both sides —
-  // exercising SeekAtLeast's "target is the next block's first value" edge.
-  std::vector<PostingValue> a, b;
-  for (size_t i = 0; i < 8 * kPostingBlockLen; ++i) {
-    a.push_back(static_cast<PostingValue>(3 * i));
-  }
-  for (size_t bi = 0; bi < 8; ++bi) {
-    b.push_back(a[bi * kPostingBlockLen]);
-  }
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  CheckGallopAllCodecs(a, b);
-  CheckGallopAllCodecs(b, a);
-}
-
-TEST(GallopIntersectTest, EmptyAndSingletonEdges) {
-  CheckGallopAllCodecs({}, {});
-  CheckGallopAllCodecs({}, {1, 2, 3});
-  CheckGallopAllCodecs({5}, {5});
-  CheckGallopAllCodecs({5}, {6});
-  const PostingValue kMax = std::numeric_limits<PostingValue>::max();
-  CheckGallopAllCodecs({0, kMax}, {kMax});
-}
-
-TEST(GallopIntersectTest, IdenticalListsIntersectToThemselves) {
-  for (const auto& list : AdversarialLists()) {
-    CheckGallopAllCodecs(list, list);
-  }
-}
-
-TEST(GallopIntersectTest, IteratorSeekAndAdvanceBelowAgreeWithDecode) {
-  Rng rng(321);
-  for (const auto& list : AdversarialLists()) {
-    if (list.empty()) continue;
-    const std::vector<uint64_t> offsets = {0, list.size()};
-    const std::vector<uint8_t> blob = EncodeOne(list);
-    for (bool raw : {true, false}) {
-      SCOPED_TRACE("raw=" + std::to_string(raw) + " size=" +
-                   std::to_string(list.size()));
-      // Alternate SeekAtLeast to a random target with AdvanceBelow of a
-      // random bound; mirror both against the decoded vector.
-      PostingIterator it(raw ? PostingListRef::Raw(list)
-                             : RefOf(blob, offsets, 0));
-      size_t at = 0;  // mirror index into `list`
-      for (int step = 0; step < 64 && !it.AtEnd(); ++step) {
-        const uint64_t span = static_cast<uint64_t>(list.back()) + 2;
-        const PostingValue x = static_cast<PostingValue>(rng.Uniform(span));
-        if (step % 2 == 0) {
-          it.SeekAtLeast(x);
-          const auto lb = std::lower_bound(list.begin() + at, list.end(), x);
-          at = static_cast<size_t>(lb - list.begin());
-        } else {
-          const size_t consumed = it.AdvanceBelow(x);
-          const auto lb = std::lower_bound(list.begin() + at, list.end(), x);
-          const size_t want = static_cast<size_t>(lb - list.begin()) - at;
-          ASSERT_EQ(consumed, want);
-          at += want;
-        }
-        if (at == list.size()) {
-          ASSERT_TRUE(it.AtEnd());
-        } else {
-          ASSERT_FALSE(it.AtEnd());
-          ASSERT_EQ(it.Value(), list[at]);
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Malformed encodings: descriptive rejection, never UB.
 // ---------------------------------------------------------------------------

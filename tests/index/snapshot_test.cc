@@ -890,8 +890,8 @@ TEST_P(SnapshotCorruptionTest, DuplicateQuadrantPositionsAreRejected) {
 }
 
 TEST_P(SnapshotCorruptionTest, RecordsOutOfRowOrderAreRejected) {
-  // The galloping and lookup joins binary-search each (TableId, RowId) group
-  // inside its table range, so rows must ascend within a table. Swap the
+  // The lookup join binary-searches each (TableId, RowId) group inside its
+  // table range, so rows must ascend within a table. Swap the
   // RowIds of two adjacent records of one table: every value stays valid,
   // only the order breaks.
   const size_t n = bundle_.NumRecords();

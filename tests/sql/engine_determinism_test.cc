@@ -33,9 +33,9 @@ std::vector<Scheduler*> TestPools() {
 /// Property suite for the engine's determinism contract: for representative
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
-/// {2, 4, hardware}, on both physical layouts, with the fused fast paths on
-/// or off, with the galloping join on or off (join shapes), and when the
-/// bundle serves block-compressed postings in memory instead of raw ones.
+/// {2, 4, hardware}, on both physical layouts, with the fused fast path on or
+/// off, and when the bundle serves block-compressed postings in memory
+/// instead of raw ones.
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   EngineDeterminismTest() {
@@ -97,13 +97,9 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   /// Runs `sql` serially on the raw-served engine as the reference, then
-  /// asserts every (serving codec, pool, fused, galloping) combination
-  /// reproduces it exactly on both layouts. The galloping dimension is only
-  /// swept for join statements — it cannot engage anywhere else.
+  /// asserts every (serving codec, pool, fused) combination reproduces it
+  /// exactly on both layouts.
   void ExpectDeterministic(const std::string& sql) {
-    const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
-        has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
     for (const EnginePair& pair : EnginePairs()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
@@ -113,19 +109,15 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
           for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
-              auto got = engine->Query(sql, opts);
-              ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(got.value()))
-                  << "compressed=" << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
-                  << sql;
-            }
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
+            auto got = engine->Query(sql, opts);
+            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(got.value()))
+                << "compressed=" << (engine == pair.compressed)
+                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
+                << sql;
           }
         }
       }
@@ -192,10 +184,40 @@ TEST_P(EngineDeterminismTest, McJoinShape) {
   }
 }
 
+TEST_P(EngineDeterminismTest, McJoinShapeExplainsAsGenericHashJoins) {
+  // Every relation of the MC phase-1 join reads the CellValue index, so each
+  // join step is a generic-pipeline HashJoin on every layout and codec.
+  Rng rng(GetParam() * 53 + 6);
+  const std::string sql =
+      "EXPLAIN SELECT a.TableId, a.RowId, a.SuperKey FROM "
+      "(SELECT TableId, RowId, SuperKey FROM AllTables WHERE CellValue IN (" +
+      RandomInList(&rng, 20) +
+      ")) AS a INNER JOIN (SELECT TableId, RowId FROM AllTables "
+      "WHERE CellValue IN (" +
+      RandomInList(&rng, 20) +
+      ")) AS b ON a.TableId = b.TableId AND a.RowId = b.RowId "
+      "INNER JOIN (SELECT TableId, RowId FROM AllTables "
+      "WHERE CellValue IN (" +
+      RandomInList(&rng, 20) + ")) AS c ON a.TableId = c.TableId AND "
+      "a.RowId = c.RowId;";
+  for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : {pair.raw, pair.compressed}) {
+      auto plan = engine->Query(sql);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(plan.value().plan.pipeline, "generic");
+      size_t hash_joins = 0;
+      for (const PlanNode& node : plan.value().plan.nodes) {
+        hash_joins += node.op == "HashJoin" ? 1 : 0;
+        EXPECT_NE(node.op, "LookupJoin");
+      }
+      EXPECT_EQ(hash_joins, 2u) << plan.value().explain_text;
+    }
+  }
+}
+
 TEST_P(EngineDeterminismTest, McJoinShapeWithLimitAndThreeRelations) {
-  // LIMIT exercises the galloping join's run-capped emission; the three-way
-  // join exercises its later leapfrog steps (keys-vs-cursors) and both
-  // orientations of the step replay.
+  // LIMIT cuts the joined row stream mid-way; the three-way join runs a
+  // second hash-join step whose build side can be either input.
   Rng rng(GetParam() * 67 + 9);
   ExpectDeterministic(
       "SELECT a.TableId, a.RowId, a.SuperKey FROM "
@@ -251,12 +273,12 @@ TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
 TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
   // The control dimension of the determinism matrix: a query that completes
   // under a generous deadline (and memory budget) must be byte-identical to
-  // the unconstrained serial run across serving codecs, pools, and fused /
-  // galloping settings — the cooperative checks may not alter morsel
-  // geometry or merge order — and an already-expired deadline must return
-  // kDeadlineExceeded, never a partial result. The MC join statement routes
-  // through the galloping intersection when it is enabled, so both the fused
-  // and the compressed-domain operators run under the control here.
+  // the unconstrained serial run across serving codecs, pools, and fused
+  // settings — the cooperative checks may not alter morsel geometry or merge
+  // order — and an already-expired deadline must return kDeadlineExceeded,
+  // never a partial result. The MC join statement runs the generic pipeline's
+  // hash join, so both the fused and the join operators run under the
+  // control here.
   Rng rng(GetParam() * 61 + 8);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
@@ -312,7 +334,7 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
   // The telemetry dimension of the determinism matrix: attaching a QueryTrace
   // must be pure observation — byte-identical results vs the untraced serial
-  // reference across serving codecs, pools, and fused / galloping settings.
+  // reference across serving codecs, pools, and fused settings.
   // Spans record what the executor already decided; morsel geometry, task
   // order, and merge order are untouched. The traced runs must also actually
   // record (non-zero engine queries, at least one stage) when telemetry is
@@ -332,9 +354,6 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
           ")) AS b ON a.TableId = b.TableId AND a.RowId = b.RowId;",
   };
   for (const std::string& sql : sqls) {
-    const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
-        has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
     for (const EnginePair& pair : EnginePairs()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
@@ -344,34 +363,30 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
           for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
 
-              QueryTrace trace;
-              opts.trace = &trace;
-              auto traced = engine->Query(sql, opts);
-              ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
-                                       << sql;
-              EXPECT_EQ(want, ResultToString(traced.value()))
-                  << "traced run diverged: compressed="
-                  << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
-                  << sql;
+            QueryTrace trace;
+            opts.trace = &trace;
+            auto traced = engine->Query(sql, opts);
+            ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
+                                     << sql;
+            EXPECT_EQ(want, ResultToString(traced.value()))
+                << "traced run diverged: compressed="
+                << (engine == pair.compressed)
+                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
+                << sql;
 
-              opts.trace = nullptr;
-              auto untraced = engine->Query(sql, opts);
-              ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
-              EXPECT_EQ(want, ResultToString(untraced.value()));
+            opts.trace = nullptr;
+            auto untraced = engine->Query(sql, opts);
+            ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+            EXPECT_EQ(want, ResultToString(untraced.value()));
 
-              if constexpr (kTelemetryEnabled) {
-                const QueryTraceSummary s = trace.Summary();
-                EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
-                EXPECT_FALSE(s.stages.empty());
-              }
+            if constexpr (kTelemetryEnabled) {
+              const QueryTraceSummary s = trace.Summary();
+              EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
+              EXPECT_FALSE(s.stages.empty());
             }
           }
         }
@@ -383,9 +398,9 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   // The introspection dimension of the determinism matrix: `EXPLAIN ANALYZE
   // <q>` executes the bare statement unchanged, so its rows must be
-  // byte-identical to `<q>` across serving codecs, pools, and fused /
-  // galloping settings — describing and annotating the plan may not perturb
-  // morsel geometry, task order, or merge order. Every annotated run must
+  // byte-identical to `<q>` across serving codecs, pools, and fused settings
+  // — describing and annotating the plan may not perturb morsel geometry,
+  // task order, or merge order. Every annotated run must
   // also carry a non-empty plan (pipeline named, at least one node), so the
   // dimension cannot silently degrade into explaining nothing.
   Rng rng(GetParam() * 73 + 11);
@@ -405,9 +420,6 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
       "GROUP BY TableId;",
   };
   for (const std::string& sql : sqls) {
-    const bool has_join = sql.find("JOIN") != std::string::npos;
-    const std::vector<bool> gallop_dims =
-        has_join ? std::vector<bool>{true, false} : std::vector<bool>{true};
     for (const EnginePair& pair : EnginePairs()) {
       QueryOptions serial;
       serial.scheduler = Scheduler::Serial();
@@ -417,33 +429,29 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
           for (bool fused : {true, false}) {
-            for (bool gallop : gallop_dims) {
-              QueryOptions opts;
-              opts.scheduler = pool;
-              opts.enable_fused_scan_agg = fused;
-              opts.enable_galloping_join = gallop;
-              auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
-              ASSERT_TRUE(analyzed.ok())
-                  << analyzed.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(analyzed.value()))
-                  << "EXPLAIN ANALYZE diverged: compressed="
-                  << (engine == pair.compressed)
-                  << " pool=" << pool->parallelism() << " fused=" << fused
-                  << " gallop=" << gallop << "\n"
-                  << sql;
-              EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
-              EXPECT_FALSE(analyzed.value().plan.pipeline.empty()) << sql;
-              EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
+            QueryOptions opts;
+            opts.scheduler = pool;
+            opts.enable_fused_scan_agg = fused;
+            auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
+            ASSERT_TRUE(analyzed.ok())
+                << analyzed.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(analyzed.value()))
+                << "EXPLAIN ANALYZE diverged: compressed="
+                << (engine == pair.compressed)
+                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
+                << sql;
+            EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
+            EXPECT_FALSE(analyzed.value().plan.pipeline.empty()) << sql;
+            EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
 
-              // Bare EXPLAIN never executes: a plan, no rows.
-              auto described = engine->Query("EXPLAIN " + sql, opts);
-              ASSERT_TRUE(described.ok())
-                  << described.status().ToString() << "\n" << sql;
-              EXPECT_TRUE(described.value().rows.empty()) << sql;
-              EXPECT_EQ(described.value().plan.pipeline,
-                        analyzed.value().plan.pipeline)
-                  << sql;
-            }
+            // Bare EXPLAIN never executes: a plan, no rows.
+            auto described = engine->Query("EXPLAIN " + sql, opts);
+            ASSERT_TRUE(described.ok())
+                << described.status().ToString() << "\n" << sql;
+            EXPECT_TRUE(described.value().rows.empty()) << sql;
+            EXPECT_EQ(described.value().plan.pipeline,
+                      analyzed.value().plan.pipeline)
+                << sql;
           }
         }
       }
