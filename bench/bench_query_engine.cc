@@ -1,11 +1,10 @@
 // Online query engine: seeker-shape QPS, serial vs morsel-parallel (shared
-// work-stealing pool), the fused scan->aggregate fast path vs the generic
-// pipeline, and a concurrent-QPS serving mode (M client threads replaying a
-// mixed seeker workload against one shared engine + pool). The SC/KW shape
-// is the hot path of every figure/table bench (union search alone fans out
-// one SC query per query-table column), so this harness tracks the single
-// biggest wall-clock lever in the repo — and doubles as a regression gate
-// that parallelism never changes a result.
+// work-stealing pool), and a concurrent-QPS serving mode (M client threads
+// replaying a mixed seeker workload against one shared engine + pool). The
+// SC/KW shape is the hot path of every figure/table bench (union search
+// alone fans out one SC query per query-table column), so this harness
+// tracks the single biggest wall-clock lever in the repo — and doubles as a
+// regression gate that parallelism never changes a result.
 //
 // `--smoke` runs a 1-iteration pass on a small lake (wired into CI so the
 // parallel and serving paths are exercised on every PR); the summaries and
@@ -140,7 +139,6 @@ void BM_ScSeekerShape(benchmark::State& state) {
   sql::Engine engine(bundle);
   sql::QueryOptions opts;
   opts.scheduler = PoolFor(static_cast<int>(state.range(0)));
-  opts.enable_fused_scan_agg = state.range(2) != 0;
   const std::string sqltext = ScSql(*g_sc_values, 100);
   for (auto _ : state) {
     auto r = engine.Query(sqltext, opts);
@@ -148,8 +146,8 @@ void BM_ScSeekerShape(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScSeekerShape)
-    ->ArgsProduct({{1, 2, 4}, {0, 1}, {0, 1}})
-    ->ArgNames({"threads", "row_layout", "fused"})
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->ArgNames({"threads", "row_layout"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace
@@ -209,11 +207,10 @@ int main(int argc, char** argv) {
 
   double sc_serial_seconds = 0, sc_speedup_2t = 0, sc_speedup_4t = 0;
   double kw_serial_seconds = 0;
-  double fused_vs_generic = 0;
   bool identical = true;
 
   if (!serving_only) {
-    TablePrinter tp({"Shape", "Layout", "Threads", "Fused", "Query", "QPS", "Speedup"});
+    TablePrinter tp({"Shape", "Layout", "Threads", "Query", "QPS", "Speedup"});
     for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
       const IndexBundle* bundle =
           layout == StoreLayout::kColumn ? &col_bundle : &row_bundle;
@@ -242,7 +239,7 @@ int main(int argc, char** argv) {
           double seconds = bench::MeasureSeconds(
               [&] { (void)engine.Query(*sqltext, opts); }, reps);
           if (threads == 1) serial_seconds = seconds;
-          tp.AddRow({shape, layout_name, std::to_string(threads), "on",
+          tp.AddRow({shape, layout_name, std::to_string(threads),
                      bench::FmtSeconds(seconds),
                      TablePrinter::Fmt(1.0 / seconds, 1),
                      TablePrinter::Fmt(serial_seconds / seconds, 2) + "x"});
@@ -256,23 +253,6 @@ int main(int argc, char** argv) {
             kw_serial_seconds = seconds;
           }
         }
-
-        // Generic (fused off) at 1 thread: isolates the operator fusion win
-        // from the parallelism win.
-        sql::QueryOptions generic;
-        generic.scheduler = Scheduler::Serial();
-        generic.enable_fused_scan_agg = false;
-        auto res = engine.Query(*sqltext, generic);
-        if (res.ok() && ResultToString(res.value()) != reference) identical = false;
-        double generic_seconds = bench::MeasureSeconds(
-            [&] { (void)engine.Query(*sqltext, generic); }, reps);
-        tp.AddRow({shape, layout_name, "1", "off", bench::FmtSeconds(generic_seconds),
-                   TablePrinter::Fmt(1.0 / generic_seconds, 1),
-                   TablePrinter::Fmt(serial_seconds / generic_seconds, 2) + "x"});
-        if (layout == StoreLayout::kColumn && std::strcmp(shape, "SC") == 0 &&
-            sc_serial_seconds > 0) {
-          fused_vs_generic = generic_seconds / sc_serial_seconds;
-        }
       }
     }
 
@@ -281,18 +261,17 @@ int main(int argc, char** argv) {
                           std::to_string(lake.TotalCells()) +
                           ", hardware threads: " + std::to_string(hw) + ")")
                     .c_str());
-    std::printf("Results are %s across thread counts and the fused/generic paths.\n",
+    std::printf("Results are %s across thread counts.\n",
                 identical ? "byte-identical" : "DIVERGENT (BUG)");
     std::printf(
         "BENCH_query.json {\"bench\":\"query_engine\",\"smoke\":%s,"
         "\"lake_cells\":%zu,\"hw_threads\":%u,"
         "\"sc_serial_qps\":%.2f,\"sc_speedup_2t\":%.2f,\"sc_speedup_4t\":%.2f,"
-        "\"kw_serial_qps\":%.2f,\"fused_vs_generic\":%.2f,"
-        "\"identical_across_threads\":%s}\n",
+        "\"kw_serial_qps\":%.2f,\"identical_across_threads\":%s}\n",
         smoke ? "true" : "false", lake.TotalCells(), hw,
         sc_serial_seconds > 0 ? 1.0 / sc_serial_seconds : 0.0, sc_speedup_2t,
         sc_speedup_4t, kw_serial_seconds > 0 ? 1.0 / kw_serial_seconds : 0.0,
-        fused_vs_generic, identical ? "true" : "false");
+        identical ? "true" : "false");
   }
 
   // -------------------------------------------------------------------------
@@ -350,7 +329,7 @@ int main(int argc, char** argv) {
         threads.emplace_back([&, c] {
           for (int r = 0; r < rounds; ++r) {
             for (size_t q = 0; q < mix.size(); ++q) {
-              sql::QueryOptions opts;  // default shared pool, fused on
+              sql::QueryOptions opts;  // default shared pool
               QueryControl control;
               if (deadline_ms > 0) {
                 control = QueryControl::WithDeadline(

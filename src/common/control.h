@@ -15,7 +15,7 @@ namespace blend {
 /// inactive (no constraints, no allocation), so unconstrained queries pay a
 /// single null check per control point.
 ///
-/// Checks are cooperative: the executor, seekers, and fused operator call
+/// Checks are cooperative: the executor's operators and the seekers call
 /// Check()/ShouldStop() at morsel boundaries (task entry in the scheduler's
 /// loops, serial chunk intervals), never mid-record. Every tripped constraint
 /// is sticky, which is what preserves the determinism contract: once any
@@ -118,6 +118,8 @@ class ScopedMemoryCharge {
     charged_ = total_bytes;
     return Status::OK();
   }
+
+  int64_t charged() const { return charged_; }
 
  private:
   const QueryControl* control_;

@@ -267,8 +267,9 @@ enum class TraceStage : uint8_t {
   kScan,
   kJoinBuild,
   kJoinProbe,
-  // No executor path records kGallopIntersect, kGallopEmit or kFusedProject;
-  // they stay because perfbench/main.cc reports them, and always read 0.
+  // No executor path records kGallopIntersect, kGallopEmit, kFusedScan or
+  // kFusedProject; they stay because perfbench/main.cc reports them, and
+  // always read 0.
   kGallopIntersect,
   kGallopEmit,
   kFusedScan,

@@ -85,7 +85,6 @@ Blend::Blend(const DataLake* lake, Options options, IndexBundle bundle)
   ctx_.engine = &engine_;
   ctx_.stats = &stats_;
   ctx_.query_options.scheduler = scheduler_;
-  ctx_.query_options.enable_fused_scan_agg = options.enable_fused_scan_agg;
 }
 
 Status Blend::SaveSnapshot(const std::string& path) const {

@@ -47,10 +47,6 @@ class Blend {
     /// byte-identical for every setting.
     Scheduler* scheduler = nullptr;
     int query_threads = 0;
-    /// Fused scan->aggregate fast path for the SC/KW seeker shape
-    /// (sql::QueryOptions::enable_fused_scan_agg); switchable so ablations
-    /// can compare against the generic pipeline.
-    bool enable_fused_scan_agg = true;
     /// Postings codec SaveSnapshot writes (index/codec.h): kCompressed
     /// shrinks the artifact's dominant section via block containers at the
     /// cost of per-block decode on the serving path. Loading discovers the

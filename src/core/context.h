@@ -10,8 +10,8 @@ namespace blend::core {
 /// Everything an operator needs at execution time: the lake (for MC exact
 /// validation), the unified index, the SQL engine hosting it, the token
 /// statistics used by the optimizer's cost model, and the execution knobs
-/// every seeker passes to Engine::Query (the work-stealing scheduler handle,
-/// fused fast path, and the per-query QueryControl — seekers inherit the
+/// every seeker passes to Engine::Query (the work-stealing scheduler handle
+/// and the per-query QueryControl — seekers inherit the
 /// plan's deadline/cancellation/budget automatically through
 /// query_options.control).
 ///

@@ -40,8 +40,7 @@ class Engine {
   /// Parses and executes one SELECT statement with explicit execution knobs.
   /// A null options.scheduler is replaced by the engine pool; pass
   /// Scheduler::Serial() to force serial execution. Results are
-  /// byte-identical for every pool size and with the fused fast path on or
-  /// off.
+  /// byte-identical for every pool size.
   Result<QueryResult> Query(const std::string& sql,
                             const QueryOptions& options) const;
 

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "common/scheduler.h"
 #include "common/str_util.h"
@@ -111,15 +113,27 @@ int Cmp(const SqlValue& a, const SqlValue& b) {
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
+/// The values a COUNT(DISTINCT) has seen.
+struct DistinctValues {
+  std::unordered_set<int64_t> ints;
+  std::unordered_set<uint64_t> doubles;
+};
+
+/// One aggregate's running state in one group. Kept small: a group table
+/// touches one state per row, and the distinct sets are allocated only for
+/// a COUNT(DISTINCT) that sees a value.
 struct AggState {
   int64_t count = 0;
+  /// COUNT(DISTINCT CellValue) counted per posting list (`count`): the first
+  /// and the last list counted.
+  CellId first_list = kInvalidCellId;
+  CellId last_list = kInvalidCellId;
   double dsum = 0;
   int64_t isum = 0;
   bool int_only = true;
   SqlValue minv = SqlValue::Null();
   SqlValue maxv = SqlValue::Null();
-  std::unordered_set<int64_t> seen_ints;
-  std::unordered_set<uint64_t> seen_doubles;
+  std::unique_ptr<DistinctValues> seen;
 };
 
 void UpdateAgg(const AggSpec& spec, AggState* st, const SqlValue& v) {
@@ -130,15 +144,16 @@ void UpdateAgg(const AggSpec& spec, AggState* st, const SqlValue& v) {
     case AggSpec::Kind::kCount:
       if (v.is_null()) return;
       if (spec.distinct) {
+        if (st->seen == nullptr) st->seen = std::make_unique<DistinctValues>();
         if (v.kind == SqlValue::Kind::kInt) {
-          st->seen_ints.insert(v.i);
+          st->seen->ints.insert(v.i);
         } else {
           // Canonicalize -0.0 to 0.0 before hashing the bit pattern: `==`
           // treats the two as equal, so DISTINCT must count them once.
           double dv = v.d == 0.0 ? 0.0 : v.d;
           uint64_t bits;
           std::memcpy(&bits, &dv, sizeof(bits));
-          st->seen_doubles.insert(bits);
+          st->seen->doubles.insert(bits);
         }
       } else {
         ++st->count;
@@ -166,25 +181,37 @@ void UpdateAgg(const AggSpec& spec, AggState* st, const SqlValue& v) {
   }
 }
 
-/// Folds `from` (an earlier-finished chunk's state for the same group) into
-/// `into`. Kind-agnostic: every field merges associatively, and callers fold
-/// chunks in ascending chunk order so double sums reproduce the same rounding
-/// for every thread count. Strict `<`/`>` on MIN/MAX keeps the earlier
-/// chunk's value on Cmp-ties, matching the serial first-seen rule.
+/// COUNT(DISTINCT CellValue) over the CellValue index: a posting list holds
+/// one cell, so the distinct count is the number of lists that reach the
+/// group, read from the list being walked instead of the store. Lists arrive
+/// in ascending CellId, so a list already counted is the last one counted.
+void CountPostingList(AggState* st, CellId cell) {
+  if (cell == st->last_list) return;
+  if (st->count == 0) st->first_list = cell;
+  ++st->count;
+  st->last_list = cell;
+}
+
+/// Folds `from` (a later chunk's state for the same group) into `into`.
+/// Kind-agnostic: every field merges associatively, and callers fold chunks
+/// in ascending chunk order so double sums reproduce the same rounding for
+/// every thread count. Strict `<`/`>` on MIN/MAX keeps the earlier chunk's
+/// value on Cmp-ties, matching the serial first-seen rule. A posting list cut
+/// across chunks reaches a group from both sides of the cut; it counts once.
 void MergeAggState(AggState* into, AggState* from) {
+  if (from->first_list != kInvalidCellId && from->first_list == into->last_list) {
+    --into->count;
+  }
+  if (from->last_list != kInvalidCellId) into->last_list = from->last_list;
   into->count += from->count;
   into->isum += from->isum;
   into->dsum += from->dsum;
   into->int_only = into->int_only && from->int_only;
-  if (into->seen_ints.empty()) {
-    into->seen_ints = std::move(from->seen_ints);
-  } else {
-    into->seen_ints.insert(from->seen_ints.begin(), from->seen_ints.end());
-  }
-  if (into->seen_doubles.empty()) {
-    into->seen_doubles = std::move(from->seen_doubles);
-  } else {
-    into->seen_doubles.insert(from->seen_doubles.begin(), from->seen_doubles.end());
+  if (into->seen == nullptr) {
+    into->seen = std::move(from->seen);
+  } else if (from->seen != nullptr) {
+    into->seen->ints.insert(from->seen->ints.begin(), from->seen->ints.end());
+    into->seen->doubles.insert(from->seen->doubles.begin(), from->seen->doubles.end());
   }
   if (!from->minv.is_null() &&
       (into->minv.is_null() || Cmp(from->minv, into->minv) < 0)) {
@@ -202,8 +229,10 @@ SqlValue FinalizeAgg(const AggSpec& spec, const AggState& st) {
       return SqlValue::Int(st.count);
     case AggSpec::Kind::kCount:
       if (spec.distinct) {
-        return SqlValue::Int(static_cast<int64_t>(st.seen_ints.size()) +
-                             static_cast<int64_t>(st.seen_doubles.size()));
+        // `count` is the posting-list count; `seen` holds every other value.
+        if (st.seen == nullptr) return SqlValue::Int(st.count);
+        return SqlValue::Int(st.count + static_cast<int64_t>(st.seen->ints.size()) +
+                             static_cast<int64_t>(st.seen->doubles.size()));
       }
       return SqlValue::Int(st.count);
     case AggSpec::Kind::kSum:
@@ -231,41 +260,65 @@ std::string ItemName(const SelectItem& item) {
 // Scan: one relation -> physical record positions, morsel-parallel.
 // ---------------------------------------------------------------------------
 
-/// One unit of scan work: either a slice of a posting/position list
-/// (`from_list`, begin/end are ordinals within `list`) or a contiguous range
-/// of physical positions (begin/end are the positions themselves). Lists are
-/// carried as PostingListRef and consumed through PostingCursor, so a morsel
-/// neither knows nor cares whether the list is raw or block-compressed.
-struct ScanMorsel {
+/// Ordinals [begin, end) of one posting/position list. `cell` is the CellId
+/// whose posting list this is, or kInvalidCellId for the Quadrant position
+/// list.
+struct ListSlice {
   PostingListRef list;
-  bool from_list = false;
+  CellId cell = kInvalidCellId;
   size_t begin = 0;
   size_t end = 0;
 };
 
+/// One unit of scan work: list slices in scan order (several whole short
+/// lists packed together, or one slice of a long list), or, when `lists` is
+/// empty, the contiguous physical positions [begin, end). Lists are carried
+/// as PostingListRef and consumed through PostingCursor, so a morsel neither
+/// knows nor cares whether the list is raw or block-compressed.
+struct ScanMorsel {
+  std::vector<ListSlice> lists;
+  size_t begin = 0;
+  size_t end = 0;
+  size_t records = 0;  ///< positions the morsel covers
+};
+
 /// Morsel geometry note: kScanMorselRecords is a multiple of
-/// kPostingBlockLen, so list morsels start on container boundaries and each
-/// morsel decodes only its own blocks.
+/// kPostingBlockLen, so a long list's slices start on container boundaries
+/// and each morsel decodes only its own blocks.
 static_assert(kScanMorselRecords % kPostingBlockLen == 0);
 
-void AppendListMorsels(PostingListRef list, std::vector<ScanMorsel>* morsels) {
-  for (size_t b = 0; b < list.size(); b += kScanMorselRecords) {
-    morsels->push_back(
-        {list, true, b, std::min(list.size(), b + kScanMorselRecords)});
+/// Appends `list` to the scan. A list of at most kScanMorselRecords records
+/// joins the last morsel while that morsel holds lists and stays within
+/// kScanMorselRecords, so a run of short lists is one task; a longer list is
+/// cut into slices of kScanMorselRecords records.
+void AppendListMorsels(PostingListRef list, CellId cell,
+                       std::vector<ScanMorsel>* morsels) {
+  const size_t n = list.size();
+  if (n <= kScanMorselRecords && !morsels->empty() &&
+      !morsels->back().lists.empty() &&
+      morsels->back().records + n <= kScanMorselRecords) {
+    morsels->back().lists.push_back({list, cell, 0, n});
+    morsels->back().records += n;
+    return;
+  }
+  for (size_t b = 0; b < n; b += kScanMorselRecords) {
+    const size_t e = std::min(n, b + kScanMorselRecords);
+    morsels->push_back({{{list, cell, b, e}}, 0, 0, e - b});
   }
 }
 
 void AppendRangeMorsels(size_t begin, size_t end,
                         std::vector<ScanMorsel>* morsels) {
   for (size_t b = begin; b < end; b += kScanMorselRecords) {
-    morsels->push_back({{}, false, b, std::min(end, b + kScanMorselRecords)});
+    const size_t e = std::min(end, b + kScanMorselRecords);
+    morsels->push_back({{}, b, e, e - b});
   }
 }
 
 /// Resolves the IN-list of a CellValue access path to sorted distinct cell
 /// ids. Ascending id order is the canonical scan order: it fixes the output
 /// position sequence independently of IN-list order and of hash-set iteration
-/// quirks, and the fused operator walks the same sequence.
+/// quirks.
 std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) {
   std::vector<CellId> ids;
   ids.reserve(cell_in.in_strings.size());
@@ -292,16 +345,22 @@ std::vector<TableId> ResolveTableIds(const Expr& table_in, const Store& store) {
   return ids;
 }
 
-/// The per-record filters of a classified scan: the RowId bound, Quadrant IS
-/// NOT NULL and the residual conjuncts, bound once. Evaluation is read-only
-/// and thread-safe.
+/// The per-record filters of a classified scan: a TableId IN-list that is
+/// not the access path (it sits next to a CellValue IN-list), the RowId
+/// bound, Quadrant IS NOT NULL and the residual conjuncts, bound once.
+/// Evaluation is read-only and thread-safe.
 struct RecordFilter {
+  bool active = false;  ///< any filter below is set
+  bool filter_tables = false;
+  std::unordered_set<int64_t> table_set;
   int64_t row_lt = -1;
   bool need_quadrant = false;
   std::vector<BoundExprPtr> preds;
 
   template <typename Store>
   bool operator()(const Store& store, RecordPos p) const {
+    if (!active) return true;
+    if (filter_tables && table_set.count(store.table(p)) == 0) return false;
     if (row_lt >= 0 && store.row(p) >= row_lt) return false;
     if (need_quadrant && store.quadrant(p) == kQuadrantNull) return false;
     for (const auto& pred : preds) {
@@ -314,107 +373,106 @@ struct RecordFilter {
   }
 };
 
-Result<RecordFilter> BindRecordFilter(const ScanSpec& spec, const Dictionary& dict) {
-  Binder binder(&dict, {AllFields("")});
+/// A relation's scan, bound: its classified predicate, per-record filters,
+/// and its access path cut into morsels in scan order — the CellValue index
+/// (lists in ascending cell id), the clustered TableId index (ranges in
+/// ascending table id), the Quadrant partial index, or a full scan. ScanRel
+/// materializes it; the scan-fed aggregate and lookup joins walk it in place.
+struct RelScan {
+  ScanSpec spec;
   RecordFilter filter;
+  std::vector<ScanMorsel> morsels;
+  std::vector<TableId> tables;  ///< the clustered index's tables, ascending
+};
+
+template <typename Store>
+Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
+                            const Dictionary& dict) {
+  RelScan scan;
+  scan.spec = ClassifyScan(rel.scan_pred);
+  const ScanSpec& spec = scan.spec;
+  RecordFilter& filter = scan.filter;
+  filter.filter_tables = spec.cell_in != nullptr && spec.table_in != nullptr;
+  if (filter.filter_tables) {
+    filter.table_set.insert(spec.table_in->in_ints.begin(),
+                            spec.table_in->in_ints.end());
+  }
   filter.row_lt = spec.row_lt;
   filter.need_quadrant = spec.need_quadrant;
+  Binder binder(&dict, {AllFields("")});
   for (const Expr* c : spec.residual) {
     BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
     filter.preds.push_back(std::move(b));
   }
-  return filter;
-}
+  filter.active = filter.filter_tables || filter.row_lt >= 0 ||
+                  filter.need_quadrant || !filter.preds.empty();
 
-/// Cuts a relation's access path into morsels, in scan order: the CellValue
-/// index (lists in ascending cell id), the clustered TableId index (ranges in
-/// ascending table id), the Quadrant partial index, or a full scan. A TableId
-/// IN-list next to a CellValue IN-list is not an access path; ScanRel applies
-/// it as a filter.
-template <typename Store>
-std::vector<ScanMorsel> AccessPathMorsels(const ScanSpec& spec, const Store& store,
-                                          const Dictionary& dict) {
-  std::vector<ScanMorsel> morsels;
   if (spec.cell_in != nullptr) {
     // Access path 1: the in-database hash index on CellValue.
     for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
-      AppendListMorsels(store.PostingList(id), &morsels);
+      AppendListMorsels(store.PostingList(id), id, &scan.morsels);
     }
   } else if (spec.table_in != nullptr) {
     // Access path 2: the clustered index on TableId.
-    for (TableId id : ResolveTableIds(*spec.table_in, store)) {
+    scan.tables = ResolveTableIds(*spec.table_in, store);
+    for (TableId id : scan.tables) {
       auto [b, e] = store.TableRange(id);
-      AppendRangeMorsels(b, e, &morsels);
+      AppendRangeMorsels(b, e, &scan.morsels);
     }
   } else if (spec.need_quadrant) {
     // Access path 3: the partial index on Quadrant (correlation seeker's
     // numeric-cell scan).
-    AppendListMorsels(PostingListRef::Raw(store.QuadrantPositions()), &morsels);
+    AppendListMorsels(PostingListRef::Raw(store.QuadrantPositions()),
+                      kInvalidCellId, &scan.morsels);
   } else {
     // Access path 4: full scan.
-    AppendRangeMorsels(0, store.NumRecords(), &morsels);
+    AppendRangeMorsels(0, store.NumRecords(), &scan.morsels);
   }
-  return morsels;
+  return scan;
 }
 
-/// Calls fn(p) on the positions of `mo` in scan order until fn returns false;
-/// returns false when fn stopped the walk.
+/// Calls fn(p, cell) on the positions of `mo` in scan order until fn returns
+/// false, where `cell` is the ListSlice::cell of p's list (kInvalidCellId
+/// off the lists); returns false when fn stopped the walk.
 template <typename Fn>
 bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
-  if (!mo.from_list) {
-    for (size_t i = mo.begin; i < mo.end; ++i) {
-      if (!fn(static_cast<RecordPos>(i))) return false;
-    }
-    return true;
+  for (size_t i = mo.begin; i < mo.end; ++i) {
+    if (!fn(static_cast<RecordPos>(i), kInvalidCellId)) return false;
   }
-  // Batch-decode the morsel's own containers into the cursor's reusable
-  // scratch; raw lists come back as one zero-copy batch.
-  PostingCursor cur(mo.list);
-  cur.SeekToOrdinal(mo.begin);
-  for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-    const size_t ord = cur.batch_ordinal();
-    if (ord >= mo.end) break;
-    const size_t lo = mo.begin > ord ? mo.begin - ord : 0;
-    const size_t hi = std::min(batch.size(), mo.end - ord);
-    for (size_t i = lo; i < hi; ++i) {
-      if (!fn(batch[i])) return false;
+  for (const ListSlice& s : mo.lists) {
+    // Batch-decode the slice's own containers into the cursor's reusable
+    // scratch; raw lists come back as one zero-copy batch.
+    PostingCursor cur(s.list);
+    cur.SeekToOrdinal(s.begin);
+    for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
+      const size_t ord = cur.batch_ordinal();
+      if (ord >= s.end) break;
+      const size_t lo = s.begin > ord ? s.begin - ord : 0;
+      const size_t hi = std::min(batch.size(), s.end - ord);
+      for (size_t i = lo; i < hi; ++i) {
+        if (!fn(batch[i], s.cell)) return false;
+      }
     }
   }
   return true;
 }
 
+/// Materializes a bound scan's passing positions. Each morsel filters into
+/// its own buffer and the buffers concatenate in morsel order, so the output
+/// position sequence is identical to a serial scan no matter which worker ran
+/// which morsel. Packed short lists keep a small scan to one morsel, which
+/// runs inline.
 template <typename Store>
-Result<std::vector<RecordPos>> ScanRel(const AnalyzedRel& rel, const Store& store,
-                                       const Dictionary& dict, Scheduler* sched,
+Result<std::vector<RecordPos>> ScanRel(const RelScan& scan, const Store& store,
+                                       Scheduler* sched,
                                        const QueryControl* control,
                                        QueryTrace* trace) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
-  BLEND_ASSIGN_OR_RETURN(const RecordFilter filter, BindRecordFilter(spec, dict));
-
-  // When the TableId IN-list is not the access path it acts as a filter.
-  std::unordered_set<int64_t> table_filter;
-  const bool use_table_filter = spec.cell_in != nullptr && spec.table_in != nullptr;
-  if (use_table_filter) {
-    table_filter.insert(spec.table_in->in_ints.begin(), spec.table_in->in_ints.end());
-  }
-  const std::vector<ScanMorsel> morsels = AccessPathMorsels(spec, store, dict);
-
-  // Filter each morsel into its own buffer, then concatenate in morsel order:
-  // the output position sequence is identical to a serial scan no matter
-  // which worker ran which morsel. Posting-list morsels can be numerous but
-  // tiny (one per short list), so the fan-out decision keys on the total
-  // record count rather than the morsel count — small scans stay inline
-  // instead of paying the pool's enqueue/wakeup cost.
-  size_t total_records = 0;
-  for (const ScanMorsel& mo : morsels) total_records += mo.end - mo.begin;
-  Scheduler* scan_sched = total_records > kScanMorselRecords ? sched : nullptr;
-  std::vector<std::vector<RecordPos>> parts(morsels.size());
-  BLEND_RETURN_NOT_OK(RunTasks(scan_sched, control, trace, TraceStage::kScan,
-                               morsels.size(), [&](size_t m) {
+  std::vector<std::vector<RecordPos>> parts(scan.morsels.size());
+  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kScan,
+                               scan.morsels.size(), [&](size_t m) {
     std::vector<RecordPos>& out = parts[m];
-    WalkMorsel(morsels[m], [&](RecordPos p) {
-      if (use_table_filter && table_filter.count(store.table(p)) == 0) return true;
-      if (filter(store, p)) out.push_back(p);
+    WalkMorsel(scan.morsels[m], [&](RecordPos p, CellId) {
+      if (scan.filter(store, p)) out.push_back(p);
       return true;
     });
   }));
@@ -685,30 +743,6 @@ RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
   return lo;
 }
 
-/// A relation that a lookup join step reads in place instead of scanning:
-/// its classified scan predicate, bound per-record filters, its access
-/// path's morsels (walked only to count candidates for the orientation), and
-/// the sorted valid ids of its TableId IN-list when that is the access path.
-struct LookupRel {
-  ScanSpec spec;
-  RecordFilter filter;
-  std::vector<ScanMorsel> morsels;
-  std::vector<TableId> tables;
-};
-
-template <typename Store>
-Result<LookupRel> MakeLookupRel(const AnalyzedRel& rel, const Store& store,
-                                const Dictionary& dict) {
-  LookupRel out;
-  out.spec = ClassifyScan(rel.scan_pred);
-  BLEND_ASSIGN_OR_RETURN(out.filter, BindRecordFilter(out.spec, dict));
-  out.morsels = AccessPathMorsels(out.spec, store, dict);
-  if (out.spec.table_in != nullptr) {
-    out.tables = ResolveTableIds(*out.spec.table_in, store);
-  }
-  return out;
-}
-
 /// Whether join step `j` (joining relation j + 1) runs as a lookup join: its
 /// ON equates TableId with TableId and RowId with RowId, and its relation's
 /// access path scans in ascending position (the clustered TableId index, the
@@ -748,7 +782,7 @@ bool IsLookupStep(const AnalyzedQuery& q, size_t j, const Binder& binder) {
 template <typename Store>
 Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
                                            const std::vector<RowCtx>& rows,
-                                           const LookupRel& rel,
+                                           const RelScan& rel,
                                            const StepKeys& keys, uint8_t step_side,
                                            Scheduler* sched,
                                            const QueryControl* control,
@@ -756,7 +790,7 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
   // Orientation: count passing candidates in ScanRel's scan order.
   const size_t cap = rows.size() + 1;
   size_t passing = 0, visited = 0;
-  auto visit = [&](RecordPos p) {
+  auto visit = [&](RecordPos p, CellId) {
     if (rel.filter(store, p) && ++passing == cap) return false;
     return ++visited % kSerialCheckInterval != 0 || !ShouldStop(control);
   };
@@ -828,13 +862,14 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
   return joined;
 }
 
-// Output assembly (projection, aggregation, ordering).
+// ---------------------------------------------------------------------------
+// Output assembly: ordering shared by projection and aggregation.
 // ---------------------------------------------------------------------------
 
 /// Sorts rows (pairs of output values + sort key values), applies the
 /// engine-side dedup-top-k spec (QueryOptions::dedup_column / dedup_limit),
-/// then LIMIT. Shared by the projection tail and EmitGroups, so dedup
-/// semantics cannot diverge between pipelines.
+/// then LIMIT. Shared by ProjectRows and EmitGroups, so dedup semantics
+/// cannot diverge between projection and aggregation.
 void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
                   std::vector<std::vector<SqlValue>>* sort_vals,
                   const std::vector<bool>& desc, int64_t limit,
@@ -908,59 +943,35 @@ void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
   }
 }
 
-/// One finalized group ready for projection: group-by key values plus the
-/// already-finalized aggregate values (kAggRef / kKeyRef leaves).
-struct GroupOut {
-  std::vector<SqlValue> keys;
-  std::vector<SqlValue> agg_vals;
+/// Bound ORDER BY: per item, the output column it names (ref >= 0) or its
+/// bound expression, and its direction.
+struct SortKeys {
+  std::vector<int> ref;
+  std::vector<BoundExprPtr> exprs;
+  std::vector<bool> desc;
+
+  /// One output row's sort values; `leaf` resolves the bound expressions.
+  template <typename Leaf>
+  std::vector<SqlValue> Values(const std::vector<SqlValue>& out,
+                               const Leaf& leaf) const {
+    std::vector<SqlValue> vals;
+    vals.reserve(ref.size());
+    for (size_t i = 0; i < ref.size(); ++i) {
+      vals.push_back(ref[i] >= 0 ? out[static_cast<size_t>(ref[i])]
+                                 : EvalExpr(*exprs[i], leaf));
+    }
+    return vals;
+  }
 };
 
-/// Projects finalized groups through the select items, evaluates sort keys,
-/// sorts and applies LIMIT. Shared by the generic aggregation pipeline and
-/// the fused scan->aggregate operator, so the two paths cannot diverge in
-/// output assembly.
-void EmitGroups(const std::vector<GroupOut>& groups,
-                const std::vector<BoundExprPtr>& items,
-                const std::vector<int>& sort_ref,
-                const std::vector<BoundExprPtr>& sort_exprs,
-                const std::vector<bool>& desc, const SelectStmt& stmt,
-                const QueryOptions& options, QueryResult* result) {
-  std::vector<std::vector<SqlValue>> out_rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
-  out_rows.reserve(groups.size());
-  for (const GroupOut& g : groups) {
-    auto leaf = [&](const BoundExpr& b) -> SqlValue {
-      if (b.kind == BKind::kAggRef) return g.agg_vals[b.ref];
-      if (b.kind == BKind::kKeyRef) return g.keys[b.ref];
-      return SqlValue::Null();  // unreachable: fields were rejected at bind
-    };
-    std::vector<SqlValue> vals;
-    vals.reserve(items.size());
-    for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-    if (!stmt.order_by.empty()) {
-      std::vector<SqlValue> sk;
-      for (size_t i = 0; i < sort_exprs.size(); ++i) {
-        sk.push_back(sort_ref[i] >= 0 ? vals[static_cast<size_t>(sort_ref[i])]
-                                      : EvalExpr(*sort_exprs[i], leaf));
-      }
-      sort_vals.push_back(std::move(sk));
-    }
-    out_rows.push_back(std::move(vals));
-  }
-  SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
-  result->rows = std::move(out_rows);
-}
-
-/// Binds ORDER BY items in aggregate context: alias references resolve to
-/// output columns (sort_ref), everything else binds as an aggregate-context
-/// expression.
-Status BindAggOrderBy(const SelectStmt& stmt, const Binder& binder,
-                      const std::vector<BoundExprPtr>& key_exprs,
-                      std::vector<AggSpec>* aggs,
-                      const std::vector<std::string>& columns,
-                      std::vector<int>* sort_ref,
-                      std::vector<BoundExprPtr>* sort_exprs,
-                      std::vector<bool>* desc) {
+/// Binds ORDER BY items: a bare name that matches an output column refers to
+/// that column; anything else binds through `bind` (row or aggregate
+/// context).
+template <typename BindFn>
+Result<SortKeys> BindOrderBy(const SelectStmt& stmt,
+                             const std::vector<std::string>& columns,
+                             const BindFn& bind) {
+  SortKeys keys;
   for (const auto& oi : stmt.order_by) {
     int ref = -1;
     if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
@@ -971,490 +982,437 @@ Status BindAggOrderBy(const SelectStmt& stmt, const Binder& binder,
         }
       }
     }
-    sort_ref->push_back(ref);
+    keys.ref.push_back(ref);
     if (ref < 0) {
-      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindAggExpr(*oi.expr, key_exprs, aggs));
-      sort_exprs->push_back(std::move(b));
+      BLEND_ASSIGN_OR_RETURN(auto b, bind(*oi.expr));
+      keys.exprs.push_back(std::move(b));
     } else {
-      sort_exprs->push_back(nullptr);
+      keys.exprs.push_back(nullptr);
     }
-    desc->push_back(oi.desc);
+    keys.desc.push_back(oi.desc);
   }
-  return Status::OK();
+  return keys;
 }
 
-// ---------------------------------------------------------------------------
-// Fused scan->aggregate operator for the SC/KW seeker shape:
-//   SELECT TableId[, ColumnId], COUNT(DISTINCT CellValue) ...
-//   FROM AllTables WHERE CellValue IN (...) [AND ...]
-//   GROUP BY TableId[, ColumnId] [ORDER BY ...] [LIMIT n]
-// Walks each cell id's posting list and bumps packed-key counters directly:
-// no RecordPos materialization, no RowCtx construction, no per-row SqlValue
-// boxing. COUNT(DISTINCT CellValue) degenerates to "number of posting lists
-// that touch the group", so each list contributes at most 1 per group.
-// ---------------------------------------------------------------------------
-
-/// Attempts the fused path. Returns nullopt when the statement does not have
-/// the fused shape (including any bind failure — the generic pipeline then
-/// re-binds and reports the real error). An engaged return is the query's
-/// outcome: the result, or the control Status that stopped the cursor
-/// batches.
-template <typename Store>
-std::optional<Result<QueryResult>> TryFusedScanAgg(const AnalyzedQuery& q,
-                                                   const SelectStmt& stmt,
-                                                   const Store& store,
-                                                   const Dictionary& dict,
-                                                   const QueryOptions& options,
-                                                   PlanDescription* describe) {
-  Scheduler* sched = options.scheduler;
-  if (q.rels.size() != 1 || !q.join_ons.empty() || q.residual_where != nullptr) {
-    return std::nullopt;
-  }
-  if (stmt.select_star || stmt.group_by.empty()) return std::nullopt;
-
-  const ScanSpec spec = ClassifyScan(q.rels[0].scan_pred);
-  if (spec.cell_in == nullptr || spec.need_quadrant) return std::nullopt;
-
-  // Bind keys and items against the visible schema, exactly as the generic
-  // aggregation pipeline would.
-  Binder binder(&dict, {q.rels[0].visible});
-  std::vector<BoundExprPtr> key_exprs;
-  for (const auto& g : stmt.group_by) {
-    auto kb = binder.BindRowExpr(*g);
-    if (!kb.ok()) return std::nullopt;
-    key_exprs.push_back(kb.take());
-  }
-  if (key_exprs.empty() || key_exprs.size() > 2) return std::nullopt;
-  if (key_exprs[0]->kind != BKind::kField || key_exprs[0]->field != Field::kTable) {
-    return std::nullopt;
-  }
-  const bool with_column = key_exprs.size() == 2;
-  if (with_column && (key_exprs[1]->kind != BKind::kField ||
-                      key_exprs[1]->field != Field::kColumn)) {
-    return std::nullopt;
-  }
-
-  QueryResult result;
-  std::vector<AggSpec> aggs;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    auto b = binder.BindAggExpr(*item.expr, key_exprs, &aggs);
-    if (!b.ok()) return std::nullopt;
-    result.columns.push_back(ItemName(item));
-    items.push_back(b.take());
-  }
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  if (!BindAggOrderBy(stmt, binder, key_exprs, &aggs, result.columns, &sort_ref,
-                      &sort_exprs, &desc)
-           .ok()) {
-    return std::nullopt;
-  }
-  // Every aggregate (select list and sort keys) must be COUNT(DISTINCT
-  // CellValue) for the per-posting-list dedup to be the whole aggregation.
-  for (const AggSpec& a : aggs) {
-    if (a.kind != AggSpec::Kind::kCount || !a.distinct) return std::nullopt;
-    if (a.arg == nullptr || a.arg->kind != BKind::kField ||
-        a.arg->field != Field::kCell) {
-      return std::nullopt;
-    }
-  }
-
-  // Residual scan predicates (e.g. the optimizer's `TableId NOT IN (...)`
-  // rewrite) are evaluated per record without materializing anything.
-  Binder scan_binder(&dict, {AllFields("")});
-  std::vector<BoundExprPtr> preds;
-  for (const Expr* c : spec.residual) {
-    auto b = scan_binder.BindRowExpr(*c);
-    if (!b.ok()) return std::nullopt;
-    preds.push_back(b.take());
-  }
-  const int64_t row_lt = spec.row_lt;
-  auto passes = [&](RecordPos p) {
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    for (const auto& pred : preds) {
-      RowCtx ctx;
-      ctx.pos[0] = p;
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, ctx.pos[b.side]);
-      });
-      if (!v.IsTruthy()) return false;
-    }
-    return true;
-  };
-
-  std::unordered_set<int64_t> table_filter;
-  const bool use_table_filter = spec.table_in != nullptr;
-  if (use_table_filter) {
-    table_filter.insert(spec.table_in->in_ints.begin(),
-                        spec.table_in->in_ints.end());
-  }
-
-  // The same canonical scan order as ScanRel: cells ascending, postings in
-  // list order. `base[i]` is the global ordinal of cell i's first posting;
-  // ordinals order group discovery exactly like the generic pipeline's
-  // first-appearance order, which keeps the two paths byte-identical.
-  const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-  std::vector<size_t> base(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    base[i + 1] = base[i] + store.PostingCount(cells[i]);
-  }
-
-  // Morsels cover whole cells (a posting list is never split): the
-  // per-list dedup below relies on seeing all of a cell's postings in one
-  // morsel.
-  struct CellRange {
-    size_t begin, end;
-  };
-  std::vector<CellRange> morsels;
-  size_t mb = 0;
-  while (mb < cells.size()) {
-    size_t me = mb + 1;
-    while (me < cells.size() && base[me + 1] - base[mb] <= kScanMorselRecords) {
-      ++me;
-    }
-    morsels.push_back({mb, me});
-    mb = me;
-  }
-
-  // Describe mode: the gate has passed and the whole-cell morsel packing is
-  // decided, so report the plan and bail without scanning.
-  if (describe != nullptr) {
-    describe->pipeline = "fused-scan-agg";
-    PlanNode root;
-    root.op = "FusedScanAgg";
-    root.detail = std::string("COUNT(DISTINCT CellValue) GROUP BY TableId") +
-                  (with_column ? ", ColumnId" : "") + "; whole-cell morsels <= " +
-                  std::to_string(kScanMorselRecords) + " records";
-    root.stage = TraceStage::kFusedScan;
-    root.planned_tasks = static_cast<int64_t>(morsels.size());
-    describe->nodes.push_back(std::move(root));
-    PlanNode scan;
-    scan.depth = 1;
-    scan.op = "PostingScan";
-    scan.detail = std::to_string(cells.size()) + " cells";
-    if (use_table_filter) scan.detail += "; TableId filter";
-    if (row_lt >= 0) scan.detail += "; RowId < " + std::to_string(row_lt);
-    if (!preds.empty()) {
-      scan.detail += "; " + std::to_string(preds.size()) + " residual preds";
-    }
-    scan.est_rows = static_cast<int64_t>(base.back());
-    describe->nodes.push_back(std::move(scan));
-    PlanNode tail;
-    tail.depth = 1;
-    tail.op = "EmitGroups";
-    tail.detail = (stmt.order_by.empty()
-                       ? std::string("first-appearance order")
-                       : std::to_string(stmt.order_by.size()) + " sort keys") +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string());
-    describe->nodes.push_back(std::move(tail));
-    return Result<QueryResult>(std::move(result));
-  }
-
-  struct FusedGroup {
-    uint64_t key;
-    size_t first;  // global ordinal of the group's first passing record
-    int64_t count;
-    CellId last_cell;  // per-posting-list dedup marker
-  };
-  std::vector<std::vector<FusedGroup>> parts(morsels.size());
-  Status fused_scan = RunTasks(sched, options.control, options.trace,
-                               TraceStage::kFusedScan, morsels.size(),
-                               [&](size_t m) {
-    std::unordered_map<uint64_t, uint32_t> index;
-    std::vector<FusedGroup>& groups_m = parts[m];
-    for (size_t ci = morsels[m].begin; ci < morsels[m].end; ++ci) {
-      const CellId cell = cells[ci];
-      // Container-at-a-time: each decoded batch feeds the packed counters
-      // straight from the cursor's scratch, so the fused path never
-      // materializes a posting list regardless of codec.
-      PostingCursor cur(store.PostingList(cell));
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        const size_t ord = cur.batch_ordinal();
-        for (size_t j = 0; j < batch.size(); ++j) {
-          const RecordPos p = batch[j];
-          if (use_table_filter && table_filter.count(store.table(p)) == 0) {
-            continue;
-          }
-          if (!passes(p)) continue;
-          const uint64_t key =
-              static_cast<uint64_t>(static_cast<uint32_t>(store.table(p))) |
-              (with_column ? static_cast<uint64_t>(
-                                 static_cast<uint32_t>(store.column(p)))
-                                 << 32
-                           : 0);
-          auto [it, inserted] =
-              index.try_emplace(key, static_cast<uint32_t>(groups_m.size()));
-          if (inserted) {
-            groups_m.push_back({key, base[ci] + ord + j, 1, cell});
-          } else {
-            FusedGroup& g = groups_m[it->second];
-            if (g.last_cell != cell) {
-              ++g.count;
-              g.last_cell = cell;
-            }
-          }
-        }
-      }
-    }
-  });
-  if (!fused_scan.ok()) return Result<QueryResult>(std::move(fused_scan));
-
-  // Merge morsel-local groups in morsel order (group counts are bounded by
-  // tables x columns, so this stays cheap), then order groups by first
-  // appearance — the generic pipeline's group order.
-  std::unordered_map<uint64_t, uint32_t> index;
-  std::vector<FusedGroup> merged;
-  for (const auto& part : parts) {
-    for (const FusedGroup& g : part) {
-      auto [it, inserted] =
-          index.try_emplace(g.key, static_cast<uint32_t>(merged.size()));
-      if (inserted) {
-        merged.push_back(g);
-        continue;
-      }
-      FusedGroup& into = merged[it->second];
-      into.count += g.count;
-      into.first = std::min(into.first, g.first);
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const FusedGroup& a, const FusedGroup& b) { return a.first < b.first; });
-
-  std::vector<GroupOut> groups;
-  groups.reserve(merged.size());
-  for (const FusedGroup& g : merged) {
-    GroupOut out;
-    out.keys.push_back(
-        SqlValue::Int(static_cast<int64_t>(static_cast<uint32_t>(g.key))));
-    if (with_column) {
-      out.keys.push_back(SqlValue::Int(static_cast<int64_t>(g.key >> 32)));
-    }
-    out.agg_vals.assign(aggs.size(), SqlValue::Int(g.count));
-    groups.push_back(std::move(out));
-  }
-  if (options.trace != nullptr) {
-    options.trace->AddRows(TraceStage::kFusedScan,
-                           static_cast<int64_t>(groups.size()));
-  }
-  EmitGroups(groups, items, sort_ref, sort_exprs, desc, stmt, options, &result);
-  return Result<QueryResult>(std::move(result));
-}
-
-// ---------------------------------------------------------------------------
-// Describe mode for the generic pipeline. The fused path describes itself
-// at its gate (it knows its geometry before running); the generic
-// pipeline's plan is derived here from scan metadata and chunk-size
-// constants only — describe must not run ScanRel, join, or charge budgets.
-// ---------------------------------------------------------------------------
-
-/// Plan node for one generic-pipeline relation scan, mirroring ScanRel's
-/// access-path choice and exact morsel geometry without touching postings.
-/// A relation a lookup join reads in place is a "GroupLookup": it runs no
-/// scan tasks; its access path only bounds the orientation count, and its
-/// filters apply per (TableId, RowId) group.
-template <typename Store>
-PlanNode DescribeScanNode(const AnalyzedRel& rel, const Store& store,
-                          const Dictionary& dict, int depth, bool lookup) {
-  const ScanSpec spec = ClassifyScan(rel.scan_pred);
-  PlanNode node;
-  node.depth = depth;
-  node.op = lookup ? "GroupLookup" : "Scan";
-  if (!lookup) node.stage = TraceStage::kScan;
-  uint64_t records = 0;
-  size_t tasks = 0;
-  if (spec.cell_in != nullptr) {
-    const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
-    for (CellId id : cells) {
-      const size_t n = store.PostingCount(id);
-      records += n;
-      tasks += (n + kScanMorselRecords - 1) / kScanMorselRecords;
-    }
-    node.detail = "CellValue index: " + std::to_string(cells.size()) + " cells";
-    if (spec.table_in != nullptr) node.detail += "; TableId filter";
-  } else if (spec.table_in != nullptr) {
-    const std::vector<TableId> ids = ResolveTableIds(*spec.table_in, store);
-    for (TableId id : ids) {
-      auto [b, e] = store.TableRange(id);
-      records += e - b;
-      tasks += (e - b + kScanMorselRecords - 1) / kScanMorselRecords;
-    }
-    node.detail =
-        "TableId clustered index: " + std::to_string(ids.size()) + " tables";
-  } else if (spec.need_quadrant) {
-    const size_t n = store.QuadrantPositions().size();
-    records = n;
-    tasks = (n + kScanMorselRecords - 1) / kScanMorselRecords;
-    node.detail = "Quadrant partial index";
-  } else {
-    const size_t n = store.NumRecords();
-    records = n;
-    tasks = (n + kScanMorselRecords - 1) / kScanMorselRecords;
-    node.detail = "full scan";
-  }
-  if (spec.row_lt >= 0) {
-    node.detail += "; RowId < " + std::to_string(spec.row_lt);
-  }
-  if (!spec.residual.empty()) {
-    node.detail +=
-        "; " + std::to_string(spec.residual.size()) + " residual preds";
-  }
-  node.est_rows = static_cast<int64_t>(records);
-  if (lookup) return node;
-  node.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
-  node.planned_tasks = static_cast<int64_t>(tasks);
-  return node;
-}
-
-/// Populates `describe` with the generic pipeline's operator tree. Task
-/// counts that follow the joined row count (filter/projection/aggregation
-/// chunks) stay unknown (-1) with the chunk size in the detail text; scans
-/// report their exact planned morsel counts.
-template <typename Store>
-void DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
-                             const Store& store, const Dictionary& dict,
-                             const QueryOptions& options,
-                             PlanDescription* describe) {
-  describe->pipeline = "generic";
+bool HasAggregate(const SelectStmt& stmt) {
   bool has_agg = !stmt.group_by.empty();
   for (const auto& item : stmt.items) {
     if (Binder::ContainsAggregate(*item.expr)) has_agg = true;
   }
-  PlanNode root;
-  if (has_agg) {
-    root.op = "Aggregate";
-    root.stage = TraceStage::kAggregation;
-    root.detail = std::to_string(stmt.group_by.size()) + " group keys; " +
-                  std::to_string(kAggChunkRows) + "-row chunks, " +
-                  std::to_string(kMergePartitions) + " merge partitions";
-  } else {
-    root.op = "Project";
-    root.stage = TraceStage::kProjection;
-    root.detail = (stmt.select_star
-                       ? std::string("SELECT *")
-                       : std::to_string(stmt.items.size()) + " items") +
-                  "; " + std::to_string(kAggChunkRows) + "-row chunks";
+  return has_agg;
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation.
+// ---------------------------------------------------------------------------
+
+/// An aggregate statement bound in aggregate context: group keys, every
+/// aggregate the select list and ORDER BY reference, the select items and
+/// the sort keys.
+struct AggBinding {
+  std::vector<BoundExprPtr> keys;
+  std::vector<AggSpec> aggs;
+  std::vector<BoundExprPtr> items;
+  std::vector<std::string> columns;
+  SortKeys sort;
+};
+
+Result<AggBinding> BindAggregate(const SelectStmt& stmt, const Binder& binder) {
+  if (stmt.select_star) {
+    return Status::PlanError("SELECT * with GROUP BY is not supported");
   }
-  describe->nodes.push_back(std::move(root));
-  if (!stmt.order_by.empty() || stmt.limit >= 0 || options.dedup_column >= 0) {
-    PlanNode sort;
-    sort.depth = 1;
-    sort.op = "SortLimit";
-    sort.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string()) +
-                  (options.dedup_column >= 0
-                       ? "; dedup col " + std::to_string(options.dedup_column) +
-                             " top " + std::to_string(options.dedup_limit)
-                       : std::string());
-    describe->nodes.push_back(std::move(sort));
+  AggBinding agg;
+  for (const auto& g : stmt.group_by) {
+    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*g));
+    agg.keys.push_back(std::move(b));
   }
-  if (q.residual_where != nullptr) {
-    PlanNode filter;
-    filter.depth = 1;
-    filter.op = "Filter";
-    filter.stage = TraceStage::kFilter;
-    filter.detail =
-        "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
-    describe->nodes.push_back(std::move(filter));
+  for (const auto& item : stmt.items) {
+    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindAggExpr(*item.expr, agg.keys, &agg.aggs));
+    agg.columns.push_back(ItemName(item));
+    agg.items.push_back(std::move(b));
   }
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  const Binder binder(&dict, rel_cols);
-  std::vector<bool> lookup(q.rels.size(), false);
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    lookup[j + 1] = IsLookupStep(q, j, binder);
-    PlanNode join;
-    join.depth = 1;
-    join.stage = TraceStage::kJoinProbe;
-    if (lookup[j + 1]) {
-      join.op = "LookupJoin";
-      join.detail = "step " + std::to_string(j + 1) + "; rel " +
-                    std::to_string(j + 1) +
-                    " read by (TableId, RowId) group, not scanned; prefix chunk=" +
-                    std::to_string(kScanMorselRecords) + " rows";
-      describe->nodes.push_back(std::move(join));
-      continue;
+  BLEND_ASSIGN_OR_RETURN(agg.sort, BindOrderBy(stmt, agg.columns, [&](const Expr& e) {
+    return binder.BindAggExpr(e, agg.keys, &agg.aggs);
+  }));
+  return agg;
+}
+
+/// Whether the aggregate reads relation 0's scan morsels in place instead of
+/// a materialized row stream: one relation, no residual WHERE, and no SUM or
+/// AVG. The chunk merges of COUNT, COUNT(DISTINCT), MIN and MAX are exact,
+/// so chunking by scan morsel gives the row stream's answer; a double sum's
+/// rounding follows the chunk boundaries, so SUM and AVG keep the row
+/// stream's kAggChunkRows chunks.
+bool ScanFedAggregate(const AnalyzedQuery& q, const std::vector<AggSpec>& aggs) {
+  if (q.rels.size() != 1 || q.residual_where != nullptr) return false;
+  for (const AggSpec& a : aggs) {
+    if (a.kind == AggSpec::Kind::kSum || a.kind == AggSpec::Kind::kAvg) return false;
+  }
+  return true;
+}
+
+/// Whether a scan-fed aggregate over `spec` counts `a` per posting list
+/// (CountPostingList): COUNT(DISTINCT CellValue) over the CellValue index.
+bool CountsPostingLists(const AggSpec& a, const ScanSpec& spec) {
+  return spec.cell_in != nullptr && a.kind == AggSpec::Kind::kCount && a.distinct &&
+         a.arg != nullptr && a.arg->kind == BKind::kField &&
+         a.arg->field == Field::kCell;
+}
+
+/// The aggregate's input rows, cut into chunks: the materialized row stream
+/// in kAggChunkRows chunks, or one relation's bound scan walked in place, one
+/// chunk per morsel, with no position or row vectors. ForEachRow(c, fn)
+/// calls fn(ordinal, row, cell) on chunk c's rows in input order until fn
+/// returns false. Ordinals ascend along the input, so a group's smallest
+/// ordinal orders it by first appearance; `cell` is the row's posting list
+/// on the CellValue index (kInvalidCellId elsewhere).
+template <typename Store>
+struct AggInput {
+  const Store* store = nullptr;
+  const std::vector<RowCtx>* rows = nullptr;  ///< the row stream, or
+  const RelScan* scan = nullptr;              ///< the scan walked in place
+
+  size_t NumChunks() const {
+    if (scan != nullptr) return scan->morsels.size();
+    return (rows->size() + kAggChunkRows - 1) / kAggChunkRows;
+  }
+
+  template <typename Fn>
+  void ForEachRow(size_t c, const Fn& fn) const {
+    if (scan == nullptr) {
+      const size_t e = std::min(rows->size(), (c + 1) * kAggChunkRows);
+      for (size_t r = c * kAggChunkRows; r < e; ++r) {
+        if (!fn(r, (*rows)[r], kInvalidCellId)) return;
+      }
+      return;
     }
-    join.op = "HashJoin";
-    join.detail = "step " + std::to_string(j + 1) +
-                  "; build side chosen by size at run time; probe chunk=" +
-                  std::to_string(kScanMorselRecords) + " rows";
-    describe->nodes.push_back(std::move(join));
-    PlanNode build;
-    build.depth = 2;
-    build.op = "HashBuild";
-    build.stage = TraceStage::kJoinBuild;
-    build.detail = "smaller input of step " + std::to_string(j + 1);
-    describe->nodes.push_back(std::move(build));
+    // Record k of morsel c has ordinal (c << 32) + k; morsels hold far fewer
+    // than 2^32 records.
+    size_t ordinal = c << 32;
+    RowCtx ctx;
+    WalkMorsel(scan->morsels[c], [&](RecordPos p, CellId cell) {
+      const size_t o = ordinal++;
+      if (!scan->filter(*store, p)) return true;
+      ctx.pos[0] = p;
+      return fn(o, ctx, cell);
+    });
   }
-  const int scan_depth = q.rels.size() > 1 ? 2 : 1;
-  for (size_t r = 0; r < q.rels.size(); ++r) {
-    PlanNode scan =
-        DescribeScanNode(q.rels[r], store, dict, scan_depth, lookup[r]);
-    scan.detail = "rel " + std::to_string(r) + ": " + scan.detail;
-    describe->nodes.push_back(std::move(scan));
+};
+
+/// Groups in insertion order. Per group the table keeps its key hash (the
+/// packed key itself when keys pack), the ordinal of its first input row
+/// and the next group with the same hash; key values and aggregate states
+/// sit in flat arrays, `num_keys` and `num_aggs` per group, so adding a
+/// group allocates nothing of its own. A packed key is its own hash, so with
+/// `exact` a hash hit is the group and keys are never compared.
+struct GroupTable {
+  struct Group {
+    uint64_t hash;
+    size_t first;
+    uint32_t next;
+  };
+  bool exact = false;
+  size_t num_keys = 0;
+  size_t num_aggs = 0;
+  std::vector<Group> groups;
+  std::vector<SqlValue> keys;
+  std::vector<AggState> states;
+  std::unordered_map<uint64_t, uint32_t> heads;
+
+  size_t size() const { return groups.size(); }
+  const SqlValue* KeysOf(uint32_t g) const { return keys.data() + g * num_keys; }
+  AggState* StatesOf(uint32_t g) { return states.data() + g * num_aggs; }
+  const AggState* StatesOf(uint32_t g) const { return states.data() + g * num_aggs; }
+
+  /// Index of the group with `hash` and key values `key`, or UINT32_MAX.
+  uint32_t Find(uint64_t hash, const SqlValue* key) const {
+    auto it = heads.find(hash);
+    uint32_t g = it == heads.end() ? UINT32_MAX : it->second;
+    while (!exact && g != UINT32_MAX && !std::equal(key, key + num_keys, KeysOf(g))) {
+      g = groups[g].next;
+    }
+    return g;
+  }
+
+  /// Appends a group with fresh aggregate states; returns its index.
+  uint32_t Insert(uint64_t hash, size_t first, const SqlValue* key) {
+    const auto gi = static_cast<uint32_t>(groups.size());
+    auto [it, inserted] = heads.try_emplace(hash, gi);
+    const uint32_t next = inserted ? UINT32_MAX : std::exchange(it->second, gi);
+    groups.push_back({hash, first, next});
+    keys.insert(keys.end(), key, key + num_keys);
+    states.resize(states.size() + num_aggs);
+    return gi;
+  }
+
+  /// Moves group `g` of `from` to the end of this table.
+  uint32_t Take(GroupTable* from, uint32_t g) {
+    const Group& moved = from->groups[g];
+    const uint32_t gi = Insert(moved.hash, moved.first, from->KeysOf(g));
+    std::move(from->StatesOf(g), from->StatesOf(g) + num_aggs, StatesOf(gi));
+    return gi;
+  }
+};
+
+/// One group key packed into a uint64: `width` bits at `shift`.
+struct PackedField {
+  uint8_t side;
+  Field field;
+  int shift;
+  int width;
+};
+
+/// Value of a field PackKeys admits: TableId, ColumnId, RowId or CellValue,
+/// none of them nullable.
+template <typename Store>
+int64_t PackedFieldValue(const Store& store, Field f, RecordPos p) {
+  switch (f) {
+    case Field::kTable: return store.table(p);
+    case Field::kColumn: return store.column(p);
+    case Field::kRow: return store.row(p);
+    default: return store.cell(p);
   }
 }
 
-}  // namespace
+/// Packed layout of the group keys when every key is a narrow integer field
+/// (the seeker shapes (TableId, ColumnId), (TableId), (TableId, ColumnId,
+/// ColumnId)); empty when the keys do not pack.
+std::vector<PackedField> PackKeys(const std::vector<BoundExprPtr>& keys) {
+  std::vector<PackedField> packed;
+  int shift = 0;
+  for (const auto& ke : keys) {
+    int width = 0;
+    if (ke->kind == BKind::kField) {
+      switch (ke->field) {
+        case Field::kColumn: width = 16; break;
+        case Field::kTable:
+        case Field::kRow:
+        case Field::kCell: width = 32; break;
+        default: width = 0;  // SuperKey too wide, Quadrant nullable
+      }
+    }
+    if (width == 0 || shift + width > 64) return {};
+    packed.push_back({ke->side, ke->field, shift, width});
+    shift += width;
+  }
+  return packed;
+}
 
-/// The one implementation behind ExecuteSelect and DescribeSelect. A null
-/// `describe` executes normally; a non-null one makes every pipeline bail
-/// with its plan right after its dispatch gate passes, so EXPLAIN reports
-/// exactly the path execution would take.
+/// Aggregates `input` into groups in first-appearance order. Each chunk
+/// aggregates into its own GroupTable; with more than one chunk, a
+/// radix-partitioned merge folds them, each worker owning a disjoint hash
+/// partition and folding chunks in ascending chunk order (the double-sum
+/// rounding order), and a sort on each group's first ordinal restores
+/// first-appearance order. Chunks and merge order depend only on the input,
+/// so the result is byte-identical for every pool size. Packed keys need no
+/// key values per row; a value that overflows its packed width reruns the
+/// chunks on generic keys. The chunk tables are charged to the memory budget
+/// on top of what the query already holds.
 template <typename Store>
-Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
-                                      const Store& store,
-                                      const Dictionary& dict,
-                                      const QueryOptions& options,
-                                      PlanDescription* describe) {
-  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
+Result<GroupTable> AggregateGroups(const AggInput<Store>& input, const AggBinding& agg,
+                                   ScopedMemoryCharge* mem,
+                                   const QueryOptions& options) {
+  const Store& store = *input.store;
+  const std::vector<AggSpec>& aggs = agg.aggs;
+  std::vector<uint8_t> list_count(aggs.size(), 0);
+  for (size_t a = 0; a < aggs.size() && input.scan != nullptr; ++a) {
+    list_count[a] = CountsPostingLists(aggs[a], input.scan->spec) ? 1 : 0;
+  }
+  const std::vector<PackedField> packed = PackKeys(agg.keys);
+  auto leaf = [&store](const RowCtx& ctx) {
+    return [&store, &ctx](const BoundExpr& b) {
+      return FieldValue(store, b.field, ctx.pos[b.side]);
+    };
+  };
+  auto update_general = [&](size_t a, AggState* st, const RowCtx& ctx) {
+    const BoundExpr* arg = aggs[a].arg.get();
+    SqlValue v = SqlValue::Null();
+    if (arg != nullptr && arg->kind == BKind::kField) {
+      v = FieldValue(store, arg->field, ctx.pos[arg->side]);
+    } else if (arg != nullptr) {
+      v = EvalExpr(*arg, leaf(ctx));
+    }
+    UpdateAgg(aggs[a], st, v);
+  };
+
+  const size_t num_chunks = input.NumChunks();
+  auto fresh = [&](bool exact) {
+    return GroupTable{exact, agg.keys.size(), aggs.size(), {}, {}, {}, {}};
+  };
+  std::vector<GroupTable> chunks;
+  std::vector<uint8_t> overflowed(num_chunks, 0);
+  auto aggregate_chunks = [&](bool pack) {
+    chunks.clear();
+    for (size_t c = 0; c < num_chunks; ++c) chunks.push_back(fresh(pack));
+    return RunTasks(options.scheduler, options.control, options.trace,
+                    TraceStage::kAggregation, num_chunks, [&](size_t c) {
+      GroupTable& table = chunks[c];
+      std::vector<SqlValue> key(agg.keys.size());
+      input.ForEachRow(c, [&](size_t ordinal, const RowCtx& ctx, CellId cell) {
+        uint64_t h = pack ? 0 : 0x13198A2E03707344ULL;
+        for (const PackedField& pf : packed) {
+          if (!pack) break;
+          const auto raw = static_cast<uint64_t>(
+              PackedFieldValue(store, pf.field, ctx.pos[pf.side]));
+          if ((raw >> pf.width) != 0) {  // overflows its packed width
+            overflowed[c] = 1;
+            return false;
+          }
+          h |= raw << pf.shift;
+        }
+        for (size_t k = 0; !pack && k < agg.keys.size(); ++k) {
+          key[k] = EvalExpr(*agg.keys[k], leaf(ctx));
+          h = HashCombine(h, key[k].Hash());
+        }
+        uint32_t gi = table.Find(h, key.data());
+        if (gi == UINT32_MAX) {
+          for (size_t k = 0; pack && k < packed.size(); ++k) {
+            const uint64_t mask = (uint64_t{1} << packed[k].width) - 1;
+            key[k] = SqlValue::Int(static_cast<int64_t>((h >> packed[k].shift) & mask));
+          }
+          gi = table.Insert(h, ordinal, key.data());
+        }
+        AggState* states = table.StatesOf(gi);
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          if (list_count[a]) {
+            CountPostingList(&states[a], cell);
+          } else {
+            update_general(a, &states[a], ctx);
+          }
+        }
+        return true;
+      });
+    });
+  };
+  bool pack = !packed.empty();
+  BLEND_RETURN_NOT_OK(aggregate_chunks(pack));
+  if (pack && std::find(overflowed.begin(), overflowed.end(), 1) != overflowed.end()) {
+    pack = false;
+    BLEND_RETURN_NOT_OK(aggregate_chunks(pack));
+  }
+
+  size_t chunk_groups = 0;
+  for (const GroupTable& t : chunks) chunk_groups += t.size();
+  const auto bytes_per_group = static_cast<int64_t>(
+      sizeof(GroupTable::Group) + agg.keys.size() * sizeof(SqlValue) +
+      aggs.size() * sizeof(AggState));
+  BLEND_RETURN_NOT_OK(mem->ChargeTo(
+      mem->charged() + static_cast<int64_t>(chunk_groups) * bytes_per_group));
+
+  // A single chunk is already in first-appearance order.
+  if (num_chunks == 0) return fresh(pack);
+  if (num_chunks == 1) return std::move(chunks[0]);
+  // Partition p folds chunks 1.. into chunk 0's groups of its partition, so
+  // a single partition appends new groups in first-appearance order. A small
+  // merge runs as that one inline task: waking the pool for kMergePartitions
+  // tasks costs more than folding a few thousand groups.
+  const size_t num_parts = chunk_groups > kAggChunkRows ? kMergePartitions : 1;
+  std::vector<GroupTable> parts;
+  for (size_t p = 0; p < num_parts; ++p) {
+    parts.push_back(num_parts == 1 ? std::move(chunks[0]) : fresh(pack));
+  }
+  BLEND_RETURN_NOT_OK(RunTasks(options.scheduler, options.control, options.trace,
+                               TraceStage::kAggregationMerge, num_parts,
+                               [&](size_t part) {
+    GroupTable& merged = parts[part];
+    for (size_t c = num_parts == 1 ? 1 : 0; c < num_chunks; ++c) {
+      GroupTable& chunk = chunks[c];
+      for (uint32_t g = 0; g < chunk.size(); ++g) {
+        const GroupTable::Group& from = chunk.groups[g];
+        if ((Mix64(from.hash) & (num_parts - 1)) != part) continue;
+        const uint32_t gi = merged.Find(from.hash, chunk.KeysOf(g));
+        if (gi == UINT32_MAX) {
+          merged.Take(&chunk, g);
+          continue;
+        }
+        merged.groups[gi].first = std::min(merged.groups[gi].first, from.first);
+        for (size_t a = 0; a < aggs.size(); ++a) {
+          MergeAggState(merged.StatesOf(gi) + a, chunk.StatesOf(g) + a);
+        }
+      }
+    }
+  }));
+  if (num_parts == 1) return std::move(parts[0]);
+  std::vector<std::pair<size_t, std::pair<uint32_t, uint32_t>>> order;
+  for (uint32_t p = 0; p < kMergePartitions; ++p) {
+    for (uint32_t g = 0; g < parts[p].size(); ++g) {
+      order.push_back({parts[p].groups[g].first, {p, g}});
+    }
+  }
+  std::sort(order.begin(), order.end());
+  GroupTable all = fresh(pack);
+  for (const auto& [first, at] : order) all.Take(&parts[at.first], at.second);
+  return all;
+}
+
+/// Finalizes each group's aggregates, projects the groups through the select
+/// items, sorts and applies LIMIT.
+void EmitGroups(const GroupTable& groups, const AggBinding& agg,
+                const SelectStmt& stmt, const QueryOptions& options,
+                QueryResult* result) {
+  std::vector<std::vector<SqlValue>> out_rows;
+  std::vector<std::vector<SqlValue>> sort_vals;
+  out_rows.reserve(groups.size());
+  std::vector<SqlValue> agg_vals(agg.aggs.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    const AggState* states = groups.StatesOf(g);
+    for (size_t a = 0; a < agg.aggs.size(); ++a) {
+      agg_vals[a] = FinalizeAgg(agg.aggs[a], states[a]);
+    }
+    const SqlValue* keys = groups.KeysOf(g);
+    auto leaf = [&](const BoundExpr& b) -> SqlValue {
+      if (b.kind == BKind::kAggRef) return agg_vals[b.ref];
+      if (b.kind == BKind::kKeyRef) return keys[b.ref];
+      return SqlValue::Null();  // unreachable: fields were rejected at bind
+    };
+    std::vector<SqlValue> vals;
+    vals.reserve(agg.items.size());
+    for (const auto& it : agg.items) vals.push_back(EvalExpr(*it, leaf));
+    if (!stmt.order_by.empty()) sort_vals.push_back(agg.sort.Values(vals, leaf));
+    out_rows.push_back(std::move(vals));
+  }
+  SortAndLimit(&out_rows, &sort_vals, agg.sort.desc, stmt.limit, options);
+  result->rows = std::move(out_rows);
+}
+
+// ---------------------------------------------------------------------------
+// Row stream and projection.
+// ---------------------------------------------------------------------------
+
+Binder VisibleBinder(const AnalyzedQuery& q, const Dictionary& dict) {
+  std::vector<Binder::RelColumns> rel_cols;
+  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
+  return Binder(&dict, std::move(rel_cols));
+}
+
+/// Scans, joins and filters a statement into its row stream: the relation
+/// scans (a relation that a lookup join step reads in place is never
+/// scanned; its filters are bound in relation order like the scans), the
+/// join chain, then the residual WHERE. The scan position vectors and the
+/// joined row stream are charged to the memory budget.
+template <typename Store>
+Result<std::vector<RowCtx>> BuildRowStream(const AnalyzedQuery& q,
+                                           const Binder& binder, const Store& store,
+                                           const Dictionary& dict,
+                                           const QueryOptions& options,
+                                           ScopedMemoryCharge* mem) {
   Scheduler* sched = options.scheduler;
   const QueryControl* control = options.control;
   QueryTrace* trace = options.trace;
-  BLEND_RETURN_NOT_OK(CheckControl(control, "query start"));
 
-  // Fused scan->aggregate for the SC/KW seeker shape.
-  if (options.enable_fused_scan_agg) {
-    if (auto fused = TryFusedScanAgg(q, stmt, store, dict, options, describe)) {
-      return std::move(*fused);
-    }
-  }
-
-  // Generic pipeline chosen. Describe mode reports it from metadata alone.
-  if (describe != nullptr) {
-    DescribeGenericPipeline(q, stmt, store, dict, options, describe);
-    return QueryResult{};
-  }
-
-  // Budget accounting covers the pipeline's dominant materializations (scan
-  // position vectors, the joined row stream); the estimates are peak live
-  // bytes, released when the query finishes.
-  ScopedMemoryCharge mem(control);
-
-  // Binder over the visible (outer) schema.
-  std::vector<Binder::RelColumns> rel_cols;
-  for (const auto& rel : q.rels) rel_cols.push_back(rel.visible);
-  Binder binder(&dict, rel_cols);
-
-  // 1. Scans. A relation that a lookup join step reads in place is never
-  // scanned; its filters are bound here, in relation order like the scans.
+  // 1. Scans.
   std::vector<std::vector<RecordPos>> scans(q.rels.size());
-  std::vector<std::optional<LookupRel>> lookups(q.rels.size());
+  std::vector<std::optional<RelScan>> lookups(q.rels.size());
   int64_t scan_bytes = 0;
   for (size_t r = 0; r < q.rels.size(); ++r) {
     if (r > 0 && IsLookupStep(q, r - 1, binder)) {
-      BLEND_ASSIGN_OR_RETURN(lookups[r], MakeLookupRel(q.rels[r], store, dict));
+      BLEND_ASSIGN_OR_RETURN(lookups[r], BindRelScan(q.rels[r], store, dict));
       continue;
     }
-    BLEND_ASSIGN_OR_RETURN(scans[r],
-                           ScanRel(q.rels[r], store, dict, sched, control, trace));
+    BLEND_ASSIGN_OR_RETURN(const RelScan scan, BindRelScan(q.rels[r], store, dict));
+    BLEND_ASSIGN_OR_RETURN(scans[r], ScanRel(scan, store, sched, control, trace));
     scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
-    BLEND_RETURN_NOT_OK(mem.ChargeTo(scan_bytes));
+    BLEND_RETURN_NOT_OK(mem->ChargeTo(scan_bytes));
   }
 
   // 2. Join chain (or single-relation row stream).
@@ -1466,7 +1424,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     rows.push_back(ctx);
   }
   BLEND_RETURN_NOT_OK(
-      mem.ChargeTo(scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
+      mem->ChargeTo(scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
   for (size_t j = 0; j < q.join_ons.size(); ++j) {
     const uint8_t step_side = static_cast<uint8_t>(j + 1);
     BLEND_ASSIGN_OR_RETURN(StepKeys keys,
@@ -1480,7 +1438,7 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
                              HashJoinStep(store, rows, scans[step_side], keys,
                                           step_side, sched, control, trace));
     }
-    BLEND_RETURN_NOT_OK(mem.ChargeTo(
+    BLEND_RETURN_NOT_OK(mem->ChargeTo(
         scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
   }
 
@@ -1507,20 +1465,21 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
     }));
     rows = ConcatParts(std::move(parts));
   }
+  return rows;
+}
 
-  // 4. Select list preparation.
+/// Non-aggregate projection of the row stream, chunk-parallel: per-chunk
+/// buffers concatenated in chunk order reproduce the serial row order
+/// exactly.
+template <typename Store>
+Result<QueryResult> ProjectRows(const AnalyzedQuery& q, const SelectStmt& stmt,
+                                const Binder& binder, const std::vector<RowCtx>& rows,
+                                const Store& store, const QueryOptions& options) {
   QueryResult result;
-  bool has_agg = !stmt.group_by.empty();
-  for (const auto& item : stmt.items) {
-    if (Binder::ContainsAggregate(*item.expr)) has_agg = true;
-  }
-
-  // SELECT * expansion (non-aggregate only).
-  std::vector<std::pair<std::string, BoundExprPtr>> star_items;
+  std::vector<BoundExprPtr> items;
   if (stmt.select_star) {
-    if (has_agg) return Status::PlanError("SELECT * with GROUP BY is not supported");
+    // Expose canonical fields; prefix with the alias in a join.
     for (size_t s = 0; s < q.rels.size(); ++s) {
-      // Expose canonical fields; prefix with the alias in a join.
       for (int fi = 0; fi < kNumFields; ++fi) {
         Field f = static_cast<Field>(fi);
         auto b = std::make_unique<BoundExpr>();
@@ -1534,409 +1493,241 @@ Result<QueryResult> ExecuteOrDescribe(const SelectStmt& stmt,
                                               : q.rels[s].visible.alias;
           name = prefix + "." + name;
         }
-        star_items.emplace_back(std::move(name), std::move(b));
-      }
-    }
-  }
-
-  auto row_leaf = [&](const RowCtx& ctx) {
-    return [&store, ctx](const BoundExpr& b) {
-      return FieldValue(store, b.field, ctx.pos[b.side]);
-    };
-  };
-
-  if (!has_agg) {
-    // ---- Non-aggregate projection ----
-    std::vector<BoundExprPtr> items;
-    if (stmt.select_star) {
-      for (auto& [name, b] : star_items) {
-        result.columns.push_back(name);
-        items.push_back(std::move(b));
-      }
-    } else {
-      for (const auto& item : stmt.items) {
-        BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*item.expr));
-        result.columns.push_back(ItemName(item));
+        result.columns.push_back(std::move(name));
         items.push_back(std::move(b));
       }
     }
-
-    // Order-by: alias references resolve to output columns; otherwise bind.
-    std::vector<int> sort_ref;
-    std::vector<BoundExprPtr> sort_exprs;
-    std::vector<bool> desc;
-    for (const auto& oi : stmt.order_by) {
-      int ref = -1;
-      if (oi.expr->kind == ExprKind::kColumnRef && oi.expr->table_alias.empty()) {
-        for (size_t i = 0; i < result.columns.size(); ++i) {
-          if (ToLower(result.columns[i]) == ToLower(oi.expr->column)) {
-            ref = static_cast<int>(i);
-            break;
-          }
-        }
-      }
-      sort_ref.push_back(ref);
-      if (ref < 0) {
-        BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*oi.expr));
-        sort_exprs.push_back(std::move(b));
-      } else {
-        sort_exprs.push_back(nullptr);
-      }
-      desc.push_back(oi.desc);
-    }
-
-    // Chunk-parallel projection: per-chunk buffers concatenated in chunk
-    // order reproduce the serial row order exactly.
-    const size_t n = rows.size();
-    const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
-    std::vector<std::vector<std::vector<SqlValue>>> row_parts(num_chunks);
-    std::vector<std::vector<std::vector<SqlValue>>> sort_parts(num_chunks);
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kProjection,
-                                 num_chunks, [&](size_t c) {
-      const size_t b = c * kAggChunkRows;
-      const size_t e = std::min(n, b + kAggChunkRows);
-      row_parts[c].reserve(e - b);
-      for (size_t r = b; r < e; ++r) {
-        auto leaf = row_leaf(rows[r]);
-        std::vector<SqlValue> vals;
-        vals.reserve(items.size());
-        for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-        if (!stmt.order_by.empty()) {
-          std::vector<SqlValue> sk;
-          for (size_t i = 0; i < sort_exprs.size(); ++i) {
-            sk.push_back(sort_ref[i] >= 0 ? vals[static_cast<size_t>(sort_ref[i])]
-                                          : EvalExpr(*sort_exprs[i], leaf));
-          }
-          sort_parts[c].push_back(std::move(sk));
-        }
-        row_parts[c].push_back(std::move(vals));
-      }
-    }));
-    std::vector<std::vector<SqlValue>> out_rows;
-    std::vector<std::vector<SqlValue>> sort_vals;
-    out_rows.reserve(n);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      for (auto& v : row_parts[c]) out_rows.push_back(std::move(v));
-      for (auto& v : sort_parts[c]) sort_vals.push_back(std::move(v));
-    }
-    SortAndLimit(&out_rows, &sort_vals, desc, stmt.limit, options);
-    result.rows = std::move(out_rows);
-    return result;
-  }
-
-  // ---- Aggregation ----
-  std::vector<BoundExprPtr> key_exprs;
-  for (const auto& g : stmt.group_by) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*g));
-    key_exprs.push_back(std::move(b));
-  }
-
-  std::vector<AggSpec> aggs;
-  std::vector<BoundExprPtr> items;
-  for (const auto& item : stmt.items) {
-    BLEND_ASSIGN_OR_RETURN(auto b, binder.BindAggExpr(*item.expr, key_exprs, &aggs));
-    result.columns.push_back(ItemName(item));
-    items.push_back(std::move(b));
-  }
-
-  // Order-by in aggregate context.
-  std::vector<int> sort_ref;
-  std::vector<BoundExprPtr> sort_exprs;
-  std::vector<bool> desc;
-  BLEND_RETURN_NOT_OK(BindAggOrderBy(stmt, binder, key_exprs, &aggs, result.columns,
-                                     &sort_ref, &sort_exprs, &desc));
-
-  struct Group {
-    std::vector<SqlValue> keys;
-    std::vector<AggState> states;
-  };
-  std::vector<Group> groups;
-
-  auto update_states = [&](std::vector<AggState>& states, const RowCtx& ctx) {
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      SqlValue v = SqlValue::Null();
-      if (aggs[a].arg != nullptr) {
-        if (aggs[a].arg->kind == BKind::kField) {
-          v = FieldValue(store, aggs[a].arg->field, ctx.pos[aggs[a].arg->side]);
-        } else {
-          v = EvalExpr(*aggs[a].arg, row_leaf(ctx));
-        }
-      }
-      UpdateAgg(aggs[a], &states[a], v);
-    }
-  };
-
-  // Fast path: when every group key is a narrow integer field (the common
-  // seeker shapes: (TableId, ColumnId), (TableId), (TableId, ColumnId,
-  // ColumnId)), keys pack into one uint64 and the per-row work avoids any
-  // allocation.
-  struct PackedField {
-    uint8_t side;
-    Field field;
-    int shift;
-    int width;
-  };
-  std::vector<PackedField> packed;
-  bool packable = !key_exprs.empty();
-  {
-    int shift = 0;
-    for (const auto& ke : key_exprs) {
-      int width = 0;
-      if (ke->kind == BKind::kField) {
-        switch (ke->field) {
-          case Field::kColumn: width = 16; break;
-          case Field::kTable:
-          case Field::kRow:
-          case Field::kCell: width = 32; break;
-          default: width = 0;  // SuperKey too wide, Quadrant nullable
-        }
-      }
-      if (width == 0 || shift + width > 64) {
-        packable = false;
-        break;
-      }
-      packed.push_back({ke->side, ke->field, shift, width});
-      shift += width;
+  } else {
+    for (const auto& item : stmt.items) {
+      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*item.expr));
+      result.columns.push_back(ItemName(item));
+      items.push_back(std::move(b));
     }
   }
+  BLEND_ASSIGN_OR_RETURN(const SortKeys sort,
+                         BindOrderBy(stmt, result.columns, [&](const Expr& e) {
+                           return binder.BindRowExpr(e);
+                         }));
 
-  bool fast_done = false;
-  if (packable) {
-    // Partitioned parallel hash aggregation: chunk-local flat maps keyed by
-    // the packed uint64, then a radix-partitioned merge where each worker
-    // owns a disjoint key partition and folds chunks in ascending chunk
-    // order. Group output order is restored to first-appearance order (the
-    // serial order) by sorting on each group's first global row index.
-    struct LocalGroup {
-      uint64_t key;
-      size_t first;
-      std::vector<SqlValue> keys;
-      std::vector<AggState> states;
-    };
-    const size_t n = rows.size();
-    const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
-    std::vector<std::vector<LocalGroup>> chunk_groups(num_chunks);
-    std::vector<uint8_t> overflowed(num_chunks, 0);
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kAggregation,
-                                 num_chunks, [&](size_t c) {
-      const size_t b = c * kAggChunkRows;
-      const size_t e = std::min(n, b + kAggChunkRows);
-      std::unordered_map<uint64_t, uint32_t> index;
-      index.reserve((e - b) / 4 + 16);
-      std::vector<LocalGroup>& groups_c = chunk_groups[c];
-      for (size_t r = b; r < e; ++r) {
-        const RowCtx& ctx = rows[r];
-        uint64_t key = 0;
-        bool fits = true;
-        for (const auto& pf : packed) {
-          SqlValue v = FieldValue(store, pf.field, ctx.pos[pf.side]);
-          uint64_t raw = static_cast<uint64_t>(v.i);
-          if (pf.width < 64 && (raw >> pf.width) != 0) {
-            fits = false;
-            break;
-          }
-          key |= raw << pf.shift;
-        }
-        if (!fits) {  // a value overflowed its packed width: redo generically
-          overflowed[c] = 1;
-          groups_c.clear();
-          return;
-        }
-        auto [it, inserted] =
-            index.try_emplace(key, static_cast<uint32_t>(groups_c.size()));
-        if (inserted) {
-          LocalGroup g;
-          g.key = key;
-          g.first = r;
-          g.keys.reserve(packed.size());
-          for (const auto& pf : packed) {
-            g.keys.push_back(FieldValue(store, pf.field, ctx.pos[pf.side]));
-          }
-          g.states.resize(aggs.size());
-          groups_c.push_back(std::move(g));
-        }
-        update_states(groups_c[it->second].states, ctx);
-      }
-    }));
-    bool any_overflow = false;
-    for (uint8_t f : overflowed) any_overflow = any_overflow || f != 0;
-    if (!any_overflow) {
-      fast_done = true;
-      std::vector<std::vector<LocalGroup>> part_groups(kMergePartitions);
-      BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace,
-                                   TraceStage::kAggregationMerge,
-                                   kMergePartitions, [&](size_t part) {
-        std::unordered_map<uint64_t, uint32_t> part_index;
-        std::vector<LocalGroup>& merged = part_groups[part];
-        for (size_t c = 0; c < num_chunks; ++c) {
-          for (LocalGroup& g : chunk_groups[c]) {
-            if ((Mix64(g.key) & (kMergePartitions - 1)) != part) continue;
-            auto [it, inserted] =
-                part_index.try_emplace(g.key, static_cast<uint32_t>(merged.size()));
-            if (inserted) {
-              merged.push_back(std::move(g));
-              continue;
-            }
-            LocalGroup& into = merged[it->second];
-            into.first = std::min(into.first, g.first);
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              MergeAggState(&into.states[a], &g.states[a]);
-            }
-          }
-        }
-      }));
-      std::vector<LocalGroup> all;
-      for (auto& pg : part_groups) {
-        for (auto& g : pg) all.push_back(std::move(g));
-      }
-      std::sort(all.begin(), all.end(),
-                [](const LocalGroup& a, const LocalGroup& b) {
-                  return a.first < b.first;
-                });
-      groups.reserve(all.size());
-      for (auto& g : all) {
-        groups.push_back({std::move(g.keys), std::move(g.states)});
-      }
+  const size_t n = rows.size();
+  const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
+  std::vector<std::vector<std::vector<SqlValue>>> row_parts(num_chunks);
+  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(num_chunks);
+  BLEND_RETURN_NOT_OK(RunTasks(options.scheduler, options.control, options.trace,
+                               TraceStage::kProjection, num_chunks, [&](size_t c) {
+    const size_t b = c * kAggChunkRows;
+    const size_t e = std::min(n, b + kAggChunkRows);
+    row_parts[c].reserve(e - b);
+    for (size_t r = b; r < e; ++r) {
+      const RowCtx& ctx = rows[r];
+      auto leaf = [&](const BoundExpr& bx) {
+        return FieldValue(store, bx.field, ctx.pos[bx.side]);
+      };
+      std::vector<SqlValue> vals;
+      vals.reserve(items.size());
+      for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
+      if (!stmt.order_by.empty()) sort_parts[c].push_back(sort.Values(vals, leaf));
+      row_parts[c].push_back(std::move(vals));
     }
+  }));
+  std::vector<std::vector<SqlValue>> out_rows;
+  std::vector<std::vector<SqlValue>> sort_vals;
+  out_rows.reserve(n);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    for (auto& v : row_parts[c]) out_rows.push_back(std::move(v));
+    for (auto& v : sort_parts[c]) sort_vals.push_back(std::move(v));
   }
-
-  if (!fast_done) {
-    // Generic aggregation (non-packable keys, GROUP BY-less global
-    // aggregates, or a packed-width overflow): the same chunk-local +
-    // radix-partitioned merge scheme as the packed fast path, with arbitrary
-    // SqlValue key vectors matched by hash then equality. Chunks and merge
-    // order depend only on the row count, and the final sort on each group's
-    // first global row index restores first-appearance order, so the result
-    // is byte-identical for every pool size.
-    struct GenGroup {
-      uint64_t hash;
-      size_t first;
-      std::vector<SqlValue> keys;
-      std::vector<AggState> states;
-    };
-    const size_t n = rows.size();
-    const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
-    std::vector<std::vector<GenGroup>> chunk_groups(num_chunks);
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kAggregation,
-                                 num_chunks, [&](size_t c) {
-      const size_t b = c * kAggChunkRows;
-      const size_t e = std::min(n, b + kAggChunkRows);
-      std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-      std::vector<GenGroup>& groups_c = chunk_groups[c];
-      for (size_t r = b; r < e; ++r) {
-        const RowCtx& ctx = rows[r];
-        auto leaf = row_leaf(ctx);
-        std::vector<SqlValue> key;
-        key.reserve(key_exprs.size());
-        uint64_t h = 0x13198A2E03707344ULL;
-        for (const auto& ke : key_exprs) {
-          key.push_back(EvalExpr(*ke, leaf));
-          h = HashCombine(h, key.back().Hash());
-        }
-        uint32_t gi = UINT32_MAX;
-        auto& bucket = index[h];
-        for (uint32_t cand : bucket) {
-          if (groups_c[cand].keys == key) {
-            gi = cand;
-            break;
-          }
-        }
-        if (gi == UINT32_MAX) {
-          gi = static_cast<uint32_t>(groups_c.size());
-          GenGroup g;
-          g.hash = h;
-          g.first = r;
-          g.keys = std::move(key);
-          g.states.resize(aggs.size());
-          groups_c.push_back(std::move(g));
-          bucket.push_back(gi);
-        }
-        update_states(groups_c[gi].states, ctx);
-      }
-    }));
-    if (num_chunks == 1) {
-      // Single chunk: already in first-appearance order; skip the merge.
-      groups.reserve(chunk_groups[0].size());
-      for (GenGroup& g : chunk_groups[0]) {
-        groups.push_back({std::move(g.keys), std::move(g.states)});
-      }
-    } else if (num_chunks > 1) {
-      // Merge with each worker owning a disjoint hash partition, folding
-      // chunks in ascending chunk order (the double-sum rounding order).
-      std::vector<std::vector<GenGroup>> part_groups(kMergePartitions);
-      BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace,
-                                   TraceStage::kAggregationMerge,
-                                   kMergePartitions, [&](size_t part) {
-        std::unordered_map<uint64_t, std::vector<uint32_t>> part_index;
-        std::vector<GenGroup>& merged = part_groups[part];
-        for (size_t c = 0; c < num_chunks; ++c) {
-          for (GenGroup& g : chunk_groups[c]) {
-            if ((Mix64(g.hash) & (kMergePartitions - 1)) != part) continue;
-            uint32_t gi = UINT32_MAX;
-            auto& bucket = part_index[g.hash];
-            for (uint32_t cand : bucket) {
-              if (merged[cand].keys == g.keys) {
-                gi = cand;
-                break;
-              }
-            }
-            if (gi == UINT32_MAX) {
-              bucket.push_back(static_cast<uint32_t>(merged.size()));
-              merged.push_back(std::move(g));
-              continue;
-            }
-            GenGroup& into = merged[gi];
-            into.first = std::min(into.first, g.first);
-            for (size_t a = 0; a < aggs.size(); ++a) {
-              MergeAggState(&into.states[a], &g.states[a]);
-            }
-          }
-        }
-      }));
-      std::vector<GenGroup> all;
-      for (auto& pg : part_groups) {
-        for (auto& g : pg) all.push_back(std::move(g));
-      }
-      std::sort(all.begin(), all.end(),
-                [](const GenGroup& a, const GenGroup& b) { return a.first < b.first; });
-      groups.reserve(all.size());
-      for (auto& g : all) {
-        groups.push_back({std::move(g.keys), std::move(g.states)});
-      }
-    }
-  }
-
-  // Global aggregate over zero rows still yields one group.
-  if (stmt.group_by.empty() && groups.empty()) {
-    Group g;
-    g.states.resize(aggs.size());
-    groups.push_back(std::move(g));
-  }
-
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kAggregation, static_cast<int64_t>(groups.size()));
-  }
-
-  std::vector<GroupOut> out_groups;
-  out_groups.reserve(groups.size());
-  for (Group& g : groups) {
-    GroupOut og;
-    og.keys = std::move(g.keys);
-    og.agg_vals.resize(aggs.size());
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      og.agg_vals[a] = FinalizeAgg(aggs[a], g.states[a]);
-    }
-    out_groups.push_back(std::move(og));
-  }
-  EmitGroups(out_groups, items, sort_ref, sort_exprs, desc, stmt, options, &result);
+  SortAndLimit(&out_rows, &sort_vals, sort.desc, stmt.limit, options);
+  result.rows = std::move(out_rows);
   return result;
 }
+
+// ---------------------------------------------------------------------------
+// EXPLAIN. The plan follows from the statement shape, posting metadata and
+// the chunk-size constants: describing binds but never scans, joins, or
+// charges budgets.
+// ---------------------------------------------------------------------------
+
+/// Populates `plan` with the pipeline's operator tree. Task counts that
+/// follow the joined row count (filter/projection/aggregation chunks) stay
+/// unknown (-1) with the chunk size in the detail text; scans and a scan-fed
+/// aggregate report their exact planned morsel counts.
+template <typename Store>
+Status DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
+                               const Store& store, const Dictionary& dict,
+                               const QueryOptions& options, PlanDescription* plan) {
+  const Binder binder = VisibleBinder(q, dict);
+  std::vector<RelScan> scans;
+  for (const AnalyzedRel& rel : q.rels) {
+    BLEND_ASSIGN_OR_RETURN(RelScan scan, BindRelScan(rel, store, dict));
+    scans.push_back(std::move(scan));
+  }
+  bool scan_fed = false;
+  PlanNode root;
+  if (HasAggregate(stmt)) {
+    BLEND_ASSIGN_OR_RETURN(const AggBinding agg, BindAggregate(stmt, binder));
+    scan_fed = ScanFedAggregate(q, agg.aggs);
+    root.op = "Aggregate";
+    root.stage = TraceStage::kAggregation;
+    root.detail = std::to_string(stmt.group_by.size()) + " group keys; input: ";
+    if (scan_fed) {
+      root.detail += "scan morsels of rel 0";
+      for (const AggSpec& a : agg.aggs) {
+        if (!CountsPostingLists(a, scans[0].spec)) continue;
+        root.detail += ", COUNT(DISTINCT CellValue) per posting list";
+        break;
+      }
+      root.planned_tasks = static_cast<int64_t>(scans[0].morsels.size());
+    } else {
+      root.detail += "row stream, " + std::to_string(kAggChunkRows) + "-row chunks";
+    }
+    root.detail += "; " + std::to_string(kMergePartitions) +
+                   " merge partitions above " + std::to_string(kAggChunkRows) +
+                   " groups";
+  } else {
+    root.op = "Project";
+    root.stage = TraceStage::kProjection;
+    root.detail = (stmt.select_star
+                       ? std::string("SELECT *")
+                       : std::to_string(stmt.items.size()) + " items") +
+                  "; " + std::to_string(kAggChunkRows) + "-row chunks";
+  }
+  plan->nodes.push_back(std::move(root));
+  if (!stmt.order_by.empty() || stmt.limit >= 0 || options.dedup_column >= 0) {
+    PlanNode sort;
+    sort.depth = 1;
+    sort.op = "SortLimit";
+    sort.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
+                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
+                                   : std::string()) +
+                  (options.dedup_column >= 0
+                       ? "; dedup col " + std::to_string(options.dedup_column) +
+                             " top " + std::to_string(options.dedup_limit)
+                       : std::string());
+    plan->nodes.push_back(std::move(sort));
+  }
+  if (q.residual_where != nullptr) {
+    PlanNode filter;
+    filter.depth = 1;
+    filter.op = "Filter";
+    filter.stage = TraceStage::kFilter;
+    filter.detail =
+        "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
+    plan->nodes.push_back(std::move(filter));
+  }
+  std::vector<bool> lookup(q.rels.size(), false);
+  for (size_t j = 0; j < q.join_ons.size(); ++j) {
+    lookup[j + 1] = IsLookupStep(q, j, binder);
+    PlanNode join;
+    join.depth = 1;
+    join.stage = TraceStage::kJoinProbe;
+    if (lookup[j + 1]) {
+      join.op = "LookupJoin";
+      join.detail = "step " + std::to_string(j + 1) + "; rel " +
+                    std::to_string(j + 1) +
+                    " read by (TableId, RowId) group, not scanned; prefix chunk=" +
+                    std::to_string(kScanMorselRecords) + " rows";
+      plan->nodes.push_back(std::move(join));
+      continue;
+    }
+    join.op = "HashJoin";
+    join.detail = "step " + std::to_string(j + 1) +
+                  "; build side chosen by size at run time; probe chunk=" +
+                  std::to_string(kScanMorselRecords) + " rows";
+    plan->nodes.push_back(std::move(join));
+    PlanNode build;
+    build.depth = 2;
+    build.op = "HashBuild";
+    build.stage = TraceStage::kJoinBuild;
+    build.detail = "smaller input of step " + std::to_string(j + 1);
+    plan->nodes.push_back(std::move(build));
+  }
+  const int scan_depth = q.rels.size() > 1 ? 2 : 1;
+  for (size_t r = 0; r < q.rels.size(); ++r) {
+    // The access path, filters and planned records of relation r.
+    const ScanSpec& spec = scans[r].spec;
+    PlanNode scan;
+    scan.depth = scan_depth;
+    scan.op = "Scan";
+    scan.detail = "rel " + std::to_string(r) + ": ";
+    if (spec.cell_in != nullptr) {
+      scan.detail += "CellValue index: " +
+                     std::to_string(ResolveCellIds(*spec.cell_in, dict).size()) +
+                     " cells";
+      if (spec.table_in != nullptr) scan.detail += "; TableId filter";
+    } else if (spec.table_in != nullptr) {
+      scan.detail += "TableId clustered index: " +
+                     std::to_string(scans[r].tables.size()) + " tables";
+    } else {
+      scan.detail += spec.need_quadrant ? "Quadrant partial index" : "full scan";
+    }
+    if (spec.row_lt >= 0) scan.detail += "; RowId < " + std::to_string(spec.row_lt);
+    if (!spec.residual.empty()) {
+      scan.detail += "; " + std::to_string(spec.residual.size()) + " residual preds";
+    }
+    scan.est_rows = 0;
+    for (const ScanMorsel& mo : scans[r].morsels) {
+      scan.est_rows += static_cast<int64_t>(mo.records);
+    }
+    if (lookup[r]) {
+      // Runs no scan tasks: its access path only bounds the orientation
+      // count, and its filters apply per (TableId, RowId) group.
+      scan.op = "GroupLookup";
+    } else if (scan_fed) {
+      // Walked by the Aggregate's tasks; no positions are materialized.
+      scan.detail += "; read in place by Aggregate, morsel=" +
+                     std::to_string(kScanMorselRecords) + " records";
+    } else {
+      scan.stage = TraceStage::kScan;
+      scan.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
+      scan.planned_tasks = static_cast<int64_t>(scans[r].morsels.size());
+    }
+    plan->nodes.push_back(std::move(scan));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 template <typename Store>
 Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
                                   const Dictionary& dict,
                                   const QueryOptions& options) {
-  return ExecuteOrDescribe(stmt, store, dict, options, nullptr);
+  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
+  BLEND_RETURN_NOT_OK(CheckControl(options.control, "query start"));
+  // Budget accounting covers the pipeline's dominant materializations (scan
+  // position vectors, the joined row stream, the aggregate's group tables);
+  // the estimates are peak live bytes, released when the query finishes.
+  ScopedMemoryCharge mem(options.control);
+  const Binder binder = VisibleBinder(q, dict);
+
+  if (!HasAggregate(stmt)) {
+    BLEND_ASSIGN_OR_RETURN(std::vector<RowCtx> rows,
+                           BuildRowStream(q, binder, store, dict, options, &mem));
+    return ProjectRows(q, stmt, binder, rows, store, options);
+  }
+  BLEND_ASSIGN_OR_RETURN(const AggBinding agg, BindAggregate(stmt, binder));
+  GroupTable groups;
+  if (ScanFedAggregate(q, agg.aggs)) {
+    BLEND_ASSIGN_OR_RETURN(const RelScan scan, BindRelScan(q.rels[0], store, dict));
+    const AggInput<Store> input{&store, nullptr, &scan};
+    BLEND_ASSIGN_OR_RETURN(groups, AggregateGroups(input, agg, &mem, options));
+  } else {
+    BLEND_ASSIGN_OR_RETURN(std::vector<RowCtx> rows,
+                           BuildRowStream(q, binder, store, dict, options, &mem));
+    const AggInput<Store> input{&store, &rows, nullptr};
+    BLEND_ASSIGN_OR_RETURN(groups, AggregateGroups(input, agg, &mem, options));
+  }
+  // Global aggregate over zero rows still yields one group.
+  if (stmt.group_by.empty() && groups.size() == 0) groups.Insert(0, 0, nullptr);
+  if (options.trace != nullptr) {
+    options.trace->AddRows(TraceStage::kAggregation,
+                           static_cast<int64_t>(groups.size()));
+  }
+  QueryResult result;
+  result.columns = agg.columns;
+  EmitGroups(groups, agg, stmt, options, &result);
+  return result;
 }
 
 template <typename Store>
@@ -1944,9 +1735,9 @@ Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
                                        const Store& store,
                                        const Dictionary& dict,
                                        const QueryOptions& options) {
+  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
   PlanDescription plan;
-  auto r = ExecuteOrDescribe(stmt, store, dict, options, &plan);
-  if (!r.ok()) return r.status();
+  BLEND_RETURN_NOT_OK(DescribeGenericPipeline(q, stmt, store, dict, options, &plan));
   return plan;
 }
 

@@ -46,19 +46,12 @@ struct QueryOptions {
   /// the pool: morsel geometry depends only on input sizes, morsel outputs
   /// are concatenated in morsel order, and merge order is fixed.
   Scheduler* scheduler = nullptr;
-  /// Enables the fused scan->aggregate operator for the SC/KW seeker shape
-  /// (COUNT(DISTINCT CellValue) grouped by TableId[, ColumnId] over a
-  /// CellValue IN-list). Every other statement, including the MC phase-1
-  /// join, runs on the generic pipeline. Switchable so benches can report
-  /// the fused-vs-generic ratio and tests can cross-check the two paths.
-  bool enable_fused_scan_agg = true;
   /// Engine-side dedup-top-k: when dedup_column >= 0, after the final
   /// ORDER BY sort only the first row per distinct value of output column
   /// `dedup_column` is kept, and emission stops once `dedup_limit` distinct
   /// values have been seen (dedup_limit < 0 = unbounded). Replaces the
   /// seekers' client-side widened-LIMIT retry loop with one exhaustive
-  /// query whose sort/dedup happens inside the engine (shared by the
-  /// generic and fused paths, so results stay byte-identical).
+  /// query whose sort/dedup happens inside the engine.
   int dedup_column = -1;
   int64_t dedup_limit = -1;
   /// Optional per-query deadline / cancellation / memory-budget handle,
@@ -78,28 +71,31 @@ struct QueryOptions {
   QueryTrace* trace = nullptr;
   /// Optional plan collector: when set, Engine::Query describes each plain
   /// statement it executes and appends the (trace-annotated, when a trace is
-  /// attached) plan here. Describe-mode planning reruns the dispatch gates
-  /// without executing, so capture never alters morsel geometry or results.
+  /// attached) plan here. Describing never executes, so capture never alters
+  /// morsel geometry or results.
   /// Not owned; nullptr (the default) captures nothing.
   PlanCaptureSink* plan_capture = nullptr;
 };
 
 /// Executes an analyzed-and-parseable statement against a physical store.
 /// Instantiated for RowStore and ColumnStore (the (Row)/(Column) deployments
-/// of the paper's experiments).
+/// of the paper's experiments). One pipeline runs every statement: relation
+/// scans, the join chain and the residual WHERE build a row stream that a
+/// projection or an aggregate consumes. An aggregate over one relation with
+/// no residual WHERE and no SUM/AVG (the SC/KW seeker shape) reads the scan
+/// morsels in place instead, and counts COUNT(DISTINCT CellValue) over the
+/// CellValue index per posting list; the answer is the row stream's.
 template <typename Store>
 Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
                                   const Dictionary& dict,
                                   const QueryOptions& options = {});
 
-/// Plans `stmt` without executing it: runs the same dispatch as ExecuteSelect
-/// in describe mode — the gate between the fused scan->agg path and the
-/// generic pipeline decides exactly as it would for execution — then reports
-/// the chosen pipeline, its operator tree, posting cardinalities, and planned
-/// morsel geometry instead of running tasks.
-/// EXPLAIN is therefore guaranteed to describe the path the bare statement
-/// takes. Binds expressions (so it can fail with the same binder errors) but
-/// never scans, joins, or charges memory budgets.
+/// Plans `stmt` without executing it: reports the operator tree
+/// ExecuteSelect runs — which input the aggregate reads, join kinds, posting
+/// cardinalities and planned morsel geometry — from the statement shape and
+/// posting metadata, using the same choices execution makes. Binds
+/// expressions (so it can fail with the same binder errors) but never scans,
+/// joins, or charges memory budgets.
 template <typename Store>
 Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
                                        const Store& store,

@@ -50,10 +50,7 @@ std::string PlanDescription::Render() const {
     }
     printer.AddRow(std::move(row));
   }
-  const std::string title =
-      std::string(analyzed ? "EXPLAIN ANALYZE" : "EXPLAIN") + " — pipeline: " +
-      pipeline;
-  return printer.Render(title);
+  return printer.Render(analyzed ? "EXPLAIN ANALYZE" : "EXPLAIN");
 }
 
 }  // namespace blend::sql

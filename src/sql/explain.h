@@ -1,13 +1,13 @@
 #pragma once
 
-// EXPLAIN / EXPLAIN ANALYZE plan descriptions. The executor produces a
-// PlanDescription by running its real dispatch cascade in describe mode —
-// the same gate that picks fused or generic execution populates the
-// tree — so an EXPLAIN provably reports the path the bare statement would
-// take. For EXPLAIN ANALYZE the statement also executes normally and each
-// node is annotated with actuals from the attached QueryTrace. Rendering is
-// exposition only: plan text never rides in result rows, so ANALYZE results
-// stay byte-identical to the bare statement.
+// EXPLAIN / EXPLAIN ANALYZE plan descriptions. The executor describes the
+// one pipeline's operator tree for a statement, making the same choices
+// execution makes (the aggregate's input, lookup vs hash join), so an
+// EXPLAIN reports the path the bare statement would take. For EXPLAIN
+// ANALYZE the statement also executes normally and each node is annotated
+// with actuals from the attached QueryTrace. Rendering is exposition only:
+// plan text never rides in result rows, so ANALYZE results stay
+// byte-identical to the bare statement.
 
 #include <cstdint>
 #include <string>
@@ -19,7 +19,7 @@ namespace blend::sql {
 
 /// One operator in a planned statement's tree.
 struct PlanNode {
-  int depth = 0;         ///< indentation level under the pipeline root
+  int depth = 0;         ///< indentation level under the root
   std::string op;        ///< operator name, e.g. "HashJoin"
   std::string detail;    ///< bound columns, predicates, morsel geometry
   /// Trace stage whose totals describe this node under ANALYZE; kNumStages
@@ -34,10 +34,8 @@ struct PlanNode {
   int64_t actual_rows = -1;
 };
 
-/// A planned statement: which pipeline the dispatch cascade chose, plus its
-/// operator nodes in root-first order.
+/// A planned statement: its operator nodes in root-first order.
 struct PlanDescription {
-  std::string pipeline;  ///< "fused-scan-agg" or "generic"
   std::vector<PlanNode> nodes;
   bool analyzed = false;
 

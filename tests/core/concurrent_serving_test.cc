@@ -12,8 +12,8 @@ namespace {
 
 /// Stress suite for the concurrent serving layer: N client threads issue a
 /// mix of seeker plans against one shared Blend, and every result must be
-/// byte-identical to the serial run — across pool sizes, both physical
-/// layouts, and with the fused fast path on or off.
+/// byte-identical to the serial run — across pool sizes and both physical
+/// layouts.
 class ConcurrentServingTest : public ::testing::Test {
  protected:
   ConcurrentServingTest() {
@@ -154,12 +154,6 @@ TEST_F(ConcurrentServingTest, EightClientsRowLayout) {
   Blend::Options opts;
   opts.layout = StoreLayout::kRow;
   StressAgainstReference(opts, /*clients=*/8, /*rounds=*/2);
-}
-
-TEST_F(ConcurrentServingTest, FusedOffMatchesToo) {
-  Blend::Options opts;
-  opts.enable_fused_scan_agg = false;
-  StressAgainstReference(opts, /*clients=*/4, /*rounds=*/1);
 }
 
 TEST_F(ConcurrentServingTest, SmallOwnedPoolUnderManyClients) {

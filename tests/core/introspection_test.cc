@@ -82,7 +82,6 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
   ASSERT_FALSE(rep.statement_plans.empty());
   for (const auto& entry : rep.statement_plans) {
     EXPECT_FALSE(entry.sql.empty());
-    EXPECT_FALSE(entry.plan.pipeline.empty());
     EXPECT_FALSE(entry.plan.nodes.empty());
     if constexpr (kTelemetryEnabled) {
       // The driver always attaches a trace, so captured plans carry actuals.
@@ -91,7 +90,7 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
   }
   const std::string rendered = rep.RenderStatementPlans();
   EXPECT_NE(rendered.find("-- statement 1 of "), std::string::npos);
-  EXPECT_NE(rendered.find(rep.statement_plans[0].plan.pipeline),
+  EXPECT_NE(rendered.find(rep.statement_plans[0].plan.nodes[0].op),
             std::string::npos);
 }
 

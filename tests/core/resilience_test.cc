@@ -152,11 +152,10 @@ TEST_F(ResilienceTest, GenerousControlIsByteIdenticalAcrossPools) {
 }
 
 TEST_F(ResilienceTest, TinyMemoryBudgetReturnsResourceExhausted) {
-  // The fused fast path materializes nothing; the generic pipeline's scan
-  // and join materializations are what the budget meters.
-  Blend::Options opts;
-  opts.enable_fused_scan_agg = false;
-  Blend blend(&lake_, opts);
+  // Every plan of the workload charges the budget: scan positions and the
+  // joined row stream, or the aggregate's group tables when the aggregate
+  // reads the scan morsels in place (SC and KW).
+  Blend blend(&lake_);
   for (const Plan& p : MakeWorkload()) {
     const QueryControl control = QueryControl::WithMemoryBudget(1);
     auto res = blend.Run(p, control);
@@ -168,9 +167,7 @@ TEST_F(ResilienceTest, TinyMemoryBudgetReturnsResourceExhausted) {
 }
 
 TEST_F(ResilienceTest, MemoryChargesAreReleasedAfterEachQuery) {
-  Blend::Options opts;
-  opts.enable_fused_scan_agg = false;
-  Blend blend(&lake_, opts);
+  Blend blend(&lake_);
   const std::vector<std::string> want = Reference(blend);
   const std::vector<Plan> plans = MakeWorkload();
   const QueryControl control = QueryControl::WithMemoryBudget(int64_t{1} << 40);

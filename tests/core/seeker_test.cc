@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <functional>
 #include <set>
@@ -383,6 +384,123 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
   }
   EXPECT_GT(checked, 200u);  // the oracle ranked real tables, not empty lists
   EXPECT_GT(rejected, 0u);   // exact validation rejected some candidate rows
+}
+
+/// Brute-force KW seeker over the raw DataLake, sharing no code with the
+/// index or the SQL engine. A table `keep` accepts scores the number of
+/// distinct normalized keywords among its normalized cells. Top k by score
+/// descending, ties by ascending TableId (the engine's ORDER BY breaks ties
+/// on the output row, whose first value is the TableId).
+TableList BruteForceKw(const DataLake& lake, const std::vector<std::string>& keywords,
+                       int k, const std::function<bool(TableId)>& keep) {
+  std::set<std::string> wanted;
+  for (const std::string& kw : keywords) {
+    const std::string n = NormalizeCell(kw);
+    if (!n.empty()) wanted.insert(n);
+  }
+  TableList out;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    if (!keep(t)) continue;
+    const Table& table = lake.table(t);
+    std::set<std::string> found;
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (size_t r = 0; r < table.NumRows(); ++r) {
+        const std::string n = NormalizeCell(table.At(r, c));
+        if (wanted.count(n) > 0) found.insert(n);
+      }
+    }
+    if (!found.empty()) out.push_back({t, static_cast<double>(found.size())});
+  }
+  std::sort(out.begin(), out.end(), [](const ScoredTable& a, const ScoredTable& b) {
+    return a.score != b.score ? a.score > b.score : a.table < b.table;
+  });
+  if (k >= 0 && out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
+  return out;
+}
+
+TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
+  // Keywords from two random columns (so scores spread and tie), a case and
+  // whitespace variant of one, and a keyword no table holds; k below and
+  // above the number of matching tables; no rewrite and the optimizer's
+  // TableId IN / NOT IN rewrites; both layouts with raw and compressed
+  // in-memory postings: the seeker must reproduce the oracle's tables and
+  // scores exactly.
+  lakegen::JoinLakeSpec spec;
+  spec.num_tables = 80;
+  spec.num_domains = 5;
+  spec.domain_vocab = 300;
+  spec.seed = 29;
+  const DataLake lake = lakegen::MakeJoinLake(spec);
+
+  Rng rng(31);
+  std::vector<std::vector<std::string>> queries;
+  for (int q = 0; q < 3; ++q) {
+    std::vector<std::string> keywords = lakegen::SampleColumnQuery(lake, 12, &rng);
+    for (std::string& v : lakegen::SampleColumnQuery(lake, 6, &rng)) {
+      keywords.push_back(std::move(v));
+    }
+    std::string variant = keywords[0];
+    for (char& ch : variant) ch = static_cast<char>(std::toupper(ch));
+    keywords.push_back("  " + variant + " ");
+    keywords.push_back("no-such-keyword");
+    queries.push_back(std::move(keywords));
+  }
+
+  size_t checked = 0;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    for (bool compressed : {false, true}) {
+      Blend::Options opts;
+      opts.layout = layout;
+      opts.serve_compressed = compressed;
+      Blend blend(&lake, opts);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const auto& keywords = queries[q];
+        const TableList all =
+            BruteForceKw(lake, keywords, -1, [](TableId) { return true; });
+        ASSERT_GT(all.size(), 5u) << "query " << q << " matches too few tables";
+        // The rewrite list: every other table the unrestricted oracle ranks,
+        // plus one table no keyword reaches.
+        std::set<TableId> listed;
+        for (size_t i = 0; i < all.size(); i += 2) listed.insert(all[i].table);
+        const auto ranked = IdSet(all);
+        for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+          if (ranked.count(t) == 0) {
+            listed.insert(t);
+            break;
+          }
+        }
+        std::string ids;
+        for (TableId t : listed) ids += (ids.empty() ? "" : ",") + std::to_string(t);
+        const std::vector<std::pair<std::string, std::function<bool(TableId)>>>
+            rewrites = {
+                {"", [](TableId) { return true; }},
+                {"AND TableId IN (" + ids + ")",
+                 [&](TableId t) { return listed.count(t) > 0; }},
+                {"AND TableId NOT IN (" + ids + ")",
+                 [&](TableId t) { return listed.count(t) == 0; }},
+            };
+        for (int k : {5, -1}) {
+          KWSeeker kw(keywords, k);
+          for (const auto& [rewrite, keep] : rewrites) {
+            SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                         " compressed=" + std::to_string(compressed) +
+                         " q=" + std::to_string(q) + " k=" + std::to_string(k) +
+                         " rewrite=" + rewrite);
+            const TableList want = BruteForceKw(lake, keywords, k, keep);
+            auto got = kw.Execute(blend.context(), rewrite);
+            ASSERT_TRUE(got.ok()) << got.status().ToString();
+            ASSERT_EQ(got.value().size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+              EXPECT_EQ(got.value()[i].table, want[i].table) << "rank " << i;
+              EXPECT_EQ(got.value()[i].score, want[i].score) << "rank " << i;
+            }
+            checked += want.size();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 200u);  // the oracle ranked real tables, not empty lists
 }
 
 /// Brute-force correlation seeker over the raw DataLake, sharing no code

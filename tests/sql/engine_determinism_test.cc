@@ -33,9 +33,8 @@ std::vector<Scheduler*> TestPools() {
 /// Property suite for the engine's determinism contract: for representative
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
-/// {2, 4, hardware}, on both physical layouts, with the fused fast path on or
-/// off, and when the bundle serves block-compressed postings in memory
-/// instead of raw ones.
+/// {2, 4, hardware}, on both physical layouts, and when the bundle serves
+/// block-compressed postings in memory instead of raw ones.
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   EngineDeterminismTest() {
@@ -97,8 +96,8 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   /// Runs `sql` serially on the raw-served engine as the reference, then
-  /// asserts every (serving codec, pool, fused) combination reproduces it
-  /// exactly on both layouts.
+  /// asserts every (serving codec, pool) combination reproduces it exactly on
+  /// both layouts.
   void ExpectDeterministic(const std::string& sql) {
     for (const EnginePair& pair : EnginePairs()) {
       QueryOptions serial;
@@ -108,17 +107,14 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
       const std::string want = ResultToString(ref.value());
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            QueryOptions opts;
-            opts.scheduler = pool;
-            opts.enable_fused_scan_agg = fused;
-            auto got = engine->Query(sql, opts);
-            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-            EXPECT_EQ(want, ResultToString(got.value()))
-                << "compressed=" << (engine == pair.compressed)
-                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
-                << sql;
-          }
+          QueryOptions opts;
+          opts.scheduler = pool;
+          auto got = engine->Query(sql, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+          EXPECT_EQ(want, ResultToString(got.value()))
+              << "compressed=" << (engine == pair.compressed)
+              << " pool=" << pool->parallelism() << "\n"
+              << sql;
         }
       }
     }
@@ -186,7 +182,7 @@ TEST_P(EngineDeterminismTest, McJoinShape) {
 
 TEST_P(EngineDeterminismTest, McJoinShapeExplainsAsGenericHashJoins) {
   // Every relation of the MC phase-1 join reads the CellValue index, so each
-  // join step is a generic-pipeline HashJoin on every layout and codec.
+  // join step is a HashJoin on every layout and codec.
   Rng rng(GetParam() * 53 + 6);
   const std::string sql =
       "EXPLAIN SELECT a.TableId, a.RowId, a.SuperKey FROM "
@@ -204,7 +200,6 @@ TEST_P(EngineDeterminismTest, McJoinShapeExplainsAsGenericHashJoins) {
     for (Engine* engine : {pair.raw, pair.compressed}) {
       auto plan = engine->Query(sql);
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      EXPECT_EQ(plan.value().plan.pipeline, "generic");
       size_t hash_joins = 0;
       for (const PlanNode& node : plan.value().plan.nodes) {
         hash_joins += node.op == "HashJoin" ? 1 : 0;
@@ -273,12 +268,11 @@ TEST_P(EngineDeterminismTest, FullScanAggregatesWithDoubleSums) {
 TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
   // The control dimension of the determinism matrix: a query that completes
   // under a generous deadline (and memory budget) must be byte-identical to
-  // the unconstrained serial run across serving codecs, pools, and fused
-  // settings — the cooperative checks may not alter morsel geometry or merge
-  // order — and an already-expired deadline must return kDeadlineExceeded,
-  // never a partial result. The MC join statement runs the generic pipeline's
-  // hash join, so both the fused and the join operators run under the
-  // control here.
+  // the unconstrained serial run across serving codecs and pools — the
+  // cooperative checks may not alter morsel geometry or merge order — and an
+  // already-expired deadline must return kDeadlineExceeded, never a partial
+  // result. The SC statement runs the scan-fed aggregate and the MC join
+  // statement the hash join, so both run under the control here.
   Rng rng(GetParam() * 61 + 8);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
@@ -302,29 +296,26 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
       const std::string want = ResultToString(ref.value());
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            QueryOptions opts;
-            opts.scheduler = pool;
-            opts.enable_fused_scan_agg = fused;
+          QueryOptions opts;
+          opts.scheduler = pool;
 
-            QueryControl generous =
-                QueryControl::WithDeadline(std::chrono::seconds(300));
-            generous.SetMemoryBudget(int64_t{1} << 40);
-            opts.control = &generous;
-            auto got = engine->Query(sql, opts);
-            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-            EXPECT_EQ(want, ResultToString(got.value()))
-                << "compressed=" << (engine == pair.compressed)
-                << " pool=" << pool->parallelism() << " fused=" << fused;
+          QueryControl generous =
+              QueryControl::WithDeadline(std::chrono::seconds(300));
+          generous.SetMemoryBudget(int64_t{1} << 40);
+          opts.control = &generous;
+          auto got = engine->Query(sql, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+          EXPECT_EQ(want, ResultToString(got.value()))
+              << "compressed=" << (engine == pair.compressed)
+              << " pool=" << pool->parallelism();
 
-            const QueryControl expired =
-                QueryControl::WithDeadline(std::chrono::nanoseconds(0));
-            opts.control = &expired;
-            auto dead = engine->Query(sql, opts);
-            ASSERT_FALSE(dead.ok());
-            EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded)
-                << dead.status().ToString();
-          }
+          const QueryControl expired =
+              QueryControl::WithDeadline(std::chrono::nanoseconds(0));
+          opts.control = &expired;
+          auto dead = engine->Query(sql, opts);
+          ASSERT_FALSE(dead.ok());
+          EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded)
+              << dead.status().ToString();
         }
       }
     }
@@ -334,7 +325,7 @@ TEST_P(EngineDeterminismTest, QueryControlPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
   // The telemetry dimension of the determinism matrix: attaching a QueryTrace
   // must be pure observation — byte-identical results vs the untraced serial
-  // reference across serving codecs, pools, and fused settings.
+  // reference across serving codecs and pools.
   // Spans record what the executor already decided; morsel geometry, task
   // order, and merge order are untouched. The traced runs must also actually
   // record (non-zero engine queries, at least one stage) when telemetry is
@@ -362,32 +353,29 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
       const std::string want = ResultToString(ref.value());
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            QueryOptions opts;
-            opts.scheduler = pool;
-            opts.enable_fused_scan_agg = fused;
+          QueryOptions opts;
+          opts.scheduler = pool;
 
-            QueryTrace trace;
-            opts.trace = &trace;
-            auto traced = engine->Query(sql, opts);
-            ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
-                                     << sql;
-            EXPECT_EQ(want, ResultToString(traced.value()))
-                << "traced run diverged: compressed="
-                << (engine == pair.compressed)
-                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
-                << sql;
+          QueryTrace trace;
+          opts.trace = &trace;
+          auto traced = engine->Query(sql, opts);
+          ASSERT_TRUE(traced.ok()) << traced.status().ToString() << "\n"
+                                   << sql;
+          EXPECT_EQ(want, ResultToString(traced.value()))
+              << "traced run diverged: compressed="
+              << (engine == pair.compressed)
+              << " pool=" << pool->parallelism() << "\n"
+              << sql;
 
-            opts.trace = nullptr;
-            auto untraced = engine->Query(sql, opts);
-            ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
-            EXPECT_EQ(want, ResultToString(untraced.value()));
+          opts.trace = nullptr;
+          auto untraced = engine->Query(sql, opts);
+          ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
+          EXPECT_EQ(want, ResultToString(untraced.value()));
 
-            if constexpr (kTelemetryEnabled) {
-              const QueryTraceSummary s = trace.Summary();
-              EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
-              EXPECT_FALSE(s.stages.empty());
-            }
+          if constexpr (kTelemetryEnabled) {
+            const QueryTraceSummary s = trace.Summary();
+            EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
+            EXPECT_FALSE(s.stages.empty());
           }
         }
       }
@@ -398,11 +386,11 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
 TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   // The introspection dimension of the determinism matrix: `EXPLAIN ANALYZE
   // <q>` executes the bare statement unchanged, so its rows must be
-  // byte-identical to `<q>` across serving codecs, pools, and fused settings
-  // — describing and annotating the plan may not perturb morsel geometry,
-  // task order, or merge order. Every annotated run must
-  // also carry a non-empty plan (pipeline named, at least one node), so the
-  // dimension cannot silently degrade into explaining nothing.
+  // byte-identical to `<q>` across serving codecs and pools — describing and
+  // annotating the plan may not perturb morsel geometry, task order, or merge
+  // order. Every annotated run must also carry a non-empty plan, the same
+  // operators bare EXPLAIN reports, so the dimension cannot silently degrade
+  // into explaining nothing.
   Rng rng(GetParam() * 73 + 11);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
@@ -428,29 +416,30 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
       const std::string want = ResultToString(ref.value());
       for (Engine* engine : {pair.raw, pair.compressed}) {
         for (Scheduler* pool : TestPools()) {
-          for (bool fused : {true, false}) {
-            QueryOptions opts;
-            opts.scheduler = pool;
-            opts.enable_fused_scan_agg = fused;
-            auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
-            ASSERT_TRUE(analyzed.ok())
-                << analyzed.status().ToString() << "\n" << sql;
-            EXPECT_EQ(want, ResultToString(analyzed.value()))
-                << "EXPLAIN ANALYZE diverged: compressed="
-                << (engine == pair.compressed)
-                << " pool=" << pool->parallelism() << " fused=" << fused << "\n"
-                << sql;
-            EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
-            EXPECT_FALSE(analyzed.value().plan.pipeline.empty()) << sql;
-            EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
+          QueryOptions opts;
+          opts.scheduler = pool;
+          auto analyzed = engine->Query("EXPLAIN ANALYZE " + sql, opts);
+          ASSERT_TRUE(analyzed.ok())
+              << analyzed.status().ToString() << "\n" << sql;
+          EXPECT_EQ(want, ResultToString(analyzed.value()))
+              << "EXPLAIN ANALYZE diverged: compressed="
+              << (engine == pair.compressed)
+              << " pool=" << pool->parallelism() << "\n"
+              << sql;
+          EXPECT_FALSE(analyzed.value().plan.nodes.empty()) << sql;
+          EXPECT_FALSE(analyzed.value().explain_text.empty()) << sql;
 
-            // Bare EXPLAIN never executes: a plan, no rows.
-            auto described = engine->Query("EXPLAIN " + sql, opts);
-            ASSERT_TRUE(described.ok())
-                << described.status().ToString() << "\n" << sql;
-            EXPECT_TRUE(described.value().rows.empty()) << sql;
-            EXPECT_EQ(described.value().plan.pipeline,
-                      analyzed.value().plan.pipeline)
+          // Bare EXPLAIN never executes: a plan, no rows.
+          auto described = engine->Query("EXPLAIN " + sql, opts);
+          ASSERT_TRUE(described.ok())
+              << described.status().ToString() << "\n" << sql;
+          EXPECT_TRUE(described.value().rows.empty()) << sql;
+          ASSERT_EQ(described.value().plan.nodes.size(),
+                    analyzed.value().plan.nodes.size())
+              << sql;
+          for (size_t i = 0; i < described.value().plan.nodes.size(); ++i) {
+            EXPECT_EQ(described.value().plan.nodes[i].op,
+                      analyzed.value().plan.nodes[i].op)
                 << sql;
           }
         }
@@ -529,14 +518,9 @@ TEST_P(EngineDeterminismTest, SnapshotLoadedBundlesReproduceEveryShape) {
           ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\n" << sql;
           const std::string want = ResultToString(ref.value());
           for (Engine* loaded : {&heap_engine, &mapped_engine}) {
-            for (bool fused : {true, false}) {
-              QueryOptions qo;
-              qo.enable_fused_scan_agg = fused;
-              auto got = loaded->Query(sql, qo);
-              ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
-              EXPECT_EQ(want, ResultToString(got.value()))
-                  << "fused=" << fused << "\n" << sql;
-            }
+            auto got = loaded->Query(sql);
+            ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << sql;
+            EXPECT_EQ(want, ResultToString(got.value())) << sql;
           }
         }
         std::remove(path.c_str());
@@ -717,6 +701,133 @@ TEST_P(EngineDeterminismTest, LookupJoinEmitsExactlyWhatHashJoinEmits) {
         EXPECT_EQ(ResultToString(want.value()), ResultToString(got.value()))
             << "pool=" << pool->parallelism() << "\n"
             << sql;
+      }
+    }
+  }
+}
+
+TEST_P(EngineDeterminismTest, ScanFedAggregateEmitsExactlyWhatRowStreamAggregateEmits) {
+  // An aggregate over one relation with no residual WHERE and no SUM/AVG
+  // reads the scan morsels in place and counts COUNT(DISTINCT CellValue) per
+  // posting list. Reading the same relation through a subquery with an
+  // always-true outer WHERE makes the same statement aggregate the
+  // materialized row stream, which counts distinct cell ids instead; both
+  // must emit the same rows in the same order. Two added tables hold a "hot"
+  // value whose posting list spans several scan morsels, so a list reaches
+  // a group from more than one morsel (long_a's column 0 from morsels that
+  // are not adjacent) and must still count once. Grouping every row by
+  // (TableId, RowId) makes enough groups for the partitioned parallel merge.
+  DataLake lake = lake_;
+  Table long_a("long_a");
+  Table long_b("long_b");
+  for (Table* t : {&long_a, &long_b}) {
+    for (const char* c : {"c0", "c1", "c2"}) t->AddColumn(c);
+  }
+  for (int r = 0; r < 20000; ++r) {
+    const bool hot0 = r < 100 || r >= 17000;
+    ASSERT_TRUE(long_a
+                    .AppendRow({hot0 ? "hot" : "a" + std::to_string(r),
+                                hot0 ? "b" + std::to_string(r) : "hot",
+                                "v" + std::to_string(r % 7)})
+                    .ok());
+  }
+  for (int r = 0; r < 12000; ++r) {
+    ASSERT_TRUE(long_b
+                    .AppendRow({r % 2 == 0 ? "hot" : "x" + std::to_string(r),
+                                "v" + std::to_string(r % 5), "w" + std::to_string(r)})
+                    .ok());
+  }
+  const TableId a = lake.AddTable(std::move(long_a));
+  const TableId b = lake.AddTable(std::move(long_b));
+
+  std::vector<std::unique_ptr<IndexBundle>> bundles;
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    for (bool compressed : {false, true}) {
+      IndexBuildOptions opts;
+      opts.layout = layout;
+      opts.serve_compressed = compressed;
+      bundles.push_back(std::make_unique<IndexBundle>(IndexBuilder(opts).Build(lake)));
+      engines.push_back(std::make_unique<Engine>(bundles.back().get()));
+    }
+  }
+
+  Rng rng(GetParam() * 83 + 13);
+  const std::string values =
+      SqlInList({"hot", "v1", "v4", "w7"}) + ", " + RandomInList(&rng, 20);
+  const std::string tables = std::to_string(a) + ", " + std::to_string(b) + ", 1, 4";
+  struct Case {
+    std::string select;  // SELECT list
+    std::string where;   // the relation's WHERE
+    std::string tail;    // GROUP BY, ORDER BY, LIMIT
+    int dedup_column;    // QueryOptions::dedup_column (top 5 when >= 0)
+  };
+  const std::string sc = "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score";
+  const std::string kw = "SELECT TableId, COUNT(DISTINCT CellValue) AS score";
+  const std::string in = "CellValue IN (" + values + ")";
+  const std::vector<Case> cases = {
+      {sc, in, " GROUP BY TableId, ColumnId", -1},
+      {sc, in, " GROUP BY TableId, ColumnId ORDER BY score DESC LIMIT 25", -1},
+      {sc, in, " GROUP BY TableId, ColumnId ORDER BY score DESC", 0},
+      {sc, in + " AND TableId IN (" + tables + ")", " GROUP BY TableId, ColumnId", -1},
+      {sc, in + " AND TableId NOT IN (" + tables + ")",
+       " GROUP BY TableId, ColumnId ORDER BY score DESC LIMIT 10", -1},
+      {sc, in + " AND RowId < 15000", " GROUP BY TableId, ColumnId", -1},
+      {kw, in, " GROUP BY TableId ORDER BY score DESC LIMIT 10", -1},
+      {kw, in + " AND TableId NOT IN (" + tables + ") AND RowId < 9000",
+       " GROUP BY TableId", -1},
+      {"SELECT TableId, RowId, COUNT(*) AS n, MIN(ColumnId) AS c", "RowId >= 0",
+       " GROUP BY TableId, RowId", -1},
+  };
+  for (const Case& c : cases) {
+    const std::string scan_fed = c.select + " FROM AllTables WHERE " + c.where + c.tail;
+    const std::string row_stream =
+        c.select +
+        " FROM (SELECT TableId, ColumnId, RowId, CellValue FROM AllTables WHERE " +
+        c.where + ") AS s WHERE TableId >= 0" + c.tail;
+    const bool counts_cells = c.select.find("COUNT(DISTINCT") != std::string::npos;
+    for (const auto& engine : engines) {
+      auto fed_plan = engine->Query("EXPLAIN " + scan_fed);
+      ASSERT_TRUE(fed_plan.ok()) << fed_plan.status().ToString();
+      const PlanNode& fed_root = fed_plan.value().plan.nodes[0];
+      EXPECT_EQ(fed_root.op, "Aggregate");
+      EXPECT_NE(fed_root.detail.find("input: scan morsels"), std::string::npos)
+          << fed_plan.value().explain_text;
+      EXPECT_EQ(fed_root.detail.find("per posting list") != std::string::npos,
+                counts_cells)
+          << fed_plan.value().explain_text;
+      if (c.where == in) {
+        EXPECT_GE(fed_root.planned_tasks, 4) << fed_plan.value().explain_text;
+      }
+      auto row_plan = engine->Query("EXPLAIN " + row_stream);
+      ASSERT_TRUE(row_plan.ok()) << row_plan.status().ToString();
+      EXPECT_NE(row_plan.value().plan.nodes[0].detail.find("input: row stream"),
+                std::string::npos)
+          << row_plan.value().explain_text;
+
+      for (Scheduler* pool : TestPools()) {
+        QueryOptions opts;
+        opts.scheduler = pool;
+        opts.dedup_column = c.dedup_column;
+        opts.dedup_limit = c.dedup_column >= 0 ? 5 : -1;
+        auto want = engine->Query(row_stream, opts);
+        ASSERT_TRUE(want.ok()) << want.status().ToString() << "\n" << row_stream;
+        QueryTrace trace;
+        opts.trace = &trace;
+        auto got = engine->Query(scan_fed, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << scan_fed;
+        EXPECT_FALSE(want.value().rows.empty()) << row_stream;
+        if (kTelemetryEnabled && !counts_cells) {
+          // More groups than kAggChunkRows: the 16-partition merge ran.
+          int64_t merge_tasks = 0;
+          for (const StageSummary& st : trace.Summary().stages) {
+            if (st.stage == TraceStage::kAggregationMerge) merge_tasks = st.tasks;
+          }
+          EXPECT_EQ(merge_tasks, 16) << scan_fed;
+        }
+        EXPECT_EQ(ResultToString(want.value()), ResultToString(got.value()))
+            << "pool=" << pool->parallelism() << "\n"
+            << scan_fed;
       }
     }
   }
