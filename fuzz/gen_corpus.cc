@@ -166,6 +166,16 @@ void GenSqlSeeds(const fs::path& dir) {
       "GROUP BY TableId ORDER BY score DESC LIMIT 5;",
       "EXPLAIN ANALYZE SELECT TableId, RowId FROM AllTables "
       "WHERE CellValue IN ('x') LIMIT 3;",
+      "SELECT * FROM (SELECT * FROM AllTables WHERE CellValue IN ('apple','banana')) "
+      "AS a INNER JOIN (SELECT * FROM AllTables WHERE Quadrant IS NOT NULL) AS b "
+      "ON a.TableId = b.TableId AND a.RowId = b.RowId INNER JOIN "
+      "(SELECT * FROM AllTables WHERE CellValue IN ('x','7')) AS c "
+      "ON a.RowId = c.RowId ORDER BY a.RowId LIMIT 4",
+      "SELECT k.TableId, MIN(n.Quadrant), COUNT(*) FROM "
+      "(SELECT TableId, RowId FROM AllTables) AS k INNER JOIN "
+      "(SELECT TableId, RowId, Quadrant FROM AllTables WHERE Quadrant IS NOT NULL) "
+      "AS n ON k.TableId = n.TableId AND k.RowId = n.RowId "
+      "WHERE n.Quadrant = 1 GROUP BY k.TableId",
   };
   int n = 0;
   for (const char* q : queries) {

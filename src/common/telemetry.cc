@@ -420,29 +420,6 @@ std::string QueryTraceSummary::ToString() const {
   return out;
 }
 
-QueryTraceSummary QueryTraceSummary::Delta(
-    const QueryTraceSummary& earlier) const {
-  QueryTraceSummary d;
-  for (const StageSummary& st : stages) {
-    StageSummary out = st;
-    for (const StageSummary& was : earlier.stages) {
-      if (was.stage == st.stage) {
-        out.seconds -= was.seconds;
-        out.tasks -= was.tasks;
-        out.rows -= was.rows;
-        break;
-      }
-    }
-    if (out.seconds != 0 || out.tasks != 0 || out.rows != 0) {
-      d.stages.push_back(out);
-    }
-  }
-  for (size_t i = 0; i < counters.size(); ++i) {
-    d.counters[i] = counters[i] - earlier.counters[i];
-  }
-  return d;
-}
-
 /// Mutex-guarded bounded buffer behind the opt-in span capture. The mutex is
 /// fine here: capture is off on the serving hot path and only enabled for
 /// explicit trace-export runs.

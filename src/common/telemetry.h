@@ -355,10 +355,6 @@ struct QueryTraceSummary {
   int64_t CounterValue(TraceCounter c) const {
     return counters[static_cast<size_t>(c)];
   }
-  /// This summary minus an earlier one of the same trace: the stage totals
-  /// and counters accumulated in between (all-zero stages dropped). Lets a
-  /// multi-statement run attribute one shared trace to its statements.
-  QueryTraceSummary Delta(const QueryTraceSummary& earlier) const;
   /// Human "trace anatomy" table: one row per touched stage, then counters.
   std::string ToString() const;
 };
@@ -433,28 +429,43 @@ class QueryTrace {
   std::unique_ptr<SpanCapture> capture_;
 };
 
+/// Actuals of one executed operator, an EXPLAIN ANALYZE plan node: the wall
+/// time and count of its tasks, added by TraceSpan from any worker, and the
+/// rows it emitted, set by the operator once its tasks are done.
+struct OperatorStats {
+  std::atomic<int64_t> nanos{0};
+  std::atomic<int64_t> tasks{0};
+  int64_t rows = -1;  ///< -1 until the operator ran
+};
+
 /// RAII span: attributes its lifetime (and the thread's hot-path counter
-/// delta — posting blocks decoded) to one stage of a trace.
+/// delta — posting blocks decoded) to one stage of a trace, and its lifetime
+/// to the operator `op` when one is given.
 /// Used at morsel-task granularity inside the executor and for coarse
 /// single-thread stages (optimize, plan step, seeker). Inert — not even a
-/// clock read — when `trace` is null or telemetry is compiled out.
+/// clock read — when `trace` and `op` are null or telemetry is compiled out.
 class TraceSpan {
  public:
-  TraceSpan(QueryTrace* trace, TraceStage stage) : trace_(trace), stage_(stage) {
+  TraceSpan(QueryTrace* trace, TraceStage stage, OperatorStats* op = nullptr)
+      : trace_(trace), op_(op), stage_(stage) {
     if constexpr (!kTelemetryEnabled) return;
-    if (trace_ == nullptr) return;
+    if (trace_ == nullptr && op_ == nullptr) return;
     hot_ = telemetry_internal::ThreadHotPathCounters();
     start_ = std::chrono::steady_clock::now();
   }
   ~TraceSpan() {
     if constexpr (!kTelemetryEnabled) return;
-    if (trace_ == nullptr) return;
+    if (trace_ == nullptr && op_ == nullptr) return;
     const auto end = std::chrono::steady_clock::now();
+    const int64_t nanos =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count();
+    if (op_ != nullptr) {
+      op_->nanos.fetch_add(nanos, std::memory_order_relaxed);
+      op_->tasks.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (trace_ == nullptr) return;
     const auto& hot = telemetry_internal::ThreadHotPathCounters();
-    trace_->AddStage(
-        stage_,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count(),
-        1);
+    trace_->AddStage(stage_, nanos, 1);
     trace_->AddCounter(TraceCounter::kPostingBlocksDecoded,
                        hot.posting_blocks_decoded - hot_.posting_blocks_decoded);
     if (trace_->capturing_spans()) trace_->CaptureSpan(stage_, start_, end);
@@ -464,6 +475,7 @@ class TraceSpan {
 
  private:
   QueryTrace* trace_;
+  OperatorStats* op_;
   TraceStage stage_;
   std::chrono::steady_clock::time_point start_{};
   telemetry_internal::HotPathCounters hot_{};

@@ -69,11 +69,11 @@ class Blend {
     /// event record. 0 (the default) disables the threshold; requires
     /// `event_log`.
     double slow_query_log_seconds = 0;
-    /// Capture an EXPLAIN-ANALYZE-style annotated plan for every SQL
-    /// statement a run's seekers issue (ExecutionReport::statement_plans).
-    /// Describe-mode planning reruns the dispatch gates without executing,
-    /// so results stay byte-identical; off by default because it adds a
-    /// describe pass per statement.
+    /// Capture the EXPLAIN ANALYZE plan of every SQL statement a run's
+    /// seekers issue (ExecutionReport::statement_plans): the plan each
+    /// statement ran, with the actuals its operators recorded. Recording
+    /// never changes results; off by default because each statement then
+    /// times its operators and renders its plan.
     bool capture_statement_plans = false;
     /// Capture per-morsel-task trace spans (ExecutionReport::trace_spans) for
     /// Chrome/Perfetto trace export. Span capture appends to a bounded

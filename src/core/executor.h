@@ -52,9 +52,9 @@ struct ExecutionReport {
   QueryTraceSummary trace;
   /// The steps that were executed, in order (for inspection and tests).
   ExecutionPlan executed_plan;
-  /// Annotated plans of every SQL statement the run's seekers issued, in
+  /// Executed plans of every SQL statement the run's seekers issued, in
   /// execution order (Blend::Options::capture_statement_plans). Each entry
-  /// pairs the statement text with its EXPLAIN-ANALYZE-style operator tree;
+  /// pairs the statement text with its EXPLAIN ANALYZE operator tree;
   /// a four-seeker discovery plan shows up as one report with all of its
   /// statements' plans. Empty when capture is off.
   std::vector<sql::CapturedStatementPlan> statement_plans;

@@ -32,9 +32,9 @@ class Engine {
   /// Parses and executes one statement with default QueryOptions
   /// (morsel-parallel on the engine pool). A statement is a SELECT,
   /// optionally prefixed with EXPLAIN (return the planned operator tree
-  /// without executing) or EXPLAIN ANALYZE (execute, then annotate the tree
-  /// with per-node actuals; the result rows are byte-identical to the bare
-  /// statement's).
+  /// without executing) or EXPLAIN ANALYZE (execute, then return the
+  /// executed tree with the actuals each operator recorded; the result rows
+  /// are byte-identical to the bare statement's).
   Result<QueryResult> Query(const std::string& sql) const;
 
   /// Parses and executes one SELECT statement with explicit execution knobs.

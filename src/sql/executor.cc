@@ -51,32 +51,40 @@ constexpr size_t kMergePartitions = 16;
 /// order).
 /// Tracing rides the same boundaries: a TraceSpan brackets each task (so
 /// stage wall time and the codec's hot-path tallies land on the stage that
-/// caused them) and a QueueWaitProbe records the dispatch latency of the
-/// group's first task. Both are inert for a null trace — no clock reads —
-/// and neither touches morsel geometry, task order, or merge order.
+/// caused them, and the task's time on the plan node `stats` when actuals are
+/// recorded) and a QueueWaitProbe records the dispatch latency of the
+/// group's first task. Both are inert for a null trace and null `stats` — no
+/// clock reads — and neither touches morsel geometry, task order, or merge
+/// order.
 template <typename Fn>
-[[nodiscard]] Status RunTasks(Scheduler* sched, const QueryControl* control,
-                              QueryTrace* trace, TraceStage stage,
-                              size_t num_tasks, const Fn& fn) {
+[[nodiscard]] Status RunTasks(const QueryOptions& options, TraceStage stage,
+                              OperatorStats* stats, size_t num_tasks, const Fn& fn) {
   const char* label = TraceStageName(stage);
+  const QueryControl* control = options.control;
   BLEND_RETURN_NOT_OK(CheckControl(control, label));
-  QueueWaitProbe queue_wait(trace);
-  if (sched == nullptr) {
-    for (size_t t = 0; t < num_tasks; ++t) {
-      if (ShouldStop(control)) break;
-      queue_wait.NoteTaskStart();
-      TraceSpan span(trace, stage);
-      fn(t);
-    }
+  QueueWaitProbe queue_wait(options.trace);
+  auto task = [&](size_t t) {
+    if (ShouldStop(control)) return;
+    queue_wait.NoteTaskStart();
+    TraceSpan span(options.trace, stage, stats);
+    fn(t);
+  };
+  if (options.scheduler == nullptr) {
+    for (size_t t = 0; t < num_tasks; ++t) task(t);
   } else {
-    sched->ParallelFor(num_tasks, [&](size_t t) {
-      if (ShouldStop(control)) return;
-      queue_wait.NoteTaskStart();
-      TraceSpan span(trace, stage);
-      fn(t);
-    });
+    options.scheduler->ParallelFor(num_tasks, task);
   }
   return CheckControl(control, label);
+}
+
+/// Tasks of `n` inputs cut into chunks of `chunk` inputs.
+constexpr size_t NumChunks(size_t n, size_t chunk) { return (n + chunk - 1) / chunk; }
+
+/// Records the `rows` an operator emitted on its trace stage and, when
+/// actuals are recorded, on its plan node.
+void NoteRows(QueryTrace* trace, TraceStage stage, OperatorStats* stats, size_t rows) {
+  if (trace != nullptr) trace->AddRows(stage, static_cast<int64_t>(rows));
+  if (stats != nullptr) stats->rows = static_cast<int64_t>(rows);
 }
 
 /// Interval (in serial-loop iterations) between control checks inside loops
@@ -383,6 +391,7 @@ struct RelScan {
   RecordFilter filter;
   std::vector<ScanMorsel> morsels;
   std::vector<TableId> tables;  ///< the clustered index's tables, ascending
+  size_t cells = 0;             ///< the CellValue index's resolved cells
 };
 
 template <typename Store>
@@ -409,9 +418,9 @@ Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
 
   if (spec.cell_in != nullptr) {
     // Access path 1: the in-database hash index on CellValue.
-    for (CellId id : ResolveCellIds(*spec.cell_in, dict)) {
-      AppendListMorsels(store.PostingList(id), id, &scan.morsels);
-    }
+    const std::vector<CellId> cells = ResolveCellIds(*spec.cell_in, dict);
+    scan.cells = cells.size();
+    for (CellId id : cells) AppendListMorsels(store.PostingList(id), id, &scan.morsels);
   } else if (spec.table_in != nullptr) {
     // Access path 2: the clustered index on TableId.
     scan.tables = ResolveTableIds(*spec.table_in, store);
@@ -464,12 +473,11 @@ bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
 /// runs inline.
 template <typename Store>
 Result<std::vector<RecordPos>> ScanRel(const RelScan& scan, const Store& store,
-                                       Scheduler* sched,
-                                       const QueryControl* control,
-                                       QueryTrace* trace) {
+                                       const QueryOptions& options,
+                                       OperatorStats* stats) {
   std::vector<std::vector<RecordPos>> parts(scan.morsels.size());
-  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kScan,
-                               scan.morsels.size(), [&](size_t m) {
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kScan, stats, scan.morsels.size(),
+                               [&](size_t m) {
     std::vector<RecordPos>& out = parts[m];
     WalkMorsel(scan.morsels[m], [&](RecordPos p, CellId) {
       if (scan.filter(store, p)) out.push_back(p);
@@ -478,9 +486,7 @@ Result<std::vector<RecordPos>> ScanRel(const RelScan& scan, const Store& store,
   }));
 
   std::vector<RecordPos> out = ConcatParts(std::move(parts));
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kScan, static_cast<int64_t>(out.size()));
-  }
+  NoteRows(options.trace, TraceStage::kScan, stats, out.size());
   return out;
 }
 
@@ -547,25 +553,34 @@ bool StepResidualHolds(const Store& store, const StepKeys& keys,
 }
 
 /// One binary hash-join step: extends the joined prefix `rows` with matches
-/// from `scan` (relation index `step_side`). Builds on the smaller input.
-/// Parallelism: build-side hashes are precomputed in parallel chunks (the
-/// field reads dominate the build), insertion stays serial to preserve exact
-/// bucket order, and the probe side is morselized with per-morsel output
-/// buffers concatenated in morsel order — emit order is byte-identical to a
-/// serial probe loop.
+/// from `scan` (relation index `step_side`). Builds on the smaller input —
+/// the new relation when `scan.size() <= rows.size()`, else the prefix — and
+/// reports which in `*built_prefix`. Parallelism: build-side hashes are
+/// precomputed in parallel chunks (the field reads dominate the build),
+/// insertion stays serial to preserve exact bucket order, and the probe side
+/// is morselized with per-morsel output buffers concatenated in morsel order
+/// — emit order is byte-identical to a serial probe loop: probe-major, each
+/// probe entry's matches in ascending build index.
 template <typename Store>
 Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
                                          const std::vector<RowCtx>& rows,
                                          const std::vector<RecordPos>& scan,
                                          const StepKeys& keys, uint8_t step_side,
-                                         Scheduler* sched,
-                                         const QueryControl* control,
-                                         QueryTrace* trace) {
-  auto left_hash = [&](const RowCtx& ctx, bool* has_null) {
+                                         const QueryOptions& options,
+                                         OperatorStats* build_stats,
+                                         OperatorStats* probe_stats,
+                                         bool* built_prefix) {
+  const bool build_prefix = scan.size() > rows.size();
+  *built_prefix = build_prefix;
+  // Key hash of entry i of the prefix (`prefix`) or of the scan; sets
+  // *has_null when a key is NULL, which never matches.
+  auto key_hash = [&](bool prefix, size_t i, bool* has_null) {
     uint64_t h = 0x243F6A8885A308D3ULL;
     *has_null = false;
-    for (const auto& [side, f] : keys.left) {
-      SqlValue v = FieldValue(store, f, ctx.pos[side]);
+    for (size_t k = 0; k < keys.right.size(); ++k) {
+      const auto& [side, field] = keys.left[k];
+      const SqlValue v = prefix ? FieldValue(store, field, rows[i].pos[side])
+                                : FieldValue(store, keys.right[k], scan[i]);
       if (v.is_null()) {
         *has_null = true;
         return h;
@@ -574,123 +589,53 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
     }
     return h;
   };
-  auto right_hash = [&](RecordPos p, bool* has_null) {
-    uint64_t h = 0x243F6A8885A308D3ULL;
-    *has_null = false;
-    for (Field f : keys.right) {
-      SqlValue v = FieldValue(store, f, p);
-      if (v.is_null()) {
-        *has_null = true;
-        return h;
-      }
-      h = HashCombine(h, v.Hash());
-    }
-    return h;
-  };
-  auto keys_equal = [&](const RowCtx& ctx, RecordPos p) {
-    return StepKeysEqual(store, keys, ctx, p);
-  };
-  auto emit = [&](const RowCtx& ctx, RecordPos p, std::vector<RowCtx>* out) {
-    RowCtx extended = ctx;
-    extended.pos[step_side] = p;
-    if (StepResidualHolds(store, keys, extended)) out->push_back(extended);
-  };
+  const size_t num_build = build_prefix ? rows.size() : scan.size();
+  const size_t num_probe = build_prefix ? scan.size() : rows.size();
 
-  const size_t num_chunks_of = kScanMorselRecords;  // probe morsel rows
-
-  if (scan.size() <= rows.size()) {
-    // Build on the new relation, probe with the prefix.
-    std::vector<uint64_t> hashes(scan.size());
-    std::vector<uint8_t> nulls(scan.size());
-    const size_t build_chunks =
-        (scan.size() + kScanMorselRecords - 1) / kScanMorselRecords;
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinBuild,
-                                 build_chunks, [&](size_t c) {
-      const size_t b = c * kScanMorselRecords;
-      const size_t e = std::min(scan.size(), b + kScanMorselRecords);
-      for (size_t i = b; i < e; ++i) {
-        bool has_null;
-        hashes[i] = right_hash(scan[i], &has_null);
-        nulls[i] = has_null ? 1 : 0;
-      }
-    }));
-    std::unordered_map<uint64_t, std::vector<RecordPos>> ht;
-    ht.reserve(scan.size() * 2);
-    for (size_t i = 0; i < scan.size(); ++i) {
-      if ((i % kSerialCheckInterval) == kSerialCheckInterval - 1) {
-        BLEND_RETURN_NOT_OK(CheckControl(control, "join build"));
-      }
-      if (!nulls[i]) ht[hashes[i]].push_back(scan[i]);
-    }
-    const size_t probe_chunks = (rows.size() + num_chunks_of - 1) / num_chunks_of;
-    std::vector<std::vector<RowCtx>> parts(probe_chunks);
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinProbe,
-                                 probe_chunks, [&](size_t c) {
-      const size_t b = c * num_chunks_of;
-      const size_t e = std::min(rows.size(), b + num_chunks_of);
-      for (size_t i = b; i < e; ++i) {
-        bool has_null;
-        uint64_t h = left_hash(rows[i], &has_null);
-        if (has_null) continue;
-        auto it = ht.find(h);
-        if (it == ht.end()) continue;
-        for (RecordPos p : it->second) {
-          if (keys_equal(rows[i], p)) emit(rows[i], p, &parts[c]);
-        }
-      }
-    }));
-    std::vector<RowCtx> joined = ConcatParts(std::move(parts));
-    if (trace != nullptr) {
-      trace->AddRows(TraceStage::kJoinProbe, static_cast<int64_t>(joined.size()));
-    }
-    return joined;
-  }
-
-  // Build on the prefix, probe with the new relation's scan.
-  std::vector<uint64_t> hashes(rows.size());
-  std::vector<uint8_t> nulls(rows.size());
-  const size_t build_chunks =
-      (rows.size() + kScanMorselRecords - 1) / kScanMorselRecords;
-  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinBuild,
-                               build_chunks, [&](size_t c) {
-    const size_t b = c * kScanMorselRecords;
-    const size_t e = std::min(rows.size(), b + kScanMorselRecords);
-    for (size_t i = b; i < e; ++i) {
+  std::vector<uint64_t> hashes(num_build);
+  std::vector<uint8_t> nulls(num_build);
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinBuild, build_stats,
+                               NumChunks(num_build, kScanMorselRecords), [&](size_t c) {
+    const size_t e = std::min(num_build, (c + 1) * kScanMorselRecords);
+    for (size_t i = c * kScanMorselRecords; i < e; ++i) {
       bool has_null;
-      hashes[i] = left_hash(rows[i], &has_null);
+      hashes[i] = key_hash(build_prefix, i, &has_null);
       nulls[i] = has_null ? 1 : 0;
     }
   }));
   std::unordered_map<uint64_t, std::vector<uint32_t>> ht;
-  ht.reserve(rows.size() * 2);
-  for (uint32_t i = 0; i < rows.size(); ++i) {
+  ht.reserve(num_build * 2);
+  for (uint32_t i = 0; i < num_build; ++i) {
     if ((i % kSerialCheckInterval) == kSerialCheckInterval - 1) {
-      BLEND_RETURN_NOT_OK(CheckControl(control, "join build"));
+      BLEND_RETURN_NOT_OK(CheckControl(options.control, "join build"));
     }
     if (!nulls[i]) ht[hashes[i]].push_back(i);
   }
-  const size_t probe_chunks = (scan.size() + num_chunks_of - 1) / num_chunks_of;
+  if (build_stats != nullptr) build_stats->rows = static_cast<int64_t>(num_build);
+
+  const size_t probe_chunks = NumChunks(num_probe, kScanMorselRecords);
   std::vector<std::vector<RowCtx>> parts(probe_chunks);
-  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinProbe,
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinProbe, probe_stats,
                                probe_chunks, [&](size_t c) {
-    const size_t b = c * num_chunks_of;
-    const size_t e = std::min(scan.size(), b + num_chunks_of);
-    for (size_t i = b; i < e; ++i) {
-      const RecordPos p = scan[i];
+    const size_t e = std::min(num_probe, (c + 1) * kScanMorselRecords);
+    for (size_t i = c * kScanMorselRecords; i < e; ++i) {
       bool has_null;
-      uint64_t h = right_hash(p, &has_null);
+      const uint64_t h = key_hash(!build_prefix, i, &has_null);
       if (has_null) continue;
       auto it = ht.find(h);
       if (it == ht.end()) continue;
-      for (uint32_t r : it->second) {
-        if (keys_equal(rows[r], p)) emit(rows[r], p, &parts[c]);
+      for (uint32_t b : it->second) {
+        const RowCtx& ctx = rows[build_prefix ? b : i];
+        const RecordPos p = scan[build_prefix ? i : b];
+        if (!StepKeysEqual(store, keys, ctx, p)) continue;
+        RowCtx extended = ctx;
+        extended.pos[step_side] = p;
+        if (StepResidualHolds(store, keys, extended)) parts[c].push_back(extended);
       }
     }
   }));
   std::vector<RowCtx> joined = ConcatParts(std::move(parts));
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kJoinProbe, static_cast<int64_t>(joined.size()));
-  }
+  NoteRows(options.trace, TraceStage::kJoinProbe, probe_stats, joined.size());
   return joined;
 }
 
@@ -743,17 +688,13 @@ RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
   return lo;
 }
 
-/// Whether join step `j` (joining relation j + 1) runs as a lookup join: its
-/// ON equates TableId with TableId and RowId with RowId, and its relation's
-/// access path scans in ascending position (the clustered TableId index, the
-/// Quadrant partial index or a full scan). A relation on the CellValue index
-/// scans cell-major and keeps HashJoinStep. A step whose keys do not bind is
-/// not a lookup; the join loop reports the bind error.
-bool IsLookupStep(const AnalyzedQuery& q, size_t j, const Binder& binder) {
-  if (ClassifyScan(q.rels[j + 1].scan_pred).cell_in != nullptr) return false;
-  auto keys_or = ExtractStepKeys(q.join_ons[j], binder, static_cast<uint8_t>(j + 1));
-  if (!keys_or.ok()) return false;
-  const StepKeys keys = keys_or.take();
+/// Whether a join step runs as a lookup join: its ON equates TableId with
+/// TableId and RowId with RowId, and its relation's access path scans in
+/// ascending position (the clustered TableId index, the Quadrant partial
+/// index or a full scan). A relation on the CellValue index scans cell-major
+/// and keeps HashJoinStep.
+bool IsLookupStep(const ScanSpec& spec, const StepKeys& keys) {
+  if (spec.cell_in != nullptr) return false;
   bool table_key = false, row_key = false;
   for (size_t i = 0; i < keys.right.size(); ++i) {
     const Field f = keys.right[i];
@@ -784,20 +725,19 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
                                            const std::vector<RowCtx>& rows,
                                            const RelScan& rel,
                                            const StepKeys& keys, uint8_t step_side,
-                                           Scheduler* sched,
-                                           const QueryControl* control,
-                                           QueryTrace* trace) {
+                                           const QueryOptions& options,
+                                           OperatorStats* stats) {
   // Orientation: count passing candidates in ScanRel's scan order.
   const size_t cap = rows.size() + 1;
   size_t passing = 0, visited = 0;
   auto visit = [&](RecordPos p, CellId) {
     if (rel.filter(store, p) && ++passing == cap) return false;
-    return ++visited % kSerialCheckInterval != 0 || !ShouldStop(control);
+    return ++visited % kSerialCheckInterval != 0 || !ShouldStop(options.control);
   };
   for (const ScanMorsel& mo : rel.morsels) {
     if (!WalkMorsel(mo, visit)) break;
   }
-  BLEND_RETURN_NOT_OK(CheckControl(control, "lookup join"));
+  BLEND_RETURN_NOT_OK(CheckControl(options.control, "lookup join"));
   const bool probe_with_prefix = passing <= rows.size();
 
   size_t table_key = 0, row_key = 0;
@@ -811,11 +751,11 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
 
   // Prefix-row chunks; each fills its own buffer of joined rows (probing
   // with the prefix) or of packed (position, prefix index) pairs.
-  const size_t num_chunks = (rows.size() + kScanMorselRecords - 1) / kScanMorselRecords;
+  const size_t num_chunks = NumChunks(rows.size(), kScanMorselRecords);
   std::vector<std::vector<RowCtx>> parts(probe_with_prefix ? num_chunks : 0);
   std::vector<std::vector<uint64_t>> pairs(probe_with_prefix ? 0 : num_chunks);
-  BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kJoinProbe,
-                               num_chunks, [&](size_t c) {
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinProbe, stats, num_chunks,
+                               [&](size_t c) {
     const size_t b = c * kScanMorselRecords;
     const size_t e = std::min(rows.size(), b + kScanMorselRecords);
     for (size_t i = b; i < e; ++i) {
@@ -856,9 +796,7 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
       joined.push_back(extended);
     }
   }
-  if (trace != nullptr) {
-    trace->AddRows(TraceStage::kJoinProbe, static_cast<int64_t>(joined.size()));
-  }
+  NoteRows(options.trace, TraceStage::kJoinProbe, stats, joined.size());
   return joined;
 }
 
@@ -1002,14 +940,10 @@ bool HasAggregate(const SelectStmt& stmt) {
   return has_agg;
 }
 
-// ---------------------------------------------------------------------------
-// Aggregation.
-// ---------------------------------------------------------------------------
-
-/// An aggregate statement bound in aggregate context: group keys, every
-/// aggregate the select list and ORDER BY reference, the select items and
-/// the sort keys.
-struct AggBinding {
+/// The root operator's bindings: the group keys and every aggregate the
+/// select list and ORDER BY reference (Aggregate only), the select items with
+/// their column names, and the sort keys.
+struct OutputBinding {
   std::vector<BoundExprPtr> keys;
   std::vector<AggSpec> aggs;
   std::vector<BoundExprPtr> items;
@@ -1017,11 +951,57 @@ struct AggBinding {
   SortKeys sort;
 };
 
-Result<AggBinding> BindAggregate(const SelectStmt& stmt, const Binder& binder) {
+/// Output rows and, under ORDER BY, each row's sort values, ahead of
+/// SortAndLimit.
+struct OutputRows {
+  std::vector<std::vector<SqlValue>> rows;
+  std::vector<std::vector<SqlValue>> sort_vals;
+};
+
+/// Binds a projection's select items in row context; `SELECT *` exposes the
+/// canonical fields of every relation, prefixed with the relation's alias
+/// when there is more than one.
+Result<OutputBinding> BindProjection(const AnalyzedQuery& q, const SelectStmt& stmt,
+                                     const Binder& binder) {
+  OutputBinding out;
+  if (stmt.select_star) {
+    for (size_t s = 0; s < q.rels.size(); ++s) {
+      for (int fi = 0; fi < kNumFields; ++fi) {
+        auto b = std::make_unique<BoundExpr>();
+        b->kind = BKind::kField;
+        b->side = static_cast<uint8_t>(s);
+        b->field = static_cast<Field>(fi);
+        std::string name = FieldName(b->field);
+        if (q.rels.size() > 1) {
+          const std::string& alias = q.rels[s].visible.alias;
+          name = (alias.empty() ? "t" + std::to_string(s) : alias) + "." + name;
+        }
+        out.columns.push_back(std::move(name));
+        out.items.push_back(std::move(b));
+      }
+    }
+  } else {
+    for (const auto& item : stmt.items) {
+      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*item.expr));
+      out.columns.push_back(ItemName(item));
+      out.items.push_back(std::move(b));
+    }
+  }
+  BLEND_ASSIGN_OR_RETURN(out.sort, BindOrderBy(stmt, out.columns, [&](const Expr& e) {
+    return binder.BindRowExpr(e);
+  }));
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation.
+// ---------------------------------------------------------------------------
+
+Result<OutputBinding> BindAggregate(const SelectStmt& stmt, const Binder& binder) {
   if (stmt.select_star) {
     return Status::PlanError("SELECT * with GROUP BY is not supported");
   }
-  AggBinding agg;
+  OutputBinding agg;
   for (const auto& g : stmt.group_by) {
     BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*g));
     agg.keys.push_back(std::move(b));
@@ -1207,11 +1187,12 @@ std::vector<PackedField> PackKeys(const std::vector<BoundExprPtr>& keys) {
 /// so the result is byte-identical for every pool size. Packed keys need no
 /// key values per row; a value that overflows its packed width reruns the
 /// chunks on generic keys. The chunk tables are charged to the memory budget
-/// on top of what the query already holds.
+/// on top of what the query already holds. Chunk and merge tasks both count
+/// towards the Aggregate node's `stats`.
 template <typename Store>
-Result<GroupTable> AggregateGroups(const AggInput<Store>& input, const AggBinding& agg,
-                                   ScopedMemoryCharge* mem,
-                                   const QueryOptions& options) {
+Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
+                                   const OutputBinding& agg, ScopedMemoryCharge* mem,
+                                   const QueryOptions& options, OperatorStats* stats) {
   const Store& store = *input.store;
   const std::vector<AggSpec>& aggs = agg.aggs;
   std::vector<uint8_t> list_count(aggs.size(), 0);
@@ -1244,8 +1225,8 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input, const AggBindin
   auto aggregate_chunks = [&](bool pack) {
     chunks.clear();
     for (size_t c = 0; c < num_chunks; ++c) chunks.push_back(fresh(pack));
-    return RunTasks(options.scheduler, options.control, options.trace,
-                    TraceStage::kAggregation, num_chunks, [&](size_t c) {
+    return RunTasks(options, TraceStage::kAggregation, stats, num_chunks,
+                    [&](size_t c) {
       GroupTable& table = chunks[c];
       std::vector<SqlValue> key(agg.keys.size());
       input.ForEachRow(c, [&](size_t ordinal, const RowCtx& ctx, CellId cell) {
@@ -1311,8 +1292,7 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input, const AggBindin
   for (size_t p = 0; p < num_parts; ++p) {
     parts.push_back(num_parts == 1 ? std::move(chunks[0]) : fresh(pack));
   }
-  BLEND_RETURN_NOT_OK(RunTasks(options.scheduler, options.control, options.trace,
-                               TraceStage::kAggregationMerge, num_parts,
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kAggregationMerge, stats, num_parts,
                                [&](size_t part) {
     GroupTable& merged = parts[part];
     for (size_t c = num_parts == 1 ? 1 : 0; c < num_chunks; ++c) {
@@ -1345,14 +1325,12 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input, const AggBindin
   return all;
 }
 
-/// Finalizes each group's aggregates, projects the groups through the select
-/// items, sorts and applies LIMIT.
-void EmitGroups(const GroupTable& groups, const AggBinding& agg,
-                const SelectStmt& stmt, const QueryOptions& options,
-                QueryResult* result) {
-  std::vector<std::vector<SqlValue>> out_rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
-  out_rows.reserve(groups.size());
+/// Finalizes each group's aggregates and projects the groups through the
+/// select items.
+OutputRows EmitGroups(const GroupTable& groups, const OutputBinding& agg,
+                      const SelectStmt& stmt) {
+  OutputRows out;
+  out.rows.reserve(groups.size());
   std::vector<SqlValue> agg_vals(agg.aggs.size());
   for (uint32_t g = 0; g < groups.size(); ++g) {
     const AggState* states = groups.StatesOf(g);
@@ -1368,15 +1346,14 @@ void EmitGroups(const GroupTable& groups, const AggBinding& agg,
     std::vector<SqlValue> vals;
     vals.reserve(agg.items.size());
     for (const auto& it : agg.items) vals.push_back(EvalExpr(*it, leaf));
-    if (!stmt.order_by.empty()) sort_vals.push_back(agg.sort.Values(vals, leaf));
-    out_rows.push_back(std::move(vals));
+    if (!stmt.order_by.empty()) out.sort_vals.push_back(agg.sort.Values(vals, leaf));
+    out.rows.push_back(std::move(vals));
   }
-  SortAndLimit(&out_rows, &sort_vals, agg.sort.desc, stmt.limit, options);
-  result->rows = std::move(out_rows);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// Row stream and projection.
+// Row-stream operators: the residual WHERE and the projection.
 // ---------------------------------------------------------------------------
 
 Binder VisibleBinder(const AnalyzedQuery& q, const Dictionary& dict) {
@@ -1385,376 +1362,421 @@ Binder VisibleBinder(const AnalyzedQuery& q, const Dictionary& dict) {
   return Binder(&dict, std::move(rel_cols));
 }
 
-/// Scans, joins and filters a statement into its row stream: the relation
-/// scans (a relation that a lookup join step reads in place is never
-/// scanned; its filters are bound in relation order like the scans), the
-/// join chain, then the residual WHERE. The scan position vectors and the
-/// joined row stream are charged to the memory budget.
+/// The residual WHERE, chunk-parallel: per-chunk surviving-row buffers
+/// concatenated in chunk order keep the row stream identical to a serial
+/// filter loop.
 template <typename Store>
-Result<std::vector<RowCtx>> BuildRowStream(const AnalyzedQuery& q,
-                                           const Binder& binder, const Store& store,
-                                           const Dictionary& dict,
-                                           const QueryOptions& options,
-                                           ScopedMemoryCharge* mem) {
-  Scheduler* sched = options.scheduler;
-  const QueryControl* control = options.control;
-  QueryTrace* trace = options.trace;
-
-  // 1. Scans.
-  std::vector<std::vector<RecordPos>> scans(q.rels.size());
-  std::vector<std::optional<RelScan>> lookups(q.rels.size());
-  int64_t scan_bytes = 0;
-  for (size_t r = 0; r < q.rels.size(); ++r) {
-    if (r > 0 && IsLookupStep(q, r - 1, binder)) {
-      BLEND_ASSIGN_OR_RETURN(lookups[r], BindRelScan(q.rels[r], store, dict));
-      continue;
+Result<std::vector<RowCtx>> FilterRows(const std::vector<RowCtx>& rows,
+                                       const BoundExpr& pred, const Store& store,
+                                       const QueryOptions& options,
+                                       OperatorStats* stats) {
+  const size_t n = rows.size();
+  const size_t num_chunks = NumChunks(n, kAggChunkRows);
+  std::vector<std::vector<RowCtx>> parts(num_chunks);
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kFilter, stats, num_chunks,
+                               [&](size_t c) {
+    const size_t e = std::min(n, (c + 1) * kAggChunkRows);
+    for (size_t i = c * kAggChunkRows; i < e; ++i) {
+      const RowCtx& ctx = rows[i];
+      SqlValue v = EvalExpr(pred, [&](const BoundExpr& bx) {
+        return FieldValue(store, bx.field, ctx.pos[bx.side]);
+      });
+      if (v.IsTruthy()) parts[c].push_back(ctx);
     }
-    BLEND_ASSIGN_OR_RETURN(const RelScan scan, BindRelScan(q.rels[r], store, dict));
-    BLEND_ASSIGN_OR_RETURN(scans[r], ScanRel(scan, store, sched, control, trace));
-    scan_bytes += static_cast<int64_t>(scans[r].size() * sizeof(RecordPos));
-    BLEND_RETURN_NOT_OK(mem->ChargeTo(scan_bytes));
-  }
-
-  // 2. Join chain (or single-relation row stream).
-  std::vector<RowCtx> rows;
-  rows.reserve(scans[0].size());
-  for (RecordPos p : scans[0]) {
-    RowCtx ctx;
-    ctx.pos[0] = p;
-    rows.push_back(ctx);
-  }
-  BLEND_RETURN_NOT_OK(
-      mem->ChargeTo(scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    const uint8_t step_side = static_cast<uint8_t>(j + 1);
-    BLEND_ASSIGN_OR_RETURN(StepKeys keys,
-                           ExtractStepKeys(q.join_ons[j], binder, step_side));
-    if (lookups[step_side].has_value()) {
-      BLEND_ASSIGN_OR_RETURN(rows, LookupJoinStep(store, rows, *lookups[step_side],
-                                                  keys, step_side, sched, control,
-                                                  trace));
-    } else {
-      BLEND_ASSIGN_OR_RETURN(rows,
-                             HashJoinStep(store, rows, scans[step_side], keys,
-                                          step_side, sched, control, trace));
-    }
-    BLEND_RETURN_NOT_OK(mem->ChargeTo(
-        scan_bytes + static_cast<int64_t>(rows.size() * sizeof(RowCtx))));
-  }
-
-  // 3. Residual WHERE, chunk-parallel: per-chunk surviving-row buffers
-  // concatenated in chunk order keep the row stream identical to a serial
-  // filter loop.
-  if (q.residual_where != nullptr) {
-    BLEND_ASSIGN_OR_RETURN(auto pred, binder.BindRowExpr(*q.residual_where));
-    const size_t n = rows.size();
-    const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
-    std::vector<std::vector<RowCtx>> parts(num_chunks);
-    BLEND_RETURN_NOT_OK(RunTasks(sched, control, trace, TraceStage::kFilter,
-                                 num_chunks, [&](size_t c) {
-      const size_t b = c * kAggChunkRows;
-      const size_t e = std::min(n, b + kAggChunkRows);
-      std::vector<RowCtx>& kept = parts[c];
-      for (size_t i = b; i < e; ++i) {
-        const RowCtx& ctx = rows[i];
-        SqlValue v = EvalExpr(*pred, [&](const BoundExpr& bx) {
-          return FieldValue(store, bx.field, ctx.pos[bx.side]);
-        });
-        if (v.IsTruthy()) kept.push_back(ctx);
-      }
-    }));
-    rows = ConcatParts(std::move(parts));
-  }
-  return rows;
+  }));
+  std::vector<RowCtx> kept = ConcatParts(std::move(parts));
+  if (stats != nullptr) stats->rows = static_cast<int64_t>(kept.size());
+  return kept;
 }
 
 /// Non-aggregate projection of the row stream, chunk-parallel: per-chunk
 /// buffers concatenated in chunk order reproduce the serial row order
 /// exactly.
 template <typename Store>
-Result<QueryResult> ProjectRows(const AnalyzedQuery& q, const SelectStmt& stmt,
-                                const Binder& binder, const std::vector<RowCtx>& rows,
-                                const Store& store, const QueryOptions& options) {
-  QueryResult result;
-  std::vector<BoundExprPtr> items;
-  if (stmt.select_star) {
-    // Expose canonical fields; prefix with the alias in a join.
-    for (size_t s = 0; s < q.rels.size(); ++s) {
-      for (int fi = 0; fi < kNumFields; ++fi) {
-        Field f = static_cast<Field>(fi);
-        auto b = std::make_unique<BoundExpr>();
-        b->kind = BKind::kField;
-        b->side = static_cast<uint8_t>(s);
-        b->field = f;
-        std::string name = FieldName(f);
-        if (q.rels.size() == 2) {
-          std::string prefix =
-              q.rels[s].visible.alias.empty() ? ("t" + std::to_string(s))
-                                              : q.rels[s].visible.alias;
-          name = prefix + "." + name;
-        }
-        result.columns.push_back(std::move(name));
-        items.push_back(std::move(b));
-      }
-    }
-  } else {
-    for (const auto& item : stmt.items) {
-      BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*item.expr));
-      result.columns.push_back(ItemName(item));
-      items.push_back(std::move(b));
-    }
-  }
-  BLEND_ASSIGN_OR_RETURN(const SortKeys sort,
-                         BindOrderBy(stmt, result.columns, [&](const Expr& e) {
-                           return binder.BindRowExpr(e);
-                         }));
-
+Result<OutputRows> ProjectRows(const std::vector<RowCtx>& rows,
+                               const OutputBinding& proj, const SelectStmt& stmt,
+                               const Store& store, const QueryOptions& options,
+                               OperatorStats* stats) {
   const size_t n = rows.size();
-  const size_t num_chunks = (n + kAggChunkRows - 1) / kAggChunkRows;
-  std::vector<std::vector<std::vector<SqlValue>>> row_parts(num_chunks);
-  std::vector<std::vector<std::vector<SqlValue>>> sort_parts(num_chunks);
-  BLEND_RETURN_NOT_OK(RunTasks(options.scheduler, options.control, options.trace,
-                               TraceStage::kProjection, num_chunks, [&](size_t c) {
+  const size_t num_chunks = NumChunks(n, kAggChunkRows);
+  std::vector<OutputRows> parts(num_chunks);
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kProjection, stats, num_chunks,
+                               [&](size_t c) {
     const size_t b = c * kAggChunkRows;
     const size_t e = std::min(n, b + kAggChunkRows);
-    row_parts[c].reserve(e - b);
+    OutputRows& part = parts[c];
+    part.rows.reserve(e - b);
     for (size_t r = b; r < e; ++r) {
       const RowCtx& ctx = rows[r];
       auto leaf = [&](const BoundExpr& bx) {
         return FieldValue(store, bx.field, ctx.pos[bx.side]);
       };
       std::vector<SqlValue> vals;
-      vals.reserve(items.size());
-      for (const auto& it : items) vals.push_back(EvalExpr(*it, leaf));
-      if (!stmt.order_by.empty()) sort_parts[c].push_back(sort.Values(vals, leaf));
-      row_parts[c].push_back(std::move(vals));
+      vals.reserve(proj.items.size());
+      for (const auto& it : proj.items) vals.push_back(EvalExpr(*it, leaf));
+      if (!stmt.order_by.empty()) {
+        part.sort_vals.push_back(proj.sort.Values(vals, leaf));
+      }
+      part.rows.push_back(std::move(vals));
     }
   }));
-  std::vector<std::vector<SqlValue>> out_rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
-  out_rows.reserve(n);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    for (auto& v : row_parts[c]) out_rows.push_back(std::move(v));
-    for (auto& v : sort_parts[c]) sort_vals.push_back(std::move(v));
+  OutputRows out;
+  out.rows.reserve(n);
+  for (OutputRows& part : parts) {
+    for (auto& v : part.rows) out.rows.push_back(std::move(v));
+    for (auto& v : part.sort_vals) out.sort_vals.push_back(std::move(v));
   }
-  SortAndLimit(&out_rows, &sort_vals, sort.desc, stmt.limit, options);
-  result.rows = std::move(out_rows);
-  return result;
+  if (stats != nullptr) stats->rows = static_cast<int64_t>(n);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
-// EXPLAIN. The plan follows from the statement shape, posting metadata and
-// the chunk-size constants: describing binds but never scans, joins, or
-// charges budgets.
+// Physical plan: every choice a statement's execution makes, decided once.
+// ExecuteSelect runs it, EXPLAIN renders it without running it, and EXPLAIN
+// ANALYZE and plan capture render it with the actuals its operators recorded.
 // ---------------------------------------------------------------------------
 
-/// Populates `plan` with the pipeline's operator tree. Task counts that
-/// follow the joined row count (filter/projection/aggregation chunks) stay
-/// unknown (-1) with the chunk size in the detail text; scans and a scan-fed
-/// aggregate report their exact planned morsel counts.
+enum class OpKind : uint8_t {
+  kScan,
+  kGroupLookup,
+  kHashBuild,
+  kHashJoin,
+  kLookupJoin,
+  kFilter,
+  kAggregate,
+  kProject,
+  kSortLimit,
+};
+constexpr const char* kOpNames[] = {"Scan",      "GroupLookup", "HashBuild",
+                                    "HashJoin",  "LookupJoin",  "Filter",
+                                    "Aggregate", "Project",     "SortLimit"};
+
+/// One bound operator; the payload fields that apply depend on `kind`.
+struct PlanOp {
+  OpKind kind = OpKind::kScan;
+  int depth = 0;  ///< tree depth under the root
+  /// The relation of a Scan or GroupLookup; the join step of a HashBuild,
+  /// HashJoin or LookupJoin (step j joins relation j).
+  size_t index = 0;
+  RelScan scan;           ///< Scan, GroupLookup
+  StepKeys keys;          ///< HashJoin, LookupJoin
+  BoundExprPtr pred;      ///< Filter
+  OutputBinding out;      ///< Aggregate, Project
+  /// Aggregate, and the Scan it reads: the Aggregate's tasks walk the scan
+  /// morsels in place, so the Scan materializes no positions.
+  bool in_place = false;
+  bool built_prefix = false;  ///< HashJoin, once run: it built on the prefix
+};
+
+/// A statement's operators, root-first: the root (Aggregate or Project), its
+/// SortLimit, the residual Filter, then the join chain from its last step
+/// down — each step's HashJoin over its HashBuild, its relation's Scan and the
+/// step before it, or its LookupJoin over its relation's GroupLookup and the
+/// step before it — to relation 0's Scan. Read backwards, that is the order
+/// the operators run in, except that SortLimit runs on the root's output.
+struct PhysicalPlan {
+  std::vector<PlanOp> ops;
+  size_t num_rels = 0;
+  /// Actuals, one per op, while operators record them (EXPLAIN ANALYZE and
+  /// plan capture); empty otherwise, so a plain statement records nothing.
+  std::vector<OperatorStats> stats;
+
+  OperatorStats* StatsOf(size_t i) { return stats.empty() ? nullptr : &stats[i]; }
+};
+
+/// Plans `stmt`: analyzes it, binds every expression, scan and join key once,
+/// and makes each choice execution makes — every relation's access path and
+/// morsels, lookup vs hash join per step, and the aggregate's input. Never
+/// scans, joins, or charges memory budgets.
 template <typename Store>
-Status DescribeGenericPipeline(const AnalyzedQuery& q, const SelectStmt& stmt,
-                               const Store& store, const Dictionary& dict,
-                               const QueryOptions& options, PlanDescription* plan) {
+Result<PhysicalPlan> PlanSelect(const SelectStmt& stmt, const Store& store,
+                                const Dictionary& dict, const QueryOptions& options) {
+  BLEND_ASSIGN_OR_RETURN(const AnalyzedQuery q, Analyze(stmt));
   const Binder binder = VisibleBinder(q, dict);
-  std::vector<RelScan> scans;
-  for (const AnalyzedRel& rel : q.rels) {
-    BLEND_ASSIGN_OR_RETURN(RelScan scan, BindRelScan(rel, store, dict));
-    scans.push_back(std::move(scan));
-  }
-  bool scan_fed = false;
-  PlanNode root;
-  if (HasAggregate(stmt)) {
-    BLEND_ASSIGN_OR_RETURN(const AggBinding agg, BindAggregate(stmt, binder));
-    scan_fed = ScanFedAggregate(q, agg.aggs);
-    root.op = "Aggregate";
-    root.stage = TraceStage::kAggregation;
-    root.detail = std::to_string(stmt.group_by.size()) + " group keys; input: ";
-    if (scan_fed) {
-      root.detail += "scan morsels of rel 0";
-      for (const AggSpec& a : agg.aggs) {
-        if (!CountsPostingLists(a, scans[0].spec)) continue;
-        root.detail += ", COUNT(DISTINCT CellValue) per posting list";
-        break;
-      }
-      root.planned_tasks = static_cast<int64_t>(scans[0].morsels.size());
-    } else {
-      root.detail += "row stream, " + std::to_string(kAggChunkRows) + "-row chunks";
-    }
-    root.detail += "; " + std::to_string(kMergePartitions) +
-                   " merge partitions above " + std::to_string(kAggChunkRows) +
-                   " groups";
+  PhysicalPlan plan;
+  plan.num_rels = q.rels.size();
+  plan.ops.reserve(3 + 3 * q.rels.size());
+  auto add = [&plan](OpKind kind, int depth, size_t index) -> PlanOp& {
+    PlanOp& op = plan.ops.emplace_back();
+    op.kind = kind;
+    op.depth = depth;
+    op.index = index;
+    return op;
+  };
+  PlanOp& root = add(HasAggregate(stmt) ? OpKind::kAggregate : OpKind::kProject, 0, 0);
+  if (root.kind == OpKind::kAggregate) {
+    BLEND_ASSIGN_OR_RETURN(root.out, BindAggregate(stmt, binder));
+    root.in_place = ScanFedAggregate(q, root.out.aggs);
   } else {
-    root.op = "Project";
-    root.stage = TraceStage::kProjection;
-    root.detail = (stmt.select_star
-                       ? std::string("SELECT *")
-                       : std::to_string(stmt.items.size()) + " items") +
-                  "; " + std::to_string(kAggChunkRows) + "-row chunks";
+    BLEND_ASSIGN_OR_RETURN(root.out, BindProjection(q, stmt, binder));
   }
-  plan->nodes.push_back(std::move(root));
   if (!stmt.order_by.empty() || stmt.limit >= 0 || options.dedup_column >= 0) {
-    PlanNode sort;
-    sort.depth = 1;
-    sort.op = "SortLimit";
-    sort.detail = std::to_string(stmt.order_by.size()) + " sort keys" +
-                  (stmt.limit >= 0 ? "; limit " + std::to_string(stmt.limit)
-                                   : std::string()) +
-                  (options.dedup_column >= 0
-                       ? "; dedup col " + std::to_string(options.dedup_column) +
-                             " top " + std::to_string(options.dedup_limit)
-                       : std::string());
-    plan->nodes.push_back(std::move(sort));
+    add(OpKind::kSortLimit, 1, 0);
   }
+  int depth = 1;
   if (q.residual_where != nullptr) {
-    PlanNode filter;
-    filter.depth = 1;
-    filter.op = "Filter";
-    filter.stage = TraceStage::kFilter;
-    filter.detail =
-        "residual WHERE; " + std::to_string(kAggChunkRows) + "-row chunks";
-    plan->nodes.push_back(std::move(filter));
+    BLEND_ASSIGN_OR_RETURN(auto pred, binder.BindRowExpr(*q.residual_where));
+    add(OpKind::kFilter, depth++, 0).pred = std::move(pred);
   }
-  std::vector<bool> lookup(q.rels.size(), false);
-  for (size_t j = 0; j < q.join_ons.size(); ++j) {
-    lookup[j + 1] = IsLookupStep(q, j, binder);
-    PlanNode join;
-    join.depth = 1;
-    join.stage = TraceStage::kJoinProbe;
-    if (lookup[j + 1]) {
-      join.op = "LookupJoin";
-      join.detail = "step " + std::to_string(j + 1) + "; rel " +
-                    std::to_string(j + 1) +
-                    " read by (TableId, RowId) group, not scanned; prefix chunk=" +
-                    std::to_string(kScanMorselRecords) + " rows";
-      plan->nodes.push_back(std::move(join));
-      continue;
-    }
-    join.op = "HashJoin";
-    join.detail = "step " + std::to_string(j + 1) +
-                  "; build side chosen by size at run time; probe chunk=" +
-                  std::to_string(kScanMorselRecords) + " rows";
-    plan->nodes.push_back(std::move(join));
-    PlanNode build;
-    build.depth = 2;
-    build.op = "HashBuild";
-    build.stage = TraceStage::kJoinBuild;
-    build.detail = "smaller input of step " + std::to_string(j + 1);
-    plan->nodes.push_back(std::move(build));
+  for (size_t r = q.rels.size() - 1; r > 0; --r, ++depth) {
+    BLEND_ASSIGN_OR_RETURN(StepKeys keys, ExtractStepKeys(q.join_ons[r - 1], binder,
+                                                          static_cast<uint8_t>(r)));
+    BLEND_ASSIGN_OR_RETURN(RelScan scan, BindRelScan(q.rels[r], store, dict));
+    const bool lookup = IsLookupStep(scan.spec, keys);
+    add(lookup ? OpKind::kLookupJoin : OpKind::kHashJoin, depth, r).keys =
+        std::move(keys);
+    if (!lookup) add(OpKind::kHashBuild, depth + 1, r);
+    add(lookup ? OpKind::kGroupLookup : OpKind::kScan, depth + 1, r).scan =
+        std::move(scan);
   }
-  const int scan_depth = q.rels.size() > 1 ? 2 : 1;
-  for (size_t r = 0; r < q.rels.size(); ++r) {
-    // The access path, filters and planned records of relation r.
-    const ScanSpec& spec = scans[r].spec;
-    PlanNode scan;
-    scan.depth = scan_depth;
-    scan.op = "Scan";
-    scan.detail = "rel " + std::to_string(r) + ": ";
-    if (spec.cell_in != nullptr) {
-      scan.detail += "CellValue index: " +
-                     std::to_string(ResolveCellIds(*spec.cell_in, dict).size()) +
-                     " cells";
-      if (spec.table_in != nullptr) scan.detail += "; TableId filter";
-    } else if (spec.table_in != nullptr) {
-      scan.detail += "TableId clustered index: " +
-                     std::to_string(scans[r].tables.size()) + " tables";
-    } else {
-      scan.detail += spec.need_quadrant ? "Quadrant partial index" : "full scan";
-    }
-    if (spec.row_lt >= 0) scan.detail += "; RowId < " + std::to_string(spec.row_lt);
-    if (!spec.residual.empty()) {
-      scan.detail += "; " + std::to_string(spec.residual.size()) + " residual preds";
-    }
-    scan.est_rows = 0;
-    for (const ScanMorsel& mo : scans[r].morsels) {
-      scan.est_rows += static_cast<int64_t>(mo.records);
-    }
-    if (lookup[r]) {
-      // Runs no scan tasks: its access path only bounds the orientation
-      // count, and its filters apply per (TableId, RowId) group.
-      scan.op = "GroupLookup";
-    } else if (scan_fed) {
-      // Walked by the Aggregate's tasks; no positions are materialized.
-      scan.detail += "; read in place by Aggregate, morsel=" +
-                     std::to_string(kScanMorselRecords) + " records";
-    } else {
-      scan.stage = TraceStage::kScan;
-      scan.detail += "; morsel=" + std::to_string(kScanMorselRecords) + " records";
-      scan.planned_tasks = static_cast<int64_t>(scans[r].morsels.size());
-    }
-    plan->nodes.push_back(std::move(scan));
-  }
-  return Status::OK();
+  PlanOp& scan0 = add(OpKind::kScan, depth, 0);
+  BLEND_ASSIGN_OR_RETURN(scan0.scan, BindRelScan(q.rels[0], store, dict));
+  scan0.in_place = plan.ops[0].in_place;
+  return plan;
 }
 
-}  // namespace
-
+/// Runs a plan leaves-first and returns its output rows. The scan position
+/// vectors and the joined row stream are charged to the memory budget.
 template <typename Store>
-Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
-                                  const Dictionary& dict,
-                                  const QueryOptions& options) {
-  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
+Result<std::vector<std::vector<SqlValue>>> RunPlan(PhysicalPlan* plan,
+                                                   const SelectStmt& stmt,
+                                                   const Store& store,
+                                                   const QueryOptions& options) {
   BLEND_RETURN_NOT_OK(CheckControl(options.control, "query start"));
   // Budget accounting covers the pipeline's dominant materializations (scan
   // position vectors, the joined row stream, the aggregate's group tables);
   // the estimates are peak live bytes, released when the query finishes.
   ScopedMemoryCharge mem(options.control);
-  const Binder binder = VisibleBinder(q, dict);
+  std::vector<std::vector<RecordPos>> positions(plan->num_rels);
+  std::vector<RowCtx> rows;
+  int64_t scan_bytes = 0;
+  auto charge = [&] {
+    return mem.ChargeTo(scan_bytes +
+                        static_cast<int64_t>(rows.size() * sizeof(RowCtx)));
+  };
+  OutputRows out;
+  for (size_t i = plan->ops.size(); i-- > 0;) {
+    PlanOp& op = plan->ops[i];
+    OperatorStats* stats = plan->StatsOf(i);
+    const auto side = static_cast<uint8_t>(op.index);
+    switch (op.kind) {
+      case OpKind::kScan: {
+        if (op.in_place) break;
+        BLEND_ASSIGN_OR_RETURN(positions[side],
+                               ScanRel(op.scan, store, options, stats));
+        scan_bytes += static_cast<int64_t>(positions[side].size() * sizeof(RecordPos));
+        BLEND_RETURN_NOT_OK(charge());
+        if (side == 0) {
+          // Relation 0's positions start the row stream.
+          rows.reserve(positions[0].size());
+          for (RecordPos p : positions[0]) {
+            RowCtx ctx;
+            ctx.pos[0] = p;
+            rows.push_back(ctx);
+          }
+          BLEND_RETURN_NOT_OK(charge());
+        }
+        break;
+      }
+      case OpKind::kHashJoin: {
+        BLEND_ASSIGN_OR_RETURN(rows, HashJoinStep(store, rows, positions[side], op.keys,
+                                                  side, options, plan->StatsOf(i + 1),
+                                                  stats, &op.built_prefix));
+        BLEND_RETURN_NOT_OK(charge());
+        break;
+      }
+      case OpKind::kLookupJoin: {
+        BLEND_ASSIGN_OR_RETURN(rows, LookupJoinStep(store, rows, plan->ops[i + 1].scan,
+                                                    op.keys, side, options, stats));
+        BLEND_RETURN_NOT_OK(charge());
+        break;
+      }
+      case OpKind::kFilter: {
+        BLEND_ASSIGN_OR_RETURN(rows, FilterRows(rows, *op.pred, store, options, stats));
+        break;
+      }
+      case OpKind::kAggregate: {
+        AggInput<Store> input{&store, &rows, nullptr};
+        if (op.in_place) input = {&store, nullptr, &plan->ops.back().scan};
+        BLEND_ASSIGN_OR_RETURN(GroupTable groups,
+                               AggregateGroups(input, op.out, &mem, options, stats));
+        // Global aggregate over zero rows still yields one group.
+        if (stmt.group_by.empty() && groups.size() == 0) groups.Insert(0, 0, nullptr);
+        NoteRows(options.trace, TraceStage::kAggregation, stats, groups.size());
+        out = EmitGroups(groups, op.out, stmt);
+        break;
+      }
+      case OpKind::kProject: {
+        BLEND_ASSIGN_OR_RETURN(out,
+                               ProjectRows(rows, op.out, stmt, store, options, stats));
+        break;
+      }
+      case OpKind::kGroupLookup:  // read by its LookupJoin
+      case OpKind::kHashBuild:    // run by its HashJoin
+      case OpKind::kSortLimit:    // runs on the root's output, below
+        break;
+    }
+  }
+  if (plan->ops.size() > 1 && plan->ops[1].kind == OpKind::kSortLimit) {
+    SortAndLimit(&out.rows, &out.sort_vals, plan->ops[0].out.sort.desc, stmt.limit,
+                 options);
+    if (OperatorStats* stats = plan->StatsOf(1)) {
+      stats->rows = static_cast<int64_t>(out.rows.size());
+    }
+  }
+  return std::move(out.rows);
+}
 
-  if (!HasAggregate(stmt)) {
-    BLEND_ASSIGN_OR_RETURN(std::vector<RowCtx> rows,
-                           BuildRowStream(q, binder, store, dict, options, &mem));
-    return ProjectRows(q, stmt, binder, rows, store, options);
+/// Renders a plan root-first: the operator tree for EXPLAIN and, once its
+/// operators recorded actuals, for EXPLAIN ANALYZE. Task counts that follow
+/// the joined row count (filter, projection and aggregation chunks) are
+/// unknown (-1) at plan time, with the chunk size in the detail text;
+/// materialized scans and an in-place aggregate report their planned morsel
+/// counts.
+PlanDescription DescribePlan(const PhysicalPlan& plan, const SelectStmt& stmt,
+                             const QueryOptions& options) {
+  PlanDescription out;
+  out.analyzed = !plan.stats.empty();
+  const std::string chunks = std::to_string(kAggChunkRows) + "-row chunks";
+  const std::string morsel = std::to_string(kScanMorselRecords);
+  for (size_t i = 0; i < plan.ops.size(); ++i) {
+    const PlanOp& op = plan.ops[i];
+    const std::string rel = std::to_string(op.index);
+    PlanNode node;
+    node.depth = op.depth;
+    node.op = kOpNames[static_cast<size_t>(op.kind)];
+    switch (op.kind) {
+      case OpKind::kScan:
+      case OpKind::kGroupLookup: {
+        // The access path, filters and planned records of the relation.
+        const ScanSpec& spec = op.scan.spec;
+        node.detail = "rel " + rel + ": ";
+        if (spec.cell_in != nullptr) {
+          node.detail += "CellValue index: " + std::to_string(op.scan.cells) + " cells";
+          if (spec.table_in != nullptr) node.detail += "; TableId filter";
+        } else if (spec.table_in != nullptr) {
+          node.detail += "TableId clustered index: " +
+                         std::to_string(op.scan.tables.size()) + " tables";
+        } else {
+          node.detail += spec.need_quadrant ? "Quadrant partial index" : "full scan";
+        }
+        if (spec.row_lt >= 0) node.detail += "; RowId < " + std::to_string(spec.row_lt);
+        if (!spec.residual.empty()) {
+          node.detail +=
+              "; " + std::to_string(spec.residual.size()) + " residual preds";
+        }
+        node.est_rows = 0;
+        for (const ScanMorsel& mo : op.scan.morsels) {
+          node.est_rows += static_cast<int64_t>(mo.records);
+        }
+        // A GroupLookup runs no scan tasks: its access path only bounds the
+        // lookup join's orientation count, and its filters apply per
+        // (TableId, RowId) group.
+        if (op.in_place) {
+          node.detail += "; read in place by Aggregate, morsel=" + morsel + " records";
+        } else if (op.kind == OpKind::kScan) {
+          node.detail += "; morsel=" + morsel + " records";
+          node.planned_tasks = static_cast<int64_t>(op.scan.morsels.size());
+        }
+        break;
+      }
+      case OpKind::kHashBuild:
+        node.detail = "smaller input of step " + rel;
+        break;
+      case OpKind::kHashJoin:
+        node.detail = "step " + rel + "; " +
+                      (!out.analyzed      ? "build side chosen by size at run time"
+                       : op.built_prefix ? "built on the prefix"
+                                         : "built on rel " + rel) +
+                      "; probe chunk=" + morsel + " rows";
+        break;
+      case OpKind::kLookupJoin:
+        node.detail = "step " + rel + "; rel " + rel +
+                      " read by (TableId, RowId) group, not scanned; prefix chunk=" +
+                      morsel + " rows";
+        break;
+      case OpKind::kFilter:
+        node.detail = "residual WHERE; " + chunks;
+        break;
+      case OpKind::kAggregate:
+        node.detail = std::to_string(stmt.group_by.size()) + " group keys; input: ";
+        if (op.in_place) {
+          const RelScan& scan = plan.ops.back().scan;
+          node.detail += "scan morsels of rel 0";
+          for (const AggSpec& a : op.out.aggs) {
+            if (!CountsPostingLists(a, scan.spec)) continue;
+            node.detail += ", COUNT(DISTINCT CellValue) per posting list";
+            break;
+          }
+          node.planned_tasks = static_cast<int64_t>(scan.morsels.size());
+        } else {
+          node.detail += "row stream, " + chunks;
+        }
+        node.detail += "; " + std::to_string(kMergePartitions) +
+                       " merge partitions above " + std::to_string(kAggChunkRows) +
+                       " groups";
+        break;
+      case OpKind::kProject:
+        node.detail = stmt.select_star ? std::string("SELECT *")
+                                       : std::to_string(stmt.items.size()) + " items";
+        node.detail += "; " + chunks;
+        break;
+      case OpKind::kSortLimit:
+        node.detail = std::to_string(stmt.order_by.size()) + " sort keys";
+        if (stmt.limit >= 0) node.detail += "; limit " + std::to_string(stmt.limit);
+        if (options.dedup_column >= 0) {
+          node.detail += "; dedup col " + std::to_string(options.dedup_column) +
+                         " top " + std::to_string(options.dedup_limit);
+        }
+        break;
+    }
+    if (out.analyzed) {
+      // Operators that ran no tasks of their own (a GroupLookup, an in-place
+      // Scan, SortLimit) keep -1 time and tasks.
+      const OperatorStats& s = plan.stats[i];
+      const int64_t tasks = s.tasks.load(std::memory_order_relaxed);
+      if (tasks > 0) {
+        node.actual_seconds =
+            static_cast<double>(s.nanos.load(std::memory_order_relaxed)) * 1e-9;
+        node.actual_tasks = tasks;
+      }
+      node.actual_rows = s.rows;
+    }
+    out.nodes.push_back(std::move(node));
   }
-  BLEND_ASSIGN_OR_RETURN(const AggBinding agg, BindAggregate(stmt, binder));
-  GroupTable groups;
-  if (ScanFedAggregate(q, agg.aggs)) {
-    BLEND_ASSIGN_OR_RETURN(const RelScan scan, BindRelScan(q.rels[0], store, dict));
-    const AggInput<Store> input{&store, nullptr, &scan};
-    BLEND_ASSIGN_OR_RETURN(groups, AggregateGroups(input, agg, &mem, options));
-  } else {
-    BLEND_ASSIGN_OR_RETURN(std::vector<RowCtx> rows,
-                           BuildRowStream(q, binder, store, dict, options, &mem));
-    const AggInput<Store> input{&store, &rows, nullptr};
-    BLEND_ASSIGN_OR_RETURN(groups, AggregateGroups(input, agg, &mem, options));
-  }
-  // Global aggregate over zero rows still yields one group.
-  if (stmt.group_by.empty() && groups.size() == 0) groups.Insert(0, 0, nullptr);
-  if (options.trace != nullptr) {
-    options.trace->AddRows(TraceStage::kAggregation,
-                           static_cast<int64_t>(groups.size()));
-  }
+  return out;
+}
+
+}  // namespace
+
+template <typename Store>
+Result<QueryResult> ExecuteSelect(const Statement& stmt, const Store& store,
+                                  const Dictionary& dict,
+                                  const QueryOptions& options) {
+  const SelectStmt& select = *stmt.select;
+  BLEND_ASSIGN_OR_RETURN(PhysicalPlan plan, PlanSelect(select, store, dict, options));
+  const bool describe =
+      stmt.explain != ExplainMode::kNone || options.plan_capture != nullptr;
   QueryResult result;
-  result.columns = agg.columns;
-  EmitGroups(groups, agg, stmt, options, &result);
+  if (stmt.explain != ExplainMode::kPlan) {
+    // Operators record actuals only for a plan rendered after it ran.
+    if (describe) plan.stats = std::vector<OperatorStats>(plan.ops.size());
+    BLEND_ASSIGN_OR_RETURN(result.rows, RunPlan(&plan, select, store, options));
+    result.columns = std::move(plan.ops[0].out.columns);
+  }
+  if (describe) {
+    result.plan = DescribePlan(plan, select, options);
+    if (stmt.explain != ExplainMode::kNone) result.explain_text = result.plan.Render();
+  }
   return result;
 }
 
-template <typename Store>
-Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
-                                       const Store& store,
-                                       const Dictionary& dict,
-                                       const QueryOptions& options) {
-  BLEND_ASSIGN_OR_RETURN(AnalyzedQuery q, Analyze(stmt));
-  PlanDescription plan;
-  BLEND_RETURN_NOT_OK(DescribeGenericPipeline(q, stmt, store, dict, options, &plan));
-  return plan;
-}
-
-template Result<QueryResult> ExecuteSelect<RowStore>(const SelectStmt&,
-                                                     const RowStore&,
+template Result<QueryResult> ExecuteSelect<RowStore>(const Statement&, const RowStore&,
                                                      const Dictionary&,
                                                      const QueryOptions&);
-template Result<QueryResult> ExecuteSelect<ColumnStore>(const SelectStmt&,
+template Result<QueryResult> ExecuteSelect<ColumnStore>(const Statement&,
                                                         const ColumnStore&,
                                                         const Dictionary&,
                                                         const QueryOptions&);
-template Result<PlanDescription> DescribeSelect<RowStore>(const SelectStmt&,
-                                                          const RowStore&,
-                                                          const Dictionary&,
-                                                          const QueryOptions&);
-template Result<PlanDescription> DescribeSelect<ColumnStore>(
-    const SelectStmt&, const ColumnStore&, const Dictionary&,
-    const QueryOptions&);
 
 }  // namespace blend::sql

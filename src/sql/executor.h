@@ -23,9 +23,10 @@ struct QueryResult {
   std::vector<std::string> columns;
   std::vector<std::vector<SqlValue>> rows;
   /// EXPLAIN / EXPLAIN ANALYZE output: the structured plan and its rendered
-  /// table. Plain statements leave both empty. Introspection never rides in
-  /// `rows` — an EXPLAIN ANALYZE's rows stay byte-identical to the bare
-  /// statement's (EXPLAIN returns no rows at all).
+  /// table. Plain statements leave both empty (under plan capture the engine
+  /// moves the plan into the sink). Introspection never rides in `rows` — an
+  /// EXPLAIN ANALYZE's rows stay byte-identical to the bare statement's
+  /// (EXPLAIN returns no rows at all).
   PlanDescription plan;
   std::string explain_text;
 
@@ -69,37 +70,33 @@ struct QueryOptions {
   /// Tracing never changes morsel geometry, merge order, or results — the
   /// determinism suite pins byte-identity with tracing on vs off.
   QueryTrace* trace = nullptr;
-  /// Optional plan collector: when set, Engine::Query describes each plain
-  /// statement it executes and appends the (trace-annotated, when a trace is
-  /// attached) plan here. Describing never executes, so capture never alters
-  /// morsel geometry or results.
+  /// Optional plan collector: when set, Engine::Query appends the plan of
+  /// each plain statement it executes here, rendered after the run with the
+  /// actuals each operator recorded, as under EXPLAIN ANALYZE. Recording
+  /// actuals never alters morsel geometry or results.
   /// Not owned; nullptr (the default) captures nothing.
   PlanCaptureSink* plan_capture = nullptr;
 };
 
-/// Executes an analyzed-and-parseable statement against a physical store.
-/// Instantiated for RowStore and ColumnStore (the (Row)/(Column) deployments
-/// of the paper's experiments). One pipeline runs every statement: relation
-/// scans, the join chain and the residual WHERE build a row stream that a
-/// projection or an aggregate consumes. An aggregate over one relation with
-/// no residual WHERE and no SUM/AVG (the SC/KW seeker shape) reads the scan
-/// morsels in place instead, and counts COUNT(DISTINCT CellValue) over the
-/// CellValue index per posting list; the answer is the row stream's.
+/// Runs one statement against a physical store. Instantiated for RowStore
+/// and ColumnStore (the (Row)/(Column) deployments of the paper's
+/// experiments). The statement is planned once into a physical plan: the
+/// relation scans, the join chain (a lookup join where a step is keyed on
+/// (TableId, RowId) and its relation scans in position order, else a hash
+/// join), the residual WHERE, and a projection or an aggregate. An aggregate
+/// over one relation with no residual WHERE and no SUM/AVG (the SC/KW seeker
+/// shape) reads the scan morsels in place and counts COUNT(DISTINCT
+/// CellValue) over the CellValue index per posting list; the answer is the
+/// row stream's.
+///
+/// A plain statement runs the plan. EXPLAIN renders it into
+/// QueryResult::plan without running it (binds, never scans or charges
+/// budgets). EXPLAIN ANALYZE, and a plain statement under
+/// QueryOptions::plan_capture, run it with each operator recording its
+/// actuals — rows out, tasks, wall time — and render it afterwards.
 template <typename Store>
-Result<QueryResult> ExecuteSelect(const SelectStmt& stmt, const Store& store,
+Result<QueryResult> ExecuteSelect(const Statement& stmt, const Store& store,
                                   const Dictionary& dict,
                                   const QueryOptions& options = {});
-
-/// Plans `stmt` without executing it: reports the operator tree
-/// ExecuteSelect runs — which input the aggregate reads, join kinds, posting
-/// cardinalities and planned morsel geometry — from the statement shape and
-/// posting metadata, using the same choices execution makes. Binds
-/// expressions (so it can fail with the same binder errors) but never scans,
-/// joins, or charges memory budgets.
-template <typename Store>
-Result<PlanDescription> DescribeSelect(const SelectStmt& stmt,
-                                       const Store& store,
-                                       const Dictionary& dict,
-                                       const QueryOptions& options = {});
 
 }  // namespace blend::sql

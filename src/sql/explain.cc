@@ -4,20 +4,6 @@
 
 namespace blend::sql {
 
-void PlanDescription::Annotate(const QueryTraceSummary& summary) {
-  analyzed = true;
-  for (PlanNode& node : nodes) {
-    if (node.stage == TraceStage::kNumStages) continue;
-    for (const StageSummary& s : summary.stages) {
-      if (s.stage != node.stage) continue;
-      node.actual_seconds = s.seconds;
-      node.actual_tasks = s.tasks;
-      node.actual_rows = s.rows;
-      break;
-    }
-  }
-}
-
 std::string PlanDescription::Render() const {
   std::vector<std::string> header = {"operator", "detail", "est_rows",
                                      "planned_tasks"};
@@ -36,17 +22,11 @@ std::string PlanDescription::Render() const {
     row.push_back(node.planned_tasks < 0 ? "?"
                                          : std::to_string(node.planned_tasks));
     if (analyzed) {
-      // A node can legitimately stay unannotated: its stage never ran (e.g.
-      // short-circuited on an empty posting list) or maps to no trace stage.
-      if (node.actual_seconds < 0) {
-        row.push_back("-");
-        row.push_back("-");
-        row.push_back("-");
-      } else {
-        row.push_back(TablePrinter::Fmt(node.actual_seconds * 1e3, 3));
-        row.push_back(std::to_string(node.actual_tasks));
-        row.push_back(std::to_string(node.actual_rows));
-      }
+      row.push_back(node.actual_seconds < 0
+                        ? "-"
+                        : TablePrinter::Fmt(node.actual_seconds * 1e3, 3));
+      row.push_back(node.actual_tasks < 0 ? "-" : std::to_string(node.actual_tasks));
+      row.push_back(node.actual_rows < 0 ? "-" : std::to_string(node.actual_rows));
     }
     printer.AddRow(std::move(row));
   }

@@ -448,6 +448,95 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzePreservesByteIdentity) {
   }
 }
 
+TEST_P(EngineDeterminismTest, ExplainAnalyzeReportsPerNodeActuals) {
+  // EXPLAIN ANALYZE reports what each node's own operator did: every Scan its
+  // relation's filtered scan count, every HashJoin its step's output, the
+  // Project and a SortLimit the rows they emitted, an Aggregate its groups.
+  Rng rng(GetParam() * 89 + 14);
+  const std::vector<std::string> rels = {
+      "SELECT TableId, RowId, SuperKey FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 20) + ")",
+      "SELECT TableId, RowId FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 20) + ")",
+      "SELECT TableId, RowId FROM AllTables WHERE CellValue IN (" +
+          RandomInList(&rng, 20) + ")",
+  };
+  auto join = [&](const std::string& select, size_t n) {
+    std::string sql = select + " FROM (" + rels[0] + ") AS r0";
+    for (size_t r = 1; r < n; ++r) {
+      const std::string alias = "r" + std::to_string(r);
+      sql += " INNER JOIN (" + rels[r] + ") AS " + alias + " ON r0.TableId = " +
+             alias + ".TableId AND r0.RowId = " + alias + ".RowId";
+    }
+    return sql;
+  };
+  const std::string mc = join("SELECT r0.TableId, r0.RowId, r0.SuperKey", 3);
+  const std::string kw =
+      "SELECT TableId, COUNT(DISTINCT CellValue) AS score FROM AllTables "
+      "WHERE CellValue IN (" +
+      RandomInList(&rng, 30) + ") GROUP BY TableId";
+  auto count = [](Engine* engine, const std::string& sql) {
+    auto res = engine->Query(sql);
+    EXPECT_TRUE(res.ok()) << res.status().ToString() << "\n" << sql;
+    return res.ok() ? static_cast<int64_t>(res.value().NumRows()) : -1;
+  };
+  for (const EnginePair& pair : EnginePairs()) {
+    for (Engine* engine : {pair.raw, pair.compressed}) {
+      std::vector<int64_t> scan_rows, step_rows;
+      for (size_t r = 0; r < rels.size(); ++r) {
+        scan_rows.push_back(count(engine, rels[r]));
+        if (r > 0) step_rows.push_back(count(engine, join("SELECT r0.RowId", r + 1)));
+      }
+      const int64_t groups = count(engine, kw);
+      for (Scheduler* pool : TestPools()) {
+        QueryOptions opts;
+        opts.scheduler = pool;
+        auto analyzed = engine->Query("EXPLAIN ANALYZE " + mc, opts);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+        const QueryResult& res = analyzed.value();
+        ASSERT_EQ(static_cast<int64_t>(res.NumRows()), step_rows.back());
+        size_t scans = 0, joins = 0;
+        for (const PlanNode& node : res.plan.nodes) {
+          if (node.op == "Scan") {
+            const size_t r = static_cast<size_t>(node.detail[4] - '0');
+            ASSERT_LT(r, rels.size()) << node.detail;
+            EXPECT_EQ(node.actual_rows, scan_rows[r]) << res.explain_text;
+            if (kTelemetryEnabled && node.planned_tasks > 0) {
+              EXPECT_EQ(node.actual_tasks, node.planned_tasks) << res.explain_text;
+            }
+            ++scans;
+          } else if (node.op == "HashJoin") {
+            const size_t step = static_cast<size_t>(node.detail[5] - '0');
+            ASSERT_GE(step, 1u) << node.detail;
+            ASSERT_LE(step, step_rows.size()) << node.detail;
+            EXPECT_EQ(node.actual_rows, step_rows[step - 1]) << res.explain_text;
+            ++joins;
+          } else if (node.op == "Project") {
+            EXPECT_EQ(node.actual_rows, static_cast<int64_t>(res.NumRows()))
+                << res.explain_text;
+          }
+        }
+        EXPECT_EQ(scans, 3u) << res.explain_text;
+        EXPECT_EQ(joins, 2u) << res.explain_text;
+
+        auto agg = engine->Query(
+            "EXPLAIN ANALYZE " + kw + " ORDER BY score DESC LIMIT 5", opts);
+        ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+        const QueryResult& agg_res = agg.value();
+        ASSERT_GE(agg_res.plan.nodes.size(), 2u);
+        EXPECT_EQ(agg_res.plan.nodes[0].op, "Aggregate");
+        EXPECT_EQ(agg_res.plan.nodes[0].actual_rows, groups) << agg_res.explain_text;
+        EXPECT_EQ(agg_res.plan.nodes[1].op, "SortLimit");
+        EXPECT_EQ(agg_res.plan.nodes[1].actual_rows,
+                  static_cast<int64_t>(agg_res.NumRows()))
+            << agg_res.explain_text;
+        EXPECT_EQ(static_cast<int64_t>(agg_res.NumRows()),
+                  std::min<int64_t>(groups, 5));
+      }
+    }
+  }
+}
+
 TEST_P(EngineDeterminismTest, ServeCompressedActuallyServesCompressed) {
   // Guard against the dimension silently testing raw-vs-raw: the
   // serve_compressed builds must hold block-compressed postings and a

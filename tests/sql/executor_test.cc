@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "index/builder.h"
 #include "sql/engine.h"
 
@@ -148,6 +150,29 @@ TEST_P(ExecutorTest, SelectStarExposesSixColumns) {
   auto res = Run("SELECT * FROM AllTables WHERE TableId IN (2)");
   EXPECT_EQ(res.columns.size(), 6u);
   EXPECT_EQ(res.NumRows(), 1u);
+}
+
+TEST_P(ExecutorTest, SelectStarPrefixesEveryRelationOfAJoin) {
+  // Three relations: every column name carries its relation's alias, so the
+  // 18 names are distinct.
+  auto res = Run(
+      "SELECT * FROM (SELECT * FROM AllTables WHERE CellValue IN ('apple')) AS a "
+      "INNER JOIN (SELECT * FROM AllTables) AS b "
+      "ON a.TableId = b.TableId AND a.RowId = b.RowId "
+      "INNER JOIN (SELECT * FROM AllTables WHERE Quadrant IS NOT NULL) AS c "
+      "ON a.TableId = c.TableId AND a.RowId = c.RowId");
+  ASSERT_EQ(res.columns.size(), 18u);
+  std::set<std::string> names(res.columns.begin(), res.columns.end());
+  EXPECT_EQ(names.size(), 18u);
+  for (size_t i = 0; i < res.columns.size(); ++i) {
+    const std::string prefix = std::string(1, static_cast<char>('a' + i / 6)) + ".";
+    EXPECT_EQ(res.columns[i].rfind(prefix, 0), 0u) << res.columns[i];
+  }
+  EXPECT_EQ(res.columns[0], "a.CellValue");
+  EXPECT_EQ(res.columns[7], "b.TableId");
+  // apple sits in rows 0 and 2 of ta; each row joins its 2 cells in b and
+  // its 1 numeric cell in c.
+  EXPECT_EQ(res.NumRows(), 4u);
 }
 
 TEST_P(ExecutorTest, QcrStyleArithmetic) {
