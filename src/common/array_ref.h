@@ -1,12 +1,43 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace blend {
+
+/// An allocator whose no-argument construct() default-initializes, so
+/// `resize(n)` and the size constructor leave trivial elements
+/// uninitialized instead of zero-filling them (constructs with arguments
+/// fall back to std::allocator_traits' placement new). Large arrays that parallel
+/// tasks overwrite completely are then first touched (page-faulted in) by
+/// those tasks, not by a serial fill on the allocating thread.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// The owned storage of a PodArray: a vector whose size constructor and
+/// resize() leave elements uninitialized. Every element must be written
+/// before it is read; pass a fill value (`PodVector<T>(n, v)`, `assign`) for
+/// anything that must start with one.
+template <typename T>
+using PodVector = std::vector<T, DefaultInitAllocator<T>>;
 
 /// Storage seam for the index's fixed-width arrays: the array either owns its
 /// elements on the heap (bundles built from a lake, or loaded with the heap
@@ -45,7 +76,7 @@ class PodArray {
   PodArray& operator=(const PodArray&) = delete;
 
   /// Takes ownership of `v`; the array serves elements from its own heap.
-  void Own(std::vector<T> v) {
+  void Own(PodVector<T> v) {
     owned_ = std::move(v);
     ptr_ = owned_.data();
     size_ = owned_.size();
@@ -69,7 +100,7 @@ class PodArray {
   std::span<const T> span() const { return {ptr_, size_}; }
 
  private:
-  std::vector<T> owned_;
+  PodVector<T> owned_;
   const T* ptr_ = nullptr;
   size_t size_ = 0;
 };

@@ -21,8 +21,8 @@ inline size_t ProbeTableSize(size_t n) {
 /// `hash`'s probe sequence that is `empty` or whose occupant satisfies
 /// `matches` (never called on an empty slot). The table must keep an empty
 /// slot. Insert-only fills pass a `matches` that is always false.
-template <typename Slot, typename Matches>
-size_t ProbeSlot(const std::vector<Slot>& table, uint64_t hash,
+template <typename Slot, typename Alloc, typename Matches>
+size_t ProbeSlot(const std::vector<Slot, Alloc>& table, uint64_t hash,
                  const std::type_identity_t<Slot>& empty, Matches matches) {
   const size_t mask = table.size() - 1;
   for (size_t i = hash & mask;; i = (i + 1) & mask) {

@@ -1,8 +1,9 @@
 #include "common/str_util.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 
 namespace blend {
 
@@ -44,14 +45,53 @@ std::string Join(const std::vector<std::string>& parts, std::string_view delim) 
   return out;
 }
 
+namespace {
+
+/// For a syntactically valid decimal that from_chars reports out of range:
+/// true when its magnitude is below the smallest subnormal (the decimal
+/// exponent of its leading significant digit is negative), false when it
+/// overflows. The two cases sit hundreds of decimal orders apart, so the
+/// exponent's sign alone decides.
+bool UnderflowsToZero(std::string_view t) {
+  int64_t lead = 0;  // decimal exponent of the first nonzero mantissa digit
+  bool found = false;
+  bool after_point = false;
+  size_t i = t[0] == '-' ? 1 : 0;
+  for (; i < t.size() && t[i] != 'e' && t[i] != 'E'; ++i) {
+    if (t[i] == '.') {
+      after_point = true;
+    } else if (!found) {
+      if (after_point) --lead;
+      if (t[i] != '0') found = true;
+    } else if (!after_point) {
+      ++lead;
+    }
+  }
+  int64_t exponent = 0;
+  if (i < t.size()) {
+    ++i;
+    const bool negative = t[i] == '-';
+    if (t[i] == '+' || t[i] == '-') ++i;
+    for (; i < t.size(); ++i) {
+      // Saturates: any exponent this large is out of range either way.
+      exponent = std::min<int64_t>(exponent * 10 + (t[i] - '0'), 1'000'000);
+    }
+    if (negative) exponent = -exponent;
+  }
+  return lead + exponent < 0;
+}
+
+}  // namespace
+
 std::optional<double> ParseNumeric(std::string_view s) {
   std::string_view t = Trim(s);
   if (t.empty()) return std::nullopt;
-  // strtod alone is too permissive for cell typing: it accepts "inf", "nan"
-  // and hex floats like "0x1p3", which would classify text columns as numeric
-  // and poison the correlation/aggregation seekers. Accept only plain decimal
-  // syntax: [+-] digits [. digits] [eE [+-] digits], with at least one
-  // mantissa digit.
+  // from_chars and strtod alone are too permissive for cell typing: they
+  // accept "inf" and "nan" (strtod also hex floats like "0x1p3"), which
+  // would classify text columns as numeric and poison the
+  // correlation/aggregation seekers. Accept only plain decimal syntax:
+  // [+-] digits [. digits] [eE [+-] digits], with at least one mantissa
+  // digit.
   const auto is_digit = [](char c) { return c >= '0' && c <= '9'; };
   size_t i = 0;
   if (t[i] == '+' || t[i] == '-') ++i;
@@ -79,13 +119,20 @@ std::optional<double> ParseNumeric(std::string_view s) {
     if (!exponent_digits) return std::nullopt;
   }
   if (i != t.size()) return std::nullopt;
-  std::string buf(t);
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (end != buf.c_str() + buf.size()) return std::nullopt;
-  // Overflowing decimals ("1e999") produce HUGE_VAL; a non-finite value would
-  // poison column means just like a literal "inf" cell.
-  if (!std::isfinite(v)) return std::nullopt;
+  // from_chars is locale-independent and needs no NUL-terminated copy. It
+  // rounds like strtod but takes no leading '+'.
+  if (t[0] == '+') t.remove_prefix(1);
+  double v = 0;
+  const auto [end, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
+  if (ec == std::errc::result_out_of_range) {
+    // Overflowing decimals ("1e999") would be infinite, which poisons column
+    // means just like a literal "inf" cell; underflow rounds to a signed
+    // zero, as with strtod.
+    if (!UnderflowsToZero(t)) return std::nullopt;
+    v = t[0] == '-' ? -0.0 : 0.0;
+  } else if (ec != std::errc() || end != t.data() + t.size()) {
+    return std::nullopt;
+  }
   return v;
 }
 

@@ -24,7 +24,10 @@ std::vector<std::string> Split(std::string_view s, char delim);
 /// Joins with a delimiter.
 std::string Join(const std::vector<std::string>& parts, std::string_view delim);
 
-/// Parses a double if the entire string is numeric (after trim).
+/// Parses a double if the entire string (after trim) is a plain decimal:
+/// [+-] digits [. digits] [eE [+-] digits]. Rounds exactly like strtod in the
+/// "C" locale, whatever the process locale is; "inf", "nan", hex floats and
+/// decimals that overflow to infinity are rejected.
 std::optional<double> ParseNumeric(std::string_view s);
 
 /// Replaces every occurrence of `from` in `s` with `to`.

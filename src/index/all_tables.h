@@ -34,14 +34,15 @@ struct IndexRecord {
 using RecordPos = uint32_t;
 
 /// The AllTables relation as one array per attribute: ColumnStore's physical
-/// form, which the builder fills in place.
+/// form, which the builder fills in place. The arrays start uninitialized:
+/// the builder's shard tasks write every element.
 struct RecordColumns {
-  std::vector<CellId> cells;
-  std::vector<TableId> tables;
-  std::vector<int32_t> columns;
-  std::vector<int32_t> rows;
-  std::vector<uint64_t> super_keys;
-  std::vector<int8_t> quadrants;
+  PodVector<CellId> cells;
+  PodVector<TableId> tables;
+  PodVector<int32_t> columns;
+  PodVector<int32_t> rows;
+  PodVector<uint64_t> super_keys;
+  PodVector<int8_t> quadrants;
 
   explicit RecordColumns(size_t n = 0)
       : cells(n), tables(n), columns(n), rows(n), super_keys(n), quadrants(n) {}
@@ -90,9 +91,16 @@ struct SecondaryIndexes {
   PodArray<RecordPos> quadrant_positions;
 
   /// Builds every structure from a store's records (RowStore or ColumnStore,
-  /// read through their per-field accessors).
+  /// read through their per-field accessors) as `num_tasks` tasks on
+  /// `sched`. Task t fills the postings of the t-th contiguous cell-id range
+  /// (scanning every record, so each list stays ascending) and the quadrant
+  /// positions and table ranges of the t-th contiguous record chunk. Every
+  /// element has one writer and lands where a serial pass would put it, so
+  /// the arrays do not depend on `num_tasks`; each array is first touched
+  /// by the tasks that fill it.
   template <typename Store>
-  void Build(const Store& store, size_t num_cells, size_t num_tables);
+  void Build(const Store& store, size_t num_cells, size_t num_tables,
+             size_t num_tasks, Scheduler* sched);
 
   /// In-place transcode to the compressed codec (in-memory compressed
   /// serving): encodes the raw CSR into `posting_blob` + partition offsets
@@ -143,7 +151,10 @@ class RowStore {
  public:
   static constexpr bool kIsColumnStore = false;
 
-  void Build(std::vector<IndexRecord> records, size_t num_cells, size_t num_tables);
+  /// Adopts the records and builds the secondary indexes over them (see
+  /// SecondaryIndexes::Build).
+  void Build(PodVector<IndexRecord> records, size_t num_cells, size_t num_tables,
+             size_t num_tasks, Scheduler* sched);
 
   size_t NumRecords() const { return records_.size(); }
   CellId cell(RecordPos i) const { return records_[i].cell; }
@@ -186,7 +197,10 @@ class ColumnStore {
  public:
   static constexpr bool kIsColumnStore = true;
 
-  void Build(RecordColumns records, size_t num_cells, size_t num_tables);
+  /// Adopts the columns and builds the secondary indexes over them (see
+  /// SecondaryIndexes::Build).
+  void Build(RecordColumns records, size_t num_cells, size_t num_tables,
+             size_t num_tasks, Scheduler* sched);
 
   size_t NumRecords() const { return cells_.size(); }
   CellId cell(RecordPos i) const { return cells_[i]; }

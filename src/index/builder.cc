@@ -103,11 +103,12 @@ struct Shard {
 };
 
 /// The store's arrays under construction, in the requested layout, written
-/// at final positions.
+/// at final positions. They start uninitialized, so each shard task is the
+/// first to touch the pages it fills.
 struct RecordSink {
   StoreLayout layout;
-  std::vector<IndexRecord> rows;  // kRow
-  RecordColumns columns;          // kColumn
+  PodVector<IndexRecord> rows;  // kRow
+  RecordColumns columns;        // kColumn
 
   RecordSink(StoreLayout l, size_t n)
       : layout(l),
@@ -280,15 +281,20 @@ constexpr OwnerSlot kFreeSlot{0xFFFFFFFFu, 0};
 /// lists its values in local first-appearance order, so a value belongs to
 /// the first shard holding it, and owned values are numbered shard by shard
 /// in local order. Returns the global CellId of every flat id and emits the
-/// dictionary.
-std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
-                                size_t num_flat, Scheduler* sched,
-                                Dictionary* dict) {
+/// dictionary. Every output array starts uninitialized and is first written
+/// by the shard task that owns its slots.
+PodVector<CellId> MergeShards(const std::vector<Shard>& shards, size_t num_flat,
+                              Scheduler* sched, Dictionary* dict) {
   const size_t num_shards = shards.size();
   // owner[f]: flat id of the first appearance of flat value f's string (f
   // itself when f's shard owns it). A single shard owns everything.
-  std::vector<uint32_t> owner(num_flat);
-  for (size_t f = 0; f < num_flat; ++f) owner[f] = static_cast<uint32_t>(f);
+  PodVector<uint32_t> owner(num_flat);
+  sched->ParallelFor(num_shards, [&](size_t s) {
+    const size_t end = shards[s].first_value + shards[s].dict.Size();
+    for (size_t f = shards[s].first_value; f < end; ++f) {
+      owner[f] = static_cast<uint32_t>(f);
+    }
+  });
 
   if (num_shards > 1) {
     // Bucket every shard's local ids by partition, keeping local order.
@@ -349,17 +355,23 @@ std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
   }
 
   // Owned values and bytes per shard; their prefix sums place every shard's
-  // owned values in the global id space and in the value blob.
+  // owned values in the global id space and in the value blob. The counters
+  // are task-local and stored once: incrementing the shared slots in the
+  // loop would bounce one cache line between all tasks.
   std::vector<size_t> id_base(num_shards + 1, 0);
   std::vector<size_t> byte_base(num_shards + 1, 0);
   sched->ParallelFor(num_shards, [&](size_t s) {
     const ShardDict& d = shards[s].dict;
+    size_t values = 0;
+    size_t bytes = 0;
     for (CellId id = 0; id < d.Size(); ++id) {
       const size_t f = shards[s].first_value + id;
       if (owner[f] != f) continue;
-      ++id_base[s + 1];
-      byte_base[s + 1] += d.Value(id).size();
+      ++values;
+      bytes += d.Value(id).size();
     }
+    id_base[s + 1] = values;
+    byte_base[s + 1] = bytes;
   });
   for (size_t s = 0; s < num_shards; ++s) {
     id_base[s + 1] += id_base[s];
@@ -367,10 +379,10 @@ std::vector<CellId> MergeShards(const std::vector<Shard>& shards,
   }
 
   const size_t num_values = id_base[num_shards];
-  std::vector<uint64_t> offsets(num_values + 1);
-  std::vector<char> blob(byte_base[num_shards]);
-  std::vector<uint64_t> hashes(num_values);
-  std::vector<CellId> cell_of(num_flat);
+  PodVector<uint64_t> offsets(num_values + 1);
+  PodVector<char> blob(byte_base[num_shards]);
+  PodVector<uint64_t> hashes(num_values);
+  PodVector<CellId> cell_of(num_flat);
   sched->ParallelFor(num_shards, [&](size_t s) {
     const ShardDict& d = shards[s].dict;
     size_t next = id_base[s];
@@ -436,7 +448,7 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
     shard.first_value = num_flat;
     num_flat += shard.dict.Size();
   }
-  const std::vector<CellId> cell_of =
+  const PodVector<CellId> cell_of =
       MergeShards(shards, num_flat, sched, &bundle.dict_);
   sched->ParallelFor(shards.size(), [&](size_t s) {
     const size_t end = shards[s].first_record + shards[s].num_records;
@@ -447,12 +459,15 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   });
   shards.clear();
 
+  // The secondary indexes split into as many tasks as there are shards
+  // wanted, independent of the lake's table count.
   const size_t num_cells = bundle.dict_.Size();
   if (options_.layout == StoreLayout::kRow) {
-    bundle.row_store_.Build(std::move(sink.rows), num_cells, lake.NumTables());
+    bundle.row_store_.Build(std::move(sink.rows), num_cells, lake.NumTables(),
+                            want, sched);
   } else {
     bundle.column_store_.Build(std::move(sink.columns), num_cells,
-                               lake.NumTables());
+                               lake.NumTables(), want, sched);
   }
   if (options_.serve_compressed) {
     // Encoded bytes are a pure function of the lists, so the transcode is

@@ -24,10 +24,13 @@ struct IndexBuildOptions {
   bool shuffle_rows = false;
   uint64_t shuffle_seed = 17;
   /// Worker threads for the offline build. 0 means "one per hardware thread";
-  /// 1 (and any negative value) forces the serial path. The built index is
-  /// byte-identical for every thread count: workers index disjoint contiguous
-  /// table ranges and a hash-partitioned merge reproduces the serial
-  /// first-appearance CellId assignment.
+  /// 1 (and any negative value) runs every phase inline on
+  /// Scheduler::Serial(). The count sets the task geometry of every phase:
+  /// workers index disjoint contiguous table ranges, a hash-partitioned merge
+  /// reproduces the serial first-appearance CellId assignment, and the
+  /// secondary indexes split into as many cell-id ranges and record chunks.
+  /// The built index, and its snapshot bytes, are identical for every
+  /// thread count.
   int num_threads = 0;
   /// In-memory compressed serving: after the store is built, transcode its
   /// postings to the block-compressed codec and serve queries straight off

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/array_ref.h"
 #include "common/status.h"
 
 namespace blend {
@@ -236,8 +237,8 @@ class PostingCursor {
 /// partition's bytes are a pure function of its lists, the blob is identical
 /// for every pool size.
 struct EncodedPostingsCsr {
-  std::vector<uint64_t> partition_offsets;  // ceil(num_lists / K) + 1
-  std::vector<uint8_t> blob;
+  PodVector<uint64_t> partition_offsets;  // ceil(num_lists / K) + 1
+  PodVector<uint8_t> blob;
 };
 EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
                                      std::span<const PostingValue> positions,

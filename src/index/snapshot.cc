@@ -177,9 +177,9 @@ struct SectionSpec {
   uint32_t id = 0;
   const uint8_t* data = nullptr;
   size_t size = 0;
-  std::vector<uint8_t> staged;
+  PodVector<uint8_t> staged;
 
-  void Stage(uint32_t section_id, std::vector<uint8_t> bytes) {
+  void Stage(uint32_t section_id, PodVector<uint8_t> bytes) {
     id = section_id;
     staged = std::move(bytes);
     data = staged.data();
@@ -193,9 +193,9 @@ struct SectionSpec {
   }
 };
 
-template <typename T>
-std::vector<uint8_t> StagePod(const std::vector<T>& v) {
-  std::vector<uint8_t> bytes(v.size() * sizeof(T));
+template <typename Vector>
+PodVector<uint8_t> StagePod(const Vector& v) {
+  PodVector<uint8_t> bytes(v.size() * sizeof(v[0]));
   if (!bytes.empty()) std::memcpy(bytes.data(), v.data(), bytes.size());
   return bytes;
 }
@@ -494,7 +494,7 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
     // padding bytes the builder never initializes, and the file must be a
     // pure function of the index content.
     const RowStore& store = bundle.row_store_;
-    std::vector<uint8_t> staged(store.records_.size() * sizeof(IndexRecord), 0);
+    PodVector<uint8_t> staged(store.records_.size() * sizeof(IndexRecord), 0);
     auto* out = reinterpret_cast<IndexRecord*>(staged.data());
     for (size_t i = 0; i < store.records_.size(); ++i) {
       const IndexRecord& r = store.records_[i];
@@ -930,7 +930,7 @@ void FillArray(PodArray<T>* out, std::span<const T> in, bool zero_copy) {
   if (zero_copy) {
     out->BindView(in.data(), in.size());
   } else {
-    out->Own(std::vector<T>(in.begin(), in.end()));
+    out->Own(PodVector<T>(in.begin(), in.end()));
   }
 }
 

@@ -4,12 +4,12 @@
 
 namespace blend {
 
-Dictionary Dictionary::FromCsr(std::vector<uint64_t> offsets,
-                               std::vector<char> blob,
+Dictionary Dictionary::FromCsr(PodVector<uint64_t> offsets,
+                               PodVector<char> blob,
                                std::span<const uint64_t> hashes) {
   // At least twice the value count, so lookups always hit an empty slot and
   // stay O(1) expected.
-  std::vector<CellId> slots(ProbeTableSize(hashes.size()), kInvalidCellId);
+  PodVector<CellId> slots(ProbeTableSize(hashes.size()), kInvalidCellId);
   for (size_t id = 0; id < hashes.size(); ++id) {
     slots[ProbeSlot(slots, hashes[id], kInvalidCellId,
                     [](CellId) { return false; })] = static_cast<CellId>(id);

@@ -35,7 +35,7 @@ class Dictionary {
   /// `hashes[id] == Fnv1a64(Value(id))` in id order. The table is therefore a
   /// pure function of the value sequence, which keeps snapshot files
   /// deterministic.
-  static Dictionary FromCsr(std::vector<uint64_t> offsets, std::vector<char> blob,
+  static Dictionary FromCsr(PodVector<uint64_t> offsets, PodVector<char> blob,
                             std::span<const uint64_t> hashes);
 
   /// Looks a normalized value up; kInvalidCellId when absent.

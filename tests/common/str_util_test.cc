@@ -2,6 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <cstdint>
+#include <cstring>
+#include <optional>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace blend {
 namespace {
 
@@ -81,6 +91,65 @@ TEST(StrUtilTest, ParseNumericRejectsOverflowToInfinity) {
   EXPECT_FALSE(ParseNumeric("-1e999").has_value());
   // Underflow to zero is fine — the value is finite.
   EXPECT_DOUBLE_EQ(*ParseNumeric("1e-999"), 0.0);
+}
+
+TEST(StrUtilTest, ParseNumericMatchesStrtodBitwise) {
+  // strtod in the "C" locale (this binary never calls setlocale) is the
+  // reference. memcmp compares bit patterns, so -0.0 against 0.0 and every
+  // subnormal's last bit count.
+  std::vector<std::string> inputs = {
+      "-0", "-0.0e5", "-1e-999", "0e999999", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "4.9406564584124654e-324",
+      "2.2250738585072011e-308", "2.2250738585072014e-308",
+      "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "-1.7976931348623159e308",
+      "0.000000000000000000000000000001e-300", "123456789012345678901234567890",
+      "9007199254740993", "+.1e+1", "00000000000000000000001e-330"};
+  std::mt19937_64 rng(20240607);
+  auto digits = [&](int n, bool nonzero_first) {
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+      const uint64_t d = nonzero_first && i == 0 ? 1 + rng() % 9 : rng() % 10;
+      out += static_cast<char>('0' + d);
+    }
+    return out;
+  };
+  for (int k = 0; k < 12000; ++k) {
+    const char* const kSigns[] = {"", "-", "+"};
+    std::string s = kSigns[rng() % 3];
+    // Mantissas of 1 to 25 digits, often beyond the 17 a double round-trips.
+    const int int_digits = static_cast<int>(rng() % 21);
+    const int frac_digits = static_cast<int>(rng() % 6);
+    s += digits(int_digits, rng() % 4 != 0);
+    if (frac_digits > 0 || int_digits == 0) {
+      s += '.' + digits(std::max(frac_digits, 1), false);
+    }
+    if (rng() % 8 != 0) {
+      s += rng() % 2 != 0 ? 'e' : 'E';
+      // Exponents cluster at the extremes: subnormals, the overflow edge
+      // and underflow to zero; the rest spread over the whole range.
+      const int kLow[] = {-330, 290, -380, -400};
+      const uint64_t kWidth[] = {30, 30, 30, 800};
+      const size_t band = rng() % 4;
+      int exponent = kLow[band] + static_cast<int>(rng() % kWidth[band]);
+      exponent -= int_digits;  // keep the value near the chosen magnitude
+      if (exponent >= 0 && rng() % 2 != 0) s += '+';
+      s += std::to_string(exponent);
+    }
+    inputs.push_back(s);
+  }
+  ASSERT_GE(inputs.size(), 10000u);
+  for (const std::string& s : inputs) {
+    const double want = std::strtod(s.c_str(), nullptr);
+    const std::optional<double> got = ParseNumeric(s);
+    if (!std::isfinite(want)) {
+      EXPECT_FALSE(got.has_value()) << s;
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << s;
+    EXPECT_EQ(std::memcmp(&*got, &want, sizeof(double)), 0)
+        << s << ": got " << *got << ", strtod " << want;
+  }
 }
 
 TEST(StrUtilTest, ParseNumericRejectsMalformedDecimals) {

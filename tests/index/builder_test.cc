@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <span>
@@ -11,8 +14,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/hashing.h"
 #include "common/str_util.h"
 #include "common/xash.h"
+#include "index/snapshot.h"
 #include "lakegen/join_lake.h"
 #include "lakegen/workloads.h"
 
@@ -409,6 +414,80 @@ TEST(IndexBuilderTest, MatchesFirstAppearanceOracle) {
           ExpectRecordsMatch(bundle.row_store(), want);
         } else {
           ExpectRecordsMatch(bundle.column_store(), want);
+        }
+      }
+    }
+  }
+}
+
+/// The whole snapshot file `bundle` serializes to under `codec`.
+std::string SnapshotFileBytes(const IndexBundle& bundle, PostingCodec codec) {
+  const std::string path = ::testing::TempDir() + "blend_builder_snapshot";
+  SnapshotOptions options;
+  options.codec = codec;
+  EXPECT_TRUE(WriteSnapshot(bundle, path, options).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+TEST(IndexBuilderTest, SnapshotBytesIdenticalForEveryThreadCount) {
+  // Serialized bytes cover what the logical comparisons above do not: the
+  // dictionary's hash table, every array's exact length and padding, and
+  // the encoded postings. The lakes span shards that share values (the
+  // 40-table lake, OracleLake), fewer cells than build tasks (SmallLake has
+  // 6 cells) and no records at all.
+  lakegen::JoinLakeSpec spec;
+  spec.num_tables = 40;
+  spec.numeric_col_prob = 0.5;
+  const std::vector<std::pair<std::string, DataLake>> lakes = [&] {
+    std::vector<std::pair<std::string, DataLake>> out;
+    out.emplace_back("join40", lakegen::MakeJoinLake(spec));
+    out.emplace_back("oracle", OracleLake());
+    out.emplace_back("one_table", SmallLake());
+    out.emplace_back("empty", DataLake("empty"));
+    return out;
+  }();
+  // Fnv1a64 digests of two configurations' files, recorded before the
+  // secondary indexes were built in parallel: the bytes stay pinned across
+  // commits, not just across thread counts. A deliberate format change
+  // re-records them. (The format is native-endian; recorded on x86-64.)
+  const uint64_t kJoin40ColumnCompressed = 0x79DE52B85413B425ULL;
+  const uint64_t kOracleRowShuffledRaw = 0xDA8A6C121BE28747ULL;
+
+  const std::vector<PostingCodec> codecs = {PostingCodec::kRaw,
+                                            PostingCodec::kCompressed};
+  for (const auto& [name, lake] : lakes) {
+    for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+      for (bool shuffle : {false, true}) {
+        SCOPED_TRACE(name + " layout=" + std::to_string(static_cast<int>(layout)) +
+                     " shuffle=" + std::to_string(shuffle));
+        IndexBuildOptions opts;
+        opts.layout = layout;
+        opts.shuffle_rows = shuffle;
+        opts.num_threads = 1;
+        const IndexBundle serial = IndexBuilder(opts).Build(lake);
+        std::vector<std::string> want;
+        for (PostingCodec codec : codecs) {
+          want.push_back(SnapshotFileBytes(serial, codec));
+          ASSERT_FALSE(want.back().empty());
+        }
+        if (name == "join40" && layout == StoreLayout::kColumn && !shuffle) {
+          EXPECT_EQ(Fnv1a64(want[1]), kJoin40ColumnCompressed);
+        }
+        if (name == "oracle" && layout == StoreLayout::kRow && shuffle) {
+          EXPECT_EQ(Fnv1a64(want[0]), kOracleRowShuffledRaw);
+        }
+        for (int threads : {2, 3, 4, 8}) {
+          opts.num_threads = threads;
+          const IndexBundle parallel = IndexBuilder(opts).Build(lake);
+          for (size_t c = 0; c < codecs.size(); ++c) {
+            // Not EXPECT_EQ: a failure would print two whole files.
+            ASSERT_TRUE(SnapshotFileBytes(parallel, codecs[c]) == want[c])
+                << "threads=" << threads << " codec=" << c;
+          }
         }
       }
     }

@@ -13,8 +13,8 @@ namespace {
 /// A dictionary over distinct `values`, laid out the way the index builder
 /// emits it.
 Dictionary MakeDictionary(const std::vector<std::string>& values) {
-  std::vector<uint64_t> offsets{0};
-  std::vector<char> blob;
+  PodVector<uint64_t> offsets{0};
+  PodVector<char> blob;
   std::vector<uint64_t> hashes;
   for (const std::string& v : values) {
     blob.insert(blob.end(), v.begin(), v.end());
