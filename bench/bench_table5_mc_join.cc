@@ -98,12 +98,13 @@ int main(int argc, char** argv) {
 
       StopWatch sw;
       core::MCSeeker mc(tuples, 10);
-      auto blend_out = mc.Execute(blend.context(), "");
+      core::MCExecutionStats mc_stats;
+      auto blend_out = mc.Execute(blend.context(), "", &mc_stats);
       blend_res.seconds += sw.ElapsedSeconds();
       if (blend_out.ok()) {
-        blend_res.tp += mc.last_stats().true_positives;
-        blend_res.fp += mc.last_stats().false_positives;
-        blend_res.candidates += mc.last_stats().candidate_rows;
+        blend_res.tp += mc_stats.true_positives;
+        blend_res.fp += mc_stats.false_positives;
+        blend_res.candidates += mc_stats.candidate_rows;
       }
 
       sw.Reset();

@@ -216,8 +216,11 @@ void Scheduler::Execute(size_t num_tasks, InvokeFn invoke, void* ctx) {
   // Wait by helping: claim chunks of this group only (own deque first, then
   // steal), so a nested submitter never buries its stack under unrelated
   // long-running tasks. When nothing is claimable the stragglers are already
-  // running on other threads; spin briefly (a morsel is tens of µs), then
-  // block on the completion condvar.
+  // running on other threads; yield for a few ms (a morsel is tens of µs, a
+  // discovery plan's step a few ms), then block on the completion condvar.
+  // Yielding hands the CPU to any runnable thread but keeps the waiter on
+  // it: a waiter that sleeps through a plan step tends to wake on another
+  // CPU, away from the caches its next serial work needs.
   Chunk c;
   int idle_rounds = 0;
   while (g.done.load(std::memory_order_acquire) < num_tasks) {
@@ -226,7 +229,7 @@ void Scheduler::Execute(size_t num_tasks, InvokeFn invoke, void* ctx) {
       idle_rounds = 0;
       continue;
     }
-    if (++idle_rounds < 128) {
+    if (++idle_rounds < 4096) {
       std::this_thread::yield();
       continue;
     }

@@ -26,9 +26,8 @@ namespace blend::core {
 /// share the engine-scoped work-stealing scheduler — a client thread helps
 /// execute its own query's morsel tasks, so pool sizing caps total CPU use,
 /// not the client count — and every result is byte-identical to a serial
-/// run of the same plan. (Individual Seeker instances record per-execution
-/// stats; share a Blend across threads, not a Plan, unless its seekers are
-/// stat-free.)
+/// run of the same plan. Seekers keep no per-execution state, so one Plan
+/// (or one seeker under several node ids) may also be run concurrently.
 class Blend {
  public:
   struct Options {
@@ -109,11 +108,12 @@ class Blend {
   Result<TableList> Run(const Plan& plan) const;
 
   /// Runs a plan under a QueryControl (deadline / cancellation / memory
-  /// budget; see common/control.h). The control is checked cooperatively at
-  /// every plan step and morsel boundary: a tripped constraint returns a
-  /// descriptive kDeadlineExceeded / kCancelled / kResourceExhausted, never a
-  /// partial result, and a run that completes is byte-identical to an
-  /// unconstrained run. The control must outlive the call.
+  /// budget; see common/control.h). The control is checked cooperatively
+  /// before every wave of plan steps and at every morsel boundary: a tripped
+  /// constraint returns a descriptive kDeadlineExceeded / kCancelled /
+  /// kResourceExhausted, never a partial result, and a run that completes is
+  /// byte-identical to an unconstrained run. The control must outlive the
+  /// call.
   Result<TableList> Run(const Plan& plan, const QueryControl& control) const;
 
   /// Runs a batch of plans concurrently on the engine scheduler, returning

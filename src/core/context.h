@@ -16,8 +16,9 @@ namespace blend::core {
 /// query_options.control).
 ///
 /// The context is shared-immutable during execution: many plans may run
-/// against one context concurrently (the serving layer's contract), so
-/// nothing here may be mutated by operators.
+/// against one context concurrently (the serving layer's contract), and the
+/// independent steps of one plan run concurrently too (PlanExecutor's
+/// waves), so nothing here may be mutated by operators.
 struct DiscoveryContext {
   const DataLake* lake = nullptr;
   const IndexBundle* bundle = nullptr;

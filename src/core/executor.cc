@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/control.h"
+#include "common/scheduler.h"
 #include "common/str_util.h"
 #include "common/timer.h"
 
@@ -58,6 +59,45 @@ std::string BuildRewrite(
   return "AND TableId NOT IN (" + SqlInListInts(ids) + ")";
 }
 
+/// The optimizer's steps grouped into waves. A step reads the outputs of the
+/// steps it depends on: a seeker its rewrite sources, a combiner its inputs.
+/// It runs in the wave after the latest of them, so the steps of one wave
+/// read only outputs published by earlier waves. Waves list their steps in
+/// step order.
+Result<std::vector<std::vector<size_t>>> StepWaves(
+    const Plan& plan, const std::vector<ExecutionStep>& steps) {
+  std::unordered_map<std::string, size_t> wave_of;  // node id -> wave
+  std::vector<std::vector<size_t>> waves;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const Plan::Node& node = plan.node(steps[i].node);
+    size_t wave = 0;
+    for (const auto& dep : node.is_seeker() ? steps[i].rewrite.sources : node.inputs) {
+      auto it = wave_of.find(dep);
+      if (it == wave_of.end()) {
+        return Status::Internal("input '" + dep + "' of '" + node.id +
+                                "' not computed");
+      }
+      wave = std::max(wave, it->second + 1);
+    }
+    wave_of.emplace(node.id, wave);
+    if (wave == waves.size()) waves.emplace_back();
+    waves[wave].push_back(i);
+  }
+  return waves;
+}
+
+/// What one step produced: filled by the task that ran it, read after its
+/// wave.
+struct StepRun {
+  Status status;
+  TableList output;
+  /// Filled when the step completes (its node id is empty until then).
+  PlanStepTiming timing;
+  /// The step's own statement-plan sink: steps of one wave capture
+  /// concurrently.
+  sql::PlanCaptureSink plans;
+};
+
 }  // namespace
 
 std::string ExecutionReport::RenderStatementPlans() const {
@@ -86,47 +126,67 @@ Result<ExecutionReport> PlanExecutor::Run(const Plan& plan, bool optimize) const
                     static_cast<int64_t>(report.optimize_seconds * 1e9), 1);
   }
 
-  StopWatch run_watch;
-  const uint64_t queries_before = ctx_->engine->QueriesServed();
-  for (const ExecutionStep& step : report.executed_plan.steps) {
-    // Plan-step control boundary: a tripped deadline/cancel/budget stops the
-    // plan before its next seeker or combiner, complementing the finer-grained
-    // morsel checks inside each seeker's queries.
-    BLEND_RETURN_NOT_OK(CheckControl(ctx_->query_options.control, "plan step"));
-    const Plan::Node& node = plan.node(step.node);
+  const std::vector<ExecutionStep>& steps = report.executed_plan.steps;
+  BLEND_ASSIGN_OR_RETURN(auto waves, StepWaves(plan, steps));
+  Scheduler* sched = ctx_->query_options.scheduler != nullptr
+                         ? ctx_->query_options.scheduler
+                         : Scheduler::Serial();
+  sql::PlanCaptureSink* capture = ctx_->query_options.plan_capture;
+  std::vector<StepRun> runs(steps.size());
+
+  // Runs step i. node_outputs is read-only while a wave runs; each step
+  // writes only its own StepRun.
+  auto run_step = [&](size_t i) {
+    const Plan::Node& node = plan.node(steps[i].node);
+    StepRun& run = runs[i];
     StopWatch step_watch;
-    const TableList* step_out = nullptr;
-    std::string kind;
     if (node.is_seeker()) {
-      kind = node.seeker->name();
-      std::string rewrite = BuildRewrite(step.rewrite, report.node_outputs);
-      BLEND_ASSIGN_OR_RETURN(auto out, node.seeker->Execute(*ctx_, rewrite));
-      step_out = &report.node_outputs.emplace(node.id, std::move(out))
-                      .first->second;
+      DiscoveryContext ctx = *ctx_;
+      if (capture != nullptr) ctx.query_options.plan_capture = &run.plans;
+      const std::string rewrite = BuildRewrite(steps[i].rewrite, report.node_outputs);
+      Result<TableList> out = node.seeker->Execute(ctx, rewrite);
+      if (!out.ok()) {
+        run.status = out.status();
+        return;
+      }
+      run.output = out.take();
     } else {
-      kind = "combiner";
       std::vector<TableList> inputs;
       inputs.reserve(node.inputs.size());
-      for (const auto& in : node.inputs) {
-        auto it = report.node_outputs.find(in);
-        if (it == report.node_outputs.end()) {
-          return Status::Internal("input '" + in + "' of '" + node.id +
-                                  "' not computed");
-        }
-        inputs.push_back(it->second);
-      }
-      step_out = &report.node_outputs
-                      .emplace(node.id, node.combiner->Combine(inputs))
-                      .first->second;
+      for (const auto& in : node.inputs) inputs.push_back(report.node_outputs.at(in));
+      run.output = node.combiner->Combine(inputs);
     }
-    const double step_seconds = step_watch.ElapsedSeconds();
-    report.step_timings.push_back(
-        {node.id, kind, step_seconds, step_out->size()});
-    if (trace != nullptr) {
-      trace->AddStage(TraceStage::kPlanStep,
-                      static_cast<int64_t>(step_seconds * 1e9), 1);
-      trace->AddRows(TraceStage::kPlanStep,
-                     static_cast<int64_t>(step_out->size()));
+    run.timing = {node.id, node.is_seeker() ? node.seeker->name() : "combiner",
+                  step_watch.ElapsedSeconds(), run.output.size()};
+  };
+
+  StopWatch run_watch;
+  const uint64_t queries_before = ctx_->engine->QueriesServed();
+  size_t finished = 0;  // steps [0, finished) are reported
+  for (const std::vector<size_t>& wave : waves) {
+    // Plan-step control boundary: a tripped deadline/cancel/budget stops the
+    // plan before its next wave, complementing the finer-grained morsel
+    // checks inside each seeker's queries.
+    BLEND_RETURN_NOT_OK(CheckControl(ctx_->query_options.control, "plan step"));
+    sched->ParallelFor(wave.size(), [&](size_t w) { run_step(wave[w]); });
+    for (size_t i : wave) BLEND_RETURN_NOT_OK(runs[i].status);
+    for (size_t i : wave) {
+      report.node_outputs.emplace(steps[i].node, std::move(runs[i].output));
+    }
+    // Timings, trace records and statement plans follow step order: report
+    // every step up to the first one a later wave still has to run.
+    for (; finished < steps.size() && !runs[finished].timing.node.empty(); ++finished) {
+      StepRun& run = runs[finished];
+      if (trace != nullptr) {
+        trace->AddStage(TraceStage::kPlanStep,
+                        static_cast<int64_t>(run.timing.seconds * 1e9), 1);
+        trace->AddRows(TraceStage::kPlanStep,
+                       static_cast<int64_t>(run.timing.output_rows));
+      }
+      report.step_timings.push_back(std::move(run.timing));
+      if (capture != nullptr) {
+        for (auto& p : run.plans.plans) capture->plans.push_back(std::move(p));
+      }
     }
   }
   report.seconds = run_watch.ElapsedSeconds();

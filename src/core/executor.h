@@ -12,7 +12,7 @@
 
 namespace blend::core {
 
-/// Wall time and output size of one executed plan step, in execution order.
+/// Wall time and output size of one executed plan step, in step order.
 /// All fields zeroed/empty by default.
 struct PlanStepTiming {
   /// Plan node id of the step.
@@ -44,7 +44,8 @@ struct ExecutionReport {
   /// per-operator query budgets, e.g. that a dedup-top-k seeker issues one
   /// exhaustive statement instead of a widening retry loop.
   uint64_t engine_queries = 0;
-  /// Per-plan-step wall times and output sizes, in execution order.
+  /// Per-plan-step wall times and output sizes, in step order (steps of one
+  /// wave overlap, so their times may sum to more than `seconds`).
   std::vector<PlanStepTiming> step_timings;
   /// The query's finished trace (stage wall times / task counts / rows plus
   /// event counters: posting blocks decoded, engine queries, MC validation
@@ -53,7 +54,7 @@ struct ExecutionReport {
   /// The steps that were executed, in order (for inspection and tests).
   ExecutionPlan executed_plan;
   /// Executed plans of every SQL statement the run's seekers issued, in
-  /// execution order (Blend::Options::capture_statement_plans). Each entry
+  /// step order (Blend::Options::capture_statement_plans). Each entry
   /// pairs the statement text with its EXPLAIN ANALYZE operator tree;
   /// a four-seeker discovery plan shows up as one report with all of its
   /// statements' plans. Empty when capture is off.
@@ -71,7 +72,13 @@ struct ExecutionReport {
 
 /// Runs optimized execution plans: executes seekers against the engine with
 /// rewrite predicates built from intermediate results, then applies
-/// combiners.
+/// combiners. The optimizer's steps run in waves on the context's scheduler:
+/// a step waits only for the steps it reads (a seeker's rewrite sources, a
+/// combiner's inputs), so independent seekers run side by side while each
+/// one's statements stay morsel-parallel inside. Step timings, trace records
+/// and captured statement plans keep step order, and the report is the same
+/// for every pool size; a serial pool runs the waves' steps inline, in step
+/// order.
 class PlanExecutor {
  public:
   PlanExecutor(const DiscoveryContext* ctx, const CostModel* model)

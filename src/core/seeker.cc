@@ -233,14 +233,17 @@ bool AlignTuple(const std::vector<std::string>& row_cells,
 
 Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
                                     const std::string& rewrite) const {
+  MCExecutionStats stats;
+  return Execute(ctx, rewrite, &stats);
+}
+
+Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
+                                    const std::string& rewrite,
+                                    MCExecutionStats* stats_out) const {
   CountExecution(Type::kMC);
   TraceSpan seeker_span(ctx.query_options.trace, TraceStage::kSeeker);
-  // Stats accumulate in a local and publish in one assignment at the end, so
-  // an Execute never exposes half-updated counters (concurrent executions of
-  // the *same* MCSeeker instance still race on the final write; give each
-  // serving thread its own Plan when stats matter).
-  MCExecutionStats stats;
-  last_stats_ = stats;
+  *stats_out = MCExecutionStats{};
+  MCExecutionStats& stats = *stats_out;
   // Every tuple was dropped during normalization (empty cells): nothing can
   // align, and the generated `CellValue IN ()` would not even parse.
   if (tuples_.empty()) return TableList{};
@@ -332,7 +335,6 @@ Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
       ++stats.false_positives;
     }
   }
-  last_stats_ = stats;
   if (QueryTrace* trace = ctx.query_options.trace; trace != nullptr) {
     trace->AddStage(TraceStage::kMcValidation,
                     static_cast<int64_t>(validation_watch.ElapsedSeconds() * 1e9),

@@ -97,8 +97,8 @@ class KWSeeker : public Seeker {
   std::vector<std::string> keywords_;
 };
 
-/// Row-level true/false-positive counts of the last MC execution (consumed by
-/// the Table V experiment).
+/// Row-level true/false-positive counts of one MC execution (consumed by the
+/// Table V experiment).
 struct MCExecutionStats {
   size_t candidate_rows = 0;   // rows surviving the SQL join phase
   size_t bloom_pass_rows = 0;  // rows also passing the super-key filter
@@ -119,16 +119,18 @@ class MCSeeker : public Seeker {
   std::string GenerateSql(const std::string& rewrite, int fetch_limit) const override;
   Result<TableList> Execute(const DiscoveryContext& ctx,
                             const std::string& rewrite) const override;
+  /// Execute that also reports this execution's validation funnel in
+  /// `*stats` (zeroed first; plan runs read the same counts from the trace).
+  Result<TableList> Execute(const DiscoveryContext& ctx, const std::string& rewrite,
+                            MCExecutionStats* stats) const;
   SeekerFeatures ComputeFeatures(const IndexStats& stats) const override;
 
-  const MCExecutionStats& last_stats() const { return last_stats_; }
   size_t num_key_columns() const { return num_columns_; }
 
  private:
   std::vector<std::vector<std::string>> tuples_;      // normalized
   std::vector<std::vector<std::string>> col_values_;  // distinct values per column
   size_t num_columns_ = 0;
-  mutable MCExecutionStats last_stats_;
 };
 
 /// Correlation seeker (paper Listing 3): top-k tables joining on Q's key and

@@ -25,10 +25,21 @@ namespace {
 // byte-identical for every QueryOptions::scheduler setting.
 // ---------------------------------------------------------------------------
 
-/// Records per scan/probe morsel.
+/// Records per scan morsel and rows per hash-join build/probe chunk.
 constexpr size_t kScanMorselRecords = 8192;
-/// Rows per aggregation/projection chunk.
-constexpr size_t kAggChunkRows = 16384;
+/// Prefix rows per lookup-join task. A prefix row costs a group search and
+/// the group's filter and key checks, far more than a scanned record, so a
+/// discovery statement's few thousand prefix rows still spread over the
+/// pool.
+constexpr size_t kLookupChunkRows = 1024;
+/// Rows per chunk of the row stream's filter, projection and aggregation.
+/// Small for the same reason: a joined statement's stream is a few thousand
+/// rows. Integer SUM and COUNT do not depend on it; a double SUM/AVG rounds
+/// along its chunk boundaries, which stay fixed for every pool size.
+constexpr size_t kAggChunkRows = 2048;
+/// Chunk groups above which the aggregation merge runs as kMergePartitions
+/// tasks instead of one inline task.
+constexpr size_t kParallelMergeGroups = 16384;
 /// Key partitions of the parallel aggregation merge.
 constexpr size_t kMergePartitions = 16;
 
@@ -643,49 +654,68 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 // Lookup join on the (TableId, RowId) store order.
 // ---------------------------------------------------------------------------
 
-/// (TableId, RowId) packed as one 64-bit key. Records are emitted
-/// table-major, row-major, so the key is non-decreasing in physical
-/// position and a key's record group can be binary-searched.
-inline uint64_t PackJoinKey(TableId t, int32_t r) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(t)) << 32) |
-         static_cast<uint32_t>(r);
-}
-
-/// First physical position whose key is >= `key`: rows ascend within the
-/// key's table range, every earlier table's keys are smaller, and a key
-/// beyond the table's last row resolves to the next table's first position.
-template <typename Store>
-RecordPos JoinKeyLowerBound(const Store& store, uint64_t key) {
-  const auto t = static_cast<TableId>(key >> 32);
-  const auto r = static_cast<int32_t>(key & 0xFFFFFFFFu);
-  auto [lo, hi] = store.TableRange(t);
+/// First position in [lo, hi) where `after` holds, for a predicate that is
+/// false and then true along the range. Gallops from `guess` (in [lo, hi])
+/// in doubling steps towards the boundary, then binary-searches the bracket
+/// it found: O(log d) probes for a boundary d positions from the guess.
+template <typename Pred>
+RecordPos GallopPartition(RecordPos lo, RecordPos hi, RecordPos guess,
+                          const Pred& after) {
+  size_t step = 1;
+  if (guess < hi && !after(guess)) {
+    lo = guess + 1;
+    while (step <= hi - lo) {
+      const RecordPos probe = lo + static_cast<RecordPos>(step - 1);
+      if (after(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+      step *= 2;
+    }
+  } else {
+    hi = guess;
+    while (step <= hi - lo) {
+      const RecordPos probe = hi - static_cast<RecordPos>(step);
+      if (!after(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+      step *= 2;
+    }
+  }
   while (lo < hi) {
     const RecordPos mid = lo + (hi - lo) / 2;
-    if (store.row(mid) < r) {
-      lo = mid + 1;
-    } else {
+    if (after(mid)) {
       hi = mid;
+    } else {
+      lo = mid + 1;
     }
   }
   return lo;
 }
 
-/// First position after key `key`'s record group; `from` is any position
-/// inside the group.
+/// The record group [first, end) of row `r` of table `t`. Records are
+/// emitted table-major, row-major, so rows ascend within the table's range
+/// and a row past the table's last one resolves to the empty group at the
+/// next table's first position. The rows of a table run from 0 to its last
+/// record's row, so the group's start is first guessed by interpolating `r`
+/// over the range and then galloped to; its end is galloped to from the
+/// start, so a wide row costs O(log width) probes.
 template <typename Store>
-RecordPos JoinKeyGroupEnd(const Store& store, uint64_t key, RecordPos from) {
-  const auto t = static_cast<TableId>(key >> 32);
-  const auto r = static_cast<int32_t>(key & 0xFFFFFFFFu);
-  RecordPos lo = from, hi = store.TableRange(t).second;
-  while (lo < hi) {
-    const RecordPos mid = lo + (hi - lo) / 2;
-    if (store.row(mid) <= r) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+std::pair<RecordPos, RecordPos> JoinKeyGroup(const Store& store, TableId t, int32_t r) {
+  const auto [lo, hi] = store.TableRange(t);
+  if (lo == hi) return {lo, hi};
+  const auto last = static_cast<uint64_t>(store.row(hi - 1));
+  const auto row = static_cast<uint64_t>(r);
+  if (row > last) return {hi, hi};
+  const RecordPos guess = lo + static_cast<RecordPos>((hi - lo) * row / (last + 1));
+  const RecordPos first =
+      GallopPartition(lo, hi, guess, [&](RecordPos p) { return store.row(p) >= r; });
+  const RecordPos end =
+      GallopPartition(first, hi, first, [&](RecordPos p) { return store.row(p) > r; });
+  return {first, end};
 }
 
 /// Whether a join step runs as a lookup join: its ON equates TableId with
@@ -707,8 +737,10 @@ bool IsLookupStep(const ScanSpec& spec, const StepKeys& keys) {
 
 /// One join step that looks the new relation up instead of scanning it. For
 /// each prefix row it takes the row's (TableId, RowId) record group
-/// [JoinKeyLowerBound, JoinKeyGroupEnd) and keeps the positions that pass the
-/// relation's own scan filters, the step's ON keys and its ON residual.
+/// (JoinKeyGroup) and keeps the positions that pass the relation's own scan
+/// filters, the step's ON keys and its ON residual. The group already
+/// satisfies the TableId and RowId keys that select it (neither field is
+/// ever NULL), so only the step's other ON keys are compared.
 ///
 /// Output is byte-identical to HashJoinStep over ScanRel's positions. The
 /// eligible access paths scan in ascending position, so a prefix row's
@@ -748,28 +780,32 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
   }
   const uint8_t table_side = keys.left[table_key].first;
   const uint8_t row_side = keys.left[row_key].first;
+  StepKeys other_keys;  // the ON keys the group does not guarantee
+  for (size_t i = 0; i < keys.right.size(); ++i) {
+    if (i == table_key || i == row_key) continue;
+    other_keys.left.push_back(keys.left[i]);
+    other_keys.right.push_back(keys.right[i]);
+  }
 
   // Prefix-row chunks; each fills its own buffer of joined rows (probing
   // with the prefix) or of packed (position, prefix index) pairs.
-  const size_t num_chunks = NumChunks(rows.size(), kScanMorselRecords);
+  const size_t num_chunks = NumChunks(rows.size(), kLookupChunkRows);
   std::vector<std::vector<RowCtx>> parts(probe_with_prefix ? num_chunks : 0);
   std::vector<std::vector<uint64_t>> pairs(probe_with_prefix ? 0 : num_chunks);
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinProbe, stats, num_chunks,
                                [&](size_t c) {
-    const size_t b = c * kScanMorselRecords;
-    const size_t e = std::min(rows.size(), b + kScanMorselRecords);
+    const size_t b = c * kLookupChunkRows;
+    const size_t e = std::min(rows.size(), b + kLookupChunkRows);
     for (size_t i = b; i < e; ++i) {
       const TableId t = store.table(rows[i].pos[table_side]);
       if (rel.spec.table_in != nullptr &&
           !std::binary_search(rel.tables.begin(), rel.tables.end(), t)) {
         continue;
       }
-      const uint64_t key = PackJoinKey(t, store.row(rows[i].pos[row_side]));
-      const RecordPos lo = JoinKeyLowerBound(store, key);
-      const RecordPos hi = JoinKeyGroupEnd(store, key, lo);
+      const auto [lo, hi] = JoinKeyGroup(store, t, store.row(rows[i].pos[row_side]));
       RowCtx extended = rows[i];
       for (RecordPos p = lo; p < hi; ++p) {
-        if (!rel.filter(store, p) || !StepKeysEqual(store, keys, rows[i], p)) {
+        if (!rel.filter(store, p) || !StepKeysEqual(store, other_keys, rows[i], p)) {
           continue;
         }
         extended.pos[step_side] = p;
@@ -1287,7 +1323,7 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
   // a single partition appends new groups in first-appearance order. A small
   // merge runs as that one inline task: waking the pool for kMergePartitions
   // tasks costs more than folding a few thousand groups.
-  const size_t num_parts = chunk_groups > kAggChunkRows ? kMergePartitions : 1;
+  const size_t num_parts = chunk_groups > kParallelMergeGroups ? kMergePartitions : 1;
   std::vector<GroupTable> parts;
   for (size_t p = 0; p < num_parts; ++p) {
     parts.push_back(num_parts == 1 ? std::move(chunks[0]) : fresh(pack));
@@ -1693,7 +1729,7 @@ PlanDescription DescribePlan(const PhysicalPlan& plan, const SelectStmt& stmt,
       case OpKind::kLookupJoin:
         node.detail = "step " + rel + "; rel " + rel +
                       " read by (TableId, RowId) group, not scanned; prefix chunk=" +
-                      morsel + " rows";
+                      std::to_string(kLookupChunkRows) + " rows";
         break;
       case OpKind::kFilter:
         node.detail = "residual WHERE; " + chunks;
@@ -1713,8 +1749,8 @@ PlanDescription DescribePlan(const PhysicalPlan& plan, const SelectStmt& stmt,
           node.detail += "row stream, " + chunks;
         }
         node.detail += "; " + std::to_string(kMergePartitions) +
-                       " merge partitions above " + std::to_string(kAggChunkRows) +
-                       " groups";
+                       " merge partitions above " +
+                       std::to_string(kParallelMergeGroups) + " groups";
         break;
       case OpKind::kProject:
         node.detail = stmt.select_star ? std::string("SELECT *")

@@ -47,8 +47,9 @@ struct CapturedStatementPlan {
 };
 
 /// Collector the engine appends to when QueryOptions::plan_capture points
-/// here. Deliberately unsynchronized: statements within one run execute
-/// serially on the driving thread (parallelism lives inside a statement).
+/// here. Deliberately unsynchronized: each sink belongs to one statement
+/// issuer at a time. A discovery plan gives every step its own sink, since
+/// the steps of one wave run concurrently, and appends them in step order.
 struct PlanCaptureSink {
   std::vector<CapturedStatementPlan> plans;
 };

@@ -82,9 +82,10 @@ TEST(MateTest, ProducesMoreCandidatesThanBlend) {
   Mate::Stats mate_stats;
   mate.TopK(tuples, 10, &mate_stats);
   core::MCSeeker mc(tuples, 10);
-  ASSERT_TRUE(mc.Execute(blend.context(), "").ok());
-  EXPECT_GT(mate_stats.candidate_rows, mc.last_stats().candidate_rows);
-  EXPECT_GE(mate_stats.false_positives, mc.last_stats().false_positives);
+  core::MCExecutionStats mc_stats;
+  ASSERT_TRUE(mc.Execute(blend.context(), "", &mc_stats).ok());
+  EXPECT_GT(mate_stats.candidate_rows, mc_stats.candidate_rows);
+  EXPECT_GE(mate_stats.false_positives, mc_stats.false_positives);
 }
 
 TEST(MateTest, EmptyQueries) {

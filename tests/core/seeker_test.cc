@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <set>
 
@@ -87,10 +88,11 @@ TEST_P(SeekerFig1Test, McFindsAlignedRows) {
 TEST_P(SeekerFig1Test, McRejectsMisalignedTuples) {
   // "HR" and "Tom Riddle" both exist in T2 but never in the same row.
   MCSeeker mc({{"HR", "Tom Riddle"}}, 10);
-  auto r = mc.Execute(blend_->context(), "");
+  MCExecutionStats stats;
+  auto r = mc.Execute(blend_->context(), "", &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().empty());
-  EXPECT_EQ(mc.last_stats().true_positives, 0u);
+  EXPECT_EQ(stats.true_positives, 0u);
 }
 
 TEST_P(SeekerFig1Test, McNeedsTwoColumns) {
@@ -263,8 +265,8 @@ TEST(SeekerTest, McStatsAreConsistent) {
   Rng rng(7);
   auto tuples = lakegen::MakeMcQuery(spec, 1, 10, &rng);
   MCSeeker mc(tuples, 10);
-  ASSERT_TRUE(mc.Execute(blend.context(), "").ok());
-  const auto& st = mc.last_stats();
+  MCExecutionStats st;
+  ASSERT_TRUE(mc.Execute(blend.context(), "", &st).ok());
   EXPECT_EQ(st.true_positives + st.false_positives, st.bloom_pass_rows);
   EXPECT_LE(st.bloom_pass_rows, st.candidate_rows);
 }
@@ -368,7 +370,8 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
                          " q=" + std::to_string(q) + " k=" + std::to_string(k) +
                          " rewrite=" + rewrite);
             const TableList want = BruteForceMc(lake, tuples, k, keep);
-            auto got = mc.Execute(blend.context(), rewrite);
+            MCExecutionStats stats;
+            auto got = mc.Execute(blend.context(), rewrite, &stats);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             ASSERT_EQ(got.value().size(), want.size());
             for (size_t i = 0; i < want.size(); ++i) {
@@ -376,7 +379,7 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
               EXPECT_EQ(got.value()[i].score, want[i].score) << "rank " << i;
             }
             checked += want.size();
-            rejected += mc.last_stats().false_positives;
+            rejected += stats.false_positives;
           }
         }
       }
@@ -624,6 +627,172 @@ TEST(SeekerTest, CorrelationMatchesBruteForceOracle) {
     }
   }
   EXPECT_GT(checked, 100u);  // the oracle ranked real tables, not empty lists
+}
+
+/// A lake whose rows hold different numbers of indexed cells. Each row
+/// draws a cell density from empty to full; keys mix text (upper case, so
+/// queries exercise normalization) and numbers, which numeric columns hold
+/// too; numeric columns have blank cells and mixed text/number columns are
+/// not numeric. Every third table is
+/// wide (64-79 columns), the others are tall (257-756 rows), so (TableId,
+/// RowId) groups sit far from where an even spread of rows would put them.
+DataLake MakeRaggedLake(uint64_t seed) {
+  Rng rng(seed);
+  DataLake lake("ragged");
+  auto key = [&] {
+    const uint64_t i = rng.Uniform(120);
+    return i % 3 == 0 ? std::to_string(1000 + i) : "K" + std::to_string(i);
+  };
+  auto number = [&] {
+    if (rng.Uniform(8) == 0) return std::to_string(1000 + 3 * rng.Uniform(40));
+    char buf[32];
+    snprintf(buf, sizeof(buf), "%.3f", 10 * rng.Normal());
+    return std::string(buf);
+  };
+  enum Kind { kKey, kNumeric, kMixed, kText };
+  const double densities[] = {0.0, 0.1, 0.5, 0.9, 1.0};
+  for (int t = 0; t < 24; ++t) {
+    const bool wide = t % 3 == 0;
+    const size_t cols = wide ? 64 + rng.Uniform(16) : 3 + rng.Uniform(5);
+    const size_t rows = wide ? 20 + rng.Uniform(300) : 257 + rng.Uniform(500);
+    Table table("ragged" + std::to_string(t));
+    std::vector<Kind> kinds(cols);
+    for (size_t c = 0; c < cols; ++c) {
+      kinds[c] = c == 0 ? kKey : static_cast<Kind>(rng.Uniform(4));
+      table.AddColumn("c" + std::to_string(c));
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      const double density = densities[rng.Uniform(5)];
+      std::vector<std::string> row(cols);
+      for (size_t c = 0; c < cols; ++c) {
+        if (rng.UniformDouble() >= density) {
+          row[c] = rng.Uniform(2) == 0 ? "" : "  ";
+          continue;
+        }
+        switch (kinds[c]) {
+          case kKey: row[c] = key(); break;
+          case kNumeric: row[c] = number(); break;
+          case kMixed: row[c] = rng.Uniform(4) == 0 ? "x" + key() : number(); break;
+          case kText: row[c] = "w" + std::to_string(rng.Uniform(50)); break;
+        }
+      }
+      EXPECT_TRUE(table.AppendRow(row).ok());
+    }
+    lake.AddTable(std::move(table));
+  }
+  return lake;
+}
+
+/// Rows a (TableId, RowId) join of key cells with numeric cells emits,
+/// counted on the raw lake: pairs of a cell in row r < h that normalizes to
+/// a query key and a non-blank cell of a numeric column of the same row —
+/// another column (the correlation statement's `<>` residual) or, with
+/// `same_column`, the key's own column (an extra ColumnId join key).
+int64_t BruteForceKeyNumericPairs(const DataLake& lake,
+                                  const std::vector<std::string>& keys, int h,
+                                  bool same_column) {
+  std::set<std::string> wanted;
+  for (const auto& k : keys) wanted.insert(NormalizeCell(k));
+  wanted.erase("");
+  int64_t joined = 0;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    const Table& table = lake.table(t);
+    std::vector<bool> numeric(table.NumColumns());
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      numeric[c] = table.column(c).IsNumeric();
+    }
+    const size_t rows = std::min(table.NumRows(), static_cast<size_t>(h));
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t kc = 0; kc < table.NumColumns(); ++kc) {
+        if (wanted.count(NormalizeCell(table.At(r, kc))) == 0) continue;
+        for (size_t nc = 0; nc < table.NumColumns(); ++nc) {
+          if ((nc == kc) == same_column && numeric[nc] &&
+              !NormalizeCell(table.At(r, nc)).empty()) {
+            ++joined;
+          }
+        }
+      }
+    }
+  }
+  return joined;
+}
+
+TEST(SeekerTest, CorrelationMatchesBruteForceOracleOnRaggedRows) {
+  // The correlation statement looks each key row's numeric cells up by
+  // (TableId, RowId) group. On ragged rows, tall tables and wide rows the
+  // group search must still find exactly the lake's cells: the seeker's
+  // answer matches the oracle, and the LookupJoin emits as many rows as a
+  // brute-force join of the raw tables — also when the ON carries a join
+  // key beyond the (TableId, RowId) pair the group guarantees.
+  const DataLake lake = MakeRaggedLake(71);
+  std::vector<std::unique_ptr<Blend>> blends;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    Blend::Options opts;
+    opts.layout = layout;
+    blends.push_back(std::make_unique<Blend>(&lake, opts));
+  }
+  Rng rng(13);
+  size_t checked = 0;
+  for (int q = 0; q < 4; ++q) {
+    std::vector<std::string> keys;
+    std::vector<double> targets;
+    for (int i = 0; i < 60; ++i) {
+      const uint64_t v = rng.Uniform(130);  // a few keys match no cell
+      keys.push_back(v % 3 == 0 ? std::to_string(1000 + v) : "k" + std::to_string(v));
+      targets.push_back(rng.Normal());
+    }
+    for (int h : {256, 1024}) {
+      const TableList all = BruteForceCorrelation(lake, keys, targets, -1, h,
+                                                  [](TableId) { return true; });
+      std::vector<std::string> normalized;
+      for (const auto& key : keys) normalized.push_back(NormalizeCell(key));
+      const std::string same_column_join =
+          "SELECT keys.TableId FROM (SELECT TableId, RowId, ColumnId FROM AllTables "
+          "WHERE RowId < " +
+          std::to_string(h) + " AND CellValue IN (" + SqlInList(normalized) +
+          ")) AS keys INNER JOIN (SELECT TableId, RowId, ColumnId FROM AllTables "
+          "WHERE RowId < " +
+          std::to_string(h) +
+          " AND Quadrant IS NOT NULL) AS nums ON keys.TableId = nums.TableId AND "
+          "keys.RowId = nums.RowId AND keys.ColumnId = nums.ColumnId;";
+      const std::vector<std::pair<std::string, int64_t>> joins = {
+          {CorrelationSeeker(keys, targets, 5, h).GenerateSql("", -1),
+           BruteForceKeyNumericPairs(lake, keys, h, false)},
+          {same_column_join, BruteForceKeyNumericPairs(lake, keys, h, true)},
+      };
+      EXPECT_GT(joins[0].second, 1000);
+      EXPECT_GT(joins[1].second, 10);
+      for (const auto& blend : blends) {
+        const int layout = static_cast<int>(blend->options().layout);
+        SCOPED_TRACE("layout=" + std::to_string(layout) + " q=" + std::to_string(q) +
+                     " h=" + std::to_string(h));
+        for (int k : {5, 1000}) {
+          CorrelationSeeker seeker(keys, targets, k, h);
+          const TableList want(all.begin(),
+                               all.begin() + std::min<size_t>(all.size(), k));
+          auto got = seeker.Execute(blend->context(), "");
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_EQ(got.value().size(), want.size()) << "k=" << k;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.value()[i].table, want[i].table) << "k=" << k << " #" << i;
+            EXPECT_EQ(got.value()[i].score, want[i].score) << "k=" << k << " #" << i;
+          }
+          checked += want.size();
+        }
+        for (const auto& [join, want_rows] : joins) {
+          auto analyzed = blend->context().engine->Query("EXPLAIN ANALYZE " + join,
+                                                         sql::QueryOptions{});
+          ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+          int64_t lookup_rows = -1;
+          for (const sql::PlanNode& node : analyzed.value().plan.nodes) {
+            if (node.op == "LookupJoin") lookup_rows = node.actual_rows;
+          }
+          EXPECT_EQ(lookup_rows, want_rows) << analyzed.value().explain_text;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 TEST(SeekerTest, CorrelationSeekerFindsCorrelatedTables) {
