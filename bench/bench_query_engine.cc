@@ -15,14 +15,12 @@
 // BENCH_serving.json instead of failing the byte-identity gate.
 // `--serving` runs only the concurrent-serving section. Serving latency
 // percentiles (p50/p95/p99 in BENCH_serving.json) are derived from the
-// metrics registry's `blend_sql_query_seconds` histogram — the same series a
-// production scrape would read — not from a bench-private sample sort, so
-// the bench exercises and validates the telemetry path it reports from.
-// The serving section also replays the mix with the full introspection stack
-// attached (per-query trace + event-log record with slow-query capture) and
-// reports the event-log line count, slow captures, and the overhead vs the
-// plain replay; `--smoke` enforces the <= 2% overhead budget. The drained
-// event-log text is validated with ValidateEventLogJson before counting.
+// metrics registry's `blend_sql_query_seconds` histogram, not from a
+// bench-private sample sort, so the bench exercises and validates the
+// telemetry path it reports from.
+// The serving section also replays the mix with a per-query trace attached
+// and summarized, and reports the overhead vs the plain replay; `--smoke`
+// enforces the <= 2% overhead budget.
 // `--trace-out=FILE` additionally exports one serving query's morsel-task
 // timeline as validated Chrome trace-event JSON (Perfetto loadable).
 
@@ -42,8 +40,6 @@
 
 #include "bench_util.h"
 #include "common/control.h"
-#include "common/eventlog.h"
-#include "common/hashing.h"
 #include "common/scheduler.h"
 #include "common/str_util.h"
 #include "common/table_printer.h"
@@ -314,9 +310,8 @@ int main(int argc, char** argv) {
     // records into (the production telemetry path), never a bench-private
     // sample sort. Per-client-count stats are interval deltas of the
     // process-wide cumulative series.
-    Histogram* latency = MetricsRegistry::Global().GetHistogram(
-        "blend_sql_query_seconds",
-        "End-to-end sql::Engine::Query latency (parse through execute).");
+    Histogram* latency =
+        MetricsRegistry::Global().GetHistogram("blend_sql_query_seconds");
     TablePrinter sp(
         {"Clients", "Total queries", "Wall", "QPS", "p50", "p95", "p99"});
     for (int clients : client_counts) {
@@ -379,18 +374,11 @@ int main(int argc, char** argv) {
                 serving_identical ? "byte-identical" : "DIVERGENT (BUG)");
 
     // -----------------------------------------------------------------------
-    // Introspection overhead: replay the mix with the full observability
-    // stack attached — a per-query trace and one event-log record per query,
-    // with slow-query full-trace capture armed — vs the plain replay,
-    // min-of-3 each. The measured cost is the serving hot path (trace +
-    // Record enqueue); JSON rendering and the sink write happen at Drain on
-    // the consumer side, off the critical path, exactly as a production
-    // log-writer thread would run them. The hot-path budget is <= 2%
-    // (`--smoke` enforces it below): observability must be cheap enough to
-    // leave on in production serving.
+    // Introspection overhead: replay the mix with a per-query trace attached
+    // and summarized, as a run report does, vs the plain replay, min-of-3
+    // each. The budget is <= 2% (`--smoke` enforces it below): tracing must
+    // be cheap enough to leave on in production serving.
     // -----------------------------------------------------------------------
-    EventLog event_log(4096);
-    StringEventSink event_sink;
     auto replay_plain = [&] {
       for (const auto& sqltext : mix) (void)engine.Query(sqltext);
     };
@@ -398,60 +386,25 @@ int main(int argc, char** argv) {
     for (int repeat = 0; repeat < 2; ++repeat) {
       plain_s = std::min(plain_s, bench::MeasureSeconds(replay_plain, 3));
     }
-    // Slow threshold: 2x the plain replay's mean per-query time, so ordinary
-    // queries stay line-only and genuine stragglers carry their full trace.
-    const double slow_threshold =
-        mix.empty() ? 0 : 2.0 * plain_s / static_cast<double>(mix.size());
     auto replay_introspected = [&] {
       for (const auto& sqltext : mix) {
         QueryTrace qtrace;
         sql::QueryOptions opts;
         opts.trace = &qtrace;
-        StopWatch qsw;
-        auto res = engine.Query(sqltext, opts);
-        QueryEvent event;
-        event.fingerprint = Fnv1a64(sqltext);
-        event.outcome = res.ok() ? StatusCode::kOk : res.status().code();
-        event.seconds = qsw.ElapsedSeconds();
-        event.summary = qtrace.Summary();
-        if (slow_threshold > 0 && event.seconds > slow_threshold) {
-          event.slow = true;
-          event.trace_text = event.summary.ToString();
-        }
-        event_log.Record(std::move(event));
+        (void)engine.Query(sqltext, opts);
+        QueryTraceSummary summary = qtrace.Summary();
+        benchmark::DoNotOptimize(summary);
       }
     };
-    // Drain between measurements (not inside them) so the ring never wraps
-    // and the consumer-side rendering stays off the measured hot path.
     double introspected_s = bench::MeasureSeconds(replay_introspected, 3);
-    (void)event_log.Drain(&event_sink);
     for (int repeat = 0; repeat < 2; ++repeat) {
       introspected_s = std::min(introspected_s,
                                 bench::MeasureSeconds(replay_introspected, 3));
-      (void)event_log.Drain(&event_sink);
     }
     const double introspection_overhead =
         plain_s > 0 ? std::max(0.0, introspected_s / plain_s - 1.0) : 0.0;
-    // The emitted lines are a real exposition surface: validate before
-    // counting, same ship-your-own-checker pattern as the Prometheus text.
-    size_t eventlog_lines = 0;
-    {
-      Status valid = ValidateEventLogJson(event_sink.text());
-      if (!valid.ok()) {
-        std::fprintf(stderr, "INVALID event log: %s\n",
-                     valid.ToString().c_str());
-        return 1;
-      }
-      for (char ch : event_sink.text()) {
-        if (ch == '\n') ++eventlog_lines;
-      }
-    }
-    const long long slow_captures =
-        static_cast<long long>(event_log.slow_captures());
-    std::printf(
-        "Event log: %zu lines (validated OK), %lld slow-query captures, "
-        "introspection overhead %.2f%% (trace + event record vs plain).\n",
-        eventlog_lines, slow_captures, introspection_overhead * 100.0);
+    std::printf("Introspection overhead %.2f%% (trace + summary vs plain).\n",
+                introspection_overhead * 100.0);
     if (smoke && introspection_overhead > 0.02) {
       std::fprintf(stderr,
                    "THRESHOLD FAIL: introspection overhead %.2f%% > 2%% "
@@ -501,13 +454,12 @@ int main(int argc, char** argv) {
         "\"qps_4_clients\":%.2f,\"qps_max_clients\":%.2f,"
         "\"p50_ms\":%.4f,\"p95_ms\":%.4f,\"p99_ms\":%.4f,"
         "\"deadline_ms\":%ld,\"deadline_hits\":%lld,"
-        "\"eventlog_lines\":%zu,\"slow_captures\":%lld,"
         "\"introspection_overhead\":%.4f,"
         "\"identical_across_clients\":%s}\n",
         smoke ? "true" : "false", hw, mix.size(), qps_1, qps_4, qps_hw, p50_ms,
         p95_ms, p99_ms, deadline_ms,
         static_cast<long long>(deadline_hits.load(std::memory_order_relaxed)),
-        eventlog_lines, slow_captures, introspection_overhead,
+        introspection_overhead,
         serving_identical ? "true" : "false");
     identical = identical && serving_identical;
   }

@@ -11,28 +11,25 @@
 //
 // Usage: blend_snapshot [--tables=N] [--layout=row|column]
 //                       [--codec=raw|compressed] [--serve-compressed]
-//                       [--path=FILE] [--stats] [--trace-out=FILE]
+//                       [--path=FILE] [--introspect] [--trace-out=FILE]
 //
 // --serve-compressed builds and serves the in-memory index on the
 // block-compressed postings (Blend::Options::serve_compressed), so the smoke
 // check also pins that a compressed-served bundle snapshots and round-trips
 // byte-identically.
 //
-// --stats replaces the snapshot round-trip with the observability smoke
-// check: it serves a small discovery workload off the built index, samples
-// the metrics registry into the StatsTimeSeries ring between rounds, prints
-// the per-interval serving-stats table, one query's trace anatomy with its
-// per-statement EXPLAIN-ANALYZE plans, and the full Prometheus text
-// exposition — which the binary itself validates (well-formed lines, legal
-// names, no duplicates), exiting non-zero if the scrape surface is malformed.
+// --introspect replaces the snapshot round-trip with the introspection smoke
+// check: it runs one discovery plan off the built index and prints its trace
+// anatomy and the EXPLAIN ANALYZE plan of every statement its seekers
+// issued, exiting non-zero if no statement plan was captured.
 //
 // --trace-out=FILE runs one discovery plan with per-morsel-task span capture
 // and exports the timeline as Chrome trace-event JSON (load it in Perfetto
 // or chrome://tracing: one track per worker thread, one slice per morsel
-// task). The binary validates the JSON in-process before writing — same
-// ship-your-own-checker pattern as the Prometheus exposition — and exits
+// task). The binary validates the JSON in-process before writing and exits
 // non-zero if the export is malformed.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -78,66 +75,29 @@ std::string SqlResult(const sql::Engine& engine, const std::string& sqltext) {
   return out;
 }
 
-/// The observability smoke check behind `--stats` (see file header).
-int RunStatsMode(const core::Blend& blend, const DataLake& lake) {
-  StatsTimeSeries series(16);
-  series.Sample(MetricsRegistry::Global());
+/// The introspection smoke check behind `--introspect` (see file header).
+int RunIntrospect(const core::Blend& blend, const DataLake& lake) {
   Rng rng(5);
-  const int rounds = 3, queries_per_round = 6;
-  for (int round = 0; round < rounds; ++round) {
-    for (int q = 0; q < queries_per_round; ++q) {
-      std::vector<std::string> values = lakegen::SampleColumnQuery(lake, 12, &rng);
-      if (values.empty()) continue;
-      core::Plan plan;
-      (void)plan.Add("sc", std::make_shared<core::SCSeeker>(values, 10));
-      auto res = blend.Run(plan);
-      if (!res.ok()) {
-        std::fprintf(stderr, "stats workload query failed: %s\n",
-                     res.status().ToString().c_str());
-        return 1;
-      }
-    }
-    series.Sample(MetricsRegistry::Global());
-  }
-  std::printf("%s\n", series
-                          .RenderTable("blend_sql_queries_total",
-                                       "blend_sql_query_seconds")
-                          .c_str());
-
-  // Trace anatomy of one representative run: RunReport carries the finished
-  // per-query trace (stage wall times, rows, posting blocks decoded) in the
-  // report.
   std::vector<std::string> values = lakegen::SampleColumnQuery(lake, 12, &rng);
   core::Plan plan;
   (void)plan.Add("sc", std::make_shared<core::SCSeeker>(values, 10));
   auto report = blend.RunReport(plan);
   if (!report.ok()) {
-    std::fprintf(stderr, "trace run failed: %s\n",
+    std::fprintf(stderr, "introspection run failed: %s\n",
                  report.status().ToString().c_str());
     return 1;
   }
+  // Trace anatomy: stage wall times, rows, posting blocks decoded.
   std::printf("%s\n", report.value().trace.ToString().c_str());
 
-  // Per-statement introspection: every SQL statement the plan's seekers
-  // issued, with its EXPLAIN-ANALYZE-style annotated operator tree.
+  // Every SQL statement the plan's seekers issued, with its EXPLAIN ANALYZE
+  // operator tree.
   const std::string plans = report.value().RenderStatementPlans();
   if (plans.empty()) {
     std::fprintf(stderr, "no statement plans captured\n");
     return 1;
   }
   std::printf("%s\n", plans.c_str());
-
-  // The scrape surface, self-validated: CI fails if the exposition ever
-  // degrades (bad name, duplicate series, unparseable value).
-  const std::string text = MetricsRegistry::Global().RenderPrometheus();
-  std::printf("%s", text.c_str());
-  Status valid = ValidatePrometheusText(text);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "INVALID Prometheus exposition: %s\n",
-                 valid.ToString().c_str());
-    return 1;
-  }
-  std::printf("# Prometheus exposition: %zu bytes, validated OK\n", text.size());
   return 0;
 }
 
@@ -159,8 +119,8 @@ int RunTraceExport(const core::Blend& blend, const DataLake& lake,
     return 1;
   }
   const std::string json = RenderChromeTrace(report.value().trace_spans);
-  // Ship-your-own-checker: validate before writing, so CI catches a
-  // malformed export without a browser in the loop.
+  // Validate before writing, so CI catches a malformed export without a
+  // browser in the loop.
   Status valid = ValidateChromeTraceJson(json);
   if (!valid.ok()) {
     std::fprintf(stderr, "INVALID Chrome trace JSON: %s\n",
@@ -180,6 +140,26 @@ int RunTraceExport(const core::Blend& blend, const DataLake& lake,
   return 0;
 }
 
+/// Parses a whole-string positive decimal integer (no sign, no trailing
+/// bytes, no overflow).
+bool ParsePositive(const char* text, size_t* out) {
+  const char* end = text + std::strlen(text);
+  size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value == 0) return false;
+  *out = value;
+  return true;
+}
+
+int Usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--tables=N] [--layout=row|column] "
+               "[--codec=raw|compressed] [--serve-compressed] "
+               "[--path=FILE] [--introspect] [--trace-out=FILE]\n",
+               argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -187,14 +167,14 @@ int main(int argc, char** argv) {
   StoreLayout layout = StoreLayout::kColumn;
   PostingCodec codec = PostingCodec::kRaw;
   bool serve_compressed = false;
-  bool stats_mode = false;
+  bool introspect = false;
   std::string path = "blend_index.snapshot";
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--tables=", 9) == 0) {
-      num_tables = static_cast<size_t>(std::atoi(argv[i] + 9));
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats_mode = true;
+      if (!ParsePositive(argv[i] + 9, &num_tables)) return Usage(argv[0]);
+    } else if (std::strcmp(argv[i], "--introspect") == 0) {
+      introspect = true;
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
       trace_out = argv[i] + 12;
     } else if (std::strcmp(argv[i], "--layout=row") == 0) {
@@ -214,12 +194,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--path=", 7) == 0) {
       path = argv[i] + 7;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--tables=N] [--layout=row|column] "
-                   "[--codec=raw|compressed] [--serve-compressed] "
-                   "[--path=FILE] [--stats] [--trace-out=FILE]\n",
-                   argv[0]);
-      return 2;
+      return Usage(argv[0]);
     }
   }
 
@@ -237,7 +212,7 @@ int main(int argc, char** argv) {
   options.serve_compressed = serve_compressed;
   // Introspection capture for the observability modes; off for the snapshot
   // round-trip so it exercises the plain serving configuration.
-  options.capture_statement_plans = stats_mode;
+  options.capture_statement_plans = introspect;
   options.capture_trace_spans = !trace_out.empty();
   StopWatch build_sw;
   core::Blend built(&lake, options);
@@ -246,7 +221,7 @@ int main(int argc, char** argv) {
               built.bundle().NumRecords(), built.bundle().dictionary().Size(),
               build_s * 1e3);
 
-  if (stats_mode) return RunStatsMode(built, lake);
+  if (introspect) return RunIntrospect(built, lake);
   if (!trace_out.empty()) return RunTraceExport(built, lake, trace_out);
 
   // 2. save.

@@ -38,7 +38,6 @@ struct QueryControl::State {
 
   int64_t mem_limit = 0;  // 0 = untracked
   std::atomic<int64_t> mem_used{0};
-  std::atomic<int64_t> mem_peak{0};
   std::atomic<bool> exhausted{false};
   std::atomic<int64_t> exhausted_request{0};
 };
@@ -148,13 +147,6 @@ Status QueryControl::ChargeMemory(int64_t bytes) const {
   for (State* s = state_.get(); s != nullptr; s = s->parent.get()) {
     const int64_t used =
         s->mem_used.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    // Relaxed CAS-max high-water mark: observability only, so a lost race
-    // between two concurrent charges merely under-reports by one delta.
-    int64_t peak = s->mem_peak.load(std::memory_order_relaxed);
-    while (used > peak &&
-           !s->mem_peak.compare_exchange_weak(peak, used,
-                                              std::memory_order_relaxed)) {
-    }
     if (s->mem_limit > 0 && used > s->mem_limit) {
       // Roll the failed charge back everywhere it was applied (this state
       // and every ancestor already charged), then trip sticky.
@@ -184,11 +176,6 @@ void QueryControl::ReleaseMemory(int64_t bytes) const {
 int64_t QueryControl::MemoryUsed() const {
   if (state_ == nullptr) return 0;
   return state_->mem_used.load(std::memory_order_relaxed);
-}
-
-int64_t QueryControl::PeakMemoryUsed() const {
-  if (state_ == nullptr) return 0;
-  return state_->mem_peak.load(std::memory_order_relaxed);
 }
 
 }  // namespace blend

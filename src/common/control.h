@@ -74,11 +74,6 @@ class QueryControl {
   /// Currently charged bytes (0 for an inactive handle).
   int64_t MemoryUsed() const;
 
-  /// High-water mark of charged bytes over the handle's lifetime (0 for an
-  /// inactive handle). Observability only — budgets trip on MemoryUsed; the
-  /// event log reports this as the query's peak memory charge.
-  int64_t PeakMemoryUsed() const;
-
  private:
   struct State;
   static std::shared_ptr<State> EnsureState(QueryControl* c);

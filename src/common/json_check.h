@@ -1,12 +1,10 @@
 #pragma once
 
-// Structural JSON validation for the introspection export surfaces (the
-// event log's JSON-lines records and the Chrome trace-event documents).
-// This is a well-formedness scanner, not a DOM parser: it verifies syntax
-// (strings, numbers, nesting, commas) in one pass with no allocation
-// proportional to input size, and reports the byte offset of the first
-// defect in a descriptive Status — the same self-validating-exposition
-// pattern as ValidatePrometheusText.
+// Structural JSON validation for the Chrome trace-event export. This is a
+// well-formedness scanner, not a DOM parser: it verifies syntax (strings,
+// numbers, nesting, commas) in one pass with no allocation proportional to
+// input size, and reports the byte offset of the first defect in a
+// descriptive Status.
 
 #include <string_view>
 
@@ -19,9 +17,8 @@ namespace blend {
 Status ValidateJson(std::string_view text);
 
 /// Appends `s` to *out as a JSON string literal, escaping quotes,
-/// backslashes, and control characters. The one JSON-string producer shared
-/// by the event log and the trace exporter, so the validators above always
-/// accept what the renderers emit.
+/// backslashes, and control characters. The trace exporter's one
+/// JSON-string producer, so ValidateJson always accepts what it emits.
 void AppendJsonString(std::string_view s, std::string* out);
 
 }  // namespace blend

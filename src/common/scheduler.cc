@@ -29,19 +29,14 @@ struct SchedulerMetrics {
     static const SchedulerMetrics m = [] {
       auto& reg = MetricsRegistry::Global();
       SchedulerMetrics out;
-      out.tasks = reg.GetCounter("blend_scheduler_tasks_total",
-                                 "Tasks executed by scheduler task groups.");
-      out.local_pops = reg.GetCounter(
-          "blend_scheduler_local_pops_total",
-          "Chunks a worker claimed from its own deque (LIFO pop).");
-      out.steals = reg.GetCounter(
-          "blend_scheduler_steals_total",
-          "Chunks claimed from another worker's deque (FIFO steal).");
-      out.workers = reg.GetGauge("blend_scheduler_workers",
-                                 "Pool worker threads currently alive.");
-      out.sleeping = reg.GetGauge(
-          "blend_scheduler_sleeping_workers",
-          "Pool workers currently blocked on the idle condvar.");
+      out.tasks = reg.GetCounter("blend_scheduler_tasks_total");
+      // Chunks a worker claimed from its own deque (LIFO pop) vs from
+      // another worker's (FIFO steal).
+      out.local_pops = reg.GetCounter("blend_scheduler_local_pops_total");
+      out.steals = reg.GetCounter("blend_scheduler_steals_total");
+      out.workers = reg.GetGauge("blend_scheduler_workers");
+      // Workers blocked on the idle condvar.
+      out.sleeping = reg.GetGauge("blend_scheduler_sleeping_workers");
       return out;
     }();
     return m;

@@ -1,12 +1,9 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "common/json_check.h"
@@ -52,34 +49,11 @@ std::array<double, kHistogramFiniteBounds> MakeBounds() {
   return b;
 }
 
-/// Shortest round-trippable rendering for bucket bounds and sample values.
-std::string FmtDouble(double v) {
-  char buf[64];
-  // Formatting into a returned string, not a terminal write.
-  // blend-lint: allow(no-raw-stdio)
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-int64_t SteadyNanos() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool IsValidMetricName(const std::string& name) {
-  if (name.empty()) return false;
-  auto head = [](char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-  };
-  auto tail = [&](char c) {
-    return head(c) || std::isdigit(static_cast<unsigned char>(c));
-  };
-  if (!head(name[0])) return false;
-  for (size_t i = 1; i < name.size(); ++i) {
-    if (!tail(name[i])) return false;
-  }
-  return true;
+/// Exact microseconds with nanosecond decimals ("1234.567") for a
+/// non-negative span offset or duration.
+std::string Micros(int64_t nanos) {
+  return std::to_string(nanos / 1000) + "." +
+         std::to_string(1000 + nanos % 1000).substr(1);
 }
 
 }  // namespace
@@ -123,7 +97,6 @@ double HistogramSnapshot::Quantile(double q) const {
 }
 
 void Histogram::Observe(double seconds) {
-  if constexpr (!kTelemetryEnabled) return;
   const auto& bounds = HistogramBounds();
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds.begin(), bounds.end(), seconds) - bounds.begin());
@@ -154,14 +127,12 @@ const MetricSample* RegistrySnapshot::Find(const std::string& name) const {
   return nullptr;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& help) {
+Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
     e.kind = MetricKind::kCounter;
-    e.help = help;
     e.counter = std::make_unique<Counter>();
     it = entries_.emplace(name, std::move(e)).first;
   }
@@ -170,14 +141,12 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
   return it->second.counter.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help) {
+Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
     e.kind = MetricKind::kGauge;
-    e.help = help;
     e.gauge = std::make_unique<Gauge>();
     it = entries_.emplace(name, std::move(e)).first;
   }
@@ -186,14 +155,12 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
   return it->second.gauge.get();
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::string& help) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     Entry e;
     e.kind = MetricKind::kHistogram;
-    e.help = help;
     e.histogram = std::make_unique<Histogram>();
     it = entries_.emplace(name, std::move(e)).first;
   }
@@ -204,13 +171,11 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 
 RegistrySnapshot MetricsRegistry::Collect() const {
   RegistrySnapshot snap;
-  snap.steady_nanos = SteadyNanos();
   std::lock_guard<std::mutex> lock(mu_);
   snap.samples.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) {
     MetricSample s;
     s.name = name;
-    s.help = entry.help;
     s.kind = entry.kind;
     switch (entry.kind) {
       case MetricKind::kCounter: s.value = entry.counter->Value(); break;
@@ -222,171 +187,11 @@ RegistrySnapshot MetricsRegistry::Collect() const {
   return snap;
 }
 
-std::string MetricsRegistry::RenderPrometheus() const {
-  const RegistrySnapshot snap = Collect();
-  std::string out;
-  for (const MetricSample& s : snap.samples) {
-    out += "# HELP " + s.name + " " + s.help + "\n";
-    switch (s.kind) {
-      case MetricKind::kCounter:
-        out += "# TYPE " + s.name + " counter\n";
-        out += s.name + " " + std::to_string(s.value) + "\n";
-        break;
-      case MetricKind::kGauge:
-        out += "# TYPE " + s.name + " gauge\n";
-        out += s.name + " " + std::to_string(s.value) + "\n";
-        break;
-      case MetricKind::kHistogram: {
-        out += "# TYPE " + s.name + " histogram\n";
-        const auto& bounds = HistogramBounds();
-        int64_t cum = 0;
-        for (size_t i = 0; i < kHistogramBuckets; ++i) {
-          cum += s.hist.buckets[i];
-          const std::string le =
-              i < bounds.size() ? FmtDouble(bounds[i]) : "+Inf";
-          out += s.name + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) +
-                 "\n";
-        }
-        out += s.name + "_sum " + FmtDouble(s.hist.sum_seconds) + "\n";
-        out += s.name + "_count " + std::to_string(s.hist.count) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked intentionally: instrument pointers cached by call sites must
   // outlive every thread, including detached static-teardown order.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-Status ValidatePrometheusText(const std::string& text) {
-  std::map<std::string, std::string> typed;  // base name -> type
-  std::map<std::string, int> sample_lines;   // name+labels -> occurrences
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t eol = text.find('\n', pos);
-    const std::string line = text.substr(
-        pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = eol == std::string::npos ? text.size() + 1 : eol + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    const std::string where = "line " + std::to_string(line_no);
-    if (line[0] == '#') {
-      // Only "# HELP <name> ..." and "# TYPE <name> <type>" comments.
-      if (line.rfind("# HELP ", 0) == 0) continue;
-      if (line.rfind("# TYPE ", 0) != 0) {
-        return Status::InvalidArgument(where + ": unknown comment: " + line);
-      }
-      const std::string rest = line.substr(7);
-      const size_t sp = rest.find(' ');
-      if (sp == std::string::npos) {
-        return Status::InvalidArgument(where + ": malformed TYPE line");
-      }
-      const std::string name = rest.substr(0, sp);
-      const std::string type = rest.substr(sp + 1);
-      if (!IsValidMetricName(name)) {
-        return Status::InvalidArgument(where + ": bad metric name: " + name);
-      }
-      if (type != "counter" && type != "gauge" && type != "histogram" &&
-          type != "summary" && type != "untyped") {
-        return Status::InvalidArgument(where + ": bad metric type: " + type);
-      }
-      if (!typed.emplace(name, type).second) {
-        return Status::InvalidArgument(where +
-                                       ": duplicate TYPE for metric: " + name);
-      }
-      continue;
-    }
-    // Sample line: name[{labels}] value
-    size_t name_end = 0;
-    while (name_end < line.size() && line[name_end] != '{' &&
-           line[name_end] != ' ') {
-      ++name_end;
-    }
-    const std::string name = line.substr(0, name_end);
-    if (!IsValidMetricName(name)) {
-      return Status::InvalidArgument(where + ": bad metric name: " + name);
-    }
-    size_t value_start = name_end;
-    std::string key = name;
-    if (value_start < line.size() && line[value_start] == '{') {
-      const size_t close = line.find('}', value_start);
-      if (close == std::string::npos) {
-        return Status::InvalidArgument(where + ": unterminated label set");
-      }
-      key += line.substr(value_start, close - value_start + 1);
-      value_start = close + 1;
-    }
-    if (value_start >= line.size() || line[value_start] != ' ') {
-      return Status::InvalidArgument(where + ": missing sample value");
-    }
-    const std::string value = line.substr(value_start + 1);
-    if (value != "+Inf" && value != "-Inf" && value != "NaN") {
-      char* end = nullptr;
-      std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0') {
-        return Status::InvalidArgument(where + ": unparseable value: " + value);
-      }
-    }
-    if (++sample_lines[key] > 1) {
-      return Status::InvalidArgument(where + ": duplicate sample: " + key);
-    }
-  }
-  return Status::OK();
-}
-
-StatsTimeSeries::StatsTimeSeries(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-void StatsTimeSeries::Sample(const MetricsRegistry& registry) {
-  RegistrySnapshot snap = registry.Collect();
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.push_back(std::move(snap));
-  while (ring_.size() > capacity_) ring_.pop_front();
-}
-
-size_t StatsTimeSeries::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
-RegistrySnapshot StatsTimeSeries::at(size_t i) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  BLEND_CHECK(i < ring_.size(), "StatsTimeSeries index out of range");
-  return ring_[i];
-}
-
-std::string StatsTimeSeries::RenderTable(
-    const std::string& counter_name, const std::string& histogram_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  TablePrinter table({"interval", "span_ms", counter_name, "rate_per_s",
-                      "hist_count", "p50_ms", "p95_ms", "p99_ms"});
-  for (size_t i = 1; i < ring_.size(); ++i) {
-    const RegistrySnapshot& prev = ring_[i - 1];
-    const RegistrySnapshot& cur = ring_[i];
-    const double span_s =
-        static_cast<double>(cur.steady_nanos - prev.steady_nanos) * 1e-9;
-    const MetricSample* c0 = prev.Find(counter_name);
-    const MetricSample* c1 = cur.Find(counter_name);
-    const int64_t delta = (c0 && c1) ? c1->value - c0->value : 0;
-    const MetricSample* h0 = prev.Find(histogram_name);
-    const MetricSample* h1 = cur.Find(histogram_name);
-    HistogramSnapshot hd;
-    if (h0 && h1) hd = h1->hist.Delta(h0->hist);
-    table.AddRow({std::to_string(i), TablePrinter::Fmt(span_s * 1e3, 1),
-                  std::to_string(delta),
-                  TablePrinter::Fmt(span_s > 0 ? delta / span_s : 0, 1),
-                  std::to_string(hd.count),
-                  TablePrinter::Fmt(hd.Quantile(0.50) * 1e3, 3),
-                  TablePrinter::Fmt(hd.Quantile(0.95) * 1e3, 3),
-                  TablePrinter::Fmt(hd.Quantile(0.99) * 1e3, 3)});
-  }
-  return table.Render("serving stats (per sampling interval)");
 }
 
 double QueryTraceSummary::StageSeconds(TraceStage s) const {
@@ -435,7 +240,6 @@ QueryTrace::QueryTrace() = default;
 QueryTrace::~QueryTrace() = default;
 
 void QueryTrace::EnableSpanCapture(size_t max_spans) {
-  if constexpr (!kTelemetryEnabled) return;
   if (capture_ != nullptr) return;
   capture_ = std::make_unique<SpanCapture>();
   capture_->epoch = std::chrono::steady_clock::now();
@@ -534,9 +338,7 @@ std::string RenderChromeTrace(const std::vector<CapturedSpan>& spans) {
     append_event("\"ph\":\"X\",\"name\":" + name +
                  ",\"cat\":\"blend\",\"pid\":1,\"tid\":" +
                  std::to_string(s.track) + ",\"ts\":" +
-                 FmtDouble(static_cast<double>(s.start_nanos) * 1e-3) +
-                 ",\"dur\":" +
-                 FmtDouble(static_cast<double>(s.dur_nanos) * 1e-3));
+                 Micros(s.start_nanos) + ",\"dur\":" + Micros(s.dur_nanos));
   }
   out += "]}";
   return out;
@@ -652,11 +454,9 @@ Status ValidateChromeTraceJson(const std::string& text) {
 }
 
 void NotePostingBlockDecoded() {
-  if constexpr (!kTelemetryEnabled) return;
   telemetry_internal::ThreadHotPathCounters().posting_blocks_decoded += 1;
-  static Counter* counter = MetricsRegistry::Global().GetCounter(
-      "blend_posting_blocks_decoded_total",
-      "Compressed posting blocks decoded by cursors.");
+  static Counter* counter =
+      MetricsRegistry::Global().GetCounter("blend_posting_blocks_decoded_total");
   counter->Increment();
 }
 

@@ -10,26 +10,21 @@
 //   2. Instrumentation must never change results. Traces record what the
 //      executor already decided (morsel geometry, merge order are untouched);
 //      the determinism suite pins byte-identity with tracing on vs off.
-//   3. Everything compiles out. Configuring with -DBLEND_TELEMETRY=OFF
-//      defines BLEND_TELEMETRY_OFF and every recording call collapses to a
-//      no-op via `if constexpr`, so the ≤2% serving overhead budget can be
-//      audited against a true zero baseline.
 //
 // Timing discipline: this header and common/control.h are the only places
 // the query path may read steady_clock (enforced by the `hot-clock` lint
 // rule). Operators time themselves through TraceSpan/QueueWaitProbe, and
 // serving surfaces observe latency through LatencyTimer.
 //
-// The export surfaces — RenderPrometheus() and the StatsTimeSeries ring of
-// periodic snapshots (ProxySQL-style stats tables) — are what a future
-// `blendd` daemon mounts onto its /metrics endpoint.
+// Readers stay in process: the benchmarks diff MetricsRegistry::Collect()
+// snapshots, and a run report carries its QueryTrace summary, its EXPLAIN
+// ANALYZE statement plans and, on request, spans for RenderChromeTrace.
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,11 +35,9 @@
 
 namespace blend {
 
-#ifdef BLEND_TELEMETRY_OFF
-inline constexpr bool kTelemetryEnabled = false;
-#else
+/// Always true: telemetry has no compile-out switch. Kept only because
+/// perfbench/main.cc prints it in its run record.
 inline constexpr bool kTelemetryEnabled = true;
-#endif
 
 namespace telemetry_internal {
 
@@ -85,7 +78,6 @@ HotPathCounters& ThreadHotPathCounters();
 class Counter {
  public:
   void Add(int64_t n) {
-    if constexpr (!kTelemetryEnabled) return;
     cells_[telemetry_internal::ShardIndex()].v.fetch_add(n,
                                                          std::memory_order_relaxed);
   }
@@ -108,7 +100,6 @@ class Counter {
 class Gauge {
  public:
   void Add(int64_t n) {
-    if constexpr (!kTelemetryEnabled) return;
     cells_[telemetry_internal::ShardIndex()].v.fetch_add(n,
                                                          std::memory_order_relaxed);
   }
@@ -172,16 +163,13 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 /// One metric's merged value at collection time.
 struct MetricSample {
   std::string name;
-  std::string help;
   MetricKind kind = MetricKind::kCounter;
   int64_t value = 0;        // counter / gauge
   HistogramSnapshot hist;   // histogram
 };
 
-/// All metrics at one instant, in deterministic (name) order, stamped with
-/// the process steady clock so interval rates need no wall-clock agreement.
+/// All metrics at one instant, in deterministic (name) order.
 struct RegistrySnapshot {
-  int64_t steady_nanos = 0;
   std::vector<MetricSample> samples;
 
   const MetricSample* Find(const std::string& name) const;
@@ -194,17 +182,12 @@ struct RegistrySnapshot {
 /// kind must match; mismatches abort, they are build bugs).
 class MetricsRegistry {
  public:
-  Counter* GetCounter(const std::string& name, const std::string& help);
-  Gauge* GetGauge(const std::string& name, const std::string& help);
-  Histogram* GetHistogram(const std::string& name, const std::string& help);
+  Counter* GetCounter(const std::string& name);
+  Gauge* GetGauge(const std::string& name);
+  Histogram* GetHistogram(const std::string& name);
 
   /// Merged values of every registered metric, sorted by name.
   RegistrySnapshot Collect() const;
-
-  /// Prometheus text exposition format (# HELP / # TYPE + samples);
-  /// histograms render cumulative `_bucket{le="..."}` series plus `_sum`
-  /// and `_count`. Deterministic order.
-  std::string RenderPrometheus() const;
 
   /// The process-wide registry every subsystem records into.
   static MetricsRegistry& Global();
@@ -212,7 +195,6 @@ class MetricsRegistry {
  private:
   struct Entry {
     MetricKind kind;
-    std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
@@ -220,39 +202,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // std::map: deterministic iteration
-};
-
-/// Structural validation of a Prometheus text exposition: every line is a
-/// comment or a `name[{labels}] value` sample, metric names are legal, no
-/// metric is TYPE-declared or sampled twice, and values parse. Used by the
-/// stats-mode smoke check so CI pins the scrape surface stays well-formed.
-Status ValidatePrometheusText(const std::string& text);
-
-/// A bounded ring of periodic registry snapshots — the ProxySQL-style
-/// time-series layer. Sampling and rendering are mutex-guarded (cold path);
-/// the metrics themselves stay wait-free.
-class StatsTimeSeries {
- public:
-  explicit StatsTimeSeries(size_t capacity = 64);
-
-  /// Appends registry.Collect() to the ring, evicting the oldest entry past
-  /// capacity.
-  void Sample(const MetricsRegistry& registry);
-
-  size_t size() const;
-  /// i=0 is the oldest retained snapshot.
-  RegistrySnapshot at(size_t i) const;
-
-  /// Human table of per-interval rates between consecutive snapshots:
-  /// interval seconds, delta and rate of `counter_name`, and count/p50/p95/
-  /// p99 of `histogram_name` over the interval.
-  std::string RenderTable(const std::string& counter_name,
-                          const std::string& histogram_name) const;
-
- private:
-  mutable std::mutex mu_;
-  size_t capacity_;
-  std::deque<RegistrySnapshot> ring_;
 };
 
 /// Stages of the online query path a trace can attribute time to. The names
@@ -383,18 +332,15 @@ class QueryTrace {
   QueryTrace& operator=(const QueryTrace&) = delete;
 
   void AddStage(TraceStage s, int64_t nanos, int64_t tasks) {
-    if constexpr (!kTelemetryEnabled) return;
     auto& cell = stages_[static_cast<size_t>(s)];
     cell.nanos.fetch_add(nanos, std::memory_order_relaxed);
     cell.tasks.fetch_add(tasks, std::memory_order_relaxed);
   }
   void AddRows(TraceStage s, int64_t rows) {
-    if constexpr (!kTelemetryEnabled) return;
     stages_[static_cast<size_t>(s)].rows.fetch_add(rows,
                                                    std::memory_order_relaxed);
   }
   void AddCounter(TraceCounter c, int64_t n) {
-    if constexpr (!kTelemetryEnabled) return;
     counters_[static_cast<size_t>(c)].fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -443,18 +389,16 @@ struct OperatorStats {
 /// to the operator `op` when one is given.
 /// Used at morsel-task granularity inside the executor and for coarse
 /// single-thread stages (optimize, plan step, seeker). Inert — not even a
-/// clock read — when `trace` and `op` are null or telemetry is compiled out.
+/// clock read — when `trace` and `op` are both null.
 class TraceSpan {
  public:
   TraceSpan(QueryTrace* trace, TraceStage stage, OperatorStats* op = nullptr)
       : trace_(trace), op_(op), stage_(stage) {
-    if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr && op_ == nullptr) return;
     hot_ = telemetry_internal::ThreadHotPathCounters();
     start_ = std::chrono::steady_clock::now();
   }
   ~TraceSpan() {
-    if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr && op_ == nullptr) return;
     const auto end = std::chrono::steady_clock::now();
     const int64_t nanos =
@@ -488,7 +432,6 @@ class TraceSpan {
 class QueueWaitProbe {
  public:
   explicit QueueWaitProbe(QueryTrace* trace) : trace_(trace) {
-    if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr) return;
     created_ = std::chrono::steady_clock::now();
   }
@@ -496,7 +439,6 @@ class QueueWaitProbe {
   QueueWaitProbe& operator=(const QueueWaitProbe&) = delete;
 
   void NoteTaskStart() {
-    if constexpr (!kTelemetryEnabled) return;
     if (trace_ == nullptr) return;
     if (recorded_.test_and_set(std::memory_order_relaxed)) return;
     const auto now = std::chrono::steady_clock::now();
@@ -515,16 +457,14 @@ class QueueWaitProbe {
 
 /// RAII latency observer for registry histograms: the serving surfaces
 /// (sql::Engine, core::Blend) time themselves through this instead of raw
-/// clock reads. No-op when `hist` is null or telemetry is compiled out.
+/// clock reads. No-op when `hist` is null.
 class LatencyTimer {
  public:
   explicit LatencyTimer(Histogram* hist) : hist_(hist) {
-    if constexpr (!kTelemetryEnabled) return;
     if (hist_ == nullptr) return;
     start_ = std::chrono::steady_clock::now();
   }
   ~LatencyTimer() {
-    if constexpr (!kTelemetryEnabled) return;
     if (hist_ == nullptr) return;
     const auto end = std::chrono::steady_clock::now();
     hist_->Observe(std::chrono::duration<double>(end - start_).count());
@@ -549,11 +489,11 @@ void NotePostingBlockDecoded();
 /// plus "M" thread_name metadata events. Deterministic for a fixed span list.
 std::string RenderChromeTrace(const std::vector<CapturedSpan>& spans);
 
-/// Structural validation of a Chrome trace-event JSON document, mirroring
-/// ValidatePrometheusText: the document must be well-formed JSON with a
-/// traceEvents array whose every event carries name/ph/pid/tid, "X" events
-/// carry ts and dur, and the event count matches the renderer's contract.
-/// Used by the --trace-out smoke checks so CI pins the export surface.
+/// Structural validation of a Chrome trace-event JSON document: the document
+/// must be well-formed JSON with a traceEvents array whose every event
+/// carries name/ph/pid/tid, "X" events carry ts and dur, and the event count
+/// matches the renderer's contract. Used by the --trace-out smoke checks so
+/// CI pins the export surface.
 Status ValidateChromeTraceJson(const std::string& text);
 
 }  // namespace blend

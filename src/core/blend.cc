@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <optional>
 
-#include "common/hashing.h"
 #include "common/str_util.h"
-#include "common/timer.h"
 #include "index/snapshot.h"
 
 namespace blend::core {
@@ -37,25 +35,14 @@ struct BlendMetrics {
     static const BlendMetrics m = [] {
       auto& reg = MetricsRegistry::Global();
       BlendMetrics out;
-      out.runs_ok = reg.GetCounter("blend_runs_ok_total",
-                                   "Discovery plan runs that completed OK.");
-      out.runs_deadline =
-          reg.GetCounter("blend_runs_deadline_exceeded_total",
-                         "Runs stopped by a QueryControl deadline.");
-      out.runs_cancelled = reg.GetCounter(
-          "blend_runs_cancelled_total",
-          "Runs stopped by QueryControl cancellation (incl. batch aborts).");
-      out.runs_exhausted =
-          reg.GetCounter("blend_runs_resource_exhausted_total",
-                         "Runs stopped by a QueryControl memory budget.");
-      out.runs_error = reg.GetCounter(
-          "blend_runs_error_total",
-          "Runs that failed for any non-control reason (plan, SQL, I/O).");
-      out.run_many = reg.GetCounter("blend_run_many_total",
-                                    "RunMany batch invocations.");
-      out.run_seconds = reg.GetHistogram(
-          "blend_run_seconds",
-          "End-to-end discovery run latency (optimize through sink).");
+      out.runs_ok = reg.GetCounter("blend_runs_ok_total");
+      out.runs_deadline = reg.GetCounter("blend_runs_deadline_exceeded_total");
+      // Includes RunMany members cancelled after a sibling failed.
+      out.runs_cancelled = reg.GetCounter("blend_runs_cancelled_total");
+      out.runs_exhausted = reg.GetCounter("blend_runs_resource_exhausted_total");
+      out.runs_error = reg.GetCounter("blend_runs_error_total");
+      out.run_many = reg.GetCounter("blend_run_many_total");
+      out.run_seconds = reg.GetHistogram("blend_run_seconds");
       return out;
     }();
     return m;
@@ -216,28 +203,10 @@ Result<ExecutionReport> Blend::RunReport(const Plan& plan,
   return RunReportImpl(plan, &control);
 }
 
-namespace {
-
-/// Stable fingerprint of a discovery plan's shape: node ids, kinds, and
-/// wiring (not intermediate results), so repeated runs of the same plan share
-/// one event-log fingerprint regardless of data or timing.
-uint64_t PlanFingerprint(const Plan& plan) {
-  uint64_t h = Fnv1a64("blend.plan");
-  for (const Plan::Node& node : plan.nodes()) {
-    h = HashCombine(h, Fnv1a64(node.id));
-    h = HashCombine(h, Fnv1a64(node.is_seeker() ? node.seeker->name() : "combiner"));
-    for (const std::string& in : node.inputs) h = HashCombine(h, Fnv1a64(in));
-  }
-  return h;
-}
-
-}  // namespace
-
 Result<ExecutionReport> Blend::RunReportImpl(const Plan& plan,
                                              const QueryControl* control) const {
   const BlendMetrics& metrics = BlendMetrics::Get();
   LatencyTimer timer(metrics.run_seconds);
-  StopWatch watch;
   // Per-query context copy: the shared ctx_ stays control- and trace-free
   // (Blend is shared-immutable across serving threads); the copy carries the
   // caller's handle and this run's trace down through QueryOptions into every
@@ -254,47 +223,25 @@ Result<ExecutionReport> Blend::RunReportImpl(const Plan& plan,
   }
   PlanExecutor executor(&ctx, model_ ? model_.get() : nullptr);
   Result<ExecutionReport> report = executor.Run(plan, options_.optimize);
-  ExecutionReport* rep = report.ok() ? &report.value() : nullptr;
-  bool control_tripped = false;
-  if (rep != nullptr) {
+  if (ExecutionReport* rep = report.ok() ? &report.value() : nullptr) {
     metrics.runs_ok->Increment();
     rep->statement_plans = std::move(plan_sink.plans);
-    if (options_.capture_trace_spans) {
-      rep->trace_spans = trace.TakeSpans();
-    }
+    if (options_.capture_trace_spans) rep->trace_spans = trace.TakeSpans();
   } else {
     switch (report.status().code()) {
       case StatusCode::kDeadlineExceeded:
         metrics.runs_deadline->Increment();
-        control_tripped = true;
         break;
       case StatusCode::kCancelled:
         metrics.runs_cancelled->Increment();
-        control_tripped = true;
         break;
       case StatusCode::kResourceExhausted:
         metrics.runs_exhausted->Increment();
-        control_tripped = true;
         break;
       default:
         metrics.runs_error->Increment();
         break;
     }
-  }
-  if (options_.event_log != nullptr) {
-    QueryEvent event;
-    event.fingerprint = PlanFingerprint(plan);
-    event.outcome = rep != nullptr ? StatusCode::kOk : report.status().code();
-    event.seconds = rep != nullptr ? rep->seconds : watch.ElapsedSeconds();
-    event.peak_memory = control != nullptr ? control->PeakMemoryUsed() : 0;
-    event.control_tripped = control_tripped;
-    event.summary = rep != nullptr ? rep->trace : trace.Summary();
-    if (options_.slow_query_log_seconds > 0 &&
-        event.seconds > options_.slow_query_log_seconds) {
-      event.slow = true;
-      event.trace_text = event.summary.ToString();
-    }
-    options_.event_log->Record(std::move(event));
   }
   return report;
 }

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/eventlog.h"
 #include "core/executor.h"
 
 namespace blend::core {
@@ -57,17 +56,6 @@ class Blend {
     /// results). Build path only — snapshots record their own codec, so
     /// OpenSnapshot ignores this.
     bool serve_compressed = false;
-    /// Structured event log: when set, every RunReport records one JSON-lines
-    /// QueryEvent (plan fingerprint, outcome Status code, per-stage nanos,
-    /// control trips, peak memory charge) into this log. Not owned; the log
-    /// must outlive the Blend. Recording is wait-free and never alters morsel
-    /// geometry or results; nullptr (the default) records nothing.
-    EventLog* event_log = nullptr;
-    /// Slow-query capture: a run whose wall time exceeds this many seconds is
-    /// logged with `slow: true` and carries its full rendered trace in the
-    /// event record. 0 (the default) disables the threshold; requires
-    /// `event_log`.
-    double slow_query_log_seconds = 0;
     /// Capture the EXPLAIN ANALYZE plan of every SQL statement a run's
     /// seekers issue (ExecutionReport::statement_plans): the plan each
     /// statement ran, with the actuals its operators recorded. Recording

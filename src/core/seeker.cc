@@ -26,17 +26,13 @@ struct SeekerMetrics {
       auto& reg = MetricsRegistry::Global();
       SeekerMetrics out;
       out.executions[static_cast<int>(Seeker::Type::kKW)] =
-          reg.GetCounter("blend_seeker_kw_executions_total",
-                         "Keyword seeker executions.");
+          reg.GetCounter("blend_seeker_kw_executions_total");
       out.executions[static_cast<int>(Seeker::Type::kSC)] =
-          reg.GetCounter("blend_seeker_sc_executions_total",
-                         "Single-column seeker executions.");
+          reg.GetCounter("blend_seeker_sc_executions_total");
       out.executions[static_cast<int>(Seeker::Type::kC)] =
-          reg.GetCounter("blend_seeker_c_executions_total",
-                         "Correlation seeker executions.");
+          reg.GetCounter("blend_seeker_c_executions_total");
       out.executions[static_cast<int>(Seeker::Type::kMC)] =
-          reg.GetCounter("blend_seeker_mc_executions_total",
-                         "Multi-column seeker executions.");
+          reg.GetCounter("blend_seeker_mc_executions_total");
       return out;
     }();
     return m;

@@ -125,6 +125,7 @@ core::TableList BruteForceOverlap::TopKByTableOverlap(
 
 std::vector<std::string> SampleColumnQuery(const DataLake& lake, size_t size,
                                            Rng* rng) {
+  if (lake.NumTables() == 0) return {};
   for (int attempt = 0; attempt < 200; ++attempt) {
     const Table& t = lake.table(static_cast<TableId>(rng->Uniform(lake.NumTables())));
     if (t.NumColumns() == 0 || t.NumRows() == 0) continue;

@@ -41,7 +41,8 @@ class BruteForceOverlap {
   std::unordered_map<std::string, std::vector<std::pair<TableId, int32_t>>> postings_;
 };
 
-/// Distinct values of a random column of the lake, up to `size` of them.
+/// Distinct values of a random column of the lake, up to `size` of them;
+/// empty when no column qualifies (including an empty lake).
 std::vector<std::string> SampleColumnQuery(const DataLake& lake, size_t size,
                                            Rng* rng);
 

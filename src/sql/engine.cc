@@ -10,8 +10,8 @@ namespace blend::sql {
 namespace {
 
 /// Registry instruments of the SQL serving funnel; resolved once and cached.
-/// These are the exact series the serving bench reports from and the future
-/// `blendd` daemon exports, so the bench exercises the production path.
+/// These are the exact series the serving bench reports from, so the bench
+/// exercises the production path.
 struct EngineMetrics {
   Counter* queries;
   Counter* errors;
@@ -21,15 +21,11 @@ struct EngineMetrics {
     static const EngineMetrics m = [] {
       auto& reg = MetricsRegistry::Global();
       EngineMetrics out;
-      out.queries = reg.GetCounter("blend_sql_queries_total",
-                                   "SQL statements executed by sql::Engine.");
-      out.errors = reg.GetCounter(
-          "blend_sql_query_errors_total",
-          "SQL statements that returned a non-OK Status (parse, plan, "
-          "execution, or control trips).");
-      out.latency = reg.GetHistogram(
-          "blend_sql_query_seconds",
-          "End-to-end sql::Engine::Query latency (parse through execute).");
+      out.queries = reg.GetCounter("blend_sql_queries_total");
+      // Non-OK Status of any kind: parse, plan, execution or control trips.
+      out.errors = reg.GetCounter("blend_sql_query_errors_total");
+      // Engine::Query end to end, parse through execute.
+      out.latency = reg.GetHistogram("blend_sql_query_seconds");
       return out;
     }();
     return m;

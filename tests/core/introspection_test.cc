@@ -1,25 +1,25 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/control.h"
-#include "common/eventlog.h"
 #include "common/json_check.h"
 #include "common/telemetry.h"
 #include "core/blend.h"
 #include "lakegen/join_lake.h"
+#include "sql/expr_eval.h"
 
 namespace blend::core {
 namespace {
 
 /// Suite for the query introspection layer at the Blend driver level:
-/// per-statement plan capture, the structured event log (including slow-query
-/// trace capture and failure outcomes), Chrome trace export from captured
-/// spans, and the self-validating JSON surfaces. The contract throughout:
-/// introspection is pure observation — results stay byte-identical with every
-/// knob on or off.
+/// per-statement plan capture, per-outcome run counters, Chrome trace export
+/// from captured spans, and the JSON validator behind it. The contract
+/// throughout: introspection is pure observation — results stay
+/// byte-identical with every knob on or off.
 class IntrospectionTest : public ::testing::Test {
  protected:
   IntrospectionTest() {
@@ -83,10 +83,8 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
   for (const auto& entry : rep.statement_plans) {
     EXPECT_FALSE(entry.sql.empty());
     EXPECT_FALSE(entry.plan.nodes.empty());
-    if constexpr (kTelemetryEnabled) {
-      // The driver always attaches a trace, so captured plans carry actuals.
-      EXPECT_TRUE(entry.plan.analyzed);
-    }
+    // The driver always attaches a trace, so captured plans carry actuals.
+    EXPECT_TRUE(entry.plan.analyzed);
   }
   const std::string rendered = rep.RenderStatementPlans();
   EXPECT_NE(rendered.find("-- statement 1 of "), std::string::npos);
@@ -106,126 +104,63 @@ TEST_F(IntrospectionTest, PlanCaptureIsPureObservation) {
   }
 }
 
-TEST_F(IntrospectionTest, EventLogRecordsOneEventPerRunWithoutAlteringResults) {
-  if constexpr (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
-  EventLog log(64);
-  Blend::Options logged_opts;
-  logged_opts.event_log = &log;
-  Blend logged(&lake_, logged_opts);
-  Blend plain(&lake_, Blend::Options{});
-
-  const std::string sc_plain = Dump(plain.RunReport(ScPlan()));
-  const std::string sc_logged = Dump(logged.RunReport(ScPlan()));
-  EXPECT_EQ(sc_plain, sc_logged);
-  const std::string sc_again = Dump(logged.RunReport(ScPlan()));
-  EXPECT_EQ(sc_plain, sc_again);
-  (void)Dump(logged.RunReport(McPlan()));
-
-  EXPECT_EQ(log.recorded(), 3);
-  EXPECT_EQ(log.dropped(), 0);
-  StringEventSink sink;
-  EXPECT_EQ(log.Drain(&sink), 3u);
-  ASSERT_TRUE(ValidateEventLogJson(sink.text()).ok())
-      << ValidateEventLogJson(sink.text()).ToString() << "\n" << sink.text();
-
-  // Same plan shape => same fingerprint; the MC plan must differ.
-  std::vector<std::string> lines;
-  size_t begin = 0;
-  for (size_t end = sink.text().find('\n', begin); end != std::string::npos;
-       begin = end + 1, end = sink.text().find('\n', begin)) {
-    lines.push_back(sink.text().substr(begin, end - begin));
-  }
-  ASSERT_EQ(lines.size(), 3u);
-  const auto fingerprint = [](const std::string& line) -> std::string {
-    const size_t at = line.find("\"fingerprint\":\"");
-    if (at == std::string::npos) return "";
-    return line.substr(at, 31);
+TEST_F(IntrospectionTest, RunOutcomeCountersRecordEachStatus) {
+  static constexpr const char* kCounters[] = {
+      "blend_runs_ok_total",
+      "blend_runs_deadline_exceeded_total",
+      "blend_runs_cancelled_total",
+      "blend_runs_resource_exhausted_total",
+      "blend_runs_error_total",
   };
-  EXPECT_NE(fingerprint(lines[0]), "");
-  EXPECT_EQ(fingerprint(lines[0]), fingerprint(lines[1]));
-  EXPECT_NE(fingerprint(lines[0]), fingerprint(lines[2]));
-  EXPECT_NE(lines[0].find("\"outcome\":\"OK\""), std::string::npos)
-      << lines[0];
-}
+  const auto values = [] {
+    const RegistrySnapshot snap = MetricsRegistry::Global().Collect();
+    std::vector<int64_t> out;
+    for (const char* name : kCounters) {
+      const MetricSample* s = snap.Find(name);
+      out.push_back(s != nullptr ? s->value : 0);
+    }
+    return out;
+  };
 
-TEST_F(IntrospectionTest, SlowQueryThresholdCapturesFullTrace) {
-  if constexpr (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
-  EventLog log(64);
-  Blend::Options opts;
-  opts.event_log = &log;
-  opts.slow_query_log_seconds = 1e-12;  // everything is slow
-  Blend blend(&lake_, opts);
-  ASSERT_TRUE(blend.RunReport(ScPlan()).ok());
-  EXPECT_EQ(log.slow_captures(), 1);
-  StringEventSink sink;
-  ASSERT_EQ(log.Drain(&sink), 1u);
-  EXPECT_NE(sink.text().find("\"slow\":true"), std::string::npos)
-      << sink.text();
-  EXPECT_NE(sink.text().find("\"trace\":"), std::string::npos) << sink.text();
-  ASSERT_TRUE(ValidateEventLogJson(sink.text()).ok());
-}
+  std::vector<std::string> wide;
+  for (int c = 0; c <= sql::kMaxRels; ++c) wide.push_back("v" + std::to_string(c));
+  Plan too_wide;
+  ASSERT_TRUE(too_wide
+                  .Add("mc", std::make_shared<MCSeeker>(
+                                 std::vector<std::vector<std::string>>{wide}, 5))
+                  .ok());
+  QueryControl cancelled = QueryControl::Cancellable();
+  cancelled.Cancel();
 
-TEST_F(IntrospectionTest, EventLogRecordsFailureOutcomes) {
-  if constexpr (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
-  EventLog log(64);
-  Blend::Options opts;
-  opts.event_log = &log;
-  Blend blend(&lake_, opts);
-  const QueryControl expired =
-      QueryControl::WithDeadline(std::chrono::nanoseconds(0));
-  auto res = blend.RunReport(ScPlan(), expired);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kDeadlineExceeded);
-  StringEventSink sink;
-  ASSERT_EQ(log.Drain(&sink), 1u);
-  EXPECT_NE(sink.text().find("\"outcome\":\"DeadlineExceeded\""),
-            std::string::npos)
-      << sink.text();
-  EXPECT_NE(sink.text().find("\"control_tripped\":true"), std::string::npos)
-      << sink.text();
-  ASSERT_TRUE(ValidateEventLogJson(sink.text()).ok());
-}
-
-TEST_F(IntrospectionTest, EventLogRingDropsWhenFullAndNeverBlocks) {
-  if constexpr (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
-  EventLog log(2);  // capacity 2
-  for (int i = 0; i < 5; ++i) {
-    QueryEvent e;
-    e.fingerprint = static_cast<uint64_t>(i + 1);
-    log.Record(std::move(e));
+  Blend blend(&lake_, Blend::Options{});
+  const auto code = [](const Result<ExecutionReport>& res) {
+    return res.ok() ? StatusCode::kOk : res.status().code();
+  };
+  const std::vector<std::function<StatusCode()>> runs = {
+      [&] { return code(blend.RunReport(ScPlan())); },
+      [&] {
+        return code(blend.RunReport(
+            ScPlan(), QueryControl::WithDeadline(std::chrono::nanoseconds(0))));
+      },
+      [&] { return code(blend.RunReport(ScPlan(), cancelled)); },
+      [&] {
+        return code(blend.RunReport(ScPlan(), QueryControl::WithMemoryBudget(1)));
+      },
+      [&] { return code(blend.RunReport(too_wide)); },
+  };
+  const StatusCode expected[] = {StatusCode::kOk, StatusCode::kDeadlineExceeded,
+                                 StatusCode::kCancelled,
+                                 StatusCode::kResourceExhausted,
+                                 StatusCode::kInvalidArgument};
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::vector<int64_t> before = values();
+    EXPECT_EQ(runs[i](), expected[i]) << kCounters[i];
+    const std::vector<int64_t> after = values();
+    for (size_t c = 0; c < before.size(); ++c) {
+      EXPECT_EQ(after[c] - before[c], c == i ? 1 : 0)
+          << "run " << kCounters[i] << " moved " << kCounters[c];
+    }
   }
-  EXPECT_EQ(log.recorded(), 2);
-  EXPECT_EQ(log.dropped(), 3);
-  StringEventSink sink;
-  EXPECT_EQ(log.Drain(&sink), 2u);
-  EXPECT_EQ(log.Drain(&sink), 0u);
-  ASSERT_TRUE(ValidateEventLogJson(sink.text()).ok());
-  // After draining, the ring accepts events again.
-  log.Record(QueryEvent{});
-  EXPECT_EQ(log.Drain(nullptr), 1u);
-}
-
-TEST_F(IntrospectionTest, RenderJsonIsValidAndValidatorRejectsBadLines) {
-  QueryEvent e;
-  e.fingerprint = 0xdeadbeefcafe1234ull;
-  e.outcome = StatusCode::kOk;
-  e.seconds = 0.0125;
-  e.peak_memory = 4096;
-  e.slow = true;
-  e.trace_text = "anatomy \"quoted\"\nsecond line";
-  const std::string line = EventLog::RenderJson(e);
-  EXPECT_TRUE(ValidateJson(line).ok()) << line;
-  EXPECT_NE(line.find("\"fingerprint\":\"deadbeefcafe1234\""),
-            std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"peak_memory\":4096"), std::string::npos) << line;
-  ASSERT_TRUE(ValidateEventLogJson(line + "\n").ok());
-
-  EXPECT_FALSE(ValidateEventLogJson("not json\n").ok());
-  EXPECT_FALSE(ValidateEventLogJson("{\"fingerprint\":\"00\"}\n").ok())
-      << "missing required fields must be rejected";
-  EXPECT_FALSE(
-      ValidateEventLogJson(line + "\n{\"truncated\":\n").ok());
 }
 
 TEST_F(IntrospectionTest, ValidateJsonAcceptsAndRejects) {
@@ -238,7 +173,6 @@ TEST_F(IntrospectionTest, ValidateJsonAcceptsAndRejects) {
 }
 
 TEST_F(IntrospectionTest, TraceSpansExportAsValidChromeTrace) {
-  if constexpr (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
   Blend::Options opts;
   opts.capture_trace_spans = true;
   Blend blend(&lake_, opts);

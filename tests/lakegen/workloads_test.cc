@@ -59,6 +59,12 @@ TEST(SampleColumnQueryTest, DistinctNonEmptyValues) {
   EXPECT_LE(q.size(), 15u);
 }
 
+TEST(SampleColumnQueryTest, EmptyLakeYieldsEmptySample) {
+  DataLake lake;
+  Rng rng(3);
+  EXPECT_TRUE(SampleColumnQuery(lake, 15, &rng).empty());
+}
+
 TEST(ExactCorrelationTest, PerfectCorrelationScoresOne) {
   DataLake lake;
   Table t("t");

@@ -372,11 +372,9 @@ TEST_P(EngineDeterminismTest, TraceTelemetryPreservesByteIdentity) {
           ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
           EXPECT_EQ(want, ResultToString(untraced.value()));
 
-          if constexpr (kTelemetryEnabled) {
-            const QueryTraceSummary s = trace.Summary();
-            EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
-            EXPECT_FALSE(s.stages.empty());
-          }
+          const QueryTraceSummary s = trace.Summary();
+          EXPECT_EQ(s.CounterValue(TraceCounter::kEngineQueries), 1);
+          EXPECT_FALSE(s.stages.empty());
         }
       }
     }
@@ -501,7 +499,7 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzeReportsPerNodeActuals) {
             const size_t r = static_cast<size_t>(node.detail[4] - '0');
             ASSERT_LT(r, rels.size()) << node.detail;
             EXPECT_EQ(node.actual_rows, scan_rows[r]) << res.explain_text;
-            if (kTelemetryEnabled && node.planned_tasks > 0) {
+            if (node.planned_tasks > 0) {
               EXPECT_EQ(node.actual_tasks, node.planned_tasks) << res.explain_text;
             }
             ++scans;
@@ -906,7 +904,7 @@ TEST_P(EngineDeterminismTest, ScanFedAggregateEmitsExactlyWhatRowStreamAggregate
         auto got = engine->Query(scan_fed, opts);
         ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n" << scan_fed;
         EXPECT_FALSE(want.value().rows.empty()) << row_stream;
-        if (kTelemetryEnabled && !counts_cells) {
+        if (!counts_cells) {
           // More groups than kAggChunkRows: the 16-partition merge ran.
           int64_t merge_tasks = 0;
           for (const StageSummary& st : trace.Summary().stages) {
