@@ -3,19 +3,12 @@
 namespace blend {
 
 uint64_t Fnv1a64(std::string_view s) {
-  uint64_t h = 14695981039346656037ULL;
+  uint64_t h = kFnv1a64Offset;
   for (unsigned char c : s) {
     h ^= c;
-    h *= 1099511628211ULL;
+    h *= kFnv1a64Prime;
   }
   return h;
-}
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97f4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
 }
 
 uint64_t HashCombine(uint64_t a, uint64_t b) {

@@ -30,12 +30,21 @@ size_t ProbeSlot(const std::vector<Slot, Alloc>& table, uint64_t hash,
   }
 }
 
+/// FNV-1a 64 parameters, for loops that hash bytes as they produce them.
+constexpr uint64_t kFnv1a64Offset = 14695981039346656037ULL;
+constexpr uint64_t kFnv1a64Prime = 1099511628211ULL;
+
 /// 64-bit FNV-1a over bytes; stable across platforms and runs.
 uint64_t Fnv1a64(std::string_view s);
 
 /// Strong 64-bit mix (splitmix64 finalizer); used to derive independent hash
-/// families from a base hash.
-uint64_t Mix64(uint64_t x);
+/// families from a base hash. Inline: XASH calls it per value in the build.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97f4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 /// Combine two hashes (boost-style).
 uint64_t HashCombine(uint64_t a, uint64_t b);

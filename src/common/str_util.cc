@@ -1,9 +1,10 @@
 #include "common/str_util.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cstdint>
+
+#include "common/hashing.h"
 
 namespace blend {
 
@@ -15,14 +16,39 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
+namespace {
+
+/// The "C" locale's isspace, whatever the process locale is.
+bool IsAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
+
 std::string_view Trim(std::string_view s) {
   size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
+  while (b < e && IsAsciiSpace(s[b])) ++b;
+  while (e > b && IsAsciiSpace(s[e - 1])) --e;
   return s.substr(b, e - b);
 }
 
-std::string NormalizeCell(std::string_view s) { return ToLower(Trim(s)); }
+std::string NormalizeCell(std::string_view s) {
+  std::string out;
+  NormalizeCellHashed(s, &out);
+  return out;
+}
+
+uint64_t NormalizeCellHashed(std::string_view s, std::string* out) {
+  const std::string_view t = Trim(s);
+  out->resize(t.size());
+  char* dst = out->data();
+  uint64_t h = kFnv1a64Offset;
+  for (size_t i = 0; i < t.size(); ++i) {
+    auto c = static_cast<unsigned char>(t[i]);
+    if (c >= 'A' && c <= 'Z') c += 'a' - 'A';
+    dst[i] = static_cast<char>(c);
+    h = (h ^ c) * kFnv1a64Prime;
+  }
+  return h;
+}
 
 std::vector<std::string> Split(std::string_view s, char delim) {
   std::vector<std::string> out;

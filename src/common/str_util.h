@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,6 +18,11 @@ std::string_view Trim(std::string_view s);
 /// BLEND matches cell values exactly after this normalization (the paper's
 /// inverted index stores tokenized cell values).
 std::string NormalizeCell(std::string_view s);
+
+/// NormalizeCell in one pass that also hashes: writes the normalized value
+/// into `out` (replacing its contents; non-ASCII bytes pass through) and
+/// returns its Fnv1a64. Reusing `out` keeps per-cell callers allocation-free.
+uint64_t NormalizeCellHashed(std::string_view s, std::string* out);
 
 /// Splits on a delimiter; keeps empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);

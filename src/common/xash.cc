@@ -33,6 +33,11 @@ constexpr std::array<uint8_t, 256> MakeRarity() {
 
 constexpr std::array<uint8_t, 256> kRarity = MakeRarity();
 
+/// Length segment bucket of values shorter than 15 bytes (longer ones take
+/// bucket 5): <=2, <=4, <=6, <=9, <=14.
+constexpr std::array<uint8_t, 15> kLengthBucket = {0, 0, 0, 1, 1, 2, 2, 3,
+                                                   3, 3, 4, 4, 4, 4, 4};
+
 }  // namespace
 
 uint64_t Xash::HashValue(std::string_view value) {
@@ -40,63 +45,38 @@ uint64_t Xash::HashValue(std::string_view value) {
 
   constexpr int kBodyBits = 64 - kLengthBits;  // bits available for characters
 
-  // Select the kCharsPerValue least frequent characters (with their positions,
-  // so the same character at different positions lights different bits).
-  struct Pick {
-    int rarity;
-    unsigned char c;
-    size_t pos;
-  };
-  std::array<Pick, kCharsPerValue> picks{};
-  int n_picks = 0;
-  // Keep `picks[0..n_picks)` sorted rarest-first with a stable insertion step
-  // (n_picks <= kCharsPerValue = 2, so a sort call would be overkill anyway).
-  auto sift_up = [&picks](int idx) {
-    for (int j = idx; j > 0 && picks[j].rarity > picks[j - 1].rarity; --j) {
-      std::swap(picks[j], picks[j - 1]);
-    }
-  };
+  // Select the kCharsPerValue least frequent characters, the earlier position
+  // winning ties (so the same character at different positions lights
+  // different bits). A key packs the rarity above the inverted position, which
+  // makes that order a plain maximum over distinct keys: the scan keeps the
+  // two largest with min/max instead of branches.
+  static_assert(kCharsPerValue == 2);
+  constexpr uint64_t kPosMask = (uint64_t{1} << 48) - 1;  // values < 256 TB
+  uint64_t best = 0;
+  uint64_t second = 0;  // stays 0 for one-byte values
   for (size_t i = 0; i < value.size(); ++i) {
-    const auto c = static_cast<unsigned char>(value[i]);
-    Pick p{kRarity[c], c, i};
-    if (n_picks < kCharsPerValue) {
-      picks[n_picks] = p;
-      sift_up(n_picks);
-      ++n_picks;
-    } else if (p.rarity > picks[n_picks - 1].rarity) {
-      picks[n_picks - 1] = p;
-      sift_up(n_picks - 1);
-    }
+    const uint64_t key =
+        (uint64_t{kRarity[static_cast<unsigned char>(value[i])]} << 48) |
+        (kPosMask - i);
+    second = std::max(second, std::min(best, key));
+    best = std::max(best, key);
   }
 
-  uint64_t h = 0;
-  for (int i = 0; i < n_picks; ++i) {
-    // Bit position depends on character identity and its position within the
-    // value, rotated by the value length so that equal characters in values of
-    // different lengths separate (MATE's rotation trick).
-    uint64_t mixed = Mix64((static_cast<uint64_t>(picks[i].c) << 32) ^
-                           (static_cast<uint64_t>(picks[i].pos) << 8) ^
-                           static_cast<uint64_t>(value.size()));
-    h |= 1ULL << (mixed % kBodyBits);
-  }
+  // Bit position depends on character identity and its position within the
+  // value, rotated by the value length so that equal characters in values of
+  // different lengths separate (MATE's rotation trick).
+  auto char_bit = [&value](uint64_t key) {
+    const uint64_t pos = kPosMask - (key & kPosMask);
+    const uint64_t c = static_cast<unsigned char>(value[pos]);
+    return uint64_t{1} << (Mix64((c << 32) ^ (pos << 8) ^ value.size()) % kBodyBits);
+  };
+  uint64_t h = char_bit(best);
+  if (second != 0) h |= char_bit(second);
 
   // Length segment: one bit in the top kLengthBits chosen by a log-ish bucket.
-  size_t len = value.size();
-  int bucket;
-  if (len <= 2) {
-    bucket = 0;
-  } else if (len <= 4) {
-    bucket = 1;
-  } else if (len <= 6) {
-    bucket = 2;
-  } else if (len <= 9) {
-    bucket = 3;
-  } else if (len <= 14) {
-    bucket = 4;
-  } else {
-    bucket = 5;
-  }
-  h |= 1ULL << (kBodyBits + bucket);
+  const size_t len = value.size();
+  const int bucket = len < kLengthBucket.size() ? kLengthBucket[len] : 5;
+  h |= uint64_t{1} << (kBodyBits + bucket);
   return h;
 }
 

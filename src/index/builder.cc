@@ -31,7 +31,8 @@ uint64_t TableShuffleSeed(uint64_t seed, TableId tid) {
 
 /// One shard's distinct normalized values in first-appearance order, stored
 /// flat (CSR offsets into one blob) with each value's FNV-1a hash and XASH
-/// computed once, behind an open-addressing table of local ids.
+/// computed once, behind an open-addressing table of local ids. The XASHes
+/// and the table serve interning only; the merge reads values and hashes.
 class ShardDict {
  public:
   size_t Size() const { return hashes_.size(); }
@@ -42,18 +43,6 @@ class ShardDict {
   uint64_t Hash(CellId id) const { return hashes_[id]; }
   uint64_t XashOf(CellId id) const { return xash_[id]; }
   const std::vector<uint64_t>& hashes() const { return hashes_; }
-
-  /// Reserves room for up to `max_values` values of `max_bytes` in total, so
-  /// the arrays never reallocate. Large reallocations unmap memory, and with
-  /// every shard growing at once the unmap's TLB shootdowns stall all
-  /// workers; unused capacity is never touched and costs no resident memory.
-  void Reserve(size_t max_values, size_t max_bytes) {
-    offsets_.reserve(max_values + 1);
-    blob_.reserve(max_bytes);
-    hashes_.reserve(max_values);
-    xash_.reserve(max_values);
-    slots_.reserve(ProbeTableSize(max_values));
-  }
 
   /// Local id of `value`, whose Fnv1a64 is `hash`; appended when new.
   CellId Intern(std::string_view value, uint64_t hash) {
@@ -71,9 +60,15 @@ class ShardDict {
     return slot;
   }
 
+  /// Frees the interning state once the shard is indexed: while the other
+  /// shards still intern, the merge's inputs are all this shard keeps.
+  void ReleaseInternState() {
+    std::vector<uint64_t>().swap(xash_);
+    std::vector<CellId>().swap(slots_);
+  }
+
  private:
-  /// Doubles the table in place (within the reserved capacity) and
-  /// reinserts every value from its kept hash.
+  /// Doubles the table and reinserts every value from its kept hash.
   void Grow() {
     slots_.assign(std::max<size_t>(1024, 2 * slots_.size()), kInvalidCellId);
     for (CellId id = 0; id < Size(); ++id) {
@@ -127,6 +122,11 @@ struct RecordSink {
   }
 };
 
+/// Shards cut per build thread. A shard's dictionary is interned through
+/// per-value random accesses, so smaller shards keep more of it in cache; the
+/// surplus shards also let the pool even out their unequal value counts.
+constexpr size_t kShardsPerThread = 8;
+
 /// Contiguous table ranges, one per shard, balanced by cell count (tables
 /// vary widely in size; splitting by table count alone leaves the shard with
 /// the big tables as the critical path).
@@ -152,20 +152,15 @@ std::vector<Shard> ShardRanges(const DataLake& lake, size_t num_shards) {
   return shards;
 }
 
-/// Sizes the shard before indexing it: one record per non-blank cell, and
-/// the shard dictionary's room for at most that many values and bytes.
+/// Counts the shard's records before indexing it: one per non-blank cell.
 void SizeShard(const DataLake& lake, Shard* shard) {
-  size_t bytes = 0;
   for (TableId tid = shard->begin; tid < shard->end; ++tid) {
     for (const Column& col : lake.table(tid).columns()) {
       for (const std::string& cell : col.cells) {
-        const size_t len = Trim(cell).size();
-        shard->num_records += len > 0 ? 1 : 0;
-        bytes += len;
+        shard->num_records += Trim(cell).empty() ? 0 : 1;
       }
     }
   }
-  shard->dict.Reserve(shard->num_records, bytes);
 }
 
 /// Parses every cell of `col` once. The column is numeric when every
@@ -193,6 +188,7 @@ bool ParseNumericColumn(const Column& col, double* values, double* mean) {
 /// dictionary and writes one record per non-blank cell (table-major,
 /// row-major: the serial emission order) from the shard's first record on.
 /// Fills `row_maps[t]` for shuffled builds; shards write disjoint slots.
+/// Frees the shard dictionary's interning state when done.
 void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
                 Shard* shard, RecordSink* sink,
                 std::vector<std::vector<int32_t>>* row_maps) {
@@ -234,14 +230,10 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
       const size_t src_row = static_cast<size_t>(order[out_row]);
       uint64_t super_key = 0;
       for (size_t c = 0; c < cols; ++c) {
-        const std::string_view cell = Trim(t.At(src_row, c));
+        const uint64_t hash = NormalizeCellHashed(t.At(src_row, c), &normalized);
         row_ids[c] = kInvalidCellId;
-        if (cell.empty()) continue;
-        normalized.assign(cell);
-        for (char& ch : normalized) {
-          if (ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
-        }
-        row_ids[c] = shard->dict.Intern(normalized, Fnv1a64(normalized));
+        if (normalized.empty()) continue;
+        row_ids[c] = shard->dict.Intern(normalized, hash);
         super_key |= shard->dict.XashOf(row_ids[c]);
       }
       for (size_t c = 0; c < cols; ++c) {
@@ -260,6 +252,7 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
       }
     }
   }
+  shard->dict.ReleaseInternState();
 }
 
 /// Top hash bits that pick a value's merge partition. The partition count
@@ -314,8 +307,8 @@ PodVector<CellId> MergeShards(const std::vector<Shard>& shards, size_t num_flat,
     });
     // Per partition, walk the shards in order: the first shard to present a
     // value owns it. Each task takes a contiguous run of partitions and
-    // reuses one table for them (see ShardDict::Reserve on why a fresh
-    // table per partition would be slow).
+    // reuses one table, reserved for the largest, for them all instead of
+    // allocating one per partition.
     auto candidates = [&](size_t p) {
       size_t n = 0;
       for (size_t s = 0; s < num_shards; ++s) {
@@ -408,7 +401,7 @@ PodVector<CellId> MergeShards(const std::vector<Shard>& shards, size_t num_flat,
       if (owner[f] != f) cell_of[f] = cell_of[owner[f]];
     }
   });
-  *dict = Dictionary::FromCsr(std::move(offsets), std::move(blob), hashes);
+  *dict = Dictionary::FromCsr(std::move(offsets), std::move(blob), hashes, sched);
   return cell_of;
 }
 
@@ -427,8 +420,8 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   // Shards and merge partitions run as task groups on the process-wide pool
   // (the offline counterpart of the query engine's morsel tasks).
   Scheduler* sched = want > 1 ? Scheduler::Default() : Scheduler::Serial();
-  std::vector<Shard> shards =
-      ShardRanges(lake, std::max<size_t>(1, std::min(want, lake.NumTables())));
+  std::vector<Shard> shards = ShardRanges(
+      lake, std::max<size_t>(1, std::min(kShardsPerThread * want, lake.NumTables())));
 
   // Record counts first, so every shard writes its records straight to
   // their final positions.

@@ -26,11 +26,12 @@ struct IndexBuildOptions {
   /// Worker threads for the offline build. 0 means "one per hardware thread";
   /// 1 (and any negative value) runs every phase inline on
   /// Scheduler::Serial(). The count sets the task geometry of every phase:
-  /// workers index disjoint contiguous table ranges, a hash-partitioned merge
-  /// reproduces the serial first-appearance CellId assignment, and the
-  /// secondary indexes split into as many cell-id ranges and record chunks.
-  /// The built index, and its snapshot bytes, are identical for every
-  /// thread count.
+  /// the lake is cut into 8 shards per thread (at most one per table), each
+  /// a contiguous table range indexed by one task; a hash-partitioned merge
+  /// reproduces the serial first-appearance CellId assignment; and the
+  /// secondary indexes split into as many cell-id ranges and record chunks
+  /// as there are threads. The built index, and its snapshot bytes, are
+  /// identical for every thread count.
   int num_threads = 0;
   /// In-memory compressed serving: after the store is built, transcode its
   /// postings to the block-compressed codec and serve queries straight off

@@ -9,6 +9,7 @@
 
 namespace blend {
 
+class Scheduler;
 class SnapshotCodec;
 
 /// Identifier of an interned (normalized) cell value.
@@ -32,11 +33,18 @@ class Dictionary {
  public:
   /// Adopts `offsets.size() - 1` distinct values, value `id` being
   /// blob[offsets[id], offsets[id + 1]), and fills the hash table from
-  /// `hashes[id] == Fnv1a64(Value(id))` in id order. The table is therefore a
-  /// pure function of the value sequence, which keeps snapshot files
-  /// deterministic.
+  /// `hashes[id] == Fnv1a64(Value(id))` as if inserting in id order. The
+  /// table is therefore a pure function of the value sequence, which keeps
+  /// snapshot files deterministic. From kParallelFillMinValues values on, a
+  /// multi-threaded `sched` fills it in parallel (same table); null or a
+  /// serial scheduler fills it inline.
   static Dictionary FromCsr(PodVector<uint64_t> offsets, PodVector<char> blob,
-                            std::span<const uint64_t> hashes);
+                            std::span<const uint64_t> hashes,
+                            Scheduler* sched = nullptr);
+
+  /// Value count from which FromCsr's table fill may run in parallel. Below
+  /// it the table (at most 128 KB) fills serially in well under 0.1 ms.
+  static constexpr size_t kParallelFillMinValues = size_t{1} << 14;
 
   /// Looks a normalized value up; kInvalidCellId when absent.
   CellId Find(std::string_view normalized) const;
@@ -51,6 +59,9 @@ class Dictionary {
 
   /// Footprint in bytes of the three arrays.
   size_t ApproxBytes() const;
+
+  /// The hash table as FromCsr laid it out (what a snapshot stores).
+  std::span<const CellId> hash_slots() const { return hash_slots_.span(); }
 
  private:
   friend class SnapshotCodec;

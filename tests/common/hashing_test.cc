@@ -13,6 +13,14 @@ TEST(HashingTest, Fnv1aDeterministic) {
   EXPECT_NE(Fnv1a64(""), Fnv1a64("a"));
 }
 
+TEST(HashingTest, Fnv1aGoldenVectors) {
+  // The dictionary's hash table (persisted in snapshots) and Find depend on
+  // these exact values.
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
 TEST(HashingTest, Mix64ChangesValue) {
   EXPECT_NE(Mix64(0), 0u);
   EXPECT_NE(Mix64(1), Mix64(2));

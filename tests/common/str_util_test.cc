@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hashing.h"
+
 namespace blend {
 namespace {
 
@@ -30,6 +32,26 @@ TEST(StrUtilTest, Trim) {
 TEST(StrUtilTest, NormalizeCell) {
   EXPECT_EQ(NormalizeCell("  Tom Riddle "), "tom riddle");
   EXPECT_EQ(NormalizeCell("HR"), "hr");
+}
+
+TEST(StrUtilTest, NormalizeCellHashedIsNormalizeCellAndItsHash) {
+  std::string out = "stale contents";
+  for (std::string_view raw :
+       {"  Tom Riddle ", "MiXeD", "\t\v\f\r\n x Y \n", " \xC3\x89T\xE9 ", "\xC0Z@[`{",
+        "", "   ", "a"}) {
+    SCOPED_TRACE(raw);
+    const uint64_t hash = NormalizeCellHashed(raw, &out);
+    EXPECT_EQ(out, ToLower(Trim(raw)));
+    EXPECT_EQ(out, NormalizeCell(raw));
+    EXPECT_EQ(hash, Fnv1a64(NormalizeCell(raw)));
+  }
+  // Non-ASCII bytes pass through; only A-Z fold (not '@', '[', '`', '{').
+  NormalizeCellHashed(" \xC3\x89T\xE9 ", &out);
+  EXPECT_EQ(out, "\xC3\x89t\xE9");
+  NormalizeCellHashed("\xC0Z@[`{", &out);
+  EXPECT_EQ(out, "\xC0z@[`{");
+  EXPECT_EQ(NormalizeCellHashed("", &out), Fnv1a64(""));
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(StrUtilTest, SplitKeepsEmptyFields) {

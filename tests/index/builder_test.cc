@@ -263,7 +263,8 @@ TEST(IndexBuilderTest, ParallelBuildIsBitIdentical) {
       opts.shuffle_rows = shuffle;
       opts.num_threads = 1;
       IndexBundle serial = IndexBuilder(opts).Build(lake);
-      for (int threads : {2, 3, 4}) {
+      // 16 threads cut 8 x 16 shards, more than the lake's 40 tables.
+      for (int threads : {2, 3, 4, 16}) {
         opts.num_threads = threads;
         IndexBundle parallel = IndexBuilder(opts).Build(lake);
         SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
@@ -480,7 +481,7 @@ TEST(IndexBuilderTest, SnapshotBytesIdenticalForEveryThreadCount) {
         if (name == "oracle" && layout == StoreLayout::kRow && shuffle) {
           EXPECT_EQ(Fnv1a64(want[0]), kOracleRowShuffledRaw);
         }
-        for (int threads : {2, 3, 4, 8}) {
+        for (int threads : {2, 3, 4, 8, 16}) {
           opts.num_threads = threads;
           const IndexBundle parallel = IndexBuilder(opts).Build(lake);
           for (size_t c = 0; c < codecs.size(); ++c) {
