@@ -45,6 +45,7 @@
 #include "common/table_printer.h"
 #include "common/telemetry.h"
 #include "index/builder.h"
+#include "index/snapshot.h"
 #include "sql/engine.h"
 
 using namespace blend;
@@ -466,15 +467,26 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------------
   // Compressed-domain execution: the MC phase-1 hash join on the raw bundle
-  // and on a serve_compressed twin (the decode gap of compressed serving),
-  // plus the resident posting footprint per codec. `--smoke` enforces the
-  // acceptance threshold (compressed resident posting bytes <= 0.5x raw) so
-  // CI fails if the codec regresses.
+  // and on its twin loaded from a compressed snapshot (the decode gap of
+  // compressed serving), plus the resident posting footprint per codec.
+  // `--smoke` enforces the acceptance threshold (compressed resident posting
+  // bytes <= 0.5x raw) so CI fails if the codec regresses.
   // -------------------------------------------------------------------------
   if (!serving_only) {
-    IndexBuildOptions comp_opts;
-    comp_opts.serve_compressed = true;
-    IndexBundle comp_bundle = IndexBuilder(comp_opts).Build(lake);
+    // ReadSnapshot keeps the encoded postings resident on the heap.
+    const std::string comp_path = "bench_query_engine.snapshot";
+    SnapshotOptions comp_opts;
+    comp_opts.codec = PostingCodec::kCompressed;
+    Status saved = WriteSnapshot(*g_col_bundle, comp_path, comp_opts);
+    Result<IndexBundle> comp_loaded =
+        saved.ok() ? ReadSnapshot(comp_path) : Result<IndexBundle>(saved);
+    std::remove(comp_path.c_str());
+    if (!comp_loaded.ok()) {
+      std::fprintf(stderr, "compressed snapshot round trip failed: %s\n",
+                   comp_loaded.status().ToString().c_str());
+      return 1;
+    }
+    const IndexBundle& comp_bundle = comp_loaded.value();
 
     // Smoke queries are tens of microseconds; average more reps so the
     // raw vs compressed ratio measures the join path, not timer noise.

@@ -17,6 +17,7 @@ using namespace blend;
 namespace {
 
 core::Blend* g_blend = nullptr;
+const DataLake* g_lake = nullptr;  // the lake g_blend indexes
 
 /// Executes the plan [first -> second(rewritten with first's tables)] and
 /// returns the elapsed seconds.
@@ -37,10 +38,9 @@ double RunOrdered(const core::DiscoveryContext& ctx, const core::Seeker& first,
 
 void BM_OptimizeTwoSeekerPlan(benchmark::State& state) {
   Rng rng(11);
-  auto a = core::CostModelTrainer::SampleSeeker(*g_blend->context().lake,
-                                                core::Seeker::Type::kSC, 10, &rng);
-  auto b = core::CostModelTrainer::SampleSeeker(*g_blend->context().lake,
-                                                core::Seeker::Type::kMC, 10, &rng);
+  using core::Seeker;
+  auto a = core::CostModelTrainer::SampleSeeker(*g_lake, Seeker::Type::kSC, 10, &rng);
+  auto b = core::CostModelTrainer::SampleSeeker(*g_lake, Seeker::Type::kMC, 10, &rng);
   core::Plan plan;
   (void)plan.Add("a", a);
   (void)plan.Add("b", b);
@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
   (void)blend.TrainCostModel(30, 5);
   std::printf("cost-model training: %.1fs\n", train_watch.ElapsedSeconds());
   g_blend = &blend;
+  g_lake = &lake;
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -2,21 +2,22 @@
 //
 //   1. build  — index a lake (the expensive offline phase, paper Fig. 2e)
 //   2. save   — persist the IndexBundle as a versioned snapshot file
-//   3. load   — mmap it back zero-copy (and heap-load it, for comparison)
-//   4. query  — serve discovery plans off the loaded bundles and assert the
-//               results are byte-identical to the freshly built index
+//   3. load   — mmap it back zero-copy without the lake (and heap-load it,
+//               for comparison)
+//   4. query  — serve SC and MC discovery plans off the loaded bundles and
+//               assert the results are byte-identical to the freshly built
+//               index
 //
 // Exits non-zero on any mismatch, so CI runs this binary as the snapshot
 // round-trip smoke check.
 //
 // Usage: blend_snapshot [--tables=N] [--layout=row|column]
-//                       [--codec=raw|compressed] [--serve-compressed]
-//                       [--path=FILE] [--introspect] [--trace-out=FILE]
+//                       [--codec=raw|compressed] [--path=FILE]
+//                       [--introspect] [--trace-out=FILE]
 //
-// --serve-compressed builds and serves the in-memory index on the
-// block-compressed postings (Blend::Options::serve_compressed), so the smoke
-// check also pins that a compressed-served bundle snapshots and round-trips
-// byte-identically.
+// The served Blend is opened with no lake: every plan, MC exact validation
+// included, is answered from the snapshot alone. With --codec=compressed it
+// serves the block-compressed postings straight out of the mapping.
 //
 // --introspect replaces the snapshot round-trip with the introspection smoke
 // check: it runs one discovery plan off the built index and prints its trace
@@ -51,12 +52,22 @@ using namespace blend;
 namespace {
 
 std::string PlanResult(const core::Blend& blend, const DataLake& lake,
-                       const std::vector<std::string>& values) {
-  core::Plan plan;
-  (void)plan.Add("sc", std::make_shared<core::SCSeeker>(values, 10));
+                       const core::Plan& plan) {
   auto res = blend.Run(plan);
   if (!res.ok()) return "ERROR: " + res.status().ToString();
   return core::ToString(res.value(), &lake);
+}
+
+/// Two-column key tuples for an MC plan: the first two cells of a few rows
+/// of a random table, so some candidate rows validate.
+std::vector<std::vector<std::string>> McTuples(const DataLake& lake, Rng* rng) {
+  const Table& table = lake.table(static_cast<TableId>(rng->Uniform(lake.NumTables())));
+  std::vector<std::vector<std::string>> tuples;
+  for (int i = 0; i < 4 && table.NumColumns() >= 2 && table.NumRows() > 0; ++i) {
+    const size_t r = rng->Uniform(table.NumRows());
+    tuples.push_back({table.At(r, 0), table.At(r, 1)});
+  }
+  return tuples;
 }
 
 std::string SqlResult(const sql::Engine& engine, const std::string& sqltext) {
@@ -154,8 +165,8 @@ bool ParsePositive(const char* text, size_t* out) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--tables=N] [--layout=row|column] "
-               "[--codec=raw|compressed] [--serve-compressed] "
-               "[--path=FILE] [--introspect] [--trace-out=FILE]\n",
+               "[--codec=raw|compressed] [--path=FILE] [--introspect] "
+               "[--trace-out=FILE]\n",
                argv0);
   return 2;
 }
@@ -166,7 +177,6 @@ int main(int argc, char** argv) {
   size_t num_tables = 60;
   StoreLayout layout = StoreLayout::kColumn;
   PostingCodec codec = PostingCodec::kRaw;
-  bool serve_compressed = false;
   bool introspect = false;
   std::string path = "blend_index.snapshot";
   std::string trace_out;
@@ -189,8 +199,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       codec = parsed.value();
-    } else if (std::strcmp(argv[i], "--serve-compressed") == 0) {
-      serve_compressed = true;
     } else if (std::strncmp(argv[i], "--path=", 7) == 0) {
       path = argv[i] + 7;
     } else {
@@ -209,7 +217,6 @@ int main(int argc, char** argv) {
   core::Blend::Options options;
   options.layout = layout;
   options.snapshot_codec = codec;
-  options.serve_compressed = serve_compressed;
   // Introspection capture for the observability modes; off for the snapshot
   // round-trip so it exercises the plain serving configuration.
   options.capture_statement_plans = introspect;
@@ -240,7 +247,8 @@ int main(int argc, char** argv) {
               SnapshotPostingBytes(built.bundle(), snap_opts), path.c_str(),
               save_sw.ElapsedSeconds() * 1e3);
 
-  // 3. load, both paths: a heap copy and the zero-copy mapping.
+  // 3. load, both paths: a heap copy and the zero-copy mapping. The server
+  // gets no lake: the snapshot alone answers every plan.
   StopWatch read_sw;
   auto heap_bundle = ReadSnapshot(path);
   const double read_s = read_sw.ElapsedSeconds();
@@ -249,7 +257,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   StopWatch open_sw;
-  auto served = core::Blend::OpenSnapshot(path, &lake, options);
+  auto served = core::Blend::OpenSnapshot(path, nullptr, options);
   const double open_s = open_sw.ElapsedSeconds();
   if (!served.ok()) {
     std::fprintf(stderr, "OpenSnapshot: %s\n", served.status().ToString().c_str());
@@ -266,12 +274,19 @@ int main(int argc, char** argv) {
   for (int q = 0; q < 5; ++q) {
     std::vector<std::string> values = lakegen::SampleColumnQuery(lake, 12, &rng);
     if (values.empty()) continue;
-    const std::string want_plan = PlanResult(built, lake, values);
-    const std::string got_plan = PlanResult(*served.value(), lake, values);
-    if (want_plan != got_plan) {
-      identical = false;
-      std::printf("MISMATCH (plan %d):\n  built:  %s\n  loaded: %s\n", q,
-                  want_plan.c_str(), got_plan.c_str());
+    core::Plan sc_plan;
+    (void)sc_plan.Add("sc", std::make_shared<core::SCSeeker>(values, 10));
+    core::Plan mc_plan;
+    (void)mc_plan.Add("mc", std::make_shared<core::MCSeeker>(McTuples(lake, &rng), 10));
+    for (const core::Plan* plan : {&sc_plan, &mc_plan}) {
+      const std::string want_plan = PlanResult(built, lake, *plan);
+      const std::string got_plan = PlanResult(*served.value(), lake, *plan);
+      if (want_plan != got_plan) {
+        identical = false;
+        std::printf("MISMATCH (plan %d, %s):\n  built:  %s\n  loaded: %s\n", q,
+                    plan == &sc_plan ? "SC" : "MC", want_plan.c_str(),
+                    got_plan.c_str());
+      }
     }
     const std::string sqltext =
         "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "

@@ -7,7 +7,9 @@
 //   blend_gen_corpus <corpus-root>
 //
 // writes <root>/{snapshot,codec,sql,csv}/seed-*. Deterministic: same build,
-// same bytes.
+// same bytes. snapshot/seed-legacy-rowmaps is not generated here: it is a
+// shuffled file from an older writer, kept so the fuzzer covers the row-map
+// sections (14, 15) that the reader now skips.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>

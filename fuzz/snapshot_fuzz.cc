@@ -65,7 +65,6 @@ void WalkBundle(const blend::IndexBundle& bundle) {
     }
     FUZZ_CHECK(at == values.size(), "cursor yields too few values");
   }
-  (void)bundle.OriginalRow(0, 0);
   (void)bundle.ApproxBytes();
 }
 

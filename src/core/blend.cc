@@ -1,6 +1,5 @@
 #include "core/blend.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/str_util.h"
@@ -14,7 +13,6 @@ IndexBuildOptions BuildOptionsFor(const Blend::Options& options) {
   build.layout = options.layout;
   build.shuffle_rows = options.shuffle_rows;
   build.shuffle_seed = options.shuffle_seed;
-  build.serve_compressed = options.serve_compressed;
   return build;
 }
 
@@ -67,7 +65,6 @@ Blend::Blend(const DataLake* lake, Options options, IndexBundle bundle)
       engine_(&bundle_, scheduler_),
       stats_(&bundle_) {
   options_.layout = bundle_.layout();
-  ctx_.lake = lake_;
   ctx_.bundle = &bundle_;
   ctx_.engine = &engine_;
   ctx_.stats = &stats_;
@@ -89,54 +86,9 @@ Result<std::unique_ptr<Blend>> Blend::OpenSnapshot(const std::string& path,
 Result<std::unique_ptr<Blend>> Blend::OpenSnapshot(const std::string& path,
                                                    const DataLake* lake,
                                                    Options options) {
-  if (lake == nullptr) {
-    return Status::InvalidArgument(
-        "OpenSnapshot needs the lake the snapshot was built from (MC seekers "
-        "validate candidate rows against the raw tables)");
-  }
   SnapshotOptions snap_opts;
   snap_opts.scheduler = options.scheduler;
   BLEND_ASSIGN_OR_RETURN(auto bundle, blend::OpenSnapshot(path, snap_opts));
-  // Mismatch guard: a stale or foreign artifact must fail here, not as an
-  // out-of-bounds lake read when a seeker validates candidate rows against
-  // the raw tables.
-  if (bundle.NumTables() != lake->NumTables()) {
-    return Status::InvalidArgument(
-        "snapshot does not match the lake: it indexes " +
-        std::to_string(bundle.NumTables()) + " tables, the lake has " +
-        std::to_string(lake->NumTables()));
-  }
-  // Chunked on the shared pool like the load path's other O(n) scans, so
-  // the guard does not erode the open-vs-rebuild speedup.
-  Scheduler* sched =
-      options.scheduler != nullptr ? options.scheduler : Scheduler::Default();
-  auto rows_in_lake = [&](const auto& store) {
-    constexpr size_t kChunk = 1 << 16;
-    const size_t n = store.NumRecords();
-    const size_t chunks = n == 0 ? 0 : (n - 1) / kChunk + 1;
-    std::vector<uint8_t> ok(chunks, 1);
-    sched->ParallelFor(chunks, [&](size_t c) {
-      const size_t end = std::min(n, (c + 1) * kChunk);
-      for (size_t i = c * kChunk; i < end; ++i) {
-        const TableId t = store.table(static_cast<RecordPos>(i));
-        const int32_t orig =
-            bundle.OriginalRow(t, store.row(static_cast<RecordPos>(i)));
-        if (orig < 0 || static_cast<size_t>(orig) >= lake->table(t).NumRows()) {
-          ok[c] = 0;
-          break;
-        }
-      }
-    });
-    return std::all_of(ok.begin(), ok.end(), [](uint8_t v) { return v != 0; });
-  };
-  const bool rows_ok = bundle.layout() == StoreLayout::kRow
-                           ? rows_in_lake(bundle.row_store())
-                           : rows_in_lake(bundle.column_store());
-  if (!rows_ok) {
-    return Status::InvalidArgument(
-        "snapshot does not match the lake: an indexed row maps outside its "
-        "lake table (stale snapshot for a regenerated lake?)");
-  }
   // unique_ptr: the ctor wires ctx_/engine_/stats_ to member addresses, so a
   // Blend must never move after construction.
   return std::unique_ptr<Blend>(new Blend(lake, options, std::move(bundle)));
@@ -247,11 +199,16 @@ Result<ExecutionReport> Blend::RunReportImpl(const Plan& plan,
 }
 
 Status Blend::TrainCostModel(int samples_per_type, uint64_t seed) {
+  if (lake_ == nullptr) {
+    return Status::InvalidArgument(
+        "TrainCostModel samples its inputs from the lake; this Blend was "
+        "opened from a snapshot without one");
+  }
   CostModelTrainer::Options opts;
   opts.samples_per_type = samples_per_type;
   opts.seed = seed;
   CostModelTrainer trainer(opts);
-  BLEND_ASSIGN_OR_RETURN(auto model, trainer.Train(ctx_));
+  BLEND_ASSIGN_OR_RETURN(auto model, trainer.Train(*lake_, ctx_));
   model_ = std::make_unique<CostModel>(std::move(model));
   return Status::OK();
 }

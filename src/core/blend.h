@@ -9,9 +9,11 @@
 
 namespace blend::core {
 
-/// The top-level entry point of the library: attaches to a data lake, builds
-/// the unified AllTables index offline, hosts the embedded SQL engine, and
-/// runs discovery plans through the optimizer.
+/// The top-level entry point of the library: builds the unified AllTables
+/// index of a data lake offline (or opens a snapshot of one), hosts the
+/// embedded SQL engine, and runs discovery plans through the optimizer.
+/// Plans are answered from the index alone; the lake is needed only to
+/// build the index and to train the cost model.
 ///
 ///   DataLake lake = ...;
 ///   Blend blend(&lake);
@@ -50,12 +52,6 @@ class Blend {
     /// cost of per-block decode on the serving path. Loading discovers the
     /// codec from the snapshot header, so this only affects writes.
     PostingCodec snapshot_codec = PostingCodec::kRaw;
-    /// In-memory compressed serving: the builder transcodes postings to the
-    /// compressed codec and the engine serves the encoded blob directly
-    /// (~2.4× smaller resident postings on the bench lake, byte-identical
-    /// results). Build path only — snapshots record their own codec, so
-    /// OpenSnapshot ignores this.
-    bool serve_compressed = false;
     /// Capture the EXPLAIN ANALYZE plan of every SQL statement a run's
     /// seekers issue (ExecutionReport::statement_plans): the plan each
     /// statement ran, with the actuals its operators recorded. Recording
@@ -70,7 +66,8 @@ class Blend {
   };
 
   /// Builds the index for the lake (the offline phase, paper Fig. 2e). The
-  /// lake must outlive this object.
+  /// lake must outlive this object only if TrainCostModel is called; plans
+  /// never read it.
   explicit Blend(const DataLake* lake) : Blend(lake, Options()) {}
   Blend(const DataLake* lake, Options options);
 
@@ -81,11 +78,13 @@ class Blend {
 
   /// Serves queries off a snapshot instead of rebuilding the index: the file
   /// is mmapped and the store arrays are read zero-copy out of the mapping.
-  /// The lake is still required — MC seekers validate candidate rows against
-  /// the raw tables — and must be the lake the snapshot was built from.
-  /// `options.layout`, `shuffle_rows` and `shuffle_seed` are ignored: the
-  /// snapshot records what the builder used. Returns a pointer (not a value)
-  /// because a Blend pins internal cross-references and cannot be moved.
+  /// Every plan is answered from the snapshot alone, so `lake` may be null.
+  /// It is kept only for TrainCostModel, which samples its training inputs
+  /// from it; pass the lake the snapshot was built from to train. A snapshot
+  /// records the postings codec, layout and row order the builder used, so
+  /// `options.layout`, `shuffle_rows` and `shuffle_seed` are ignored.
+  /// Returns a pointer (not a value) because a Blend pins internal
+  /// cross-references and cannot be moved.
   [[nodiscard]] static Result<std::unique_ptr<Blend>> OpenSnapshot(const std::string& path,
                                                      const DataLake* lake,
                                                      Options options);
@@ -126,8 +125,9 @@ class Blend {
                                     const QueryControl& control) const;
 
   /// Trains the learned cost model by sampling random inputs from the lake
-  /// (paper: offline, once per lake installation). Not thread-safe against
-  /// concurrent Run* calls: train before serving.
+  /// (paper: offline, once per lake installation). Returns InvalidArgument
+  /// on a Blend opened without a lake. Not thread-safe against concurrent
+  /// Run* calls: train before serving.
   Status TrainCostModel(int samples_per_type = 40, uint64_t seed = 7);
 
   const DiscoveryContext& context() const { return ctx_; }
@@ -154,7 +154,7 @@ class Blend {
                                         const QueryControl* control) const;
 
   Options options_;
-  const DataLake* lake_;
+  const DataLake* lake_;  // null when opened from a snapshot without one
   std::unique_ptr<Scheduler> owned_scheduler_;
   Scheduler* scheduler_;
   IndexBundle bundle_;

@@ -178,7 +178,8 @@ std::shared_ptr<Seeker> CostModelTrainer::SampleSeeker(const DataLake& lake,
   return nullptr;
 }
 
-Result<CostModel> CostModelTrainer::Train(const DiscoveryContext& ctx) const {
+Result<CostModel> CostModelTrainer::Train(const DataLake& lake,
+                                          const DiscoveryContext& ctx) const {
   CostModel model;
   Rng rng(options_.seed);
   const Seeker::Type types[] = {Seeker::Type::kKW, Seeker::Type::kSC,
@@ -187,7 +188,7 @@ Result<CostModel> CostModelTrainer::Train(const DiscoveryContext& ctx) const {
     std::vector<SeekerFeatures> features;
     std::vector<double> runtimes;
     for (int s = 0; s < options_.samples_per_type; ++s) {
-      auto seeker = SampleSeeker(*ctx.lake, type, options_.k, &rng);
+      auto seeker = SampleSeeker(lake, type, options_.k, &rng);
       if (seeker == nullptr) continue;
       StopWatch sw;
       auto res = seeker->Execute(ctx, "");

@@ -55,8 +55,9 @@ class CostModelTrainer {
   CostModelTrainer() : options_() {}
   explicit CostModelTrainer(Options options) : options_(options) {}
 
-  /// Builds training workloads from the context's lake and fits the model.
-  Result<CostModel> Train(const DiscoveryContext& ctx) const;
+  /// Samples training workloads from `lake`, runs them against `ctx` (the
+  /// index built from that lake) and fits the model.
+  Result<CostModel> Train(const DataLake& lake, const DiscoveryContext& ctx) const;
 
   /// Draws one random seeker of the given type from the lake (exposed for
   /// the optimizer-effectiveness experiment, Table IV).

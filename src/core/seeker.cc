@@ -210,11 +210,11 @@ std::string MCSeeker::GenerateSql(const std::string& rewrite, int fetch_limit) c
 
 namespace {
 
-/// Exact-match validation (MATE's application-level phase): does the lake row
-/// contain every value of the tuple, each in a distinct column?
-bool AlignTuple(const std::vector<std::string>& row_cells,
-                const std::vector<std::string>& tuple, size_t vi,
-                std::vector<bool>* used) {
+/// Exact-match validation (MATE's application-level phase): does the row
+/// contain every value of the tuple, each in a distinct column? A row holds
+/// one record per non-blank column, so distinct cells are distinct columns.
+bool AlignTuple(const std::vector<CellId>& row_cells, const std::vector<CellId>& tuple,
+                size_t vi, std::vector<bool>* used) {
   if (vi == tuple.size()) return true;
   for (size_t c = 0; c < row_cells.size(); ++c) {
     if ((*used)[c] || row_cells[c] != tuple[vi]) continue;
@@ -223,6 +223,15 @@ bool AlignTuple(const std::vector<std::string>& row_cells,
     (*used)[c] = false;
   }
   return false;
+}
+
+/// Appends the cells of row `row` of table `t` to `cells`, read from the
+/// row's record group in the store.
+template <typename Store>
+void AppendRowCells(const Store& store, TableId t, int32_t row,
+                    std::vector<CellId>* cells) {
+  const auto [lo, hi] = JoinKeyGroup(store, t, row);
+  for (RecordPos p = lo; p < hi; ++p) cells->push_back(store.cell(p));
 }
 
 }  // namespace
@@ -270,16 +279,29 @@ Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
   BLEND_RETURN_NOT_OK(mem.ChargeTo(static_cast<int64_t>(
       candidates.size() * sizeof(std::pair<const uint64_t, uint64_t>))));
 
-  // Query tuple super keys for the Bloom-filter stage.
+  // Query tuple super keys for the Bloom-filter stage, and the tuples as
+  // dictionary ids for exact validation. A value the index never interned
+  // cannot align, so its tuple is skipped at the exact stage (left empty
+  // here); the Bloom stage still sees every tuple.
+  const Dictionary& dict = ctx.bundle->dictionary();
   std::vector<uint64_t> tuple_hashes;
+  std::vector<std::vector<CellId>> tuple_cells(tuples_.size());
   tuple_hashes.reserve(tuples_.size());
-  for (const auto& t : tuples_) {
-    std::vector<std::string_view> views(t.begin(), t.end());
+  for (size_t i = 0; i < tuples_.size(); ++i) {
+    std::vector<std::string_view> views(tuples_[i].begin(), tuples_[i].end());
     tuple_hashes.push_back(Xash::SuperKey(views));
+    for (const std::string& v : tuples_[i]) {
+      const CellId id = dict.Find(v);
+      if (id == kInvalidCellId) {
+        tuple_cells[i].clear();
+        break;
+      }
+      tuple_cells[i].push_back(id);
+    }
   }
 
   std::unordered_map<TableId, double> table_scores;
-  std::vector<std::string> row_cells;
+  std::vector<CellId> row_cells;
   size_t visited = 0;
   // Validation funnel (candidates -> bloom pass -> validated) runs serially
   // on this thread; one stage covers it, the funnel counters land below.
@@ -287,13 +309,13 @@ Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
   // Accumulates commutative per-table sums; visit order cannot change them.
   // blend-lint: allow(unordered-iter)
   for (const auto& [key, super_key] : candidates) {
-    // Validation touches the raw lake tables and can dominate MC runtime on
-    // dirty candidates; check the control at a coarse stride.
+    // Validation reads every candidate row's records and can dominate MC
+    // runtime on dirty candidates; check the control at a coarse stride.
     if ((++visited & 1023) == 0) {
       BLEND_RETURN_NOT_OK(CheckControl(ctx.query_options.control, "mc validation"));
     }
     TableId t = static_cast<TableId>(key >> 32);
-    int32_t indexed_row = static_cast<int32_t>(key & 0xFFFFFFFFu);
+    int32_t row = static_cast<int32_t>(key & 0xFFFFFFFFu);
 
     // Phase 2: XASH super-key filter prunes rows without loading them.
     std::vector<size_t> surviving;
@@ -303,23 +325,18 @@ Result<TableList> MCSeeker::Execute(const DiscoveryContext& ctx,
     if (surviving.empty()) continue;
     ++stats.bloom_pass_rows;
 
-    // Phase 3: exact validation against the lake table. Guard before touching
-    // the lake: a stale or corrupted index could carry a table id the lake
-    // does not have.
-    int32_t lake_row = ctx.bundle->OriginalRow(t, indexed_row);
-    if (lake_row == IndexBundle::kInvalidRow ||
-        static_cast<size_t>(t) >= ctx.lake->NumTables()) {
-      continue;
-    }
-    const Table& table = ctx.lake->table(t);
+    // Phase 3: exact validation against the row's cells in AllTables.
     row_cells.clear();
-    for (size_t c = 0; c < table.NumColumns(); ++c) {
-      row_cells.push_back(NormalizeCell(table.At(static_cast<size_t>(lake_row), c)));
+    if (ctx.bundle->layout() == StoreLayout::kRow) {
+      AppendRowCells(ctx.bundle->row_store(), t, row, &row_cells);
+    } else {
+      AppendRowCells(ctx.bundle->column_store(), t, row, &row_cells);
     }
     bool validated = false;
     for (size_t i : surviving) {
+      if (tuple_cells[i].empty()) continue;
       std::vector<bool> used(row_cells.size(), false);
-      if (AlignTuple(row_cells, tuples_[i], 0, &used)) {
+      if (AlignTuple(row_cells, tuple_cells[i], 0, &used)) {
         validated = true;
         break;
       }

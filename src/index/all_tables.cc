@@ -111,16 +111,6 @@ void ColumnStore::Build(RecordColumns records, size_t num_cells,
   secondary_.Build(*this, num_cells, num_tables, num_tasks, sched);
 }
 
-void SecondaryIndexes::Compress(Scheduler* sched) {
-  if (codec == PostingCodec::kCompressed) return;
-  EncodedPostingsCsr enc = EncodePostingsCsr(posting_offsets.span(),
-                                             posting_positions.span(), sched);
-  posting_partitions.Own(std::move(enc.partition_offsets));
-  posting_blob.Own(std::move(enc.blob));
-  posting_positions.Own({});  // raw form freed
-  codec = PostingCodec::kCompressed;
-}
-
 size_t SecondaryIndexes::ApproxBytes() const {
   return (posting_offsets.size() + posting_partitions.size()) *
              sizeof(uint64_t) +

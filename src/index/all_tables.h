@@ -102,14 +102,6 @@ struct SecondaryIndexes {
   void Build(const Store& store, size_t num_cells, size_t num_tables,
              size_t num_tasks, Scheduler* sched);
 
-  /// In-place transcode to the compressed codec (in-memory compressed
-  /// serving): encodes the raw CSR into `posting_blob` + partition offsets
-  /// and drops `posting_positions`, shrinking the resident postings ~2.4× on
-  /// the bench lake. The encoded bytes are a pure function of the lists, so
-  /// the result is identical for every pool size. No-op when already
-  /// compressed.
-  void Compress(Scheduler* sched);
-
   /// List length alone, straight from the CSR offsets — O(1) in both codec
   /// modes (PostingList on a compressed index walks partition headers).
   size_t PostingCount(CellId id) const {
@@ -176,9 +168,6 @@ class RowStore {
   }
   size_t NumTables() const { return secondary_.NumTables(); }
   const SecondaryIndexes& secondary() const { return secondary_; }
-  /// Transcodes the postings to the compressed codec in place (serve
-  /// compressed). Build-time only: stores are immutable once served.
-  void CompressPostings(Scheduler* sched) { secondary_.Compress(sched); }
 
   size_t ApproxBytes() const {
     return records_.size() * sizeof(IndexRecord) + secondary_.ApproxBytes();
@@ -222,9 +211,6 @@ class ColumnStore {
   }
   size_t NumTables() const { return secondary_.NumTables(); }
   const SecondaryIndexes& secondary() const { return secondary_; }
-  /// Transcodes the postings to the compressed codec in place (serve
-  /// compressed). Build-time only: stores are immutable once served.
-  void CompressPostings(Scheduler* sched) { secondary_.Compress(sched); }
 
   size_t ApproxBytes() const {
     return cells_.size() * (sizeof(CellId) + sizeof(TableId) + 2 * sizeof(int32_t) +
@@ -243,5 +229,72 @@ class ColumnStore {
   PodArray<int8_t> quadrants_;
   SecondaryIndexes secondary_;
 };
+
+/// First position in [lo, hi) where `after` holds, for a predicate that is
+/// false and then true along the range. Gallops from `guess` (in [lo, hi])
+/// in doubling steps towards the boundary, then binary-searches the bracket
+/// it found: O(log d) probes for a boundary d positions from the guess.
+template <typename Pred>
+RecordPos GallopPartition(RecordPos lo, RecordPos hi, RecordPos guess,
+                          const Pred& after) {
+  size_t step = 1;
+  if (guess < hi && !after(guess)) {
+    lo = guess + 1;
+    while (step <= hi - lo) {
+      const RecordPos probe = lo + static_cast<RecordPos>(step - 1);
+      if (after(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+      step *= 2;
+    }
+  } else {
+    hi = guess;
+    while (step <= hi - lo) {
+      const RecordPos probe = hi - static_cast<RecordPos>(step);
+      if (!after(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+      step *= 2;
+    }
+  }
+  while (lo < hi) {
+    const RecordPos mid = lo + (hi - lo) / 2;
+    if (after(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// The record group [first, end) of row `r` of table `t`: one record per
+/// non-blank cell of the row, in column order. The SQL lookup join reads a
+/// prefix row's partners through it, and MC validation a candidate row's
+/// cells. Records are emitted table-major, row-major, so rows ascend within
+/// the table's range and a row past the table's last one (or a negative
+/// one) resolves to the empty group at the next table's first position. The
+/// rows of a table run from 0 to its last
+/// record's row, so the group's start is first guessed by interpolating `r`
+/// over the range and then galloped to; its end is galloped to from the
+/// start, so a wide row costs O(log width) probes.
+template <typename Store>
+std::pair<RecordPos, RecordPos> JoinKeyGroup(const Store& store, TableId t, int32_t r) {
+  const auto [lo, hi] = store.TableRange(t);
+  if (lo == hi) return {lo, hi};
+  const auto last = static_cast<uint64_t>(store.row(hi - 1));
+  const auto row = static_cast<uint64_t>(r);
+  if (row > last) return {hi, hi};
+  const RecordPos guess = lo + static_cast<RecordPos>((hi - lo) * row / (last + 1));
+  const RecordPos first =
+      GallopPartition(lo, hi, guess, [&](RecordPos p) { return store.row(p) >= r; });
+  const RecordPos end =
+      GallopPartition(first, hi, first, [&](RecordPos p) { return store.row(p) > r; });
+  return {first, end};
+}
 
 }  // namespace blend

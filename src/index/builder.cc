@@ -14,20 +14,20 @@ namespace blend {
 size_t IndexBundle::ApproxBytes() const {
   size_t store = layout_ == StoreLayout::kRow ? row_store_.ApproxBytes()
                                               : column_store_.ApproxBytes();
-  size_t maps = 0;
-  for (const auto& m : row_maps_) maps += m.size() * sizeof(int32_t);
-  return store + dict_.ApproxBytes() + maps;
+  return store + dict_.ApproxBytes();
+}
+
+std::vector<int32_t> ShuffledRowOrder(uint64_t seed, TableId t, size_t rows) {
+  std::vector<int32_t> order(rows);
+  for (size_t r = 0; r < rows; ++r) order[r] = static_cast<int32_t>(r);
+  // Seeding per table — instead of threading one generator through the
+  // whole lake — is what makes the shuffled build shard-independent.
+  Rng rng(Mix64(seed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(t) + 1)));
+  rng.Shuffle(&order);
+  return order;
 }
 
 namespace {
-
-/// Independent per-table shuffle seed. Seeding per table — instead of
-/// threading one generator through the whole lake — is what makes the
-/// shuffled build shard-independent: a worker can permute table 17 without
-/// knowing how many random draws tables 0..16 consumed.
-uint64_t TableShuffleSeed(uint64_t seed, TableId tid) {
-  return Mix64(seed + 0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(tid) + 1));
-}
 
 /// One shard's distinct normalized values in first-appearance order, stored
 /// flat (CSR offsets into one blob) with each value's FNV-1a hash and XASH
@@ -187,11 +187,9 @@ bool ParseNumericColumn(const Column& col, double* values, double* mean) {
 /// Indexes the shard's tables: interns normalized cells into the shard's
 /// dictionary and writes one record per non-blank cell (table-major,
 /// row-major: the serial emission order) from the shard's first record on.
-/// Fills `row_maps[t]` for shuffled builds; shards write disjoint slots.
 /// Frees the shard dictionary's interning state when done.
 void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
-                Shard* shard, RecordSink* sink,
-                std::vector<std::vector<int32_t>>* row_maps) {
+                Shard* shard, RecordSink* sink) {
   // Buffers reused across cells and tables: the pass allocates per table at
   // most, never per cell.
   std::string normalized;
@@ -217,12 +215,11 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
     }
 
     // RowId assignment order: identity or shuffled (BLEND(rand)).
-    order.resize(rows);
-    for (size_t r = 0; r < rows; ++r) order[r] = static_cast<int32_t>(r);
     if (options.shuffle_rows) {
-      Rng rng(TableShuffleSeed(options.shuffle_seed, tid));
-      rng.Shuffle(&order);
-      (*row_maps)[static_cast<size_t>(tid)] = order;
+      order = ShuffledRowOrder(options.shuffle_seed, tid, rows);
+    } else {
+      order.resize(rows);
+      for (size_t r = 0; r < rows; ++r) order[r] = static_cast<int32_t>(r);
     }
 
     row_ids.resize(cols);
@@ -410,7 +407,6 @@ PodVector<CellId> MergeShards(const std::vector<Shard>& shards, size_t num_flat,
 IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   IndexBundle bundle;
   bundle.layout_ = options_.layout;
-  if (options_.shuffle_rows) bundle.row_maps_.resize(lake.NumTables());
 
   // 0 = one per hardware thread; negative values clamp to serial rather than
   // silently selecting maximum parallelism. The shard geometry is fixed by
@@ -433,7 +429,7 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   }
   RecordSink sink(options_.layout, num_records);
   sched->ParallelFor(shards.size(), [&](size_t s) {
-    IndexShard(lake, options_, &shards[s], &sink, &bundle.row_maps_);
+    IndexShard(lake, options_, &shards[s], &sink);
   });
 
   size_t num_flat = 0;
@@ -461,15 +457,6 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   } else {
     bundle.column_store_.Build(std::move(sink.columns), num_cells,
                                lake.NumTables(), want, sched);
-  }
-  if (options_.serve_compressed) {
-    // Encoded bytes are a pure function of the lists, so the transcode is
-    // byte-identical for every pool size.
-    if (options_.layout == StoreLayout::kRow) {
-      bundle.row_store_.CompressPostings(Scheduler::Default());
-    } else {
-      bundle.column_store_.CompressPostings(Scheduler::Default());
-    }
   }
   return bundle;
 }

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <variant>
+#include <vector>
 
 #include "index/all_tables.h"
 #include "storage/data_lake.h"
@@ -33,17 +35,16 @@ struct IndexBuildOptions {
   /// as there are threads. The built index, and its snapshot bytes, are
   /// identical for every thread count.
   int num_threads = 0;
-  /// In-memory compressed serving: after the store is built, transcode its
-  /// postings to the block-compressed codec and serve queries straight off
-  /// the encoded form (every access path reads through the
-  /// PostingListRef/PostingCursor seam, so results are byte-identical).
-  /// Shrinks the resident posting footprint ~2.4× on the bench lake.
-  bool serve_compressed = false;
 };
 
-/// The built unified index: dictionary + one physical store + the per-table
-/// map from indexed RowId back to the lake table's original row (identity
-/// unless shuffle_rows).
+/// The order in which a shuffle_rows build indexes the `rows` rows of table
+/// `t`: RowId r holds lake row order[r]. A pure function of its arguments, so
+/// a shard permutes its tables without knowing the others.
+std::vector<int32_t> ShuffledRowOrder(uint64_t seed, TableId t, size_t rows);
+
+/// The built unified index: dictionary + one physical store. Every seeker
+/// answers from it alone; a record's RowId is its row's only id, in
+/// shuffled builds too.
 class IndexBundle {
  public:
   const Dictionary& dictionary() const { return dict_; }
@@ -51,26 +52,6 @@ class IndexBundle {
   StoreLayout layout() const { return layout_; }
   const RowStore& row_store() const { return row_store_; }
   const ColumnStore& column_store() const { return column_store_; }
-
-  /// Original lake row for (table, indexed row id). Identity when the index
-  /// was built without shuffle_rows. Contract: an out-of-range table id or a
-  /// negative row id returns kInvalidRow instead of reading out of bounds
-  /// (callers combine ids from postings and user input; a bad id must surface
-  /// as "no such row", not undefined behavior). The row upper bound is only
-  /// checkable against the shuffle maps; identity bundles do not record
-  /// per-table row counts, so there a too-large row id maps to itself.
-  int32_t OriginalRow(TableId t, int32_t indexed_row) const {
-    if (t < 0 || static_cast<size_t>(t) >= NumTables() || indexed_row < 0) {
-      return kInvalidRow;
-    }
-    if (row_maps_.empty()) return indexed_row;
-    const std::vector<int32_t>& m = row_maps_[static_cast<size_t>(t)];
-    if (static_cast<size_t>(indexed_row) >= m.size()) return kInvalidRow;
-    return m[static_cast<size_t>(indexed_row)];
-  }
-
-  /// Sentinel returned by OriginalRow for ids outside the indexed lake.
-  static constexpr int32_t kInvalidRow = -1;
 
   size_t NumRecords() const {
     return layout_ == StoreLayout::kRow ? row_store_.NumRecords()
@@ -96,7 +77,6 @@ class IndexBundle {
   StoreLayout layout_ = StoreLayout::kColumn;
   RowStore row_store_;
   ColumnStore column_store_;
-  std::vector<std::vector<int32_t>> row_maps_;  // empty => identity
   /// Keeps the mapped snapshot file alive for view-mode bundles; null for
   /// built or heap-loaded bundles.
   std::shared_ptr<const SnapshotStorage> storage_;

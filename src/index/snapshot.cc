@@ -26,7 +26,6 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'L', 'E', 'N', 'D', 'S', 'N', 'P'};
 constexpr uint32_t kEndianMarker = 0x01020304u;
-constexpr uint32_t kFlagRowMaps = 1u << 0;
 /// Bits 8..15 of the header flags: the PostingCodec id of the postings
 /// payload (v2). Zero in v1 files, which predate the codec subsystem.
 constexpr uint32_t kFlagCodecShift = 8;
@@ -54,8 +53,8 @@ enum SectionId : uint32_t {
   kSecPostingPositions = 11,
   kSecTableRanges = 12,
   kSecQuadrantPositions = 13,
-  kSecRowMapOffsets = 14,  // shuffled builds only
-  kSecRowMapValues = 15,
+  // 14 and 15 are retired: older writers stored shuffled builds' row maps
+  // there, which the reader skips like any unknown section. Do not reuse.
   kSecDictHash = 16,
   kSecPostingPartitions = 17,  // compressed codec only
   kSecPostingBlob = 18,
@@ -76,8 +75,6 @@ const char* SectionName(uint32_t id) {
     case kSecPostingPositions: return "PostingPositions";
     case kSecTableRanges: return "TableRanges";
     case kSecQuadrantPositions: return "QuadrantPositions";
-    case kSecRowMapOffsets: return "RowMapOffsets";
-    case kSecRowMapValues: return "RowMapValues";
     case kSecDictHash: return "DictHash";
     case kSecPostingPartitions: return "PostingPartitions";
     case kSecPostingBlob: return "PostingBlob";
@@ -171,8 +168,8 @@ uint64_t SectionChecksum(const uint8_t* p, size_t n, Scheduler* sched) {
 }
 
 /// One payload to serialize: either a window over memory the bundle already
-/// owns (dictionary and store arrays) or bytes staged for the file (row
-/// maps, padding-zeroed records, transcoded postings).
+/// owns (dictionary and store arrays) or bytes staged for the file
+/// (padding-zeroed records, transcoded postings).
 struct SectionSpec {
   uint32_t id = 0;
   const uint8_t* data = nullptr;
@@ -551,20 +548,6 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   specs.emplace_back().View(kSecTableRanges, secondary->table_ranges);
   specs.emplace_back().View(kSecQuadrantPositions, secondary->quadrant_positions);
 
-  if (!bundle.row_maps_.empty()) {
-    g.flags |= kFlagRowMaps;
-    std::vector<uint64_t> offsets(bundle.row_maps_.size() + 1, 0);
-    for (size_t t = 0; t < bundle.row_maps_.size(); ++t) {
-      offsets[t + 1] = offsets[t] + bundle.row_maps_[t].size();
-    }
-    std::vector<int32_t> values;
-    values.reserve(offsets.back());
-    for (const auto& m : bundle.row_maps_) {
-      values.insert(values.end(), m.begin(), m.end());
-    }
-    specs.emplace_back().Stage(kSecRowMapOffsets, StagePod(offsets));
-    specs.emplace_back().Stage(kSecRowMapValues, StagePod(values));
-  }
   return g;
 }
 
@@ -652,12 +635,6 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
   sizes.insert(sizes.end(),
                {secondary.table_ranges.size() * sizeof(RecordPos),
                 secondary.quadrant_positions.size() * sizeof(RecordPos)});
-  if (!bundle.row_maps_.empty()) {
-    size_t rows = 0;
-    for (const auto& m : bundle.row_maps_) rows += m.size();
-    sizes.push_back((bundle.row_maps_.size() + 1) * sizeof(uint64_t));
-    sizes.push_back(rows * sizeof(int32_t));
-  }
 
   size_t off = sizeof(FileHeader) + sizes.size() * sizeof(SectionEntry);
   for (size_t s : sizes) off = Align8(off) + s;
@@ -1266,34 +1243,6 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     BLEND_RETURN_NOT_OK(bundle.layout_ == StoreLayout::kRow
                             ? ValidateStoreOrder(bundle.row_store_, sched)
                             : ValidateStoreOrder(bundle.column_store_, sched));
-  }
-
-  // Row maps (shuffled builds): always materialized per table on the heap;
-  // OriginalRow's per-table vectors are not a fixed-width array.
-  if ((header.flags & kFlagRowMaps) != 0) {
-    BLEND_ASSIGN_OR_RETURN(auto offsets, (SectionArray<uint64_t>(
-                                             st, parsed, kSecRowMapOffsets,
-                                             num_tables + 1)));
-    const uint64_t value_count =
-        parsed.Has(kSecRowMapValues)
-            ? parsed.SectionSize(kSecRowMapValues) / sizeof(int32_t)
-            : 0;
-    BLEND_ASSIGN_OR_RETURN(auto values, (SectionArray<int32_t>(
-                                            st, parsed, kSecRowMapValues,
-                                            value_count)));
-    BLEND_RETURN_NOT_OK(ValidateCsr(offsets, value_count, "row map"));
-    if (!ParallelAllOf(values.size(), sched,
-                       [&](size_t i) { return values[i] >= 0; })) {
-      return Corrupt("negative original-row id in a row map");
-    }
-    bundle.row_maps_.resize(static_cast<size_t>(num_tables));
-    for (uint64_t t = 0; t < num_tables; ++t) {
-      bundle.row_maps_[t].assign(values.begin() + static_cast<size_t>(offsets[t]),
-                                 values.begin() +
-                                     static_cast<size_t>(offsets[t + 1]));
-    }
-  } else if (parsed.Has(kSecRowMapOffsets) || parsed.Has(kSecRowMapValues)) {
-    return Corrupt("row map sections present but the header flag is unset");
   }
 
   if (zero_copy) bundle.storage_ = std::move(storage);

@@ -31,10 +31,12 @@ namespace blend {
 ///
 /// Sections: dictionary (CSR offsets + string blob), the active store's
 /// primary arrays (the row layout's IndexRecord array, or the column
-/// layout's six SoA arrays), the shared secondary indexes (CSR postings,
-/// table ranges, quadrant positions), and — for shuffled builds — the CSR
-/// row maps. Unknown trailing section ids are ignored on load, so the
-/// version only needs to bump when existing sections change shape.
+/// layout's six SoA arrays) and the shared secondary indexes (CSR postings,
+/// table ranges, quadrant positions). Unknown section ids are ignored on
+/// load (after their bounds and checksum checks), so the version only needs
+/// to bump when existing sections change shape. Shuffled builds of older
+/// writers carry two such sections, row maps back to the lake, which
+/// nothing reads: their RowIds are the shuffled ones either way.
 ///
 /// Format v2 adds a postings codec: bits 8..15 of the header flags carry a
 /// PostingCodec id. With the raw codec (id 0) the postings payload is the
@@ -59,8 +61,7 @@ namespace blend {
 ///   - `OpenSnapshot` mmaps the file and binds the fixed-width arrays
 ///     (records/columns, postings, table ranges, row positions, and the
 ///     dictionary's offsets/blob/precomputed hash table) as zero-copy views
-///     into the mapping; only the per-table row maps of shuffled builds are
-///     materialized on the heap. The bundle keeps the mapping alive.
+///     into the mapping. The bundle keeps the mapping alive.
 ///
 /// Every malformed input — short file, bad magic, future version, foreign
 /// endianness, misaligned or out-of-bounds section, checksum mismatch,

@@ -654,70 +654,6 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 // Lookup join on the (TableId, RowId) store order.
 // ---------------------------------------------------------------------------
 
-/// First position in [lo, hi) where `after` holds, for a predicate that is
-/// false and then true along the range. Gallops from `guess` (in [lo, hi])
-/// in doubling steps towards the boundary, then binary-searches the bracket
-/// it found: O(log d) probes for a boundary d positions from the guess.
-template <typename Pred>
-RecordPos GallopPartition(RecordPos lo, RecordPos hi, RecordPos guess,
-                          const Pred& after) {
-  size_t step = 1;
-  if (guess < hi && !after(guess)) {
-    lo = guess + 1;
-    while (step <= hi - lo) {
-      const RecordPos probe = lo + static_cast<RecordPos>(step - 1);
-      if (after(probe)) {
-        hi = probe;
-        break;
-      }
-      lo = probe + 1;
-      step *= 2;
-    }
-  } else {
-    hi = guess;
-    while (step <= hi - lo) {
-      const RecordPos probe = hi - static_cast<RecordPos>(step);
-      if (!after(probe)) {
-        lo = probe + 1;
-        break;
-      }
-      hi = probe;
-      step *= 2;
-    }
-  }
-  while (lo < hi) {
-    const RecordPos mid = lo + (hi - lo) / 2;
-    if (after(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
-
-/// The record group [first, end) of row `r` of table `t`. Records are
-/// emitted table-major, row-major, so rows ascend within the table's range
-/// and a row past the table's last one resolves to the empty group at the
-/// next table's first position. The rows of a table run from 0 to its last
-/// record's row, so the group's start is first guessed by interpolating `r`
-/// over the range and then galloped to; its end is galloped to from the
-/// start, so a wide row costs O(log width) probes.
-template <typename Store>
-std::pair<RecordPos, RecordPos> JoinKeyGroup(const Store& store, TableId t, int32_t r) {
-  const auto [lo, hi] = store.TableRange(t);
-  if (lo == hi) return {lo, hi};
-  const auto last = static_cast<uint64_t>(store.row(hi - 1));
-  const auto row = static_cast<uint64_t>(r);
-  if (row > last) return {hi, hi};
-  const RecordPos guess = lo + static_cast<RecordPos>((hi - lo) * row / (last + 1));
-  const RecordPos first =
-      GallopPartition(lo, hi, guess, [&](RecordPos p) { return store.row(p) >= r; });
-  const RecordPos end =
-      GallopPartition(first, hi, first, [&](RecordPos p) { return store.row(p) > r; });
-  return {first, end};
-}
-
 /// Whether a join step runs as a lookup join: its ON equates TableId with
 /// TableId and RowId with RowId, and its relation's access path scans in
 /// ascending position (the clustered TableId index, the Quadrant partial

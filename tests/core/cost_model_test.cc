@@ -71,7 +71,7 @@ TEST(CostModelTrainerTest, TrainsOnLake) {
   CostModelTrainer::Options opts;
   opts.samples_per_type = 10;
   CostModelTrainer trainer(opts);
-  auto model = trainer.Train(blend.context());
+  auto model = trainer.Train(lake, blend.context());
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_TRUE(model.value().IsTrained(Seeker::Type::kSC));
   EXPECT_TRUE(model.value().IsTrained(Seeker::Type::kKW));

@@ -1,6 +1,7 @@
 #include "core/seeker.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -296,11 +297,28 @@ TableList BruteForceMc(const DataLake& lake,
   return out;
 }
 
+/// A Blend over `lake` built with `opts`. With `compressed` it serves
+/// block-compressed postings: the built index round-trips through a
+/// compressed snapshot, opened without the lake.
+std::unique_ptr<Blend> MakeBlend(const DataLake& lake, Blend::Options opts,
+                                 bool compressed) {
+  if (!compressed) return std::make_unique<Blend>(&lake, opts);
+  opts.snapshot_codec = PostingCodec::kCompressed;
+  const std::string path = ::testing::TempDir() + "blend_seeker_" +
+                           std::to_string(getpid()) + ".snapshot";
+  EXPECT_TRUE(Blend(&lake, opts).SaveSnapshot(path).ok());
+  auto opened = Blend::OpenSnapshot(path, nullptr, opts);
+  std::remove(path.c_str());
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(opened).take() : nullptr;
+}
+
 TEST(SeekerTest, McMatchesBruteForceOracle) {
   // Two- and three-column tuples, k below and above the number of joinable
   // tables, no rewrite and the optimizer's TableId IN rewrite, on both
-  // layouts with raw and compressed in-memory postings: the seeker must
-  // reproduce the oracle's tables and row counts exactly.
+  // layouts, with rows indexed in lake or shuffled order, serving raw or
+  // compressed postings: the seeker must reproduce the oracle's tables and
+  // row counts exactly.
   lakegen::McLakeSpec spec;
   spec.num_tables = 60;
   spec.num_pair_domains = 4;
@@ -333,53 +351,57 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
   size_t checked = 0;
   uint64_t rejected = 0;
   for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
-    for (bool compressed : {false, true}) {
-      Blend::Options opts;
-      opts.layout = layout;
-      opts.serve_compressed = compressed;
-      Blend blend(&lake, opts);
-      for (size_t q = 0; q < queries.size(); ++q) {
-        const auto& tuples = queries[q];
-        const TableList all =
-            BruteForceMc(lake, tuples, -1, [](TableId) { return true; });
-        ASSERT_GT(all.size(), 5u) << "query " << q << " joins too few tables";
-        // The rewrite list: every other table the unrestricted oracle ranks,
-        // plus one table no tuple joins.
-        std::set<TableId> listed;
-        for (size_t i = 0; i < all.size(); i += 2) listed.insert(all[i].table);
-        const auto ranked = IdSet(all);
-        for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
-          if (ranked.count(t) == 0) {
-            listed.insert(t);
-            break;
-          }
-        }
-        std::string ids;
-        for (TableId t : listed) ids += (ids.empty() ? "" : ",") + std::to_string(t);
-        const std::vector<std::pair<std::string, std::function<bool(TableId)>>>
-            rewrites = {
-                {"", [](TableId) { return true; }},
-                {"AND TableId IN (" + ids + ")",
-                 [&](TableId t) { return listed.count(t) > 0; }},
-            };
-        for (int k : {5, -1}) {
-          MCSeeker mc(tuples, k);
-          for (const auto& [rewrite, keep] : rewrites) {
-            SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
-                         " compressed=" + std::to_string(compressed) +
-                         " q=" + std::to_string(q) + " k=" + std::to_string(k) +
-                         " rewrite=" + rewrite);
-            const TableList want = BruteForceMc(lake, tuples, k, keep);
-            MCExecutionStats stats;
-            auto got = mc.Execute(blend.context(), rewrite, &stats);
-            ASSERT_TRUE(got.ok()) << got.status().ToString();
-            ASSERT_EQ(got.value().size(), want.size());
-            for (size_t i = 0; i < want.size(); ++i) {
-              EXPECT_EQ(got.value()[i].table, want[i].table) << "rank " << i;
-              EXPECT_EQ(got.value()[i].score, want[i].score) << "rank " << i;
+    for (bool shuffle : {false, true}) {
+      for (bool compressed : {false, true}) {
+        Blend::Options opts;
+        opts.layout = layout;
+        opts.shuffle_rows = shuffle;
+        const std::unique_ptr<Blend> blend = MakeBlend(lake, opts, compressed);
+        ASSERT_NE(blend, nullptr);
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const auto& tuples = queries[q];
+          const TableList all =
+              BruteForceMc(lake, tuples, -1, [](TableId) { return true; });
+          ASSERT_GT(all.size(), 5u) << "query " << q << " joins too few tables";
+          // The rewrite list: every other table the unrestricted oracle ranks,
+          // plus one table no tuple joins.
+          std::set<TableId> listed;
+          for (size_t i = 0; i < all.size(); i += 2) listed.insert(all[i].table);
+          const auto ranked = IdSet(all);
+          for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+            if (ranked.count(t) == 0) {
+              listed.insert(t);
+              break;
             }
-            checked += want.size();
-            rejected += stats.false_positives;
+          }
+          std::string ids;
+          for (TableId t : listed) ids += (ids.empty() ? "" : ",") + std::to_string(t);
+          const std::vector<std::pair<std::string, std::function<bool(TableId)>>>
+              rewrites = {
+                  {"", [](TableId) { return true; }},
+                  {"AND TableId IN (" + ids + ")",
+                   [&](TableId t) { return listed.count(t) > 0; }},
+              };
+          for (int k : {5, -1}) {
+            MCSeeker mc(tuples, k);
+            for (const auto& [rewrite, keep] : rewrites) {
+              SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                           " shuffle=" + std::to_string(shuffle) +
+                           " compressed=" + std::to_string(compressed) +
+                           " q=" + std::to_string(q) + " k=" + std::to_string(k) +
+                           " rewrite=" + rewrite);
+              const TableList want = BruteForceMc(lake, tuples, k, keep);
+              MCExecutionStats stats;
+              auto got = mc.Execute(blend->context(), rewrite, &stats);
+              ASSERT_TRUE(got.ok()) << got.status().ToString();
+              ASSERT_EQ(got.value().size(), want.size());
+              for (size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got.value()[i].table, want[i].table) << "rank " << i;
+                EXPECT_EQ(got.value()[i].score, want[i].score) << "rank " << i;
+              }
+              checked += want.size();
+              rejected += stats.false_positives;
+            }
           }
         }
       }
@@ -425,9 +447,9 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
   // Keywords from two random columns (so scores spread and tie), a case and
   // whitespace variant of one, and a keyword no table holds; k below and
   // above the number of matching tables; no rewrite and the optimizer's
-  // TableId IN / NOT IN rewrites; both layouts with raw and compressed
-  // in-memory postings: the seeker must reproduce the oracle's tables and
-  // scores exactly.
+  // TableId IN / NOT IN rewrites; both layouts serving raw or compressed
+  // postings: the seeker must reproduce the oracle's tables and scores
+  // exactly.
   lakegen::JoinLakeSpec spec;
   spec.num_tables = 80;
   spec.num_domains = 5;
@@ -454,8 +476,8 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
     for (bool compressed : {false, true}) {
       Blend::Options opts;
       opts.layout = layout;
-      opts.serve_compressed = compressed;
-      Blend blend(&lake, opts);
+      const std::unique_ptr<Blend> blend = MakeBlend(lake, opts, compressed);
+      ASSERT_NE(blend, nullptr);
       for (size_t q = 0; q < queries.size(); ++q) {
         const auto& keywords = queries[q];
         const TableList all =
@@ -490,7 +512,7 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
                          " q=" + std::to_string(q) + " k=" + std::to_string(k) +
                          " rewrite=" + rewrite);
             const TableList want = BruteForceKw(lake, keywords, k, keep);
-            auto got = kw.Execute(blend.context(), rewrite);
+            auto got = kw.Execute(blend->context(), rewrite);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             ASSERT_EQ(got.value().size(), want.size());
             for (size_t i = 0; i < want.size(); ++i) {

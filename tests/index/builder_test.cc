@@ -50,8 +50,8 @@ void ExpectStoresEqual(const Store& a, const Store& b, size_t num_cells) {
   ASSERT_EQ(a.ApproxBytes(), b.ApproxBytes());
 }
 
-/// Full bit-identity: same dictionary ids, records, secondary indexes, row
-/// maps and footprint.
+/// Full bit-identity: same dictionary ids, records, secondary indexes and
+/// footprint.
 void ExpectBundlesIdentical(const IndexBundle& a, const IndexBundle& b) {
   ASSERT_EQ(a.layout(), b.layout());
   ASSERT_EQ(a.dictionary().Size(), b.dictionary().Size());
@@ -62,14 +62,6 @@ void ExpectBundlesIdentical(const IndexBundle& a, const IndexBundle& b) {
     ExpectStoresEqual(a.row_store(), b.row_store(), a.dictionary().Size());
   } else {
     ExpectStoresEqual(a.column_store(), b.column_store(), a.dictionary().Size());
-  }
-  for (RecordPos i = 0; i < a.NumRecords(); ++i) {
-    TableId t = a.layout() == StoreLayout::kRow ? a.row_store().table(i)
-                                                : a.column_store().table(i);
-    int32_t r = a.layout() == StoreLayout::kRow ? a.row_store().row(i)
-                                                : a.column_store().row(i);
-    ASSERT_EQ(a.OriginalRow(t, r), b.OriginalRow(t, r))
-        << "table " << t << " row " << r;
   }
   ASSERT_EQ(a.ApproxBytes(), b.ApproxBytes());
 }
@@ -201,27 +193,41 @@ TEST(IndexBuilderTest, SuperKeyConsistentWithinRow) {
 }
 
 TEST(IndexBuilderTest, ShuffledRowsMapBackToOriginals) {
+  // RowId r of a shuffled table holds lake row ShuffledRowOrder(...)[r].
   auto fig1 = lakegen::MakeFig1Lake();
   IndexBuildOptions opts;
   opts.shuffle_rows = true;
   opts.shuffle_seed = 5;
   IndexBundle bundle = IndexBuilder(opts).Build(fig1.lake);
   const auto& store = bundle.column_store();
+  bool moved = false;
   for (size_t i = 0; i < store.NumRecords(); ++i) {
     TableId t = store.table(i);
-    int32_t orig = bundle.OriginalRow(t, store.row(i));
     const Table& table = fig1.lake.table(t);
+    const std::vector<int32_t> order = ShuffledRowOrder(opts.shuffle_seed, t,
+                                                        table.NumRows());
+    int32_t orig = order[static_cast<size_t>(store.row(i))];
+    moved = moved || orig != store.row(i);
     std::string_view indexed = bundle.dictionary().Value(store.cell(i));
     // The indexed cell must equal the normalized original cell.
     EXPECT_EQ(indexed, NormalizeCell(table.At(static_cast<size_t>(orig),
                                               static_cast<size_t>(store.column(i)))));
   }
+  EXPECT_TRUE(moved);  // the shuffle permuted some row
 }
 
 TEST(IndexBuilderTest, IdentityRowMapWithoutShuffle) {
+  // Without shuffle_rows, RowId r holds lake row r.
   auto fig1 = lakegen::MakeFig1Lake();
   IndexBundle bundle = IndexBuilder().Build(fig1.lake);
-  EXPECT_EQ(bundle.OriginalRow(0, 3), 3);
+  const auto& store = bundle.column_store();
+  ASSERT_GT(store.NumRecords(), 0u);
+  for (size_t i = 0; i < store.NumRecords(); ++i) {
+    const Table& table = fig1.lake.table(store.table(i));
+    EXPECT_EQ(bundle.dictionary().Value(store.cell(i)),
+              NormalizeCell(table.At(static_cast<size_t>(store.row(i)),
+                                     static_cast<size_t>(store.column(i)))));
+  }
 }
 
 TEST(IndexBuilderTest, QuadrantPositionsIndexIsComplete) {
@@ -373,9 +379,11 @@ TEST(IndexBuilderTest, MatchesFirstAppearanceOracle) {
           for (size_t c = 0; c < table.NumColumns(); ++c) {
             if (table.column(c).IsNumeric()) means[c] = table.column(c).NumericMean();
           }
+          const std::vector<int32_t> order = ShuffledRowOrder(opts.shuffle_seed, t,
+                                                              table.NumRows());
           std::vector<bool> seen_row(table.NumRows(), false);
           for (size_t row = 0; row < table.NumRows(); ++row) {
-            const int32_t src = bundle.OriginalRow(t, static_cast<int32_t>(row));
+            const int32_t src = shuffle ? order[row] : static_cast<int32_t>(row);
             ASSERT_GE(src, 0);
             ASSERT_LT(static_cast<size_t>(src), table.NumRows());
             ASSERT_FALSE(seen_row[static_cast<size_t>(src)]) << "row map repeats";
@@ -454,9 +462,11 @@ TEST(IndexBuilderTest, SnapshotBytesIdenticalForEveryThreadCount) {
   // Fnv1a64 digests of two configurations' files, recorded before the
   // secondary indexes were built in parallel: the bytes stay pinned across
   // commits, not just across thread counts. A deliberate format change
-  // re-records them. (The format is native-endian; recorded on x86-64.)
+  // re-records them. The shuffled one was re-recorded when the writer
+  // stopped emitting row maps; every remaining section's checksum was
+  // unchanged. (The format is native-endian; recorded on x86-64.)
   const uint64_t kJoin40ColumnCompressed = 0x79DE52B85413B425ULL;
-  const uint64_t kOracleRowShuffledRaw = 0xDA8A6C121BE28747ULL;
+  const uint64_t kOracleRowShuffledRaw = 0x4F61E8F766675800ULL;
 
   const std::vector<PostingCodec> codecs = {PostingCodec::kRaw,
                                             PostingCodec::kCompressed};
@@ -495,31 +505,38 @@ TEST(IndexBuilderTest, SnapshotBytesIdenticalForEveryThreadCount) {
   }
 }
 
-TEST(IndexBuilderTest, OriginalRowRejectsOutOfRangeIds) {
+TEST(IndexBuilderTest, JoinKeyGroupOfOutOfRangeIdsIsEmpty) {
+  // Callers combine ids from user input and postings: a bad table or row id
+  // must read as a row with no records, not out of bounds.
   auto fig1 = lakegen::MakeFig1Lake();
-  IndexBuildOptions opts;
-  opts.shuffle_rows = true;
-  IndexBundle bundle = IndexBuilder(opts).Build(fig1.lake);
-  const auto num_tables = static_cast<TableId>(bundle.NumTables());
-  const auto rows0 = static_cast<int32_t>(fig1.lake.table(0).NumRows());
-
-  // Out-of-range table ids.
-  EXPECT_EQ(bundle.OriginalRow(-1, 0), IndexBundle::kInvalidRow);
-  EXPECT_EQ(bundle.OriginalRow(num_tables, 0), IndexBundle::kInvalidRow);
-  // Out-of-range row ids.
-  EXPECT_EQ(bundle.OriginalRow(0, -1), IndexBundle::kInvalidRow);
-  EXPECT_EQ(bundle.OriginalRow(0, rows0), IndexBundle::kInvalidRow);
-  // In-range ids still resolve to a valid original row.
-  int32_t orig = bundle.OriginalRow(0, 0);
-  EXPECT_GE(orig, 0);
-  EXPECT_LT(orig, rows0);
-
-  // Identity (unshuffled) bundles validate the table id and row sign too.
-  IndexBundle identity = IndexBuilder().Build(fig1.lake);
-  EXPECT_EQ(identity.OriginalRow(-1, 0), IndexBundle::kInvalidRow);
-  EXPECT_EQ(identity.OriginalRow(num_tables, 0), IndexBundle::kInvalidRow);
-  EXPECT_EQ(identity.OriginalRow(0, -1), IndexBundle::kInvalidRow);
-  EXPECT_EQ(identity.OriginalRow(0, 2), 2);
+  for (bool shuffle : {false, true}) {
+    SCOPED_TRACE("shuffle=" + std::to_string(shuffle));
+    IndexBuildOptions opts;
+    opts.shuffle_rows = shuffle;
+    IndexBundle bundle = IndexBuilder(opts).Build(fig1.lake);
+    const auto& store = bundle.column_store();
+    const auto num_tables = static_cast<TableId>(bundle.NumTables());
+    const auto rows0 = static_cast<int32_t>(fig1.lake.table(0).NumRows());
+    auto width = [&](TableId t, int32_t r) {
+      const auto [lo, hi] = JoinKeyGroup(store, t, r);
+      EXPECT_LE(lo, hi);
+      EXPECT_LE(hi, store.NumRecords());
+      return hi - lo;
+    };
+    EXPECT_EQ(width(-1, 0), 0u);
+    EXPECT_EQ(width(num_tables, 0), 0u);
+    EXPECT_EQ(width(0, -1), 0u);
+    EXPECT_EQ(width(0, rows0), 0u);
+    // Every in-range row resolves to its own records, one per column.
+    for (int32_t r = 0; r < rows0; ++r) {
+      const auto [lo, hi] = JoinKeyGroup(store, 0, r);
+      EXPECT_EQ(hi - lo, fig1.lake.table(0).NumColumns()) << "row " << r;
+      for (RecordPos p = lo; p < hi; ++p) {
+        EXPECT_EQ(store.table(p), 0);
+        EXPECT_EQ(store.row(p), r);
+      }
+    }
+  }
 }
 
 TEST(IndexBuilderTest, ApproxBytesPositiveAndLayoutDependent) {

@@ -13,7 +13,10 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/blend.h"
+#include "lakegen/correlation_lake.h"
 #include "lakegen/join_lake.h"
+#include "lakegen/mc_lake.h"
+#include "lakegen/union_lake.h"
 #include "lakegen/workloads.h"
 #include "sql/engine.h"
 
@@ -67,12 +70,6 @@ void ExpectBundlesIdentical(const IndexBundle& a, const IndexBundle& b) {
     ExpectStoresEqual(a.row_store(), b.row_store(), a.dictionary().Size());
   } else {
     ExpectStoresEqual(a.column_store(), b.column_store(), a.dictionary().Size());
-  }
-  for (TableId t = 0; t < static_cast<TableId>(a.NumTables()); ++t) {
-    for (int32_t r = -1; r < 40; ++r) {
-      ASSERT_EQ(a.OriginalRow(t, r), b.OriginalRow(t, r))
-          << "table " << t << " row " << r;
-    }
   }
 }
 
@@ -241,6 +238,64 @@ TEST(SnapshotTest, RoundTripIsBitIdentical) {
   }
 }
 
+TEST(SnapshotTest, OlderShuffledFilesWithRowMapsStillOpen) {
+  // Older writers stored a shuffled build's map back to the lake rows as
+  // sections 14 and 15 and set header flag bit 0. Readers skip both: the
+  // RowIds in those files are the shuffled ones already. Forge such a file
+  // from a current one and open it on both load paths.
+  DataLake lake = TestLake();
+  IndexBundle built = BuildBundle(lake, StoreLayout::kRow, /*shuffle=*/true);
+  const std::string path = TempPath("legacy");
+  ASSERT_TRUE(WriteSnapshot(built, path, SnapshotOptions()).ok());
+  const std::vector<uint8_t> current = Slurp(path);
+  const std::vector<SectionInfo> sections = ParseSectionTable(current);
+
+  // Two more section entries move every payload by 64 bytes (alignment kept);
+  // the row-map payloads go at the end.
+  const size_t table_end = kHeaderSize + sections.size() * kSectionEntrySize;
+  const size_t shift = 2 * kSectionEntrySize;
+  std::vector<uint8_t> legacy(current.begin(), current.begin() + table_end);
+  legacy.resize(table_end + shift);
+  legacy.insert(legacy.end(), current.begin() + table_end, current.end());
+  for (size_t s = 0; s < sections.size(); ++s) {
+    const uint64_t offset = sections[s].offset + shift;
+    std::memcpy(legacy.data() + kHeaderSize + s * kSectionEntrySize + 8, &offset,
+                sizeof(offset));
+  }
+  // Section 14 held num_tables + 1 CSR offsets, 15 the row ids (none here).
+  const std::vector<uint8_t> map_offsets((built.NumTables() + 1) * sizeof(uint64_t), 0);
+  const std::vector<std::vector<uint8_t>> payloads = {map_offsets, {}};
+  const uint64_t count = sections.size() + 2;
+  std::memcpy(legacy.data() + kSectionCountOffset, &count, sizeof(count));
+  for (uint32_t i = 0; i < 2; ++i) {
+    legacy.resize((legacy.size() + 7) / 8 * 8);
+    const uint32_t id = 14 + i;
+    const uint64_t offset = legacy.size();
+    const uint64_t size = payloads[i].size();
+    legacy.insert(legacy.end(), payloads[i].begin(), payloads[i].end());
+    uint8_t* e = legacy.data() + table_end + i * kSectionEntrySize;
+    std::memcpy(e, &id, sizeof(id));
+    std::memcpy(e + 8, &offset, sizeof(offset));
+    std::memcpy(e + 16, &size, sizeof(size));
+  }
+  uint32_t flags = 0;
+  std::memcpy(&flags, legacy.data() + kFlagsOffset, sizeof(flags));
+  flags |= 1u;
+  std::memcpy(legacy.data() + kFlagsOffset, &flags, sizeof(flags));
+  // The new sections' checksums, then the section table's and the header's.
+  ReforgeSectionChecksum(&legacy, sections.size());
+  ReforgeSectionChecksum(&legacy, sections.size() + 1);
+  Spit(path, legacy);
+
+  for (bool zero_copy : {false, true}) {
+    SCOPED_TRACE("zero_copy=" + std::to_string(zero_copy));
+    auto loaded = zero_copy ? OpenSnapshot(path) : ReadSnapshot(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectBundlesIdentical(built, loaded.value());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, RewrittenSnapshotIsByteIdenticalOnDisk) {
   // The file is a pure function of the index content and the chosen codec:
   // write, load (either path), write again -> identical bytes, including
@@ -314,22 +369,28 @@ TEST(SnapshotTest, CompressedCodecShrinksThePostingsPayload) {
 }
 
 TEST(SnapshotTest, ServeCompressedBundlesReuseEncodedPartitionsOnSave) {
-  // Incremental transcoding: a bundle already serving compressed postings in
-  // memory saves a compressed snapshot by windowing its partitions and blob
-  // verbatim — no re-encode — so the artifact must be byte-identical to the
-  // raw-built twin's compressed write (the encoder is a pure function of the
-  // list values). The raw save of the same bundle pins the reverse
-  // transcode. Byte-identity is the observable contract that the reused and
-  // re-encoded sections can never drift apart.
+  // Incremental transcoding: a bundle already serving compressed postings
+  // (loaded from a compressed snapshot) saves a compressed snapshot by
+  // windowing its partitions and blob verbatim — no re-encode — so the
+  // artifact must be byte-identical to the raw-built twin's compressed write
+  // (the encoder is a pure function of the list values). The raw save of the
+  // same bundle pins the reverse transcode. Byte-identity is the observable
+  // contract that the reused and re-encoded sections can never drift apart.
   DataLake lake = TestLake(31);
   for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
     SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)));
-    IndexBuildOptions raw_opts;
-    raw_opts.layout = layout;
-    IndexBuildOptions comp_opts = raw_opts;
-    comp_opts.serve_compressed = true;
-    IndexBundle raw_built = IndexBuilder(raw_opts).Build(lake);
-    IndexBundle comp_built = IndexBuilder(comp_opts).Build(lake);
+    IndexBundle raw_built = BuildBundle(lake, layout, /*shuffle=*/false);
+    const std::string path_src = TempPath("serve_comp_src");
+    SnapshotOptions comp_snap;
+    comp_snap.codec = PostingCodec::kCompressed;
+    ASSERT_TRUE(WriteSnapshot(raw_built, path_src, comp_snap).ok());
+    auto comp_loaded = ReadSnapshot(path_src);
+    std::remove(path_src.c_str());
+    ASSERT_TRUE(comp_loaded.ok()) << comp_loaded.status().ToString();
+    const IndexBundle& comp_built = comp_loaded.value();
+    const SecondaryIndexes* secondary = &comp_built.column_store().secondary();
+    if (layout == StoreLayout::kRow) secondary = &comp_built.row_store().secondary();
+    ASSERT_EQ(secondary->codec, PostingCodec::kCompressed);
 
     for (PostingCodec codec : {PostingCodec::kCompressed, PostingCodec::kRaw}) {
       SCOPED_TRACE(std::string("codec=") + PostingCodecName(codec));
@@ -444,48 +505,211 @@ TEST(SnapshotTest, BlendOpenSnapshotServesIdenticalPlans) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, BlendOpenSnapshotRejectsMismatchedLake) {
+/// A plan result as text: table ids and full-precision scores in rank order.
+std::string Fingerprint(const Result<core::TableList>& result) {
+  if (!result.ok()) return "ERROR " + result.status().ToString();
+  std::string out;
+  for (const core::ScoredTable& e : result.value()) {
+    char buf[48];
+    snprintf(buf, sizeof(buf), "%d:%.17g,", e.table, e.score);
+    out += buf;
+  }
+  return out;
+}
+
+/// A lake every seeker answers on (composite-key MC tables, composite-key
+/// correlation tables and a union lake) and its probe plans: SC, KW, two-
+/// and three-column MC, correlation, then the five Table III compositions,
+/// each of which finds some table. The plans own copies of their inputs, so
+/// they outlive the lake.
+DataLake MakeServingLake(std::vector<core::Plan>* plans) {
+  DataLake lake("serving");
+  auto append = [&](DataLake* part) {
+    const auto offset = static_cast<TableId>(lake.NumTables());
+    for (size_t i = 0; i < part->NumTables(); ++i) {
+      lake.AddTable(std::move(part->table(static_cast<TableId>(i))));
+    }
+    return offset;
+  };
+  lakegen::McLakeSpec mc;
+  mc.num_tables = 40;
+  mc.seed = 5;
+  lakegen::CorrLakeSpec corr;
+  corr.num_tables = 40;
+  corr.composite_key = true;
+  corr.numeric_key_frac = 0.0;
+  corr.seed = 6;
+  lakegen::UnionLakeSpec uni;
+  uni.num_groups = 3;
+  uni.noise_tables = 6;
+  uni.seed = 7;
+  lakegen::McLake mc_lake = lakegen::MakeMcLake(mc);
+  append(&mc_lake.lake);
+  lakegen::CorrLake corr_lake = lakegen::MakeCorrLake(corr);
+  const TableId corr_offset = append(&corr_lake.lake);
+  lakegen::UnionLake union_lake = lakegen::MakeUnionLake(uni);
+  const TableId union_offset = append(&union_lake.lake);
+  const Table& examples = lake.table(union_offset + union_lake.query_tables[0]);
+
+  Rng rng(11);
+  const int k = 8;
+  auto add = [&](auto&& build) {
+    core::Plan plan;
+    EXPECT_TRUE(build(&plan).ok());
+    plans->push_back(std::move(plan));
+  };
+  namespace tasks = core::tasks;
+  auto seeker = [&](std::shared_ptr<core::Seeker> s) {
+    add([&](core::Plan* plan) { return plan->Add("s", std::move(s)); });
+  };
+  const auto pairs = lakegen::MakeMcQuery(mc, 0, 40, &rng);
+  std::vector<std::vector<std::string>> triples;  // (left, right, payload)
+  for (TableId t = 0; t < static_cast<TableId>(mc.num_tables); t += 3) {
+    const Table& table = lake.table(t);
+    const size_t r = rng.Uniform(table.NumRows());
+    triples.push_back({table.At(r, 0), table.At(r, 1), table.At(r, 2)});
+  }
+  const lakegen::CorrQuery q = lakegen::MakeCorrQuery(corr, 0, false, 60, &rng);
+  // Composite keys (key, key2) of the query's key domain, for the
+  // feature-discovery join.
+  std::vector<std::vector<std::string>> key_tuples;
+  for (size_t t = 0; t < corr_lake.table_domain.size() && key_tuples.size() < 10; ++t) {
+    if (corr_lake.table_domain[t] != 0) continue;
+    const Table& table = lake.table(corr_offset + static_cast<TableId>(t));
+    for (size_t r = 0; r < table.NumRows() && key_tuples.size() < 10; r += 3) {
+      key_tuples.push_back({table.At(r, 0), table.At(r, 1)});
+    }
+  }
+  std::vector<std::string> keywords = {pairs[0][0], pairs[1][1]};
+  for (size_t r = 0; r < 3 && r < examples.NumRows(); ++r) {
+    keywords.push_back(examples.At(r, 0));
+  }
+
+  seeker(std::make_shared<core::SCSeeker>(examples.column(0).cells, k));
+  seeker(std::make_shared<core::KWSeeker>(keywords, k));
+  seeker(std::make_shared<core::MCSeeker>(pairs, k));
+  seeker(std::make_shared<core::MCSeeker>(triples, k));
+  seeker(std::make_shared<core::CorrelationSeeker>(q.keys, q.targets, k));
+  add([&](core::Plan* plan) { return tasks::AddUnionSearch(plan, examples, k); });
+  add([&](core::Plan* plan) {
+    const auto negatives = lakegen::MakeMcQuery(mc, 0, 8, &rng);
+    return tasks::AddNegativeExampleSearch(plan, pairs, negatives, k);
+  });
+  add([&](core::Plan* plan) {
+    std::vector<std::string> queries;
+    for (const auto& t : lakegen::MakeMcQuery(mc, 0, 20, &rng)) queries.push_back(t[0]);
+    return tasks::AddDataImputation(plan, pairs, queries, k);
+  });
+  add([&](core::Plan* plan) {
+    // No existing features: a collinearity filter would drop the lake's
+    // only table correlating with the target, and the probe wants answers.
+    return tasks::AddFeatureDiscovery(plan, q.keys, q.targets, {}, key_tuples, k);
+  });
+  add([&](core::Plan* plan) {
+    return tasks::AddMultiObjective(plan, keywords, examples, q.keys, q.targets, k);
+  });
+  return lake;
+}
+
+TEST(SnapshotTest, BlendOpenSnapshotServesWithoutALake) {
+  // A snapshot answers every seeker type and every composition on its own:
+  // opened with no lake, after the lake it was built from is destroyed, it
+  // returns what the in-memory Blend returned, on both layouts and codecs.
   using core::Blend;
-  auto fig1 = lakegen::MakeFig1Lake();
-  Blend built(&fig1.lake);
+  for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+    for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
+      SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                   " codec=" + PostingCodecName(codec));
+      const std::string path = TempPath("lakeless");
+      std::vector<core::Plan> plans;
+      std::vector<std::string> want;
+      {
+        auto lake = std::make_unique<DataLake>(MakeServingLake(&plans));
+        Blend::Options opts;
+        opts.layout = layout;
+        opts.snapshot_codec = codec;
+        Blend built(lake.get(), opts);
+        ASSERT_TRUE(built.SaveSnapshot(path).ok());
+        for (const core::Plan& plan : plans) {
+          want.push_back(Fingerprint(built.Run(plan)));
+        }
+      }  // the lake and the Blend that indexed it are gone
+      ASSERT_EQ(plans.size(), 10u);
+      for (size_t p = 0; p < plans.size(); ++p) {
+        EXPECT_NE(want[p], "") << "plan " << p << " found no table";
+      }
+      auto opened = Blend::OpenSnapshot(path, nullptr);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      EXPECT_EQ(opened.value()->bundle().layout(), layout);
+      for (size_t p = 0; p < plans.size(); ++p) {
+        EXPECT_EQ(want[p].rfind("ERROR", 0), std::string::npos) << want[p];
+        EXPECT_EQ(Fingerprint(opened.value()->Run(plans[p])), want[p]) << "plan " << p;
+      }
+      std::remove(path.c_str());
+    }
+  }
+}
+
+TEST(SnapshotTest, BlendOpenSnapshotIgnoresAMismatchedLake) {
+  // MC validates candidate rows against the index, not the lake: a lake of
+  // the same shape with other cells, handed to OpenSnapshot, must not
+  // change the answers (neither may no lake at all).
+  using core::Blend;
+  lakegen::McLakeSpec spec;
+  spec.num_tables = 30;
+  spec.seed = 9;
+  lakegen::McLake mc_lake = lakegen::MakeMcLake(spec);
+  Blend built(&mc_lake.lake);
   const std::string path = TempPath("mismatch");
   ASSERT_TRUE(built.SaveSnapshot(path).ok());
 
-  // Wrong table count.
-  DataLake fewer("fewer");
-  {
-    Table t("only");
-    t.AddColumn("c");
-    (void)t.AppendRow({"x"});
-    fewer.AddTable(std::move(t));
+  DataLake other = mc_lake.lake;
+  for (TableId t = 0; t < static_cast<TableId>(other.NumTables()); ++t) {
+    Table& table = other.table(t);
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (std::string& cell : table.column(c).cells) {
+        if (!cell.empty()) cell = "other " + cell;
+      }
+    }
   }
-  auto wrong_count = Blend::OpenSnapshot(path, &fewer);
-  ASSERT_FALSE(wrong_count.ok());
-  EXPECT_EQ(wrong_count.status().code(), StatusCode::kInvalidArgument);
 
-  // Same table count, but a table shrank: indexed rows map past its end.
-  DataLake shorter("shorter");
-  for (size_t t = 0; t < fig1.lake.NumTables(); ++t) {
-    Table trimmed(fig1.lake.table(static_cast<TableId>(t)).name());
-    trimmed.AddColumn("c");
-    (void)trimmed.AppendRow({"x"});
-    shorter.AddTable(std::move(trimmed));
+  Rng rng(3);
+  const auto tuples = lakegen::MakeMcQuery(spec, 0, 40, &rng);
+  core::Plan plan;
+  ASSERT_TRUE(plan.Add("mc", std::make_shared<core::MCSeeker>(tuples, 10)).ok());
+  const std::string want = Fingerprint(built.Run(plan));
+  ASSERT_NE(want, "");
+  ASSERT_EQ(want.rfind("ERROR", 0), std::string::npos) << want;
+  const std::vector<const DataLake*> lakes = {&other, nullptr};
+  for (const DataLake* lake : lakes) {
+    SCOPED_TRACE(lake == nullptr ? "no lake" : "other cells");
+    auto opened = Blend::OpenSnapshot(path, lake);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(Fingerprint(opened.value()->Run(plan)), want);
   }
-  auto stale = Blend::OpenSnapshot(path, &shorter);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stale.status().message().find("does not match the lake"),
-            std::string::npos);
-
-  // The matching lake still opens.
-  ASSERT_TRUE(Blend::OpenSnapshot(path, &fig1.lake).ok());
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, BlendOpenSnapshotRequiresALake) {
-  auto res = core::Blend::OpenSnapshot(TempPath("nolake"), nullptr);
-  ASSERT_FALSE(res.ok());
-  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+TEST(SnapshotTest, TrainCostModelNeedsALake) {
+  // Training samples its inputs from the lake: a Blend opened without one
+  // refuses to train and keeps serving untrained.
+  using core::Blend;
+  auto fig1 = lakegen::MakeFig1Lake();
+  Blend built(&fig1.lake);
+  const std::string path = TempPath("train");
+  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+
+  auto lakeless = Blend::OpenSnapshot(path, nullptr);
+  ASSERT_TRUE(lakeless.ok()) << lakeless.status().ToString();
+  const Status trained = lakeless.value()->TrainCostModel(4);
+  EXPECT_EQ(trained.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(lakeless.value()->cost_model(), nullptr);
+
+  auto with_lake = Blend::OpenSnapshot(path, &fig1.lake);
+  ASSERT_TRUE(with_lake.ok()) << with_lake.status().ToString();
+  EXPECT_TRUE(with_lake.value()->TrainCostModel(4).ok());
+  EXPECT_NE(with_lake.value()->cost_model(), nullptr);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
@@ -30,11 +31,26 @@ std::vector<Scheduler*> TestPools() {
   return pools;
 }
 
+/// `bundle` serving block-compressed postings: round-tripped through a
+/// compressed snapshot and read back onto the heap.
+IndexBundle CompressedTwin(const IndexBundle& bundle) {
+  const std::string path = ::testing::TempDir() + "blend_determinism_" +
+                           std::to_string(getpid()) + ".snapshot";
+  SnapshotOptions opts;
+  opts.codec = PostingCodec::kCompressed;
+  EXPECT_TRUE(WriteSnapshot(bundle, path, opts).ok());
+  auto loaded = ReadSnapshot(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  return loaded.ok() ? std::move(loaded).take() : IndexBundle();
+}
+
 /// Property suite for the engine's determinism contract: for representative
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
 /// {2, 4, hardware}, on both physical layouts, and when the bundle serves
-/// block-compressed postings in memory instead of raw ones.
+/// block-compressed postings (loaded from a compressed snapshot) instead of
+/// raw ones.
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   EngineDeterminismTest() {
@@ -49,12 +65,8 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
     row_opts.layout = StoreLayout::kRow;
     row_bundle_ = IndexBuilder(row_opts).Build(lake_);
     col_bundle_ = IndexBuilder().Build(lake_);
-    IndexBuildOptions row_copts = row_opts;
-    row_copts.serve_compressed = true;
-    row_c_bundle_ = IndexBuilder(row_copts).Build(lake_);
-    IndexBuildOptions col_copts;
-    col_copts.serve_compressed = true;
-    col_c_bundle_ = IndexBuilder(col_copts).Build(lake_);
+    row_c_bundle_ = CompressedTwin(row_bundle_);
+    col_c_bundle_ = CompressedTwin(col_bundle_);
     row_engine_ = std::make_unique<Engine>(&row_bundle_);
     col_engine_ = std::make_unique<Engine>(&col_bundle_);
     row_c_engine_ = std::make_unique<Engine>(&row_c_bundle_);
@@ -537,8 +549,8 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzeReportsPerNodeActuals) {
 
 TEST_P(EngineDeterminismTest, ServeCompressedActuallyServesCompressed) {
   // Guard against the dimension silently testing raw-vs-raw: the
-  // serve_compressed builds must hold block-compressed postings and a
-  // smaller resident index than their raw twins.
+  // compressed twins must hold block-compressed postings and a smaller
+  // resident index than their raw originals.
   EXPECT_EQ(row_c_bundle_.row_store().secondary().codec,
             PostingCodec::kCompressed);
   EXPECT_EQ(col_c_bundle_.column_store().secondary().codec,
@@ -747,9 +759,9 @@ TEST_P(EngineDeterminismTest, LookupJoinEmitsExactlyWhatHashJoinEmits) {
       IndexBuildOptions opts;
       opts.layout = layout;
       opts.shuffle_rows = true;
-      opts.serve_compressed = compressed;
-      shuffled.push_back(
-          std::make_unique<IndexBundle>(IndexBuilder(opts).Build(lake_)));
+      IndexBundle bundle = IndexBuilder(opts).Build(lake_);
+      if (compressed) bundle = CompressedTwin(bundle);
+      shuffled.push_back(std::make_unique<IndexBundle>(std::move(bundle)));
       shuffled_engines.push_back(std::make_unique<Engine>(shuffled.back().get()));
       engines.push_back(shuffled_engines.back().get());
     }
@@ -833,8 +845,9 @@ TEST_P(EngineDeterminismTest, ScanFedAggregateEmitsExactlyWhatRowStreamAggregate
     for (bool compressed : {false, true}) {
       IndexBuildOptions opts;
       opts.layout = layout;
-      opts.serve_compressed = compressed;
-      bundles.push_back(std::make_unique<IndexBundle>(IndexBuilder(opts).Build(lake)));
+      IndexBundle bundle = IndexBuilder(opts).Build(lake);
+      if (compressed) bundle = CompressedTwin(bundle);
+      bundles.push_back(std::make_unique<IndexBundle>(std::move(bundle)));
       engines.push_back(std::make_unique<Engine>(bundles.back().get()));
     }
   }
