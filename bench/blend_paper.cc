@@ -1,0 +1,1382 @@
+// blend_paper: reproduces the evaluation of the BLEND paper (arXiv
+// 2310.02656: Tables III-IX, Figs. 5-7) on synthetic lakes, one scenario per
+// table or figure, and checks the paper's claims.
+//
+//   blend_paper [--smoke] [scenario ...]
+//
+// Each scenario prints its table, then one verdict per claim: asserted claims
+// (exact answers, index sizes, code counts, CI gates) fail the run; reported
+// claims (timing and quality shapes) print "reproduced" or "not reproduced"
+// with the numbers just measured. No scenario named runs them all. `--smoke`
+// runs a quarter of the queries and one timed repetition per measurement.
+// Exits 0 when every asserted claim holds, 1 when one fails, 2 on bad usage.
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <functional>
+#include <set>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
+
+#include "baselines/deepjoin.h"
+#include "baselines/josie.h"
+#include "baselines/mate.h"
+#include "baselines/qcr_sketch.h"
+#include "baselines/starmie.h"
+#include "common/hashing.h"
+#include "common/rng.h"
+#include "common/str_util.h"
+#include "common/table_printer.h"
+#include "common/telemetry.h"
+#include "common/timer.h"
+#include "core/blend.h"
+#include "eval/metrics.h"
+#include "eval/survey.h"
+#include "index/builder.h"
+#include "index/snapshot.h"
+#include "lakegen/correlation_lake.h"
+#include "lakegen/join_lake.h"
+#include "lakegen/mc_lake.h"
+#include "lakegen/union_lake.h"
+#include "lakegen/workloads.h"
+#include "sql/engine.h"
+
+namespace blend::paper {
+namespace {
+
+/// Run settings shared by every scenario.
+struct Config {
+  /// Shorter runs: fewer queries and one timed repetition per measurement.
+  bool smoke = false;
+  /// Timed repetitions per measurement, after one warm-up run.
+  int reps() const { return smoke ? 1 : 3; }
+  /// A scenario's query count, cut to a quarter under --smoke.
+  int Queries(int full) const { return smoke ? (full + 3) / 4 : full; }
+};
+
+/// The verdicts of one run. An asserted claim is one the system guarantees by
+/// construction (exact answers, index sizes, code counts) or a CI gate; it
+/// fails the run when it does not hold. A reported claim (a timing or
+/// quality shape) prints whether this run reproduced it, with the numbers it
+/// measured, and never fails the run.
+class Claims {
+ public:
+  void set_scenario(std::string label) { scenario_ = std::move(label); }
+  void Assert(bool holds, const std::string& claim, const std::string& numbers);
+  void Report(bool holds, const std::string& claim, const std::string& numbers);
+  int failed() const { return failed_; }
+
+ private:
+  std::string scenario_;
+  int failed_ = 0;
+};
+
+void Claims::Assert(bool holds, const std::string& claim, const std::string& numbers) {
+  if (!holds) ++failed_;
+  std::printf("  [assert] %-14s %s: %s (%s)\n", holds ? "holds" : "FAILS",
+              scenario_.c_str(), claim.c_str(), numbers.c_str());
+}
+
+void Claims::Report(bool holds, const std::string& claim, const std::string& numbers) {
+  std::printf("  [report] %-14s %s: %s (%s)\n", holds ? "reproduced" : "not reproduced",
+              scenario_.c_str(), claim.c_str(), numbers.c_str());
+}
+
+/// The value of a call a scenario cannot go on without: its error is a bug,
+/// so it ends the run with the Status.
+void Must(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "blend_paper: %s\n", status.ToString().c_str());
+    std::abort();
+  }
+}
+
+template <typename T>
+T Must(Result<T> result) {
+  if (!result.ok()) Must(result.status());
+  return result.take();
+}
+
+/// Median wall-clock seconds of `reps` runs of `fn`, after one warm-up run.
+double MedianSeconds(const std::function<void()>& fn, int reps) {
+  fn();
+  std::vector<double> seconds;
+  for (int i = 0; i < std::max(1, reps); ++i) {
+    StopWatch sw;
+    fn();
+    seconds.push_back(sw.ElapsedSeconds());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  const size_t n = seconds.size();
+  return n % 2 == 1 ? seconds[n / 2] : (seconds[n / 2 - 1] + seconds[n / 2]) / 2;
+}
+
+/// True when two top-k lists agree up to the order of ties: the same
+/// multiset of scores, and the same tables above the lowest score.
+bool SameTopK(const core::TableList& a, const core::TableList& b) {
+  if (a.size() != b.size()) return false;
+  if (a.empty()) return true;
+  std::vector<double> sa, sb;
+  for (const auto& e : a) sa.push_back(e.score);
+  for (const auto& e : b) sb.push_back(e.score);
+  std::sort(sa.begin(), sa.end());
+  std::sort(sb.begin(), sb.end());
+  auto above = [lowest = sa.front()](const core::TableList& l) {
+    std::unordered_set<TableId> ids;
+    for (const auto& e : l) {
+      if (e.score > lowest) ids.insert(e.table);
+    }
+    return ids;
+  };
+  return sa == sb && above(a) == above(b);
+}
+
+/// Mean precision, recall and MAP at each k over the queries added.
+class Ranking {
+ public:
+  explicit Ranking(std::vector<size_t> ks, bool penalize_missing = false)
+      : ks_(std::move(ks)),
+        penalize_missing_(penalize_missing),
+        p_(ks_.size()),
+        r_(ks_.size()),
+        map_(ks_.size()) {}
+  /// Scores one query's ranked tables; the query's own table is left out.
+  void Add(const core::TableList& ranked, TableId query,
+           const std::unordered_set<int32_t>& relevant);
+  double P(size_t i) const;
+  double R(size_t i) const;
+  double Map(size_t i) const;
+
+ private:
+  std::vector<size_t> ks_;
+  bool penalize_missing_;
+  std::vector<std::vector<double>> p_, r_, map_;
+};
+
+void Ranking::Add(const core::TableList& ranked, TableId query,
+                  const std::unordered_set<int32_t>& relevant) {
+  std::vector<int32_t> ids;
+  for (const auto& e : ranked) {
+    if (e.table != query) ids.push_back(e.table);
+  }
+  for (size_t i = 0; i < ks_.size(); ++i) {
+    p_[i].push_back(eval::PrecisionAtK(ids, relevant, ks_[i], penalize_missing_));
+    r_[i].push_back(eval::RecallAtK(ids, relevant, ks_[i]));
+    map_[i].push_back(eval::AveragePrecisionAtK(ids, relevant, ks_[i]));
+  }
+}
+
+double Ranking::P(size_t i) const { return eval::Mean(p_[i]); }
+double Ranking::R(size_t i) const { return eval::Mean(r_[i]); }
+double Ranking::Map(size_t i) const { return eval::Mean(map_[i]); }
+
+/// The members of a query table's group other than the query itself.
+std::unordered_set<int32_t> Relevant(const std::vector<TableId>& group, TableId query) {
+  std::unordered_set<int32_t> relevant(group.begin(), group.end());
+  relevant.erase(query);
+  return relevant;
+}
+
+/// Draws a query of `size` distinct cells by pooling the values of random
+/// lake columns (how the JOSIE paper builds query workloads).
+std::vector<std::string> SampleDomainQuery(const DataLake& lake, size_t size,
+                                           Rng* rng) {
+  std::unordered_set<std::string> pool;
+  std::vector<std::string> out;
+  for (int attempt = 0; attempt < 4000 && out.size() < size; ++attempt) {
+    const Table& t = lake.table(static_cast<TableId>(rng->Uniform(lake.NumTables())));
+    if (t.NumColumns() == 0 || t.NumRows() == 0) continue;
+    for (const auto& cell : t.column(rng->Uniform(t.NumColumns())).cells) {
+      if (out.size() >= size) break;
+      if (pool.insert(cell).second) out.push_back(cell);
+    }
+  }
+  return out;
+}
+
+lakegen::JoinLakeSpec JoinSpec(const char* name, size_t tables, uint64_t seed) {
+  lakegen::JoinLakeSpec spec;
+  spec.name = name;
+  spec.num_tables = tables;
+  spec.seed = seed;
+  return spec;
+}
+
+/// The SC seeker's statement shape over `values`.
+std::string ScSql(const std::vector<std::string>& values, int limit) {
+  return "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "
+         "FROM AllTables WHERE CellValue IN (" +
+         SqlInList(values) + ") GROUP BY TableId, ColumnId ORDER BY score DESC LIMIT " +
+         std::to_string(limit) + ";";
+}
+
+__attribute__((format(printf, 1, 2))) std::string Printf(const char* format, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(buf, sizeof(buf), format, args);
+  va_end(args);
+  return buf;
+}
+
+std::string FmtSeconds(double s) {
+  if (s < 1e-3) return Printf("%.0fus", s * 1e6);
+  return s < 1.0 ? Printf("%.2fms", s * 1e3) : Printf("%.2fs", s);
+}
+
+std::string FmtBytes(size_t b) {
+  if (b >= (1ull << 20)) return Printf("%.1fMB", static_cast<double>(b) / (1 << 20));
+  if (b >= (1ull << 10)) return Printf("%.1fKB", static_cast<double>(b) / (1 << 10));
+  return Printf("%zuB", b);
+}
+
+/// "n/total" with a noun, e.g. "3/4 lakes".
+std::string Count(int n, int total, const char* noun) {
+  return Printf("%d/%d %s", n, total, noun);
+}
+
+using Tuples = std::vector<std::vector<std::string>>;
+
+constexpr int kTopK = 10;
+
+int CountLines(const char* snippet) {
+  int lines = 0;
+  for (const char* p = snippet; *p; ++p) lines += *p == '\n';
+  return lines;
+}
+
+// Task definitions as a user writes them, counted for the LOC metric: for
+// BLEND the plan, for the baseline the glue and validation code. Each
+// mirrors the code the task runs below.
+
+constexpr const char* kBlendNegativePlan = R"(
+plan.Add("pos", MCSeeker(positives, k));
+plan.Add("neg", MCSeeker(negatives, 10 * k));
+plan.Add("exclude", DifferenceCombiner(k), {"pos", "neg"});
+result = blend.Run(plan);
+)";
+
+constexpr const char* kBaselineNegativeCode = R"(
+auto candidates = mate.TopK(positives, -1, nullptr);
+core::TableList kept;
+for (const auto& entry : candidates) {
+  const Table& table = lake.table(entry.table);
+  bool contaminated = false;
+  for (size_t row = 0; row < table.NumRows(); ++row) {
+    std::vector<std::string> cells;
+    for (size_t c = 0; c < table.NumColumns(); ++c)
+      cells.push_back(NormalizeCell(table.At(row, c)));
+    for (const auto& neg : negatives) {
+      bool found_first = false, found_second = false;
+      size_t first_col = SIZE_MAX;
+      for (size_t c = 0; c < cells.size(); ++c)
+        if (cells[c] == NormalizeCell(neg[0])) { found_first = true; first_col = c; }
+      for (size_t c = 0; c < cells.size(); ++c)
+        if (c != first_col && cells[c] == NormalizeCell(neg[1]))
+          found_second = true;
+      if (found_first && found_second) { contaminated = true; break; }
+    }
+    if (contaminated) break;
+  }
+  if (!contaminated) kept.push_back(entry);
+}
+if (kept.size() > k) kept.resize(k);
+)";
+
+constexpr const char* kBlendImputationPlan = R"(
+plan.Add("examples", MCSeeker(examples, k));
+plan.Add("query", SCSeeker(queries, k));
+plan.Add("intersection", IntersectCombiner(k), {"examples", "query"});
+result = blend.Run(plan);
+)";
+
+constexpr const char* kBaselineImputationCode = R"(
+auto mate_out = mate.TopK(examples, -1, nullptr);    // MATE (Java/PostgreSQL)
+auto josie_out = josie.TopK(query_keys, -1);         // JOSIE (Go/PostgreSQL)
+std::unordered_set<TableId> mate_ids;
+for (const auto& e : mate_out) mate_ids.insert(e.table);
+core::TableList both;
+for (const auto& e : josie_out)
+  if (mate_ids.count(e.table)) both.push_back(e);
+std::sort(both.begin(), both.end(),
+          [](const auto& a, const auto& b) { return a.score > b.score; });
+if (both.size() > k) both.resize(k);
+)";
+
+constexpr const char* kBlendFeaturePlan = R"(
+plan.Add("target", CorrelationSeeker(keys, target, 10 * k));
+plan.Add("collin0", CorrelationSeeker(keys, feature0, 10 * k));
+plan.Add("diff0", DifferenceCombiner(10 * k), {"target", "collin0"});
+plan.Add("collin1", CorrelationSeeker(keys, feature1, 10 * k));
+plan.Add("diff1", DifferenceCombiner(10 * k), {"diff0", "collin1"});
+plan.Add("mc", MCSeeker(key_tuples, 10 * k));
+plan.Add("join", IntersectCombiner(k), {"diff1", "mc"});
+)";
+
+constexpr const char* kBaselineFeatureCode = R"(
+auto with_target = qcr.TopK(keys, target, 10 * k);    // QCR (Java)
+std::unordered_set<TableId> excluded;
+for (const auto& feature : existing_features) {
+  auto collinear = qcr.TopK(keys, feature, 10 * k);   // one round per feature
+  for (const auto& e : collinear) excluded.insert(e.table);
+}
+core::TableList filtered;
+for (const auto& e : with_target)
+  if (!excluded.count(e.table)) filtered.push_back(e);
+auto joinable = mate.TopK(key_tuples, -1, nullptr);   // MATE (Java)
+std::unordered_set<TableId> joinable_ids;
+for (const auto& e : joinable) joinable_ids.insert(e.table);
+core::TableList both;
+for (const auto& e : filtered)
+  if (joinable_ids.count(e.table)) both.push_back(e);
+if (both.size() > k) both.resize(k);
+)";
+
+constexpr const char* kBlendMultiObjectivePlan = R"(
+plan.Add("kw", KWSeeker(keywords, k));
+for (auto& column : examples.columns())
+  plan.Add(column.name, SCSeeker(column.cells, 100));
+plan.Add("counter", CounterCombiner(k), column_ids);
+plan.Add("correlation", CorrelationSeeker(keys, target, k));
+plan.Add("union", UnionCombiner(4 * k), {"kw", "counter", "correlation"});
+)";
+
+constexpr const char* kBaselineMultiObjectiveCode = R"(
+auto kw_out = josie.TopK(keywords, k);                // JOSIE (Go)
+auto union_out = starmie.TopK(examples, k);           // Starmie (Python)
+auto corr_out = qcr.TopK(keys, target, k);            // QCR (Java)
+std::unordered_map<TableId, double> merged;
+for (const auto& e : kw_out) merged[e.table] += e.score;
+for (const auto& e : union_out) merged[e.table] += e.score;
+for (const auto& e : corr_out) merged[e.table] += e.score;
+core::TableList out;
+for (const auto& [t, s] : merged) out.push_back({t, s});
+std::sort(out.begin(), out.end(),
+          [](const auto& a, const auto& b) { return a.score > b.score; });
+if (out.size() > 4 * k) out.resize(4 * k);
+)";
+
+/// One Table III task. Per query, `draw` makes the inputs, `plan` adds
+/// BLEND's plan for them with the given k, and `baseline` runs the ad-hoc
+/// composition of standalone systems.
+struct Task {
+  const char *name, *blend_plan, *baseline_code, *baseline_systems;
+  const core::Blend* blend;
+  int queries;
+  bool rewritten;  // whether the optimizer rewrites the plan
+  std::function<void()> draw;
+  std::function<void(int, core::Plan*)> plan;
+  std::function<void()> baseline;
+};
+
+struct TaskVerdicts {
+  int tasks = 0, beats_baseline = 0, fewer_loc = 0, one_index = 0, rewritten = 0;
+  int bno_slower = 0, answers = 0, same_answers = 0, same_unlimited = 0;
+};
+
+/// Runs one task's queries through BLEND, through B-NO (the optimizer off)
+/// and through the baseline, and adds its table rows.
+void RunTask(const Config& cfg, const Task& task, TablePrinter* tp, TaskVerdicts* v) {
+  std::set<const IndexBundle*> indexes;  // the indexes BLEND and B-NO ran on
+  auto run = [&](const core::Plan& plan, bool optimize) {
+    indexes.insert(&task.blend->bundle());
+    const core::PlanExecutor executor(&task.blend->context(), task.blend->cost_model());
+    return Must(executor.Run(plan, optimize)).output;
+  };
+  double t_blend = 0, t_bno = 0, t_base = 0;
+  for (int q = 0; q < task.queries; ++q) {
+    task.draw();
+    core::Plan plan, unlimited;
+    task.plan(kTopK, &plan);
+    task.plan(-1, &unlimited);
+    t_blend += MedianSeconds([&] { (void)run(plan, true); }, cfg.reps());
+    t_bno += MedianSeconds([&] { (void)run(plan, false); }, cfg.reps());
+    t_base += MedianSeconds(task.baseline, cfg.reps());
+    v->same_answers += run(plan, true) == run(plan, false);
+    v->same_unlimited += run(unlimited, true) == run(unlimited, false);
+    ++v->answers;
+  }
+  const int n = task.queries, blend_loc = CountLines(task.blend_plan);
+  const int base_loc = CountLines(task.baseline_code);
+  const std::string systems = std::to_string(indexes.size());
+  const char* index_kind = indexes.size() == 1 ? "Single" : "Multi";
+  tp->AddRow({task.name, "Runtime", FmtSeconds(t_blend / n), FmtSeconds(t_bno / n),
+              FmtSeconds(t_base / n)});
+  tp->AddRow({"", "LOC", std::to_string(blend_loc), "same", std::to_string(base_loc)});
+  tp->AddRow({"", "# Systems", systems, systems, task.baseline_systems});
+  tp->AddRow({"", "# Indexes", index_kind, index_kind, "Multi"});
+  ++v->tasks;
+  v->beats_baseline += t_blend < t_base;
+  v->fewer_loc += blend_loc < base_loc;
+  v->one_index += indexes.size() == 1;
+  v->rewritten += task.rewritten;
+  v->bno_slower += task.rewritten && t_bno > t_blend;
+}
+
+// Table III: complex discovery tasks. BLEND against BLEND without the
+// optimizer (B-NO) and against ad-hoc compositions of standalone systems, on
+// runtime, lines of code, number of systems and number of indexes (§VIII-B).
+void Table3(const Config& cfg, Claims* claims) {
+  TablePrinter tp({"Task", "Metric", "BLEND", "B-NO", "Baseline"});
+  TaskVerdicts v;
+  const size_t k = kTopK;
+
+  // Negative examples and data imputation share the composite-key lake.
+  lakegen::McLakeSpec mc_spec;
+  mc_spec.num_tables = 250;
+  mc_spec.pairs_per_domain = 300;
+  mc_spec.seed = 31;
+  const auto mc_lake = lakegen::MakeMcLake(mc_spec);
+  const core::Blend blend_mc(&mc_lake.lake);
+  const baselines::Mate mate(&mc_lake.lake);
+  const baselines::Josie josie_mc(&mc_lake.lake);
+  const int domains = static_cast<int>(mc_spec.num_pair_domains);
+  int q = 0;
+  Rng rng(33);
+  Tuples positives, negatives;
+  RunTask(cfg,
+          {"Negative examples", kBlendNegativePlan, kBaselineNegativeCode,
+           "1 (MATE) + app code", &blend_mc, cfg.Queries(8), true,
+           [&] {
+             positives = lakegen::MakeMcQuery(mc_spec, q % domains, 12, &rng);
+             negatives = lakegen::MakeMcQuery(mc_spec, q++ % domains, 12, &rng);
+           },
+           [&](int plan_k, core::Plan* plan) {
+             Must(core::tasks::AddNegativeExampleSearch(plan, positives, negatives,
+                                                        plan_k));
+           },
+           [&] {
+             // MATE, then row-by-row validation in application code.
+             core::TableList kept;
+             for (const auto& entry : mate.TopK(positives, -1)) {
+               const Table& table = mc_lake.lake.table(entry.table);
+               bool contaminated = false;
+               for (size_t row = 0; row < table.NumRows() && !contaminated; ++row) {
+                 contaminated = lakegen::RowJoinsTuples(table, row, negatives);
+               }
+               if (!contaminated) kept.push_back(entry);
+             }
+             core::TruncateK(&kept, k);
+           }},
+          &tp, &v);
+
+  q = 0;
+  rng = Rng(35);
+  Tuples examples;
+  std::vector<std::string> keys;
+  RunTask(cfg,
+          {"Data imputation", kBlendImputationPlan, kBaselineImputationCode,
+           "2 (MATE + JOSIE)", &blend_mc, cfg.Queries(8), true,
+           [&] {
+             const auto pairs = lakegen::MakeMcQuery(mc_spec, q++ % domains, 12, &rng);
+             examples.assign(pairs.begin(), pairs.begin() + 5);
+             keys.clear();
+             for (size_t i = 5; i < pairs.size(); ++i) keys.push_back(pairs[i][0]);
+           },
+           [&](int plan_k, core::Plan* plan) {
+             Must(core::tasks::AddDataImputation(plan, examples, keys, plan_k));
+           },
+           [&] {
+             // MATE and JOSIE, intersected in application code.
+             const auto mate_ids = core::IdSet(mate.TopK(examples, -1));
+             core::TableList both;
+             for (const auto& e : josie_mc.TopK(keys, -1)) {
+               if (mate_ids.count(e.table)) both.push_back(e);
+             }
+             core::TruncateK(&both, k);
+           }},
+          &tp, &v);
+
+  lakegen::CorrLakeSpec corr_spec;
+  corr_spec.num_tables = 150;
+  corr_spec.numeric_key_frac = 0.0;
+  corr_spec.composite_key = true;
+  corr_spec.seed = 37;
+  const auto corr = lakegen::MakeCorrLake(corr_spec);
+  const core::Blend blend_corr(&corr.lake);
+  const baselines::QcrSketchIndex qcr(&corr.lake, 256);
+  q = 0;
+  rng = Rng(39);
+  lakegen::CorrQuery query;
+  std::vector<std::vector<double>> features;
+  // Key tuples are not available for these queries, so the MC joinability
+  // step is left out of both the plan and the baseline.
+  RunTask(cfg,
+          {"Feature discovery", kBlendFeaturePlan, kBaselineFeatureCode,
+           "2 (QCR + MATE)", &blend_corr, cfg.Queries(6), true,
+           [&] {
+             const int domain = q++ % static_cast<int>(corr_spec.num_key_domains);
+             query = lakegen::MakeCorrQuery(corr_spec, domain, false, 60, &rng);
+             features.assign(2, {});
+             for (double t : query.targets) {
+               features[0].push_back(0.9 * t + 0.2 * rng.Normal());
+               features[1].push_back(-0.8 * t + 0.3 * rng.Normal());
+             }
+           },
+           [&](int plan_k, core::Plan* plan) {
+             Must(core::tasks::AddFeatureDiscovery(plan, query.keys, query.targets,
+                                                   features, {}, plan_k));
+           },
+           [&] {
+             // QCR rounds, filtered in application code.
+             std::unordered_set<TableId> excluded;
+             for (const auto& f : features) {
+               for (const auto& e : qcr.TopK(query.keys, f, 10 * k)) {
+                 excluded.insert(e.table);
+               }
+             }
+             core::TableList filtered;
+             for (const auto& e : qcr.TopK(query.keys, query.targets, 10 * k)) {
+               if (!excluded.count(e.table)) filtered.push_back(e);
+             }
+             core::TruncateK(&filtered, k);
+           }},
+          &tp, &v);
+
+  lakegen::UnionLakeSpec union_spec;
+  union_spec.num_groups = 20;
+  union_spec.noise_tables = 40;
+  union_spec.seed = 43;
+  const auto ul = lakegen::MakeUnionLake(union_spec);
+  lakegen::CorrLakeSpec corr_spec_m;
+  corr_spec_m.num_tables = 100;
+  corr_spec_m.numeric_key_frac = 0.0;
+  corr_spec_m.seed = 44;
+  DataLake merged("multi-objective");
+  for (const auto& t : ul.lake.tables()) merged.AddTable(t);
+  const auto corr_m = lakegen::MakeCorrLake(corr_spec_m);
+  for (const auto& t : corr_m.lake.tables()) merged.AddTable(t);
+  const core::Blend blend_m(&merged);
+  const baselines::Josie josie_m(&merged);
+  const baselines::Starmie starmie_m(&merged);
+  const baselines::QcrSketchIndex qcr_m(&merged, 256);
+  q = 0;
+  rng = Rng(45);
+  TableId query_id = -1;
+  RunTask(cfg,
+          {"Multi-objective", kBlendMultiObjectivePlan, kBaselineMultiObjectiveCode,
+           "3 (JOSIE + Starmie + QCR)", &blend_m, cfg.Queries(5), false,
+           [&] {
+             query_id = ul.query_tables[static_cast<size_t>(q)];
+             const Table& table = merged.table(query_id);
+             keys = {table.At(0, 0), table.At(1, 0), table.At(2, 0)};
+             query = lakegen::MakeCorrQuery(corr_spec_m, q++, false, 50, &rng);
+           },
+           [&](int plan_k, core::Plan* plan) {
+             Must(core::tasks::AddMultiObjective(plan, keys, merged.table(query_id),
+                                                 query.keys, query.targets, plan_k));
+           },
+           [&] {
+             // Three systems, unioned in application code.
+             std::unordered_map<TableId, double> scores;
+             for (const auto& e : josie_m.TopK(keys, k)) scores[e.table] += e.score;
+             for (const auto& e : starmie_m.TopK(merged.table(query_id), k, query_id)) {
+               scores[e.table] += e.score;
+             }
+             for (const auto& e : qcr_m.TopK(query.keys, query.targets, k)) {
+               scores[e.table] += e.score;
+             }
+             core::TableList out;
+             for (const auto& [t, s] : scores) out.push_back({t, s});
+             core::SortDesc(&out);
+             core::TruncateK(&out, 4 * k);
+           }},
+          &tp, &v);
+
+  std::printf("\n%s", tp.Render("Table III: complex discovery tasks").c_str());
+  // Theorem 1: rewriting preserves a plan's answer when no top-k cuts its
+  // inputs. At k = 10 a rewritten seeker ranks only the tables the combiner
+  // keeps, so BLEND can return tables that B-NO's earlier cut dropped.
+  claims->Assert(v.same_unlimited == v.answers,
+                 "B-NO's answers equal BLEND's (Theorem 1, k unlimited)",
+                 Count(v.same_unlimited, v.answers, "queries"));
+  claims->Report(v.same_answers == v.answers, "B-NO's answers equal BLEND's at k = 10",
+                 Count(v.same_answers, v.answers, "queries"));
+  claims->Assert(v.fewer_loc == v.tasks, "BLEND needs fewer lines of code",
+                 Count(v.fewer_loc, v.tasks, "tasks"));
+  claims->Assert(v.one_index == v.tasks, "each task uses one system and one index",
+                 Count(v.one_index, v.tasks, "tasks"));
+  claims->Report(v.beats_baseline == v.tasks, "BLEND beats the baseline on every task",
+                 Count(v.beats_baseline, v.tasks, "tasks"));
+  claims->Report(v.bno_slower == v.rewritten,
+                 "B-NO is slower than BLEND on every task the optimizer rewrites",
+                 Count(v.bno_slower, v.rewritten, "tasks"));
+}
+
+// Table IV: optimizer effectiveness. Runtime of a random seeker order against
+// BLEND's ranked order (Rules 1-3, then the learned cost model, optimization
+// overhead included) and against an oracle that always runs the faster
+// seeker first. Plans are two seekers under an Intersection; the second is
+// rewritten with the first one's tables, as in §VII-B.
+void Table4(const Config& cfg, Claims* claims) {
+  const DataLake lake = lakegen::MakeJoinLake(JoinSpec("gittables-like", 500, 41));
+  core::Blend blend(&lake);
+  StopWatch train_watch;
+  Must(blend.TrainCostModel(30, 5));
+  std::printf("\ncost-model training: %.1fs\n", train_watch.ElapsedSeconds());
+  // Rules 1-3 order seekers of different types; the cost model only breaks
+  // ties between seekers of one type. A default-constructed model orders
+  // those by its frequency heuristic.
+  const core::CostModel heuristic;
+  const core::Optimizer trained(blend.cost_model(), &blend.stats());
+  const core::Optimizer untrained(&heuristic, &blend.stats());
+  auto run_ordered = [&](const core::Seeker& first, const core::Seeker& second) {
+    std::vector<int64_t> ids;
+    for (const auto& e : Must(first.Execute(blend.context(), ""))) {
+      ids.push_back(e.table);
+    }
+    const std::string rewrite = "AND TableId IN (" + SqlInListInts(ids) + ")";
+    Must(second.Execute(blend.context(), rewrite));
+  };
+
+  using T = core::Seeker::Type;
+  const std::vector<std::pair<std::string, std::vector<T>>> rows = {
+      {"Mixed", {T::kKW, T::kSC, T::kC, T::kMC}},  // two distinct types
+      {"SC", {T::kSC}},
+      {"MC", {T::kMC}},
+      {"C", {T::kC}}};
+  TablePrinter tp({"Seeker", "Rand", "BLEND", "Ideal", "Gain BLEND", "Gain Ideal",
+                   "Accuracy BLEND"});
+  TablePrinter ties({"Seeker", "Plans tied by Rules 1-3", "Accuracy (trained model)",
+                     "Accuracy (frequency heuristic)"});
+  int total_correct = 0, total_trials = 0, gaining_rows = 0;
+  int tied = 0, tied_trained = 0, tied_heuristic = 0;
+  for (const auto& [name, pool] : rows) {
+    Rng rng(1000 + name.size());
+    double rand_s = 0, blend_s = 0, ideal_s = 0;
+    int trials = 0, correct = 0, row_ties = 0, ties_trained = 0, ties_heuristic = 0;
+    for (int trial = 0; trial < cfg.Queries(20); ++trial) {
+      T ta = pool[rng.Uniform(pool.size())];
+      T tb = pool[rng.Uniform(pool.size())];
+      while (pool.size() > 1 && tb == ta) tb = pool[rng.Uniform(pool.size())];
+      auto a = core::CostModelTrainer::SampleSeeker(lake, ta, 10, &rng);
+      auto b = core::CostModelTrainer::SampleSeeker(lake, tb, 10, &rng);
+      if (a == nullptr || b == nullptr) continue;
+      const double t_ab = MedianSeconds([&] { run_ordered(*a, *b); }, cfg.reps());
+      const double t_ba = MedianSeconds([&] { run_ordered(*b, *a); }, cfg.reps());
+      core::Plan plan;
+      Must(plan.Add("a", a));
+      Must(plan.Add("b", b));
+      Must(plan.Add("i", std::make_shared<core::IntersectCombiner>(10), {"a", "b"}));
+      const double overhead =
+          MedianSeconds([&] { Must(trained.Optimize(plan, true)); }, cfg.reps());
+      auto runs_a_first = [&](const core::Optimizer& opt) {
+        return Must(opt.Optimize(plan, true)).steps[0].node == "a";
+      };
+      // An order within 5% of the other is correct: the order is immaterial.
+      auto is_correct = [&](const core::Optimizer& opt) {
+        return runs_a_first(opt) ? t_ab <= t_ba * 1.05 : t_ba <= t_ab * 1.05;
+      };
+      const bool a_first = runs_a_first(trained);
+      rand_s += (t_ab + t_ba) / 2;
+      blend_s += (a_first ? t_ab : t_ba) + overhead;
+      ideal_s += std::min(t_ab, t_ba);
+      correct += is_correct(trained);
+      ++trials;
+      if (core::Seeker::RuleRank(ta) == core::Seeker::RuleRank(tb)) {
+        ++row_ties;
+        ties_trained += is_correct(trained);
+        ties_heuristic += is_correct(untrained);
+      }
+    }
+    const int n = std::max(1, trials);
+    const double gain_blend = rand_s > 0 ? 1.0 - blend_s / rand_s : 0;
+    tp.AddRow({name, FmtSeconds(rand_s / n), FmtSeconds(blend_s / n),
+               FmtSeconds(ideal_s / n), TablePrinter::Pct(gain_blend),
+               TablePrinter::Pct(rand_s > 0 ? 1.0 - ideal_s / rand_s : 0),
+               TablePrinter::Pct(1.0 * correct / n)});
+    auto tie_accuracy = [&](int tie_correct) {
+      return row_ties > 0 ? TablePrinter::Pct(1.0 * tie_correct / row_ties) : "-";
+    };
+    ties.AddRow({name, TablePrinter::Pct(1.0 * row_ties / n),
+                 tie_accuracy(ties_trained), tie_accuracy(ties_heuristic)});
+    total_correct += correct;
+    total_trials += trials;
+    gaining_rows += gain_blend > 0;
+    tied += row_ties;
+    tied_trained += ties_trained;
+    tied_heuristic += ties_heuristic;
+  }
+  std::printf("\n%s",
+              tp.Render("Table IV: optimizer effectiveness (avg per 2-seeker plan)")
+                  .c_str());
+  std::printf("\n%s", ties.Render("Table IV, same trials: where the cost model "
+                                  "decides")
+                          .c_str());
+  // Significance of the accuracy against a random (50%) optimizer, §VIII-C4.
+  const double p_hat = 1.0 * total_correct / std::max(1, total_trials);
+  const double z = (p_hat - 0.5) / std::sqrt(0.25 / std::max(1, total_trials));
+  claims->Report(
+      z > 1.96, "BLEND orders plans better than chance (z > 1.96; paper: 45.6)",
+      Printf("accuracy %.1f%% over %d plans, z = %.2f", p_hat * 100, total_trials, z));
+  claims->Report(gaining_rows == 4,
+                 "BLEND's order gains over a random order on every row",
+                 Count(gaining_rows, 4, "rows"));
+  claims->Report(tied_trained > tied_heuristic,
+                 "on plans the rules tie, the trained model orders better than the "
+                 "frequency heuristic",
+                 Count(tied_trained, tied, "correct") + " vs " +
+                     Count(tied_heuristic, tied, "correct"));
+}
+
+// Fig. 7: union search runtime. Starmie against BLEND's union plan (one SC
+// seeker per query column and a Counter) on row- and column-store
+// deployments, on lakes standing in for SANTOS, SANTOS Large, TUS and TUS
+// Large.
+void Fig7(const Config& cfg, Claims* claims) {
+  TablePrinter tp({"Lake", "Tables", "STARMIE", "BLEND (Row)", "BLEND (Column)"});
+  int lakes = 0, starmie_fastest = 0, column_5x = 0;
+  for (auto [name, groups, noise, rows_max] :
+       {std::tuple<const char*, size_t, size_t, size_t>{"santos-like", 20, 60, 80},
+        {"santos-large-like", 60, 150, 90},
+        {"tus-like", 35, 80, 70},
+        {"tus-large-like", 90, 200, 70}}) {
+    lakegen::UnionLakeSpec spec;
+    spec.name = name;
+    spec.num_groups = groups;
+    spec.noise_tables = noise;
+    spec.rows_max = rows_max;
+    spec.seed = 71 + lakes;
+    const auto ul = lakegen::MakeUnionLake(spec);
+    core::Blend::Options row_opts;
+    row_opts.layout = StoreLayout::kRow;
+    const core::Blend row(&ul.lake, row_opts);
+    const core::Blend col(&ul.lake);
+    const baselines::Starmie starmie(&ul.lake);
+    const int queries = cfg.Queries(8);
+    double t_starmie = 0, t_row = 0, t_col = 0;
+    for (int q = 0; q < queries; ++q) {
+      const TableId query_id = ul.query_tables[static_cast<size_t>(q)];
+      const Table& query = ul.lake.table(query_id);
+      core::Plan plan;
+      Must(core::tasks::AddUnionSearch(&plan, query, 10, 100));
+      t_starmie +=
+          MedianSeconds([&] { (void)starmie.TopK(query, 10, query_id); }, cfg.reps());
+      t_row += MedianSeconds([&] { Must(row.Run(plan)); }, cfg.reps());
+      t_col += MedianSeconds([&] { Must(col.Run(plan)); }, cfg.reps());
+    }
+    tp.AddRow({name, std::to_string(ul.lake.NumTables()),
+               FmtSeconds(t_starmie / queries), FmtSeconds(t_row / queries),
+               FmtSeconds(t_col / queries)});
+    ++lakes;
+    starmie_fastest += t_starmie < std::min(t_row, t_col);
+    column_5x += t_row >= 5 * t_col;
+  }
+  std::printf("\n%s",
+              tp.Render("Fig. 7: union search runtime (avg per query, k=10)").c_str());
+  claims->Report(2 * starmie_fastest > lakes,
+                 "Starmie's ANN retrieval is the fastest on most lakes",
+                 Count(starmie_fastest, lakes, "lakes"));
+  claims->Report(column_5x == lakes,
+                 "BLEND (Column) is roughly an order of magnitude (>= 5x) faster than "
+                 "BLEND (Row)",
+                 Count(column_5x, lakes, "lakes"));
+}
+
+// Table VI: union search quality. P@k, Recall@k and MAP@k of BLEND's union
+// plan against Starmie at k = 10, 20, 50, 100 (§VIII-F). Groups are large,
+// as in TUS, so the large-k rows are meaningful.
+void Table6(const Config& cfg, Claims* claims) {
+  lakegen::UnionLakeSpec spec;
+  spec.name = "tus-quality";
+  spec.num_groups = 10;
+  spec.group_size_min = 40;
+  spec.group_size_max = 60;
+  spec.rows_min = 20;
+  spec.rows_max = 45;
+  spec.noise_tables = 200;
+  spec.semantic_frac = 0.2;
+  spec.semantic_frac_alt = 0.85;  // semantic-heavy topic areas
+  spec.alt_group_frac = 0.4;
+  spec.tag_noise = 0.12;  // the embedding model's error rate
+  spec.seed = 61;
+  const auto ul = lakegen::MakeUnionLake(spec);
+  const core::Blend blend(&ul.lake);
+  const baselines::Starmie starmie(&ul.lake);
+
+  const std::vector<size_t> ks = {10, 20, 50, 100};
+  Ranking b(ks), st(ks);
+  for (int g = 0; g < cfg.Queries(10); ++g) {
+    const TableId query_id = ul.query_tables[static_cast<size_t>(g)];
+    const Table& query = ul.lake.table(query_id);
+    const auto relevant = Relevant(ul.groups[static_cast<size_t>(g)], query_id);
+    core::Plan plan;
+    Must(core::tasks::AddUnionSearch(&plan, query, 101, 300));
+    b.Add(Must(blend.Run(plan)), query_id, relevant);
+    st.Add(starmie.TopK(query, 101, query_id, 400), query_id, relevant);
+  }
+  TablePrinter tp({"k", "P@k BLEND", "Recall BLEND", "MAP BLEND", "P@k STARMIE",
+                   "Recall STARMIE", "MAP STARMIE"});
+  for (size_t i = 0; i < ks.size(); ++i) {
+    tp.AddRow({std::to_string(ks[i]), TablePrinter::Pct(b.P(i)),
+               TablePrinter::Pct(b.R(i)), TablePrinter::Pct(b.Map(i)),
+               TablePrinter::Pct(st.P(i)), TablePrinter::Pct(st.R(i)),
+               TablePrinter::Pct(st.Map(i))});
+  }
+  std::printf("\n%s",
+              tp.Render("Table VI: union search quality, BLEND vs Starmie").c_str());
+  auto vs = [&](size_t i) {
+    return TablePrinter::Pct(b.P(i)) + " vs " + TablePrinter::Pct(st.P(i));
+  };
+  claims->Report(st.P(0) > b.P(0), "Starmie leads at k = 10 (P@k)", vs(0));
+  claims->Report(b.P(2) > st.P(2) && b.P(3) > st.P(3),
+                 "BLEND leads at k = 50 and 100 (P@k)", vs(2) + ", " + vs(3));
+}
+
+// Table VII: correlation discovery. P@10, R@10 and runtime of BLEND (RowId
+// order sampling), BLEND (rand) (rows shuffled at indexing time) and the QCR
+// sketch baseline, with numeric keys allowed ("NYC (All)") or categorical
+// keys only ("NYC (Cat.)"). Ground truth is the exact Pearson top-10 of the
+// raw lake (§VIII-G).
+void Table7(const Config& cfg, Claims* claims) {
+  lakegen::CorrLakeSpec spec;
+  spec.name = "nyc-like";
+  spec.num_tables = 250;
+  spec.numeric_key_frac = 0.4;
+  spec.keys_per_table_min = 80;
+  spec.keys_per_table_max = 150;
+  spec.run_min = 4;  // long duplicate runs: the hazard of sampling in RowId
+  spec.run_max = 9;  // order, whose first h rows see few distinct keys
+  spec.seed = 91;
+  const auto corr = lakegen::MakeCorrLake(spec);
+  const core::Blend blend(&corr.lake);
+  core::Blend::Options rand_opts;
+  rand_opts.shuffle_rows = true;
+  const core::Blend blend_rand(&corr.lake, rand_opts);
+  const baselines::QcrSketchIndex qcr(&corr.lake, 256);
+  // The lake in the row order BLEND (rand) indexed, for its oracle.
+  DataLake shuffled(corr.lake.name());
+  for (TableId t = 0; t < static_cast<TableId>(corr.lake.NumTables()); ++t) {
+    const Table& table = corr.lake.table(t);
+    Table copy = table;
+    const auto order = ShuffledRowOrder(rand_opts.shuffle_seed, t, table.NumRows());
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (size_t r = 0; r < order.size(); ++r) {
+        copy.column(c).cells[r] = table.At(static_cast<size_t>(order[r]), c);
+      }
+    }
+    shuffled.AddTable(std::move(copy));
+  }
+
+  TablePrinter tp({"Benchmark", "System", "P@10", "R@10", "avg runtime"});
+  double p10[2][3] = {};  // [NYC (All), NYC (Cat.)][BLEND, BLEND (rand), QCR]
+  int checked = 0, exact = 0, exact_rand = 0;
+  for (int bench = 0; bench < 2; ++bench) {
+    std::vector<Ranking> scores(3, Ranking({10}, /*penalize_missing=*/true));
+    double seconds[3] = {};
+    const int queries = cfg.Queries(20);
+    Rng rng(101 + bench);
+    for (int q = 0; q < queries; ++q) {
+      const int domain = q % static_cast<int>(spec.num_key_domains);
+      // NYC (All): join keys may be numeric; NYC (Cat.): categorical only.
+      const bool numeric = bench == 0 && q % 2 == 0;
+      const auto query = lakegen::MakeCorrQuery(spec, domain, numeric, 60, &rng);
+      const core::CorrelationSeeker seeker(query.keys, query.targets, 10, 256);
+      const std::function<core::TableList()> systems[3] = {
+          [&] { return Must(seeker.Execute(blend.context(), "")); },
+          [&] { return Must(seeker.Execute(blend_rand.context(), "")); },
+          [&] { return qcr.TopK(query.keys, query.targets, 10); }};
+      exact += systems[0]() == lakegen::BruteForceCorrelation(corr.lake, query.keys,
+                                                              query.targets, 10, 256);
+      exact_rand += systems[1]() == lakegen::BruteForceCorrelation(
+                                        shuffled, query.keys, query.targets, 10, 256);
+      ++checked;
+      std::unordered_set<int32_t> relevant;
+      for (const auto& e :
+           lakegen::ExactCorrelationTopK(corr.lake, query.keys, query.targets, 10)) {
+        relevant.insert(e.table);
+      }
+      if (relevant.empty()) continue;
+      for (int s = 0; s < 3; ++s) {
+        scores[s].Add(systems[s](), -1, relevant);
+        seconds[s] += MedianSeconds([&] { (void)systems[s](); }, cfg.reps());
+      }
+    }
+    const char* names[3] = {"BLEND", "BLEND (rand)", "Baseline (QCR)"};
+    for (int s = 0; s < 3; ++s) {
+      tp.AddRow({bench == 0 ? "NYC (All)" : "NYC (Cat.)", names[s],
+                 TablePrinter::Pct(scores[s].P(0)), TablePrinter::Pct(scores[s].R(0)),
+                 FmtSeconds(seconds[s] / queries)});
+      p10[bench][s] = scores[s].P(0);
+    }
+  }
+  std::printf("\n%s",
+              tp.Render("Table VII: correlation discovery (h=256, k=10)").c_str());
+  claims->Assert(exact == checked, "BLEND's answers equal BruteForceCorrelation's",
+                 Count(exact, checked, "queries"));
+  claims->Assert(exact_rand == checked,
+                 "BLEND (rand)'s answers equal BruteForceCorrelation's over the "
+                 "shuffled rows",
+                 Count(exact_rand, checked, "queries"));
+  claims->Report(p10[1][2] - p10[0][2] >= 0.2,
+                 "the QCR baseline collapses on NYC (All): it loses >= 20 points of "
+                 "P@10 against NYC (Cat.)",
+                 Printf("%.1f%% vs %.1f%%", p10[0][2] * 100, p10[1][2] * 100));
+  claims->Report(p10[0][1] > p10[0][0] && p10[1][1] > p10[1][0],
+                 "BLEND (rand) beats vanilla BLEND on P@10",
+                 Printf("%.1f%% vs %.1f%%, %.1f%% vs %.1f%%", p10[0][1] * 100,
+                        p10[0][0] * 100, p10[1][1] * 100, p10[1][0] * 100));
+}
+
+core::TableList RunSc(const core::Blend& blend, const std::vector<std::string>& query,
+                      int k) {
+  return Must(core::SCSeeker(query, k).Execute(blend.context(), ""));
+}
+
+// Fig. 5: average SC join search runtime of BLEND (row and column store)
+// against JOSIE across query sizes, on lakes standing in for WDC, Canada-US-UK
+// Open Data and Gittables.
+void Fig5(const Config& cfg, Claims* claims) {
+  struct LakeCase {
+    lakegen::JoinLakeSpec spec;
+    std::vector<size_t> query_sizes;
+  };
+  std::vector<LakeCase> cases = {
+      {JoinSpec("wdc-like", 900, 51), {100, 1000, 10000}},
+      {JoinSpec("opendata-like", 500, 52), {1000, 5000, 20000}},
+      {JoinSpec("gittables-like", 700, 53), {10, 100, 1000}}};
+  cases[0].spec.domain_vocab = 15000;
+  cases[0].spec.num_domains = 10;
+  cases[0].spec.max_rows = 160;
+  cases[1].spec.domain_vocab = 8000;
+  cases[1].spec.num_domains = 6;
+
+  TablePrinter tp({"Lake", "|Q|", "BLEND (Row)", "BLEND (Column)", "JOSIE"});
+  int rows = 0, col_beats_josie = 0, josie_vs_row = 0, queries_run = 0, exact = 0;
+  for (const auto& c : cases) {
+    const DataLake lake = lakegen::MakeJoinLake(c.spec);
+    core::Blend::Options ro;
+    ro.layout = StoreLayout::kRow;
+    const core::Blend row(&lake, ro);
+    const core::Blend col(&lake);
+    const baselines::Josie josie(&lake);
+    for (size_t qs : c.query_sizes) {
+      Rng rng(c.spec.seed * 1000 + qs);
+      const int queries = cfg.Queries(4);
+      double t_row = 0, t_col = 0, t_josie = 0;
+      for (int q = 0; q < queries; ++q) {
+        const auto query = SampleDomainQuery(lake, qs, &rng);
+        t_col += MedianSeconds([&] { (void)RunSc(col, query, 10); }, cfg.reps());
+        t_row += MedianSeconds([&] { (void)RunSc(row, query, 10); }, cfg.reps());
+        t_josie += MedianSeconds([&] { (void)josie.TopK(query, 10); }, cfg.reps());
+        const core::TableList want = josie.TopK(query, 10);
+        exact += SameTopK(RunSc(col, query, 10), want) &&
+                 SameTopK(RunSc(row, query, 10), want);
+        ++queries_run;
+      }
+      tp.AddRow({c.spec.name, std::to_string(qs), FmtSeconds(t_row / queries),
+                 FmtSeconds(t_col / queries), FmtSeconds(t_josie / queries)});
+      ++rows;
+      col_beats_josie += t_col < t_josie;
+      // JOSIE beats BLEND (Row) except at the lake's largest |Q|.
+      josie_vs_row += (qs == c.query_sizes.back()) == (t_row < t_josie);
+    }
+  }
+  std::printf("\n%s",
+              tp.Render("Fig. 5: SC join search runtime vs JOSIE (avg per query, k=10)")
+                  .c_str());
+  claims->Assert(exact == queries_run,
+                 "BLEND's SC top-k equals JOSIE's exact top-k, both layouts",
+                 Count(exact, queries_run, "queries"));
+  claims->Report(col_beats_josie == rows, "BLEND (Column) beats JOSIE on every row",
+                 Count(col_beats_josie, rows, "rows"));
+  claims->Report(josie_vs_row == rows,
+                 "JOSIE beats BLEND (Row) except at each lake's largest |Q|",
+                 Count(josie_vs_row, rows, "rows fit"));
+}
+
+// Fig. 6: a Lakebench-style labeled join benchmark. The ground truth marks
+// every member of a query column's semantic group as joinable, high- and
+// low-overlap members alike, which is what lets the embedding-based DeepJoin
+// outscore the exact equi-join systems.
+void Fig6(const Config& cfg, Claims* claims) {
+  lakegen::UnionLakeSpec spec;
+  spec.name = "webtable-like";
+  spec.num_groups = 30;
+  spec.group_size_min = 10;
+  spec.group_size_max = 18;
+  spec.rows_min = 120;  // long columns: realistic per-query token volumes
+  spec.rows_max = 260;
+  spec.noise_tables = 120;
+  spec.semantic_frac = 0.3;
+  spec.tag_noise = 0.05;
+  spec.seed = 66;
+  const auto ul = lakegen::MakeUnionLake(spec);
+  const core::Blend blend(&ul.lake);
+  const baselines::Josie josie(&ul.lake);
+  const baselines::DeepJoin deepjoin(&ul.lake);
+
+  const std::vector<size_t> ks = {5, 10, 15, 20};
+  const int queries = cfg.Queries(25);
+  double t_blend = 0, t_josie = 0, t_dj = 0;
+  int exact = 0;
+  Ranking r_blend(ks), r_josie(ks), r_dj(ks);
+  for (int g = 0; g < queries; ++g) {
+    const TableId query_id = ul.query_tables[static_cast<size_t>(g)];
+    const Column& q = ul.lake.table(query_id).column(0);
+    const auto relevant = Relevant(ul.groups[static_cast<size_t>(g)], query_id);
+    t_blend += MedianSeconds([&] { (void)RunSc(blend, q.cells, 21); }, cfg.reps());
+    t_josie += MedianSeconds([&] { (void)josie.TopK(q.cells, 21); }, cfg.reps());
+    t_dj += MedianSeconds([&] { (void)deepjoin.TopK(q, 21); }, cfg.reps());
+    const core::TableList blend_out = RunSc(blend, q.cells, 21);
+    const core::TableList josie_out = josie.TopK(q.cells, 21);
+    exact += SameTopK(blend_out, josie_out);
+    r_blend.Add(blend_out, query_id, relevant);
+    r_josie.Add(josie_out, query_id, relevant);
+    r_dj.Add(deepjoin.TopK(q, 21), query_id, relevant);
+  }
+
+  TablePrinter rt({"System", "avg runtime / query"});
+  rt.AddRow({"JOSIE", FmtSeconds(t_josie / queries)});
+  rt.AddRow({"DeepJoin", FmtSeconds(t_dj / queries)});
+  rt.AddRow({"BLEND", FmtSeconds(t_blend / queries)});
+  std::printf("\n%s", rt.Render("Fig. 6a: Lakebench runtime").c_str());
+  TablePrinter qt({"k", "P@k BLEND", "P@k DeepJoin", "P@k JOSIE", "R@k BLEND",
+                   "R@k DeepJoin", "R@k JOSIE"});
+  for (size_t i = 0; i < ks.size(); ++i) {
+    qt.AddRow({std::to_string(ks[i]), TablePrinter::Pct(r_blend.P(i)),
+               TablePrinter::Pct(r_dj.P(i)), TablePrinter::Pct(r_josie.P(i)),
+               TablePrinter::Pct(r_blend.R(i)), TablePrinter::Pct(r_dj.R(i)),
+               TablePrinter::Pct(r_josie.R(i))});
+  }
+  std::printf("\n%s", qt.Render("Fig. 6b: Lakebench effectiveness").c_str());
+
+  claims->Assert(exact == queries, "BLEND's SC top-k equals JOSIE's exact top-k",
+                 Count(exact, queries, "queries"));
+  claims->Report(t_dj < t_blend && t_dj < t_josie, "DeepJoin is the fastest system",
+                 "DeepJoin " + FmtSeconds(t_dj / queries) + ", BLEND " +
+                     FmtSeconds(t_blend / queries) + ", JOSIE " +
+                     FmtSeconds(t_josie / queries));
+  const size_t last = ks.size() - 1;
+  claims->Report(r_dj.R(last) > r_blend.R(last),
+                 "DeepJoin scores higher than BLEND on the semantic ground truth "
+                 "(R@20)",
+                 TablePrinter::Pct(r_dj.R(last)) + " vs " +
+                     TablePrinter::Pct(r_blend.R(last)));
+}
+
+// Table V: multi-column join discovery. True and false positives, precision
+// and runtime of BLEND's MC seeker against MATE, on composite-key lakes
+// standing in for DWTC and German Open Data.
+void Table5(const Config& cfg, Claims* claims) {
+  std::vector<lakegen::McLakeSpec> specs(2);
+  specs[0].name = "dwtc-like";
+  specs[0].num_tables = 500;
+  specs[0].rows_min = 80;
+  specs[0].rows_max = 200;
+  specs[0].seed = 55;
+  specs[1].name = "opendata-like";
+  specs[1].num_tables = 150;
+  specs[1].pairs_per_domain = 300;
+  specs[1].seed = 56;
+
+  TablePrinter tp({"Lake", "System", "TP", "FP", "Precision", "candidate rows",
+                   "avg runtime"});
+  for (const auto& spec : specs) {
+    const auto mc_lake = lakegen::MakeMcLake(spec);
+    const core::Blend blend(&mc_lake.lake);
+    const baselines::Mate mate(&mc_lake.lake);
+    struct Totals {
+      size_t tp = 0, fp = 0, candidates = 0;
+      double seconds = 0;
+    } b, m;
+    const int queries = cfg.Queries(15);
+    int same_tables = 0, oracle = 0;
+    Rng rng(spec.seed + 7);
+    for (int q = 0; q < queries; ++q) {
+      const int domain = q % static_cast<int>(spec.num_pair_domains);
+      const auto tuples =
+          lakegen::MakeMcQuery(spec, domain, 15 + rng.Uniform(10), &rng);
+      const core::MCSeeker mc(tuples, 10);
+      b.seconds +=
+          MedianSeconds([&] { Must(mc.Execute(blend.context(), "")); }, cfg.reps());
+      m.seconds += MedianSeconds([&] { (void)mate.TopK(tuples, 10); }, cfg.reps());
+      core::MCExecutionStats b_stats;
+      const core::TableList blend_out =
+          Must(mc.Execute(blend.context(), "", &b_stats));
+      baselines::Mate::Stats m_stats;
+      const core::TableList mate_out = mate.TopK(tuples, 10, &m_stats);
+      b.tp += b_stats.true_positives;
+      b.fp += b_stats.false_positives;
+      b.candidates += b_stats.candidate_rows;
+      m.tp += m_stats.true_positives;
+      m.fp += m_stats.false_positives;
+      m.candidates += m_stats.candidate_rows;
+      same_tables += core::IdSet(blend_out) == core::IdSet(mate_out);
+      oracle += blend_out == lakegen::BruteForceMc(mc_lake.lake, tuples, 10);
+    }
+    for (const auto& [system, t] : {std::pair<const char*, Totals>{"BLEND", b},
+                                    std::pair<const char*, Totals>{"MATE", m}}) {
+      const double precision = t.tp + t.fp == 0 ? 0.0 : 1.0 * t.tp / (t.tp + t.fp);
+      tp.AddRow({spec.name, system, std::to_string(t.tp), std::to_string(t.fp),
+                 TablePrinter::Pct(precision), std::to_string(t.candidates),
+                 FmtSeconds(t.seconds / queries)});
+    }
+    const std::string lake = " on " + spec.name;
+    claims->Assert(b.tp == m.tp, "BLEND and MATE find the same true positives" + lake,
+                   Printf("%zu vs %zu", b.tp, m.tp));
+    claims->Assert(same_tables == queries,
+                   "BLEND and MATE return the same top-k tables" + lake,
+                   Count(same_tables, queries, "queries"));
+    claims->Assert(b.candidates <= m.candidates,
+                   "BLEND reads at most as many candidate rows as MATE" + lake,
+                   Printf("%zu vs %zu", b.candidates, m.candidates));
+    claims->Assert(oracle == queries, "BLEND's answers equal BruteForceMc's" + lake,
+                   Count(oracle, queries, "queries"));
+    claims->Report(b.fp < m.fp && b.seconds < m.seconds,
+                   "BLEND validates fewer false rows and runs faster than MATE" + lake,
+                   Printf("FP %zu vs %zu, ", b.fp, m.fp) +
+                       FmtSeconds(b.seconds / queries) + " vs " +
+                       FmtSeconds(m.seconds / queries));
+  }
+  std::printf("\n%s", tp.Render("Table V: MC join precision, BLEND vs MATE").c_str());
+}
+
+// Table VIII: storage of BLEND's unified index against the combination of the
+// per-task indexes it replaces (DataXFormer inverted index, JOSIE posting
+// lists + set file, MATE XASH index, Starmie embeddings, QCR sketches), the
+// snapshot artifact per layout and postings codec, and the time a server
+// needs to open a snapshot instead of rebuilding the index.
+void Table8(const Config& cfg, Claims* claims) {
+  std::vector<DataLake> lakes;
+  lakes.push_back(lakegen::MakeJoinLake(JoinSpec("gittables-like", 600, 81)));
+  lakegen::JoinLakeSpec wdc = JoinSpec("wdc-like", 900, 82);
+  wdc.domain_vocab = 12000;
+  lakes.push_back(lakegen::MakeJoinLake(wdc));
+  lakegen::UnionLakeSpec santos, tus;
+  santos.name = "santos-like";
+  santos.num_groups = 30;
+  santos.seed = 83;
+  tus.name = "tus-like";
+  tus.num_groups = 60;
+  tus.noise_tables = 150;
+  tus.seed = 84;
+  lakes.push_back(lakegen::MakeUnionLake(santos).lake);
+  lakes.push_back(lakegen::MakeUnionLake(tus).lake);
+  lakegen::CorrLakeSpec nyc;
+  nyc.name = "nyc-like";
+  nyc.num_tables = 250;
+  nyc.seed = 85;
+  lakes.push_back(lakegen::MakeCorrLake(nyc).lake);
+  lakegen::McLakeSpec dwtc;
+  dwtc.name = "dwtc-like";
+  dwtc.num_tables = 400;
+  dwtc.seed = 86;
+  lakes.push_back(lakegen::MakeMcLake(dwtc).lake);
+
+  TablePrinter tp({"Data lake", "BLEND", "Combination of S.O.T.A.", "ratio"});
+  TablePrinter disk({"Data lake", "Layout", "In-memory", "Disk (raw)",
+                     "Disk (compressed)", "Postings raw", "Postings comp",
+                     "postings ratio"});
+  double ratio_sum = 0;
+  int smaller = 0;
+  for (const DataLake& lake : lakes) {
+    const std::string& name = lake.name();
+    IndexBuildOptions row_opts;
+    row_opts.layout = StoreLayout::kRow;
+    const IndexBundle bundle = IndexBuilder().Build(lake);
+    const IndexBundle row_bundle = IndexBuilder(row_opts).Build(lake);
+    SnapshotOptions raw, comp;
+    comp.codec = PostingCodec::kCompressed;
+    for (const IndexBundle* b : {&bundle, &row_bundle}) {
+      const size_t postings_raw = SnapshotPostingBytes(*b, raw);
+      const size_t postings_comp = SnapshotPostingBytes(*b, comp);
+      disk.AddRow({name, b->layout() == StoreLayout::kColumn ? "column" : "row",
+                   FmtBytes(b->ApproxBytes()), FmtBytes(SnapshotBytes(*b, raw)),
+                   FmtBytes(SnapshotBytes(*b, comp)), FmtBytes(postings_raw),
+                   FmtBytes(postings_comp),
+                   Printf("%.2fx", 1.0 * postings_raw / postings_comp)});
+    }
+    // DataXFormer's inverted index is AllTables without SuperKey and Quadrant:
+    // 8 + 1 bytes less per record, the secondary structures identical.
+    const size_t blend_bytes = bundle.ApproxBytes();
+    const size_t combo = blend_bytes - bundle.NumRecords() * 9 +
+                         baselines::Josie(&lake).IndexBytes() +
+                         baselines::Mate(&lake).IndexBytes() +
+                         baselines::QcrSketchIndex(&lake, 256).IndexBytes() +
+                         baselines::Starmie(&lake).IndexBytes();
+    const double ratio = 1.0 * blend_bytes / combo;
+    ratio_sum += ratio;
+    smaller += blend_bytes < combo;
+    tp.AddRow(
+        {name, FmtBytes(blend_bytes), FmtBytes(combo), TablePrinter::Fmt(ratio, 2)});
+  }
+  std::printf("\n%s",
+              tp.Render("Table VIII: index storage, BLEND vs combined per-task indexes")
+                  .c_str());
+  std::printf("\n%s", disk.Render("Snapshot artifact size per layout and postings "
+                                  "codec (on-disk vs in-memory)")
+                          .c_str());
+  const int n = static_cast<int>(lakes.size());
+  claims->Assert(smaller == n,
+                 "the unified index is smaller than the combined per-task indexes",
+                 Count(smaller, n, "lakes"));
+  claims->Report(ratio_sum / n <= 0.5,
+                 "BLEND needs at least 50% less storage on average (paper: 57%)",
+                 TablePrinter::Pct(1.0 - ratio_sum / n) + " less");
+
+  // Serving cold start: opening a snapshot and answering a probe query beats
+  // rebuilding the index, by 10x on the 800-table lake.
+  const DataLake lake =
+      lakegen::MakeJoinLake(JoinSpec("join-lake", cfg.smoke ? 120 : 800, 95));
+  Rng rng(9);
+  const std::string probe = ScSql(SampleDomainQuery(lake, 24, &rng), 25);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            ("blend_paper_" + std::to_string(getpid()) + ".snapshot"))
+                               .string();
+  const Status saved =
+      WriteSnapshot(IndexBuilder().Build(lake), path, SnapshotOptions());
+  if (!saved.ok()) {
+    return claims->Assert(false, "the snapshot writes", saved.ToString());
+  }
+  const int reps = std::max(cfg.reps(), 3);
+  const double build_s = MedianSeconds([&] { (void)IndexBuilder().Build(lake); }, reps);
+  const double open_s = MedianSeconds(
+      [&] {
+        const IndexBundle opened = Must(OpenSnapshot(path));
+        Must(sql::Engine(&opened).Query(probe));
+      },
+      reps);
+  std::remove(path.c_str());
+  const double bound = cfg.smoke ? 1.0 : 10.0;
+  claims->Assert(
+      build_s >= bound * open_s,
+      Printf("opening a raw snapshot is >= %.0fx faster than rebuilding", bound),
+      Printf("%zu cells: build %s, open + probe %s, %.1fx", lake.TotalCells(),
+             FmtSeconds(build_s).c_str(), FmtSeconds(open_s).c_str(),
+             build_s / open_s));
+}
+
+// Table IX: the user study. A survey cannot be re-run by a library; the
+// scenario replays the shipped response dataset through the aggregation
+// pipeline and regenerates the table.
+void Table9(const Config&, Claims* claims) {
+  const std::string table = eval::RenderUserStudyTable();
+  std::printf("\n%s\n", table.c_str());
+  std::printf(
+      "Responses are reconstructed from the statistics reported in the paper\n"
+      "(18 participants, 9 research / 9 industry). The paper's printed Q2 'All'\n"
+      "row (06%% | 74%%) is inconsistent with its own group rows; the\n"
+      "aggregation here yields the arithmetically consistent 5.6%% | 94.4%%.\n");
+  // Pins the rendered bytes: a change to the responses, the aggregation or
+  // the rendering shows up here.
+  constexpr uint64_t kTableDigest = 0x617807ab4a065805;
+  const uint64_t digest = Fnv1a64(table);
+  claims->Assert(digest == kTableDigest, "the aggregation regenerates the table",
+                 Printf("Fnv1a64 %016llx", static_cast<unsigned long long>(digest)));
+}
+
+// Introspection overhead: replays a 4-statement SC/KW mix on a 120-table
+// join lake with a per-query trace attached and summarized, as a run report
+// does, against the plain replay. Tracing must stay cheap enough to leave on
+// in serving: the budget is 2%.
+void Introspection(const Config& cfg, Claims* claims) {
+  const DataLake lake = lakegen::MakeJoinLake(JoinSpec("join-lake", 120, 90));
+  const IndexBundle bundle = IndexBuilder().Build(lake);
+  const sql::Engine engine(&bundle);
+  std::vector<std::string> mix;
+  Rng rng(417);
+  for (int i = 0; i < 4; ++i) {
+    const std::vector<std::string> values = SampleDomainQuery(lake, 12, &rng);
+    mix.push_back(i % 2 == 0 ? ScSql(values, 100)
+                             : "SELECT TableId, COUNT(DISTINCT CellValue) AS score "
+                               "FROM AllTables WHERE CellValue IN (" +
+                                   SqlInList(values) +
+                                   ") GROUP BY TableId ORDER BY score DESC LIMIT 50;");
+  }
+  size_t stages = 0;
+  auto plain = [&] {
+    for (const auto& sqltext : mix) Must(engine.Query(sqltext));
+  };
+  auto traced = [&] {
+    for (const auto& sqltext : mix) {
+      QueryTrace trace;
+      sql::QueryOptions opts;
+      opts.trace = &trace;
+      Must(engine.Query(sqltext, opts));
+      stages += trace.Summary().stages.size();
+    }
+  };
+  // Microsecond statements on shared cores: alternate the two sides, and
+  // take the least of many medians as each side's contention-free cost.
+  double plain_s = 1e9, traced_s = 1e9;
+  for (int round = 0; round < (cfg.smoke ? 20 : 40); ++round) {
+    plain_s = std::min(plain_s, MedianSeconds(plain, 5));
+    traced_s = std::min(traced_s, MedianSeconds(traced, 5));
+  }
+  const double overhead = std::max(0.0, traced_s / plain_s - 1.0);
+  std::printf("\nIntrospection: plain replay %s, traced + summarized %s (%zu stages)\n",
+              FmtSeconds(plain_s).c_str(), FmtSeconds(traced_s).c_str(), stages);
+  claims->Assert(overhead <= 0.02, "per-query trace + summary overhead <= 2%",
+                 Printf("%.2f%%", overhead * 100.0));
+}
+
+struct Scenario {
+  const char* name;
+  const char* section;  // the paper's table or figure
+  void (*run)(const Config&, Claims*);
+};
+
+constexpr Scenario kScenarios[] = {
+    {"table3", "Table III (complex tasks)", Table3},
+    {"table4", "Table IV (optimizer)", Table4},
+    {"fig5", "Fig. 5 (SC join runtime)", Fig5},
+    {"fig6", "Fig. 6 (Lakebench)", Fig6},
+    {"table5", "Table V (MC join)", Table5},
+    {"fig7", "Fig. 7 (union runtime)", Fig7},
+    {"table6", "Table VI (union quality)", Table6},
+    {"table7", "Table VII (correlation)", Table7},
+    {"table8", "Table VIII (index size)", Table8},
+    {"table9", "Table IX (user study)", Table9},
+    {"introspection", "tracing overhead", Introspection},
+};
+
+}  // namespace
+}  // namespace blend::paper
+
+int main(int argc, char** argv) {
+  using namespace blend::paper;
+  Config cfg;
+  std::vector<const Scenario*> selected;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      cfg.smoke = true;
+      continue;
+    }
+    const Scenario* match = nullptr;
+    for (const Scenario& s : kScenarios) {
+      if (std::strcmp(argv[i], s.name) == 0) match = &s;
+    }
+    if (match == nullptr) {
+      std::fprintf(stderr, "usage: %s [--smoke] [scenario ...]\nscenarios:", argv[0]);
+      for (const Scenario& s : kScenarios) std::fprintf(stderr, " %s", s.name);
+      std::fprintf(stderr, "\n");
+      return 2;
+    }
+    selected.push_back(match);
+  }
+  if (selected.empty()) {
+    for (const Scenario& s : kScenarios) selected.push_back(&s);
+  }
+  Claims claims;
+  blend::StopWatch total;
+  for (const Scenario* s : selected) {
+    std::printf("\n######## %s: %s\n", s->name, s->section);
+    claims.set_scenario(s->section);
+    blend::StopWatch sw;
+    s->run(cfg, &claims);
+    std::printf("  (%s in %s)\n", s->name, FmtSeconds(sw.ElapsedSeconds()).c_str());
+  }
+  std::printf("\n%d asserted claim(s) failed; %s total.\n", claims.failed(),
+              FmtSeconds(total.ElapsedSeconds()).c_str());
+  return claims.failed() == 0 ? 0 : 1;
+}

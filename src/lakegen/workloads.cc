@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/str_util.h"
+#include "lakegen/mc_lake.h"
 #include "lakegen/vocab.h"
 
 namespace blend::lakegen {
@@ -103,7 +104,7 @@ core::TableList BruteForceOverlap::TopKByColumnOverlap(
 }
 
 core::TableList BruteForceOverlap::TopKByTableOverlap(
-    const std::vector<std::string>& values, int k) const {
+    const std::vector<std::string>& values, int k, const TableFilter& keep) const {
   std::unordered_map<TableId, size_t> hits;
   std::unordered_set<std::string> distinct;
   for (const auto& v : values) {
@@ -112,7 +113,9 @@ core::TableList BruteForceOverlap::TopKByTableOverlap(
     auto it = postings_.find(n);
     if (it == postings_.end()) continue;
     std::unordered_set<TableId> tables;
-    for (const auto& [t, c] : it->second) tables.insert(t);
+    for (const auto& [t, c] : it->second) {
+      if (!keep || keep(t)) tables.insert(t);
+    }
     for (TableId t : tables) ++hits[t];
   }
   core::TableList out;
@@ -187,6 +190,88 @@ core::TableList ExactCorrelationTopK(const DataLake& lake,
       if (r > best) best = r;
     }
     if (best > 0) out.push_back({ti, best});
+  }
+  core::SortDesc(&out);
+  core::TruncateK(&out, k);
+  return out;
+}
+
+core::TableList BruteForceMc(const DataLake& lake,
+                             const std::vector<std::vector<std::string>>& tuples, int k,
+                             const TableFilter& keep) {
+  core::TableList out;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    if (keep && !keep(t)) continue;
+    const Table& table = lake.table(t);
+    double rows = 0;
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      if (RowJoinsTuples(table, r, tuples)) rows += 1;
+    }
+    if (rows > 0) out.push_back({t, rows});
+  }
+  core::SortDesc(&out);
+  core::TruncateK(&out, k);
+  return out;
+}
+
+core::TableList BruteForceCorrelation(const DataLake& lake,
+                                      const std::vector<std::string>& keys,
+                                      const std::vector<double>& targets, int k, int h,
+                                      const TableFilter& keep) {
+  const size_t n = std::min(keys.size(), targets.size());
+  double mean = 0;
+  for (size_t i = 0; i < n; ++i) mean += targets[i];
+  if (n > 0) mean /= static_cast<double>(n);
+  // Which sides of the target mean each normalized key falls on: bit 1
+  // below, bit 2 at or above (a key listed twice may fall on both).
+  std::unordered_map<std::string, int> side_of;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string key = NormalizeCell(keys[i]);
+    if (!key.empty()) side_of[key] |= targets[i] < mean ? 1 : 2;
+  }
+  core::TableList out;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    if (keep && !keep(t)) continue;
+    const Table& table = lake.table(t);
+    const size_t rows = std::min(table.NumRows(), static_cast<size_t>(h));
+    // Per column and sampled row: the sides of the cell's key, 0 when it is
+    // no query key. A table no sampled row joins scores nothing.
+    std::vector<std::vector<int>> sides(table.NumColumns(), std::vector<int>(rows));
+    bool joins = false;
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (size_t r = 0; r < rows; ++r) {
+        const auto it = side_of.find(NormalizeCell(table.At(r, c)));
+        sides[c][r] = it == side_of.end() ? 0 : it->second;
+        joins = joins || sides[c][r] != 0;
+      }
+    }
+    if (!joins) continue;
+    bool found = false;
+    double best = 0;
+    for (size_t nc = 0; nc < table.NumColumns(); ++nc) {
+      const Column& num = table.column(nc);
+      if (!num.IsNumeric()) continue;
+      const double col_mean = num.NumericMean().value_or(0);
+      for (size_t kc = 0; kc < table.NumColumns(); ++kc) {
+        if (kc == nc) continue;
+        int64_t count = 0, agree = 0;
+        for (size_t r = 0; r < rows; ++r) {
+          const int side = sides[kc][r];
+          if (side == 0) continue;
+          const auto value = ParseNumeric(table.At(r, nc));
+          if (!value.has_value()) continue;  // blank numeric cell
+          const bool high = *value >= col_mean;
+          ++count;
+          if (((side & 1) && !high) || ((side & 2) && high)) ++agree;
+        }
+        if (count == 0) continue;
+        const double score = std::abs(static_cast<double>(2 * agree - count) /
+                                      static_cast<double>(count));
+        if (!found || score > best) best = score;
+        found = true;
+      }
+    }
+    if (found) out.push_back({t, best});
   }
   core::SortDesc(&out);
   core::TruncateK(&out, k);

@@ -272,31 +272,6 @@ TEST(SeekerTest, McStatsAreConsistent) {
   EXPECT_LE(st.bloom_pass_rows, st.candidate_rows);
 }
 
-/// Brute-force MC seeker over the raw DataLake, sharing no code with the
-/// index or the SQL engine. A table `keep` accepts scores the number of its
-/// rows that contain some query tuple exactly (lakegen::RowJoinsTuples:
-/// every value, each in a distinct column). Top k by score descending, ties
-/// by ascending TableId.
-TableList BruteForceMc(const DataLake& lake,
-                       const std::vector<std::vector<std::string>>& tuples, int k,
-                       const std::function<bool(TableId)>& keep) {
-  TableList out;
-  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
-    if (!keep(t)) continue;
-    const Table& table = lake.table(t);
-    double rows = 0;
-    for (size_t r = 0; r < table.NumRows(); ++r) {
-      if (lakegen::RowJoinsTuples(table, r, tuples)) rows += 1;
-    }
-    if (rows > 0) out.push_back({t, rows});
-  }
-  std::sort(out.begin(), out.end(), [](const ScoredTable& a, const ScoredTable& b) {
-    return a.score != b.score ? a.score > b.score : a.table < b.table;
-  });
-  if (k >= 0 && out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
-  return out;
-}
-
 /// A Blend over `lake` built with `opts`. With `compressed` it serves
 /// block-compressed postings: the built index round-trips through a
 /// compressed snapshot, opened without the lake.
@@ -360,8 +335,7 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
         ASSERT_NE(blend, nullptr);
         for (size_t q = 0; q < queries.size(); ++q) {
           const auto& tuples = queries[q];
-          const TableList all =
-              BruteForceMc(lake, tuples, -1, [](TableId) { return true; });
+          const TableList all = lakegen::BruteForceMc(lake, tuples, -1);
           ASSERT_GT(all.size(), 5u) << "query " << q << " joins too few tables";
           // The rewrite list: every other table the unrestricted oracle ranks,
           // plus one table no tuple joins.
@@ -390,7 +364,7 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
                            " compressed=" + std::to_string(compressed) +
                            " q=" + std::to_string(q) + " k=" + std::to_string(k) +
                            " rewrite=" + rewrite);
-              const TableList want = BruteForceMc(lake, tuples, k, keep);
+              const TableList want = lakegen::BruteForceMc(lake, tuples, k, keep);
               MCExecutionStats stats;
               auto got = mc.Execute(blend->context(), rewrite, &stats);
               ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -411,38 +385,6 @@ TEST(SeekerTest, McMatchesBruteForceOracle) {
   EXPECT_GT(rejected, 0u);   // exact validation rejected some candidate rows
 }
 
-/// Brute-force KW seeker over the raw DataLake, sharing no code with the
-/// index or the SQL engine. A table `keep` accepts scores the number of
-/// distinct normalized keywords among its normalized cells. Top k by score
-/// descending, ties by ascending TableId (the engine's ORDER BY breaks ties
-/// on the output row, whose first value is the TableId).
-TableList BruteForceKw(const DataLake& lake, const std::vector<std::string>& keywords,
-                       int k, const std::function<bool(TableId)>& keep) {
-  std::set<std::string> wanted;
-  for (const std::string& kw : keywords) {
-    const std::string n = NormalizeCell(kw);
-    if (!n.empty()) wanted.insert(n);
-  }
-  TableList out;
-  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
-    if (!keep(t)) continue;
-    const Table& table = lake.table(t);
-    std::set<std::string> found;
-    for (size_t c = 0; c < table.NumColumns(); ++c) {
-      for (size_t r = 0; r < table.NumRows(); ++r) {
-        const std::string n = NormalizeCell(table.At(r, c));
-        if (wanted.count(n) > 0) found.insert(n);
-      }
-    }
-    if (!found.empty()) out.push_back({t, static_cast<double>(found.size())});
-  }
-  std::sort(out.begin(), out.end(), [](const ScoredTable& a, const ScoredTable& b) {
-    return a.score != b.score ? a.score > b.score : a.table < b.table;
-  });
-  if (k >= 0 && out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
-  return out;
-}
-
 TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
   // Keywords from two random columns (so scores spread and tie), a case and
   // whitespace variant of one, and a keyword no table holds; k below and
@@ -456,6 +398,7 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
   spec.domain_vocab = 300;
   spec.seed = 29;
   const DataLake lake = lakegen::MakeJoinLake(spec);
+  const lakegen::BruteForceOverlap brute(&lake);
 
   Rng rng(31);
   std::vector<std::vector<std::string>> queries;
@@ -480,8 +423,7 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
       ASSERT_NE(blend, nullptr);
       for (size_t q = 0; q < queries.size(); ++q) {
         const auto& keywords = queries[q];
-        const TableList all =
-            BruteForceKw(lake, keywords, -1, [](TableId) { return true; });
+        const TableList all = brute.TopKByTableOverlap(keywords, -1);
         ASSERT_GT(all.size(), 5u) << "query " << q << " matches too few tables";
         // The rewrite list: every other table the unrestricted oracle ranks,
         // plus one table no keyword reaches.
@@ -511,7 +453,7 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
                          " compressed=" + std::to_string(compressed) +
                          " q=" + std::to_string(q) + " k=" + std::to_string(k) +
                          " rewrite=" + rewrite);
-            const TableList want = BruteForceKw(lake, keywords, k, keep);
+            const TableList want = brute.TopKByTableOverlap(keywords, k, keep);
             auto got = kw.Execute(blend->context(), rewrite);
             ASSERT_TRUE(got.ok()) << got.status().ToString();
             ASSERT_EQ(got.value().size(), want.size());
@@ -526,70 +468,6 @@ TEST(SeekerTest, KeywordMatchesBruteForceOracle) {
     }
   }
   EXPECT_GT(checked, 200u);  // the oracle ranked real tables, not empty lists
-}
-
-/// Brute-force correlation seeker over the raw DataLake, sharing no code
-/// with the index or the SQL engine. For every table `keep` accepts, every
-/// key column and every other numeric column (Column::IsNumeric), over the
-/// rows r < h whose key cell normalizes to a query key and whose numeric
-/// cell is non-blank: a row agrees when its key's target is below the target
-/// mean and its value below the column mean (Column::NumericMean), or the
-/// target at or above the mean and the value at or above the column mean.
-/// The pair scores the QCR |2 * agreeing - rows| / rows; a table scores its
-/// best pair. Top k by score descending, ties by ascending TableId.
-TableList BruteForceCorrelation(const DataLake& lake,
-                                const std::vector<std::string>& keys,
-                                const std::vector<double>& targets, int k, int h,
-                                const std::function<bool(TableId)>& keep) {
-  const size_t n = std::min(keys.size(), targets.size());
-  double mean = 0;
-  for (size_t i = 0; i < n; ++i) mean += targets[i];
-  if (n > 0) mean /= static_cast<double>(n);
-  std::set<std::string> below, above;
-  for (size_t i = 0; i < n; ++i) {
-    const std::string key = NormalizeCell(keys[i]);
-    if (key.empty()) continue;
-    (targets[i] < mean ? below : above).insert(key);
-  }
-  TableList out;
-  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
-    if (!keep(t)) continue;
-    const Table& table = lake.table(t);
-    const size_t rows = std::min(table.NumRows(), static_cast<size_t>(h));
-    bool found = false;
-    double best = 0;
-    for (size_t nc = 0; nc < table.NumColumns(); ++nc) {
-      const Column& num = table.column(nc);
-      if (!num.IsNumeric()) continue;
-      const double col_mean = num.NumericMean().value();
-      for (size_t kc = 0; kc < table.NumColumns(); ++kc) {
-        if (kc == nc) continue;
-        int64_t count = 0, agree = 0;
-        for (size_t r = 0; r < rows; ++r) {
-          const std::string key = NormalizeCell(table.At(r, kc));
-          const bool is_below = below.count(key) > 0;
-          const bool is_above = above.count(key) > 0;
-          if (!is_below && !is_above) continue;
-          const auto value = ParseNumeric(table.At(r, nc));
-          if (!value.has_value()) continue;  // blank numeric cell
-          const bool high = *value >= col_mean;
-          ++count;
-          if ((is_below && !high) || (is_above && high)) ++agree;
-        }
-        if (count == 0) continue;
-        const double score = std::abs(static_cast<double>(2 * agree - count) /
-                                      static_cast<double>(count));
-        if (!found || score > best) best = score;
-        found = true;
-      }
-    }
-    if (found) out.push_back({t, best});
-  }
-  std::sort(out.begin(), out.end(), [](const ScoredTable& a, const ScoredTable& b) {
-    return a.score != b.score ? a.score > b.score : a.table < b.table;
-  });
-  if (k >= 0 && out.size() > static_cast<size_t>(k)) out.resize(static_cast<size_t>(k));
-  return out;
 }
 
 TEST(SeekerTest, CorrelationMatchesBruteForceOracle) {
@@ -614,8 +492,8 @@ TEST(SeekerTest, CorrelationMatchesBruteForceOracle) {
     for (int h : {16, 256}) {
       for (int k : {5, 1000}) {
         CorrelationSeeker seeker(query.keys, query.targets, k, h);
-        const TableList all = BruteForceCorrelation(
-            corr.lake, query.keys, query.targets, -1, h, [](TableId) { return true; });
+        const TableList all =
+            lakegen::BruteForceCorrelation(corr.lake, query.keys, query.targets, -1, h);
         // The rewrite list: every other table the unrestricted oracle ranks,
         // plus one table no key joins.
         std::set<TableId> listed;
@@ -634,8 +512,8 @@ TEST(SeekerTest, CorrelationMatchesBruteForceOracle) {
         for (const auto& [rewrite, keep] : rewrites) {
           SCOPED_TRACE("q=" + std::to_string(q) + " h=" + std::to_string(h) +
                        " k=" + std::to_string(k) + " rewrite=" + rewrite);
-          const TableList want = BruteForceCorrelation(corr.lake, query.keys,
-                                                       query.targets, k, h, keep);
+          const TableList want = lakegen::BruteForceCorrelation(
+              corr.lake, query.keys, query.targets, k, h, keep);
           auto got = seeker.Execute(blend.context(), rewrite);
           ASSERT_TRUE(got.ok()) << got.status().ToString();
           ASSERT_EQ(got.value().size(), want.size());
@@ -764,8 +642,7 @@ TEST(SeekerTest, CorrelationMatchesBruteForceOracleOnRaggedRows) {
       targets.push_back(rng.Normal());
     }
     for (int h : {256, 1024}) {
-      const TableList all = BruteForceCorrelation(lake, keys, targets, -1, h,
-                                                  [](TableId) { return true; });
+      const TableList all = lakegen::BruteForceCorrelation(lake, keys, targets, -1, h);
       std::vector<std::string> normalized;
       for (const auto& key : keys) normalized.push_back(NormalizeCell(key));
       const std::string same_column_join =
