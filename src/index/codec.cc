@@ -564,17 +564,11 @@ size_t PostingCursor::BlockOffset(size_t b) const {
 }
 
 std::span<const PostingValue> PostingCursor::NextBatch() {
-  if (list_.is_raw()) {
-    if (raw_from_ >= list_.size()) return {};
-    batch_ordinal_ = raw_from_;
-    const auto batch = list_.raw_span().subspan(raw_from_);
-    raw_from_ = list_.size();  // the whole remainder was served
-    return batch;
-  }
   if (list_.empty() || next_block_ >= NumBlocks()) return {};
   const size_t b = next_block_++;
   batch_ordinal_ = b * kPostingBlockLen;
   const size_t len = std::min(kPostingBlockLen, list_.size() - batch_ordinal_);
+  if (list_.is_raw()) return list_.raw_span().subspan(batch_ordinal_, len);
   if (list_.size() == 1) {
     scratch_[0] = list_.first();
   } else {
@@ -585,10 +579,6 @@ std::span<const PostingValue> PostingCursor::NextBatch() {
 }
 
 void PostingCursor::SeekToOrdinal(size_t i) {
-  if (list_.is_raw()) {
-    raw_from_ = std::min(i, list_.size());
-    return;
-  }
   next_block_ = i >= list_.size() ? NumBlocks() : i / kPostingBlockLen;
 }
 

@@ -71,6 +71,8 @@ using PostingValue = uint32_t;
 
 /// Values per block. A multiple of the executor's scan-morsel length divides
 /// evenly into blocks, so parallel scan morsels start on block boundaries.
+/// It also bounds every PostingCursor batch, in both storage modes, so a
+/// consumer may gather a batch into a fixed kPostingBlockLen-slot buffer.
 inline constexpr size_t kPostingBlockLen = 128;
 
 /// Consecutive cell ids per partition: the random-access granularity of the
@@ -178,9 +180,11 @@ PostingListRef FindPostingList(const uint8_t* data,
 // PostingCursor: block-at-a-time iteration over either storage mode.
 // ---------------------------------------------------------------------------
 
-/// The query engine's view of a posting list: batches of ascending positions
-/// decoded into an internal scratch buffer that is reused across blocks (no
-/// per-batch allocation). Raw lists are served as one zero-copy batch.
+/// The query engine's view of a posting list: batches of ascending positions,
+/// one block of at most kPostingBlockLen values each, decoded into an
+/// internal scratch buffer that is reused across blocks (no per-batch
+/// allocation). Raw lists are served as zero-copy subspans of the same
+/// block geometry.
 ///
 ///   PostingCursor cur(store.PostingList(id));
 ///   for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch())
@@ -194,9 +198,10 @@ class PostingCursor {
 
   size_t size() const { return list_.size(); }
 
-  /// Decodes and returns the next batch, empty at end of list. The span is
-  /// valid until the next call (it aliases the internal scratch for encoded
-  /// lists, the underlying array for raw lists).
+  /// Decodes and returns the next batch (ordinals [b * kPostingBlockLen,
+  /// (b + 1) * kPostingBlockLen) of the list), empty at end of list. The span
+  /// is valid until the next call (it aliases the internal scratch for
+  /// encoded lists, the underlying array for raw lists).
   std::span<const PostingValue> NextBatch();
 
   /// Ordinal (index within the list) of the first value of the batch most
@@ -218,8 +223,7 @@ class PostingCursor {
   size_t BlockOffset(size_t b) const;
 
   PostingListRef list_;
-  size_t next_block_ = 0;     // encoded mode: next block to decode
-  size_t raw_from_ = 0;       // raw mode: ordinal the next batch starts at
+  size_t next_block_ = 0;     // next block to serve
   size_t batch_ordinal_ = 0;
   const uint8_t* skip_ = nullptr;    // encoded: skip table (null if 1 block)
   const uint8_t* blocks_ = nullptr;  // encoded: first block's tag byte

@@ -5,10 +5,13 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
+#include "common/hashing.h"
 #include "common/scheduler.h"
 #include "common/str_util.h"
 #include "index/codec.h"
@@ -132,6 +135,45 @@ int Cmp(const SqlValue& a, const SqlValue& b) {
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
+/// Open-addressing index from 64-bit hashes to dense ids: linear probing
+/// (ProbeSlot) over a power-of-two slot array at most half full, doubling as
+/// it fills. Ids whose hashes collide take separate slots; the caller's
+/// eq(id) tells them apart. Slots follow the high half of Mix64(hash), so
+/// hashes that share its low bits (one merge partition's) still spread.
+struct SlotIndex {
+  struct Slot {
+    uint64_t hash;
+    uint32_t id;
+    bool operator==(const Slot&) const = default;
+  };
+  static constexpr Slot kFree{0, UINT32_MAX};
+  std::vector<Slot> slots;
+  size_t used = 0;
+
+  /// The id under `hash` for which eq(id) holds; when there is none, stores
+  /// and returns `id`.
+  template <typename Eq>
+  uint32_t FindOrAdd(uint64_t hash, uint32_t id, const Eq& eq) {
+    if (2 * (used + 1) > slots.size()) {
+      std::vector<Slot> old(std::max<size_t>(16, 2 * slots.size()), kFree);
+      old.swap(slots);
+      for (const Slot& s : old) {
+        if (s.id == UINT32_MAX) continue;
+        slots[ProbeSlot(slots, Mix64(s.hash) >> 32, kFree, [](const Slot&) {
+          return false;
+        })] = s;
+      }
+    }
+    Slot& slot = slots[ProbeSlot(slots, Mix64(hash) >> 32, kFree, [&](const Slot& s) {
+      return s.hash == hash && eq(s.id);
+    })];
+    if (slot.id != UINT32_MAX) return slot.id;
+    slot = {hash, id};
+    ++used;
+    return id;
+  }
+};
+
 /// The values a COUNT(DISTINCT) has seen.
 struct DistinctValues {
   std::unordered_set<int64_t> ints;
@@ -217,6 +259,7 @@ void CountPostingList(AggState* st, CellId cell) {
 /// every thread count. Strict `<`/`>` on MIN/MAX keeps the earlier chunk's
 /// value on Cmp-ties, matching the serial first-seen rule. A posting list cut
 /// across chunks reaches a group from both sides of the cut; it counts once.
+/// Folding into a fresh state moves `from` (a zero sum plus x is x).
 void MergeAggState(AggState* into, AggState* from) {
   if (from->first_list != kInvalidCellId && from->first_list == into->last_list) {
     --into->count;
@@ -451,17 +494,21 @@ Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
   return scan;
 }
 
-/// Calls fn(p, cell) on the positions of `mo` in scan order until fn returns
-/// false, where `cell` is the ListSlice::cell of p's list (kInvalidCellId
-/// off the lists); returns false when fn stopped the walk.
+/// Calls fn(batch, cell) on the positions of `mo` in scan order, at most
+/// kPostingBlockLen positions per batch, until fn returns false, where
+/// `cell` is the ListSlice::cell of the batch's list (kInvalidCellId off the
+/// lists); returns false when fn stopped the walk.
 template <typename Fn>
 bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
-  for (size_t i = mo.begin; i < mo.end; ++i) {
-    if (!fn(static_cast<RecordPos>(i), kInvalidCellId)) return false;
+  RecordPos range[kPostingBlockLen];
+  for (size_t b = mo.begin; b < mo.end; b += kPostingBlockLen) {
+    const size_t n = std::min(kPostingBlockLen, mo.end - b);
+    for (size_t i = 0; i < n; ++i) range[i] = static_cast<RecordPos>(b + i);
+    if (!fn(std::span<const RecordPos>(range, n), kInvalidCellId)) return false;
   }
   for (const ListSlice& s : mo.lists) {
     // Batch-decode the slice's own containers into the cursor's reusable
-    // scratch; raw lists come back as one zero-copy batch.
+    // scratch; raw lists come back as zero-copy blocks.
     PostingCursor cur(s.list);
     cur.SeekToOrdinal(s.begin);
     for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
@@ -469,9 +516,7 @@ bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
       if (ord >= s.end) break;
       const size_t lo = s.begin > ord ? s.begin - ord : 0;
       const size_t hi = std::min(batch.size(), s.end - ord);
-      for (size_t i = lo; i < hi; ++i) {
-        if (!fn(batch[i], s.cell)) return false;
-      }
+      if (!fn(batch.subspan(lo, hi - lo), s.cell)) return false;
     }
   }
   return true;
@@ -490,8 +535,10 @@ Result<std::vector<RecordPos>> ScanRel(const RelScan& scan, const Store& store,
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kScan, stats, scan.morsels.size(),
                                [&](size_t m) {
     std::vector<RecordPos>& out = parts[m];
-    WalkMorsel(scan.morsels[m], [&](RecordPos p, CellId) {
-      if (scan.filter(store, p)) out.push_back(p);
+    WalkMorsel(scan.morsels[m], [&](std::span<const RecordPos> batch, CellId) {
+      for (RecordPos p : batch) {
+        if (scan.filter(store, p)) out.push_back(p);
+      }
       return true;
     });
   }));
@@ -698,9 +745,14 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
   // Orientation: count passing candidates in ScanRel's scan order.
   const size_t cap = rows.size() + 1;
   size_t passing = 0, visited = 0;
-  auto visit = [&](RecordPos p, CellId) {
-    if (rel.filter(store, p) && ++passing == cap) return false;
-    return ++visited % kSerialCheckInterval != 0 || !ShouldStop(options.control);
+  auto visit = [&](std::span<const RecordPos> batch, CellId) {
+    for (RecordPos p : batch) {
+      if (rel.filter(store, p) && ++passing == cap) return false;
+      if (++visited % kSerialCheckInterval == 0 && ShouldStop(options.control)) {
+        return false;
+      }
+    }
+    return true;
   };
   for (const ScanMorsel& mo : rel.morsels) {
     if (!WalkMorsel(mo, visit)) break;
@@ -776,102 +828,12 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
 // Output assembly: ordering shared by projection and aggregation.
 // ---------------------------------------------------------------------------
 
-/// Sorts rows (pairs of output values + sort key values), applies the
-/// engine-side dedup-top-k spec (QueryOptions::dedup_column / dedup_limit),
-/// then LIMIT. Shared by ProjectRows and EmitGroups, so dedup semantics
-/// cannot diverge between projection and aggregation.
-void SortAndLimit(std::vector<std::vector<SqlValue>>* rows,
-                  std::vector<std::vector<SqlValue>>* sort_vals,
-                  const std::vector<bool>& desc, int64_t limit,
-                  const QueryOptions& options) {
-  const bool dedup =
-      options.dedup_column >= 0 && !rows->empty() &&
-      static_cast<size_t>(options.dedup_column) < (*rows)[0].size();
-  if (!sort_vals->empty() && !desc.empty()) {
-    std::vector<size_t> idx(rows->size());
-    for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    auto cmp = [&](size_t a, size_t b) {
-      const auto& ka = (*sort_vals)[a];
-      const auto& kb = (*sort_vals)[b];
-      for (size_t i = 0; i < ka.size(); ++i) {
-        int c = Cmp(ka[i], kb[i]);
-        if (desc[i]) c = -c;
-        if (c != 0) return c < 0;
-      }
-      // Deterministic tie-break: compare output values, then original index.
-      const auto& ra = (*rows)[a];
-      const auto& rb = (*rows)[b];
-      for (size_t i = 0; i < ra.size(); ++i) {
-        int c = Cmp(ra[i], rb[i]);
-        if (c != 0) return c < 0;
-      }
-      return a < b;
-    };
-    if (!dedup && limit >= 0 && static_cast<size_t>(limit) < idx.size()) {
-      std::partial_sort(idx.begin(), idx.begin() + limit, idx.end(), cmp);
-      idx.resize(static_cast<size_t>(limit));
-    } else {
-      // Dedup needs the full order: the k-th distinct value can sit
-      // arbitrarily deep in the sorted stream.
-      std::sort(idx.begin(), idx.end(), cmp);
-    }
-    std::vector<std::vector<SqlValue>> out;
-    out.reserve(idx.size());
-    for (size_t i : idx) out.push_back(std::move((*rows)[i]));
-    *rows = std::move(out);
-  }
-  if (dedup) {
-    // Keep, in order, the first row per distinct dedup-column value; stop
-    // once dedup_limit distinct values have been kept (< 0 = unbounded).
-    const auto col = static_cast<size_t>(options.dedup_column);
-    std::vector<SqlValue> distinct;
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    std::vector<std::vector<SqlValue>> kept;
-    for (auto& row : *rows) {
-      if (options.dedup_limit >= 0 &&
-          static_cast<int64_t>(distinct.size()) >= options.dedup_limit) {
-        break;
-      }
-      const SqlValue& v = row[col];
-      auto& bucket = buckets[v.Hash()];
-      bool seen = false;
-      for (uint32_t i : bucket) {
-        if (distinct[i] == v) {
-          seen = true;
-          break;
-        }
-      }
-      if (seen) continue;
-      bucket.push_back(static_cast<uint32_t>(distinct.size()));
-      distinct.push_back(v);
-      kept.push_back(std::move(row));
-    }
-    *rows = std::move(kept);
-  }
-  if (limit >= 0 && static_cast<size_t>(limit) < rows->size()) {
-    rows->resize(static_cast<size_t>(limit));
-  }
-}
-
 /// Bound ORDER BY: per item, the output column it names (ref >= 0) or its
 /// bound expression, and its direction.
 struct SortKeys {
   std::vector<int> ref;
   std::vector<BoundExprPtr> exprs;
   std::vector<bool> desc;
-
-  /// One output row's sort values; `leaf` resolves the bound expressions.
-  template <typename Leaf>
-  std::vector<SqlValue> Values(const std::vector<SqlValue>& out,
-                               const Leaf& leaf) const {
-    std::vector<SqlValue> vals;
-    vals.reserve(ref.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      vals.push_back(ref[i] >= 0 ? out[static_cast<size_t>(ref[i])]
-                                 : EvalExpr(*exprs[i], leaf));
-    }
-    return vals;
-  }
 };
 
 /// Binds ORDER BY items: a bare name that matches an output column refers to
@@ -923,12 +885,114 @@ struct OutputBinding {
   SortKeys sort;
 };
 
-/// Output rows and, under ORDER BY, each row's sort values, ahead of
-/// SortAndLimit.
+/// Output rows in flat arrays, `width` values and (under ORDER BY) `sort_width`
+/// sort values per row; SortAndLimit builds row vectors for the kept ones.
 struct OutputRows {
-  std::vector<std::vector<SqlValue>> rows;
-  std::vector<std::vector<SqlValue>> sort_vals;
+  size_t num_rows = 0;
+  size_t width = 0;
+  size_t sort_width = 0;
+  std::vector<SqlValue> vals;
+  std::vector<SqlValue> sort_vals;
+
+  OutputRows() = default;
+  OutputRows(size_t rows, const OutputBinding& b, const SelectStmt& stmt)
+      : num_rows(rows),
+        width(b.items.size()),
+        sort_width(stmt.order_by.empty() ? 0 : b.sort.ref.size()),
+        vals(rows * width),
+        sort_vals(rows * sort_width) {}
+
+  const SqlValue* Row(size_t r) const { return vals.data() + r * width; }
+  const SqlValue* SortRow(size_t r) const { return sort_vals.data() + r * sort_width; }
+
+  /// Evaluates row `r`'s select items and sort keys; `leaf` resolves the
+  /// bound expressions.
+  template <typename Leaf>
+  void Fill(size_t r, const OutputBinding& b, const Leaf& leaf) {
+    SqlValue* row = vals.data() + r * width;
+    for (size_t i = 0; i < width; ++i) row[i] = EvalExpr(*b.items[i], leaf);
+    SqlValue* sort = sort_vals.data() + r * sort_width;
+    for (size_t i = 0; i < sort_width; ++i) {
+      const int ref = b.sort.ref[i];
+      sort[i] = ref >= 0 ? row[ref] : EvalExpr(*b.sort.exprs[i], leaf);
+    }
+  }
 };
+
+constexpr size_t kDedupSortRows = 64;  ///< SortAndLimit's first prefix under dedup
+
+/// Orders the output rows by their sort values, breaking ties on the output
+/// values and then the row index, applies the engine-side dedup-top-k spec
+/// (QueryOptions::dedup_column / dedup_limit), then LIMIT, and builds only
+/// the rows it keeps. It sorts row indices only as deep as the kept rows
+/// reach: the first LIMIT rows, or under dedup a prefix that doubles from
+/// kDedupSortRows rows; the order is total, so every prefix is the full
+/// sort's. Shared by Project and Aggregate, so their dedup cannot diverge.
+std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
+                                                const std::vector<bool>& desc,
+                                                int64_t limit,
+                                                const QueryOptions& options) {
+  const size_t n = out.num_rows;
+  const auto col = static_cast<size_t>(options.dedup_column);
+  const bool dedup = options.dedup_column >= 0 && col < out.width;
+  // Rows kept: LIMIT, and under dedup one per distinct value up to dedup_limit
+  // (< 0 = unbounded).
+  size_t cap = limit >= 0 ? std::min(n, static_cast<size_t>(limit)) : n;
+  if (dedup && options.dedup_limit >= 0) {
+    cap = std::min(cap, static_cast<size_t>(options.dedup_limit));
+  }
+  auto cmp = [&](uint32_t a, uint32_t b) {
+    const SqlValue* ka = out.SortRow(a);
+    const SqlValue* kb = out.SortRow(b);
+    for (size_t i = 0; i < out.sort_width; ++i) {
+      int c = Cmp(ka[i], kb[i]);
+      if (desc[i]) c = -c;
+      if (c != 0) return c < 0;
+    }
+    const SqlValue* ra = out.Row(a);
+    const SqlValue* rb = out.Row(b);
+    for (size_t i = 0; i < out.width; ++i) {
+      const int c = Cmp(ra[i], rb[i]);
+      if (c != 0) return c < 0;
+    }
+    return a < b;
+  };
+  std::vector<uint32_t> idx(n);
+  std::iota(idx.begin(), idx.end(), 0u);
+  // idx[0, sorted) is in final order.
+  size_t sorted = out.sort_width > 0 && !desc.empty() ? 0 : n;
+  SlotIndex distinct;  // the kept rows' dedup values, by index into `kept`
+  std::vector<uint32_t> kept;
+  for (size_t i = 0; i < n && kept.size() < cap; ++i) {
+    if (i == sorted) {
+      const size_t m =
+          std::min(n, std::max({i + 1, 2 * sorted, dedup ? kDedupSortRows : cap}));
+      if (m == n) {
+        std::sort(idx.begin() + static_cast<ptrdiff_t>(sorted), idx.end(), cmp);
+      } else {
+        std::partial_sort(idx.begin() + static_cast<ptrdiff_t>(sorted),
+                          idx.begin() + static_cast<ptrdiff_t>(m), idx.end(), cmp);
+      }
+      sorted = m;
+    }
+    const uint32_t r = idx[i];
+    if (dedup) {
+      // Keep, in order, the first row per distinct dedup-column value.
+      const SqlValue& v = out.Row(r)[col];
+      const auto id = static_cast<uint32_t>(kept.size());
+      if (distinct.FindOrAdd(v.Hash(), id, [&](uint32_t k) {
+            return out.Row(kept[k])[col] == v;
+          }) != id) {
+        continue;
+      }
+    }
+    kept.push_back(r);
+  }
+  std::vector<std::vector<SqlValue>> rows;
+  rows.reserve(kept.size());
+  for (uint32_t r : kept) rows.emplace_back(out.Row(r), out.Row(r) + out.width);
+  return rows;
+}
 
 /// Binds a projection's select items in row context; `SELECT *` exposes the
 /// canonical fields of every relation, prefixed with the relation's alias
@@ -1013,11 +1077,11 @@ bool CountsPostingLists(const AggSpec& a, const ScanSpec& spec) {
 
 /// The aggregate's input rows, cut into chunks: the materialized row stream
 /// in kAggChunkRows chunks, or one relation's bound scan walked in place, one
-/// chunk per morsel, with no position or row vectors. ForEachRow(c, fn)
-/// calls fn(ordinal, row, cell) on chunk c's rows in input order until fn
-/// returns false. Ordinals ascend along the input, so a group's smallest
-/// ordinal orders it by first appearance; `cell` is the row's posting list
-/// on the CellValue index (kInvalidCellId elsewhere).
+/// chunk per morsel, with no position or row vectors. ForEachBlock(c, fn)
+/// calls fn(rows, cell) on chunk c's rows in input order, at most
+/// kPostingBlockLen at a time, until fn returns false: slices of the row
+/// stream, or a scan batch's passing positions with `cell`, the batch's
+/// posting list on the CellValue index (kInvalidCellId elsewhere).
 template <typename Store>
 struct AggInput {
   const Store* store = nullptr;
@@ -1025,84 +1089,28 @@ struct AggInput {
   const RelScan* scan = nullptr;              ///< the scan walked in place
 
   size_t NumChunks() const {
-    if (scan != nullptr) return scan->morsels.size();
-    return (rows->size() + kAggChunkRows - 1) / kAggChunkRows;
+    return scan != nullptr ? scan->morsels.size()
+                           : sql::NumChunks(rows->size(), kAggChunkRows);
   }
 
   template <typename Fn>
-  void ForEachRow(size_t c, const Fn& fn) const {
+  void ForEachBlock(size_t c, const Fn& fn) const {
     if (scan == nullptr) {
       const size_t e = std::min(rows->size(), (c + 1) * kAggChunkRows);
-      for (size_t r = c * kAggChunkRows; r < e; ++r) {
-        if (!fn(r, (*rows)[r], kInvalidCellId)) return;
+      for (size_t b = c * kAggChunkRows; b < e; b += kPostingBlockLen) {
+        const size_t n = std::min(kPostingBlockLen, e - b);
+        if (!fn(std::span<const RowCtx>(rows->data() + b, n), kInvalidCellId)) return;
       }
       return;
     }
-    // Record k of morsel c has ordinal (c << 32) + k; morsels hold far fewer
-    // than 2^32 records.
-    size_t ordinal = c << 32;
-    RowCtx ctx;
-    WalkMorsel(scan->morsels[c], [&](RecordPos p, CellId cell) {
-      const size_t o = ordinal++;
-      if (!scan->filter(*store, p)) return true;
-      ctx.pos[0] = p;
-      return fn(o, ctx, cell);
+    RowCtx kept[kPostingBlockLen];
+    WalkMorsel(scan->morsels[c], [&](std::span<const RecordPos> batch, CellId cell) {
+      size_t n = 0;
+      for (RecordPos p : batch) {
+        if (scan->filter(*store, p)) kept[n++].pos[0] = p;
+      }
+      return n == 0 || fn(std::span<const RowCtx>(kept, n), cell);
     });
-  }
-};
-
-/// Groups in insertion order. Per group the table keeps its key hash (the
-/// packed key itself when keys pack), the ordinal of its first input row
-/// and the next group with the same hash; key values and aggregate states
-/// sit in flat arrays, `num_keys` and `num_aggs` per group, so adding a
-/// group allocates nothing of its own. A packed key is its own hash, so with
-/// `exact` a hash hit is the group and keys are never compared.
-struct GroupTable {
-  struct Group {
-    uint64_t hash;
-    size_t first;
-    uint32_t next;
-  };
-  bool exact = false;
-  size_t num_keys = 0;
-  size_t num_aggs = 0;
-  std::vector<Group> groups;
-  std::vector<SqlValue> keys;
-  std::vector<AggState> states;
-  std::unordered_map<uint64_t, uint32_t> heads;
-
-  size_t size() const { return groups.size(); }
-  const SqlValue* KeysOf(uint32_t g) const { return keys.data() + g * num_keys; }
-  AggState* StatesOf(uint32_t g) { return states.data() + g * num_aggs; }
-  const AggState* StatesOf(uint32_t g) const { return states.data() + g * num_aggs; }
-
-  /// Index of the group with `hash` and key values `key`, or UINT32_MAX.
-  uint32_t Find(uint64_t hash, const SqlValue* key) const {
-    auto it = heads.find(hash);
-    uint32_t g = it == heads.end() ? UINT32_MAX : it->second;
-    while (!exact && g != UINT32_MAX && !std::equal(key, key + num_keys, KeysOf(g))) {
-      g = groups[g].next;
-    }
-    return g;
-  }
-
-  /// Appends a group with fresh aggregate states; returns its index.
-  uint32_t Insert(uint64_t hash, size_t first, const SqlValue* key) {
-    const auto gi = static_cast<uint32_t>(groups.size());
-    auto [it, inserted] = heads.try_emplace(hash, gi);
-    const uint32_t next = inserted ? UINT32_MAX : std::exchange(it->second, gi);
-    groups.push_back({hash, first, next});
-    keys.insert(keys.end(), key, key + num_keys);
-    states.resize(states.size() + num_aggs);
-    return gi;
-  }
-
-  /// Moves group `g` of `from` to the end of this table.
-  uint32_t Take(GroupTable* from, uint32_t g) {
-    const Group& moved = from->groups[g];
-    const uint32_t gi = Insert(moved.hash, moved.first, from->KeysOf(g));
-    std::move(from->StatesOf(g), from->StatesOf(g) + num_aggs, StatesOf(gi));
-    return gi;
   }
 };
 
@@ -1113,18 +1121,6 @@ struct PackedField {
   int shift;
   int width;
 };
-
-/// Value of a field PackKeys admits: TableId, ColumnId, RowId or CellValue,
-/// none of them nullable.
-template <typename Store>
-int64_t PackedFieldValue(const Store& store, Field f, RecordPos p) {
-  switch (f) {
-    case Field::kTable: return store.table(p);
-    case Field::kColumn: return store.column(p);
-    case Field::kRow: return store.row(p);
-    default: return store.cell(p);
-  }
-}
 
 /// Packed layout of the group keys when every key is a narrow integer field
 /// (the seeker shapes (TableId, ColumnId), (TableId), (TableId, ColumnId,
@@ -1150,23 +1146,108 @@ std::vector<PackedField> PackKeys(const std::vector<BoundExprPtr>& keys) {
   return packed;
 }
 
+/// Gathers the packed keys of `rows` into `out`, one key field at a
+/// time (TableId, ColumnId, RowId or CellValue, none of them nullable);
+/// false when a value overflows its packed width.
+template <typename Store>
+bool GatherPackedKeys(const Store& store, const std::vector<PackedField>& packed,
+                      std::span<const RowCtx> rows, uint64_t* out) {
+  std::fill(out, out + rows.size(), 0);
+  uint64_t overflow = 0;
+  for (const PackedField& pf : packed) {
+    auto gather = [&](const auto& value) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        const int64_t v = value(rows[i].pos[pf.side]);
+        const auto raw = static_cast<uint64_t>(v);
+        overflow |= raw >> pf.width;
+        out[i] |= raw << pf.shift;
+      }
+    };
+    switch (pf.field) {
+      case Field::kTable: gather([&](RecordPos p) { return store.table(p); }); break;
+      case Field::kColumn: gather([&](RecordPos p) { return store.column(p); }); break;
+      case Field::kRow: gather([&](RecordPos p) { return store.row(p); }); break;
+      default: gather([&](RecordPos p) { return store.cell(p); }); break;
+    }
+  }
+  return overflow == 0;
+}
+
+/// Groups in insertion order: each group's key hash and first input ordinal,
+/// its key values and aggregate states in flat arrays (`num_keys` and
+/// `num_aggs` per group) and a SlotIndex from hashes to groups, so adding a
+/// group allocates nothing of its own. A packed key is its own hash: a hash
+/// hit is the group, and a new group's key values unpack from its hash.
+struct GroupTable {
+  struct Group {
+    uint64_t hash;
+    size_t first;
+  };
+  std::vector<PackedField> packed;  ///< empty when keys do not pack
+  size_t num_keys = 0;
+  size_t num_aggs = 0;
+  std::vector<Group> groups;
+  std::vector<SqlValue> keys;
+  std::vector<AggState> states;
+  SlotIndex index;
+
+  size_t size() const { return groups.size(); }
+  const SqlValue* KeysOf(uint32_t g) const { return keys.data() + g * num_keys; }
+  AggState* StatesOf(uint32_t g) { return states.data() + g * num_aggs; }
+  const AggState* StatesOf(uint32_t g) const { return states.data() + g * num_aggs; }
+  /// Bytes of the groups, key values, aggregate states and slots.
+  int64_t Bytes() const {
+    return static_cast<int64_t>(size() * (sizeof(Group) + num_keys * sizeof(SqlValue) +
+                                          num_aggs * sizeof(AggState)) +
+                                index.slots.size() * sizeof(SlotIndex::Slot));
+  }
+
+  /// The group with `hash` and key values `key` (unread when packed); a new
+  /// one is appended with first ordinal `first` and fresh aggregate states.
+  uint32_t FindOrAdd(uint64_t hash, size_t first, const SqlValue* key) {
+    const auto gi = static_cast<uint32_t>(groups.size());
+    const bool exact = !packed.empty();
+    const uint32_t g = index.FindOrAdd(hash, gi, [&](uint32_t o) {
+      return exact || std::equal(key, key + num_keys, KeysOf(o));
+    });
+    if (g != gi) return g;
+    SqlValue unpacked[4];  // packed keys are at most four 16-bit fields
+    for (size_t k = 0; k < packed.size(); ++k) {
+      const uint64_t mask = (uint64_t{1} << packed[k].width) - 1;
+      unpacked[k] = SqlValue::Int(
+          static_cast<int64_t>((hash >> packed[k].shift) & mask));
+    }
+    Append(hash, first, exact ? unpacked : key);
+    return gi;
+  }
+
+  /// Appends a group with fresh aggregate states, unindexed.
+  void Append(uint64_t hash, size_t first, const SqlValue* key) {
+    groups.push_back({hash, first});
+    keys.insert(keys.end(), key, key + num_keys);
+    states.resize(states.size() + num_aggs);
+  }
+};
+
 /// Aggregates `input` into groups in first-appearance order. Each chunk
-/// aggregates into its own GroupTable; with more than one chunk, a
-/// radix-partitioned merge folds them, each worker owning a disjoint hash
-/// partition and folding chunks in ascending chunk order (the double-sum
-/// rounding order), and a sort on each group's first ordinal restores
+/// aggregates into its own GroupTable a block at a time: it gathers the
+/// block's keys (packed field by field, or generic keys and their hashes),
+/// probes them, then updates each aggregate across the block. With more than
+/// one chunk, a radix-partitioned merge folds the chunks, each worker owning
+/// a disjoint hash partition and folding chunks in ascending chunk order (the
+/// double-sum rounding order); a sort on first ordinals restores
 /// first-appearance order. Chunks and merge order depend only on the input,
-/// so the result is byte-identical for every pool size. Packed keys need no
-/// key values per row; a value that overflows its packed width reruns the
-/// chunks on generic keys. The chunk tables are charged to the memory budget
-/// on top of what the query already holds. Chunk and merge tasks both count
-/// towards the Aggregate node's `stats`.
+/// so the result is byte-identical for every pool size. A value that
+/// overflows its packed width reruns the chunks on generic keys. The chunk
+/// tables are charged to the memory budget on top of what the query already
+/// holds; chunk and merge tasks both count towards the node's `stats`.
 template <typename Store>
 Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
                                    const OutputBinding& agg, ScopedMemoryCharge* mem,
                                    const QueryOptions& options, OperatorStats* stats) {
   const Store& store = *input.store;
   const std::vector<AggSpec>& aggs = agg.aggs;
+  const size_t num_keys = agg.keys.size();
   std::vector<uint8_t> list_count(aggs.size(), 0);
   for (size_t a = 0; a < aggs.size() && input.scan != nullptr; ++a) {
     list_count[a] = CountsPostingLists(aggs[a], input.scan->spec) ? 1 : 0;
@@ -1177,20 +1258,11 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
       return FieldValue(store, b.field, ctx.pos[b.side]);
     };
   };
-  auto update_general = [&](size_t a, AggState* st, const RowCtx& ctx) {
-    const BoundExpr* arg = aggs[a].arg.get();
-    SqlValue v = SqlValue::Null();
-    if (arg != nullptr && arg->kind == BKind::kField) {
-      v = FieldValue(store, arg->field, ctx.pos[arg->side]);
-    } else if (arg != nullptr) {
-      v = EvalExpr(*arg, leaf(ctx));
-    }
-    UpdateAgg(aggs[a], st, v);
-  };
 
   const size_t num_chunks = input.NumChunks();
-  auto fresh = [&](bool exact) {
-    return GroupTable{exact, agg.keys.size(), aggs.size(), {}, {}, {}, {}};
+  auto fresh = [&](bool pack) {
+    return GroupTable{pack ? packed : std::vector<PackedField>{}, num_keys, aggs.size(),
+                      {}, {}, {}, {}};
   };
   std::vector<GroupTable> chunks;
   std::vector<uint8_t> overflowed(num_chunks, 0);
@@ -1200,37 +1272,43 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
     return RunTasks(options, TraceStage::kAggregation, stats, num_chunks,
                     [&](size_t c) {
       GroupTable& table = chunks[c];
-      std::vector<SqlValue> key(agg.keys.size());
-      input.ForEachRow(c, [&](size_t ordinal, const RowCtx& ctx, CellId cell) {
-        uint64_t h = pack ? 0 : 0x13198A2E03707344ULL;
-        for (const PackedField& pf : packed) {
-          if (!pack) break;
-          const auto raw = static_cast<uint64_t>(
-              PackedFieldValue(store, pf.field, ctx.pos[pf.side]));
-          if ((raw >> pf.width) != 0) {  // overflows its packed width
-            overflowed[c] = 1;
-            return false;
+      // Row k of chunk c has ordinal (c << 32) + k; chunks hold far fewer
+      // than 2^32 rows.
+      size_t ordinal = c << 32;
+      uint64_t hashes[kPostingBlockLen];
+      uint32_t group_of[kPostingBlockLen];
+      std::vector<SqlValue> key_vals(pack ? 0 : kPostingBlockLen * num_keys);
+      input.ForEachBlock(c, [&](std::span<const RowCtx> rows, CellId cell) {
+        const size_t n = rows.size();
+        if (pack && !GatherPackedKeys(store, packed, rows, hashes)) {
+          overflowed[c] = 1;
+          return false;
+        }
+        for (size_t i = 0; !pack && i < n; ++i) {
+          uint64_t h = 0x13198A2E03707344ULL;
+          for (size_t k = 0; k < num_keys; ++k) {
+            SqlValue& v = key_vals[i * num_keys + k];
+            v = EvalExpr(*agg.keys[k], leaf(rows[i]));
+            h = HashCombine(h, v.Hash());
           }
-          h |= raw << pf.shift;
+          hashes[i] = h;
         }
-        for (size_t k = 0; !pack && k < agg.keys.size(); ++k) {
-          key[k] = EvalExpr(*agg.keys[k], leaf(ctx));
-          h = HashCombine(h, key[k].Hash());
+        for (size_t i = 0; i < n; ++i) {
+          const SqlValue* key = pack ? nullptr : key_vals.data() + i * num_keys;
+          group_of[i] = table.FindOrAdd(hashes[i], ordinal + i, key);
         }
-        uint32_t gi = table.Find(h, key.data());
-        if (gi == UINT32_MAX) {
-          for (size_t k = 0; pack && k < packed.size(); ++k) {
-            const uint64_t mask = (uint64_t{1} << packed[k].width) - 1;
-            key[k] = SqlValue::Int(static_cast<int64_t>((h >> packed[k].shift) & mask));
-          }
-          gi = table.Insert(h, ordinal, key.data());
-        }
-        AggState* states = table.StatesOf(gi);
+        ordinal += n;
         for (size_t a = 0; a < aggs.size(); ++a) {
-          if (list_count[a]) {
-            CountPostingList(&states[a], cell);
-          } else {
-            update_general(a, &states[a], ctx);
+          const BoundExpr* arg = aggs[a].arg.get();
+          for (size_t i = 0; i < n; ++i) {
+            AggState* st = table.StatesOf(group_of[i]) + a;
+            if (list_count[a]) {
+              CountPostingList(st, cell);
+            } else if (arg == nullptr) {
+              UpdateAgg(aggs[a], st, SqlValue::Null());
+            } else {
+              UpdateAgg(aggs[a], st, EvalExpr(*arg, leaf(rows[i])));
+            }
           }
         }
         return true;
@@ -1245,12 +1323,12 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
   }
 
   size_t chunk_groups = 0;
-  for (const GroupTable& t : chunks) chunk_groups += t.size();
-  const auto bytes_per_group = static_cast<int64_t>(
-      sizeof(GroupTable::Group) + agg.keys.size() * sizeof(SqlValue) +
-      aggs.size() * sizeof(AggState));
-  BLEND_RETURN_NOT_OK(mem->ChargeTo(
-      mem->charged() + static_cast<int64_t>(chunk_groups) * bytes_per_group));
+  int64_t chunk_bytes = 0;
+  for (const GroupTable& t : chunks) {
+    chunk_groups += t.size();
+    chunk_bytes += t.Bytes();
+  }
+  BLEND_RETURN_NOT_OK(mem->ChargeTo(mem->charged() + chunk_bytes));
 
   // A single chunk is already in first-appearance order.
   if (num_chunks == 0) return fresh(pack);
@@ -1260,6 +1338,14 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
   // merge runs as that one inline task: waking the pool for kMergePartitions
   // tasks costs more than folding a few thousand groups.
   const size_t num_parts = chunk_groups > kParallelMergeGroups ? kMergePartitions : 1;
+  auto fold = [&](GroupTable* into, GroupTable* from, uint32_t g) {
+    const GroupTable::Group& fg = from->groups[g];
+    const uint32_t gi = into->FindOrAdd(fg.hash, fg.first, from->KeysOf(g));
+    into->groups[gi].first = std::min(into->groups[gi].first, fg.first);
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      MergeAggState(into->StatesOf(gi) + a, from->StatesOf(g) + a);
+    }
+  };
   std::vector<GroupTable> parts;
   for (size_t p = 0; p < num_parts; ++p) {
     parts.push_back(num_parts == 1 ? std::move(chunks[0]) : fresh(pack));
@@ -1270,17 +1356,8 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
     for (size_t c = num_parts == 1 ? 1 : 0; c < num_chunks; ++c) {
       GroupTable& chunk = chunks[c];
       for (uint32_t g = 0; g < chunk.size(); ++g) {
-        const GroupTable::Group& from = chunk.groups[g];
-        if ((Mix64(from.hash) & (num_parts - 1)) != part) continue;
-        const uint32_t gi = merged.Find(from.hash, chunk.KeysOf(g));
-        if (gi == UINT32_MAX) {
-          merged.Take(&chunk, g);
-          continue;
-        }
-        merged.groups[gi].first = std::min(merged.groups[gi].first, from.first);
-        for (size_t a = 0; a < aggs.size(); ++a) {
-          MergeAggState(merged.StatesOf(gi) + a, chunk.StatesOf(g) + a);
-        }
+        if ((Mix64(chunk.groups[g].hash) & (num_parts - 1)) != part) continue;
+        fold(&merged, &chunk, g);
       }
     }
   }));
@@ -1293,16 +1370,15 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
   }
   std::sort(order.begin(), order.end());
   GroupTable all = fresh(pack);
-  for (const auto& [first, at] : order) all.Take(&parts[at.first], at.second);
+  for (const auto& [first, at] : order) fold(&all, &parts[at.first], at.second);
   return all;
 }
 
 /// Finalizes each group's aggregates and projects the groups through the
-/// select items.
+/// select items into flat output rows.
 OutputRows EmitGroups(const GroupTable& groups, const OutputBinding& agg,
                       const SelectStmt& stmt) {
-  OutputRows out;
-  out.rows.reserve(groups.size());
+  OutputRows out(groups.size(), agg, stmt);
   std::vector<SqlValue> agg_vals(agg.aggs.size());
   for (uint32_t g = 0; g < groups.size(); ++g) {
     const AggState* states = groups.StatesOf(g);
@@ -1310,16 +1386,11 @@ OutputRows EmitGroups(const GroupTable& groups, const OutputBinding& agg,
       agg_vals[a] = FinalizeAgg(agg.aggs[a], states[a]);
     }
     const SqlValue* keys = groups.KeysOf(g);
-    auto leaf = [&](const BoundExpr& b) -> SqlValue {
+    out.Fill(g, agg, [&](const BoundExpr& b) -> SqlValue {
       if (b.kind == BKind::kAggRef) return agg_vals[b.ref];
       if (b.kind == BKind::kKeyRef) return keys[b.ref];
       return SqlValue::Null();  // unreachable: fields were rejected at bind
-    };
-    std::vector<SqlValue> vals;
-    vals.reserve(agg.items.size());
-    for (const auto& it : agg.items) vals.push_back(EvalExpr(*it, leaf));
-    if (!stmt.order_by.empty()) out.sort_vals.push_back(agg.sort.Values(vals, leaf));
-    out.rows.push_back(std::move(vals));
+    });
   }
   return out;
 }
@@ -1361,43 +1432,25 @@ Result<std::vector<RowCtx>> FilterRows(const std::vector<RowCtx>& rows,
   return kept;
 }
 
-/// Non-aggregate projection of the row stream, chunk-parallel: per-chunk
-/// buffers concatenated in chunk order reproduce the serial row order
-/// exactly.
+/// Non-aggregate projection of the row stream, chunk-parallel: each chunk
+/// writes its own rows of the flat output, so the row order is the serial
+/// one exactly.
 template <typename Store>
 Result<OutputRows> ProjectRows(const std::vector<RowCtx>& rows,
                                const OutputBinding& proj, const SelectStmt& stmt,
                                const Store& store, const QueryOptions& options,
                                OperatorStats* stats) {
   const size_t n = rows.size();
-  const size_t num_chunks = NumChunks(n, kAggChunkRows);
-  std::vector<OutputRows> parts(num_chunks);
-  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kProjection, stats, num_chunks,
-                               [&](size_t c) {
-    const size_t b = c * kAggChunkRows;
-    const size_t e = std::min(n, b + kAggChunkRows);
-    OutputRows& part = parts[c];
-    part.rows.reserve(e - b);
-    for (size_t r = b; r < e; ++r) {
-      const RowCtx& ctx = rows[r];
-      auto leaf = [&](const BoundExpr& bx) {
-        return FieldValue(store, bx.field, ctx.pos[bx.side]);
-      };
-      std::vector<SqlValue> vals;
-      vals.reserve(proj.items.size());
-      for (const auto& it : proj.items) vals.push_back(EvalExpr(*it, leaf));
-      if (!stmt.order_by.empty()) {
-        part.sort_vals.push_back(proj.sort.Values(vals, leaf));
-      }
-      part.rows.push_back(std::move(vals));
+  OutputRows out(n, proj, stmt);
+  BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kProjection, stats,
+                               NumChunks(n, kAggChunkRows), [&](size_t c) {
+    const size_t e = std::min(n, (c + 1) * kAggChunkRows);
+    for (size_t r = c * kAggChunkRows; r < e; ++r) {
+      out.Fill(r, proj, [&](const BoundExpr& bx) {
+        return FieldValue(store, bx.field, rows[r].pos[bx.side]);
+      });
     }
   }));
-  OutputRows out;
-  out.rows.reserve(n);
-  for (OutputRows& part : parts) {
-    for (auto& v : part.rows) out.rows.push_back(std::move(v));
-    for (auto& v : part.sort_vals) out.sort_vals.push_back(std::move(v));
-  }
   if (stats != nullptr) stats->rows = static_cast<int64_t>(n);
   return out;
 }
@@ -1573,7 +1626,7 @@ Result<std::vector<std::vector<SqlValue>>> RunPlan(PhysicalPlan* plan,
         BLEND_ASSIGN_OR_RETURN(GroupTable groups,
                                AggregateGroups(input, op.out, &mem, options, stats));
         // Global aggregate over zero rows still yields one group.
-        if (stmt.group_by.empty() && groups.size() == 0) groups.Insert(0, 0, nullptr);
+        if (stmt.group_by.empty() && groups.size() == 0) groups.Append(0, 0, nullptr);
         NoteRows(options.trace, TraceStage::kAggregation, stats, groups.size());
         out = EmitGroups(groups, op.out, stmt);
         break;
@@ -1589,14 +1642,14 @@ Result<std::vector<std::vector<SqlValue>>> RunPlan(PhysicalPlan* plan,
         break;
     }
   }
-  if (plan->ops.size() > 1 && plan->ops[1].kind == OpKind::kSortLimit) {
-    SortAndLimit(&out.rows, &out.sort_vals, plan->ops[0].out.sort.desc, stmt.limit,
-                 options);
-    if (OperatorStats* stats = plan->StatsOf(1)) {
-      stats->rows = static_cast<int64_t>(out.rows.size());
-    }
+  // Without a SortLimit (no ORDER BY, LIMIT or dedup) this keeps every row.
+  std::vector<std::vector<SqlValue>> result =
+      SortAndLimit(out, plan->ops[0].out.sort.desc, stmt.limit, options);
+  OperatorStats* sort_stats = plan->ops.size() > 1 ? plan->StatsOf(1) : nullptr;
+  if (sort_stats != nullptr && plan->ops[1].kind == OpKind::kSortLimit) {
+    sort_stats->rows = static_cast<int64_t>(result.size());
   }
-  return std::move(out.rows);
+  return result;
 }
 
 /// Renders a plan root-first: the operator tree for EXPLAIN and, once its

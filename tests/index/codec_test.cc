@@ -245,6 +245,36 @@ TEST(PostingCodecTest, SeekToOrdinalResumesOnTheOwningBlock) {
   }
 }
 
+TEST(PostingCodecTest, EveryBatchIsAtMostOneBlockInBothModes) {
+  // The executor gathers a batch into a kPostingBlockLen-slot buffer, so no
+  // batch may be longer, raw lists included; from any seek ordinal the
+  // batches concatenate to the list's tail from that ordinal's block.
+  for (size_t n : {size_t{1}, size_t{128}, size_t{129}, size_t{20000}}) {
+    std::vector<PostingValue> list(n);
+    for (size_t i = 0; i < n; ++i) list[i] = static_cast<PostingValue>(3 * i + i % 2);
+    const std::vector<uint64_t> offsets = {0, n};
+    const std::vector<uint8_t> blob = EncodeOne(list);
+    for (bool raw : {true, false}) {
+      for (size_t seek : {size_t{0}, size_t{1}, n / 2, n - 1}) {
+        SCOPED_TRACE("raw=" + std::to_string(raw) + " size=" + std::to_string(n) +
+                     " seek=" + std::to_string(seek));
+        PostingCursor cur(raw ? PostingListRef::Raw(list) : RefOf(blob, offsets, 0));
+        if (seek > 0) cur.SeekToOrdinal(seek);
+        const size_t from = seek < n ? seek / kPostingBlockLen * kPostingBlockLen : n;
+        std::vector<PostingValue> seen;
+        for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
+          EXPECT_LE(batch.size(), kPostingBlockLen);
+          EXPECT_EQ(cur.batch_ordinal(), from + seen.size());
+          seen.insert(seen.end(), batch.begin(), batch.end());
+        }
+        EXPECT_TRUE(std::equal(seen.begin(), seen.end(), list.begin() + from,
+                               list.end()));
+        EXPECT_EQ(seen.size(), n - from);
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Malformed encodings: descriptive rejection, never UB.
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -928,6 +930,118 @@ TEST_P(EngineDeterminismTest, ScanFedAggregateEmitsExactlyWhatRowStreamAggregate
         EXPECT_EQ(ResultToString(want.value()), ResultToString(got.value()))
             << "pool=" << pool->parallelism() << "\n"
             << scan_fed;
+      }
+    }
+  }
+}
+
+TEST_P(EngineDeterminismTest, SortLimitKeepsScoreThenTableThenColumnOrder) {
+  // SortLimit must keep exactly the rows of the full order: score
+  // descending, ties by TableId and then ColumnId, and under dedup the first
+  // row per table. The lake crowds the boundary: 40 tables whose columns
+  // hold 3 to 5 of 12 query values (random subsets, so first appearance does
+  // not follow TableId), every fourth table with two columns of equal score,
+  // and a table whose one query value repeats over several posting blocks.
+  // The expected rows follow from how the lake was built, not from the
+  // engine.
+  Rng rng(GetParam() * 97 + 19);
+  std::vector<std::string> values;
+  for (int v = 0; v < 12; ++v) values.push_back("tie" + std::to_string(v));
+  auto pick = [&](size_t n) {  // n distinct query values in random order
+    std::vector<std::string> pool = values, out;
+    while (out.size() < n) {
+      const size_t i = rng.Uniform(pool.size());
+      out.push_back(pool[i]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    return out;
+  };
+  struct Group {
+    int64_t table, column, score;
+  };
+  std::vector<Group> groups;
+  DataLake lake;
+  for (int t = 0; t < 40; ++t) {
+    Table table("tie_" + std::to_string(t));
+    table.AddColumn("c0");
+    table.AddColumn("c1");
+    const size_t s0 = 3 + rng.Uniform(3);
+    const size_t s1 = t % 4 == 0 ? s0 : rng.Uniform(6);
+    std::vector<std::string> cols[2] = {pick(s0), pick(s1)};
+    cols[0].push_back(cols[0][0]);  // a repeated value counts once
+    const size_t num_rows = std::max(cols[0].size(), cols[1].size()) + 1;
+    for (size_t r = 0; r < num_rows; ++r) {
+      std::vector<std::string> row;
+      for (int c = 0; c < 2; ++c) {
+        const std::string pad = "pad" + std::to_string(t) + "_" + std::to_string(c) +
+                                "_" + std::to_string(r);
+        row.push_back(r < cols[c].size() ? cols[c][r] : pad);
+      }
+      ASSERT_TRUE(table.AppendRow(row).ok());
+    }
+    const TableId id = lake.AddTable(std::move(table));
+    groups.push_back({id, 0, static_cast<int64_t>(s0)});
+    if (s1 > 0) groups.push_back({id, 1, static_cast<int64_t>(s1)});
+  }
+  Table long_table("tie_long");
+  long_table.AddColumn("c0");
+  long_table.AddColumn("c1");
+  for (int r = 0; r < 300; ++r) {
+    ASSERT_TRUE(long_table.AppendRow({values[0], "long" + std::to_string(r)}).ok());
+  }
+  groups.push_back({lake.AddTable(std::move(long_table)), 0, 1});
+  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.table != b.table ? a.table < b.table : a.column < b.column;
+  });
+
+  std::vector<std::unique_ptr<IndexBundle>> bundles;
+  std::vector<std::unique_ptr<Engine>> engines;
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    for (bool compressed : {false, true}) {
+      IndexBuildOptions opts;
+      opts.layout = layout;
+      IndexBundle bundle = IndexBuilder(opts).Build(lake);
+      if (compressed) bundle = CompressedTwin(bundle);
+      bundles.push_back(std::make_unique<IndexBundle>(std::move(bundle)));
+      engines.push_back(std::make_unique<Engine>(bundles.back().get()));
+    }
+  }
+  const std::string sql =
+      "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score FROM AllTables "
+      "WHERE CellValue IN (" +
+      SqlInList(values) + ") GROUP BY TableId, ColumnId ORDER BY score DESC";
+  for (int dedup_limit : {-2, 1, 5, -1}) {  // -2: no dedup; -1: unlimited
+    for (int limit : {-1, 3}) {
+      std::vector<Group> want;
+      std::set<int64_t> tables;
+      for (const Group& g : groups) {
+        if (limit >= 0 && want.size() == static_cast<size_t>(limit)) break;
+        if (dedup_limit >= 0 && tables.size() == static_cast<size_t>(dedup_limit)) {
+          break;
+        }
+        if (dedup_limit != -2 && !tables.insert(g.table).second) continue;
+        want.push_back(g);
+      }
+      const std::string stmt =
+          sql + (limit >= 0 ? " LIMIT " + std::to_string(limit) : "") + ";";
+      for (const auto& engine : engines) {
+        for (Scheduler* pool : TestPools()) {
+          QueryOptions opts;
+          opts.scheduler = pool;
+          opts.dedup_column = dedup_limit == -2 ? -1 : 0;
+          opts.dedup_limit = dedup_limit == -2 ? -1 : dedup_limit;
+          auto got = engine->Query(stmt, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const auto& rows = got.value().rows;
+          ASSERT_EQ(rows.size(), want.size())
+              << "dedup_limit=" << dedup_limit << " limit=" << limit;
+          for (size_t r = 0; r < rows.size(); ++r) {
+            EXPECT_EQ(rows[r][0].i, want[r].table) << "row " << r;
+            EXPECT_EQ(rows[r][1].i, want[r].column) << "row " << r;
+            EXPECT_EQ(rows[r][2].i, want[r].score) << "row " << r;
+          }
+        }
       }
     }
   }
