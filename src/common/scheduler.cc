@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <system_error>
 
 #include "common/telemetry.h"
 
@@ -62,6 +63,14 @@ struct Scheduler::WorkerQueue {
   std::mutex mu;
   std::deque<Chunk> items;
 };
+
+void RunDetached(std::function<void()> fn) {
+  try {
+    std::thread(fn).detach();
+  } catch (const std::system_error&) {
+    fn();
+  }
+}
 
 Scheduler::Scheduler(int num_threads) {
   const size_t total = ResolveThreads(num_threads);

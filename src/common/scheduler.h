@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -37,6 +38,14 @@ std::vector<T> ConcatParts(std::vector<std::vector<T>> parts) {
   for (const auto& part : parts) out.insert(out.end(), part.begin(), part.end());
   return out;
 }
+
+/// Runs `fn` once on a new detached thread and returns at once: for cleanup
+/// no caller waits for, such as freeing the file a snapshot save replaced
+/// (index/snapshot.cc). Each call starts one thread, so call it only when
+/// there is work to hand off. The process may exit while `fn` still runs,
+/// so `fn` must touch nothing that static destruction tears down. When no
+/// thread can be started, `fn` runs inline.
+void RunDetached(std::function<void()> fn);
 
 /// A shared work-stealing task scheduler: a persistent pool of worker
 /// threads, each owning a deque of task chunks. Owners pop their newest

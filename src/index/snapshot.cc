@@ -7,11 +7,14 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/hashing.h"
+#include "common/telemetry.h"
+#include "common/timer.h"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -36,7 +39,8 @@ constexpr size_t kAlign = 8;
 constexpr uint64_t kMaxSections = 256;
 /// Checksum task granularity: large sections (records, postings) are hashed
 /// as parallel chunks whose digests combine in chunk order, so the value
-/// depends only on the bytes, never on the pool.
+/// depends only on the bytes, never on the pool. The writer also hands the
+/// file to the device in pieces of this size.
 constexpr size_t kChecksumChunk = 8u << 20;
 
 enum SectionId : uint32_t {
@@ -202,6 +206,31 @@ Status IoError(const char* op, const std::string& path) {
                                 path + "': " + std::strerror(errno));
 }
 
+/// Seconds one successful WriteSnapshot spent per phase, observed into the
+/// `blend_snapshot_<phase>_seconds` histograms. `sync` is the file fsync
+/// plus the parent directory fsync; `replace` is the rename that publishes
+/// the file, with the hand-off of the replaced file's release.
+struct SavePhases {
+  double gather = 0;
+  double checksum = 0;
+  double write = 0;
+  double sync = 0;
+  double replace = 0;
+
+  void Observe() const {
+    static Histogram* const hists[] = {Get("gather"), Get("checksum"), Get("write"),
+                                       Get("sync"), Get("replace")};
+    const double seconds[] = {gather, checksum, write, sync, replace};
+    for (size_t i = 0; i < std::size(hists); ++i) hists[i]->Observe(seconds[i]);
+  }
+
+ private:
+  static Histogram* Get(const char* phase) {
+    return MetricsRegistry::Global().GetHistogram(std::string("blend_snapshot_") +
+                                                  phase + "_seconds");
+  }
+};
+
 class HeapStorage : public SnapshotStorage {
  public:
   explicit HeapStorage(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {
@@ -273,6 +302,38 @@ int CloseChecked(int fd, const char* point) {
     return -1;
   }
   return rc;
+}
+
+/// Starts writeback of [from, from + len) without waiting for it, so the
+/// device writes the file while the rest is still being copied and the
+/// closing fsync waits only for the tail. Advisory: its errors are ignored,
+/// because fsync still reports any real I/O failure.
+void StartWriteback(int fd, size_t from, size_t len) {
+#if defined(__linux__)
+  ::sync_file_range(fd, static_cast<off_t>(from), static_cast<off_t>(len),
+                    SYNC_FILE_RANGE_WRITE);
+#else
+  (void)fd, (void)from, (void)len;
+#endif
+}
+
+/// Fsyncs the directory holding `path`, so the rename that published it
+/// survives a power loss. Opening the directory is part of the retried
+/// operation.
+int SyncParentDir(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos
+                              ? "."
+                              : path.substr(0, std::max<size_t>(slash, 1));
+  return RetrySyscall("snapshot.write.dirsync", [&] {
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dfd < 0) return -1;
+    const int rc = ::fsync(dfd);
+    const int err = errno;
+    ::close(dfd);
+    errno = err;
+    return rc;
+  });
 }
 
 /// Loops write(2) until every byte is transferred: short writes resume where
@@ -643,9 +704,18 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
 
 Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
                             PostingCodec codec, Scheduler* sched) {
+  SavePhases phases;
+  StopWatch clock;
+  // Seconds since the previous lap: the time of the phase that just ended.
+  auto lap = [&clock] {
+    const double s = clock.ElapsedSeconds();
+    clock.Reset();
+    return s;
+  };
   Gathered g = Gather(bundle, codec, sched);
   std::vector<SectionEntry> entries;
   LayoutFile(g, &entries);
+  phases.gather = lap();
 
   // Per-section checksums as one task group on the shared pool; large
   // sections additionally fan out chunk subtasks (nested submission).
@@ -669,6 +739,22 @@ Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
   header.header_checksum =
       ChecksumSerial(reinterpret_cast<const uint8_t*>(&header),
                      offsetof(FileHeader, header_checksum));
+  phases.checksum = lap();
+
+  // The file as ordered byte ranges: header, section table, then every
+  // payload behind its zero padding.
+  static constexpr uint8_t kPad[kAlign] = {0};
+  std::vector<std::span<const uint8_t>> pieces = {
+      {reinterpret_cast<const uint8_t*>(&header), sizeof(header)},
+      {reinterpret_cast<const uint8_t*>(entries.data()),
+       entries.size() * sizeof(SectionEntry)}};
+  size_t pos = sizeof(FileHeader) + entries.size() * sizeof(SectionEntry);
+  for (const SectionSpec& spec : g.specs) {
+    const size_t aligned = Align8(pos);
+    pieces.emplace_back(kPad, aligned - pos);
+    pieces.emplace_back(spec.data, spec.size);
+    pos = aligned + spec.size;
+  }
 
   // Write to a sibling temp file and rename into place, so a crash or a
   // failure at any point mid-write never leaves anything but a complete old
@@ -680,23 +766,23 @@ Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
   });
   if (fd < 0) return IoError("create", tmp);
 
-  Status io = WriteFully(fd, reinterpret_cast<const uint8_t*>(&header),
-                         sizeof(header), tmp);
-  if (io.ok() && !entries.empty()) {
-    io = WriteFully(fd, reinterpret_cast<const uint8_t*>(entries.data()),
-                    entries.size() * sizeof(SectionEntry), tmp);
-  }
-  size_t pos = sizeof(FileHeader) + entries.size() * sizeof(SectionEntry);
-  static constexpr uint8_t kPad[kAlign] = {0};
-  for (size_t s = 0; io.ok() && s < g.specs.size(); ++s) {
-    const size_t aligned = Align8(pos);
-    if (aligned > pos) io = WriteFully(fd, kPad, aligned - pos, tmp);
-    pos = aligned;
-    if (io.ok() && g.specs[s].size != 0) {
-      io = WriteFully(fd, g.specs[s].data, g.specs[s].size, tmp);
+  // Every write ends at the next kChecksumChunk boundary of the file, and
+  // each completed chunk starts its writeback at once.
+  Status io;
+  size_t written = 0;
+  for (std::span<const uint8_t> piece : pieces) {
+    while (io.ok() && !piece.empty()) {
+      const size_t n =
+          std::min(piece.size(), kChecksumChunk - written % kChecksumChunk);
+      io = WriteFully(fd, piece.data(), n, tmp);
+      piece = piece.subspan(n);
+      written += n;
+      if (io.ok() && written % kChecksumChunk == 0) {
+        StartWriteback(fd, written - kChecksumChunk, kChecksumChunk);
+      }
     }
-    pos += g.specs[s].size;
   }
+  phases.write = lap();
   // Push the bytes to stable storage before publishing the name: rename
   // atomicity alone only survives process crashes, not power loss.
   if (io.ok() &&
@@ -710,29 +796,32 @@ Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
     std::remove(tmp.c_str());
     return io;
   }
+  phases.sync = lap();
+  // Hold the file being replaced open across the rename: its blocks are
+  // then freed when this descriptor closes on a background thread, not
+  // inside rename(2) on the caller's path. O_NONBLOCK keeps a FIFO under the
+  // name from blocking the open.
+  const int old_fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK);
   if (RetrySyscall("snapshot.write.rename", [&] {
         return ::rename(tmp.c_str(), path.c_str());
       }) != 0) {
+    const Status renamed = IoError("rename", path);
+    if (old_fd >= 0) ::close(old_fd);
     std::remove(tmp.c_str());
-    return IoError("rename", path);
+    return renamed;
   }
+  if (old_fd >= 0) RunDetached([old_fd] { ::close(old_fd); });
+  phases.replace = lap();
+  // The rename lives in the directory: fsync it too, or a power loss can
+  // still bring the old file back under the name.
+  if (SyncParentDir(path) != 0) return IoError("directory fsync", path);
+  phases.sync += lap();
 #else
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return IoError("create", tmp);
-  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
-  ok = ok && (entries.empty() ||
-              std::fwrite(entries.data(), sizeof(SectionEntry), entries.size(),
-                          f) == entries.size());
-  size_t pos = sizeof(FileHeader) + entries.size() * sizeof(SectionEntry);
-  static constexpr uint8_t kPad[kAlign] = {0};
-  for (size_t s = 0; ok && s < g.specs.size(); ++s) {
-    const size_t aligned = Align8(pos);
-    if (aligned > pos) ok = std::fwrite(kPad, 1, aligned - pos, f) == aligned - pos;
-    pos = aligned;
-    if (ok && g.specs[s].size != 0) {
-      ok = std::fwrite(g.specs[s].data, 1, g.specs[s].size, f) == g.specs[s].size;
-    }
-    pos += g.specs[s].size;
+  bool ok = true;
+  for (std::span<const uint8_t> piece : pieces) {
+    ok = ok && std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
   }
   ok = ok && std::fflush(f) == 0;
   if (std::fclose(f) != 0) ok = false;
@@ -740,13 +829,16 @@ Status SnapshotCodec::Write(const IndexBundle& bundle, const std::string& path,
     std::remove(tmp.c_str());
     return IoError("write", tmp);
   }
+  phases.write = lap();
   // POSIX rename replaces an existing destination; Windows rename does not.
   std::remove(path.c_str());
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return IoError("rename", path);
   }
+  phases.replace = lap();
 #endif
+  phases.Observe();
   return Status::OK();
 }
 

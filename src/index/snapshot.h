@@ -112,7 +112,12 @@ struct SnapshotOptions {
 
 /// Serializes `bundle` to `path`, replacing any existing file. Section
 /// checksums — and, for the compressed codec, the per-list block encode —
-/// run as task groups on the scheduler.
+/// run as task groups on the scheduler. On success the file and its name
+/// are on stable storage (the file and its directory are fsynced); a
+/// replaced file is closed on a background thread, so its space is freed
+/// shortly after the call returns. Each success observes its phases into
+/// the `blend_snapshot_{gather,checksum,write,sync,replace}_seconds`
+/// histograms of MetricsRegistry::Global().
 [[nodiscard]] Status WriteSnapshot(const IndexBundle& bundle, const std::string& path,
                      const SnapshotOptions& options = {});
 

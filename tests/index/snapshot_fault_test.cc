@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -19,7 +22,8 @@ namespace {
 
 /// Fault-injected snapshot I/O: every failure the fault registry can inject
 /// into the write path must leave either the complete old or the complete
-/// new artifact under the published name (and no temp file), transient
+/// new artifact under the published name (the old one when it fails before
+/// the rename, the new one after it), and no temp file; transient
 /// errors must retry to a byte-identical artifact, and a failed mmap must
 /// fall back to the heap loader with byte-identical query results.
 class SnapshotFaultTest : public ::testing::Test {
@@ -92,6 +96,17 @@ class SnapshotFaultTest : public ::testing::Test {
     return out;
   }
 
+  /// Open descriptors of this process, or 0 without /proc/self/fd.
+  static size_t OpenFds() {
+    std::error_code ec;
+    size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/fd", ec), end;
+         !ec && it != end; it.increment(ec)) {
+      ++n;
+    }
+    return n;
+  }
+
   /// The clean write's injection-point hit count sizes an ordinal sweep.
   static uint64_t CountWriteHits(const IndexBundle& bundle,
                                  const std::string& scratch) {
@@ -121,18 +136,29 @@ TEST_F(SnapshotFaultTest, HardFaultSweepNeverPublishesPartialSnapshot) {
   const std::vector<uint8_t> old_bytes = Slurp(path);
   ASSERT_NE(old_bytes, new_bytes);
 
+  // A write that fails at the rename stops there: its hit count is the
+  // first ordinal that fails after the new file is published (the
+  // directory fsync).
+  fault::Inject("snapshot.write.rename", fault::Schedule{});
+  ASSERT_FALSE(WriteSnapshot(new_bundle, path).ok());
+  const uint64_t published = fault::Hits();
+  fault::Reset();
+  ASSERT_LT(published, hits);
+
   for (uint64_t k = 0; k < hits; ++k) {
     SCOPED_TRACE("fault at write ordinal " + std::to_string(k));
     Spit(path, old_bytes);
     fault::FailAtOrdinal(k, EIO);
     const Status failed = WriteSnapshot(new_bundle, path);
     fault::Reset();
-    // EIO is final everywhere: the write must fail descriptively, leave the
-    // published name bit-identical to the old artifact, and clean up.
+    // EIO is final everywhere: the write must fail descriptively and clean
+    // up. Before the rename the published name keeps the old artifact
+    // bit-identical; after it, the name holds the complete new one.
     ASSERT_FALSE(failed.ok());
     EXPECT_FALSE(failed.message().empty());
     EXPECT_FALSE(FileExists(tmp)) << "temp file leaked";
-    EXPECT_EQ(Slurp(path), old_bytes) << "published artifact damaged";
+    EXPECT_EQ(Slurp(path), k < published ? old_bytes : new_bytes)
+        << "published artifact damaged";
     auto still_loads = ReadSnapshot(path);
     EXPECT_TRUE(still_loads.ok()) << still_loads.status().ToString();
   }
@@ -141,6 +167,46 @@ TEST_F(SnapshotFaultTest, HardFaultSweepNeverPublishesPartialSnapshot) {
   ASSERT_TRUE(WriteSnapshot(new_bundle, path).ok());
   EXPECT_EQ(Slurp(path), new_bytes);
   EXPECT_FALSE(FileExists(tmp));
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotFaultTest, FailedRenameClosesTheHeldFileAndKeepsTheOld) {
+  // The writer holds the file it is about to replace open across the
+  // rename; a failed rename must close it at once and leave the old bytes.
+  const std::string path = TempPath("rename_eio");
+  std::remove(path.c_str());
+  ASSERT_TRUE(WriteSnapshot(Build(TestLake(81)), path).ok());
+  const std::vector<uint8_t> old_bytes = Slurp(path);
+  const IndexBundle new_bundle = Build(TestLake(82));
+  const size_t fds = OpenFds();
+  if (fds == 0) GTEST_SKIP() << "no /proc/self/fd";
+
+  fault::Inject("snapshot.write.rename", fault::Schedule{});
+  const Status failed = WriteSnapshot(new_bundle, path);
+  fault::Reset();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.message().find("rename"), std::string::npos)
+      << failed.ToString();
+  EXPECT_LE(OpenFds(), fds) << "the replaced file's descriptor leaked";
+  EXPECT_EQ(Slurp(path), old_bytes);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotFaultTest, RepeatedSavesReleaseEveryReplacedFile) {
+  // Each save over an existing file closes the replaced file's descriptor
+  // on a background thread, shortly after WriteSnapshot returns.
+  const IndexBundle bundle = Build(TestLake(83));
+  const std::string path = TempPath("resave");
+  ASSERT_TRUE(WriteSnapshot(bundle, path).ok());
+  const size_t fds = OpenFds();
+  if (fds == 0) GTEST_SKIP() << "no /proc/self/fd";
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(WriteSnapshot(bundle, path).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (OpenFds() > fds && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_LE(OpenFds(), fds) << "replaced files still held open";
   std::remove(path.c_str());
 }
 

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "common/str_util.h"
+#include "common/telemetry.h"
 #include "core/blend.h"
 #include "lakegen/correlation_lake.h"
 #include "lakegen/join_lake.h"
@@ -723,6 +724,91 @@ TEST(SnapshotTest, BlendOpenSnapshotIgnoresAMismatchedLake) {
     auto opened = Blend::OpenSnapshot(path, lake);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     EXPECT_EQ(Fingerprint(opened.value()->Run(plan)), want);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SavingOverAServedSnapshotKeepsItsAnswers) {
+  // Blend A serves from a mapping of P while Blend B, built from another
+  // lake, saves over P: A keeps answering from the file it opened, byte for
+  // byte, and a fresh open of P answers like B.
+  using core::Blend;
+  lakegen::McLakeSpec spec_a;
+  spec_a.num_tables = 30;
+  spec_a.seed = 21;
+  lakegen::McLakeSpec spec_b = spec_a;
+  spec_b.seed = 22;
+  const lakegen::McLake lake_a = lakegen::MakeMcLake(spec_a);
+  const lakegen::McLake lake_b = lakegen::MakeMcLake(spec_b);
+  Rng rng(5);
+  std::vector<std::string> values = lakegen::SampleColumnQuery(lake_a.lake, 20, &rng);
+  for (std::string& v : lakegen::SampleColumnQuery(lake_b.lake, 20, &rng)) {
+    values.push_back(std::move(v));
+  }
+  auto tuples = lakegen::MakeMcQuery(spec_a, 0, 30, &rng);
+  for (auto& t : lakegen::MakeMcQuery(spec_b, 1, 30, &rng)) {
+    tuples.push_back(std::move(t));
+  }
+  std::vector<core::Plan> plans(2);
+  ASSERT_TRUE(plans[0].Add("sc", std::make_shared<core::SCSeeker>(values, 10)).ok());
+  ASSERT_TRUE(plans[1].Add("mc", std::make_shared<core::MCSeeker>(tuples, 10)).ok());
+
+  for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
+    SCOPED_TRACE(std::string("codec=") + PostingCodecName(codec));
+    Blend::Options opts;
+    opts.snapshot_codec = codec;
+    const Blend built_a(&lake_a.lake, opts);
+    const Blend built_b(&lake_b.lake, opts);
+    const std::string path = TempPath("served");
+    ASSERT_TRUE(built_a.SaveSnapshot(path).ok());
+    auto served = Blend::OpenSnapshot(path, nullptr);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_TRUE(served.value()->bundle().IsSnapshotBacked());
+    std::vector<std::string> want_a, want_b;
+    for (const core::Plan& plan : plans) {
+      want_a.push_back(Fingerprint(served.value()->Run(plan)));
+      want_b.push_back(Fingerprint(built_b.Run(plan)));
+      EXPECT_EQ(want_a.back(), Fingerprint(built_a.Run(plan)));
+      EXPECT_NE(want_a.back(), "");
+      EXPECT_EQ(want_a.back().rfind("ERROR", 0), std::string::npos) << want_a.back();
+    }
+    ASSERT_NE(want_a, want_b);
+
+    ASSERT_TRUE(built_b.SaveSnapshot(path).ok());
+    auto reopened = Blend::OpenSnapshot(path, nullptr);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    for (size_t p = 0; p < plans.size(); ++p) {
+      SCOPED_TRACE("plan " + std::to_string(p));
+      EXPECT_EQ(Fingerprint(served.value()->Run(plans[p])), want_a[p]);
+      EXPECT_EQ(Fingerprint(reopened.value()->Run(plans[p])), want_b[p]);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SnapshotTest, EverySaveObservesEachWritePhaseOnce) {
+  // One WriteSnapshot adds exactly one observation to each phase histogram,
+  // whether it creates the file or replaces it.
+  const IndexBundle built = IndexBuilder().Build(TestLake());
+  const std::string path = TempPath("phases");
+  std::remove(path.c_str());
+  auto counts = [] {
+    std::vector<int64_t> out;
+    for (const char* phase : {"gather", "checksum", "write", "sync", "replace"}) {
+      out.push_back(MetricsRegistry::Global()
+                        .GetHistogram(std::string("blend_snapshot_") + phase +
+                                      "_seconds")
+                        ->Snapshot()
+                        .count);
+    }
+    return out;
+  };
+  for (int save = 1; save <= 2; ++save) {
+    SCOPED_TRACE(save == 1 ? "create" : "replace");
+    std::vector<int64_t> want = counts();
+    for (int64_t& c : want) ++c;
+    ASSERT_TRUE(WriteSnapshot(built, path).ok());
+    EXPECT_EQ(counts(), want);
   }
   std::remove(path.c_str());
 }
