@@ -389,7 +389,7 @@ void RunTask(const Config& cfg, const Task& task, TablePrinter* tp, TaskVerdicts
   std::set<const IndexBundle*> indexes;  // the indexes BLEND and B-NO ran on
   auto run = [&](const core::Plan& plan, bool optimize) {
     indexes.insert(&task.blend->bundle());
-    const core::PlanExecutor executor(&task.blend->context(), task.blend->cost_model());
+    const core::PlanExecutor executor(&task.blend->context());
     return Must(executor.Run(plan, optimize)).output;
   };
   double t_blend = 0, t_bno = 0, t_base = 0;
@@ -613,22 +613,15 @@ void Table3(const Config& cfg, Claims* claims) {
 }
 
 // Table IV: optimizer effectiveness. Runtime of a random seeker order against
-// BLEND's ranked order (Rules 1-3, then the learned cost model, optimization
-// overhead included) and against an oracle that always runs the faster
-// seeker first. Plans are two seekers under an Intersection; the second is
-// rewritten with the first one's tables, as in §VII-B.
+// BLEND's ranked order (Rules 1-3, then estimated work, optimization overhead
+// included) and against an oracle that always runs the faster seeker first.
+// Plans are two seekers under an Intersection; the second is rewritten with
+// the first one's tables, as in §VII-B. Regret is the chosen order's runtime
+// (overhead excluded) over the ideal order's.
 void Table4(const Config& cfg, Claims* claims) {
   const DataLake lake = lakegen::MakeJoinLake(JoinSpec("gittables-like", 500, 41));
-  core::Blend blend(&lake);
-  StopWatch train_watch;
-  Must(blend.TrainCostModel(30, 5));
-  std::printf("\ncost-model training: %.1fs\n", train_watch.ElapsedSeconds());
-  // Rules 1-3 order seekers of different types; the cost model only breaks
-  // ties between seekers of one type. A default-constructed model orders
-  // those by its frequency heuristic.
-  const core::CostModel heuristic;
-  const core::Optimizer trained(blend.cost_model(), &blend.stats());
-  const core::Optimizer untrained(&heuristic, &blend.stats());
+  const core::Blend blend(&lake);
+  const core::Optimizer optimizer(&blend.stats());
   auto run_ordered = [&](const core::Seeker& first, const core::Seeker& second) {
     std::vector<int64_t> ids;
     for (const auto& e : Must(first.Execute(blend.context(), ""))) {
@@ -645,21 +638,18 @@ void Table4(const Config& cfg, Claims* claims) {
       {"MC", {T::kMC}},
       {"C", {T::kC}}};
   TablePrinter tp({"Seeker", "Rand", "BLEND", "Ideal", "Gain BLEND", "Gain Ideal",
-                   "Accuracy BLEND"});
-  TablePrinter ties({"Seeker", "Plans tied by Rules 1-3", "Accuracy (trained model)",
-                     "Accuracy (frequency heuristic)"});
+                   "Accuracy BLEND", "Regret"});
   int total_correct = 0, total_trials = 0, gaining_rows = 0;
-  int tied = 0, tied_trained = 0, tied_heuristic = 0;
   for (const auto& [name, pool] : rows) {
     Rng rng(1000 + name.size());
-    double rand_s = 0, blend_s = 0, ideal_s = 0;
-    int trials = 0, correct = 0, row_ties = 0, ties_trained = 0, ties_heuristic = 0;
+    double rand_s = 0, blend_s = 0, order_s = 0, ideal_s = 0;
+    int trials = 0, correct = 0;
     for (int trial = 0; trial < cfg.Queries(20); ++trial) {
       T ta = pool[rng.Uniform(pool.size())];
       T tb = pool[rng.Uniform(pool.size())];
       while (pool.size() > 1 && tb == ta) tb = pool[rng.Uniform(pool.size())];
-      auto a = core::CostModelTrainer::SampleSeeker(lake, ta, 10, &rng);
-      auto b = core::CostModelTrainer::SampleSeeker(lake, tb, 10, &rng);
+      auto a = core::SampleSeeker(lake, ta, 10, &rng);
+      auto b = core::SampleSeeker(lake, tb, 10, &rng);
       if (a == nullptr || b == nullptr) continue;
       const double t_ab = MedianSeconds([&] { run_ordered(*a, *b); }, cfg.reps());
       const double t_ba = MedianSeconds([&] { run_ordered(*b, *a); }, cfg.reps());
@@ -668,50 +658,31 @@ void Table4(const Config& cfg, Claims* claims) {
       Must(plan.Add("b", b));
       Must(plan.Add("i", std::make_shared<core::IntersectCombiner>(10), {"a", "b"}));
       const double overhead =
-          MedianSeconds([&] { Must(trained.Optimize(plan, true)); }, cfg.reps());
-      auto runs_a_first = [&](const core::Optimizer& opt) {
-        return Must(opt.Optimize(plan, true)).steps[0].node == "a";
-      };
-      // An order within 5% of the other is correct: the order is immaterial.
-      auto is_correct = [&](const core::Optimizer& opt) {
-        return runs_a_first(opt) ? t_ab <= t_ba * 1.05 : t_ba <= t_ab * 1.05;
-      };
-      const bool a_first = runs_a_first(trained);
+          MedianSeconds([&] { Must(optimizer.Optimize(plan, true)); }, cfg.reps());
+      const bool a_first = Must(optimizer.Optimize(plan, true)).steps[0].node == "a";
+      const double chosen = a_first ? t_ab : t_ba;
       rand_s += (t_ab + t_ba) / 2;
-      blend_s += (a_first ? t_ab : t_ba) + overhead;
+      blend_s += chosen + overhead;
+      order_s += chosen;
       ideal_s += std::min(t_ab, t_ba);
-      correct += is_correct(trained);
+      // An order within 5% of the other is correct: the order is immaterial.
+      correct += chosen <= std::min(t_ab, t_ba) * 1.05;
       ++trials;
-      if (core::Seeker::RuleRank(ta) == core::Seeker::RuleRank(tb)) {
-        ++row_ties;
-        ties_trained += is_correct(trained);
-        ties_heuristic += is_correct(untrained);
-      }
     }
     const int n = std::max(1, trials);
     const double gain_blend = rand_s > 0 ? 1.0 - blend_s / rand_s : 0;
     tp.AddRow({name, FmtSeconds(rand_s / n), FmtSeconds(blend_s / n),
                FmtSeconds(ideal_s / n), TablePrinter::Pct(gain_blend),
                TablePrinter::Pct(rand_s > 0 ? 1.0 - ideal_s / rand_s : 0),
-               TablePrinter::Pct(1.0 * correct / n)});
-    auto tie_accuracy = [&](int tie_correct) {
-      return row_ties > 0 ? TablePrinter::Pct(1.0 * tie_correct / row_ties) : "-";
-    };
-    ties.AddRow({name, TablePrinter::Pct(1.0 * row_ties / n),
-                 tie_accuracy(ties_trained), tie_accuracy(ties_heuristic)});
+               TablePrinter::Pct(1.0 * correct / n),
+               ideal_s > 0 ? Printf("%.2fx", order_s / ideal_s) : "-"});
     total_correct += correct;
     total_trials += trials;
     gaining_rows += gain_blend > 0;
-    tied += row_ties;
-    tied_trained += ties_trained;
-    tied_heuristic += ties_heuristic;
   }
   std::printf("\n%s",
               tp.Render("Table IV: optimizer effectiveness (avg per 2-seeker plan)")
                   .c_str());
-  std::printf("\n%s", ties.Render("Table IV, same trials: where the cost model "
-                                  "decides")
-                          .c_str());
   // Significance of the accuracy against a random (50%) optimizer, §VIII-C4.
   const double p_hat = 1.0 * total_correct / std::max(1, total_trials);
   const double z = (p_hat - 0.5) / std::sqrt(0.25 / std::max(1, total_trials));
@@ -721,11 +692,6 @@ void Table4(const Config& cfg, Claims* claims) {
   claims->Report(gaining_rows == 4,
                  "BLEND's order gains over a random order on every row",
                  Count(gaining_rows, 4, "rows"));
-  claims->Report(tied_trained > tied_heuristic,
-                 "on plans the rules tie, the trained model orders better than the "
-                 "frequency heuristic",
-                 Count(tied_trained, tied, "correct") + " vs " +
-                     Count(tied_heuristic, tied, "correct"));
 }
 
 // Fig. 7: union search runtime. Starmie against BLEND's union plan (one SC

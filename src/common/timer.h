@@ -4,8 +4,8 @@
 
 namespace blend {
 
-/// Monotonic wall-clock stopwatch used by the optimizer's learned cost model
-/// and by the benchmark harnesses.
+/// Monotonic wall-clock stopwatch: times plan optimization and steps, MC
+/// validation and snapshot phases, and the benchmark harnesses.
 class StopWatch {
  public:
   StopWatch() : start_(Clock::now()) {}

@@ -49,11 +49,10 @@ struct BlendMetrics {
 }  // namespace
 
 Blend::Blend(const DataLake* lake, Options options)
-    : Blend(lake, options, IndexBuilder(BuildOptionsFor(options)).Build(*lake)) {}
+    : Blend(options, IndexBuilder(BuildOptionsFor(options)).Build(*lake)) {}
 
-Blend::Blend(const DataLake* lake, Options options, IndexBundle bundle)
+Blend::Blend(Options options, IndexBundle bundle)
     : options_(options),
-      lake_(lake),
       owned_scheduler_(options.scheduler == nullptr && options.query_threads != 0
                            ? std::make_unique<Scheduler>(options.query_threads)
                            : nullptr),
@@ -84,14 +83,14 @@ Result<std::unique_ptr<Blend>> Blend::OpenSnapshot(const std::string& path,
 }
 
 Result<std::unique_ptr<Blend>> Blend::OpenSnapshot(const std::string& path,
-                                                   const DataLake* lake,
+                                                   const DataLake* /*lake*/,
                                                    Options options) {
   SnapshotOptions snap_opts;
   snap_opts.scheduler = options.scheduler;
   BLEND_ASSIGN_OR_RETURN(auto bundle, blend::OpenSnapshot(path, snap_opts));
   // unique_ptr: the ctor wires ctx_/engine_/stats_ to member addresses, so a
   // Blend must never move after construction.
-  return std::unique_ptr<Blend>(new Blend(lake, options, std::move(bundle)));
+  return std::unique_ptr<Blend>(new Blend(options, std::move(bundle)));
 }
 
 Result<TableList> Blend::Run(const Plan& plan) const {
@@ -173,7 +172,7 @@ Result<ExecutionReport> Blend::RunReportImpl(const Plan& plan,
   if (options_.capture_statement_plans) {
     ctx.query_options.plan_capture = &plan_sink;
   }
-  PlanExecutor executor(&ctx, model_ ? model_.get() : nullptr);
+  PlanExecutor executor(&ctx);
   Result<ExecutionReport> report = executor.Run(plan, options_.optimize);
   if (ExecutionReport* rep = report.ok() ? &report.value() : nullptr) {
     metrics.runs_ok->Increment();
@@ -198,18 +197,7 @@ Result<ExecutionReport> Blend::RunReportImpl(const Plan& plan,
   return report;
 }
 
-Status Blend::TrainCostModel(int samples_per_type, uint64_t seed) {
-  if (lake_ == nullptr) {
-    return Status::InvalidArgument(
-        "TrainCostModel samples its inputs from the lake; this Blend was "
-        "opened from a snapshot without one");
-  }
-  CostModelTrainer::Options opts;
-  opts.samples_per_type = samples_per_type;
-  opts.seed = seed;
-  CostModelTrainer trainer(opts);
-  BLEND_ASSIGN_OR_RETURN(auto model, trainer.Train(*lake_, ctx_));
-  model_ = std::make_unique<CostModel>(std::move(model));
+Status Blend::TrainCostModel(int /*samples_per_type*/, uint64_t /*seed*/) {
   return Status::OK();
 }
 

@@ -13,7 +13,7 @@ namespace blend::core {
 /// index of a data lake offline (or opens a snapshot of one), hosts the
 /// embedded SQL engine, and runs discovery plans through the optimizer.
 /// Plans are answered from the index alone; the lake is needed only to
-/// build the index and to train the cost model.
+/// build the index.
 ///
 ///   DataLake lake = ...;
 ///   Blend blend(&lake);
@@ -21,9 +21,9 @@ namespace blend::core {
 ///   plan.Add("dep", std::make_shared<SCSeeker>(departments, 10));
 ///   auto tables = blend.Run(plan).ValueOrDie();
 ///
-/// Concurrent serving: after construction (and an optional TrainCostModel),
-/// a Blend instance is shared-immutable, so any number of client threads may
-/// call Run/RunReport/RunMany on one instance concurrently. All queries
+/// Concurrent serving: after construction a Blend instance is
+/// shared-immutable, so any number of client threads may call
+/// Run/RunReport/RunMany on one instance concurrently. All queries
 /// share the engine-scoped work-stealing scheduler — a client thread helps
 /// execute its own query's morsel tasks, so pool sizing caps total CPU use,
 /// not the client count — and every result is byte-identical to a serial
@@ -65,9 +65,8 @@ class Blend {
     bool capture_trace_spans = false;
   };
 
-  /// Builds the index for the lake (the offline phase, paper Fig. 2e). The
-  /// lake must outlive this object only if TrainCostModel is called; plans
-  /// never read it.
+  /// Builds the index for the lake (the offline phase, paper Fig. 2e). Plans
+  /// never read the lake, so it need not outlive this object.
   explicit Blend(const DataLake* lake) : Blend(lake, Options()) {}
   Blend(const DataLake* lake, Options options);
 
@@ -78,10 +77,9 @@ class Blend {
 
   /// Serves queries off a snapshot instead of rebuilding the index: the file
   /// is mmapped and the store arrays are read zero-copy out of the mapping.
-  /// Every plan is answered from the snapshot alone, so `lake` may be null.
-  /// It is kept only for TrainCostModel, which samples its training inputs
-  /// from it; pass the lake the snapshot was built from to train. A snapshot
-  /// records the postings codec, layout and row order the builder used, so
+  /// Every plan is answered from the snapshot alone: `lake` is unused and
+  /// stays only because perfbench/main.cc passes it. A snapshot records the
+  /// postings codec, layout and row order the builder used, so
   /// `options.layout`, `shuffle_rows` and `shuffle_seed` are ignored.
   /// Returns a pointer (not a value) because a Blend pins internal
   /// cross-references and cannot be moved.
@@ -124,17 +122,15 @@ class Blend {
   Result<ExecutionReport> RunReport(const Plan& plan,
                                     const QueryControl& control) const;
 
-  /// Trains the learned cost model by sampling random inputs from the lake
-  /// (paper: offline, once per lake installation). Returns InvalidArgument
-  /// on a Blend opened without a lake. Not thread-safe against concurrent
-  /// Run* calls: train before serving.
+  /// Does nothing and returns OK. The optimizer breaks Rule 1-3 ties by
+  /// estimated work, with no learned model to train; this stays only
+  /// because perfbench/main.cc calls it, like kTelemetryEnabled.
   Status TrainCostModel(int samples_per_type = 40, uint64_t seed = 7);
 
   const DiscoveryContext& context() const { return ctx_; }
   const sql::Engine& engine() const { return engine_; }
   const IndexBundle& bundle() const { return bundle_; }
   const IndexStats& stats() const { return stats_; }
-  const CostModel* cost_model() const { return model_ ? model_.get() : nullptr; }
   const Options& options() const { return options_; }
   Scheduler* scheduler() const { return scheduler_; }
 
@@ -144,7 +140,7 @@ class Blend {
  private:
   /// Shared tail of the build and snapshot-load paths: adopts an already
   /// materialized bundle.
-  Blend(const DataLake* lake, Options options, IndexBundle bundle);
+  Blend(Options options, IndexBundle bundle);
 
   /// The single execution path behind both RunReport overloads (and hence
   /// every Run/RunMany): attaches the per-query trace, threads the optional
@@ -154,13 +150,11 @@ class Blend {
                                         const QueryControl* control) const;
 
   Options options_;
-  const DataLake* lake_;  // null when opened from a snapshot without one
   std::unique_ptr<Scheduler> owned_scheduler_;
   Scheduler* scheduler_;
   IndexBundle bundle_;
   sql::Engine engine_;
   IndexStats stats_;
-  std::unique_ptr<CostModel> model_;
   DiscoveryContext ctx_;
 };
 

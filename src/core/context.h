@@ -7,8 +7,8 @@
 namespace blend::core {
 
 /// Everything an operator needs at execution time: the unified index, the
-/// SQL engine hosting it, the token statistics used by the optimizer's cost
-/// model, and the execution knobs every seeker passes to Engine::Query (the
+/// SQL engine hosting it, the token statistics the optimizer ranks seekers
+/// by, and the execution knobs every seeker passes to Engine::Query (the
 /// work-stealing scheduler handle and the per-query QueryControl — seekers
 /// inherit the plan's deadline/cancellation/budget automatically through
 /// query_options.control). There is no lake: every seeker, MC exact
@@ -25,14 +25,5 @@ struct DiscoveryContext {
   const IndexStats* stats = nullptr;
   sql::QueryOptions query_options;
 };
-
-/// Engine parallelism a query issued with `options` runs under (pool workers
-/// + the submitting thread); the execution-environment feature of the cost
-/// model.
-inline double QueryParallelism(const sql::QueryOptions& options) {
-  return options.scheduler != nullptr
-             ? static_cast<double>(options.scheduler->parallelism())
-             : 1.0;
-}
 
 }  // namespace blend::core

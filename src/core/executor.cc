@@ -118,7 +118,7 @@ Result<ExecutionReport> PlanExecutor::Run(const Plan& plan, bool optimize) const
   QueryTrace* trace = ctx_->query_options.trace;
 
   StopWatch opt_watch;
-  Optimizer optimizer(model_, ctx_->stats, QueryParallelism(ctx_->query_options));
+  Optimizer optimizer(ctx_->stats);
   BLEND_ASSIGN_OR_RETURN(report.executed_plan, optimizer.Optimize(plan, optimize));
   report.optimize_seconds = opt_watch.ElapsedSeconds();
   if (trace != nullptr) {

@@ -81,8 +81,7 @@ struct ExecutionReport {
 /// order.
 class PlanExecutor {
  public:
-  PlanExecutor(const DiscoveryContext* ctx, const CostModel* model)
-      : ctx_(ctx), model_(model) {}
+  explicit PlanExecutor(const DiscoveryContext* ctx) : ctx_(ctx) {}
 
   /// Optimizes (unless `optimize` is false, the paper's B-NO mode) and runs
   /// the plan, returning the sink output and per-node intermediates.
@@ -90,7 +89,6 @@ class PlanExecutor {
 
  private:
   const DiscoveryContext* ctx_;
-  const CostModel* model_;
 };
 
 }  // namespace blend::core

@@ -5,19 +5,10 @@
 
 namespace blend::core {
 
-double Optimizer::PredictedCost(const Seeker& seeker) const {
-  SeekerFeatures f;
-  if (stats_ != nullptr) {
-    f = seeker.ComputeFeatures(*stats_);
-  } else {
-    f.cardinality = 1;
-    f.num_columns = 1;
-    f.avg_frequency = 1;
-  }
-  f.parallelism = parallelism_;
-  if (model_ != nullptr) return model_->Predict(seeker.type(), f);
-  static const CostModel kUntrained;
-  return kUntrained.Predict(seeker.type(), f);
+double Optimizer::EstimatedWork(const Seeker& seeker) const {
+  if (stats_ == nullptr) return 1;
+  const SeekerFeatures f = seeker.ComputeFeatures(*stats_);
+  return f.cardinality * std::max(1.0, f.avg_frequency) * std::max(1.0, f.num_columns);
 }
 
 namespace {
@@ -68,14 +59,14 @@ struct StepEmitter {
             ready.push_back(in);
           }
         }
-        // Operator ranking: Rules 1-3 (type order) then learned cost.
+        // Operator ranking: Rules 1-3 (type order), then estimated work.
         std::stable_sort(group.begin(), group.end(),
                          [&](const Plan::Node* a, const Plan::Node* b) {
                            int ra = Seeker::RuleRank(a->seeker->type());
                            int rb = Seeker::RuleRank(b->seeker->type());
                            if (ra != rb) return ra < rb;
-                           return optimizer->PredictedCost(*a->seeker) <
-                                  optimizer->PredictedCost(*b->seeker);
+                           return optimizer->EstimatedWork(*a->seeker) <
+                                  optimizer->EstimatedWork(*b->seeker);
                          });
         for (const Plan::Node* s : group) {
           RewriteSpec rw;

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/cost_model.h"
 #include "core/plan.h"
 
 namespace blend::core {
@@ -13,6 +12,13 @@ namespace blend::core {
 /// previously executed siblings (paper §VII-B "Query rewriting"):
 ///   kIn     -> AND TableId IN (ids)       (Intersection)
 ///   kNotIn  -> AND TableId NOT IN (ids)   (Difference)
+///
+/// Top-k semantics: a rewritten seeker returns its top-k among the tables
+/// its rewrite sources kept, not its own top-k cut down to them. So at
+/// finite k an optimized plan can return tables that B-NO's earlier cut
+/// dropped (a table ranked below k overall may be in the top k of those the
+/// sources kept). Optimized and B-NO answers agree only with k unlimited
+/// (Theorem 1).
 struct RewriteSpec {
   enum class Kind { kNone, kIn, kNotIn };
   Kind kind = Kind::kNone;
@@ -34,31 +40,26 @@ struct ExecutionPlan {
 };
 
 /// BLEND's two-phase plan optimizer: execution-group identification, EG
-/// ordering (topological), operator ranking (Rules 1-3 + learned cost
-/// model), and combiner-dependent query rewriting.
+/// ordering (topological), operator ranking (Rules 1-3, ties broken by
+/// estimated work), and combiner-dependent query rewriting.
 class Optimizer {
  public:
-  /// `model` may be null (heuristic ranking only); `stats` is required for
-  /// feature computation. `parallelism` is the engine parallelism the plan's
-  /// queries will execute under (see QueryParallelism); predictions are made
-  /// for that environment, not for serial execution.
-  Optimizer(const CostModel* model, const IndexStats* stats,
-            double parallelism = 1.0)
-      : model_(model), stats_(stats), parallelism_(parallelism) {}
+  /// `stats` feeds the work estimate; when null, seekers the rules tie keep
+  /// their insertion order.
+  explicit Optimizer(const IndexStats* stats) : stats_(stats) {}
 
   /// Produces the optimized step sequence. With `enable == false` (the
   /// paper's B-NO configuration) nodes run in insertion order without
   /// rewriting.
   Result<ExecutionPlan> Optimize(const Plan& plan, bool enable) const;
 
-  /// Ranking key used within an execution group: rule rank first (KW < SC <
-  /// C < MC), then predicted runtime.
-  double PredictedCost(const Seeker& seeker) const;
+  /// Tie-break within an execution group, after the rule rank (KW < SC < C <
+  /// MC): the index entries the seeker touches, estimated as cardinality x
+  /// max(1, average frequency) x max(1, columns). Less work runs first.
+  double EstimatedWork(const Seeker& seeker) const;
 
  private:
-  const CostModel* model_;
   const IndexStats* stats_;
-  double parallelism_;
 };
 
 }  // namespace blend::core

@@ -452,4 +452,86 @@ SeekerFeatures CorrelationSeeker::ComputeFeatures(const IndexStats& stats) const
   return {static_cast<double>(all_keys_.size()), 2.0, stats.AvgFrequency(all_keys_)};
 }
 
+// ---------------------------------------------------------------------------
+// Random seekers
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<Seeker> SampleSeeker(const DataLake& lake, Seeker::Type type, int k,
+                                     Rng* rng) {
+  for (int attempt = 0; attempt < 300; ++attempt) {
+    if (lake.NumTables() == 0) return nullptr;
+    const Table& t = lake.table(static_cast<TableId>(rng->Uniform(lake.NumTables())));
+    if (t.NumRows() < 4 || t.NumColumns() == 0) continue;
+
+    auto sample_column_values = [&](size_t col, size_t want) {
+      std::vector<std::string> vals;
+      auto idx = rng->SampleIndices(t.NumRows(), want);
+      for (size_t r : idx) {
+        const std::string& c = t.At(r, col);
+        if (!NormalizeCell(c).empty()) vals.push_back(c);
+      }
+      return vals;
+    };
+
+    switch (type) {
+      case Seeker::Type::kSC: {
+        size_t col = rng->Uniform(t.NumColumns());
+        auto vals = sample_column_values(col, 5 + rng->Uniform(36));
+        if (vals.size() < 3) continue;
+        return std::make_shared<SCSeeker>(std::move(vals), k);
+      }
+      case Seeker::Type::kKW: {
+        size_t col = rng->Uniform(t.NumColumns());
+        auto vals = sample_column_values(col, 1 + rng->Uniform(5));
+        if (vals.empty()) continue;
+        return std::make_shared<KWSeeker>(std::move(vals), k);
+      }
+      case Seeker::Type::kMC: {
+        if (t.NumColumns() < 2) continue;
+        size_t c0 = rng->Uniform(t.NumColumns());
+        size_t c1 = rng->Uniform(t.NumColumns());
+        if (c0 == c1) continue;
+        std::vector<std::vector<std::string>> tuples;
+        // MC queries are whole tables in the MATE benchmark: draw dozens of
+        // rows, which is what gives MC its place at the top of the cost rules.
+        auto idx = rng->SampleIndices(t.NumRows(), 20 + rng->Uniform(80));
+        for (size_t r : idx) {
+          std::vector<std::string> tup = {t.At(r, c0), t.At(r, c1)};
+          if (!NormalizeCell(tup[0]).empty() && !NormalizeCell(tup[1]).empty()) {
+            tuples.push_back(std::move(tup));
+          }
+        }
+        if (tuples.size() < 2) continue;
+        return std::make_shared<MCSeeker>(std::move(tuples), k);
+      }
+      case Seeker::Type::kC: {
+        if (t.NumColumns() < 2) continue;
+        int num_col = -1;
+        for (size_t c = 0; c < t.NumColumns(); ++c) {
+          if (t.column(c).IsNumeric()) {
+            num_col = static_cast<int>(c);
+            break;
+          }
+        }
+        if (num_col < 0) continue;
+        size_t key_col = rng->Uniform(t.NumColumns());
+        if (static_cast<int>(key_col) == num_col) continue;
+        std::vector<std::string> keys;
+        std::vector<double> targets;
+        size_t want = std::min<size_t>(t.NumRows(), 20 + rng->Uniform(60));
+        for (size_t r = 0; r < want; ++r) {
+          auto v = ParseNumeric(t.At(r, static_cast<size_t>(num_col)));
+          if (!v.has_value() || NormalizeCell(t.At(r, key_col)).empty()) continue;
+          keys.push_back(t.At(r, key_col));
+          targets.push_back(*v);
+        }
+        if (keys.size() < 5) continue;
+        return std::make_shared<CorrelationSeeker>(std::move(keys), std::move(targets),
+                                                   k);
+      }
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace blend::core

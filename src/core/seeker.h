@@ -4,24 +4,20 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/context.h"
 #include "core/result.h"
 
 namespace blend::core {
 
-/// Cost-model features of a seeker input (paper §VII-B): cardinality of Q,
-/// number of columns in Q, and the average frequency of Q's values in the
-/// database (product of per-column averages for MC), plus the engine
-/// parallelism the query would run under. Seekers compute the first three
-/// from the input and the stats; the execution-environment feature is
-/// stamped on by the trainer/optimizer, so predictions reflect parallel
-/// runtimes instead of being calibrated for serial execution only.
+/// Features of a seeker input (paper §VII-B): cardinality of Q, number of
+/// columns in Q, and the average frequency of Q's values in the database
+/// (product of per-column averages for MC). The optimizer ranks seekers the
+/// rules tie by the work these estimate (Optimizer::EstimatedWork).
 struct SeekerFeatures {
   double cardinality = 0;
   double num_columns = 0;
   double avg_frequency = 0;
-  /// Scheduler parallelism (pool threads incl. the caller); 1 = serial.
-  double parallelism = 1;
 };
 
 /// A seeker: the atomic search operator of BLEND. Receives a set of columns Q
@@ -49,7 +45,7 @@ class Seeker {
   virtual Result<TableList> Execute(const DiscoveryContext& ctx,
                                     const std::string& rewrite) const = 0;
 
-  /// Cost-model features of this seeker's input.
+  /// Features of this seeker's input.
   virtual SeekerFeatures ComputeFeatures(const IndexStats& stats) const = 0;
 
   int k() const { return k_; }
@@ -158,5 +154,13 @@ class CorrelationSeeker : public Seeker {
   std::vector<std::string> all_keys_;    // distinct union
   int h_;
 };
+
+/// Draws one random seeker of the given type from the lake: SC and KW take a
+/// few values of one column, MC dozens of two-column tuples of one table, C
+/// the key and first numeric column of one table. Returns null when 300
+/// draws find no table that fits. Used by the optimizer-effectiveness
+/// experiment (Table IV).
+std::shared_ptr<Seeker> SampleSeeker(const DataLake& lake, Seeker::Type type, int k,
+                                     Rng* rng);
 
 }  // namespace blend::core

@@ -8,7 +8,7 @@
 namespace blend {
 
 /// Lake-level statistics over the built index, consumed by the optimizer's
-/// learned cost model (paper §VII-B: "the frequency of values from Q in the
+/// operator ranking (paper §VII-B: "the frequency of values from Q in the
 /// database").
 class IndexStats {
  public:

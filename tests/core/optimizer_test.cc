@@ -43,7 +43,7 @@ TEST(OptimizerTest, DisabledKeepsInsertionOrderWithoutRewrites) {
   ASSERT_TRUE(plan.Add("kw", Kw()).ok());
   ASSERT_TRUE(
       plan.Add("i", std::make_shared<IntersectCombiner>(10), {"mc", "kw"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, /*enable=*/false);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(StepOrder(r.value()), (std::vector<std::string>{"mc", "kw", "i"}));
@@ -62,7 +62,7 @@ TEST(OptimizerTest, RulesOrderSeekerTypes) {
   ASSERT_TRUE(plan.Add("i", std::make_shared<IntersectCombiner>(10),
                        {"mc", "c", "sc", "kw"})
                   .ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(StepOrder(r.value()),
@@ -75,7 +75,7 @@ TEST(OptimizerTest, IntersectionRewritesLaterSeekers) {
   ASSERT_TRUE(plan.Add("mc", Mc()).ok());
   ASSERT_TRUE(
       plan.Add("i", std::make_shared<IntersectCombiner>(10), {"mc", "sc"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   const ExecutionStep* sc = FindStep(r.value(), "sc");
@@ -94,7 +94,7 @@ TEST(OptimizerTest, DifferenceExecutesNegativesFirstAndRewritesNotIn) {
   ASSERT_TRUE(plan.Add("neg", Mc()).ok());
   ASSERT_TRUE(
       plan.Add("d", std::make_shared<DifferenceCombiner>(10), {"pos", "neg"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   auto order = StepOrder(r.value());
@@ -116,7 +116,7 @@ TEST(OptimizerTest, UnionAndCounterDoNotRewrite) {
       plan.Add("cnt", std::make_shared<CounterCombiner>(10), {"c", "d"}).ok());
   ASSERT_TRUE(
       plan.Add("out", std::make_shared<UnionCombiner>(10), {"u", "cnt"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   for (const auto& s : r.value().steps) {
@@ -135,7 +135,7 @@ TEST(OptimizerTest, SharedSeekerIsNeverRewritten) {
                   .ok());
   ASSERT_TRUE(
       plan.Add("u", std::make_shared<UnionCombiner>(10), {"shared", "i"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   const ExecutionStep* shared = FindStep(r.value(), "shared");
@@ -152,7 +152,7 @@ TEST(OptimizerTest, EveryNodeEmittedExactlyOnce) {
   ASSERT_TRUE(plan.Add("i1", std::make_shared<IntersectCombiner>(10), {"a", "b"}).ok());
   ASSERT_TRUE(plan.Add("c", Sc()).ok());
   ASSERT_TRUE(plan.Add("i2", std::make_shared<IntersectCombiner>(10), {"i1", "c"}).ok());
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   auto r = opt.Optimize(plan, true);
   ASSERT_TRUE(r.ok());
   auto order = StepOrder(r.value());
@@ -169,9 +169,33 @@ TEST(OptimizerTest, EveryNodeEmittedExactlyOnce) {
   EXPECT_LT(pos("c"), pos("i2"));
 }
 
+TEST(OptimizerTest, RuleTiesRunTheSeekerWithLessEstimatedWorkFirst) {
+  // Both seekers are SC, so Rules 1-3 tie. The one with fewer and rarer
+  // values touches fewer index entries: it runs first, unrewritten, and the
+  // other is rewritten with its tables.
+  auto fig1 = lakegen::MakeFig1Lake();
+  Blend blend(&fig1.lake);
+  auto big = Sc({"HR", "Marketing", "Finance", "IT", "R&D", "Sales"});
+  auto small = Sc({"HR"});
+  Plan plan;
+  ASSERT_TRUE(plan.Add("big", big).ok());
+  ASSERT_TRUE(plan.Add("small", small).ok());
+  ASSERT_TRUE(
+      plan.Add("i", std::make_shared<IntersectCombiner>(10), {"big", "small"}).ok());
+  Optimizer opt(&blend.stats());
+  ASSERT_LT(opt.EstimatedWork(*small), opt.EstimatedWork(*big));
+  auto r = opt.Optimize(plan, true);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(StepOrder(r.value()), (std::vector<std::string>{"small", "big", "i"}));
+  EXPECT_EQ(FindStep(r.value(), "small")->rewrite.kind, RewriteSpec::Kind::kNone);
+  const ExecutionStep* rewritten = FindStep(r.value(), "big");
+  EXPECT_EQ(rewritten->rewrite.kind, RewriteSpec::Kind::kIn);
+  EXPECT_EQ(rewritten->rewrite.sources, (std::vector<std::string>{"small"}));
+}
+
 TEST(OptimizerTest, EmptyPlanRejected) {
   Plan plan;
-  Optimizer opt(nullptr, nullptr);
+  Optimizer opt(nullptr);
   EXPECT_FALSE(opt.Optimize(plan, true).ok());
 }
 
@@ -222,6 +246,49 @@ TEST_P(Theorem1Test, OptimizedAndUnoptimizedOutputsMatch) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem1Test, ::testing::Values(1, 2, 3, 4, 5));
+
+// At finite k a rewritten seeker returns its top-k among the tables its
+// rewrite sources kept (see RewriteSpec), so the optimized answer may hold a
+// table that B-NO's earlier top-k cut dropped.
+TEST(FiniteKTest, RewrittenSeekerRanksOnlyTheSourcesTables) {
+  DataLake lake;
+  auto add_table = [&](const std::string& name, const std::vector<std::string>& cells) {
+    Table t(name);
+    t.AddColumn("c");
+    for (const auto& cell : cells) ASSERT_TRUE(t.AppendRow({cell}).ok());
+    lake.AddTable(std::move(t));
+  };
+  add_table("t0", {"a1", "a2", "b1"});  // TableId 0
+  add_table("t1", {"b1", "b2", "b3"});  // TableId 1
+  // a's top-1 is t0; b's top-1 is t1 (3 values against t0's 1).
+  auto a = Sc({"a1", "a2"}, 1);
+  auto b = Sc({"b1", "b2", "b3"}, 1);
+  Plan plan;
+  ASSERT_TRUE(plan.Add("a", a).ok());
+  ASSERT_TRUE(plan.Add("b", b).ok());
+  ASSERT_TRUE(plan.Add("out", std::make_shared<IntersectCombiner>(1), {"a", "b"}).ok());
+
+  Blend::Options off;
+  off.optimize = false;
+  Blend optimized(&lake);
+  Blend unoptimized(&lake, off);
+  auto bno = unoptimized.Run(plan);
+  ASSERT_TRUE(bno.ok()) << bno.status().ToString();
+  EXPECT_TRUE(bno.value().empty()) << "top-1 t0 and top-1 t1 do not intersect";
+
+  auto report = optimized.RunReport(plan);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const auto& steps = report.value().executed_plan.steps;
+  ASSERT_EQ(steps.size(), 3u);
+  ASSERT_EQ(steps[0].node, "a");  // less estimated work
+  ASSERT_EQ(steps[1].rewrite.kind, RewriteSpec::Kind::kIn);
+  // b ranks only the tables a kept ({t0}); its top-1 there is t0.
+  auto b_in_a = b->Execute(optimized.context(), "AND TableId IN (0)");
+  ASSERT_TRUE(b_in_a.ok());
+  ASSERT_EQ(IdSet(b_in_a.value()), (std::unordered_set<TableId>{0}));
+  EXPECT_EQ(IdSet(report.value().output), IdSet(b_in_a.value()));
+  EXPECT_NE(IdSet(report.value().output), IdSet(bno.value()));
+}
 
 }  // namespace
 }  // namespace blend::core

@@ -763,5 +763,18 @@ TEST(SeekerTest, NormalizationDeduplicatesInput) {
   EXPECT_EQ(sc.values().size(), 1u);
 }
 
+TEST(SeekerTest, SampleSeekerProducesValidSeekers) {
+  lakegen::JoinLakeSpec spec;
+  spec.num_tables = 30;
+  DataLake lake = lakegen::MakeJoinLake(spec);
+  Rng rng(3);
+  for (auto type : {Seeker::Type::kKW, Seeker::Type::kSC, Seeker::Type::kC,
+                    Seeker::Type::kMC}) {
+    auto seeker = SampleSeeker(lake, type, 10, &rng);
+    ASSERT_NE(seeker, nullptr) << "type " << static_cast<int>(type);
+    EXPECT_EQ(seeker->type(), type);
+  }
+}
+
 }  // namespace
 }  // namespace blend::core

@@ -1,6 +1,7 @@
 #include "index/builder.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -431,7 +432,8 @@ TEST(IndexBuilderTest, MatchesFirstAppearanceOracle) {
 
 /// The whole snapshot file `bundle` serializes to under `codec`.
 std::string SnapshotFileBytes(const IndexBundle& bundle, PostingCodec codec) {
-  const std::string path = ::testing::TempDir() + "blend_builder_snapshot";
+  const std::string path = ::testing::TempDir() + "blend_builder_snapshot_" +
+                           std::to_string(getpid());
   SnapshotOptions options;
   options.codec = codec;
   EXPECT_TRUE(WriteSnapshot(bundle, path, options).ok());

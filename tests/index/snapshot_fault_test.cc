@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -31,7 +32,8 @@ class SnapshotFaultTest : public ::testing::Test {
   void TearDown() override { fault::Reset(); }
 
   static std::string TempPath(const std::string& name) {
-    return ::testing::TempDir() + "blend_snapfault_" + name;
+    return ::testing::TempDir() + "blend_snapfault_" + std::to_string(getpid()) +
+           "_" + name;
   }
 
   static DataLake TestLake(uint64_t seed) {

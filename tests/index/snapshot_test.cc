@@ -1,6 +1,7 @@
 #include "index/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstddef>
@@ -25,7 +26,8 @@ namespace blend {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "blend_snapshot_" + name;
+  return ::testing::TempDir() + "blend_snapshot_" + std::to_string(getpid()) + "_" +
+         name;
 }
 
 // ---------------------------------------------------------------------------
@@ -810,28 +812,6 @@ TEST(SnapshotTest, EverySaveObservesEachWritePhaseOnce) {
     ASSERT_TRUE(WriteSnapshot(built, path).ok());
     EXPECT_EQ(counts(), want);
   }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, TrainCostModelNeedsALake) {
-  // Training samples its inputs from the lake: a Blend opened without one
-  // refuses to train and keeps serving untrained.
-  using core::Blend;
-  auto fig1 = lakegen::MakeFig1Lake();
-  Blend built(&fig1.lake);
-  const std::string path = TempPath("train");
-  ASSERT_TRUE(built.SaveSnapshot(path).ok());
-
-  auto lakeless = Blend::OpenSnapshot(path, nullptr);
-  ASSERT_TRUE(lakeless.ok()) << lakeless.status().ToString();
-  const Status trained = lakeless.value()->TrainCostModel(4);
-  EXPECT_EQ(trained.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(lakeless.value()->cost_model(), nullptr);
-
-  auto with_lake = Blend::OpenSnapshot(path, &fig1.lake);
-  ASSERT_TRUE(with_lake.ok()) << with_lake.status().ToString();
-  EXPECT_TRUE(with_lake.value()->TrainCostModel(4).ok());
-  EXPECT_NE(with_lake.value()->cost_model(), nullptr);
   std::remove(path.c_str());
 }
 

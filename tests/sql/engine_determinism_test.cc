@@ -602,6 +602,7 @@ TEST_P(EngineDeterminismTest, SnapshotLoadedBundlesReproduceEveryShape) {
         opts.shuffle_rows = shuffle;
         IndexBundle built = IndexBuilder(opts).Build(lake_);
         const std::string path = ::testing::TempDir() + "blend_determinism_" +
+                                 std::to_string(getpid()) + "_" +
                                  std::to_string(GetParam());
         SnapshotOptions snap_opts;
         snap_opts.codec = codec;

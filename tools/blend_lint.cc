@@ -43,8 +43,8 @@
 //                     Timing those paths is the telemetry subsystem's job:
 //                     raw clock reads belong in common/telemetry.h,
 //                     common/timer.h (StopWatch), and common/control.h only,
-//                     where they are centrally accounted, compile-out-able,
-//                     and kept off the per-row fast path.
+//                     where they are centrally accounted and kept off the
+//                     per-row fast path.
 //
 // Escape hatch: `// blend-lint: allow(rule)` on the offending line or the
 // line directly above suppresses that rule there (comma-separate several
@@ -563,7 +563,7 @@ void RuleHotClock(const FileContext& ctx, const LexedFile& lf,
     Report(ctx, lf, toks[i].line, "hot-clock",
            "'" + t + "::now()' in a query/index hot path; time through the "
            "telemetry layer (TraceSpan, LatencyTimer, StopWatch) so clock "
-           "reads stay centrally accounted and compile-out-able",
+           "reads stay centrally accounted",
            out);
   }
 }

@@ -1,6 +1,6 @@
 // Fixture: the hot-clock rule. Raw monotonic-clock reads in a query/index
 // hot path bypass the telemetry layer; timing belongs to TraceSpan /
-// LatencyTimer / StopWatch, which are centrally accounted and compile out.
+// LatencyTimer / StopWatch, which are centrally accounted.
 #include <chrono>
 
 namespace blend {
