@@ -16,8 +16,9 @@
 //                       [--introspect] [--trace-out=FILE]
 //
 // The served Blend is opened with no lake: every plan, MC exact validation
-// included, is answered from the snapshot alone. With --codec=compressed it
-// serves the block-compressed postings straight out of the mapping.
+// included, is answered from the snapshot alone. With --codec=compressed the
+// open decodes the block-compressed postings once onto the heap, and every
+// other array is still served out of the mapping.
 //
 // --introspect replaces the snapshot round-trip with the introspection smoke
 // check: it runs one discovery plan off the built index and prints its trace
@@ -98,7 +99,7 @@ int RunIntrospect(const core::Blend& blend, const DataLake& lake) {
                  report.status().ToString().c_str());
     return 1;
   }
-  // Trace anatomy: stage wall times, rows, posting blocks decoded.
+  // Trace anatomy: stage wall times, rows, query counters.
   std::printf("%s\n", report.value().trace.ToString().c_str());
 
   // Every SQL statement the plan's seekers issued, with its EXPLAIN ANALYZE

@@ -28,11 +28,6 @@ uint32_t TrackId() {
   return id;
 }
 
-HotPathCounters& ThreadHotPathCounters() {
-  thread_local HotPathCounters counters;
-  return counters;
-}
-
 }  // namespace telemetry_internal
 
 namespace {
@@ -451,13 +446,6 @@ Status ValidateChromeTraceJson(const std::string& text) {
     }
   }
   return Status::OK();
-}
-
-void NotePostingBlockDecoded() {
-  telemetry_internal::ThreadHotPathCounters().posting_blocks_decoded += 1;
-  static Counter* counter =
-      MetricsRegistry::Global().GetCounter("blend_posting_blocks_decoded_total");
-  counter->Increment();
 }
 
 }  // namespace blend

@@ -59,17 +59,6 @@ struct alignas(64) MetricCell {
   std::atomic<int64_t> v{0};
 };
 
-/// Per-thread event tallies bumped by the posting codec. The codec layer
-/// cannot depend on query traces (it has no query context), so it bumps
-/// these thread-locals and TraceSpan folds the deltas into the active trace
-/// at morsel-task granularity — each morsel task runs entirely on one
-/// thread, so the delta is exactly that task's work.
-struct HotPathCounters {
-  int64_t posting_blocks_decoded = 0;
-};
-
-HotPathCounters& ThreadHotPathCounters();
-
 }  // namespace telemetry_internal
 
 /// Monotonic counter. Add() is wait-free: one relaxed fetch_add on the
@@ -261,8 +250,8 @@ constexpr const char* TraceStageName(TraceStage s) {
 /// Event tallies a trace carries alongside stage timings.
 enum class TraceCounter : uint8_t {
   kEngineQueries,
-  kPostingBlocksDecoded,
-  kGallopSeeks,  // never recorded; kept for perfbench/main.cc, always 0
+  kPostingBlocksDecoded,  // never recorded; kept for perfbench/main.cc, always 0
+  kGallopSeeks,           // never recorded; kept for perfbench/main.cc, always 0
   kMcCandidateRows,
   kMcBloomPassRows,
   kMcValidatedRows,
@@ -384,9 +373,8 @@ struct OperatorStats {
   int64_t rows = -1;  ///< -1 until the operator ran
 };
 
-/// RAII span: attributes its lifetime (and the thread's hot-path counter
-/// delta — posting blocks decoded) to one stage of a trace, and its lifetime
-/// to the operator `op` when one is given.
+/// RAII span: attributes its lifetime to one stage of a trace, and to the
+/// operator `op` when one is given.
 /// Used at morsel-task granularity inside the executor and for coarse
 /// single-thread stages (optimize, plan step, seeker). Inert — not even a
 /// clock read — when `trace` and `op` are both null.
@@ -395,7 +383,6 @@ class TraceSpan {
   TraceSpan(QueryTrace* trace, TraceStage stage, OperatorStats* op = nullptr)
       : trace_(trace), op_(op), stage_(stage) {
     if (trace_ == nullptr && op_ == nullptr) return;
-    hot_ = telemetry_internal::ThreadHotPathCounters();
     start_ = std::chrono::steady_clock::now();
   }
   ~TraceSpan() {
@@ -408,10 +395,7 @@ class TraceSpan {
       op_->tasks.fetch_add(1, std::memory_order_relaxed);
     }
     if (trace_ == nullptr) return;
-    const auto& hot = telemetry_internal::ThreadHotPathCounters();
     trace_->AddStage(stage_, nanos, 1);
-    trace_->AddCounter(TraceCounter::kPostingBlocksDecoded,
-                       hot.posting_blocks_decoded - hot_.posting_blocks_decoded);
     if (trace_->capturing_spans()) trace_->CaptureSpan(stage_, start_, end);
   }
   TraceSpan(const TraceSpan&) = delete;
@@ -422,7 +406,6 @@ class TraceSpan {
   OperatorStats* op_;
   TraceStage stage_;
   std::chrono::steady_clock::time_point start_{};
-  telemetry_internal::HotPathCounters hot_{};
 };
 
 /// Measures scheduler dispatch latency for one parallel stage: created
@@ -476,12 +459,6 @@ class LatencyTimer {
   Histogram* hist_;
   std::chrono::steady_clock::time_point start_{};
 };
-
-/// Posting-codec event hook (called from index/codec on block decode). It
-/// bumps the thread-local tally TraceSpan attributes to morsel tasks and the
-/// process-wide registry counter. Defined out of line so the codec header
-/// stays free of registry plumbing.
-void NotePostingBlockDecoded();
 
 /// Renders captured spans as a Chrome trace-event JSON document (the format
 /// Perfetto and chrome://tracing load): one "X" complete event per span with

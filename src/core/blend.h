@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/executor.h"
+#include "index/codec.h"
 
 namespace blend::core {
 
@@ -49,8 +50,9 @@ class Blend {
     int query_threads = 0;
     /// Postings codec SaveSnapshot writes (index/codec.h): kCompressed
     /// shrinks the artifact's dominant section via block containers at the
-    /// cost of per-block decode on the serving path. Loading discovers the
-    /// codec from the snapshot header, so this only affects writes.
+    /// cost of one decode of every list when the snapshot is opened. Loading
+    /// discovers the codec from the snapshot header, so this only affects
+    /// writes.
     PostingCodec snapshot_codec = PostingCodec::kRaw;
     /// Capture the EXPLAIN ANALYZE plan of every SQL statement a run's
     /// seekers issue (ExecutionReport::statement_plans): the plan each
@@ -76,7 +78,8 @@ class Blend {
   [[nodiscard]] Status SaveSnapshot(const std::string& path) const;
 
   /// Serves queries off a snapshot instead of rebuilding the index: the file
-  /// is mmapped and the store arrays are read zero-copy out of the mapping.
+  /// is mmapped and the store arrays are read zero-copy out of the mapping;
+  /// compressed postings are decoded once, here, onto the heap.
   /// Every plan is answered from the snapshot alone: `lake` is unused and
   /// stays only because perfbench/main.cc passes it. A snapshot records the
   /// postings codec, layout and row order the builder used, so

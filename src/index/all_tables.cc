@@ -112,9 +112,7 @@ void ColumnStore::Build(RecordColumns records, size_t num_cells,
 }
 
 size_t SecondaryIndexes::ApproxBytes() const {
-  return (posting_offsets.size() + posting_partitions.size()) *
-             sizeof(uint64_t) +
-         posting_blob.size() +
+  return posting_offsets.size() * sizeof(uint64_t) +
          (posting_positions.size() + table_ranges.size() +
           quadrant_positions.size()) *
              sizeof(RecordPos);

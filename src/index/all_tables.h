@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/array_ref.h"
-#include "index/codec.h"
 #include "storage/data_lake.h"
 #include "storage/dictionary.h"
 
@@ -63,25 +62,16 @@ struct RecordColumns {
 /// arrays) and the clustered index on TableId (contiguous [begin, end) pairs
 /// flattened the same way, since records are emitted table-ordered).
 ///
-/// Postings live behind the codec seam (index/codec.h): `codec` selects raw
-/// positions (builder output, v1 snapshots) or block-compressed containers
-/// (compressed v2 snapshots, where the blob is served zero-copy out of the
-/// mapping). Consumers read lists through `PostingList` + `PostingCursor`
-/// and never see the difference.
+/// Postings are always raw positions in memory. A snapshot's postings codec
+/// (index/codec.h) is a file encoding only: a compressed snapshot is decoded
+/// once at open into `posting_positions`, and a raw one is served from the
+/// file as it is.
 struct SecondaryIndexes {
   /// CSR offsets: cell id's postings are positions
   /// [posting_offsets[id], posting_offsets[id + 1]). Size num_cells + 1.
-  /// Logical element offsets in both codec modes — they carry every list's
-  /// length, which the compressed encoding does not repeat.
   PodArray<uint64_t> posting_offsets;
-  /// Raw codec: all posting lists back to back, each ascending.
+  /// All posting lists back to back, each ascending.
   PodArray<RecordPos> posting_positions;
-  /// Compressed codec: byte offsets into `posting_blob` per partition of
-  /// kPostingPartitionCells cell ids (ceil(num_cells / K) + 1 entries) and
-  /// the concatenated encoded partitions.
-  PodArray<uint64_t> posting_partitions;
-  PodArray<uint8_t> posting_blob;
-  PostingCodec codec = PostingCodec::kRaw;
   /// table_ranges[2 * t] / [2 * t + 1] = the [begin, end) physical range of
   /// table t.
   PodArray<RecordPos> table_ranges;
@@ -102,28 +92,14 @@ struct SecondaryIndexes {
   void Build(const Store& store, size_t num_cells, size_t num_tables,
              size_t num_tasks, Scheduler* sched);
 
-  /// List length alone, straight from the CSR offsets — O(1) in both codec
-  /// modes (PostingList on a compressed index walks partition headers).
-  size_t PostingCount(CellId id) const {
-    const size_t i = static_cast<size_t>(id);
-    if (i + 1 >= posting_offsets.size()) return 0;
-    return static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i]);
-  }
-
-  PostingListRef PostingList(CellId id) const {
+  /// The positions of `id`'s records, ascending; empty for an id outside
+  /// the index.
+  std::span<const RecordPos> PostingList(CellId id) const {
     const size_t i = static_cast<size_t>(id);
     if (i + 1 >= posting_offsets.size()) return {};
-    if (codec == PostingCodec::kRaw) {
-      return PostingListRef::Raw(
-          {posting_positions.data() + posting_offsets[i],
-           static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i])});
-    }
-    const size_t begin = i - i % kPostingPartitionCells;
-    const size_t lists = std::min(kPostingPartitionCells,
-                                  posting_offsets.size() - 1 - begin);
-    return FindPostingList(
-        posting_blob.data() + posting_partitions[i / kPostingPartitionCells],
-        posting_offsets.span().subspan(begin, lists + 1), i - begin);
+    return posting_positions.span().subspan(
+        static_cast<size_t>(posting_offsets[i]),
+        static_cast<size_t>(posting_offsets[i + 1] - posting_offsets[i]));
   }
   /// Empty range for any id outside the indexed lake: callers combine ids
   /// from user input, and a bad table id must read as "no records", not out
@@ -156,10 +132,9 @@ class RowStore {
   uint64_t super_key(RecordPos i) const { return records_[i].super_key; }
   int8_t quadrant(RecordPos i) const { return records_[i].quadrant; }
 
-  PostingListRef PostingList(CellId id) const {
+  std::span<const RecordPos> PostingList(CellId id) const {
     return secondary_.PostingList(id);
   }
-  size_t PostingCount(CellId id) const { return secondary_.PostingCount(id); }
   std::pair<RecordPos, RecordPos> TableRange(TableId id) const {
     return secondary_.TableRange(id);
   }
@@ -199,10 +174,9 @@ class ColumnStore {
   uint64_t super_key(RecordPos i) const { return super_keys_[i]; }
   int8_t quadrant(RecordPos i) const { return quadrants_[i]; }
 
-  PostingListRef PostingList(CellId id) const {
+  std::span<const RecordPos> PostingList(CellId id) const {
     return secondary_.PostingList(id);
   }
-  size_t PostingCount(CellId id) const { return secondary_.PostingCount(id); }
   std::pair<RecordPos, RecordPos> TableRange(TableId id) const {
     return secondary_.TableRange(id);
   }

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/scheduler.h"
-#include "common/telemetry.h"
 
 namespace blend {
 
@@ -67,18 +66,6 @@ size_t ReadVarintChecked(const uint8_t* p, size_t avail, uint64_t* out) {
     }
   }
   return 0;
-}
-
-/// Check-free varint read for the validated hot path.
-size_t ReadVarintFast(const uint8_t* p, uint64_t* out) {
-  uint64_t v = 0;
-  size_t i = 0;
-  for (;; ++i) {
-    v |= static_cast<uint64_t>(p[i] & 0x7F) << (7 * i);
-    if ((p[i] & 0x80) == 0) break;
-  }
-  *out = v;
-  return i + 1;
 }
 
 /// Appends `count` values of `w` bits each as an LSB-first bit stream.
@@ -185,7 +172,8 @@ void EncodeBlock(std::span<const PostingValue> block, std::vector<uint8_t>* out)
 }
 
 /// Decodes one block of `len` values based at `base` from `p` (tag byte
-/// first). Check-free. Returns the bytes consumed.
+/// first). Check-free: DecodePostingPartition bounds the block's bytes
+/// first. Returns the bytes consumed.
 size_t DecodeBlock(const uint8_t* p, PostingValue base, size_t len,
                    PostingValue* out) {
   const uint8_t tag = p[0];
@@ -222,29 +210,6 @@ size_t DecodeBlock(const uint8_t* p, PostingValue base, size_t len,
     }
   }
   return 1 + sizeof(uint32_t) + nbytes;
-}
-
-/// Byte size of the block at `p` (tag parse only, no decode). Check-free.
-size_t BlockBytesFast(const uint8_t* p, size_t len) {
-  const uint8_t tag = p[0];
-  const uint32_t fmt = tag & 3;
-  if (fmt == kFmtRun) return 1;
-  if (fmt == kFmtPacked) {
-    return 1 + (static_cast<size_t>(tag >> 2) * (len - 1) + 7) / 8;
-  }
-  return 1 + sizeof(uint32_t) + (static_cast<size_t>(LoadU32(p + 1)) + 7) / 8;
-}
-
-/// Byte size of a whole list tail (skip table + blocks) at `p`, using the
-/// skip table to jump straight to the last block. Check-free.
-size_t TailBytesFast(const uint8_t* p, size_t count) {
-  const size_t num_blocks = (count + kPostingBlockLen - 1) / kPostingBlockLen;
-  if (num_blocks == 1) return BlockBytesFast(p, count);
-  const size_t skip_bytes = num_blocks * kSkipEntryBytes;
-  const uint32_t last_off = LoadU32(p + (num_blocks - 1) * kSkipEntryBytes + 4);
-  const size_t last_len = count - (num_blocks - 1) * kPostingBlockLen;
-  return skip_bytes + last_off +
-         BlockBytesFast(p + skip_bytes + last_off, last_len);
 }
 
 /// Encodes the tail (skip table + blocks) of a list with count >= 2.
@@ -339,13 +304,12 @@ size_t EncodedPostingPartitionBytes(std::span<const uint64_t> offsets,
   return total;
 }
 
-Status ValidatePostingPartition(const uint8_t* data, size_t size,
-                                std::span<const uint64_t> offsets,
-                                uint64_t limit) {
+Status DecodePostingPartition(const uint8_t* data, size_t size,
+                              std::span<const uint64_t> offsets, uint64_t limit,
+                              PostingValue* out) {
   const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
   size_t at = 0;
   uint64_t prev_first = 0;
-  PostingValue decoded[kPostingBlockLen];
   for (size_t li = 0; li < num_lists; ++li) {
     const uint64_t count = offsets[li + 1] - offsets[li];
     if (count == 0) continue;
@@ -361,7 +325,10 @@ Status ValidatePostingPartition(const uint8_t* data, size_t size,
     }
     const auto first = static_cast<PostingValue>(first64);
     prev_first = first;
-    if (count == 1) continue;
+    if (count == 1) {
+      *out++ = first;
+      continue;
+    }
 
     const uint64_t num_blocks =
         (count + kPostingBlockLen - 1) / kPostingBlockLen;
@@ -459,127 +426,25 @@ Status ValidatePostingPartition(const uint8_t* data, size_t size,
       if (last > 0xFFFFFFFFull || last >= limit) {
         return CorruptList("position out of range");
       }
-      // The checks above bound the block structurally; a decode pass over
-      // the now-known-safe byte range confirms strict ascent value by value
+      // The checks above bound the block structurally; decoding the
+      // now-known-safe byte range confirms strict ascent value by value
       // (which also catches u32 wrap-around) and the range of the last one.
-      DecodeBlock(data + at, base, len, decoded);
+      DecodeBlock(data + at, base, len, out);
       for (size_t i = 0; i < len; ++i) {
-        if ((b > 0 || i > 0) && decoded[i] <= prev_val) {
+        if ((b > 0 || i > 0) && out[i] <= prev_val) {
           return CorruptList("positions are not strictly ascending");
         }
-        prev_val = decoded[i];
+        prev_val = out[i];
       }
-      if (decoded[len - 1] >= limit) {
+      if (out[len - 1] >= limit) {
         return CorruptList("position out of range");
       }
+      out += len;
       at += block_bytes;
     }
   }
   if (at != size) return CorruptList("trailing bytes after the last list");
   return Status::OK();
-}
-
-void DecodePostingPartition(const uint8_t* data,
-                            std::span<const uint64_t> offsets,
-                            PostingValue* out) {
-  const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
-  const uint8_t* p = data;
-  uint32_t prev_first = 0;
-  for (size_t i = 0; i < num_lists; ++i) {
-    const size_t count = static_cast<size_t>(offsets[i + 1] - offsets[i]);
-    if (count == 0) continue;
-    uint64_t zz;
-    p += ReadVarintFast(p, &zz);
-    const auto first = static_cast<PostingValue>(
-        static_cast<int64_t>(prev_first) + UnZigZag(zz));
-    prev_first = first;
-    if (count == 1) {
-      *out++ = first;
-      continue;
-    }
-    const size_t num_blocks = (count + kPostingBlockLen - 1) / kPostingBlockLen;
-    const uint8_t* skip = num_blocks > 1 ? p : nullptr;
-    if (num_blocks > 1) p += num_blocks * kSkipEntryBytes;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t len =
-          std::min(kPostingBlockLen, count - b * kPostingBlockLen);
-      const PostingValue base =
-          skip != nullptr ? LoadU32(skip + b * kSkipEntryBytes) : first;
-      p += DecodeBlock(p, base, len, out);
-      out += len;
-    }
-  }
-}
-
-PostingListRef FindPostingList(const uint8_t* data,
-                               std::span<const uint64_t> offsets, size_t idx) {
-  const uint8_t* p = data;
-  uint32_t prev_first = 0;
-  for (size_t j = 0; j <= idx; ++j) {
-    const size_t count = static_cast<size_t>(offsets[j + 1] - offsets[j]);
-    if (count == 0) {
-      if (j == idx) return {};
-      continue;
-    }
-    uint64_t zz;
-    p += ReadVarintFast(p, &zz);
-    const auto first = static_cast<PostingValue>(
-        static_cast<int64_t>(prev_first) + UnZigZag(zz));
-    prev_first = first;
-    if (j == idx) return PostingListRef::Encoded(p, count, first);
-    if (count > 1) p += TailBytesFast(p, count);
-  }
-  return {};
-}
-
-std::vector<PostingValue> PostingListRef::ToVector() const {
-  std::vector<PostingValue> out;
-  out.reserve(count_);
-  if (is_raw()) {
-    out.assign(raw_, raw_ + count_);
-    return out;
-  }
-  PostingCursor cur(*this);
-  for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-    out.insert(out.end(), batch.begin(), batch.end());
-  }
-  return out;
-}
-
-PostingCursor::PostingCursor(PostingListRef list) : list_(list) {
-  if (list_.is_raw() || list_.size() <= 1) return;
-  const size_t nb = NumBlocks();
-  const uint8_t* tail = list_.encoded_tail();
-  skip_ = nb > 1 ? tail : nullptr;
-  blocks_ = tail + (nb > 1 ? nb * kSkipEntryBytes : 0);
-}
-
-PostingValue PostingCursor::BlockFirst(size_t b) const {
-  return skip_ != nullptr ? LoadU32(skip_ + b * kSkipEntryBytes)
-                          : list_.first();
-}
-
-size_t PostingCursor::BlockOffset(size_t b) const {
-  return skip_ != nullptr ? LoadU32(skip_ + b * kSkipEntryBytes + 4) : 0;
-}
-
-std::span<const PostingValue> PostingCursor::NextBatch() {
-  if (list_.empty() || next_block_ >= NumBlocks()) return {};
-  const size_t b = next_block_++;
-  batch_ordinal_ = b * kPostingBlockLen;
-  const size_t len = std::min(kPostingBlockLen, list_.size() - batch_ordinal_);
-  if (list_.is_raw()) return list_.raw_span().subspan(batch_ordinal_, len);
-  if (list_.size() == 1) {
-    scratch_[0] = list_.first();
-  } else {
-    DecodeBlock(blocks_ + BlockOffset(b), BlockFirst(b), len, scratch_);
-  }
-  NotePostingBlockDecoded();
-  return {scratch_, len};
-}
-
-void PostingCursor::SeekToOrdinal(size_t i) {
-  next_block_ = i >= list_.size() ? NumBlocks() : i / kPostingBlockLen;
 }
 
 namespace {
@@ -650,25 +515,36 @@ EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
   return out;
 }
 
-std::vector<PostingValue> DecodePostingsCsr(
-    std::span<const uint64_t> offsets,
-    std::span<const uint64_t> partition_offsets, const uint8_t* blob,
-    Scheduler* sched) {
+Status DecodePostingsCsr(std::span<const uint64_t> offsets,
+                         std::span<const uint64_t> partition_offsets,
+                         const uint8_t* blob, uint64_t limit, PostingValue* out,
+                         Scheduler* sched) {
   const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
-  std::vector<PostingValue> out(
-      num_lists == 0 ? 0 : static_cast<size_t>(offsets.back() - offsets.front()));
   const size_t parts = NumPartitions(num_lists);
   const size_t chunks = (parts + kCsrChunkPartitions - 1) / kCsrChunkPartitions;
+  // Each chunk stops at its first failing partition; the lowest failing
+  // chunk's error is reported, so the message is the same for every pool.
+  std::vector<Status> chunk_err(chunks, Status::OK());
   sched->ParallelFor(chunks, [&](size_t c) {
     const size_t end = std::min(parts, (c + 1) * kCsrChunkPartitions);
     for (size_t p = c * kCsrChunkPartitions; p < end; ++p) {
       const auto po = PartitionOffsets(offsets, num_lists, p);
-      DecodePostingPartition(
-          blob + partition_offsets[p], po,
-          out.data() + static_cast<size_t>(po.front() - offsets.front()));
+      Status part = DecodePostingPartition(
+          blob + partition_offsets[p],
+          static_cast<size_t>(partition_offsets[p + 1] - partition_offsets[p]), po,
+          limit, out + static_cast<size_t>(po.front() - offsets.front()));
+      if (!part.ok()) {
+        chunk_err[c] = Status::InvalidArgument(
+            "postings partition " + std::to_string(p) + " (cells " +
+            std::to_string(p * kPostingPartitionCells) + "..): " + part.message());
+        return;
+      }
     }
   });
-  return out;
+  for (Status& s : chunk_err) {
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 }  // namespace blend

@@ -577,34 +577,17 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   }
 
   specs.emplace_back().View(kSecPostingOffsets, secondary->posting_offsets);
-  // The postings payload under the requested codec. When the bundle already
-  // stores that codec the arrays are windowed directly (zero staging);
-  // otherwise the writer transcodes — per-list block encode/decode as
-  // chunked task groups on the shared scheduler, output independent of the
-  // pool size because every list's bytes are a pure function of its values.
+  // The postings payload under the requested codec: raw windows the
+  // positions, compressed encodes them as chunked task groups on the shared
+  // scheduler (the bytes do not depend on the pool size).
   if (codec == PostingCodec::kRaw) {
-    if (secondary->codec == PostingCodec::kRaw) {
-      specs.emplace_back().View(kSecPostingPositions, secondary->posting_positions);
-    } else {
-      specs.emplace_back().Stage(
-          kSecPostingPositions,
-          StagePod(DecodePostingsCsr(secondary->posting_offsets.span(),
-                                     secondary->posting_partitions.span(),
-                                     secondary->posting_blob.data(), sched)));
-    }
+    specs.emplace_back().View(kSecPostingPositions, secondary->posting_positions);
   } else {
-    if (secondary->codec == PostingCodec::kCompressed) {
-      specs.emplace_back().View(kSecPostingPartitions,
-                                secondary->posting_partitions);
-      specs.emplace_back().View(kSecPostingBlob, secondary->posting_blob);
-    } else {
-      EncodedPostingsCsr encoded =
-          EncodePostingsCsr(secondary->posting_offsets.span(),
-                            secondary->posting_positions.span(), sched);
-      specs.emplace_back().Stage(kSecPostingPartitions,
-                                 StagePod(encoded.partition_offsets));
-      specs.emplace_back().Stage(kSecPostingBlob, std::move(encoded.blob));
-    }
+    EncodedPostingsCsr encoded = EncodePostingsCsr(
+        secondary->posting_offsets.span(), secondary->posting_positions.span(), sched);
+    specs.emplace_back().Stage(kSecPostingPartitions,
+                               StagePod(encoded.partition_offsets));
+    specs.emplace_back().Stage(kSecPostingBlob, std::move(encoded.blob));
   }
   specs.emplace_back().View(kSecTableRanges, secondary->table_ranges);
   specs.emplace_back().View(kSecQuadrantPositions, secondary->quadrant_positions);
@@ -632,10 +615,9 @@ size_t SnapshotCodec::LayoutFile(const Gathered& g,
 namespace {
 
 /// Byte sizes of the postings payload sections under `codec`, without
-/// materializing them: one entry (positions) for raw, two (blob offsets,
-/// blob) for compressed. Transcoding is mirrored: a raw bundle's compressed
-/// size sums the per-list encodings, a compressed bundle's raw size is the
-/// decoded element count.
+/// materializing them: one entry (positions) for raw, two (partition
+/// offsets, blob) for compressed, whose blob size sums the per-partition
+/// encodings.
 std::vector<size_t> PostingSectionSizes(const SecondaryIndexes& secondary,
                                         PostingCodec codec) {
   const size_t num_lists =
@@ -645,10 +627,6 @@ std::vector<size_t> PostingSectionSizes(const SecondaryIndexes& secondary,
                      : static_cast<size_t>(secondary.posting_offsets[num_lists]);
   if (codec == PostingCodec::kRaw) {
     return {total_positions * sizeof(RecordPos)};
-  }
-  if (secondary.codec == PostingCodec::kCompressed) {
-    return {secondary.posting_partitions.size() * sizeof(uint64_t),
-            secondary.posting_blob.size()};
   }
   const size_t parts =
       (num_lists + kPostingPartitionCells - 1) / kPostingPartitionCells;
@@ -1217,9 +1195,9 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     secondary = &bundle.column_store_.secondary_;
   }
 
-  // Secondary indexes: CSR postings (raw positions or the compressed blob,
-  // per the header's codec bits), clustered table ranges, quadrant partial
-  // index. All positions must stay inside [0, n).
+  // Secondary indexes: CSR postings (raw positions, or the compressed blob
+  // decoded once here, per the header's codec bits), clustered table ranges,
+  // quadrant partial index. All positions must stay inside [0, n).
   {
     const auto codec = static_cast<PostingCodec>(
         (header.flags >> kFlagCodecShift) & kFlagCodecMask);
@@ -1239,8 +1217,8 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
                          [&](size_t i) { return positions[i] < n; })) {
         return Corrupt("posting position outside the record range");
       }
-      // Like the compressed validator, each list must be strictly ascending:
-      // the intersection / seek / fused-count paths all assume it, so a
+      // Like the compressed decoder, each list must be strictly ascending:
+      // the scan, join and COUNT(DISTINCT) paths all assume it, so a
       // tampered raw section that kept every value in range would otherwise
       // load "successfully" into an index that answers queries wrong.
       // (Found by fuzzing: see fuzz/corpus/snapshot/crash-raw-nonascending.)
@@ -1271,44 +1249,16 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
       BLEND_ASSIGN_OR_RETURN(auto blob, (SectionArray<uint8_t>(
                                             st, parsed, kSecPostingBlob,
                                             blob_size)));
-      // Every encoded partition is walked list by list and block by block
-      // before anything serves it: truncation at block boundaries, forged
-      // varints/tags/widths/skip tables and out-of-range or non-ascending
-      // positions all surface here as a descriptive error, never as UB on
-      // the (check-free) query path. Chunked like the other O(n) scans; the
-      // lowest failing partition's error is reported so the message is
-      // deterministic.
-      {
-        constexpr size_t kChunkParts = 16;
-        const size_t chunks =
-            (static_cast<size_t>(parts) + kChunkParts - 1) / kChunkParts;
-        std::vector<Status> chunk_err(chunks, Status::OK());
-        sched->ParallelFor(chunks, [&](size_t c) {
-          const size_t end = std::min<size_t>(parts, (c + 1) * kChunkParts);
-          for (size_t p = c * kChunkParts; p < end; ++p) {
-            const size_t begin = p * kPostingPartitionCells;
-            const size_t lists = std::min<size_t>(kPostingPartitionCells,
-                                                  num_cells - begin);
-            Status part_ok = ValidatePostingPartition(
-                blob.data() + partitions[p],
-                static_cast<size_t>(partitions[p + 1] - partitions[p]),
-                offsets.subspan(begin, lists + 1), n);
-            if (!part_ok.ok()) {
-              chunk_err[c] = Status::InvalidArgument(
-                  "invalid snapshot: postings partition " + std::to_string(p) +
-                  " (cells " + std::to_string(begin) + "..): " +
-                  part_ok.message());
-              return;
-            }
-          }
-        });
-        for (const Status& s : chunk_err) {
-          if (!s.ok()) return s;
-        }
-      }
-      FillArray(&secondary->posting_partitions, partitions, zero_copy);
-      FillArray(&secondary->posting_blob, blob, zero_copy);
-      secondary->codec = PostingCodec::kCompressed;
+      // Every encoded partition is decoded list by list and block by block,
+      // with full checks, into heap positions: truncation at block
+      // boundaries, forged varints/tags/widths/skip tables and out-of-range
+      // or non-ascending positions all surface here as a descriptive error.
+      // The bundle then serves plain positions in both load modes.
+      PodVector<RecordPos> positions(static_cast<size_t>(n));
+      Status decoded = DecodePostingsCsr(offsets, partitions, blob.data(), n,
+                                         positions.data(), sched);
+      if (!decoded.ok()) return Corrupt(decoded.message());
+      secondary->posting_positions.Own(std::move(positions));
     }
     BLEND_ASSIGN_OR_RETURN(auto ranges, (SectionArray<RecordPos>(
                                             st, parsed, kSecTableRanges,

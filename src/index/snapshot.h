@@ -41,12 +41,13 @@ namespace blend {
 /// Format v2 adds a postings codec: bits 8..15 of the header flags carry a
 /// PostingCodec id. With the raw codec (id 0) the postings payload is the
 /// v1 PostingPositions array of plain u32s; with the compressed codec (id 1)
-/// it is PostingBlobOffsets (per-cell byte offsets, num_cells + 1 u64s) plus
+/// it is PostingPartitions (one u64 byte offset per partition of
+/// kPostingPartitionCells cells, ceil(num_cells / 64) + 1 entries) plus
 /// PostingBlob — every list block-encoded as delta+bitpacked / run / bitmap
 /// containers (see index/codec.h). The logical PostingOffsets CSR is present
-/// either way and carries each list's length. Compressed blobs are served
-/// zero-copy out of the mapping like every other section; decoding happens
-/// per block in the query engine's PostingCursor.
+/// either way and carries each list's length. The compressed codec is a file
+/// encoding only: both load paths decode the blob once, with full checks,
+/// into heap positions, so the served index holds raw postings either way.
 ///
 /// Versioning policy: `kSnapshotVersion` is the single format version.
 /// Readers reject files newer than what they understand and accept older
@@ -59,9 +60,11 @@ namespace blend {
 ///   - `ReadSnapshot` materializes every array onto the process heap; the
 ///     bundle is independent of the file afterwards.
 ///   - `OpenSnapshot` mmaps the file and binds the fixed-width arrays
-///     (records/columns, postings, table ranges, row positions, and the
-///     dictionary's offsets/blob/precomputed hash table) as zero-copy views
-///     into the mapping. The bundle keeps the mapping alive.
+///     (records/columns, posting offsets, raw posting positions, table
+///     ranges, quadrant positions, and the dictionary's offsets/blob/
+///     precomputed hash table) as zero-copy views into the mapping; only
+///     compressed postings are decoded onto the heap. The bundle keeps the
+///     mapping alive.
 ///
 /// Every malformed input — short file, bad magic, future version, foreign
 /// endianness, misaligned or out-of-bounds section, checksum mismatch,
@@ -101,12 +104,11 @@ class SnapshotStorage {
 
 /// Execution knobs shared by the write and load paths.
 struct SnapshotOptions {
-  /// Pool for the per-section checksum / block-encode / validation task
-  /// groups; null selects the process-wide default pool.
+  /// Pool for the per-section checksum / block-encode / decode and
+  /// validation task groups; null selects the process-wide default pool.
   Scheduler* scheduler = nullptr;
   /// Postings codec of the written artifact (load discovers the codec from
-  /// the header). The writer transcodes as needed, so any bundle can be
-  /// saved under either codec.
+  /// the header). Any bundle can be saved under either codec.
   PostingCodec codec = PostingCodec::kRaw;
 };
 
@@ -139,7 +141,7 @@ size_t SnapshotBytes(const IndexBundle& bundle,
 
 /// On-disk byte size of just the postings payload under `options.codec`
 /// (the dominant section, paper Table 8): the positions array for raw, the
-/// blob-offsets + blob sections for compressed. The compression headline
+/// partition-offsets + blob sections for compressed. The compression headline
 /// benches report this next to the whole-artifact size.
 size_t SnapshotPostingBytes(const IndexBundle& bundle,
                             const SnapshotOptions& options = {});

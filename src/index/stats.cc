@@ -8,9 +8,9 @@ size_t IndexStats::Frequency(const std::string& raw_value) const {
   CellId id = bundle_->dictionary().Find(NormalizeCell(raw_value));
   if (id == kInvalidCellId) return 0;
   if (bundle_->layout() == StoreLayout::kRow) {
-    return bundle_->row_store().PostingCount(id);
+    return bundle_->row_store().PostingList(id).size();
   }
-  return bundle_->column_store().PostingCount(id);
+  return bundle_->column_store().PostingList(id).size();
 }
 
 double IndexStats::AvgFrequency(const std::vector<std::string>& raw_values) const {

@@ -322,21 +322,16 @@ std::string ItemName(const SelectItem& item) {
 // Scan: one relation -> physical record positions, morsel-parallel.
 // ---------------------------------------------------------------------------
 
-/// Ordinals [begin, end) of one posting/position list. `cell` is the CellId
-/// whose posting list this is, or kInvalidCellId for the Quadrant position
-/// list.
+/// A slice of one posting/position list. `cell` is the CellId whose posting
+/// list this is, or kInvalidCellId for the Quadrant position list.
 struct ListSlice {
-  PostingListRef list;
+  std::span<const RecordPos> positions;
   CellId cell = kInvalidCellId;
-  size_t begin = 0;
-  size_t end = 0;
 };
 
 /// One unit of scan work: list slices in scan order (several whole short
 /// lists packed together, or one slice of a long list), or, when `lists` is
-/// empty, the contiguous physical positions [begin, end). Lists are carried
-/// as PostingListRef and consumed through PostingCursor, so a morsel neither
-/// knows nor cares whether the list is raw or block-compressed.
+/// empty, the contiguous physical positions [begin, end).
 struct ScanMorsel {
   std::vector<ListSlice> lists;
   size_t begin = 0;
@@ -344,28 +339,23 @@ struct ScanMorsel {
   size_t records = 0;  ///< positions the morsel covers
 };
 
-/// Morsel geometry note: kScanMorselRecords is a multiple of
-/// kPostingBlockLen, so a long list's slices start on container boundaries
-/// and each morsel decodes only its own blocks.
-static_assert(kScanMorselRecords % kPostingBlockLen == 0);
-
 /// Appends `list` to the scan. A list of at most kScanMorselRecords records
 /// joins the last morsel while that morsel holds lists and stays within
 /// kScanMorselRecords, so a run of short lists is one task; a longer list is
 /// cut into slices of kScanMorselRecords records.
-void AppendListMorsels(PostingListRef list, CellId cell,
+void AppendListMorsels(std::span<const RecordPos> list, CellId cell,
                        std::vector<ScanMorsel>* morsels) {
   const size_t n = list.size();
   if (n <= kScanMorselRecords && !morsels->empty() &&
       !morsels->back().lists.empty() &&
       morsels->back().records + n <= kScanMorselRecords) {
-    morsels->back().lists.push_back({list, cell, 0, n});
+    morsels->back().lists.push_back({list, cell});
     morsels->back().records += n;
     return;
   }
   for (size_t b = 0; b < n; b += kScanMorselRecords) {
     const size_t e = std::min(n, b + kScanMorselRecords);
-    morsels->push_back({{{list, cell, b, e}}, 0, 0, e - b});
+    morsels->push_back({{{list.subspan(b, e - b), cell}}, 0, 0, e - b});
   }
 }
 
@@ -485,8 +475,7 @@ Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
   } else if (spec.need_quadrant) {
     // Access path 3: the partial index on Quadrant (correlation seeker's
     // numeric-cell scan).
-    AppendListMorsels(PostingListRef::Raw(store.QuadrantPositions()),
-                      kInvalidCellId, &scan.morsels);
+    AppendListMorsels(store.QuadrantPositions(), kInvalidCellId, &scan.morsels);
   } else {
     // Access path 4: full scan.
     AppendRangeMorsels(0, store.NumRecords(), &scan.morsels);
@@ -507,16 +496,9 @@ bool WalkMorsel(const ScanMorsel& mo, const Fn& fn) {
     if (!fn(std::span<const RecordPos>(range, n), kInvalidCellId)) return false;
   }
   for (const ListSlice& s : mo.lists) {
-    // Batch-decode the slice's own containers into the cursor's reusable
-    // scratch; raw lists come back as zero-copy blocks.
-    PostingCursor cur(s.list);
-    cur.SeekToOrdinal(s.begin);
-    for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-      const size_t ord = cur.batch_ordinal();
-      if (ord >= s.end) break;
-      const size_t lo = s.begin > ord ? s.begin - ord : 0;
-      const size_t hi = std::min(batch.size(), s.end - ord);
-      if (!fn(batch.subspan(lo, hi - lo), s.cell)) return false;
+    for (size_t b = 0; b < s.positions.size(); b += kPostingBlockLen) {
+      const size_t n = std::min(kPostingBlockLen, s.positions.size() - b);
+      if (!fn(s.positions.subspan(b, n), s.cell)) return false;
     }
   }
   return true;

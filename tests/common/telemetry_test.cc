@@ -303,17 +303,6 @@ TEST(TelemetryTrace, QueueWaitProbeRecordsFirstTaskOnly) {
   EXPECT_EQ(s.stages[0].tasks, 1);
 }
 
-TEST(TelemetryHooks, CodecHooksFeedThreadCountersAndSpans) {
-  QueryTrace trace;
-  {
-    TraceSpan span(&trace, TraceStage::kScan);
-    NotePostingBlockDecoded();
-    NotePostingBlockDecoded();
-  }
-  const QueryTraceSummary s = trace.Summary();
-  EXPECT_EQ(s.CounterValue(TraceCounter::kPostingBlocksDecoded), 2);
-}
-
 TEST(TelemetryLatencyTimer, ObservesIntoHistogram) {
   Histogram h;
   { LatencyTimer timer(&h); }

@@ -101,9 +101,19 @@ std::vector<uint8_t> EncodeOne(const std::vector<PostingValue>& list) {
   return out;
 }
 
-PostingListRef RefOf(const std::vector<uint8_t>& blob,
-                     const std::vector<uint64_t>& offsets, size_t idx) {
-  return FindPostingList(blob.data(), offsets, idx);
+/// The checked decode of the first `size` bytes of `bytes` into `out`, sized
+/// to the offsets' value count.
+Status Decode(const std::vector<uint8_t>& bytes, size_t size,
+              const std::vector<uint64_t>& offsets, uint64_t limit,
+              std::vector<PostingValue>* out) {
+  out->assign(static_cast<size_t>(offsets.back() - offsets.front()), 0);
+  return DecodePostingPartition(bytes.data(), size, offsets, limit, out->data());
+}
+
+Status Decode(const std::vector<uint8_t>& bytes,
+              const std::vector<uint64_t>& offsets, uint64_t limit) {
+  std::vector<PostingValue> out;
+  return Decode(bytes, bytes.size(), offsets, limit, &out);
 }
 
 TEST(PostingCodecTest, RoundTripIsByteIdenticalForEveryShape) {
@@ -112,21 +122,17 @@ TEST(PostingCodecTest, RoundTripIsByteIdenticalForEveryShape) {
     const std::vector<uint64_t> offsets = {0, list.size()};
     const std::vector<uint8_t> blob = EncodeOne(list);
     EXPECT_EQ(blob.size(), EncodedPostingPartitionBytes(offsets, list));
-    ASSERT_TRUE(ValidatePostingPartition(blob.data(), blob.size(), offsets,
-                                         LimitFor(list))
-                    .ok());
-    std::vector<PostingValue> decoded(list.size());
-    DecodePostingPartition(blob.data(), offsets, decoded.data());
+    std::vector<PostingValue> decoded;
+    ASSERT_TRUE(Decode(blob, blob.size(), offsets, LimitFor(list), &decoded).ok());
     EXPECT_EQ(decoded, list);
-    EXPECT_EQ(RefOf(blob, offsets, 0).ToVector(), list);
   }
 }
 
 TEST(PostingCodecTest, GroupedPartitionRoundTripsAndResolvesEveryList) {
   // All adversarial lists in partition-sized groups: exercises the
   // cross-list first-value delta chain (including negative deltas — the
-  // lists are not mutually ascending) and FindPostingList's header walk
-  // past empties, singletons and multi-block lists alike.
+  // lists are not mutually ascending) past empties, singletons and
+  // multi-block lists alike.
   const auto lists = AdversarialLists();
   for (size_t group = kPostingPartitionCells; group >= 4; group /= 4) {
     for (size_t begin = 0; begin < lists.size(); begin += group) {
@@ -142,16 +148,9 @@ TEST(PostingCodecTest, GroupedPartitionRoundTripsAndResolvesEveryList) {
       std::vector<uint8_t> blob;
       EncodePostingPartition(offsets, positions, &blob);
       EXPECT_EQ(blob.size(), EncodedPostingPartitionBytes(offsets, positions));
-      ASSERT_TRUE(ValidatePostingPartition(blob.data(), blob.size(), offsets,
-                                           1ull << 32)
-                      .ok());
-      std::vector<PostingValue> decoded(positions.size());
-      DecodePostingPartition(blob.data(), offsets, decoded.data());
+      std::vector<PostingValue> decoded;
+      ASSERT_TRUE(Decode(blob, blob.size(), offsets, 1ull << 32, &decoded).ok());
       EXPECT_EQ(decoded, positions);
-      for (size_t i = begin; i < end; ++i) {
-        EXPECT_EQ(RefOf(blob, offsets, i - begin).ToVector(), lists[i])
-            << "list " << i;
-      }
     }
   }
 }
@@ -186,96 +185,6 @@ TEST(PostingCodecTest, CompressionWinsOnTypicalDensities) {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor semantics over both storage modes.
-// ---------------------------------------------------------------------------
-
-TEST(PostingCodecTest, CursorBatchesReassembleTheList) {
-  for (const auto& list : AdversarialLists()) {
-    SCOPED_TRACE("list size " + std::to_string(list.size()));
-    const std::vector<uint64_t> offsets = {0, list.size()};
-    const std::vector<uint8_t> blob = EncodeOne(list);
-    for (bool raw : {true, false}) {
-      PostingCursor cur(raw ? PostingListRef::Raw(list)
-                            : RefOf(blob, offsets, 0));
-      EXPECT_EQ(cur.size(), list.size());
-      std::vector<PostingValue> seen;
-      for (auto batch = cur.NextBatch(); !batch.empty();
-           batch = cur.NextBatch()) {
-        EXPECT_EQ(cur.batch_ordinal(), seen.size());
-        seen.insert(seen.end(), batch.begin(), batch.end());
-      }
-      EXPECT_EQ(seen, list);
-      EXPECT_TRUE(cur.NextBatch().empty());  // stays exhausted
-    }
-  }
-}
-
-TEST(PostingCodecTest, SeekToOrdinalResumesOnTheOwningBlock) {
-  for (const auto& list : AdversarialLists()) {
-    if (list.size() < 2) continue;
-    const std::vector<uint64_t> offsets = {0, list.size()};
-    const std::vector<uint8_t> blob = EncodeOne(list);
-    for (bool raw : {true, false}) {
-      for (size_t ord : {size_t{0}, size_t{1}, list.size() / 2,
-                         list.size() - 1, list.size(), list.size() + 5}) {
-        SCOPED_TRACE("raw=" + std::to_string(raw) + " size=" +
-                     std::to_string(list.size()) + " ord=" + std::to_string(ord));
-        PostingCursor cur(raw ? PostingListRef::Raw(list)
-                              : RefOf(blob, offsets, 0));
-        cur.SeekToOrdinal(ord);
-        auto batch = cur.NextBatch();
-        if (ord >= list.size()) {
-          EXPECT_TRUE(batch.empty());
-          continue;
-        }
-        ASSERT_FALSE(batch.empty());
-        // The batch's block contains the ordinal, and concatenating from
-        // here reproduces the list's tail exactly.
-        EXPECT_LE(cur.batch_ordinal(), ord);
-        EXPECT_GT(cur.batch_ordinal() + batch.size(), ord);
-        std::vector<PostingValue> seen(batch.begin(), batch.end());
-        const size_t from = cur.batch_ordinal();
-        for (batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-          seen.insert(seen.end(), batch.begin(), batch.end());
-        }
-        EXPECT_TRUE(std::equal(seen.begin(), seen.end(), list.begin() + from,
-                               list.end()));
-      }
-    }
-  }
-}
-
-TEST(PostingCodecTest, EveryBatchIsAtMostOneBlockInBothModes) {
-  // The executor gathers a batch into a kPostingBlockLen-slot buffer, so no
-  // batch may be longer, raw lists included; from any seek ordinal the
-  // batches concatenate to the list's tail from that ordinal's block.
-  for (size_t n : {size_t{1}, size_t{128}, size_t{129}, size_t{20000}}) {
-    std::vector<PostingValue> list(n);
-    for (size_t i = 0; i < n; ++i) list[i] = static_cast<PostingValue>(3 * i + i % 2);
-    const std::vector<uint64_t> offsets = {0, n};
-    const std::vector<uint8_t> blob = EncodeOne(list);
-    for (bool raw : {true, false}) {
-      for (size_t seek : {size_t{0}, size_t{1}, n / 2, n - 1}) {
-        SCOPED_TRACE("raw=" + std::to_string(raw) + " size=" + std::to_string(n) +
-                     " seek=" + std::to_string(seek));
-        PostingCursor cur(raw ? PostingListRef::Raw(list) : RefOf(blob, offsets, 0));
-        if (seek > 0) cur.SeekToOrdinal(seek);
-        const size_t from = seek < n ? seek / kPostingBlockLen * kPostingBlockLen : n;
-        std::vector<PostingValue> seen;
-        for (auto batch = cur.NextBatch(); !batch.empty(); batch = cur.NextBatch()) {
-          EXPECT_LE(batch.size(), kPostingBlockLen);
-          EXPECT_EQ(cur.batch_ordinal(), from + seen.size());
-          seen.insert(seen.end(), batch.begin(), batch.end());
-        }
-        EXPECT_TRUE(std::equal(seen.begin(), seen.end(), list.begin() + from,
-                               list.end()));
-        EXPECT_EQ(seen.size(), n - from);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Malformed encodings: descriptive rejection, never UB.
 // ---------------------------------------------------------------------------
 
@@ -287,23 +196,21 @@ TEST(PostingCodecTest, EveryTruncationIsRejected) {
     // Every strict prefix — including cuts exactly at block boundaries —
     // must fail: the count promises more blocks than the bytes hold.
     for (size_t cut = 0; cut < blob.size(); ++cut) {
-      Status s = ValidatePostingPartition(blob.data(), cut, offsets,
-                                          LimitFor(list));
+      std::vector<PostingValue> out;
+      Status s = Decode(blob, cut, offsets, LimitFor(list), &out);
       ASSERT_FALSE(s.ok()) << "size=" << list.size() << " cut=" << cut;
     }
     // Trailing garbage is equally rejected.
     std::vector<uint8_t> padded = blob;
     padded.push_back(0);
-    EXPECT_FALSE(ValidatePostingPartition(padded.data(), padded.size(), offsets,
-                                          LimitFor(list))
-                     .ok());
+    EXPECT_FALSE(Decode(padded, offsets, LimitFor(list)).ok());
   }
 }
 
 TEST(PostingCodecTest, ByteFlipsNeverValidateIntoOutOfRangeValues) {
   // A flipped byte may still decode to some other valid partition (flipping
-  // a packed delta does); the safety property is: whatever validation
-  // accepts decodes strictly ascending per list, in range, and of the
+  // a packed delta does); the safety property is: whatever the checked
+  // decode accepts is strictly ascending per list, in range, and of the
   // promised counts.
   for (const auto& list : AdversarialLists()) {
     if (list.empty()) continue;
@@ -314,13 +221,10 @@ TEST(PostingCodecTest, ByteFlipsNeverValidateIntoOutOfRangeValues) {
       for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
         std::vector<uint8_t> tampered = blob;
         tampered[at] ^= flip;
-        if (!ValidatePostingPartition(tampered.data(), tampered.size(), offsets,
-                                      limit)
-                 .ok()) {
+        std::vector<PostingValue> decoded;
+        if (!Decode(tampered, tampered.size(), offsets, limit, &decoded).ok()) {
           continue;
         }
-        std::vector<PostingValue> decoded(list.size());
-        DecodePostingPartition(tampered.data(), offsets, decoded.data());
         for (size_t i = 0; i < decoded.size(); ++i) {
           ASSERT_LT(decoded[i], limit) << "at=" << at;
           if (i > 0) {
@@ -340,7 +244,7 @@ TEST(PostingCodecTest, ForgedTagsAndWidthsAreRejected) {
   const size_t tag_at = 1;
 
   auto reject = [&](std::vector<uint8_t> bytes, const std::string& why) {
-    Status s = ValidatePostingPartition(bytes.data(), bytes.size(), offsets, 100);
+    Status s = Decode(bytes, offsets, 100);
     EXPECT_FALSE(s.ok()) << why;
     EXPECT_NE(s.message().find(why), std::string::npos) << s.message();
   };
@@ -360,7 +264,7 @@ TEST(PostingCodecTest, ForgedTagsAndWidthsAreRejected) {
     reject(bad, "run block carries a bit width");
   }
   // Out-of-range positions: validate against a limit below the last value.
-  Status s = ValidatePostingPartition(blob.data(), blob.size(), offsets, 50);
+  Status s = Decode(blob, offsets, 50);
   EXPECT_FALSE(s.ok());
   EXPECT_NE(s.message().find("position out of range"), std::string::npos);
   // Count mismatch: promising fewer or more values than encoded. (With a
@@ -371,12 +275,8 @@ TEST(PostingCodecTest, ForgedTagsAndWidthsAreRejected) {
   std::vector<uint8_t> wide_blob = EncodeOne(wide);
   const std::vector<uint64_t> fewer = {0, wide.size() - 1};
   const std::vector<uint64_t> more = {0, wide.size() + 1};
-  EXPECT_FALSE(ValidatePostingPartition(wide_blob.data(), wide_blob.size(),
-                                        fewer, 2048)
-                   .ok());
-  EXPECT_FALSE(ValidatePostingPartition(wide_blob.data(), wide_blob.size(),
-                                        more, 2048)
-                   .ok());
+  EXPECT_FALSE(Decode(wide_blob, fewer, 2048).ok());
+  EXPECT_FALSE(Decode(wide_blob, more, 2048).ok());
 }
 
 TEST(PostingCodecTest, ForgedSkipTablesAreRejected) {
@@ -391,23 +291,20 @@ TEST(PostingCodecTest, ForgedSkipTablesAreRejected) {
   {
     std::vector<uint8_t> bad = blob;  // skew the second entry's offset
     bad[skip_at + 8 + 4] ^= 0x01;
-    Status s = ValidatePostingPartition(bad.data(), bad.size(), offsets,
-                                        LimitFor(list));
+    Status s = Decode(bad, offsets, LimitFor(list));
     ASSERT_FALSE(s.ok());
     EXPECT_NE(s.message().find("skip-table"), std::string::npos) << s.message();
   }
   {
     std::vector<uint8_t> bad = blob;  // break ascent via entry 2's first
     bad[skip_at + 2 * 8] ^= 0xFF;
-    Status s = ValidatePostingPartition(bad.data(), bad.size(), offsets,
-                                        LimitFor(list));
+    Status s = Decode(bad, offsets, LimitFor(list));
     ASSERT_FALSE(s.ok()) << "tampered skip first value must not validate";
   }
   {
     std::vector<uint8_t> bad = blob;  // entry 0 must repeat the list first
     bad[skip_at] ^= 0x01;
-    Status s = ValidatePostingPartition(bad.data(), bad.size(), offsets,
-                                        LimitFor(list));
+    Status s = Decode(bad, offsets, LimitFor(list));
     ASSERT_FALSE(s.ok());
     EXPECT_NE(s.message().find("skip-table first value"), std::string::npos)
         << s.message();
@@ -437,9 +334,39 @@ TEST(PostingCodecTest, CsrEncodeIsIdenticalForEveryPoolSize) {
   EXPECT_EQ(serial.blob, parallel.blob);
 
   for (Scheduler* sched : {Scheduler::Serial(), &pool4}) {
-    EXPECT_EQ(DecodePostingsCsr(offsets, serial.partition_offsets,
-                                serial.blob.data(), sched),
-              positions);
+    std::vector<PostingValue> decoded(positions.size());
+    ASSERT_TRUE(DecodePostingsCsr(offsets, serial.partition_offsets,
+                                  serial.blob.data(), 1ull << 32, decoded.data(),
+                                  sched)
+                    .ok());
+    EXPECT_EQ(decoded, positions);
+  }
+}
+
+TEST(PostingCodecTest, CsrDecodeReportsTheLowestFailingPartition) {
+  // 130 partitions of singleton lists, so the decode spans several tasks;
+  // partitions 65 and 128 each get one value at or above the limit. Every
+  // pool reports partition 65, the first cell it covers, and what broke.
+  std::vector<uint64_t> offsets = {0};
+  std::vector<PostingValue> positions;
+  for (size_t i = 0; i < 130 * kPostingPartitionCells; ++i) {
+    positions.push_back(static_cast<PostingValue>(i));
+    offsets.push_back(positions.size());
+  }
+  const uint64_t limit = positions.size();
+  positions[65 * kPostingPartitionCells + 5] = static_cast<PostingValue>(limit);
+  positions[128 * kPostingPartitionCells] = static_cast<PostingValue>(limit + 9);
+  Scheduler pool4(4);
+  EncodedPostingsCsr encoded = EncodePostingsCsr(offsets, positions, &pool4);
+  for (Scheduler* sched : {Scheduler::Serial(), &pool4}) {
+    std::vector<PostingValue> decoded(positions.size());
+    Status s = DecodePostingsCsr(offsets, encoded.partition_offsets,
+                                 encoded.blob.data(), limit, decoded.data(), sched);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("postings partition 65 (cells 4160..): "),
+              std::string::npos)
+        << s.message();
+    EXPECT_NE(s.message().find("out of range"), std::string::npos) << s.message();
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
@@ -33,14 +34,16 @@ std::vector<Scheduler*> TestPools() {
   return pools;
 }
 
-/// `bundle` serving block-compressed postings: round-tripped through a
-/// compressed snapshot and read back onto the heap.
-IndexBundle CompressedTwin(const IndexBundle& bundle) {
+/// `bundle` round-tripped through a compressed snapshot and read back onto
+/// the heap, which decodes its postings once; `file_bytes`, when given,
+/// receives the snapshot's size.
+IndexBundle CompressedTwin(const IndexBundle& bundle, size_t* file_bytes = nullptr) {
   const std::string path = ::testing::TempDir() + "blend_determinism_" +
                            std::to_string(getpid()) + ".snapshot";
   SnapshotOptions opts;
   opts.codec = PostingCodec::kCompressed;
   EXPECT_TRUE(WriteSnapshot(bundle, path, opts).ok());
+  if (file_bytes != nullptr) *file_bytes = std::filesystem::file_size(path);
   auto loaded = ReadSnapshot(path);
   std::remove(path.c_str());
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -50,9 +53,8 @@ IndexBundle CompressedTwin(const IndexBundle& bundle) {
 /// Property suite for the engine's determinism contract: for representative
 /// seeker-shaped SQL, Query over a pool of N threads must return rows
 /// byte-identical (values *and* order) to the serial run, for N in
-/// {2, 4, hardware}, on both physical layouts, and when the bundle serves
-/// block-compressed postings (loaded from a compressed snapshot) instead of
-/// raw ones.
+/// {2, 4, hardware}, on both physical layouts, and when the bundle was
+/// loaded from a compressed snapshot (its postings decoded at open).
 class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   EngineDeterminismTest() {
@@ -67,8 +69,8 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
     row_opts.layout = StoreLayout::kRow;
     row_bundle_ = IndexBuilder(row_opts).Build(lake_);
     col_bundle_ = IndexBuilder().Build(lake_);
-    row_c_bundle_ = CompressedTwin(row_bundle_);
-    col_c_bundle_ = CompressedTwin(col_bundle_);
+    row_c_bundle_ = CompressedTwin(row_bundle_, &row_c_file_bytes_);
+    col_c_bundle_ = CompressedTwin(col_bundle_, &col_c_file_bytes_);
     row_engine_ = std::make_unique<Engine>(&row_bundle_);
     col_engine_ = std::make_unique<Engine>(&col_bundle_);
     row_c_engine_ = std::make_unique<Engine>(&row_c_bundle_);
@@ -98,8 +100,9 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  /// Per-layout engine pair: the same physical record order served raw and
-  /// block-compressed, so one serial raw run is the reference for both.
+  /// Per-layout engine pair: the same physical record order, built and
+  /// loaded from a compressed snapshot, so one serial run over the built
+  /// bundle is the reference for both.
   struct EnginePair {
     Engine* raw;
     Engine* compressed;
@@ -144,6 +147,7 @@ class EngineDeterminismTest : public ::testing::TestWithParam<uint64_t> {
   DataLake lake_;
   IndexBundle row_bundle_, col_bundle_;
   IndexBundle row_c_bundle_, col_c_bundle_;
+  size_t row_c_file_bytes_ = 0, col_c_file_bytes_ = 0;
   std::unique_ptr<Engine> row_engine_, col_engine_;
   std::unique_ptr<Engine> row_c_engine_, col_c_engine_;
 };
@@ -550,16 +554,21 @@ TEST_P(EngineDeterminismTest, ExplainAnalyzeReportsPerNodeActuals) {
 }
 
 TEST_P(EngineDeterminismTest, ServeCompressedActuallyServesCompressed) {
-  // Guard against the dimension silently testing raw-vs-raw: the
-  // compressed twins must hold block-compressed postings and a smaller
-  // resident index than their raw originals.
-  EXPECT_EQ(row_c_bundle_.row_store().secondary().codec,
-            PostingCodec::kCompressed);
-  EXPECT_EQ(col_c_bundle_.column_store().secondary().codec,
-            PostingCodec::kCompressed);
-  EXPECT_EQ(row_bundle_.row_store().secondary().codec, PostingCodec::kRaw);
-  EXPECT_LT(row_c_bundle_.ApproxBytes(), row_bundle_.ApproxBytes());
-  EXPECT_LT(col_c_bundle_.ApproxBytes(), col_bundle_.ApproxBytes());
+  // Guard against the dimension silently testing raw-vs-raw files: the
+  // twins must come from snapshots smaller than a raw save, and their
+  // decoded postings must be their originals', element for element.
+  EXPECT_LT(row_c_file_bytes_, SnapshotBytes(row_bundle_));
+  EXPECT_LT(col_c_file_bytes_, SnapshotBytes(col_bundle_));
+  for (auto [twin, original] :
+       {std::pair{&row_c_bundle_.row_store().secondary(),
+                  &row_bundle_.row_store().secondary()},
+        std::pair{&col_c_bundle_.column_store().secondary(),
+                  &col_bundle_.column_store().secondary()}}) {
+    EXPECT_TRUE(std::equal(twin->posting_positions.begin(),
+                           twin->posting_positions.end(),
+                           original->posting_positions.begin(),
+                           original->posting_positions.end()));
+  }
 }
 
 TEST_P(EngineDeterminismTest, NonAggregateProjectionAndTableInScan) {
@@ -573,8 +582,7 @@ TEST_P(EngineDeterminismTest, SnapshotLoadedBundlesReproduceEveryShape) {
   // shuffle_rows on/off x postings codec, an engine over a ReadSnapshot
   // (heap) or OpenSnapshot (mmap zero-copy) bundle must answer the
   // representative seeker shapes byte-identically to the freshly built
-  // bundle — i.e. the compressed cursor path reproduces the raw span path
-  // exactly.
+  // bundle — i.e. the decode at open reproduces the built postings exactly.
   Rng rng(GetParam() * 59 + 7);
   const std::vector<std::string> sqls = {
       "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score "

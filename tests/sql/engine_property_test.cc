@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <map>
+#include <set>
+#include <tuple>
 
 #include "common/rng.h"
+#include "common/scheduler.h"
 #include "common/str_util.h"
 #include "index/builder.h"
+#include "index/snapshot.h"
 #include "lakegen/join_lake.h"
 #include "lakegen/workloads.h"
 #include "sql/engine.h"
@@ -168,6 +176,105 @@ TEST_P(EnginePropertyTest, ScQueryAgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginePropertyTest, ::testing::Values(1, 2, 3, 4));
+
+TEST(LongPostingListTest, ScAndCountDistinctOverA20000ValueList) {
+  // Column 0 of each of 50 tables holds "hot" in all 400 rows: one posting
+  // list of 20,000 values. The scan cuts it into several morsels and walks
+  // each in batches that the block aggregate gathers into fixed
+  // kPostingBlockLen-slot buffers, so a batch longer than that would
+  // overflow them (ASan) or miscount. Column 1 varies per table.
+  DataLake lake("long-list");
+  for (int t = 0; t < 50; ++t) {
+    Table table("t" + std::to_string(t));
+    table.AddColumn("hot");
+    table.AddColumn("mixed");
+    for (int r = 0; r < 400; ++r) {
+      const std::string mixed =
+          (t % 2 == 0 ? "v" : "w") + std::to_string((r + t) % 5);
+      ASSERT_TRUE(table.AppendRow({"hot", mixed}).ok());
+    }
+    lake.AddTable(std::move(table));
+  }
+  const std::vector<std::string> query = {"hot", "v1", "v3", "w2", "absent"};
+  const std::string in_list = SqlInList(query);
+
+  // Expected answers, read off the lake's cells.
+  const std::set<std::string> wanted(query.begin(), query.end());
+  std::map<std::pair<int64_t, int64_t>, std::set<std::string>> column_hits;
+  std::map<int64_t, std::pair<std::set<std::string>, int64_t>> table_hits;
+  for (size_t t = 0; t < lake.NumTables(); ++t) {
+    const Table& table = lake.table(static_cast<TableId>(t));
+    for (size_t c = 0; c < table.NumColumns(); ++c) {
+      for (size_t r = 0; r < table.NumRows(); ++r) {
+        const std::string v = NormalizeCell(table.At(r, c));
+        if (wanted.count(v) == 0) continue;
+        column_hits[{static_cast<int64_t>(t), static_cast<int64_t>(c)}].insert(v);
+        table_hits[static_cast<int64_t>(t)].first.insert(v);
+        ++table_hits[static_cast<int64_t>(t)].second;
+      }
+    }
+  }
+  std::set<std::tuple<int64_t, int64_t, int64_t>> want_sc, want_counts;
+  for (const auto& [key, values] : column_hits) {
+    want_sc.insert({key.first, key.second, static_cast<int64_t>(values.size())});
+  }
+  for (const auto& [t, hits] : table_hits) {
+    want_counts.insert({t, static_cast<int64_t>(hits.first.size()), hits.second});
+  }
+
+  const std::string sc_sql =
+      "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score FROM AllTables "
+      "WHERE CellValue IN (" + in_list + ") GROUP BY TableId, ColumnId;";
+  const std::string count_sql =
+      "SELECT TableId, COUNT(DISTINCT CellValue), COUNT(*) FROM AllTables "
+      "WHERE CellValue IN (" + in_list + ") GROUP BY TableId;";
+  auto rows_of = [](const QueryResult& res) {
+    std::set<std::tuple<int64_t, int64_t, int64_t>> rows;
+    for (size_t r = 0; r < res.NumRows(); ++r) {
+      rows.insert({res.Int(r, 0), res.Int(r, 1), res.Int(r, 2)});
+    }
+    EXPECT_EQ(rows.size(), res.NumRows());
+    return rows;
+  };
+
+  Scheduler pool4(4);
+  const std::string path = ::testing::TempDir() + "blend_long_list_" +
+                           std::to_string(getpid()) + ".snapshot";
+  for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+    IndexBuildOptions opts;
+    opts.layout = layout;
+    const IndexBundle built = IndexBuilder(opts).Build(lake);
+    const CellId hot = built.dictionary().Find("hot");
+    const size_t hot_count = layout == StoreLayout::kRow
+                                 ? built.row_store().PostingList(hot).size()
+                                 : built.column_store().PostingList(hot).size();
+    ASSERT_EQ(hot_count, 20000u);
+    // The same answers from a bundle opened off a compressed snapshot.
+    SnapshotOptions compressed;
+    compressed.codec = PostingCodec::kCompressed;
+    ASSERT_TRUE(WriteSnapshot(built, path, compressed).ok());
+    auto opened = OpenSnapshot(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const IndexBundle& served = opened.value();
+    for (const IndexBundle* bundle : {&built, &served}) {
+      const Engine engine(bundle);
+      for (Scheduler* pool : {Scheduler::Serial(), static_cast<Scheduler*>(&pool4)}) {
+        SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                     " opened=" + std::to_string(bundle != &built) +
+                     " pool=" + std::to_string(pool->parallelism()));
+        QueryOptions qopts;
+        qopts.scheduler = pool;
+        auto sc = engine.Query(sc_sql, qopts);
+        ASSERT_TRUE(sc.ok()) << sc.status().ToString();
+        EXPECT_EQ(rows_of(sc.value()), want_sc);
+        auto counts = engine.Query(count_sql, qopts);
+        ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+        EXPECT_EQ(rows_of(counts.value()), want_counts);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace blend::sql
