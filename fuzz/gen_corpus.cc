@@ -178,6 +178,31 @@ void GenSqlSeeds(const fs::path& dir) {
       "(SELECT TableId, RowId, Quadrant FROM AllTables WHERE Quadrant IS NOT NULL) "
       "AS n ON k.TableId = n.TableId AND k.RowId = n.RowId "
       "WHERE n.Quadrant = 1 GROUP BY k.TableId",
+      // The correlation seeker's shape: a SUM of an IN ... AND Quadrant = q
+      // disjunction over a lookup join with a ColumnId <> residual, and a
+      // TableId NOT IN rewrite; then IN with decimal and computed probes and
+      // int64 overflow in a filter, a SUM and arithmetic.
+      "SELECT keys.TableId AS TableId, keys.ColumnId AS KeyCol, nums.ColumnId AS "
+      "NumCol, ABS((2 * SUM((keys.CellValue IN ('apple') AND nums.Quadrant = 0) OR "
+      "(keys.CellValue IN ('banana','cherry') AND nums.Quadrant = 1)) - COUNT(*)) "
+      "/ COUNT(*)) AS score FROM (SELECT TableId, RowId, ColumnId, CellValue FROM "
+      "AllTables WHERE RowId < 256 AND CellValue IN ('apple','banana','cherry') "
+      "AND TableId NOT IN (1)) AS keys INNER JOIN (SELECT TableId, RowId, "
+      "ColumnId, Quadrant FROM AllTables WHERE RowId < 256 AND Quadrant IS NOT "
+      "NULL) AS nums ON keys.TableId = nums.TableId AND keys.RowId = nums.RowId "
+      "AND keys.ColumnId <> nums.ColumnId GROUP BY keys.TableId, keys.ColumnId, "
+      "nums.ColumnId ORDER BY score DESC;",
+      "SELECT TableId, ColumnId, COUNT(DISTINCT CellValue) AS score FROM AllTables "
+      "WHERE CellValue IN ('apple','banana','x') AND TableId NOT IN (0, 7) GROUP "
+      "BY TableId, ColumnId ORDER BY score DESC LIMIT 10;",
+      "SELECT TableId, RowId FROM AllTables WHERE TableId IN (1.5)",
+      "SELECT TableId, COUNT(*) FROM AllTables WHERE TableId / 2 IN (0) GROUP BY "
+      "TableId",
+      "SELECT TableId, COUNT(*) FROM AllTables WHERE SuperKey + SuperKey > 0 GROUP "
+      "BY TableId",
+      "SELECT TableId, SUM(9223372036854775807), ABS(-9223372036854775807 - 1), "
+      "4611686018427387904 * TableId, SUM(SuperKey * 3) FROM AllTables GROUP BY "
+      "TableId",
   };
   int n = 0;
   for (const char* q : queries) {

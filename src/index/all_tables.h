@@ -271,4 +271,20 @@ std::pair<RecordPos, RecordPos> JoinKeyGroup(const Store& store, TableId t, int3
   return {first, end};
 }
 
+/// The record group that holds record `p`: JoinKeyGroup(store, store.table(p),
+/// store.row(p)), found by stepping out from `p` along the (TableId, RowId)
+/// store order instead of searching the table's range. A group is one row's
+/// cells, so this costs one step per cell of the row.
+template <typename Store>
+std::pair<RecordPos, RecordPos> RecordGroupAt(const Store& store, RecordPos p) {
+  const TableId t = store.table(p);
+  const int32_t r = store.row(p);
+  auto same = [&](RecordPos q) { return store.row(q) == r && store.table(q) == t; };
+  RecordPos first = p;
+  RecordPos end = p + 1;
+  while (first > 0 && same(first - 1)) --first;
+  while (end < store.NumRecords() && same(end)) ++end;
+  return {first, end};
+}
+
 }  // namespace blend

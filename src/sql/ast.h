@@ -52,6 +52,7 @@ struct Expr {
   bool negated = false;  // also reused by kIsNull for IS NOT NULL
   std::vector<std::string> in_strings;
   std::vector<int64_t> in_ints;
+  std::vector<double> in_doubles;  // literals with a decimal point
 
   // kFuncCall
   std::string func;       // upper-cased

@@ -9,6 +9,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/hashing.h"
@@ -105,36 +106,6 @@ void NoteRows(QueryTrace* trace, TraceStage stage, OperatorStats* stats, size_t 
 /// that cannot be morselized (exact-bucket-order hash-table builds).
 constexpr size_t kSerialCheckInterval = 64 * 1024;
 
-Binder::RelColumns AllFields(const std::string& alias) {
-  Binder::RelColumns rc;
-  rc.alias = ToLower(alias);
-  for (int i = 0; i < kNumFields; ++i) {
-    Field f = static_cast<Field>(i);
-    rc.cols.emplace(ToLower(FieldName(f)), f);
-  }
-  return rc;
-}
-
-/// Three-way SqlValue comparison; NULL sorts first, NaN sorts last. Ordering
-/// NaN deterministically (plain `<` answers false both ways) keeps Cmp a
-/// strict weak ordering, which std::sort/std::partial_sort require.
-int Cmp(const SqlValue& a, const SqlValue& b) {
-  if (a.is_null() || b.is_null()) {
-    if (a.is_null() && b.is_null()) return 0;
-    return a.is_null() ? -1 : 1;
-  }
-  if (a.kind == SqlValue::Kind::kInt && b.kind == SqlValue::Kind::kInt) {
-    return a.i < b.i ? -1 : (a.i > b.i ? 1 : 0);
-  }
-  double x = a.AsDouble(), y = b.AsDouble();
-  const bool nx = std::isnan(x), ny = std::isnan(y);
-  if (nx || ny) {
-    if (nx && ny) return 0;
-    return nx ? 1 : -1;
-  }
-  return x < y ? -1 : (x > y ? 1 : 0);
-}
-
 /// Open-addressing index from 64-bit hashes to dense ids: linear probing
 /// (ProbeSlot) over a power-of-two slot array at most half full, doubling as
 /// it fills. Ids whose hashes collide take separate slots; the caller's
@@ -224,20 +195,18 @@ void UpdateAgg(const AggSpec& spec, AggState* st, const SqlValue& v) {
     case AggSpec::Kind::kAvg:
       if (v.is_null()) return;
       ++st->count;
-      if (v.kind == SqlValue::Kind::kInt && st->int_only) {
-        st->isum += v.i;
-      } else {
-        st->int_only = false;
-      }
+      // An int sum that overflows finalizes as its double sum.
+      st->int_only = st->int_only && v.kind == SqlValue::Kind::kInt &&
+                     !__builtin_add_overflow(st->isum, v.i, &st->isum);
       st->dsum += v.AsDouble();
       return;
     case AggSpec::Kind::kMin:
       if (v.is_null()) return;
-      if (st->minv.is_null() || Cmp(v, st->minv) < 0) st->minv = v;
+      if (st->minv.is_null() || CompareValues(v, st->minv) < 0) st->minv = v;
       return;
     case AggSpec::Kind::kMax:
       if (v.is_null()) return;
-      if (st->maxv.is_null() || Cmp(v, st->maxv) > 0) st->maxv = v;
+      if (st->maxv.is_null() || CompareValues(v, st->maxv) > 0) st->maxv = v;
       return;
   }
 }
@@ -257,18 +226,20 @@ void CountPostingList(AggState* st, CellId cell) {
 /// Kind-agnostic: every field merges associatively, and callers fold chunks
 /// in ascending chunk order so double sums reproduce the same rounding for
 /// every thread count. Strict `<`/`>` on MIN/MAX keeps the earlier chunk's
-/// value on Cmp-ties, matching the serial first-seen rule. A posting list cut
-/// across chunks reaches a group from both sides of the cut; it counts once.
-/// Folding into a fresh state moves `from` (a zero sum plus x is x).
+/// value on CompareValues ties, matching the serial first-seen rule. A
+/// posting list cut across chunks reaches a group from both sides of the
+/// cut; it counts once.
+/// Folding into a fresh state moves `from` (a zero sum plus x is x). An int
+/// sum that overflows here finalizes as the double sum, as in UpdateAgg.
 void MergeAggState(AggState* into, AggState* from) {
   if (from->first_list != kInvalidCellId && from->first_list == into->last_list) {
     --into->count;
   }
   if (from->last_list != kInvalidCellId) into->last_list = from->last_list;
   into->count += from->count;
-  into->isum += from->isum;
   into->dsum += from->dsum;
-  into->int_only = into->int_only && from->int_only;
+  into->int_only = into->int_only && from->int_only &&
+                   !__builtin_add_overflow(into->isum, from->isum, &into->isum);
   if (into->seen == nullptr) {
     into->seen = std::move(from->seen);
   } else if (from->seen != nullptr) {
@@ -276,11 +247,11 @@ void MergeAggState(AggState* into, AggState* from) {
     into->seen->doubles.insert(from->seen->doubles.begin(), from->seen->doubles.end());
   }
   if (!from->minv.is_null() &&
-      (into->minv.is_null() || Cmp(from->minv, into->minv) < 0)) {
+      (into->minv.is_null() || CompareValues(from->minv, into->minv) < 0)) {
     into->minv = from->minv;
   }
   if (!from->maxv.is_null() &&
-      (into->maxv.is_null() || Cmp(from->maxv, into->maxv) > 0)) {
+      (into->maxv.is_null() || CompareValues(from->maxv, into->maxv) > 0)) {
     into->maxv = from->maxv;
   }
 }
@@ -384,13 +355,19 @@ std::vector<CellId> ResolveCellIds(const Expr& cell_in, const Dictionary& dict) 
 }
 
 /// Sorted distinct ids of a TableId IN-list that name a table of the store:
-/// the clustered-index access path walks their ranges in this order.
+/// the clustered-index access path walks their ranges in this order. A
+/// decimal item names the table whose id it equals, as `TableId = 1.0` does.
 template <typename Store>
 std::vector<TableId> ResolveTableIds(const Expr& table_in, const Store& store) {
+  const auto n = static_cast<int64_t>(store.NumTables());
   std::vector<TableId> ids;
   for (int64_t id : table_in.in_ints) {
-    if (id < 0 || static_cast<size_t>(id) >= store.NumTables()) continue;
-    ids.push_back(static_cast<TableId>(id));
+    if (id >= 0 && id < n) ids.push_back(static_cast<TableId>(id));
+  }
+  for (double d : table_in.in_doubles) {
+    if (d >= 0 && d < static_cast<double>(n) && d == std::floor(d)) {
+      ids.push_back(static_cast<TableId>(d));
+    }
   }
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -399,29 +376,37 @@ std::vector<TableId> ResolveTableIds(const Expr& table_in, const Store& store) {
 
 /// The per-record filters of a classified scan: a TableId IN-list that is
 /// not the access path (it sits next to a CellValue IN-list), the RowId
-/// bound, Quadrant IS NOT NULL and the residual conjuncts, bound once.
-/// Evaluation is read-only and thread-safe.
+/// bound, Quadrant IS NOT NULL and the residual conjuncts, bound once and
+/// block-evaluated. Evaluation is read-only and thread-safe.
 struct RecordFilter {
-  bool active = false;  ///< any filter below is set
-  bool filter_tables = false;
-  std::unordered_set<int64_t> table_set;
+  /// The TableId IN-list's tables, ascending, when it is a filter.
+  std::optional<std::vector<TableId>> tables;
   int64_t row_lt = -1;
   bool need_quadrant = false;
   std::vector<BoundExprPtr> preds;
+  std::vector<BlockExpr> pred_blocks;
 
+  /// Every filter but the residual conjuncts.
   template <typename Store>
-  bool operator()(const Store& store, RecordPos p) const {
-    if (!active) return true;
-    if (filter_tables && table_set.count(store.table(p)) == 0) return false;
-    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
-    if (need_quadrant && store.quadrant(p) == kQuadrantNull) return false;
-    for (const auto& pred : preds) {
-      SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-        return FieldValue(store, b.field, p);
-      });
-      if (!v.IsTruthy()) return false;
+  bool Cheap(const Store& store, RecordPos p) const {
+    if (tables && !std::binary_search(tables->begin(), tables->end(), store.table(p))) {
+      return false;
     }
-    return true;
+    if (row_lt >= 0 && store.row(p) >= row_lt) return false;
+    return !need_quadrant || store.quadrant(p) != kQuadrantNull;
+  }
+
+  /// Writes the positions of `batch` (at most kBlockRows) that pass every
+  /// filter to `out`, in order; returns how many.
+  template <typename Store>
+  size_t Keep(const Store& store, std::span<const RecordPos> batch, RecordPos* out,
+              BlockRegs* regs) const {
+    size_t n = 0;
+    for (RecordPos p : batch) {
+      out[n] = p;
+      n += Cheap(store, p) ? 1 : 0;
+    }
+    return KeepWhereAll(store, pred_blocks, SelfPos{}, out, n, regs);
   }
 };
 
@@ -434,7 +419,7 @@ struct RelScan {
   ScanSpec spec;
   RecordFilter filter;
   std::vector<ScanMorsel> morsels;
-  std::vector<TableId> tables;  ///< the clustered index's tables, ascending
+  std::vector<TableId> tables;  ///< the TableId IN-list's tables, ascending
   size_t cells = 0;             ///< the CellValue index's resolved cells
 };
 
@@ -445,20 +430,16 @@ Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
   scan.spec = ClassifyScan(rel.scan_pred);
   const ScanSpec& spec = scan.spec;
   RecordFilter& filter = scan.filter;
-  filter.filter_tables = spec.cell_in != nullptr && spec.table_in != nullptr;
-  if (filter.filter_tables) {
-    filter.table_set.insert(spec.table_in->in_ints.begin(),
-                            spec.table_in->in_ints.end());
-  }
+  if (spec.table_in != nullptr) scan.tables = ResolveTableIds(*spec.table_in, store);
+  if (spec.cell_in != nullptr && spec.table_in != nullptr) filter.tables = scan.tables;
   filter.row_lt = spec.row_lt;
   filter.need_quadrant = spec.need_quadrant;
-  Binder binder(&dict, {AllFields("")});
+  Binder binder(&dict, {AllFieldsVisible("")});
   for (const Expr* c : spec.residual) {
     BLEND_ASSIGN_OR_RETURN(auto b, binder.BindRowExpr(*c));
     filter.preds.push_back(std::move(b));
   }
-  filter.active = filter.filter_tables || filter.row_lt >= 0 ||
-                  filter.need_quadrant || !filter.preds.empty();
+  filter.pred_blocks = CompileBlockExprs(filter.preds);
 
   if (spec.cell_in != nullptr) {
     // Access path 1: the in-database hash index on CellValue.
@@ -467,7 +448,6 @@ Result<RelScan> BindRelScan(const AnalyzedRel& rel, const Store& store,
     for (CellId id : cells) AppendListMorsels(store.PostingList(id), id, &scan.morsels);
   } else if (spec.table_in != nullptr) {
     // Access path 2: the clustered index on TableId.
-    scan.tables = ResolveTableIds(*spec.table_in, store);
     for (TableId id : scan.tables) {
       auto [b, e] = store.TableRange(id);
       AppendRangeMorsels(b, e, &scan.morsels);
@@ -517,10 +497,11 @@ Result<std::vector<RecordPos>> ScanRel(const RelScan& scan, const Store& store,
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kScan, stats, scan.morsels.size(),
                                [&](size_t m) {
     std::vector<RecordPos>& out = parts[m];
+    BlockRegs regs;
     WalkMorsel(scan.morsels[m], [&](std::span<const RecordPos> batch, CellId) {
-      for (RecordPos p : batch) {
-        if (scan.filter(store, p)) out.push_back(p);
-      }
+      const size_t at = out.size();
+      out.resize(at + batch.size());
+      out.resize(at + scan.filter.Keep(store, batch, out.data() + at, &regs));
       return true;
     });
   }));
@@ -579,19 +560,6 @@ bool StepKeysEqual(const Store& store, const StepKeys& keys, const RowCtx& ctx,
   return true;
 }
 
-/// True when the step's non-equi ON conditions hold for the extended row.
-template <typename Store>
-bool StepResidualHolds(const Store& store, const StepKeys& keys,
-                       const RowCtx& extended) {
-  for (const auto& pred : keys.residual) {
-    SqlValue v = EvalExpr(*pred, [&](const BoundExpr& b) {
-      return FieldValue(store, b.field, extended.pos[b.side]);
-    });
-    if (!v.IsTruthy()) return false;
-  }
-  return true;
-}
-
 /// One binary hash-join step: extends the joined prefix `rows` with matches
 /// from `scan` (relation index `step_side`). Builds on the smaller input —
 /// the new relation when `scan.size() <= rows.size()`, else the prefix — and
@@ -600,7 +568,8 @@ bool StepResidualHolds(const Store& store, const StepKeys& keys,
 /// insertion stays serial to preserve exact bucket order, and the probe side
 /// is morselized with per-morsel output buffers concatenated in morsel order
 /// — emit order is byte-identical to a serial probe loop: probe-major, each
-/// probe entry's matches in ascending build index.
+/// probe entry's matches in ascending build index. Each morsel block-evaluates
+/// the ON residual over its key matches as every kBlockRows of them arrive.
 template <typename Store>
 Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
                                          const std::vector<RowCtx>& rows,
@@ -655,8 +624,17 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
 
   const size_t probe_chunks = NumChunks(num_probe, kScanMorselRecords);
   std::vector<std::vector<RowCtx>> parts(probe_chunks);
+  const std::vector<BlockExpr> residual = CompileBlockExprs(keys.residual);
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinProbe, probe_stats,
                                probe_chunks, [&](size_t c) {
+    std::vector<RowCtx>& out = parts[c];
+    BlockRegs regs;
+    size_t kept = 0;  // out[0, kept) passed the residual
+    auto keep = [&] {
+      kept += KeepWhereAll(store, residual, RowPos{}, out.data() + kept,
+                           out.size() - kept, &regs);
+      out.resize(kept);
+    };
     const size_t e = std::min(num_probe, (c + 1) * kScanMorselRecords);
     for (size_t i = c * kScanMorselRecords; i < e; ++i) {
       bool has_null;
@@ -668,11 +646,12 @@ Result<std::vector<RowCtx>> HashJoinStep(const Store& store,
         const RowCtx& ctx = rows[build_prefix ? b : i];
         const RecordPos p = scan[build_prefix ? i : b];
         if (!StepKeysEqual(store, keys, ctx, p)) continue;
-        RowCtx extended = ctx;
-        extended.pos[step_side] = p;
-        if (StepResidualHolds(store, keys, extended)) parts[c].push_back(extended);
+        out.push_back(ctx);
+        out.back().pos[step_side] = p;
+        if (out.size() - kept == kBlockRows) keep();
       }
     }
+    keep();
   }));
   std::vector<RowCtx> joined = ConcatParts(std::move(parts));
   NoteRows(options.trace, TraceStage::kJoinProbe, probe_stats, joined.size());
@@ -700,23 +679,39 @@ bool IsLookupStep(const ScanSpec& spec, const StepKeys& keys) {
   return table_key && row_key;
 }
 
+/// Sorts `v` by the high 32 bits of its elements, keeping equal ones in
+/// order: an LSD radix sort in 11-bit digits, up to the largest element's.
+void SortByHigh32(std::vector<uint64_t>* v) {
+  const uint64_t top = v->empty() ? 0 : *std::max_element(v->begin(), v->end());
+  std::vector<uint64_t> tmp(v->size());
+  for (int shift = 32; shift < 64 && (top >> shift) != 0; shift += 11) {
+    size_t next[2048] = {};
+    for (uint64_t x : *v) ++next[(x >> shift) & 2047];
+    std::exclusive_scan(next, next + 2048, next, size_t{0});
+    for (uint64_t x : *v) tmp[next[(x >> shift) & 2047]++] = x;
+    v->swap(tmp);
+  }
+}
+
 /// One join step that looks the new relation up instead of scanning it. For
-/// each prefix row it takes the row's (TableId, RowId) record group
-/// (JoinKeyGroup) and keeps the positions that pass the relation's own scan
-/// filters, the step's ON keys and its ON residual. The group already
-/// satisfies the TableId and RowId keys that select it (neither field is
-/// ever NULL), so only the step's other ON keys are compared.
+/// each prefix row it reads the row's (TableId, RowId) record group: in place
+/// around the prefix record when that record supplies both keys
+/// (RecordGroupAt), else by search (JoinKeyGroup). It keeps the positions
+/// that pass the relation's scan filters, the step's other ON keys (the
+/// group satisfies TableId and RowId, never NULL) and its ON residual; the
+/// residual conjuncts and the ON residual are block-evaluated per task.
 ///
-/// Output is byte-identical to HashJoinStep over ScanRel's positions. The
-/// eligible access paths scan in ascending position, so a prefix row's
-/// matches in scan order are its group's matches in ascending position.
-/// HashJoinStep probes with the prefix when `scan.size() <= rows.size()`;
-/// the filtered scan size is counted here in scan order, stopping at
-/// rows.size() + 1, so the decision never costs more than the scan it
-/// replaces. Probing with the prefix emits prefix-major with matches
-/// ascending; probing with the scan emits scan-major with prefix rows
-/// ascending, which sorting the matched (position, prefix index) pairs
-/// reproduces.
+/// Output is byte-identical to HashJoinStep over ScanRel's positions, whose
+/// eligible access paths scan in ascending position. HashJoinStep probes
+/// with the prefix when `scan.size() <= rows.size()`; the filtered scan is
+/// counted here in scan order, stopping past rows.size(), so the decision
+/// never costs more than the scan it replaces. Probing with the prefix emits
+/// prefix-major, matches ascending. Probing with the scan emits
+/// position-major, prefix rows ascending: two prefix rows' groups are the
+/// same or disjoint, so the prefix rows, ordered by a position in their
+/// group and then index, form runs that share a group, and each run emits
+/// position by position. The count and the ordering run serially and are
+/// timed on the node when it records actuals.
 template <typename Store>
 Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
                                            const std::vector<RowCtx>& rows,
@@ -724,24 +719,6 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
                                            const StepKeys& keys, uint8_t step_side,
                                            const QueryOptions& options,
                                            OperatorStats* stats) {
-  // Orientation: count passing candidates in ScanRel's scan order.
-  const size_t cap = rows.size() + 1;
-  size_t passing = 0, visited = 0;
-  auto visit = [&](std::span<const RecordPos> batch, CellId) {
-    for (RecordPos p : batch) {
-      if (rel.filter(store, p) && ++passing == cap) return false;
-      if (++visited % kSerialCheckInterval == 0 && ShouldStop(options.control)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  for (const ScanMorsel& mo : rel.morsels) {
-    if (!WalkMorsel(mo, visit)) break;
-  }
-  BLEND_RETURN_NOT_OK(CheckControl(options.control, "lookup join"));
-  const bool probe_with_prefix = passing <= rows.size();
-
   size_t table_key = 0, row_key = 0;
   for (size_t i = 0; i < keys.right.size(); ++i) {
     if (keys.left[i].second != keys.right[i]) continue;
@@ -756,52 +733,100 @@ Result<std::vector<RowCtx>> LookupJoinStep(const Store& store,
     other_keys.left.push_back(keys.left[i]);
     other_keys.right.push_back(keys.right[i]);
   }
+  // Prefix row i's group; empty when the relation's TableId index skips it.
+  auto group_of = [&](size_t i) -> std::pair<RecordPos, RecordPos> {
+    const RecordPos q = rows[i].pos[table_side];
+    const TableId t = store.table(q);
+    if (rel.spec.table_in != nullptr &&
+        !std::binary_search(rel.tables.begin(), rel.tables.end(), t)) {
+      return {0, 0};
+    }
+    if (table_side == row_side) return RecordGroupAt(store, q);
+    return JoinKeyGroup(store, t, store.row(rows[i].pos[row_side]));
+  };
 
-  // Prefix-row chunks; each fills its own buffer of joined rows (probing
-  // with the prefix) or of packed (position, prefix index) pairs.
-  const size_t num_chunks = NumChunks(rows.size(), kLookupChunkRows);
-  std::vector<std::vector<RowCtx>> parts(probe_with_prefix ? num_chunks : 0);
-  std::vector<std::vector<uint64_t>> pairs(probe_with_prefix ? 0 : num_chunks);
+  // Probing with the scan: (position << 32 | prefix index) per prefix row,
+  // ascending, the position in the row's group; a row whose group is
+  // skipped or empty emits nothing and shares no run.
+  std::vector<uint64_t> order;
+  bool probe_with_prefix;
+  {
+    TraceSpan serial(nullptr, TraceStage::kJoinProbe, stats);
+    size_t passing = 0;
+    RecordPos kept[kBlockRows];
+    BlockRegs regs;
+    auto count = [&](std::span<const RecordPos> batch, CellId) {
+      passing += rel.filter.Keep(store, batch, kept, &regs);
+      return passing <= rows.size();
+    };
+    for (const ScanMorsel& mo : rel.morsels) {
+      if (ShouldStop(options.control) || !WalkMorsel(mo, count)) break;
+    }
+    BLEND_RETURN_NOT_OK(CheckControl(options.control, "lookup join"));
+    probe_with_prefix = passing <= rows.size();
+    for (size_t i = 0; i < rows.size() && !probe_with_prefix; ++i) {
+      RecordPos at = rows[i].pos[table_side];  // a position in its own group
+      if (table_side != row_side) {
+        const auto [lo, hi] = group_of(i);
+        if (lo == hi) continue;
+        at = lo;
+      }
+      order.push_back(static_cast<uint64_t>(at) << 32 | i);
+    }
+    SortByHigh32(&order);  // `order` was built in ascending prefix index
+  }
+
+  // Entry j of the emission order, and whether entry j shares `group` (a
+  // run only forms when probing with the scan).
+  const size_t m = probe_with_prefix ? rows.size() : order.size();
+  auto index_of = [&](size_t j) {
+    return probe_with_prefix ? j : static_cast<size_t>(order[j] & 0xFFFFFFFFu);
+  };
+  auto in_run = [&](size_t j, std::pair<RecordPos, RecordPos> group) {
+    if (probe_with_prefix || j >= m) return false;
+    const auto at = static_cast<RecordPos>(order[j] >> 32);
+    return at >= group.first && at < group.second;
+  };
+  // The first entry from j on that does not share entry j - 1's group.
+  auto run_end = [&](size_t j) {
+    for (const auto group = group_of(index_of(j - 1)); in_run(j, group);) ++j;
+    return j;
+  };
+  const std::vector<BlockExpr> residual = CompileBlockExprs(keys.residual);
+  const size_t num_chunks = NumChunks(m, kLookupChunkRows);
+  std::vector<std::vector<RowCtx>> parts(num_chunks);
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kJoinProbe, stats, num_chunks,
                                [&](size_t c) {
-    const size_t b = c * kLookupChunkRows;
-    const size_t e = std::min(rows.size(), b + kLookupChunkRows);
-    for (size_t i = b; i < e; ++i) {
-      const TableId t = store.table(rows[i].pos[table_side]);
-      if (rel.spec.table_in != nullptr &&
-          !std::binary_search(rel.tables.begin(), rel.tables.end(), t)) {
-        continue;
-      }
-      const auto [lo, hi] = JoinKeyGroup(store, t, store.row(rows[i].pos[row_side]));
-      RowCtx extended = rows[i];
-      for (RecordPos p = lo; p < hi; ++p) {
-        if (!rel.filter(store, p) || !StepKeysEqual(store, other_keys, rows[i], p)) {
-          continue;
-        }
-        extended.pos[step_side] = p;
-        if (!StepResidualHolds(store, keys, extended)) continue;
-        if (probe_with_prefix) {
-          parts[c].push_back(extended);
-        } else {
-          pairs[c].push_back(static_cast<uint64_t>(p) << 32 | i);
+    // A chunk starts and ends on run boundaries.
+    size_t b = c * kLookupChunkRows;
+    size_t e = std::min(m, b + kLookupChunkRows);
+    if (!probe_with_prefix) {
+      b = b > 0 ? run_end(b) : 0;
+      e = run_end(e);
+    }
+    std::vector<RowCtx>& out = parts[c];
+    std::vector<size_t> run;
+    for (size_t j = b; j < e;) {
+      const auto group = group_of(index_of(j));
+      run.assign(1, index_of(j++));
+      while (in_run(j, group)) run.push_back(index_of(j++));
+      if (run.size() > 1) std::sort(run.begin(), run.end());
+      for (RecordPos p = group.first; p < group.second; ++p) {
+        if (!rel.filter.Cheap(store, p)) continue;
+        for (size_t i : run) {
+          if (!StepKeysEqual(store, other_keys, rows[i], p)) continue;
+          out.push_back(rows[i]);
+          out.back().pos[step_side] = p;
         }
       }
     }
+    BlockRegs regs;
+    auto at_step = [step_side](const RowCtx& r, uint8_t) { return r.pos[step_side]; };
+    const size_t kept = KeepWhereAll(store, rel.filter.pred_blocks, at_step, out.data(),
+                                     out.size(), &regs);
+    out.resize(KeepWhereAll(store, residual, RowPos{}, out.data(), kept, &regs));
   }));
-
-  std::vector<RowCtx> joined;
-  if (probe_with_prefix) {
-    joined = ConcatParts(std::move(parts));
-  } else {
-    std::vector<uint64_t> matched = ConcatParts(std::move(pairs));
-    std::sort(matched.begin(), matched.end());
-    joined.reserve(matched.size());
-    for (uint64_t m : matched) {
-      RowCtx extended = rows[m & 0xFFFFFFFFu];
-      extended.pos[step_side] = static_cast<RecordPos>(m >> 32);
-      joined.push_back(extended);
-    }
-  }
+  std::vector<RowCtx> joined = ConcatParts(std::move(parts));
   NoteRows(options.trace, TraceStage::kJoinProbe, stats, joined.size());
   return joined;
 }
@@ -910,10 +935,13 @@ constexpr size_t kDedupSortRows = 64;  ///< SortAndLimit's first prefix under de
 /// reach: the first LIMIT rows, or under dedup a prefix that doubles from
 /// kDedupSortRows rows; the order is total, so every prefix is the full
 /// sort's. Shared by Project and Aggregate, so their dedup cannot diverge.
+/// The work is timed on `stats`, the SortLimit node's, as one inline task.
 std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
                                                 const std::vector<bool>& desc,
                                                 int64_t limit,
-                                                const QueryOptions& options) {
+                                                const QueryOptions& options,
+                                                OperatorStats* stats) {
+  TraceSpan span(nullptr, TraceStage::kProjection, stats);
   const size_t n = out.num_rows;
   const auto col = static_cast<size_t>(options.dedup_column);
   const bool dedup = options.dedup_column >= 0 && col < out.width;
@@ -927,14 +955,14 @@ std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
     const SqlValue* ka = out.SortRow(a);
     const SqlValue* kb = out.SortRow(b);
     for (size_t i = 0; i < out.sort_width; ++i) {
-      int c = Cmp(ka[i], kb[i]);
+      int c = CompareValues(ka[i], kb[i]);
       if (desc[i]) c = -c;
       if (c != 0) return c < 0;
     }
     const SqlValue* ra = out.Row(a);
     const SqlValue* rb = out.Row(b);
     for (size_t i = 0; i < out.width; ++i) {
-      const int c = Cmp(ra[i], rb[i]);
+      const int c = CompareValues(ra[i], rb[i]);
       if (c != 0) return c < 0;
     }
     return a < b;
@@ -973,6 +1001,7 @@ std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
   std::vector<std::vector<SqlValue>> rows;
   rows.reserve(kept.size());
   for (uint32_t r : kept) rows.emplace_back(out.Row(r), out.Row(r) + out.width);
+  if (stats != nullptr) stats->rows = static_cast<int64_t>(rows.size());
   return rows;
 }
 
@@ -1085,12 +1114,12 @@ struct AggInput {
       }
       return;
     }
-    RowCtx kept[kPostingBlockLen];
+    RecordPos passing[kBlockRows];
+    RowCtx kept[kBlockRows];
+    BlockRegs regs;
     WalkMorsel(scan->morsels[c], [&](std::span<const RecordPos> batch, CellId cell) {
-      size_t n = 0;
-      for (RecordPos p : batch) {
-        if (scan->filter(*store, p)) kept[n++].pos[0] = p;
-      }
+      const size_t n = scan->filter.Keep(*store, batch, passing, &regs);
+      for (size_t k = 0; k < n; ++k) kept[k].pos[0] = passing[k];
       return n == 0 || fn(std::span<const RowCtx>(kept, n), cell);
     });
   }
@@ -1213,8 +1242,9 @@ struct GroupTable {
 
 /// Aggregates `input` into groups in first-appearance order. Each chunk
 /// aggregates into its own GroupTable a block at a time: it gathers the
-/// block's keys (packed field by field, or generic keys and their hashes),
-/// probes them, then updates each aggregate across the block. With more than
+/// block's keys (packed field by field, or block-evaluated generic keys and
+/// their hashes), probes them, then block-evaluates each aggregate's
+/// argument and updates the aggregate across the block. With more than
 /// one chunk, a radix-partitioned merge folds the chunks, each worker owning
 /// a disjoint hash partition and folding chunks in ascending chunk order (the
 /// double-sum rounding order); a sort on first ordinals restores
@@ -1235,11 +1265,11 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
     list_count[a] = CountsPostingLists(aggs[a], input.scan->spec) ? 1 : 0;
   }
   const std::vector<PackedField> packed = PackKeys(agg.keys);
-  auto leaf = [&store](const RowCtx& ctx) {
-    return [&store, &ctx](const BoundExpr& b) {
-      return FieldValue(store, b.field, ctx.pos[b.side]);
-    };
-  };
+  const std::vector<BlockExpr> key_blocks = CompileBlockExprs(agg.keys);
+  std::vector<std::optional<BlockExpr>> arg_blocks(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].arg != nullptr && !list_count[a]) arg_blocks[a].emplace(*aggs[a].arg);
+  }
 
   const size_t num_chunks = input.NumChunks();
   auto fresh = [&](bool pack) {
@@ -1260,20 +1290,20 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
       uint64_t hashes[kPostingBlockLen];
       uint32_t group_of[kPostingBlockLen];
       std::vector<SqlValue> key_vals(pack ? 0 : kPostingBlockLen * num_keys);
+      BlockRegs regs;
       input.ForEachBlock(c, [&](std::span<const RowCtx> rows, CellId cell) {
         const size_t n = rows.size();
         if (pack && !GatherPackedKeys(store, packed, rows, hashes)) {
           overflowed[c] = 1;
           return false;
         }
-        for (size_t i = 0; !pack && i < n; ++i) {
-          uint64_t h = 0x13198A2E03707344ULL;
-          for (size_t k = 0; k < num_keys; ++k) {
-            SqlValue& v = key_vals[i * num_keys + k];
-            v = EvalExpr(*agg.keys[k], leaf(rows[i]));
-            h = HashCombine(h, v.Hash());
+        if (!pack) std::fill(hashes, hashes + n, 0x13198A2E03707344ULL);
+        for (size_t k = 0; !pack && k < num_keys; ++k) {
+          const ValueBlock& v = key_blocks[k].Eval(store, rows, RowPos{}, &regs);
+          for (size_t i = 0; i < n; ++i) {
+            key_vals[i * num_keys + k] = v.Get(i);
+            hashes[i] = HashCombine(hashes[i], key_vals[i * num_keys + k].Hash());
           }
-          hashes[i] = h;
         }
         for (size_t i = 0; i < n; ++i) {
           const SqlValue* key = pack ? nullptr : key_vals.data() + i * num_keys;
@@ -1281,15 +1311,17 @@ Result<GroupTable> AggregateGroups(const AggInput<Store>& input,
         }
         ordinal += n;
         for (size_t a = 0; a < aggs.size(); ++a) {
-          const BoundExpr* arg = aggs[a].arg.get();
+          const ValueBlock* arg =
+              arg_blocks[a] ? &arg_blocks[a]->Eval(store, rows, RowPos{}, &regs)
+                            : nullptr;
           for (size_t i = 0; i < n; ++i) {
             AggState* st = table.StatesOf(group_of[i]) + a;
             if (list_count[a]) {
               CountPostingList(st, cell);
             } else if (arg == nullptr) {
-              UpdateAgg(aggs[a], st, SqlValue::Null());
+              ++st->count;  // COUNT(*)
             } else {
-              UpdateAgg(aggs[a], st, EvalExpr(*arg, leaf(rows[i])));
+              UpdateAgg(aggs[a], st, arg->Get(i));
             }
           }
         }
@@ -1387,9 +1419,9 @@ Binder VisibleBinder(const AnalyzedQuery& q, const Dictionary& dict) {
   return Binder(&dict, std::move(rel_cols));
 }
 
-/// The residual WHERE, chunk-parallel: per-chunk surviving-row buffers
-/// concatenated in chunk order keep the row stream identical to a serial
-/// filter loop.
+/// The residual WHERE, chunk-parallel and block-evaluated: per-chunk
+/// surviving-row buffers concatenated in chunk order keep the row stream
+/// identical to a serial filter loop.
 template <typename Store>
 Result<std::vector<RowCtx>> FilterRows(const std::vector<RowCtx>& rows,
                                        const BoundExpr& pred, const Store& store,
@@ -1398,16 +1430,14 @@ Result<std::vector<RowCtx>> FilterRows(const std::vector<RowCtx>& rows,
   const size_t n = rows.size();
   const size_t num_chunks = NumChunks(n, kAggChunkRows);
   std::vector<std::vector<RowCtx>> parts(num_chunks);
+  const std::vector<BlockExpr> preds = {BlockExpr(pred)};
   BLEND_RETURN_NOT_OK(RunTasks(options, TraceStage::kFilter, stats, num_chunks,
                                [&](size_t c) {
-    const size_t e = std::min(n, (c + 1) * kAggChunkRows);
-    for (size_t i = c * kAggChunkRows; i < e; ++i) {
-      const RowCtx& ctx = rows[i];
-      SqlValue v = EvalExpr(pred, [&](const BoundExpr& bx) {
-        return FieldValue(store, bx.field, ctx.pos[bx.side]);
-      });
-      if (v.IsTruthy()) parts[c].push_back(ctx);
-    }
+    std::vector<RowCtx>& out = parts[c];
+    const size_t b = c * kAggChunkRows;
+    out.assign(rows.data() + b, rows.data() + std::min(n, b + kAggChunkRows));
+    BlockRegs regs;
+    out.resize(KeepWhereAll(store, preds, RowPos{}, out.data(), out.size(), &regs));
   }));
   std::vector<RowCtx> kept = ConcatParts(std::move(parts));
   if (stats != nullptr) stats->rows = static_cast<int64_t>(kept.size());
@@ -1625,13 +1655,10 @@ Result<std::vector<std::vector<SqlValue>>> RunPlan(PhysicalPlan* plan,
     }
   }
   // Without a SortLimit (no ORDER BY, LIMIT or dedup) this keeps every row.
-  std::vector<std::vector<SqlValue>> result =
-      SortAndLimit(out, plan->ops[0].out.sort.desc, stmt.limit, options);
-  OperatorStats* sort_stats = plan->ops.size() > 1 ? plan->StatsOf(1) : nullptr;
-  if (sort_stats != nullptr && plan->ops[1].kind == OpKind::kSortLimit) {
-    sort_stats->rows = static_cast<int64_t>(result.size());
-  }
-  return result;
+  const bool sort_limit =
+      plan->ops.size() > 1 && plan->ops[1].kind == OpKind::kSortLimit;
+  return SortAndLimit(out, plan->ops[0].out.sort.desc, stmt.limit, options,
+                      sort_limit ? plan->StatsOf(1) : nullptr);
 }
 
 /// Renders a plan root-first: the operator tree for EXPLAIN and, once its
@@ -1739,7 +1766,7 @@ PlanDescription DescribePlan(const PhysicalPlan& plan, const SelectStmt& stmt,
     }
     if (out.analyzed) {
       // Operators that ran no tasks of their own (a GroupLookup, an in-place
-      // Scan, SortLimit) keep -1 time and tasks.
+      // Scan) keep -1 time and tasks; SortLimit runs one inline task.
       const OperatorStats& s = plan.stats[i];
       const int64_t tasks = s.tasks.load(std::memory_order_relaxed);
       if (tasks > 0) {

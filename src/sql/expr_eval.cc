@@ -1,5 +1,7 @@
 #include "sql/expr_eval.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace blend::sql {
@@ -157,13 +159,21 @@ Result<BoundExprPtr> Binder::BindImpl(const Expr& e, bool agg_context,
       b->kind = BKind::kInSet;
       b->negated = e.negated;
       b->lhs = std::move(probe);
-      b->set = std::make_shared<std::unordered_set<int64_t>>();
-      b->set->reserve(e.in_strings.size() + e.in_ints.size());
+      auto set = std::make_shared<InList>();
+      set->ints = e.in_ints;
       for (const auto& s : e.in_strings) {
+        // As in a bare string literal, an absent value binds to -1.
         CellId id = dict_->Find(NormalizeCell(s));
-        if (id != kInvalidCellId) b->set->insert(static_cast<int64_t>(id));
+        set->ints.push_back(id == kInvalidCellId ? -1 : static_cast<int64_t>(id));
       }
-      for (int64_t v : e.in_ints) b->set->insert(v);
+      set->doubles = e.in_doubles;
+      auto sort_unique = [](auto* v) {
+        std::sort(v->begin(), v->end());
+        v->erase(std::unique(v->begin(), v->end()), v->end());
+      };
+      sort_unique(&set->ints);
+      sort_unique(&set->doubles);
+      b->set = std::move(set);
       return BoundExprPtr(std::move(b));
     }
     case ExprKind::kBinary: {
@@ -224,6 +234,131 @@ Result<BoundExprPtr> Binder::BindImpl(const Expr& e, bool agg_context,
     }
   }
   return Status::PlanError("unsupported expression");
+}
+
+void BlockExpr::Compile(const BoundExpr& e, uint32_t reg) {
+  if (e.lhs != nullptr) Compile(*e.lhs, reg);
+  if (e.rhs != nullptr) Compile(*e.rhs, reg + 1);
+  nodes_.push_back({&e, reg});
+  num_regs_ = std::max(num_regs_, reg + (e.rhs != nullptr ? 2 : 1));
+}
+
+namespace {
+
+/// Applies `fn(lane)`, a SqlValue per lane, to every lane of `out` (which
+/// may be one of fn's operands: lane k is read before it is written).
+template <typename Fn>
+void SetLanes(ValueBlock* out, size_t n, const Fn& fn) {
+  bool all_int = true;
+  for (size_t k = 0; k < n; ++k) {
+    const SqlValue v = fn(k);
+    all_int = all_int && v.kind == SqlValue::Kind::kInt;
+    out->Set(k, v);
+  }
+  out->all_int = all_int;
+}
+
+/// Sets lane k to the 0/1 int `fn(k)`.
+template <typename Fn>
+void SetBools(ValueBlock* out, size_t n, const Fn& fn) {
+  for (size_t k = 0; k < n; ++k) out->i[k] = fn(k) ? 1 : 0;
+  out->all_int = true;
+}
+
+/// Comparison or logical operator over two all-int blocks; false when `op`
+/// is arithmetic.
+bool IntPredicate(BinOp op, ValueBlock* l, const ValueBlock& r, size_t n) {
+  const int64_t* a = l->i;
+  const int64_t* b = r.i;
+  switch (op) {
+    case BinOp::kEq: SetBools(l, n, [&](size_t k) { return a[k] == b[k]; }); break;
+    case BinOp::kNe: SetBools(l, n, [&](size_t k) { return a[k] != b[k]; }); break;
+    case BinOp::kLt: SetBools(l, n, [&](size_t k) { return a[k] < b[k]; }); break;
+    case BinOp::kLe: SetBools(l, n, [&](size_t k) { return a[k] <= b[k]; }); break;
+    case BinOp::kGt: SetBools(l, n, [&](size_t k) { return a[k] > b[k]; }); break;
+    case BinOp::kGe: SetBools(l, n, [&](size_t k) { return a[k] >= b[k]; }); break;
+    case BinOp::kAnd:
+      SetBools(l, n, [&](size_t k) { return (a[k] != 0) & (b[k] != 0); });
+      break;
+    case BinOp::kOr:
+      SetBools(l, n, [&](size_t k) { return (a[k] != 0) | (b[k] != 0); });
+      break;
+    default: return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void BlockExpr::EvalNode(const BoundExpr& e, ValueBlock* out, size_t n) {
+  ValueBlock& v = *out;
+  switch (e.kind) {
+    case BKind::kConst:
+      if (e.constant.kind == SqlValue::Kind::kInt) {
+        std::fill(v.i, v.i + n, e.constant.i);
+        v.all_int = true;
+      } else {
+        SetLanes(out, n, [&](size_t) { return e.constant; });
+      }
+      return;
+    case BKind::kNot:
+      if (v.all_int) {
+        SetBools(out, n, [&](size_t k) { return v.i[k] == 0; });
+      } else {
+        SetLanes(out, n, [&](size_t k) { return ApplyNot(v.Get(k)); });
+      }
+      return;
+    case BKind::kAbs:
+      SetLanes(out, n, [&](size_t k) { return ApplyAbs(v.Get(k)); });
+      return;
+    case BKind::kIsNull: {
+      const bool all_int = v.all_int;
+      SetBools(out, n, [&](size_t k) {
+        const bool null = !all_int && v.kind[k] == SqlValue::Kind::kNull;
+        return null != e.negated;
+      });
+      return;
+    }
+    case BKind::kInSet: {
+      const InList& set = *e.set;
+      const bool neg = e.negated;
+      if (v.all_int) {
+        SetBools(out, n, [&](size_t k) { return set.ContainsInt(v.i[k]) != neg; });
+      } else {
+        SetBools(out, n, [&](size_t k) { return set.Contains(v.Get(k)) != neg; });
+      }
+      return;
+    }
+    case BKind::kBinary: {
+      const ValueBlock& r = out[1];
+      if (v.all_int && r.all_int) {
+        if (IntPredicate(e.op, out, r, n)) return;
+        int64_t res[kBlockRows];
+        bool fits = e.op != BinOp::kDiv;
+        for (size_t k = 0; fits && k < n; ++k) {
+          fits = IntArith(e.op, v.i[k], r.i[k], &res[k]);
+        }
+        if (fits) {
+          std::copy(res, res + n, v.i);
+          return;
+        }
+      }
+      SetLanes(out, n, [&](size_t k) { return ApplyBinary(e.op, v.Get(k), r.Get(k)); });
+      return;
+    }
+    case BKind::kField:  // gathered by Eval
+    case BKind::kAggRef:  // not row expressions
+    case BKind::kKeyRef:
+      SetLanes(out, n, [](size_t) { return SqlValue::Null(); });
+      return;
+  }
+}
+
+std::vector<BlockExpr> CompileBlockExprs(const std::vector<BoundExprPtr>& exprs) {
+  std::vector<BlockExpr> out;
+  out.reserve(exprs.size());
+  for (const auto& e : exprs) out.emplace_back(*e);
+  return out;
 }
 
 }  // namespace blend::sql

@@ -262,14 +262,21 @@ class Parser {
       do {
         if (Check(TokKind::kString)) {
           e->in_strings.push_back(Advance().text);
-        } else if (Check(TokKind::kNumber)) {
-          e->in_ints.push_back(std::strtoll(Advance().text.c_str(), nullptr, 10));
-        } else if (Check(TokKind::kMinus)) {
-          Advance();
-          if (!Check(TokKind::kNumber)) return Err("expected number after '-'");
-          e->in_ints.push_back(-std::strtoll(Advance().text.c_str(), nullptr, 10));
+          continue;
+        }
+        // A number reads as in a bare literal: decimal with a '.', else int.
+        const bool minus = Accept(TokKind::kMinus);
+        if (!Check(TokKind::kNumber)) {
+          return Err(minus ? "expected number after '-'"
+                           : "expected literal in IN-list");
+        }
+        const std::string text = Advance().text;
+        if (text.find('.') != std::string::npos) {
+          const double v = std::strtod(text.c_str(), nullptr);
+          e->in_doubles.push_back(minus ? -v : v);
         } else {
-          return Err("expected literal in IN-list");
+          const int64_t v = std::strtoll(text.c_str(), nullptr, 10);
+          e->in_ints.push_back(minus ? -v : v);
         }
       } while (Accept(TokKind::kComma));
       BLEND_RETURN_NOT_OK(Expect(TokKind::kRParen, "')' after IN-list"));

@@ -14,16 +14,29 @@ void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out) {
   out->push_back(e);
 }
 
+Binder::RelColumns AllFieldsVisible(const std::string& alias) {
+  Binder::RelColumns rc;
+  rc.alias = ToLower(alias);
+  for (int i = 0; i < kNumFields; ++i) {
+    Field f = static_cast<Field>(i);
+    rc.cols.emplace(ToLower(FieldName(f)), f);
+  }
+  return rc;
+}
+
 namespace {
 
 /// True when the conjunct is `<Field> IN (...)` on the given field
-/// (unqualified or any qualifier; scans see a single relation).
+/// (unqualified or any qualifier; scans see a single relation) whose list
+/// holds only strings (`want_strings`) or only numbers. A mixed list stays
+/// a residual filter, which compares each item as `=` would.
 bool IsFieldInList(const Expr& e, Field field, bool want_strings) {
   if (e.kind != ExprKind::kInList || e.negated) return false;
   if (e.lhs == nullptr || e.lhs->kind != ExprKind::kColumnRef) return false;
   Field f;
   if (!LookupField(e.lhs->column, &f) || f != field) return false;
-  return want_strings ? !e.in_strings.empty() : !e.in_ints.empty();
+  const bool numbers = !e.in_ints.empty() || !e.in_doubles.empty();
+  return want_strings ? !numbers : e.in_strings.empty();
 }
 
 /// Detects `RowId < N` (returns N) for the tight-loop scan fast path.
@@ -43,16 +56,6 @@ bool IsQuadrantNotNull(const Expr& e) {
   if (e.lhs == nullptr || e.lhs->kind != ExprKind::kColumnRef) return false;
   Field f;
   return LookupField(e.lhs->column, &f) && f == Field::kQuadrant;
-}
-
-Binder::RelColumns AllFieldsVisible(const std::string& alias) {
-  Binder::RelColumns rc;
-  rc.alias = ToLower(alias);
-  for (int i = 0; i < kNumFields; ++i) {
-    Field f = static_cast<Field>(i);
-    rc.cols.emplace(ToLower(FieldName(f)), f);
-  }
-  return rc;
 }
 
 Status CheckBaseTable(const TableRef& ref) {

@@ -29,6 +29,9 @@ struct AnalyzedQuery {
 /// computes visible column sets and predicate placement.
 Result<AnalyzedQuery> Analyze(const SelectStmt& stmt);
 
+/// Every field of AllTables, visible under `alias`.
+Binder::RelColumns AllFieldsVisible(const std::string& alias);
+
 /// Appends the AND-conjuncts of `e` (or `e` itself) to *out.
 void SplitConjuncts(const Expr* e, std::vector<const Expr*>* out);
 

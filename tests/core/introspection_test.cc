@@ -85,6 +85,12 @@ TEST_F(IntrospectionTest, RunReportCapturesAnnotatedStatementPlans) {
     EXPECT_FALSE(entry.plan.nodes.empty());
     // The driver always attaches a trace, so captured plans carry actuals.
     EXPECT_TRUE(entry.plan.analyzed);
+    // SortLimit's sort and row build run inline and are timed as one task.
+    for (const auto& node : entry.plan.nodes) {
+      if (node.op != "SortLimit") continue;
+      EXPECT_GE(node.actual_seconds, 0) << entry.sql;
+      EXPECT_EQ(node.actual_tasks, 1) << entry.sql;
+    }
   }
   const std::string rendered = rep.RenderStatementPlans();
   EXPECT_NE(rendered.find("-- statement 1 of "), std::string::npos);

@@ -728,6 +728,11 @@ TEST_P(EngineDeterminismTest, LookupJoinEmitsExactlyWhatHashJoinEmits) {
        ""},
       {"RowId < 30", "ColumnId = 1 AND RowId < 6", false, ""},
       {"CellValue IN (" + keys + ")", "ColumnId <> 0", true, " LIMIT 7"},
+      // Probing with the scan where a (TableId, RowId) group holds several
+      // prefix rows (every cell of a row below 5): each group's run of
+      // prefix rows emits position-major.
+      {"RowId < 5", "Quadrant IS NOT NULL", true, ""},
+      {"RowId < 30 AND ColumnId < 2", "ColumnId <> 1", true, " LIMIT 90"},
   };
   auto two_way = [](const Case& c, const std::string& row_key) {
     return "SELECT a.TableId, a.RowId, a.ColumnId, b.ColumnId, b.Quadrant FROM "

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "index/builder.h"
@@ -323,6 +324,130 @@ TEST_P(ExecutorTest, PackedAndGenericGroupByAgree) {
   for (size_t r = 0; r < by_table.NumRows(); ++r) {
     EXPECT_EQ(by_table.Int(r, 1), sums[by_table.Int(r, 0)]);
   }
+}
+
+/// A result's rows, one "v,v,...;" group per row, with each value's kind.
+std::string RowsOf(const QueryResult& r) {
+  std::string out;
+  for (const auto& row : r.rows) {
+    for (const SqlValue& v : row) {
+      if (v.is_null()) {
+        out += "null,";
+      } else if (v.kind == SqlValue::Kind::kInt) {
+        out += "i" + std::to_string(v.i) + ",";
+      } else {
+        out += "d" + std::to_string(v.d) + ",";
+      }
+    }
+    out += ";";
+  }
+  return out;
+}
+
+TEST_P(ExecutorTest, InListMatchesExactlyTheRowsOfEqualityOr) {
+  // `x IN (a, ...)` selects exactly the rows of `x = a OR ...`: a decimal
+  // item compares as a decimal (TableId 1 is not 1.5, but is 1.0), a decimal
+  // probe is not truncated (TableId / 2 is 0.5 for table 1), and a NULL
+  // probe is in no list, so NOT IN keeps it as NOT (x = a) does.
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"TableId IN (1.5)", "TableId = 1.5"},
+      {"TableId / 2 IN (0)", "TableId / 2 = 0"},
+      {"TableId IN (1.0, 2)", "TableId = 1.0 OR TableId = 2"},
+      {"TableId IN (-1, 2.5, 0)", "TableId = -1 OR TableId = 2.5 OR TableId = 0"},
+      {"Quadrant IN (1)", "Quadrant = 1"},
+      {"Quadrant NOT IN (1)", "NOT (Quadrant = 1)"},
+      {"Quadrant * 1.0 IN (0, 7)", "Quadrant * 1.0 = 0 OR Quadrant * 1.0 = 7"},
+      {"CellValue IN ('apple', 'nope')", "CellValue = 'apple' OR CellValue = 'nope'"},
+  };
+  for (const auto& [in, eq] : pairs) {
+    const std::string q = "SELECT TableId, RowId, ColumnId FROM AllTables WHERE ";
+    EXPECT_EQ(RowsOf(Run(q + in)), RowsOf(Run(q + eq))) << in;
+  }
+  EXPECT_EQ(Run("SELECT COUNT(*) FROM AllTables WHERE TableId IN (1.5)").Int(0, 0), 0);
+  auto halves = Run(
+      "SELECT TableId, COUNT(*) FROM AllTables WHERE TableId / 2 IN (0) "
+      "GROUP BY TableId");
+  ASSERT_EQ(halves.NumRows(), 1u);
+  EXPECT_EQ(halves.Int(0, 0), 0);
+  EXPECT_EQ(halves.Int(0, 1), 8);
+}
+
+TEST_P(ExecutorTest, IntegerOverflowTakesTheDoubleResult) {
+  // An int64 +, -, * or ABS that would overflow returns the double result,
+  // as mixed operands do; none of it is undefined behaviour.
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  const double dmax = static_cast<double>(kMax);
+  auto one = [&](const std::string& expr) {
+    auto res = Run("SELECT " + expr + " FROM AllTables WHERE TableId IN (2)");
+    EXPECT_EQ(res.NumRows(), 1u) << expr;
+    return res.NumRows() == 1 ? res.rows[0][0] : SqlValue::Null();
+  };
+  const SqlValue add = one("9223372036854775807 + TableId");
+  EXPECT_EQ(add.kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(add.d, dmax + 2.0);
+  const SqlValue fits = one("9223372036854775805 + TableId");
+  EXPECT_EQ(fits.kind, SqlValue::Kind::kInt);
+  EXPECT_EQ(fits.i, kMax);
+  const SqlValue sub = one("-9223372036854775807 - TableId");
+  EXPECT_EQ(sub.kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(sub.d, -dmax - 2.0);
+  const SqlValue mul = one("4611686018427387904 * TableId");
+  EXPECT_EQ(mul.kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(mul.d, 9223372036854775808.0);
+  const SqlValue abs_min = one("ABS(-9223372036854775807 - 1)");
+  EXPECT_EQ(abs_min.kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(abs_min.d, 9223372036854775808.0);
+  EXPECT_EQ(one("ABS(-9223372036854775807)").i, kMax);
+
+  // SuperKey is a 64-bit signature: doubling it overflows for about half
+  // the records. The filter and the block evaluator agree with the value
+  // computed here under the same rule.
+  auto keys = Run("SELECT SuperKey FROM AllTables");
+  int64_t positive = 0;
+  for (size_t r = 0; r < keys.NumRows(); ++r) {
+    const int64_t k = keys.rows[r][0].i;
+    int64_t twice;
+    const double v = __builtin_add_overflow(k, k, &twice)
+                         ? static_cast<double>(k) + static_cast<double>(k)
+                         : static_cast<double>(twice);
+    positive += v > 0 ? 1 : 0;
+  }
+  auto res = Run(
+      "SELECT TableId, COUNT(*) FROM AllTables WHERE SuperKey + SuperKey > 0 "
+      "GROUP BY TableId");
+  int64_t counted = 0;
+  for (size_t r = 0; r < res.NumRows(); ++r) counted += res.Int(r, 1);
+  EXPECT_EQ(counted, positive);
+}
+
+TEST_P(ExecutorTest, IntegerSumOverflowFinalizesAsTheDoubleSum) {
+  // One chunk: the running int sum overflows at the second row.
+  auto res = Run("SELECT SUM(9223372036854775807) FROM AllTables WHERE TableId IN (0)");
+  ASSERT_EQ(res.NumRows(), 1u);
+  double want = 0;
+  for (int i = 0; i < 8; ++i) want += 9223372036854775807.0;
+  ASSERT_EQ(res.rows[0][0].kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(res.rows[0][0].d, want);
+  // Table 0's 8 records joined four ways are 4096 rows, two 2048-row
+  // aggregation chunks; each chunk's int sum fits, their merge overflows.
+  const int64_t v = 3074457345618258;  // 2048 v fits in int64, 4096 v not
+  const std::string rel = "(SELECT TableId FROM AllTables WHERE TableId IN (0)) AS ";
+  auto merged = Run("SELECT SUM(" + std::to_string(v) + "), COUNT(*) FROM " + rel +
+                    "a INNER JOIN " + rel + "b ON a.TableId = b.TableId INNER JOIN " +
+                    rel + "c ON a.TableId = c.TableId INNER JOIN " + rel +
+                    "d ON a.TableId = d.TableId");
+  ASSERT_EQ(merged.NumRows(), 1u);
+  EXPECT_EQ(merged.Int(0, 1), 4096);
+  double chunk = 0;
+  for (int i = 0; i < 2048; ++i) chunk += static_cast<double>(v);
+  ASSERT_EQ(merged.rows[0][0].kind, SqlValue::Kind::kDouble);
+  EXPECT_EQ(merged.rows[0][0].d, chunk + chunk);
+  auto fits = Run("SELECT SUM(" + std::to_string(v) + ") FROM " + rel +
+                  "a INNER JOIN " + rel + "b ON a.TableId = b.TableId INNER JOIN " +
+                  rel + "c ON a.TableId = c.TableId");
+  ASSERT_EQ(fits.NumRows(), 1u);
+  ASSERT_EQ(fits.rows[0][0].kind, SqlValue::Kind::kInt);
+  EXPECT_EQ(fits.rows[0][0].i, 512 * v);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, ExecutorTest,
