@@ -31,7 +31,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const size_t header = 2 + 2 * num_lists;
   if (size < header) return 0;
 
-  std::vector<uint64_t> offsets(num_lists + 1, 0);
+  std::vector<uint32_t> offsets(num_lists + 1, 0);
   for (size_t i = 0; i < num_lists; ++i) {
     uint16_t c;
     std::memcpy(&c, data + 2 + 2 * i, sizeof(c));

@@ -4,20 +4,29 @@
 // layouts x both codecs x shuffled), genuine EncodePostingPartition output
 // under the codec harness's framing, and representative SQL / CSV texts.
 //
-//   blend_gen_corpus <corpus-root>
+//   blend_gen_corpus [--check] <corpus-root>
 //
-// writes <root>/{snapshot,codec,sql,csv}/seed-*. Deterministic: same build,
-// same bytes. snapshot/seed-legacy-rowmaps is not generated here: it is a
-// shuffled file from an older writer, kept so the fuzzer covers the row-map
-// sections (14, 15) that the reader now skips.
+// writes <root>/{snapshot,codec,sql,csv}/seed-*, plus two forged snapshots:
+// snapshot/crash-raw-nonascending (a raw posting list out of order, the
+// fuzzer-found loader bug) and snapshot/seed-rowid-out-of-range (a negative
+// RowId that keeps the store order), each with its checksums re-forged so
+// the loader's semantic checks, not the checksums, reject it.
+// Deterministic: same build, same bytes. With --check it writes nothing and
+// exits 1 naming the first checked-in file that differs from what it would
+// write, so a format change cannot leave the seeds behind.
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "fuzz_util.h"
 #include "index/builder.h"
 #include "index/codec.h"
 #include "index/snapshot.h"
@@ -27,7 +36,24 @@ namespace fs = std::filesystem;
 
 namespace {
 
+bool g_check = false;
+
+std::vector<uint8_t> Slurp(const fs::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
 void WriteFile(const fs::path& p, const void* data, size_t size) {
+  if (g_check) {
+    const std::vector<uint8_t> have = Slurp(p);
+    if (have.size() != size ||
+        (size != 0 && std::memcmp(have.data(), data, size) != 0)) {
+      std::fprintf(stderr, "gen_corpus: %s is stale; regenerate the corpus\n",
+                   p.string().c_str());
+      std::exit(1);
+    }
+    return;
+  }
   std::ofstream f(p, std::ios::binary | std::ios::trunc);
   f.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
   if (!f) {
@@ -44,12 +70,51 @@ void WriteFile(const fs::path& p, const std::string& text) {
   WriteFile(p, text.data(), text.size());
 }
 
-std::vector<uint8_t> Slurp(const fs::path& p) {
-  std::ifstream f(p, std::ios::binary);
-  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+// --- snapshot seeds -------------------------------------------------------
+
+constexpr uint32_t kSecRecords = 3;
+constexpr uint32_t kSecPostingPositions = 11;
+
+/// Byte offset of section `id`'s payload; exits if the file lacks it.
+size_t SectionOffset(const std::vector<uint8_t>& file, uint32_t id) {
+  const uint64_t count = Load64(file.data() + 48);
+  for (uint64_t s = 0; s < count; ++s) {
+    const uint8_t* e = file.data() + kSnapshotHeaderBytes + s * kSnapshotEntryBytes;
+    uint32_t entry_id;
+    std::memcpy(&entry_id, e, sizeof(entry_id));
+    if (entry_id == id) return static_cast<size_t>(Load64(e + 8));
+  }
+  std::fprintf(stderr, "gen_corpus: section %u missing\n", id);
+  std::exit(1);
 }
 
-// --- snapshot seeds -------------------------------------------------------
+/// A raw column-layout file whose first posting list of two or more values
+/// has its first two positions swapped: every position stays in range.
+std::vector<uint8_t> ForgeNonAscending(const blend::IndexBundle& bundle,
+                                       std::vector<uint8_t> file) {
+  const auto offsets = bundle.column_store().secondary().posting_offsets.span();
+  size_t list = 0;
+  while (offsets[list + 1] - offsets[list] < 2) ++list;
+  uint8_t* first = file.data() + SectionOffset(file, kSecPostingPositions) +
+                   size_t{offsets[list]} * sizeof(uint32_t);
+  uint8_t tmp[sizeof(uint32_t)];
+  std::memcpy(tmp, first, sizeof(tmp));
+  std::memcpy(first, first + sizeof(tmp), sizeof(tmp));
+  std::memcpy(first + sizeof(tmp), tmp, sizeof(tmp));
+  ReforgeSnapshotChecksums(file.data(), file.size());
+  return file;
+}
+
+/// A row-layout file whose first record's RowId is -1: still in (TableId,
+/// RowId) order, but outside its table's SuperKeys.
+std::vector<uint8_t> ForgeNegativeRowId(std::vector<uint8_t> file) {
+  const int32_t row = -1;
+  std::memcpy(file.data() + SectionOffset(file, kSecRecords) +
+                  offsetof(blend::IndexRecord, row),
+              &row, sizeof(row));
+  ReforgeSnapshotChecksums(file.data(), file.size());
+  return file;
+}
 
 void GenSnapshotSeeds(const fs::path& dir) {
   blend::lakegen::JoinLakeSpec spec;
@@ -60,7 +125,8 @@ void GenSnapshotSeeds(const fs::path& dir) {
   spec.domain_vocab = 60;
   const blend::DataLake lake = blend::lakegen::MakeJoinLake(spec);
 
-  const fs::path tmp = dir / "tmp.snapshot";
+  const fs::path tmp = fs::temp_directory_path() /
+                       ("blend_gen_corpus_" + std::to_string(::getpid()) + ".snapshot");
   int n = 0;
   for (const blend::StoreLayout layout :
        {blend::StoreLayout::kRow, blend::StoreLayout::kColumn}) {
@@ -80,7 +146,14 @@ void GenSnapshotSeeds(const fs::path& dir) {
                        s.message().c_str());
           std::exit(1);
         }
-        WriteFile(dir / ("seed-" + std::to_string(n++)), Slurp(tmp));
+        const std::vector<uint8_t> file = Slurp(tmp);
+        WriteFile(dir / ("seed-" + std::to_string(n++)), file);
+        if (shuffle || codec != blend::PostingCodec::kRaw) continue;
+        if (layout == blend::StoreLayout::kColumn) {
+          WriteFile(dir / "crash-raw-nonascending", ForgeNonAscending(bundle, file));
+        } else {
+          WriteFile(dir / "seed-rowid-out-of-range", ForgeNegativeRowId(file));
+        }
       }
     }
   }
@@ -93,7 +166,7 @@ void GenSnapshotSeeds(const fs::path& dir) {
 // counts, then the encoded partition.
 std::vector<uint8_t> FramePartition(
     const std::vector<std::vector<blend::PostingValue>>& lists) {
-  std::vector<uint64_t> offsets{0};
+  std::vector<uint32_t> offsets{0};
   std::vector<blend::PostingValue> positions;
   for (const auto& l : lists) {
     positions.insert(positions.end(), l.begin(), l.end());
@@ -227,18 +300,20 @@ void GenCsvSeeds(const fs::path& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: blend_gen_corpus <corpus-root>\n");
+  g_check = argc == 3 && std::string(argv[1]) == "--check";
+  if (argc != 2 && !g_check) {
+    std::fprintf(stderr, "usage: blend_gen_corpus [--check] <corpus-root>\n");
     return 2;
   }
-  const fs::path root = argv[1];
+  const fs::path root = argv[argc - 1];
   for (const char* sub : {"snapshot", "codec", "sql", "csv"}) {
-    fs::create_directories(root / sub);
+    if (!g_check) fs::create_directories(root / sub);
   }
   GenSnapshotSeeds(root / "snapshot");
   GenCodecSeeds(root / "codec");
   GenSqlSeeds(root / "sql");
   GenCsvSeeds(root / "csv");
-  std::printf("corpus written under %s\n", root.string().c_str());
+  std::printf("corpus %s under %s\n", g_check ? "current" : "written",
+              root.string().c_str());
   return 0;
 }

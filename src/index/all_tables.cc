@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/scheduler.h"
+#include "common/status.h"
 
 namespace blend {
 
@@ -21,21 +22,21 @@ void SecondaryIndexes::Build(const Store& store, size_t num_cells,
   // records [lo, hi) and writes the [begin, end) bounds of every table that
   // begins or ends there (records are table-ordered; a table without
   // records keeps {0, 0}).
-  PodVector<uint64_t> offsets(num_cells + 1);
+  PodVector<RecordPos> offsets(num_cells + 1);
   PodVector<RecordPos> ranges(2 * num_tables, 0);
-  std::vector<uint64_t> posting_base(num_tasks + 1, 0);
+  std::vector<RecordPos> posting_base(num_tasks + 1, 0);
   std::vector<uint64_t> quadrant_base(num_tasks + 1, 0);
   sched->ParallelFor(num_tasks, [&](size_t t) {
     const auto [a, b] = part(num_cells, t);
-    uint64_t* count = offsets.data() + a;
+    RecordPos* count = offsets.data() + a;
     std::fill(count, count + (b - a), 0);
     for (RecordPos i = 0; i < n; ++i) {
       const size_t c = static_cast<size_t>(store.cell(i)) - a;
       if (c < b - a) ++count[c];
     }
-    uint64_t lists = 0;
+    RecordPos lists = 0;
     for (size_t c = 0; c < b - a; ++c) {
-      const uint64_t len = count[c];
+      const RecordPos len = count[c];
       count[c] = lists;
       lists += len;
     }
@@ -57,7 +58,7 @@ void SecondaryIndexes::Build(const Store& store, size_t num_cells,
     posting_base[t + 1] += posting_base[t];
     quadrant_base[t + 1] += quadrant_base[t];
   }
-  offsets[num_cells] = n;
+  offsets[num_cells] = static_cast<RecordPos>(n);
 
   // Pass 2. Task t adds its range's base, posting_base[t], to its starts and
   // fills its lists by a second scan in physical order, each offsets[c]
@@ -66,7 +67,7 @@ void SecondaryIndexes::Build(const Store& store, size_t num_cells,
   PodVector<RecordPos> quadrants(quadrant_base[num_tasks]);
   sched->ParallelFor(num_tasks, [&](size_t t) {
     const auto [a, b] = part(num_cells, t);
-    uint64_t* cursor = offsets.data() + a;
+    RecordPos* cursor = offsets.data() + a;
     for (size_t c = 0; c < b - a; ++c) cursor[c] += posting_base[t];
     for (RecordPos i = 0; i < n; ++i) {
       const size_t c = static_cast<size_t>(store.cell(i)) - a;
@@ -94,28 +95,44 @@ void SecondaryIndexes::Build(const Store& store, size_t num_cells,
   table_ranges.Own(std::move(ranges));
 }
 
-void RowStore::Build(PodVector<IndexRecord> records, size_t num_cells,
-                     size_t num_tables, size_t num_tasks, Scheduler* sched) {
-  records_.Own(std::move(records));
-  secondary_.Build(*this, num_cells, num_tables, num_tasks, sched);
+namespace {
+
+/// Derives the row bases from the store's table ranges and adopts the keys,
+/// which must hold one per counted row.
+template <typename Store>
+void AdoptRowKeys(const Store& store, PodVector<uint64_t> super_keys, RowKeys* out) {
+  out->base.Own(RowKeys::Bases(store));
+  BLEND_CHECK(super_keys.size() == out->base[store.NumTables()],
+              "one SuperKey per counted row");
+  out->keys.Own(std::move(super_keys));
 }
 
-void ColumnStore::Build(RecordColumns records, size_t num_cells,
-                        size_t num_tables, size_t num_tasks, Scheduler* sched) {
+}  // namespace
+
+void RowStore::Build(PodVector<IndexRecord> records, PodVector<uint64_t> super_keys,
+                     size_t num_cells, size_t num_tables, size_t num_tasks,
+                     Scheduler* sched) {
+  records_.Own(std::move(records));
+  secondary_.Build(*this, num_cells, num_tables, num_tasks, sched);
+  AdoptRowKeys(*this, std::move(super_keys), &row_keys_);
+}
+
+void ColumnStore::Build(RecordColumns records, PodVector<uint64_t> super_keys,
+                        size_t num_cells, size_t num_tables, size_t num_tasks,
+                        Scheduler* sched) {
   cells_.Own(std::move(records.cells));
   tables_.Own(std::move(records.tables));
   columns_.Own(std::move(records.columns));
   rows_.Own(std::move(records.rows));
-  super_keys_.Own(std::move(records.super_keys));
   quadrants_.Own(std::move(records.quadrants));
   secondary_.Build(*this, num_cells, num_tables, num_tasks, sched);
+  AdoptRowKeys(*this, std::move(super_keys), &row_keys_);
 }
 
 size_t SecondaryIndexes::ApproxBytes() const {
-  return posting_offsets.size() * sizeof(uint64_t) +
-         (posting_positions.size() + table_ranges.size() +
+  return (posting_offsets.size() + posting_positions.size() + table_ranges.size() +
           quadrant_positions.size()) *
-             sizeof(RecordPos);
+         sizeof(RecordPos);
 }
 
 }  // namespace blend

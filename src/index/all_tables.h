@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -16,21 +17,26 @@ class SnapshotCodec;
 /// Quadrant value for non-numeric cells (SQL NULL in the paper's Fig. 3).
 constexpr int8_t kQuadrantNull = -1;
 
-/// One row of the unified AllTables relation (paper Fig. 3):
-///   CellValue (interned), TableId, ColumnId, RowId, SuperKey, Quadrant.
-/// CellValue carries the DataXFormer inverted index, SuperKey the XASH/MATE
-/// multi-column signature, Quadrant the QCR correlation bit.
+/// One record of the unified AllTables relation (paper Fig. 3): one per
+/// non-blank cell, with CellValue (interned), TableId, ColumnId, RowId and
+/// Quadrant. CellValue carries the DataXFormer inverted index, Quadrant the
+/// QCR correlation bit. The sixth attribute, the XASH/MATE SuperKey, is a
+/// per-row value: each store keeps it once per row (RowKeys) and serves it
+/// per record through `super_key(pos)`.
 struct IndexRecord {
   CellId cell;
   TableId table;
   int32_t column;
   int32_t row;
-  uint64_t super_key;
   int8_t quadrant;
 };
 
 /// Physical position of a record within a store.
 using RecordPos = uint32_t;
+
+/// Most records one store holds: positions, and the postings CSR offsets
+/// that index them, are 32-bit.
+inline constexpr uint64_t kMaxRecords = std::numeric_limits<RecordPos>::max();
 
 /// The AllTables relation as one array per attribute: ColumnStore's physical
 /// form, which the builder fills in place. The arrays start uninitialized:
@@ -40,20 +46,51 @@ struct RecordColumns {
   PodVector<TableId> tables;
   PodVector<int32_t> columns;
   PodVector<int32_t> rows;
-  PodVector<uint64_t> super_keys;
   PodVector<int8_t> quadrants;
 
   explicit RecordColumns(size_t n = 0)
-      : cells(n), tables(n), columns(n), rows(n), super_keys(n), quadrants(n) {}
+      : cells(n), tables(n), columns(n), rows(n), quadrants(n) {}
 
   void Set(size_t i, const IndexRecord& r) {
     cells[i] = r.cell;
     tables[i] = r.table;
     columns[i] = r.column;
     rows[i] = r.row;
-    super_keys[i] = r.super_key;
     quadrants[i] = r.quadrant;
   }
+};
+
+/// Rows of table `t`: its last record's RowId + 1, or 0 for a table without
+/// records. Records are in (TableId, RowId) order, so this reads one record;
+/// rows without records past the last one are not counted.
+template <typename Store>
+uint64_t TableRows(const Store& store, TableId t) {
+  const auto [lo, hi] = store.TableRange(t);
+  return lo == hi ? 0 : static_cast<uint64_t>(store.row(hi - 1)) + 1;
+}
+
+/// The SuperKey column at its own grain: one XASH key per row instead of one
+/// per cell. Row r of table t is `keys[base[t] + r]`; `base` (NumTables() + 1
+/// prefix sums of TableRows) is derived from the store in O(tables) and never
+/// persisted, so a snapshot stores only `keys`.
+struct RowKeys {
+  PodArray<uint64_t> keys;
+  PodArray<uint64_t> base;
+
+  uint64_t At(TableId t, int32_t r) const {
+    return keys[base[static_cast<size_t>(t)] + static_cast<uint64_t>(r)];
+  }
+  /// The prefix sums of TableRows over the store's tables.
+  template <typename Store>
+  static PodVector<uint64_t> Bases(const Store& store) {
+    PodVector<uint64_t> base(store.NumTables() + 1);
+    base[0] = 0;
+    for (size_t t = 0; t < store.NumTables(); ++t) {
+      base[t + 1] = base[t] + TableRows(store, static_cast<TableId>(t));
+    }
+    return base;
+  }
+  size_t ApproxBytes() const { return (keys.size() + base.size()) * sizeof(uint64_t); }
 };
 
 /// Secondary structures both physical layouts share: the in-database hash
@@ -69,7 +106,7 @@ struct RecordColumns {
 struct SecondaryIndexes {
   /// CSR offsets: cell id's postings are positions
   /// [posting_offsets[id], posting_offsets[id + 1]). Size num_cells + 1.
-  PodArray<uint64_t> posting_offsets;
+  PodArray<RecordPos> posting_offsets;
   /// All posting lists back to back, each ascending.
   PodArray<RecordPos> posting_positions;
   /// table_ranges[2 * t] / [2 * t + 1] = the [begin, end) physical range of
@@ -119,17 +156,20 @@ class RowStore {
  public:
   static constexpr bool kIsColumnStore = false;
 
-  /// Adopts the records and builds the secondary indexes over them (see
-  /// SecondaryIndexes::Build).
-  void Build(PodVector<IndexRecord> records, size_t num_cells, size_t num_tables,
-             size_t num_tasks, Scheduler* sched);
+  /// Adopts the records and the per-row SuperKeys (RowKeys order: table by
+  /// table, TableRows keys each), and builds the secondary indexes over the
+  /// records (see SecondaryIndexes::Build).
+  void Build(PodVector<IndexRecord> records, PodVector<uint64_t> super_keys,
+             size_t num_cells, size_t num_tables, size_t num_tasks, Scheduler* sched);
 
   size_t NumRecords() const { return records_.size(); }
   CellId cell(RecordPos i) const { return records_[i].cell; }
   TableId table(RecordPos i) const { return records_[i].table; }
   int32_t column(RecordPos i) const { return records_[i].column; }
   int32_t row(RecordPos i) const { return records_[i].row; }
-  uint64_t super_key(RecordPos i) const { return records_[i].super_key; }
+  uint64_t super_key(RecordPos i) const {
+    return row_keys_.At(records_[i].table, records_[i].row);
+  }
   int8_t quadrant(RecordPos i) const { return records_[i].quadrant; }
 
   std::span<const RecordPos> PostingList(CellId id) const {
@@ -145,13 +185,15 @@ class RowStore {
   const SecondaryIndexes& secondary() const { return secondary_; }
 
   size_t ApproxBytes() const {
-    return records_.size() * sizeof(IndexRecord) + secondary_.ApproxBytes();
+    return records_.size() * sizeof(IndexRecord) + row_keys_.ApproxBytes() +
+           secondary_.ApproxBytes();
   }
 
  private:
   friend class SnapshotCodec;
 
   PodArray<IndexRecord> records_;
+  RowKeys row_keys_;
   SecondaryIndexes secondary_;
 };
 
@@ -161,17 +203,17 @@ class ColumnStore {
  public:
   static constexpr bool kIsColumnStore = true;
 
-  /// Adopts the columns and builds the secondary indexes over them (see
-  /// SecondaryIndexes::Build).
-  void Build(RecordColumns records, size_t num_cells, size_t num_tables,
-             size_t num_tasks, Scheduler* sched);
+  /// Adopts the columns and the per-row SuperKeys (as RowStore::Build), and
+  /// builds the secondary indexes over the columns.
+  void Build(RecordColumns records, PodVector<uint64_t> super_keys,
+             size_t num_cells, size_t num_tables, size_t num_tasks, Scheduler* sched);
 
   size_t NumRecords() const { return cells_.size(); }
   CellId cell(RecordPos i) const { return cells_[i]; }
   TableId table(RecordPos i) const { return tables_[i]; }
   int32_t column(RecordPos i) const { return columns_[i]; }
   int32_t row(RecordPos i) const { return rows_[i]; }
-  uint64_t super_key(RecordPos i) const { return super_keys_[i]; }
+  uint64_t super_key(RecordPos i) const { return row_keys_.At(tables_[i], rows_[i]); }
   int8_t quadrant(RecordPos i) const { return quadrants_[i]; }
 
   std::span<const RecordPos> PostingList(CellId id) const {
@@ -188,8 +230,8 @@ class ColumnStore {
 
   size_t ApproxBytes() const {
     return cells_.size() * (sizeof(CellId) + sizeof(TableId) + 2 * sizeof(int32_t) +
-                            sizeof(uint64_t) + sizeof(int8_t)) +
-           secondary_.ApproxBytes();
+                            sizeof(int8_t)) +
+           row_keys_.ApproxBytes() + secondary_.ApproxBytes();
   }
 
  private:
@@ -199,8 +241,8 @@ class ColumnStore {
   PodArray<TableId> tables_;
   PodArray<int32_t> columns_;
   PodArray<int32_t> rows_;
-  PodArray<uint64_t> super_keys_;
   PodArray<int8_t> quadrants_;
+  RowKeys row_keys_;
   SecondaryIndexes secondary_;
 };
 

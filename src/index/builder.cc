@@ -6,6 +6,7 @@
 #include "common/hashing.h"
 #include "common/rng.h"
 #include "common/scheduler.h"
+#include "common/status.h"
 #include "common/str_util.h"
 #include "common/xash.h"
 
@@ -88,6 +89,8 @@ class ShardDict {
 /// occupy [first_record, first_record + num_records) of the store, and carry
 /// shard-local cell ids until the merge rewrites them. Local id `id` is
 /// flat id `first_value + id` in the concatenation of all shards' local ids.
+/// `super_keys` holds its tables' rows' keys in RowKeys order, so the shards'
+/// lists back to back are the store's.
 struct Shard {
   TableId begin = 0;
   TableId end = 0;
@@ -95,6 +98,7 @@ struct Shard {
   size_t num_records = 0;
   size_t first_value = 0;
   ShardDict dict;
+  std::vector<uint64_t> super_keys;
 };
 
 /// The store's arrays under construction, in the requested layout, written
@@ -185,8 +189,9 @@ bool ParseNumericColumn(const Column& col, double* values, double* mean) {
 }
 
 /// Indexes the shard's tables: interns normalized cells into the shard's
-/// dictionary and writes one record per non-blank cell (table-major,
-/// row-major: the serial emission order) from the shard's first record on.
+/// dictionary, writes one record per non-blank cell (table-major, row-major:
+/// the serial emission order) from the shard's first record on, and appends
+/// one SuperKey per row up to each table's last row with records (TableRows).
 /// Frees the shard dictionary's interning state when done.
 void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
                 Shard* shard, RecordSink* sink) {
@@ -223,6 +228,8 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
     }
 
     row_ids.resize(cols);
+    const size_t first_key = shard->super_keys.size();
+    size_t rows_with_records = 0;
     for (size_t out_row = 0; out_row < rows; ++out_row) {
       const size_t src_row = static_cast<size_t>(order[out_row]);
       uint64_t super_key = 0;
@@ -233,6 +240,7 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
         row_ids[c] = shard->dict.Intern(normalized, hash);
         super_key |= shard->dict.XashOf(row_ids[c]);
       }
+      shard->super_keys.push_back(super_key);
       for (size_t c = 0; c < cols; ++c) {
         if (row_ids[c] == kInvalidCellId) continue;
         IndexRecord rec{};
@@ -240,14 +248,15 @@ void IndexShard(const DataLake& lake, const IndexBuildOptions& options,
         rec.table = tid;
         rec.column = static_cast<int32_t>(c);
         rec.row = static_cast<int32_t>(out_row);
-        rec.super_key = super_key;
         rec.quadrant = kQuadrantNull;
         if (numeric[c] != 0) {
           rec.quadrant = numbers[c * rows + src_row] >= means[c] ? 1 : 0;
         }
         sink->Put(pos++, rec);
+        rows_with_records = out_row + 1;
       }
     }
+    shard->super_keys.resize(first_key + rows_with_records);
   }
   shard->dict.ReleaseInternState();
 }
@@ -427,6 +436,7 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
     shard.first_record = num_records;
     num_records += shard.num_records;
   }
+  BLEND_CHECK(num_records <= kMaxRecords, "a store holds at most 2^32 - 1 records");
   RecordSink sink(options_.layout, num_records);
   sched->ParallelFor(shards.size(), [&](size_t s) {
     IndexShard(lake, options_, &shards[s], &sink);
@@ -439,12 +449,19 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   }
   const PodVector<CellId> cell_of =
       MergeShards(shards, num_flat, sched, &bundle.dict_);
+  std::vector<size_t> first_key(shards.size() + 1, 0);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    first_key[s + 1] = first_key[s] + shards[s].super_keys.size();
+  }
+  PodVector<uint64_t> super_keys(first_key.back());
   sched->ParallelFor(shards.size(), [&](size_t s) {
     const size_t end = shards[s].first_record + shards[s].num_records;
     for (size_t pos = shards[s].first_record; pos < end; ++pos) {
       CellId& cell = sink.cell(pos);
       cell = cell_of[shards[s].first_value + cell];
     }
+    std::copy(shards[s].super_keys.begin(), shards[s].super_keys.end(),
+              super_keys.begin() + static_cast<ptrdiff_t>(first_key[s]));
   });
   shards.clear();
 
@@ -452,11 +469,11 @@ IndexBundle IndexBuilder::Build(const DataLake& lake) const {
   // wanted, independent of the lake's table count.
   const size_t num_cells = bundle.dict_.Size();
   if (options_.layout == StoreLayout::kRow) {
-    bundle.row_store_.Build(std::move(sink.rows), num_cells, lake.NumTables(),
-                            want, sched);
+    bundle.row_store_.Build(std::move(sink.rows), std::move(super_keys), num_cells,
+                            lake.NumTables(), want, sched);
   } else {
-    bundle.column_store_.Build(std::move(sink.columns), num_cells,
-                               lake.NumTables(), want, sched);
+    bundle.column_store_.Build(std::move(sink.columns), std::move(super_keys),
+                               num_cells, lake.NumTables(), want, sched);
   }
   return bundle;
 }

@@ -268,7 +268,7 @@ Result<PostingCodec> ParsePostingCodec(std::string_view name) {
                                  "' (expected 'raw' or 'compressed')");
 }
 
-void EncodePostingPartition(std::span<const uint64_t> offsets,
+void EncodePostingPartition(std::span<const uint32_t> offsets,
                             std::span<const PostingValue> positions,
                             std::vector<uint8_t>* out) {
   const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
@@ -286,7 +286,7 @@ void EncodePostingPartition(std::span<const uint64_t> offsets,
   }
 }
 
-size_t EncodedPostingPartitionBytes(std::span<const uint64_t> offsets,
+size_t EncodedPostingPartitionBytes(std::span<const uint32_t> offsets,
                                     std::span<const PostingValue> positions) {
   const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
   uint32_t prev_first = 0;
@@ -305,7 +305,7 @@ size_t EncodedPostingPartitionBytes(std::span<const uint64_t> offsets,
 }
 
 Status DecodePostingPartition(const uint8_t* data, size_t size,
-                              std::span<const uint64_t> offsets, uint64_t limit,
+                              std::span<const uint32_t> offsets, uint64_t limit,
                               PostingValue* out) {
   const size_t num_lists = offsets.empty() ? 0 : offsets.size() - 1;
   size_t at = 0;
@@ -458,7 +458,7 @@ inline size_t NumPartitions(size_t num_lists) {
 
 /// The offsets window of partition p: kPostingPartitionCells + 1 entries
 /// (fewer for the final partition).
-std::span<const uint64_t> PartitionOffsets(std::span<const uint64_t> offsets,
+std::span<const uint32_t> PartitionOffsets(std::span<const uint32_t> offsets,
                                            size_t num_lists, size_t p) {
   const size_t begin = p * kPostingPartitionCells;
   const size_t lists = std::min(kPostingPartitionCells, num_lists - begin);
@@ -466,7 +466,7 @@ std::span<const uint64_t> PartitionOffsets(std::span<const uint64_t> offsets,
 }
 }  // namespace
 
-EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
+EncodedPostingsCsr EncodePostingsCsr(std::span<const uint32_t> offsets,
                                      std::span<const PostingValue> positions,
                                      Scheduler* sched) {
   EncodedPostingsCsr out;
@@ -515,7 +515,7 @@ EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
   return out;
 }
 
-Status DecodePostingsCsr(std::span<const uint64_t> offsets,
+Status DecodePostingsCsr(std::span<const uint32_t> offsets,
                          std::span<const uint64_t> partition_offsets,
                          const uint8_t* blob, uint64_t limit, PostingValue* out,
                          Scheduler* sched) {

@@ -96,13 +96,13 @@ const char* PostingCodecName(PostingCodec codec);
 // ---------------------------------------------------------------------------
 
 /// Appends the encoding of one partition to `out`.
-void EncodePostingPartition(std::span<const uint64_t> offsets,
+void EncodePostingPartition(std::span<const uint32_t> offsets,
                             std::span<const PostingValue> positions,
                             std::vector<uint8_t>* out);
 
 /// Exact byte size EncodePostingPartition would append, without
 /// materializing anything.
-size_t EncodedPostingPartitionBytes(std::span<const uint64_t> offsets,
+size_t EncodedPostingPartitionBytes(std::span<const uint32_t> offsets,
                                     std::span<const PostingValue> positions);
 
 /// Decodes one encoded partition occupying exactly [data, data + size) into
@@ -111,7 +111,7 @@ size_t EncodedPostingPartitionBytes(std::span<const uint64_t> offsets,
 /// < `limit`. Any violation is a descriptive InvalidArgument naming what
 /// broke; `out` then holds an unspecified prefix of the values.
 [[nodiscard]] Status DecodePostingPartition(const uint8_t* data, size_t size,
-                                            std::span<const uint64_t> offsets,
+                                            std::span<const uint32_t> offsets,
                                             uint64_t limit, PostingValue* out);
 
 // ---------------------------------------------------------------------------
@@ -128,7 +128,7 @@ struct EncodedPostingsCsr {
   PodVector<uint64_t> partition_offsets;  // ceil(num_lists / K) + 1
   PodVector<uint8_t> blob;
 };
-EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
+EncodedPostingsCsr EncodePostingsCsr(std::span<const uint32_t> offsets,
                                      std::span<const PostingValue> positions,
                                      Scheduler* sched);
 
@@ -138,7 +138,7 @@ EncodedPostingsCsr EncodePostingsCsr(std::span<const uint64_t> offsets,
 /// must be a monotone CSR over the blob, ceil(num_lists / K) + 1 entries.
 /// On failure the error of the lowest failing partition is returned, as
 /// "postings partition N (cells B..): <what broke>", for every pool size.
-[[nodiscard]] Status DecodePostingsCsr(std::span<const uint64_t> offsets,
+[[nodiscard]] Status DecodePostingsCsr(std::span<const uint32_t> offsets,
                                        std::span<const uint64_t> partition_offsets,
                                        const uint8_t* blob, uint64_t limit,
                                        PostingValue* out, Scheduler* sched);

@@ -30,7 +30,7 @@ namespace {
 constexpr char kMagic[8] = {'B', 'L', 'E', 'N', 'D', 'S', 'N', 'P'};
 constexpr uint32_t kEndianMarker = 0x01020304u;
 /// Bits 8..15 of the header flags: the PostingCodec id of the postings
-/// payload (v2). Zero in v1 files, which predate the codec subsystem.
+/// payload.
 constexpr uint32_t kFlagCodecShift = 8;
 constexpr uint32_t kFlagCodecMask = 0xFFu;
 constexpr size_t kAlign = 8;
@@ -51,14 +51,14 @@ enum SectionId : uint32_t {
   kSecTables = 5,
   kSecColumns = 6,
   kSecRows = 7,
-  kSecSuperKeys = 8,
+  kSecSuperKeys = 8,  // one key per row, both layouts
   kSecQuadrants = 9,
   kSecPostingOffsets = 10,
   kSecPostingPositions = 11,
   kSecTableRanges = 12,
   kSecQuadrantPositions = 13,
-  // 14 and 15 are retired: older writers stored shuffled builds' row maps
-  // there, which the reader skips like any unknown section. Do not reuse.
+  // 14 and 15 are retired: v2 writers stored shuffled builds' row maps
+  // there. Do not reuse.
   kSecDictHash = 16,
   kSecPostingPartitions = 17,  // compressed codec only
   kSecPostingBlob = 18,
@@ -546,6 +546,9 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
   specs.emplace_back().View(kSecDictBlob, bundle.dict_.blob_);
   specs.emplace_back().View(kSecDictHash, bundle.dict_.hash_slots_);
 
+  // The active store's primary arrays and its per-row SuperKeys. The row
+  // bases that index the keys are derived again at open, so only the keys
+  // are written.
   const SecondaryIndexes* secondary;
   if (bundle.layout_ == StoreLayout::kRow) {
     // Records are staged field-by-field into zeroed memory: IndexRecord has
@@ -560,10 +563,10 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
       out[i].table = r.table;
       out[i].column = r.column;
       out[i].row = r.row;
-      out[i].super_key = r.super_key;
       out[i].quadrant = r.quadrant;
     }
     specs.emplace_back().Stage(kSecRecords, std::move(staged));
+    specs.emplace_back().View(kSecSuperKeys, store.row_keys_.keys);
     secondary = &store.secondary_;
   } else {
     const ColumnStore& store = bundle.column_store_;
@@ -571,7 +574,7 @@ SnapshotCodec::Gathered SnapshotCodec::Gather(const IndexBundle& bundle,
     specs.emplace_back().View(kSecTables, store.tables_);
     specs.emplace_back().View(kSecColumns, store.columns_);
     specs.emplace_back().View(kSecRows, store.rows_);
-    specs.emplace_back().View(kSecSuperKeys, store.super_keys_);
+    specs.emplace_back().View(kSecSuperKeys, store.row_keys_.keys);
     specs.emplace_back().View(kSecQuadrants, store.quadrants_);
     secondary = &store.secondary_;
   }
@@ -662,14 +665,16 @@ size_t SnapshotCodec::FileBytes(const IndexBundle& bundle, PostingCodec codec) {
                                dict.hash_slots_.size() * sizeof(CellId)};
   const size_t n = bundle.NumRecords();
   if (bundle.layout_ == StoreLayout::kRow) {
-    sizes.push_back(n * sizeof(IndexRecord));
+    const size_t keys = bundle.row_store_.row_keys_.keys.size() * sizeof(uint64_t);
+    sizes.insert(sizes.end(), {n * sizeof(IndexRecord), keys});
   } else {
+    const size_t keys = bundle.column_store_.row_keys_.keys.size() * sizeof(uint64_t);
     sizes.insert(sizes.end(),
                  {n * sizeof(CellId), n * sizeof(TableId), n * sizeof(int32_t),
-                  n * sizeof(int32_t), n * sizeof(uint64_t), n * sizeof(int8_t)});
+                  n * sizeof(int32_t), keys, n * sizeof(int8_t)});
   }
   const SecondaryIndexes& secondary = Secondary(bundle);
-  sizes.push_back(secondary.posting_offsets.size() * sizeof(uint64_t));
+  sizes.push_back(secondary.posting_offsets.size() * sizeof(RecordPos));
   for (size_t s : PostingSectionSizes(secondary, codec)) sizes.push_back(s);
   sizes.insert(sizes.end(),
                {secondary.table_ranges.size() * sizeof(RecordPos),
@@ -856,20 +861,18 @@ Status ParseSnapshot(const SnapshotStorage& storage, Scheduler* sched,
     return Corrupt("endianness mismatch (snapshot written on a foreign-endian "
                    "machine)");
   }
-  if (header.version == 0 || header.version > kSnapshotVersion) {
+  // Versions 1 and 2 stored a SuperKey per cell and 64-bit posting offsets;
+  // their files must be rebuilt, not reinterpreted.
+  if (header.version != kSnapshotVersion) {
+    const bool older = header.version > 0 && header.version < kSnapshotVersion;
     return Corrupt("format version " + std::to_string(header.version) +
-                   " is not supported (this build reads up to version " +
-                   std::to_string(kSnapshotVersion) + ")");
+                   (older ? " is no longer supported (rebuild the index)"
+                          : " is not supported") +
+                   "; this build reads version " + std::to_string(kSnapshotVersion));
   }
   const uint32_t codec_bits = (header.flags >> kFlagCodecShift) & kFlagCodecMask;
   if (codec_bits > static_cast<uint32_t>(PostingCodec::kCompressed)) {
     return Corrupt("unknown postings codec " + std::to_string(codec_bits));
-  }
-  // The codec flag bits arrived with v2; a v1 header carrying them is a
-  // forgery (e.g. a version field rewritten over a v2 payload).
-  if (header.version < 2 && codec_bits != 0) {
-    return Corrupt("version 1 header carries postings codec flags (forged "
-                   "header over a v2 payload?)");
   }
   if (ChecksumSerial(base, offsetof(FileHeader, header_checksum)) !=
       header.header_checksum) {
@@ -882,7 +885,7 @@ Status ParseSnapshot(const SnapshotStorage& storage, Scheduler* sched,
   // beyond the file size is forged — and bounding the counts here keeps all
   // derived arithmetic (num_cells + 1, 2 * num_tables) overflow-free.
   if (header.num_records > file_size || header.num_tables > file_size ||
-      header.num_cells > file_size) {
+      header.num_cells > file_size || header.num_records > kMaxRecords) {
     return Corrupt("implausible record/table/value count for a " +
                    std::to_string(file_size) + "-byte file");
   }
@@ -1030,7 +1033,9 @@ size_t ParallelCount(size_t n, Scheduler* sched, const Fn& pred) {
 /// row-major: the (TableId, RowId) key never decreases with position, every
 /// record lies in its own table's range, and the ranges add up to the record
 /// count, so each range holds exactly its table's records. The lookup join
-/// binary-searches (TableId, RowId) groups inside those ranges.
+/// binary-searches (TableId, RowId) groups inside those ranges. Each table's
+/// first RowId is non-negative, so every RowId indexes the table's SuperKeys
+/// (RowKeys).
 /// The Quadrant partial index lists exactly the records with a quadrant,
 /// strictly ascending: scans through it must neither repeat nor miss one.
 template <typename Store>
@@ -1053,6 +1058,12 @@ Status ValidateStoreOrder(const Store& store, Scheduler* sched) {
     return Corrupt("records are not in (TableId, RowId) order within their "
                    "table ranges");
   }
+  for (size_t t = 0; t < store.NumTables(); ++t) {
+    const auto [b, e] = store.TableRange(static_cast<TableId>(t));
+    if (b != e && store.row(b) < 0) {
+      return Corrupt("table " + std::to_string(t) + " has a negative RowId");
+    }
+  }
   const auto quad = store.QuadrantPositions();
   auto ascending = [&](size_t i) { return i == 0 || quad[i - 1] < quad[i]; };
   if (!ParallelAllOf(quad.size(), sched, ascending)) {
@@ -1074,7 +1085,8 @@ Status ValidateStoreOrder(const Store& store, Scheduler* sched) {
 
 /// CSR offsets must be monotone and end at the payload length; anything else
 /// is corruption that would otherwise turn into out-of-bounds spans.
-Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t payload,
+template <typename Offset>
+Status ValidateCsr(std::span<const Offset> offsets, uint64_t payload,
                    const char* what) {
   if (offsets.empty() || offsets.front() != 0) {
     return Corrupt(std::string(what) + " offsets must start at 0");
@@ -1089,6 +1101,30 @@ Status ValidateCsr(std::span<const uint64_t> offsets, uint64_t payload,
                    std::to_string(offsets.back()) + ", payload has " +
                    std::to_string(payload) + " elements");
   }
+  return Status::OK();
+}
+
+/// Validates the store order, derives the row bases from the table ranges
+/// and RowIds in O(tables), and binds the SuperKeys section, which must hold
+/// exactly one key per counted row.
+template <typename Store>
+Status LoadRowKeys(const Store& store, const SnapshotStorage& st,
+                   const ParsedSnapshot& parsed, bool zero_copy, Scheduler* sched,
+                   RowKeys* out) {
+  BLEND_RETURN_NOT_OK(ValidateStoreOrder(store, sched));
+  PodVector<uint64_t> base = RowKeys::Bases(store);
+  const uint64_t rows = base.back();
+  const uint64_t keys = parsed.Has(kSecSuperKeys)
+                            ? parsed.SectionSize(kSecSuperKeys) / sizeof(uint64_t)
+                            : 0;
+  if (keys != rows) {
+    return Corrupt("SuperKeys section holds " + std::to_string(keys) +
+                   " keys, the records count " + std::to_string(rows) + " rows");
+  }
+  BLEND_ASSIGN_OR_RETURN(auto super_keys,
+                         (SectionArray<uint64_t>(st, parsed, kSecSuperKeys, rows)));
+  out->base.Own(std::move(base));
+  FillArray(&out->keys, super_keys, zero_copy);
   return Status::OK();
 }
 
@@ -1174,8 +1210,6 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
                                              st, parsed, kSecColumns, n)));
     BLEND_ASSIGN_OR_RETURN(auto rows, (SectionArray<int32_t>(st, parsed,
                                                              kSecRows, n)));
-    BLEND_ASSIGN_OR_RETURN(auto super_keys, (SectionArray<uint64_t>(
-                                                st, parsed, kSecSuperKeys, n)));
     BLEND_ASSIGN_OR_RETURN(auto quadrants, (SectionArray<int8_t>(
                                                st, parsed, kSecQuadrants, n)));
     if (!ParallelAllOf(static_cast<size_t>(n), sched, [&](size_t i) {
@@ -1190,7 +1224,6 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     FillArray(&bundle.column_store_.tables_, tables, zero_copy);
     FillArray(&bundle.column_store_.columns_, columns, zero_copy);
     FillArray(&bundle.column_store_.rows_, rows, zero_copy);
-    FillArray(&bundle.column_store_.super_keys_, super_keys, zero_copy);
     FillArray(&bundle.column_store_.quadrants_, quadrants, zero_copy);
     secondary = &bundle.column_store_.secondary_;
   }
@@ -1201,7 +1234,7 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
   {
     const auto codec = static_cast<PostingCodec>(
         (header.flags >> kFlagCodecShift) & kFlagCodecMask);
-    BLEND_ASSIGN_OR_RETURN(auto offsets, (SectionArray<uint64_t>(
+    BLEND_ASSIGN_OR_RETURN(auto offsets, (SectionArray<RecordPos>(
                                              st, parsed, kSecPostingOffsets,
                                              num_cells + 1)));
     BLEND_RETURN_NOT_OK(ValidateCsr(offsets, n, "postings"));
@@ -1223,7 +1256,7 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
       // load "successfully" into an index that answers queries wrong.
       // (Found by fuzzing: see fuzz/corpus/snapshot/crash-raw-nonascending.)
       if (!ParallelAllOf(num_cells, sched, [&](size_t i) {
-            for (uint64_t j = offsets[i] + 1; j < offsets[i + 1]; ++j) {
+            for (size_t j = size_t{offsets[i]} + 1; j < offsets[i + 1]; ++j) {
               if (positions[j - 1] >= positions[j]) return false;
             }
             return true;
@@ -1282,10 +1315,12 @@ Result<IndexBundle> SnapshotCodec::Load(std::shared_ptr<SnapshotStorage> storage
     FillArray(&secondary->posting_offsets, offsets, zero_copy);
     FillArray(&secondary->table_ranges, ranges, zero_copy);
     FillArray(&secondary->quadrant_positions, quad, zero_copy);
-    BLEND_RETURN_NOT_OK(bundle.layout_ == StoreLayout::kRow
-                            ? ValidateStoreOrder(bundle.row_store_, sched)
-                            : ValidateStoreOrder(bundle.column_store_, sched));
   }
+  BLEND_RETURN_NOT_OK(bundle.layout_ == StoreLayout::kRow
+                          ? LoadRowKeys(bundle.row_store_, st, parsed, zero_copy,
+                                        sched, &bundle.row_store_.row_keys_)
+                          : LoadRowKeys(bundle.column_store_, st, parsed, zero_copy,
+                                        sched, &bundle.column_store_.row_keys_));
 
   if (zero_copy) bundle.storage_ = std::move(storage);
   return bundle;

@@ -31,49 +31,56 @@ namespace blend {
 ///
 /// Sections: dictionary (CSR offsets + string blob), the active store's
 /// primary arrays (the row layout's IndexRecord array, or the column
-/// layout's six SoA arrays) and the shared secondary indexes (CSR postings,
-/// table ranges, quadrant positions). Unknown section ids are ignored on
-/// load (after their bounds and checksum checks), so the version only needs
-/// to bump when existing sections change shape. Shuffled builds of older
-/// writers carry two such sections, row maps back to the lake, which
-/// nothing reads: their RowIds are the shuffled ones either way.
+/// layout's five SoA arrays), its SuperKeys (one u64 per row, in RowKeys
+/// order) and the shared secondary indexes (CSR postings, table ranges,
+/// quadrant positions). Unknown section ids are ignored on load (after their
+/// bounds and checksum checks), so the version only needs to bump when
+/// existing sections change shape.
 ///
-/// Format v2 adds a postings codec: bits 8..15 of the header flags carry a
-/// PostingCodec id. With the raw codec (id 0) the postings payload is the
-/// v1 PostingPositions array of plain u32s; with the compressed codec (id 1)
-/// it is PostingPartitions (one u64 byte offset per partition of
+/// Postings codec: bits 8..15 of the header flags carry a PostingCodec id.
+/// With the raw codec (id 0) the postings payload is the PostingPositions
+/// array of plain u32s; with the compressed codec (id 1) it is
+/// PostingPartitions (one u64 byte offset per partition of
 /// kPostingPartitionCells cells, ceil(num_cells / 64) + 1 entries) plus
 /// PostingBlob — every list block-encoded as delta+bitpacked / run / bitmap
-/// containers (see index/codec.h). The logical PostingOffsets CSR is present
-/// either way and carries each list's length. The compressed codec is a file
-/// encoding only: both load paths decode the blob once, with full checks,
-/// into heap positions, so the served index holds raw postings either way.
+/// containers (see index/codec.h). The logical PostingOffsets CSR (u32, like
+/// the positions it indexes) is present either way and carries each list's
+/// length. The compressed codec is a file encoding only: both load paths
+/// decode the blob once, with full checks, into heap positions, so the
+/// served index holds raw postings either way.
 ///
-/// Versioning policy: `kSnapshotVersion` is the single format version.
-/// Readers reject files newer than what they understand and accept older
-/// versions they can still interpret (v1 == v2 with the raw codec and zero
-/// codec flag bits; a v1 header carrying codec bits or blob sections is a
-/// forgery and rejected); additive changes (new trailing sections) do not
+/// Format v3 stores each AllTables fact at its own grain: SuperKeys once per
+/// row instead of once per cell, and 32-bit PostingOffsets. A table's row
+/// count is its last record's RowId + 1, so the row bases that index the
+/// keys are derived at open from TableRanges and the RowIds in O(tables);
+/// the loader checks that every table's first RowId is non-negative and that
+/// SuperKeys holds exactly one key per counted row.
+///
+/// Versioning policy: `kSnapshotVersion` is the single format version, and
+/// readers accept only it: v1 and v2 files (per-cell SuperKeys, 64-bit
+/// posting offsets) are rejected with an error naming their version, as
+/// are unknown future ones. Additive changes (new trailing sections) do not
 /// bump it, incompatible changes do.
 ///
 /// Two load paths share all validation:
 ///   - `ReadSnapshot` materializes every array onto the process heap; the
 ///     bundle is independent of the file afterwards.
 ///   - `OpenSnapshot` mmaps the file and binds the fixed-width arrays
-///     (records/columns, posting offsets, raw posting positions, table
-///     ranges, quadrant positions, and the dictionary's offsets/blob/
+///     (records/columns, SuperKeys, posting offsets, raw posting positions,
+///     table ranges, quadrant positions, and the dictionary's offsets/blob/
 ///     precomputed hash table) as zero-copy views into the mapping; only
-///     compressed postings are decoded onto the heap. The bundle keeps the
-///     mapping alive.
+///     compressed postings are decoded onto the heap, and only the per-table
+///     row bases are derived. The bundle keeps the mapping alive.
 ///
 /// Every malformed input — short file, bad magic, future version, foreign
 /// endianness, misaligned or out-of-bounds section, checksum mismatch,
 /// layout/section inconsistency — returns a descriptive error Status; no
 /// input bytes can cause undefined behavior.
 
-/// Current snapshot format version (see the policy above). Version 2 added
-/// the postings codec id; v1 files still open (raw postings).
-inline constexpr uint32_t kSnapshotVersion = 2;
+/// Current snapshot format version, the only one readers accept (see the
+/// policy above). Version 3 stores SuperKeys per row and 32-bit posting
+/// offsets.
+inline constexpr uint32_t kSnapshotVersion = 3;
 
 /// Owns the raw bytes of a loaded snapshot: either a heap buffer
 /// (ReadSnapshot) or a file mapping (OpenSnapshot). View-mode bundles hold a

@@ -926,15 +926,16 @@ struct OutputRows {
   }
 };
 
-constexpr size_t kDedupSortRows = 64;  ///< SortAndLimit's first prefix under dedup
+constexpr size_t kDedupSortRows = 64;  ///< SortAndLimit: least dedup prefix
 
 /// Orders the output rows by their sort values, breaking ties on the output
 /// values and then the row index, applies the engine-side dedup-top-k spec
 /// (QueryOptions::dedup_column / dedup_limit), then LIMIT, and builds only
 /// the rows it keeps. It sorts row indices only as deep as the kept rows
 /// reach: the first LIMIT rows, or under dedup a prefix that doubles from
-/// kDedupSortRows rows; the order is total, so every prefix is the full
-/// sort's. Shared by Project and Aggregate, so their dedup cannot diverge.
+/// max(cap, kDedupSortRows) rows, or all rows at once when they are at most 8x
+/// that; the order is total, so every prefix is the full sort's. Shared by
+/// Project and Aggregate, so their dedup cannot diverge.
 /// The work is timed on `stats`, the SortLimit node's, as one inline task.
 std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
                                                 const std::vector<bool>& desc,
@@ -951,6 +952,7 @@ std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
   if (dedup && options.dedup_limit >= 0) {
     cap = std::min(cap, static_cast<size_t>(options.dedup_limit));
   }
+  const size_t reach = dedup ? std::max(cap, kDedupSortRows) : cap;  // first prefix
   auto cmp = [&](uint32_t a, uint32_t b) {
     const SqlValue* ka = out.SortRow(a);
     const SqlValue* kb = out.SortRow(b);
@@ -976,7 +978,7 @@ std::vector<std::vector<SqlValue>> SortAndLimit(const OutputRows& out,
   for (size_t i = 0; i < n && kept.size() < cap; ++i) {
     if (i == sorted) {
       const size_t m =
-          std::min(n, std::max({i + 1, 2 * sorted, dedup ? kDedupSortRows : cap}));
+          n <= 8 * reach ? n : std::min(n, std::max({i + 1, 2 * sorted, reach}));
       if (m == n) {
         std::sort(idx.begin() + static_cast<ptrdiff_t>(sorted), idx.end(), cmp);
       } else {

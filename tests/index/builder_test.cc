@@ -465,9 +465,11 @@ TEST(IndexBuilderTest, SnapshotBytesIdenticalForEveryThreadCount) {
   // commits, not just across thread counts. A deliberate format change
   // re-records them. The shuffled one was re-recorded when the writer
   // stopped emitting row maps; every remaining section's checksum was
-  // unchanged. (The format is native-endian; recorded on x86-64.)
-  const uint64_t kJoin40ColumnCompressed = 0x79DE52B85413B425ULL;
-  const uint64_t kOracleRowShuffledRaw = 0x4F61E8F766675800ULL;
+  // unchanged. Both were re-recorded for format v3 (per-row SuperKeys,
+  // 32-bit PostingOffsets), whose other sections kept their checksums.
+  // (The format is native-endian; recorded on x86-64.)
+  const uint64_t kJoin40ColumnCompressed = 0xA039560EDD3E4B27ULL;
+  const uint64_t kOracleRowShuffledRaw = 0x6675B7FB3633AAEBULL;
 
   const std::vector<PostingCodec> codecs = {PostingCodec::kRaw,
                                             PostingCodec::kCompressed};
@@ -538,6 +540,71 @@ TEST(IndexBuilderTest, JoinKeyGroupOfOutOfRangeIdsIsEmpty) {
       }
     }
   }
+}
+
+template <typename Store>
+size_t QuadrantCount(const Store& store) {
+  size_t n = 0;
+  for (RecordPos i = 0; i < store.NumRecords(); ++i) {
+    n += store.quadrant(i) != kQuadrantNull ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(IndexBuilderTest, ApproxBytesMatchesArrays) {
+  // index_bytes_per_cell reads ApproxBytes, so it must count exactly the
+  // resident arrays: the records, one SuperKey per row up to each table's
+  // last row with records, the row bases, the secondary indexes and the
+  // dictionary. Rows are counted from the lake, not from the store.
+  DataLake lake = OracleLake();
+  Table trailing("trailing");
+  trailing.AddColumn("a");
+  trailing.AddColumn("b");
+  (void)trailing.AppendRow({"x", "1"});
+  (void)trailing.AppendRow({"", " "});
+  (void)trailing.AppendRow({"", ""});
+  lake.AddTable(std::move(trailing));
+  size_t rows = 0;
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    const Table& table = lake.table(t);
+    size_t last = 0;
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      for (size_t c = 0; c < table.NumColumns(); ++c) {
+        if (!NormalizeCell(table.At(r, c)).empty()) last = r + 1;
+      }
+    }
+    rows += last;
+  }
+  const size_t tables = lake.NumTables();
+  const std::string path = ::testing::TempDir() + "blend_builder_approx_" +
+                           std::to_string(getpid());
+  for (StoreLayout layout : {StoreLayout::kRow, StoreLayout::kColumn}) {
+    SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)));
+    IndexBuildOptions opts;
+    opts.layout = layout;
+    const IndexBundle built = IndexBuilder(opts).Build(lake);
+    ASSERT_TRUE(WriteSnapshot(built, path).ok());
+    auto opened = OpenSnapshot(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const IndexBundle& loaded = opened.value();
+    for (const IndexBundle* bundle : {&built, &loaded}) {
+      const size_t n = bundle->NumRecords();
+      const size_t cells = bundle->dictionary().Size();
+      const size_t quads = layout == StoreLayout::kRow
+                               ? QuadrantCount(bundle->row_store())
+                               : QuadrantCount(bundle->column_store());
+      const size_t record_bytes =
+          layout == StoreLayout::kRow ? sizeof(IndexRecord) : 4 * 4 + 1;
+      const size_t store = n * record_bytes + (rows + tables + 1) * sizeof(uint64_t) +
+                           (cells + 1 + n + 2 * tables + quads) * sizeof(RecordPos);
+      EXPECT_EQ(layout == StoreLayout::kRow ? bundle->row_store().ApproxBytes()
+                                            : bundle->column_store().ApproxBytes(),
+                store);
+      EXPECT_EQ(bundle->ApproxBytes(), store + bundle->dictionary().ApproxBytes());
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(sizeof(IndexRecord), 20u);
 }
 
 TEST(IndexBuilderTest, ApproxBytesPositiveAndLayoutDependent) {

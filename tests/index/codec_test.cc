@@ -95,7 +95,7 @@ uint64_t LimitFor(const std::vector<PostingValue>& list) {
 
 /// One list as a single-list partition (CSR offsets {0, n}).
 std::vector<uint8_t> EncodeOne(const std::vector<PostingValue>& list) {
-  const std::vector<uint64_t> offsets = {0, list.size()};
+  const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
   std::vector<uint8_t> out;
   EncodePostingPartition(offsets, list, &out);
   return out;
@@ -104,14 +104,14 @@ std::vector<uint8_t> EncodeOne(const std::vector<PostingValue>& list) {
 /// The checked decode of the first `size` bytes of `bytes` into `out`, sized
 /// to the offsets' value count.
 Status Decode(const std::vector<uint8_t>& bytes, size_t size,
-              const std::vector<uint64_t>& offsets, uint64_t limit,
+              const std::vector<uint32_t>& offsets, uint64_t limit,
               std::vector<PostingValue>* out) {
   out->assign(static_cast<size_t>(offsets.back() - offsets.front()), 0);
   return DecodePostingPartition(bytes.data(), size, offsets, limit, out->data());
 }
 
 Status Decode(const std::vector<uint8_t>& bytes,
-              const std::vector<uint64_t>& offsets, uint64_t limit) {
+              const std::vector<uint32_t>& offsets, uint64_t limit) {
   std::vector<PostingValue> out;
   return Decode(bytes, bytes.size(), offsets, limit, &out);
 }
@@ -119,7 +119,7 @@ Status Decode(const std::vector<uint8_t>& bytes,
 TEST(PostingCodecTest, RoundTripIsByteIdenticalForEveryShape) {
   for (const auto& list : AdversarialLists()) {
     SCOPED_TRACE("list size " + std::to_string(list.size()));
-    const std::vector<uint64_t> offsets = {0, list.size()};
+    const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
     const std::vector<uint8_t> blob = EncodeOne(list);
     EXPECT_EQ(blob.size(), EncodedPostingPartitionBytes(offsets, list));
     std::vector<PostingValue> decoded;
@@ -137,7 +137,7 @@ TEST(PostingCodecTest, GroupedPartitionRoundTripsAndResolvesEveryList) {
   for (size_t group = kPostingPartitionCells; group >= 4; group /= 4) {
     for (size_t begin = 0; begin < lists.size(); begin += group) {
       const size_t end = std::min(lists.size(), begin + group);
-      std::vector<uint64_t> offsets = {0};
+      std::vector<uint32_t> offsets = {0};
       std::vector<PostingValue> positions;
       for (size_t i = begin; i < end; ++i) {
         positions.insert(positions.end(), lists[i].begin(), lists[i].end());
@@ -166,14 +166,14 @@ TEST(PostingCodecTest, CompressionWinsOnTypicalDensities) {
     clustered.push_back(static_cast<PostingValue>(i * 37 + (i % 11)));
   }
   for (const auto& list : {run, dense, clustered}) {
-    const std::vector<uint64_t> offsets = {0, list.size()};
+    const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
     EXPECT_LT(EncodedPostingPartitionBytes(offsets, list),
               list.size() * sizeof(PostingValue) / 2)
         << "list[1]=" << list[1];
   }
   // The dominant tail shape: singleton lists whose firsts ascend (dictionary
   // ids are assigned in first-occurrence order) cost ~1 byte, not 4.
-  std::vector<uint64_t> offsets;
+  std::vector<uint32_t> offsets;
   std::vector<PostingValue> singles;
   for (size_t i = 0; i < kPostingPartitionCells; ++i) {
     offsets.push_back(i);
@@ -191,7 +191,7 @@ TEST(PostingCodecTest, CompressionWinsOnTypicalDensities) {
 TEST(PostingCodecTest, EveryTruncationIsRejected) {
   for (const auto& list : AdversarialLists()) {
     if (list.empty()) continue;
-    const std::vector<uint64_t> offsets = {0, list.size()};
+    const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
     const std::vector<uint8_t> blob = EncodeOne(list);
     // Every strict prefix — including cuts exactly at block boundaries —
     // must fail: the count promises more blocks than the bytes hold.
@@ -214,7 +214,7 @@ TEST(PostingCodecTest, ByteFlipsNeverValidateIntoOutOfRangeValues) {
   // promised counts.
   for (const auto& list : AdversarialLists()) {
     if (list.empty()) continue;
-    const std::vector<uint64_t> offsets = {0, list.size()};
+    const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
     const std::vector<uint8_t> blob = EncodeOne(list);
     const uint64_t limit = LimitFor(list);
     for (size_t at = 0; at < blob.size(); ++at) {
@@ -238,7 +238,7 @@ TEST(PostingCodecTest, ByteFlipsNeverValidateIntoOutOfRangeValues) {
 
 TEST(PostingCodecTest, ForgedTagsAndWidthsAreRejected) {
   const std::vector<PostingValue> list = {10, 20, 30, 40, 50};
-  const std::vector<uint64_t> offsets = {0, list.size()};
+  const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
   std::vector<uint8_t> blob = EncodeOne(list);
   // Layout: 1 varint byte (zigzag(10) = 20 < 128), then the tag byte.
   const size_t tag_at = 1;
@@ -273,8 +273,8 @@ TEST(PostingCodecTest, ForgedTagsAndWidthsAreRejected) {
   // safely, which the byte-flip property covers.)
   const std::vector<PostingValue> wide = {0, 256, 512, 768, 1024};
   std::vector<uint8_t> wide_blob = EncodeOne(wide);
-  const std::vector<uint64_t> fewer = {0, wide.size() - 1};
-  const std::vector<uint64_t> more = {0, wide.size() + 1};
+  const std::vector<uint32_t> fewer = {0, static_cast<uint32_t>(wide.size() - 1)};
+  const std::vector<uint32_t> more = {0, static_cast<uint32_t>(wide.size() + 1)};
   EXPECT_FALSE(Decode(wide_blob, fewer, 2048).ok());
   EXPECT_FALSE(Decode(wide_blob, more, 2048).ok());
 }
@@ -284,7 +284,7 @@ TEST(PostingCodecTest, ForgedSkipTablesAreRejected) {
   for (size_t i = 0; i < list.size(); ++i) {
     list[i] = static_cast<PostingValue>(17 * i);
   }
-  const std::vector<uint64_t> offsets = {0, list.size()};
+  const std::vector<uint32_t> offsets = {0, static_cast<uint32_t>(list.size())};
   std::vector<uint8_t> blob = EncodeOne(list);
   // Layout: 1 varint byte (first value 0), then 3 skip entries of 8 bytes.
   const size_t skip_at = 1;
@@ -318,7 +318,7 @@ TEST(PostingCodecTest, ForgedSkipTablesAreRejected) {
 TEST(PostingCodecTest, CsrEncodeIsIdenticalForEveryPoolSize) {
   // A CSR spanning several partitions (the adversarial lists repeated), so
   // the parallel two-pass encode crosses chunk boundaries.
-  std::vector<uint64_t> offsets = {0};
+  std::vector<uint32_t> offsets = {0};
   std::vector<PostingValue> positions;
   for (int rep = 0; rep < 9; ++rep) {
     for (const auto& list : AdversarialLists()) {
@@ -347,7 +347,7 @@ TEST(PostingCodecTest, CsrDecodeReportsTheLowestFailingPartition) {
   // 130 partitions of singleton lists, so the decode spans several tasks;
   // partitions 65 and 128 each get one value at or above the limit. Every
   // pool reports partition 65, the first cell it covers, and what broke.
-  std::vector<uint64_t> offsets = {0};
+  std::vector<uint32_t> offsets = {0};
   std::vector<PostingValue> positions;
   for (size_t i = 0; i < 130 * kPostingPartitionCells; ++i) {
     positions.push_back(static_cast<PostingValue>(i));

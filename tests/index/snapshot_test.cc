@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "common/telemetry.h"
+#include "common/xash.h"
 #include "core/blend.h"
 #include "lakegen/correlation_lake.h"
 #include "lakegen/join_lake.h"
@@ -129,11 +131,12 @@ constexpr size_t kSectionEntrySize = 32;
 /// Section ids referenced by the codec corruption tests (snapshot.cc).
 constexpr uint32_t kSecIdRecords = 3;
 constexpr uint32_t kSecIdRows = 7;
+constexpr uint32_t kSecIdSuperKeys = 8;
 constexpr uint32_t kSecIdPostingPositions = 11;
 constexpr uint32_t kSecIdQuadrantPositions = 13;
 constexpr uint32_t kSecIdPostingPartitions = 17;
 constexpr uint32_t kSecIdPostingBlob = 18;
-/// Bits 8..15 of the header flags carry the postings codec id (v2).
+/// Bits 8..15 of the header flags carry the postings codec id.
 constexpr size_t kFlagCodecShift = 8;
 
 struct SectionInfo {
@@ -238,60 +241,91 @@ TEST(SnapshotTest, RoundTripIsBitIdentical) {
   }
 }
 
-TEST(SnapshotTest, OlderShuffledFilesWithRowMapsStillOpen) {
-  // Older writers stored a shuffled build's map back to the lake rows as
-  // sections 14 and 15 and set header flag bit 0. Readers skip both: the
-  // RowIds in those files are the shuffled ones already. Forge such a file
-  // from a current one and open it on both load paths.
+/// A record's row as the oracle sees it: (ColumnId, value) of every record
+/// of one (TableId, RowId), in the store's order.
+using RowContent = std::vector<std::pair<int32_t, std::string>>;
+
+/// Checks every record's SuperKey against Xash::SuperKey of its lake row's
+/// normalized non-blank values. The lake row of a record is found by content
+/// (the normalized values per column), not through the builder's row order,
+/// so a shuffled build is checked the same way; duplicate rows share a key.
+template <typename Store>
+void ExpectSuperKeysMatchLake(const Store& store, const Dictionary& dict,
+                              const DataLake& lake) {
+  std::map<std::pair<TableId, int32_t>, RowContent> rows;
+  for (RecordPos i = 0; i < store.NumRecords(); ++i) {
+    rows[{store.table(i), store.row(i)}].emplace_back(
+        store.column(i), std::string(dict.Value(store.cell(i))));
+  }
+  std::vector<std::map<RowContent, uint64_t>> want(lake.NumTables());
+  for (TableId t = 0; t < static_cast<TableId>(lake.NumTables()); ++t) {
+    const Table& table = lake.table(t);
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      RowContent content;
+      for (size_t c = 0; c < table.NumColumns(); ++c) {
+        std::string v = NormalizeCell(table.At(r, c));
+        if (!v.empty()) content.emplace_back(static_cast<int32_t>(c), std::move(v));
+      }
+      std::vector<std::string_view> values;
+      for (const auto& [c, v] : content) values.push_back(v);
+      want[static_cast<size_t>(t)][content] = Xash::SuperKey(values);
+    }
+  }
+  size_t checked = 0;
+  for (RecordPos i = 0; i < store.NumRecords(); ++i) {
+    const auto t = static_cast<size_t>(store.table(i));
+    ASSERT_LT(t, want.size());
+    const RowContent& content = rows.at({store.table(i), store.row(i)});
+    const auto it = want[t].find(content);
+    ASSERT_NE(it, want[t].end()) << "record " << i << " matches no lake row";
+    ASSERT_EQ(store.super_key(i), it->second) << "record " << i;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(SuperKeyOracleTest, EveryRecordCarriesItsLakeRowsXash) {
   DataLake lake = TestLake();
-  IndexBundle built = BuildBundle(lake, StoreLayout::kRow, /*shuffle=*/true);
-  const std::string path = TempPath("legacy");
-  ASSERT_TRUE(WriteSnapshot(built, path, SnapshotOptions()).ok());
-  const std::vector<uint8_t> current = Slurp(path);
-  const std::vector<SectionInfo> sections = ParseSectionTable(current);
-
-  // Two more section entries move every payload by 64 bytes (alignment kept);
-  // the row-map payloads go at the end.
-  const size_t table_end = kHeaderSize + sections.size() * kSectionEntrySize;
-  const size_t shift = 2 * kSectionEntrySize;
-  std::vector<uint8_t> legacy(current.begin(), current.begin() + table_end);
-  legacy.resize(table_end + shift);
-  legacy.insert(legacy.end(), current.begin() + table_end, current.end());
-  for (size_t s = 0; s < sections.size(); ++s) {
-    const uint64_t offset = sections[s].offset + shift;
-    std::memcpy(legacy.data() + kHeaderSize + s * kSectionEntrySize + 8, &offset,
-                sizeof(offset));
-  }
-  // Section 14 held num_tables + 1 CSR offsets, 15 the row ids (none here).
-  const std::vector<uint8_t> map_offsets((built.NumTables() + 1) * sizeof(uint64_t), 0);
-  const std::vector<std::vector<uint8_t>> payloads = {map_offsets, {}};
-  const uint64_t count = sections.size() + 2;
-  std::memcpy(legacy.data() + kSectionCountOffset, &count, sizeof(count));
-  for (uint32_t i = 0; i < 2; ++i) {
-    legacy.resize((legacy.size() + 7) / 8 * 8);
-    const uint32_t id = 14 + i;
-    const uint64_t offset = legacy.size();
-    const uint64_t size = payloads[i].size();
-    legacy.insert(legacy.end(), payloads[i].begin(), payloads[i].end());
-    uint8_t* e = legacy.data() + table_end + i * kSectionEntrySize;
-    std::memcpy(e, &id, sizeof(id));
-    std::memcpy(e + 8, &offset, sizeof(offset));
-    std::memcpy(e + 16, &size, sizeof(size));
-  }
-  uint32_t flags = 0;
-  std::memcpy(&flags, legacy.data() + kFlagsOffset, sizeof(flags));
-  flags |= 1u;
-  std::memcpy(legacy.data() + kFlagsOffset, &flags, sizeof(flags));
-  // The new sections' checksums, then the section table's and the header's.
-  ReforgeSectionChecksum(&legacy, sections.size());
-  ReforgeSectionChecksum(&legacy, sections.size() + 1);
-  Spit(path, legacy);
-
-  for (bool zero_copy : {false, true}) {
-    SCOPED_TRACE("zero_copy=" + std::to_string(zero_copy));
-    auto loaded = zero_copy ? OpenSnapshot(path) : ReadSnapshot(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectBundlesIdentical(built, loaded.value());
+  // Blank cells, a blank row between two rows with records and two at the
+  // end: rows without records still take a RowId and must not shift the
+  // keys of the rows after them.
+  Table ragged("ragged");
+  ragged.AddColumn("name");
+  ragged.AddColumn("score");
+  ASSERT_TRUE(ragged.AppendRow({"Alpha ", "2"}).ok());
+  ASSERT_TRUE(ragged.AppendRow({"", " "}).ok());
+  ASSERT_TRUE(ragged.AppendRow({"omega", ""}).ok());
+  ASSERT_TRUE(ragged.AppendRow({" ", "7"}).ok());
+  ASSERT_TRUE(ragged.AppendRow({"", ""}).ok());
+  ASSERT_TRUE(ragged.AppendRow({"", ""}).ok());
+  lake.AddTable(std::move(ragged));
+  const std::string path = TempPath("superkey_oracle");
+  for (StoreLayout layout : {StoreLayout::kColumn, StoreLayout::kRow}) {
+    for (bool shuffle : {false, true}) {
+      SCOPED_TRACE("layout=" + std::to_string(static_cast<int>(layout)) +
+                   " shuffle=" + std::to_string(shuffle));
+      const IndexBundle built = BuildBundle(lake, layout, shuffle);
+      auto check = [&](const IndexBundle& b) {
+        if (b.layout() == StoreLayout::kRow) {
+          ExpectSuperKeysMatchLake(b.row_store(), b.dictionary(), lake);
+        } else {
+          ExpectSuperKeysMatchLake(b.column_store(), b.dictionary(), lake);
+        }
+      };
+      check(built);
+      for (PostingCodec codec : {PostingCodec::kRaw, PostingCodec::kCompressed}) {
+        SCOPED_TRACE(PostingCodecName(codec));
+        SnapshotOptions opts;
+        opts.codec = codec;
+        ASSERT_TRUE(WriteSnapshot(built, path, opts).ok());
+        auto heap = ReadSnapshot(path);
+        ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+        check(heap.value());
+        auto mapped = OpenSnapshot(path);
+        ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+        check(mapped.value());
+      }
+    }
   }
   std::remove(path.c_str());
 }
@@ -876,7 +910,7 @@ TEST(SnapshotTest, EmptyLakeRoundTripsAndAnswersQueries) {
 
 /// Parameterized over the corruption matrix: layout (bit 0) x postings codec
 /// (bit 1), so every tampering below is exercised against raw and compressed
-/// v2 artifacts of both physical layouts.
+/// v3 artifacts of both physical layouts.
 class SnapshotCorruptionTest : public ::testing::TestWithParam<int> {
  protected:
   SnapshotCorruptionTest() {
@@ -1033,23 +1067,23 @@ TEST_P(SnapshotCorruptionTest, TamperedSectionTable) {
 // semantic validators — not the integrity hashes — are what reject).
 // ---------------------------------------------------------------------------
 
-TEST_P(SnapshotCorruptionTest, VersionOneHeaderAcceptsRawRejectsCompressed) {
-  // A raw v2 artifact downgraded to version 1 is byte-for-byte the pre-codec
-  // v1 format, and must still load (backward compatibility). The same
-  // downgrade over a compressed payload is a forgery and must be rejected.
-  std::vector<uint8_t> bytes = pristine_;
-  const uint32_t v1 = 1;
-  std::memcpy(bytes.data() + kVersionOffset, &v1, sizeof(v1));
-  ReforgeHeaderChecksum(&bytes);
-  Spit(path_, bytes);
-  if (codec_ == PostingCodec::kCompressed) {
-    ExpectBothLoadersReject(path_, "codec flags");
-    return;
-  }
-  for (bool zero_copy : {false, true}) {
-    auto loaded = zero_copy ? OpenSnapshot(path_) : ReadSnapshot(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectBundlesIdentical(bundle_, loaded.value());
+TEST_P(SnapshotCorruptionTest, OlderVersionHeadersAreRejectedByName) {
+  // v1 and v2 files stored a SuperKey per cell and 64-bit posting offsets:
+  // their sections cannot be read as v3 ones, so the header alone rejects
+  // them, with an error naming the version (not a section or checksum).
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> bytes = pristine_;
+    std::memcpy(bytes.data() + kVersionOffset, &version, sizeof(version));
+    ReforgeHeaderChecksum(&bytes);
+    Spit(path_, bytes);
+    const std::string named =
+        "format version " + std::to_string(version) + " is no longer supported";
+    ExpectBothLoadersReject(path_, named);
+    auto from_buffer = internal::LoadSnapshotFromBuffer(bytes.data(), bytes.size());
+    ASSERT_FALSE(from_buffer.ok());
+    EXPECT_NE(from_buffer.status().message().find(named), std::string::npos)
+        << from_buffer.status().message();
   }
 }
 
@@ -1107,7 +1141,7 @@ TEST_P(SnapshotCorruptionTest, ForgedBlockTagInsideCompressedPayload) {
   // partition up to the victim, with the victim cut to its first value.
   const size_t part = victim / kPostingPartitionCells;
   const size_t begin = part * kPostingPartitionCells;
-  std::vector<uint64_t> head(offsets.begin() + static_cast<ptrdiff_t>(begin),
+  std::vector<uint32_t> head(offsets.begin() + static_cast<ptrdiff_t>(begin),
                              offsets.begin() + static_cast<ptrdiff_t>(victim) + 1);
   head.push_back(head.back() + 1);
   const size_t tag_at =
@@ -1277,6 +1311,65 @@ TEST_P(SnapshotCorruptionTest, RecordsOutOfRowOrderAreRejected) {
   ReforgeSectionChecksum(&bytes, sec_idx);
   Spit(path_, bytes);
   ExpectBothLoadersReject(path_, "(TableId, RowId) order");
+}
+
+/// Overwrites record `p`'s RowId in the file (IndexRecord::row in the row
+/// layout, the Rows array in the column layout) and reforges the checksums.
+void ForgeRowId(std::vector<uint8_t>* bytes, StoreLayout layout, RecordPos p,
+                int32_t row) {
+  const bool row_layout = layout == StoreLayout::kRow;
+  const size_t sec_idx = SectionIndexOf(ParseSectionTable(*bytes),
+                                        row_layout ? kSecIdRecords : kSecIdRows);
+  const size_t stride = row_layout ? sizeof(IndexRecord) : sizeof(int32_t);
+  const size_t field = row_layout ? offsetof(IndexRecord, row) : 0;
+  std::memcpy(bytes->data() + ParseSectionTable(*bytes)[sec_idx].offset +
+                  p * stride + field,
+              &row, sizeof(row));
+  ReforgeSectionChecksum(bytes, sec_idx);
+}
+
+TEST_P(SnapshotCorruptionTest, RowIdsOutsideTheirTableAreRejected) {
+  // A RowId indexes its table's SuperKeys. A negative first RowId keeps the
+  // (TableId, RowId) order, and so does a huge last one; neither may load,
+  // or super_key() would read outside the keys.
+  auto range = [&](TableId t) {
+    return layout_ == StoreLayout::kRow ? bundle_.row_store().TableRange(t)
+                                        : bundle_.column_store().TableRange(t);
+  };
+  TableId first = 0;
+  while (range(first).first == range(first).second) ++first;
+  TableId last = static_cast<TableId>(bundle_.NumTables()) - 1;
+  while (range(last).first == range(last).second) --last;
+
+  std::vector<uint8_t> bytes = pristine_;
+  ForgeRowId(&bytes, layout_, range(first).first, -1);
+  Spit(path_, bytes);
+  ExpectBothLoadersReject(path_, "table " + std::to_string(first) +
+                                     " has a negative RowId");
+
+  bytes = pristine_;
+  ForgeRowId(&bytes, layout_, range(last).second - 1, 1 << 30);
+  Spit(path_, bytes);
+  ExpectBothLoadersReject(path_, "SuperKeys section holds");
+}
+
+TEST_P(SnapshotCorruptionTest, ShortSuperKeysSectionIsRejected) {
+  // One key fewer than the records' rows: the section table says so, every
+  // checksum agrees, and the loader must still refuse to serve the keys.
+  std::vector<uint8_t> bytes = pristine_;
+  const size_t idx = SectionIndexOf(ParseSectionTable(bytes), kSecIdSuperKeys);
+  uint64_t size = ParseSectionTable(bytes)[idx].size;
+  ASSERT_GE(size, sizeof(uint64_t));
+  size -= sizeof(uint64_t);
+  std::memcpy(bytes.data() + kHeaderSize + idx * kSectionEntrySize + 16, &size,
+              sizeof(size));
+  ReforgeSectionChecksum(&bytes, idx);
+  Spit(path_, bytes);
+  ExpectBothLoadersReject(path_, "SuperKeys section holds");
+  auto from_buffer = internal::LoadSnapshotFromBuffer(bytes.data(), bytes.size());
+  ASSERT_FALSE(from_buffer.ok());
+  EXPECT_NE(from_buffer.status().message().find("SuperKeys"), std::string::npos)
+      << from_buffer.status().message();
 }
 
 // ---------------------------------------------------------------------------

@@ -955,9 +955,11 @@ TEST_P(EngineDeterminismTest, SortLimitKeepsScoreThenTableThenColumnOrder) {
   // row per table. The lake crowds the boundary: 40 tables whose columns
   // hold 3 to 5 of 12 query values (random subsets, so first appearance does
   // not follow TableId), every fourth table with two columns of equal score,
-  // and a table whose one query value repeats over several posting blocks.
-  // The expected rows follow from how the lake was built, not from the
-  // engine.
+  // a table whose one query value repeats over several posting blocks, and
+  // a table of 600 columns that each hold every query value: it outranks
+  // all others, so under dedup the sort must reach past its rows in
+  // doubling prefixes. The expected rows follow from how the lake was
+  // built, not from the engine.
   Rng rng(GetParam() * 97 + 19);
   std::vector<std::string> values;
   for (int v = 0; v < 12; ++v) values.push_back("tie" + std::to_string(v));
@@ -1004,6 +1006,14 @@ TEST_P(EngineDeterminismTest, SortLimitKeepsScoreThenTableThenColumnOrder) {
     ASSERT_TRUE(long_table.AppendRow({values[0], "long" + std::to_string(r)}).ok());
   }
   groups.push_back({lake.AddTable(std::move(long_table)), 0, 1});
+  constexpr int kWideColumns = 600;
+  Table wide("tie_wide");
+  for (int c = 0; c < kWideColumns; ++c) wide.AddColumn("w" + std::to_string(c));
+  for (const std::string& v : values) {
+    ASSERT_TRUE(wide.AppendRow(std::vector<std::string>(kWideColumns, v)).ok());
+  }
+  const TableId wide_id = lake.AddTable(std::move(wide));
+  for (int c = 0; c < kWideColumns; ++c) groups.push_back({wide_id, c, 12});
   std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.table != b.table ? a.table < b.table : a.column < b.column;
